@@ -52,6 +52,9 @@ int main() {
   policy::RoleSet full_lacked =
       core::SuperPolicyRoles(owner.keys().universe, user);
   policy::RoleSet reduced = hierarchy.ReduceLackedSet(full_lacked);
+  core::VerifyContext hctx(owner.keys().mvk, owner.keys().domain, user,
+                           owner.keys().universe);
+  hctx.lacked = reduced;
 
   crypto::Rng qrng(7);
   core::User huser(owner.keys(), owner.EnrollUser(user));
@@ -66,9 +69,7 @@ int main() {
     h_costs.sp_ms += t.ElapsedMs();
     h_costs.vo_kb += vo.SerializedSize() / 1024.0;
     t.Reset();
-    bool ok = core::VerifyRangeVoWithLacked(owner.keys().mvk,
-                                            owner.keys().domain, range, user,
-                                            reduced, vo, nullptr, nullptr);
+    bool ok = core::VerifyRangeVo(hctx, range, vo, nullptr).ok();
     h_costs.user_ms += t.ElapsedMs();
     if (!ok) {
       std::fprintf(stderr, "BENCH BUG: hierarchical VO failed\n");

@@ -62,12 +62,10 @@ int main() {
       kb_k += kvo.SerializedSize() / 1024.0;
       std::vector<core::Record> r1, r2;
       t.Reset();
-      bool ok1 = user.VerifyRange(range, gvo, &r1, nullptr);
+      bool ok1 = user.VerifyRange(range, gvo, &r1).ok();
       u_g += t.ElapsedMs();
       t.Reset();
-      bool ok2 = core::VerifyKdRangeVo(owner.keys().mvk, owner.keys().domain,
-                                       range, roles, owner.keys().universe,
-                                       kvo, &r2, nullptr);
+      bool ok2 = core::VerifyKdRangeVo(user.Context(), range, kvo, &r2).ok();
       u_k += t.ElapsedMs();
       if (!ok1 || !ok2 || r1.size() != r2.size()) {
         std::fprintf(stderr, "BENCH BUG: grid/kd result mismatch (%zu/%zu)\n",

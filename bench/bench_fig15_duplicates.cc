@@ -58,6 +58,8 @@ int main() {
   double nz_build = t_nz.ElapsedMs();
   std::size_t ns, nsig;
   nz_tree.SerializedSize(&ns, &nsig);
+  core::VerifyContext nz_ctx(nz_owner.keys().mvk, cfg.domain, roles,
+                             nz_owner.keys().universe);
 
   std::printf("Index: ZK %.2f MB (%.2f + %.2f), built %.0f ms | "
               "non-ZK %.2f MB (%.2f + %.2f), built %.0f ms\n\n",
@@ -87,7 +89,7 @@ int main() {
       sp[0] += t.ElapsedMs();
       kb[0] += bvo.SerializedSize() / 1024.0;
       t.Reset();
-      bool ok0 = zk_user.VerifyRange(zk_range, bvo, nullptr, nullptr);
+      bool ok0 = zk_user.VerifyRange(zk_range, bvo, nullptr).ok();
       us[0] += t.ElapsedMs();
 
       // ZK AP2G-tree over the virtual dimension.
@@ -96,7 +98,7 @@ int main() {
       sp[1] += t.ElapsedMs();
       kb[1] += zvo.SerializedSize() / 1024.0;
       t.Reset();
-      bool ok1 = zk_user.VerifyRange(zk_range, zvo, nullptr, nullptr);
+      bool ok1 = zk_user.VerifyRange(zk_range, zvo, nullptr).ok();
       us[1] += t.ElapsedMs();
 
       // Non-ZK dup-embedding tree.
@@ -108,10 +110,7 @@ int main() {
       sp[2] += t.ElapsedMs();
       kb[2] += nvo.SerializedSize() / 1024.0;
       t.Reset();
-      bool ok2 = core::VerifyDupRangeVo(nz_owner.keys().mvk, cfg.domain,
-                                        range, roles,
-                                        nz_owner.keys().universe, nvo,
-                                        nullptr, nullptr);
+      bool ok2 = core::VerifyDupRangeVo(nz_ctx, range, nvo, nullptr).ok();
       us[2] += t.ElapsedMs();
       if (!ok0 || !ok1 || !ok2) {
         std::fprintf(stderr, "BENCH BUG: duplicate VO failed (%d/%d/%d)\n",

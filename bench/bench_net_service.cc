@@ -93,7 +93,7 @@ void BenchRpcOverhead(int queries) {
     const core::Box& range = ranges[static_cast<std::size_t>(i++)];
     core::Vo vo = d.sp->RangeQuery(range, d.user_roles);
     std::vector<core::Record> rows;
-    bool ok = user.VerifyRange(range, vo, &rows, nullptr);
+    bool ok = user.VerifyRange(range, vo, &rows).ok();
     Sink(ok);
   });
   Report("range_direct", direct);

@@ -254,9 +254,10 @@ void BenchRangeVoVerify(bool fast) {
   core::ThreadPool pool(4);
 
   auto verify = [&](const core::Vo& v, core::ThreadPool* p) {
-    Sink(core::VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                               keys.universe, v, nullptr,
-                               /*exact_pairings=*/false, p));
+    core::VerifyContext ctx(keys.mvk, keys.domain, creds.roles,
+                            keys.universe);
+    ctx.pool = p;
+    Sink(core::VerifyRangeVo(ctx, range, v, nullptr));
   };
 
   // The serial/pool rows pin the retained per-signature path so the batched

@@ -187,7 +187,7 @@ inline QueryCosts MeasureRange(Deployment& d, double selectivity, int queries,
     costs.vo_kb += static_cast<double>(vo.SerializedSize()) / 1024.0;
     std::vector<core::Record> results;
     t.Reset();
-    bool ok = user.VerifyRange(range, vo, &results, nullptr);
+    bool ok = user.VerifyRange(range, vo, &results).ok();
     costs.user_ms += t.ElapsedMs();
     if (!ok) {
       std::fprintf(stderr, "BENCH BUG: VO failed verification\n");

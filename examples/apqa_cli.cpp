@@ -185,10 +185,10 @@ struct Cli {
       auto lo = ParseDoubles(t[3]), hi = ParseDoubles(t[4]);
       core::Vo vo = sp->Range(t[2], lo, hi, client.roles());
       std::vector<VerifiedRow> rows;
-      std::string error;
-      if (!client.VerifyRange(sp->GetSchema(t[2]), lo, hi, vo, &rows,
-                              &error)) {
-        throw std::runtime_error("VERIFICATION FAILED: " + error);
+      core::VerifyResult verdict =
+          client.VerifyRange(sp->GetSchema(t[2]), lo, hi, vo, &rows);
+      if (!verdict.ok()) {
+        throw std::runtime_error("VERIFICATION FAILED: " + verdict.ToString());
       }
       std::printf("%s range %s [%s..%s]: VERIFIED, %zu rows, VO %.1f KB\n",
                   t[1].c_str(), t[2].c_str(), t[3].c_str(), t[4].c_str(),
@@ -203,10 +203,10 @@ struct Cli {
       auto attrs = ParseDoubles(t[3]);
       core::Vo vo = sp->Equality(t[2], attrs, client.roles());
       std::optional<VerifiedRow> row;
-      std::string error;
-      if (!client.VerifyEquality(sp->GetSchema(t[2]), attrs, vo, &row,
-                                 &error)) {
-        throw std::runtime_error("VERIFICATION FAILED: " + error);
+      core::VerifyResult verdict =
+          client.VerifyEquality(sp->GetSchema(t[2]), attrs, vo, &row);
+      if (!verdict.ok()) {
+        throw std::runtime_error("VERIFICATION FAILED: " + verdict.ToString());
       }
       std::printf("%s eq %s (%s): VERIFIED, %s\n", t[1].c_str(), t[2].c_str(),
                   t[3].c_str(),

@@ -38,15 +38,17 @@ int main() {
   std::printf("ADS size: %.1f KB\n\n", ads.SerializedSizeBytes() / 1024.0);
 
   policy::RoleSet trader = {"Trader"};
-  std::string error;
+  // The continuous key space is u64, so the grid domain goes unused.
+  VerifyContext ctx(mvk, Domain{}, trader, universe);
 
   // Range query over the first millisecond.
   ContinuousVo vo = BuildContinuousRangeVo(ads, mvk, 1'000'000, 1'001'000,
                                            trader, universe, &rng);
   std::vector<ContinuousRecord> results;
-  if (!VerifyContinuousRangeVo(mvk, 1'000'000, 1'001'000, trader, universe,
-                               vo, &results, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  if (VerifyResult r =
+          VerifyContinuousRangeVo(ctx, 1'000'000, 1'001'000, vo, &results);
+      !r.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("trader range [1000000, 1001000]: verified\n");
@@ -62,9 +64,9 @@ int main() {
   ContinuousVo evo =
       BuildContinuousEqualityVo(ads, mvk, 1'005'000, trader, universe, &rng);
   std::optional<ContinuousRecord> result;
-  if (!VerifyContinuousEqualityVo(mvk, 1'005'000, trader, universe, evo,
-                                  &result, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  if (VerifyResult r = VerifyContinuousEqualityVo(ctx, 1'005'000, evo, &result);
+      !r.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("equality t=1005000: verified, %s\n",
@@ -75,9 +77,9 @@ int main() {
   // trade-off versus the zero-knowledge grid.
   ContinuousVo fvo =
       BuildContinuousEqualityVo(ads, mvk, 1'000'048, trader, universe, &rng);
-  if (!VerifyContinuousEqualityVo(mvk, 1'000'048, trader, universe, fvo,
-                                  &result, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  if (VerifyResult r = VerifyContinuousEqualityVo(ctx, 1'000'048, fvo, &result);
+      !r.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("equality t=1000048: verified, %s\n",

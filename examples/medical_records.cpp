@@ -57,13 +57,12 @@ int main() {
   User oncologist(owner.keys(), owner.EnrollUser(onc_roles));
 
   Box all{{0}, {31}};
-  std::string error;
 
   auto report = [&](const char* who, User& user) {
     Vo vo = sp.RangeQuery(all, user.roles());
     std::vector<Record> results;
-    if (!user.VerifyRange(all, vo, &results, &error)) {
-      std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+    if (VerifyResult r = user.VerifyRange(all, vo, &results); !r.ok()) {
+      std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
       std::exit(1);
     }
     std::printf("%s sees %zu records (VO %zu bytes, %zu entries):\n", who,
@@ -84,8 +83,10 @@ int main() {
   for (std::uint32_t id = 0; id < 32; ++id) {
     Vo vo = sp.EqualityQuery({id}, gp.roles());
     bool accessible = false;
-    if (!gp.VerifyEquality({id}, vo, nullptr, &accessible, &error)) {
-      std::printf("VERIFICATION FAILED at id %u: %s\n", id, error.c_str());
+    if (VerifyResult r = gp.VerifyEquality({id}, vo, nullptr, &accessible);
+        !r.ok()) {
+      std::printf("VERIFICATION FAILED at id %u: %s\n", id,
+                  r.ToString().c_str());
       return 1;
     }
     if (!accessible) {
@@ -102,8 +103,8 @@ int main() {
   // the GP even if intercepted.
   cpabe::Envelope env = sp.SealedRangeQuery(all, oncologist.roles());
   std::vector<Record> results;
-  bool onc_ok = oncologist.OpenAndVerifyRange(all, env, &results, &error);
-  bool gp_blocked = !gp.OpenAndVerifyRange(all, env, nullptr, nullptr);
+  bool onc_ok = oncologist.OpenAndVerifyRange(all, env, &results).ok();
+  bool gp_blocked = !gp.OpenAndVerifyRange(all, env, nullptr).ok();
   std::printf("\nsealed response: oncologist opens=%s, GP blocked=%s\n",
               onc_ok ? "yes" : "NO!", gp_blocked ? "yes" : "NO!");
   return onc_ok && gp_blocked ? 0 : 1;

@@ -44,9 +44,8 @@ int main() {
   core::Box q6 = tpch::RandomRangeQuery(domain, 0.1, &qrng);
   core::Vo vo = sp.RangeQuery(q6, roles);
   std::vector<core::Record> results;
-  std::string error;
-  if (!analyst.VerifyRange(q6, vo, &results, &error)) {
-    std::printf("Q6 VERIFICATION FAILED: %s\n", error.c_str());
+  if (core::VerifyResult r = analyst.VerifyRange(q6, vo, &results); !r.ok()) {
+    std::printf("Q6 VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("Q6 range [%u..%u]x[%u..%u]x[%u..%u]: verified, "
@@ -71,8 +70,9 @@ int main() {
   core::Box q12{{8}, {47}};
   core::JoinVo jvo = join_sp.JoinQuery(q12, roles);
   std::vector<std::pair<core::Record, core::Record>> pairs;
-  if (!join_user.VerifyJoin(q12, jvo, &pairs, &error)) {
-    std::printf("Q12 VERIFICATION FAILED: %s\n", error.c_str());
+  if (core::VerifyResult r = join_user.VerifyJoin(q12, jvo, &pairs);
+      !r.ok()) {
+    std::printf("Q12 VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("Q12 join on orderkey in [8,47]: verified, %zu pairs, "
@@ -89,10 +89,10 @@ int main() {
   core::KdVo kvo = core::BuildKdRangeVo(kd, owner.keys().mvk, q6, roles,
                                         owner.keys().universe, &krng);
   std::vector<core::Record> kd_results;
-  if (!core::VerifyKdRangeVo(owner.keys().mvk, domain, q6, roles,
-                             owner.keys().universe, kvo, &kd_results,
-                             &error)) {
-    std::printf("KD VERIFICATION FAILED: %s\n", error.c_str());
+  if (core::VerifyResult r =
+          core::VerifyKdRangeVo(analyst.Context(), q6, kvo, &kd_results);
+      !r.ok()) {
+    std::printf("KD VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("\nAP2kd-tree (relaxed model), same Q6 range: verified, "

@@ -40,17 +40,18 @@ int main() {
   Vo vo = sp.EqualityQuery({5}, nurse.roles());
   bool accessible = false;
   Record result;
-  std::string error;
-  if (!nurse.VerifyEquality({5}, vo, &result, &accessible, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  if (VerifyResult r = nurse.VerifyEquality({5}, vo, &result, &accessible);
+      !r.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("nurse  key=5  -> verified, accessible=%s\n",
               accessible ? "yes" : "no (existence hidden)");
 
   vo = sp.EqualityQuery({5}, doctor.roles());
-  if (!doctor.VerifyEquality({5}, vo, &result, &accessible, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  if (VerifyResult r = doctor.VerifyEquality({5}, vo, &result, &accessible);
+      !r.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("doctor key=5  -> verified, accessible=%s, value=\"%s\"\n",
@@ -60,8 +61,9 @@ int main() {
   Box range{{2}, {12}};
   Vo range_vo = sp.RangeQuery(range, nurse.roles());
   std::vector<Record> results;
-  if (!nurse.VerifyRange(range, range_vo, &results, &error)) {
-    std::printf("VERIFICATION FAILED: %s\n", error.c_str());
+  if (VerifyResult r = nurse.VerifyRange(range, range_vo, &results);
+      !r.ok()) {
+    std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("nurse  range [2,12] -> verified, %zu accessible records:\n",
@@ -80,8 +82,9 @@ int main() {
       break;
     }
   }
-  bool caught = !nurse.VerifyRange(range, tampered, nullptr, &error);
+  VerifyResult verdict = nurse.VerifyRange(range, tampered, nullptr);
+  bool caught = !verdict.ok();
   std::printf("tampered VO rejected: %s (%s)\n", caught ? "yes" : "NO!",
-              error.c_str());
+              verdict.ToString().c_str());
   return caught ? 0 : 1;
 }

@@ -11,7 +11,9 @@
 #      its violation tests in Release where APQA_LOCKDEP is off), then the
 #      crypto suites again under APQA_FORCE_PORTABLE=1 so the portable
 #      Montgomery/no-accel arm of the runtime dispatch stays covered, then
-#      a duplicate-(bench,row) gate over the checked-in BENCH_*.json files
+#      a duplicate-(bench,row) gate over the checked-in BENCH_*.json files,
+#      and a build (no run) of the perfbench/ service benchmark into
+#      build/perfbench so an src/ API change that breaks it fails here
 #   3. clang-format diff + clang-tidy on the crypto layer (skipped with a
 #      notice when the clang tools are not installed — the default
 #      toolchain here is GCC)
@@ -60,6 +62,13 @@ python3 scripts/lint.py
 echo "=== build (Release) ==="
 cmake -B build -S . -DAPQA_WERROR=ON >/dev/null
 cmake --build build -j
+
+echo "=== build (perfbench service benchmark; built, not run) ==="
+# perfbench/ compiles src/ into its own tree. Building it here makes an src/
+# API change that breaks the benchmark fail this check instead of the
+# benchmark run.
+cmake -S perfbench -B build/perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build/perfbench -j --target service_bench >/dev/null
 
 echo "=== ctest ==="
 (cd build && ctest --output-on-failure -j "$(nproc)")

@@ -38,10 +38,15 @@ Untrusted taint (hostile-SP path):
       (src/, tests/, bench/, examples/), so `--list-discards` audits every
       deliberately dropped return value; accidental drops of [[nodiscard]]
       values are compile errors under -Werror (check.sh).
-  R12 freshness gates first: in every Verify*Ex body, CheckFreshness runs
-      before any structural or signature work (SigBatch, policy Evaluate,
-      coverage checks) — a replayed VO must fail kStaleEpoch before the
-      verifier spends effort on it or leaks timing about its contents.
+  R12 freshness gates first, by construction: every checked Verify*Vo
+      entry hands its VO to the shared RunVerify driver before any
+      structural or signature work (SigBatch, policy Evaluate, coverage
+      checks), and RunVerify itself runs CheckFreshness before the walk and
+      the batch — a replayed VO must fail kStaleEpoch before the verifier
+      spends effort on it or leaks timing about its contents. Non-vacuity:
+      every Verify*Vo name declared in src/ must have a body R12 checked,
+      and the driver body must be found, so a signature the rule stops
+      recognizing fails the lint instead of silently passing it.
   R13 fatal means fatal: in net/client.cc a kVerifyRejected/kServerRejected
       status must be returned immediately (never looped back into a retry),
       and in net/frame.cc RpcErrorRetryable must keep kBadRequest/kInternal
@@ -212,11 +217,17 @@ UNTRUSTED_WINDOW = 3
 DISCARD = re.compile(r"\(void\)\s*[A-Za-z_][\w:]*(?:[.\->\w:]*)\s*\(")
 DISCARD_REASON = re.compile(r"//\s*discard-ok:")
 
-# R12: anchors marking "real verification work" inside a Verify*Ex body.
-VERIFY_EX_SIG = re.compile(r"\bVerifyResult\s+(Verify\w*Ex)\s*\(")
+# R12: verifier entries, the shared driver, and anchors marking "real
+# verification work" that must not run before the freshness gate.
+VERIFIER_NAME = re.compile(r"\bVerifyResult\s+(Verify\w*Vo)\s*\(")
+VERIFIER_DECL = re.compile(r"\b(Verify\w*Vo)\s*\(\s*const\s+VerifyContext\b")
+DRIVER_SIG = re.compile(r"\bVerifyResult\s+(RunVerify)\s*\(")
+DRIVER_CALL = re.compile(r"\bRunVerify\s*\(")
+GATE_CALL = re.compile(r"\.Unvalidated\s*\(\)")
 FRESHNESS_CALL = re.compile(r"\bCheckFreshness\s*\(")
 WORK_ANCHOR = re.compile(r"\bSigBatch\b|\.Evaluate\s*\(|\bCheckCoverage|"
-                         r"\bFirstFailure\s*\(|\bAttributeBase")
+                         r"\bFirstFailure\s*\(|\bAttributeBase|"
+                         r"\bAbs::Verify\s*\(|\bwalk\s*\(")
 
 # R13: fatal client statuses that must be returned, not retried.
 FATAL_STATUS = re.compile(
@@ -256,11 +267,10 @@ def source_files(roots):
                     yield os.path.join(dirpath, name)
 
 
-def check_freshness_first(rel, stripped_lines, violations):
-    """R12: CheckFreshness precedes any work anchor in each Verify*Ex body."""
-    text = "\n".join(stripped_lines)
-    for m in VERIFY_EX_SIG.finditer(text):
-        # Walk past the parameter list, then expect `{` (skip declarations).
+def function_bodies(text, signature):
+    """Yields (match, body) per `signature` match; body is None for a
+    declaration (no `{` after the parameter list)."""
+    for m in signature.finditer(text):
         i = text.find("(", m.end() - 1)
         depth, n = 0, len(text)
         while i < n:
@@ -275,7 +285,8 @@ def check_freshness_first(rel, stripped_lines, violations):
         while i < n and text[i] in " \t\r\n":
             i += 1
         if i >= n or text[i] != "{":
-            continue  # declaration or macro — no body to check
+            yield m, None
+            continue
         start, depth = i, 0
         while i < n:
             if text[i] == "{":
@@ -285,18 +296,73 @@ def check_freshness_first(rel, stripped_lines, violations):
                 if depth == 0:
                     break
             i += 1
-        body = text[start:i]
+        yield m, text[start:i]
+
+
+def check_freshness_first(rel, stripped_lines, result):
+    """R12 (per file): verifier bodies route through RunVerify before any
+    work; the RunVerify body gates on CheckFreshness before any work.
+    Records declared/checked names for the cross-file coverage check."""
+    violations = result["violations"]
+    text = "\n".join(stripped_lines)
+
+    def lineno(m):
+        return text.count("\n", 0, m.start()) + 1
+
+    for m in VERIFIER_DECL.finditer(text):
+        result["r12_declared"].append((rel, lineno(m), m.group(1)))
+    for m, body in function_bodies(text, VERIFIER_NAME):
+        name = m.group(1)
+        result["r12_declared"].append((rel, lineno(m), name))
+        if body is None:
+            continue
         work = WORK_ANCHOR.search(body)
-        if work is None:
-            continue  # thin wrapper / delegate: nothing gated here
-        fresh = FRESHNESS_CALL.search(body)
-        if fresh is None or fresh.start() > work.start():
-            lineno = text.count("\n", 0, m.start()) + 1
+        if work is None and GATE_CALL.search(body):
+            continue  # Untrusted<> declassification gate: one-line delegate
+        result["r12_checked"].append((rel, lineno(m), name))
+        driver = DRIVER_CALL.search(body)
+        if driver is None or (work is not None and
+                              work.start() < driver.start()):
             violations.append(
-                (rel, lineno, "R12",
-                 f"{m.group(1)}: verification work before (or without) the "
-                 "CheckFreshness gate — a replayed VO must fail kStaleEpoch "
-                 "first", m.group(1)))
+                (rel, lineno(m), "R12",
+                 f"{name}: verification work outside (or before) the "
+                 "RunVerify driver — its freshness gate must run first, so "
+                 "a replayed VO fails kStaleEpoch", name))
+    for m, body in function_bodies(text, DRIVER_SIG):
+        if body is None:
+            continue
+        result["r12_driver"].append((rel, lineno(m), "RunVerify"))
+        fresh = FRESHNESS_CALL.search(body)
+        work = WORK_ANCHOR.search(body)
+        if fresh is None or (work is not None and
+                             work.start() < fresh.start()):
+            violations.append(
+                (rel, lineno(m), "R12",
+                 "RunVerify: structural walk or signature batch before (or "
+                 "without) the CheckFreshness gate", "RunVerify"))
+
+
+def check_r12_coverage(merged, require_driver=True):
+    """R12 non-vacuity: every declared Verify*Vo entry has a body R12
+    checked, and (tree-wide) the driver body was found and checked.
+    Returns the number of verifier bodies checked."""
+    checked = {name for _, _, name in merged["r12_checked"]}
+    missing = {}
+    for rel, lineno, name in merged["r12_declared"]:
+        if name not in checked:
+            missing.setdefault(name, (rel, lineno))
+    for name, (rel, lineno) in sorted(missing.items()):
+        merged["violations"].append(
+            (rel, lineno, "R12",
+             f"{name}: declared verifier entry whose body R12 does not "
+             "recognize — the freshness-first check would be vacuous for "
+             "it", name))
+    if require_driver and merged["r12_declared"] and not merged["r12_driver"]:
+        merged["violations"].append(
+            ("src/core/parallel_verify.h", 1, "R12",
+             "RunVerify driver body not found — the freshness-first check "
+             "has nothing to anchor on", "RunVerify"))
+    return len(checked)
 
 
 def check_retry_taxonomy(rel, raw_lines, stripped_lines, violations):
@@ -377,13 +443,14 @@ def lint_file(rel, raw_lines, result):
                     (rel, 1, "R9",
                      f"type-level [[nodiscard]] marker on {name} is gone — "
                      "dropped verdicts would compile again", name))
-        check_freshness_first(rel, stripped, violations)
+        check_freshness_first(rel, stripped, result)
         check_retry_taxonomy(rel, raw_lines, stripped, violations)
 
 
 def empty_result():
     return {"violations": [], "declassify": [], "untrusted": [],
-            "discards": []}
+            "discards": [], "r12_declared": [], "r12_checked": [],
+            "r12_driver": []}
 
 
 def lint_path(path, rel):
@@ -504,6 +571,7 @@ def self_test():
             continue
         merged = empty_result()
         lint_file(pretend, raw_lines, merged)
+        check_r12_coverage(merged, require_driver=False)
         fired = fired_rules(merged)
         if expect not in fired:
             print(f"lint --self-test: {name} (as {pretend}) expected {expect}"
@@ -534,13 +602,15 @@ def main(argv):
             list_mode = (key, title, note)
     merged, count = run_tree(use_cache and list_mode is None)
     check_durable_allowlist(merged["violations"])
+    r12_bodies = check_r12_coverage(merged)
     if list_mode is not None:
         key, title, note = list_mode
         print_audit(title, merged[key], note)
         return 0
     if report(merged):
         return 1
-    print(f"lint: OK ({count} files)")
+    print(f"lint: OK ({count} files; R12 checked {r12_bodies} verifier "
+          "bodies)")
     return 0
 
 

@@ -4,8 +4,8 @@
 // verification verdict without a justification comment.
 namespace apqa::core {
 
-void RefreshReplica(const VerifyKey& mvk, const Vo& vo, const Query& q) {
-  (void)VerifyRangeVoEx(mvk, vo, q);
+void RefreshReplica(const VerifyContext& ctx, const Vo& vo, const Query& q) {
+  (void)VerifyRangeVo(ctx, q.range, vo, nullptr);
 }
 
 }  // namespace apqa::core

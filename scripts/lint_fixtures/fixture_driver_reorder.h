@@ -1,0 +1,23 @@
+// lint-fixture-expect: R12
+// lint-fixture-path: src/core/parallel_verify.h
+// Seeded violation: the shared verify driver runs the structural walk and
+// the signature batch before the freshness gate, so every verifier routed
+// through it would check a replayed VO's signatures first.
+namespace apqa::core {
+
+template <typename Walk, typename Emit>
+VerifyResult RunVerify(const VerifyContext& ctx,
+                       const std::vector<const EpochStamp*>& stamps,
+                       Walk&& walk, Emit&& emit) {
+  SigBatch batch(ctx.mvk);
+  VerifyResult struct_fail = walk(batch);
+  std::ptrdiff_t bad = batch.FirstFailure(ctx.pool);
+  for (const EpochStamp* stamp : stamps) {
+    VerifyResult f = CheckFreshness(ctx.mvk, *stamp, ctx.expected_epoch);
+    if (!f.ok()) return f;
+  }
+  emit(batch.EmitLimit(bad));
+  return bad >= 0 ? batch.failure(bad) : struct_fail;
+}
+
+}  // namespace apqa::core

@@ -1,21 +1,24 @@
 // lint-fixture-expect: R12
 // lint-fixture-path: src/core/equality.cc
-// Seeded violation: signature work runs before the freshness gate, so a
-// replayed VO gets expensive verification (and a timing side channel on its
-// contents) before it is rejected as stale.
+// Seeded violation: signature work runs before the entry hands the VO to
+// the RunVerify driver, so a replayed VO gets expensive verification (and a
+// timing side channel on its contents) before the freshness gate rejects
+// it as stale.
 namespace apqa::core {
 
-VerifyResult VerifyEqualityVoEx(const VerifyKey& mvk, const Vo& vo,
-                                const Query& q, const EpochStamp& expect) {
-  abs::SigBatch batch;
+VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
+                              const Vo& vo, Record* result, bool* accessible) {
+  SigBatch early(ctx.mvk);
   for (const auto& entry : vo.entries) {
-    batch.Add(mvk, entry.message, entry.sig);
+    early.Add(EntryMessage(entry), &entry.policy, &entry.sig, {});
   }
-  VerifyResult fresh = CheckFreshness(mvk, vo.stamp, expect);
-  if (!fresh.ok) {
-    return fresh;
+  if (early.FirstFailure(ctx.pool) >= 0) {
+    return VerifyResult::Fail(VerifyCode::kBadSignature, "bad", 0);
   }
-  return batch.Flush();
+  return RunVerify(
+      ctx, {&vo.stamp},
+      [&](SigBatch& batch) -> VerifyResult { return VerifyResult::Ok(); },
+      [&](std::size_t limit) {});
 }
 
 }  // namespace apqa::core

@@ -25,7 +25,7 @@ namespace apqa::common {
 // the SP→user / DO→SP path (frame decode, VO / AdsDelta / EpochStamp
 // payloads) returns Untrusted<T>; the payload only escapes through
 //
-//   * a Verify*Ex / Validate* overload that takes Untrusted<T> directly
+//   * a Verify*Vo / Validate* overload that takes Untrusted<T> directly
 //     (the declassification gates — verification IS the trust boundary), or
 //   * an explicit Unvalidated() / ReleaseUnvalidated() call, which lint
 //     rule R9 requires to carry an `// untrusted-ok: <reason>` comment so

@@ -4,17 +4,12 @@
 
 namespace apqa::core {
 
-std::optional<AggregateResult> VerifyAndAggregateEx(
-    const VerifyKey& mvk, const Domain& domain, const Box& range,
-    const RoleSet& user_roles, const RoleSet& universe, const Vo& vo,
-    const MeasureFn& measure, VerifyResult* why, ThreadPool* pool,
-    std::uint64_t expected_epoch) {
+VerifyResult VerifyAndAggregate(const VerifyContext& ctx, const Box& range,
+                                const Vo& vo, const MeasureFn& measure,
+                                AggregateResult* out) {
   std::vector<Record> results;
-  VerifyResult r = VerifyRangeVoEx(mvk, domain, range, user_roles, universe,
-                                   vo, &results, /*exact_pairings=*/false,
-                                   pool, expected_epoch);
-  if (why != nullptr) *why = r;
-  if (!r.ok()) return std::nullopt;
+  VerifyResult r = VerifyRangeVo(ctx, range, vo, &results);
+  if (!r.ok()) return r;
   AggregateResult agg;
   for (const Record& rec : results) {
     std::optional<double> m = measure(rec);
@@ -24,19 +19,8 @@ std::optional<AggregateResult> VerifyAndAggregateEx(
     if (!agg.min.has_value() || *m < *agg.min) agg.min = *m;
     if (!agg.max.has_value() || *m > *agg.max) agg.max = *m;
   }
-  return agg;
-}
-
-std::optional<AggregateResult> VerifyAndAggregate(
-    const VerifyKey& mvk, const Domain& domain, const Box& range,
-    const RoleSet& user_roles, const RoleSet& universe, const Vo& vo,
-    const MeasureFn& measure, std::string* error, ThreadPool* pool,
-    std::uint64_t expected_epoch) {
-  VerifyResult why;
-  auto agg = VerifyAndAggregateEx(mvk, domain, range, user_roles, universe, vo,
-                                  measure, &why, pool, expected_epoch);
-  if (!agg.has_value() && error != nullptr) *error = why.ToString();
-  return agg;
+  if (out != nullptr) *out = agg;
+  return r;
 }
 
 std::optional<double> NumericValueMeasure(const Record& record) {

@@ -15,7 +15,6 @@
 
 #include <functional>
 #include <optional>
-#include <string>
 
 #include "core/range_query.h"
 
@@ -37,36 +36,22 @@ struct AggregateResult {
 // record (e.g. non-numeric payloads).
 using MeasureFn = std::function<std::optional<double>(const Record&)>;
 
-// Verifies the VO and, on success, aggregates the accessible results.
-// Returns nullopt if verification fails; `why` (if not null) receives the
-// structured verification result either way. A non-null `pool` is passed
-// through to the underlying range verification.
-std::optional<AggregateResult> VerifyAndAggregateEx(
-    const VerifyKey& mvk, const Domain& domain, const Box& range,
-    const RoleSet& user_roles, const RoleSet& universe, const Vo& vo,
-    const MeasureFn& measure, VerifyResult* why = nullptr,
-    ThreadPool* pool = nullptr, std::uint64_t expected_epoch = 0);
+// Verifies the range VO and, on success, aggregates the accessible results
+// into `out` (left untouched on failure).
+VerifyResult VerifyAndAggregate(const VerifyContext& ctx, const Box& range,
+                                const Vo& vo, const MeasureFn& measure,
+                                AggregateResult* out);
 
 // Declassification gate for wire-decoded VOs: the aggregate only exists if
 // verification succeeded, so the tainted value feeds the checked path.
-inline std::optional<AggregateResult> VerifyAndAggregateEx(
-    const VerifyKey& mvk, const Domain& domain, const Box& range,
-    const RoleSet& user_roles, const RoleSet& universe,
-    const common::Untrusted<Vo>& vo, const MeasureFn& measure,
-    VerifyResult* why = nullptr, ThreadPool* pool = nullptr,
-    std::uint64_t expected_epoch = 0) {
-  // untrusted-ok: VerifyAndAggregateEx verifies before aggregating.
-  return VerifyAndAggregateEx(mvk, domain, range, user_roles, universe,
-                              vo.Unvalidated(), measure, why, pool,
-                              expected_epoch);
+inline VerifyResult VerifyAndAggregate(const VerifyContext& ctx,
+                                       const Box& range,
+                                       const common::Untrusted<Vo>& vo,
+                                       const MeasureFn& measure,
+                                       AggregateResult* out) {
+  // untrusted-ok: VerifyAndAggregate verifies before aggregating.
+  return VerifyAndAggregate(ctx, range, vo.Unvalidated(), measure, out);
 }
-
-// Legacy bool-style API; `error` receives the stringified result.
-std::optional<AggregateResult> VerifyAndAggregate(
-    const VerifyKey& mvk, const Domain& domain, const Box& range,
-    const RoleSet& user_roles, const RoleSet& universe, const Vo& vo,
-    const MeasureFn& measure, std::string* error,
-    ThreadPool* pool = nullptr, std::uint64_t expected_epoch = 0);
 
 // Convenience measure: parses the record value as a decimal number.
 std::optional<double> NumericValueMeasure(const Record& record);

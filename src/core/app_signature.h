@@ -56,6 +56,38 @@ void WarmSignatureEngine(const VerifyKey& mvk);
 policy::RoleSet SuperPolicyRoles(const policy::RoleSet& universe,
                                  const policy::RoleSet& user_roles);
 
+class ThreadPool;
+
+// Everything a user-side verifier needs besides the query and the VO. Every
+// Verify*Vo entry takes one. It snapshots `expected_epoch`, so build a fresh
+// context per verification (as core::User does) rather than caching one
+// across epoch advances — a stale snapshot would accept rolled-back VOs.
+struct VerifyContext {
+  // The common case: `lacked` is the super-policy set 𝔸 \ 𝒜 of `roles`.
+  VerifyContext(const VerifyKey& key, const Domain& dom,
+                const policy::RoleSet& user_roles,
+                const policy::RoleSet& universe)
+      : mvk(key),
+        domain(dom),
+        roles(user_roles),
+        lacked(SuperPolicyRoles(universe, user_roles)) {}
+
+  const VerifyKey& mvk;
+  Domain domain;
+  policy::RoleSet roles;
+  // The relaxation target APS signatures verify against (OR of these
+  // roles). Hierarchical role assignment (§8.1) replaces it with the
+  // reduced lacked set.
+  policy::RoleSet lacked;
+  // Minimum acceptable ADS epoch (see CheckFreshness).
+  std::uint64_t expected_epoch = 0;
+  // Fans the signature checks out; diagnostics are pool-independent.
+  ThreadPool* pool = nullptr;
+
+  // ∨_{a ∈ lacked} a — the predicate every APS signature must satisfy.
+  Policy SuperPolicy() const { return Policy::OrOfRoles(lacked); }
+};
+
 // Signs a record (APP signature). Pseudo records use policy Role_∅ and a
 // random value supplied by the caller. `epoch` is the ADS epoch the
 // signature is minted at (bound into the ABS message scalar).
@@ -125,9 +157,9 @@ std::optional<EpochStamp> MakeEpochStamp(const VerifyKey& mvk,
                                          std::uint64_t epoch,
                                          const Digest& ads_digest, Rng* rng);
 
-// The freshness gate every Ex verifier runs first. `expected_epoch` is the
-// *minimum* acceptable epoch (newer stamps pass — the client may lag behind
-// the DO). Rejections:
+// The freshness gate the shared verify driver (core/parallel_verify.h) runs
+// before anything else. `expected_epoch` is the *minimum* acceptable epoch
+// (newer stamps pass — the client may lag behind the DO). Rejections:
 //   * stamp.epoch < expected_epoch                  -> kStaleEpoch
 //   * unattested stamp at expected_epoch > 0        -> kStaleEpoch
 //   * attestation minted at a different epoch       -> kStaleEpoch

@@ -10,10 +10,6 @@ namespace apqa::core {
 
 namespace {
 
-void SetError(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-}
-
 void PutU64Bytes(std::vector<std::uint8_t>* out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -204,138 +200,118 @@ ContinuousVo ContinuousVo::DeserializeRaw(common::ByteReader* r) {
   return vo;
 }
 
-VerifyResult VerifyContinuousRangeVoEx(
-    const VerifyKey& mvk, std::uint64_t alpha, std::uint64_t beta,
-    const RoleSet& user_roles, const RoleSet& universe, const ContinuousVo& vo,
-    std::vector<ContinuousRecord>* results, ThreadPool* pool,
-    std::uint64_t expected_epoch) {
-  // Freshness gates everything: a replayed VO must fail with kStaleEpoch
-  // before any structural or signature work happens.
-  VerifyResult fresh = CheckFreshness(mvk, vo.stamp, expected_epoch);
-  if (!fresh.ok()) return fresh;
-  if (alpha > beta) {
-    return VerifyResult::Fail(VerifyCode::kBadQuery,
-                              "query range is inverted");
-  }
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  Policy super_policy = Policy::OrOfRoles(lacked);
-
-  // Coverage: points and clipped open gaps must tile [alpha, beta].
-  struct Interval {
-    std::uint64_t lo, hi;
-  };
-  std::vector<Interval> intervals;
-  for (std::size_t i = 0; i < vo.results.size(); ++i) {
-    const auto& e = vo.results[i];
-    if (e.key < alpha || e.key > beta) {
-      return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                                "result key outside range",
-                                static_cast<std::ptrdiff_t>(i));
-    }
-    intervals.push_back({e.key, e.key});
-  }
-  for (std::size_t i = 0; i < vo.inaccessible.size(); ++i) {
-    const auto& e = vo.inaccessible[i];
-    if (e.key < alpha || e.key > beta) {
-      return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                                "inaccessible key outside range",
-                                static_cast<std::ptrdiff_t>(i));
-    }
-    intervals.push_back({e.key, e.key});
-  }
-  for (std::size_t i = 0; i < vo.gaps.size(); ++i) {
-    const auto& e = vo.gaps[i];
-    std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-    if (e.gap.hi <= e.gap.lo || e.gap.hi - e.gap.lo < 2) {
-      return VerifyResult::Fail(VerifyCode::kMalformedVo, "degenerate gap",
-                                idx);
-    }
-    std::uint64_t lo = std::max(e.gap.lo + 1, alpha);
-    std::uint64_t hi = std::min(e.gap.hi - 1, beta);
-    if (lo > hi) {
-      return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                                "gap outside range", idx);
-    }
-    intervals.push_back({lo, hi});
-  }
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::uint64_t next = alpha;
-  for (const auto& iv : intervals) {
-    if (iv.lo != next) {
-      return VerifyResult::Fail(iv.lo < next ? VerifyCode::kOverlap
-                                             : VerifyCode::kCoverageGap,
-                                "coverage hole or overlap");
-    }
-    next = iv.hi + 1;
-  }
-  if (next != beta + 1) {
-    return VerifyResult::Fail(VerifyCode::kCoverageGap,
-                              "range not fully covered");
-  }
-
-  // Structural pass in sequential order; signature checks run through a
-  // SigBatch so a pool changes timing only (see core/parallel_verify.h).
-  SigBatch batch(mvk, /*exact_pairings=*/false);
-  VerifyResult struct_fail = VerifyResult::Ok();
+VerifyResult VerifyContinuousRangeVo(const VerifyContext& ctx,
+                                     std::uint64_t alpha, std::uint64_t beta,
+                                     const ContinuousVo& vo,
+                                     std::vector<ContinuousRecord>* results) {
+  const Policy super_policy = ctx.SuperPolicy();
   std::vector<std::ptrdiff_t> result_job(vo.results.size(), -1);
-  for (std::size_t i = 0; i < vo.results.size(); ++i) {
-    const auto& e = vo.results[i];
-    std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-    if (!e.policy.Evaluate(user_roles)) {
-      struct_fail = VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
-                                       "result policy not satisfied", idx);
-      break;
-    }
-    result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-        ContinuousRecordMessage(e.key, e.value), &e.policy, &e.app_sig,
-        VerifyResult::Fail(VerifyCode::kBadSignature,
-                           "record APP signature verification failed", idx)));
-  }
-  if (struct_fail.ok()) {
-    for (std::size_t i = 0; i < vo.inaccessible.size(); ++i) {
-      const auto& e = vo.inaccessible[i];
-      batch.Add(ContinuousRecordMessageFromHash(e.key, e.value_hash),
-                &super_policy, &e.aps_sig,
-                VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "record APS signature verification failed",
-                                   static_cast<std::ptrdiff_t>(i)));
-    }
-    for (std::size_t i = 0; i < vo.gaps.size(); ++i) {
-      const auto& e = vo.gaps[i];
-      batch.Add(GapMessage(e.gap), &super_policy, &e.aps_sig,
-                VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "gap APS signature verification failed",
-                                   static_cast<std::ptrdiff_t>(i)));
-    }
-  }
+  return RunVerify(
+      ctx, {&vo.stamp},
+      [&](SigBatch& batch) -> VerifyResult {
+        if (alpha > beta) {
+          return VerifyResult::Fail(VerifyCode::kBadQuery,
+                                    "query range is inverted");
+        }
+        // Coverage: points and clipped open gaps must tile [alpha, beta].
+        struct Interval {
+          std::uint64_t lo, hi;
+        };
+        std::vector<Interval> intervals;
+        for (std::size_t i = 0; i < vo.results.size(); ++i) {
+          const auto& e = vo.results[i];
+          if (e.key < alpha || e.key > beta) {
+            return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
+                                      "result key outside range",
+                                      static_cast<std::ptrdiff_t>(i));
+          }
+          intervals.push_back({e.key, e.key});
+        }
+        for (std::size_t i = 0; i < vo.inaccessible.size(); ++i) {
+          const auto& e = vo.inaccessible[i];
+          if (e.key < alpha || e.key > beta) {
+            return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
+                                      "inaccessible key outside range",
+                                      static_cast<std::ptrdiff_t>(i));
+          }
+          intervals.push_back({e.key, e.key});
+        }
+        for (std::size_t i = 0; i < vo.gaps.size(); ++i) {
+          const auto& e = vo.gaps[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          if (e.gap.hi <= e.gap.lo || e.gap.hi - e.gap.lo < 2) {
+            return VerifyResult::Fail(VerifyCode::kMalformedVo,
+                                      "degenerate gap", idx);
+          }
+          std::uint64_t lo = std::max(e.gap.lo + 1, alpha);
+          std::uint64_t hi = std::min(e.gap.hi - 1, beta);
+          if (lo > hi) {
+            return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
+                                      "gap outside range", idx);
+          }
+          intervals.push_back({lo, hi});
+        }
+        std::sort(intervals.begin(), intervals.end(),
+                  [](const Interval& a, const Interval& b) {
+                    return a.lo < b.lo;
+                  });
+        std::uint64_t next = alpha;
+        for (const auto& iv : intervals) {
+          if (iv.lo != next) {
+            return VerifyResult::Fail(iv.lo < next ? VerifyCode::kOverlap
+                                                   : VerifyCode::kCoverageGap,
+                                      "coverage hole or overlap");
+          }
+          next = iv.hi + 1;
+        }
+        if (next != beta + 1) {
+          return VerifyResult::Fail(VerifyCode::kCoverageGap,
+                                    "range not fully covered");
+        }
 
-  std::ptrdiff_t bad = batch.FirstFailure(pool);
-  if (results != nullptr) {
-    std::size_t emit = batch.EmitLimit(bad);
-    for (std::size_t i = 0; i < vo.results.size(); ++i) {
-      const auto& e = vo.results[i];
-      if (result_job[i] < 0) continue;
-      if (static_cast<std::size_t>(result_job[i]) < emit) {
-        results->push_back(ContinuousRecord{e.key, e.value, e.policy});
-      }
-    }
-  }
-  if (bad >= 0) return batch.failure(bad);
-  return struct_fail;
-}
-
-bool VerifyContinuousRangeVo(const VerifyKey& mvk, std::uint64_t alpha,
-                             std::uint64_t beta, const RoleSet& user_roles,
-                             const RoleSet& universe, const ContinuousVo& vo,
-                             std::vector<ContinuousRecord>* results,
-                             std::string* error, ThreadPool* pool,
-                             std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyContinuousRangeVoEx(mvk, alpha, beta, user_roles,
-                                             universe, vo, results, pool,
-                                             expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
+        for (std::size_t i = 0; i < vo.results.size(); ++i) {
+          const auto& e = vo.results[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          if (!e.policy.Evaluate(ctx.roles)) {
+            return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
+                                      "result policy not satisfied", idx);
+          }
+          result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
+              ContinuousRecordMessage(e.key, e.value), &e.policy, &e.app_sig,
+              VerifyResult::Fail(VerifyCode::kBadSignature,
+                                 "record APP signature verification failed",
+                                 idx)));
+        }
+        for (std::size_t i = 0; i < vo.inaccessible.size(); ++i) {
+          const auto& e = vo.inaccessible[i];
+          batch.Add(ContinuousRecordMessageFromHash(e.key, e.value_hash),
+                    &super_policy, &e.aps_sig,
+                    VerifyResult::Fail(
+                        VerifyCode::kBadSignature,
+                        "record APS signature verification failed",
+                        static_cast<std::ptrdiff_t>(i)));
+        }
+        for (std::size_t i = 0; i < vo.gaps.size(); ++i) {
+          const auto& e = vo.gaps[i];
+          batch.Add(GapMessage(e.gap), &super_policy, &e.aps_sig,
+                    VerifyResult::Fail(
+                        VerifyCode::kBadSignature,
+                        "gap APS signature verification failed",
+                        static_cast<std::ptrdiff_t>(i)));
+        }
+        return VerifyResult::Ok();
+      },
+      [&](std::size_t limit) {
+        if (results == nullptr) return;
+        for (std::size_t i = 0; i < vo.results.size(); ++i) {
+          if (result_job[i] < 0 ||
+              static_cast<std::size_t>(result_job[i]) >= limit) {
+            continue;
+          }
+          const auto& e = vo.results[i];
+          results->push_back(ContinuousRecord{e.key, e.value, e.policy});
+        }
+      });
 }
 
 ContinuousVo BuildContinuousEqualityVo(const ContinuousAds& ads,
@@ -373,80 +349,74 @@ ContinuousVo BuildContinuousEqualityVo(const ContinuousAds& ads,
   return vo;  // key coincides with a sentinel; empty VO will fail verification
 }
 
-VerifyResult VerifyContinuousEqualityVoEx(
-    const VerifyKey& mvk, std::uint64_t key, const RoleSet& user_roles,
-    const RoleSet& universe, const ContinuousVo& vo,
-    std::optional<ContinuousRecord>* result, ThreadPool* pool,
-    std::uint64_t expected_epoch) {
-  (void)pool;  // single signature: nothing to fan out
-  // Freshness gates everything: a replayed VO must fail with kStaleEpoch
-  // before any structural or signature work happens.
-  VerifyResult fresh = CheckFreshness(mvk, vo.stamp, expected_epoch);
-  if (!fresh.ok()) return fresh;
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  Policy super_policy = Policy::OrOfRoles(lacked);
-  std::size_t total = vo.results.size() + vo.inaccessible.size() +
-                      vo.gaps.size();
-  if (total != 1) {
-    return VerifyResult::Fail(VerifyCode::kWrongEntryCount,
-                              "equality VO must contain exactly one entry");
-  }
-  if (!vo.results.empty()) {
-    const auto& e = vo.results[0];
-    if (e.key != key) {
-      return VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                "result key does not match query", 0);
-    }
-    if (!e.policy.Evaluate(user_roles)) {
-      return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
-                                "result policy not satisfied", 0);
-    }
-    if (!abs::Abs::Verify(mvk, ContinuousRecordMessage(e.key, e.value),
-                          e.policy, e.app_sig)) {
-      return VerifyResult::Fail(VerifyCode::kBadSignature,
-                                "APP signature verification failed", 0);
-    }
-    if (result != nullptr) *result = ContinuousRecord{e.key, e.value, e.policy};
-    return VerifyResult::Ok();
-  }
-  if (!vo.inaccessible.empty()) {
-    const auto& e = vo.inaccessible[0];
-    if (e.key != key) {
-      return VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                "inaccessible key mismatch", 0);
-    }
-    auto msg = ContinuousRecordMessageFromHash(e.key, e.value_hash);
-    if (!abs::Abs::Verify(mvk, msg, super_policy, e.aps_sig)) {
-      return VerifyResult::Fail(VerifyCode::kBadSignature,
-                                "APS signature verification failed", 0);
-    }
-    if (result != nullptr) result->reset();
-    return VerifyResult::Ok();
-  }
-  const auto& e = vo.gaps[0];
-  if (!(e.gap.lo < key && key < e.gap.hi)) {
-    return VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                              "gap does not contain query key", 0);
-  }
-  if (!abs::Abs::Verify(mvk, GapMessage(e.gap), super_policy, e.aps_sig)) {
-    return VerifyResult::Fail(VerifyCode::kBadSignature,
-                              "gap APS signature verification failed", 0);
-  }
-  if (result != nullptr) result->reset();
-  return VerifyResult::Ok();
-}
-
-bool VerifyContinuousEqualityVo(const VerifyKey& mvk, std::uint64_t key,
-                                const RoleSet& user_roles,
-                                const RoleSet& universe, const ContinuousVo& vo,
-                                std::optional<ContinuousRecord>* result,
-                                std::string* error, ThreadPool* pool,
-                                std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyContinuousEqualityVoEx(mvk, key, user_roles, universe,
-                                                vo, result, pool,
-                                                expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
+VerifyResult VerifyContinuousEqualityVo(
+    const VerifyContext& ctx, std::uint64_t key, const ContinuousVo& vo,
+    std::optional<ContinuousRecord>* result) {
+  const Policy super_policy = ctx.SuperPolicy();
+  // Set by the walk when the VO holds the accessible record.
+  const ContinuousVo::ResultEntry* accessible_entry = nullptr;
+  return RunVerify(
+      ctx, {&vo.stamp},
+      [&](SigBatch& batch) -> VerifyResult {
+        std::size_t total =
+            vo.results.size() + vo.inaccessible.size() + vo.gaps.size();
+        if (total != 1) {
+          return VerifyResult::Fail(
+              VerifyCode::kWrongEntryCount,
+              "equality VO must contain exactly one entry");
+        }
+        if (!vo.results.empty()) {
+          const auto& e = vo.results[0];
+          if (e.key != key) {
+            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
+                                      "result key does not match query", 0);
+          }
+          if (!e.policy.Evaluate(ctx.roles)) {
+            return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
+                                      "result policy not satisfied", 0);
+          }
+          batch.Add(ContinuousRecordMessage(e.key, e.value), &e.policy,
+                    &e.app_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "APP signature verification failed",
+                                       0));
+          accessible_entry = &e;
+        } else if (!vo.inaccessible.empty()) {
+          const auto& e = vo.inaccessible[0];
+          if (e.key != key) {
+            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
+                                      "inaccessible key mismatch", 0);
+          }
+          batch.Add(ContinuousRecordMessageFromHash(e.key, e.value_hash),
+                    &super_policy, &e.aps_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "APS signature verification failed",
+                                       0));
+        } else {
+          const auto& e = vo.gaps[0];
+          if (!(e.gap.lo < key && key < e.gap.hi)) {
+            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
+                                      "gap does not contain query key", 0);
+          }
+          batch.Add(GapMessage(e.gap), &super_policy, &e.aps_sig,
+                    VerifyResult::Fail(
+                        VerifyCode::kBadSignature,
+                        "gap APS signature verification failed", 0));
+        }
+        return VerifyResult::Ok();
+      },
+      [&](std::size_t limit) {
+        // The VO's single job is below the limit iff it was queued and
+        // verified.
+        if (limit == 0 || result == nullptr) return;
+        if (accessible_entry == nullptr) {
+          result->reset();
+        } else {
+          *result = ContinuousRecord{accessible_entry->key,
+                                     accessible_entry->value,
+                                     accessible_entry->policy};
+        }
+      });
 }
 
 }  // namespace apqa::core

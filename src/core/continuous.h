@@ -109,38 +109,21 @@ ContinuousVo BuildContinuousRangeVo(const ContinuousAds& ads,
                                     const RoleSet& universe, Rng* rng);
 
 // User side: soundness + completeness (the points and open gaps must tile
-// [alpha, beta] exactly). A non-null `pool` fans the signature checks out
-// across its threads with diagnostics identical to the serial path (see
-// core/parallel_verify.h).
-VerifyResult VerifyContinuousRangeVoEx(const VerifyKey& mvk,
-                                       std::uint64_t alpha, std::uint64_t beta,
-                                       const RoleSet& user_roles,
-                                       const RoleSet& universe,
-                                       const ContinuousVo& vo,
-                                       std::vector<ContinuousRecord>* results,
-                                       ThreadPool* pool = nullptr,
-                                       std::uint64_t expected_epoch = 0);
+// [alpha, beta] exactly). ctx.domain is unused: the key space is u64.
+VerifyResult VerifyContinuousRangeVo(const VerifyContext& ctx,
+                                     std::uint64_t alpha, std::uint64_t beta,
+                                     const ContinuousVo& vo,
+                                     std::vector<ContinuousRecord>* results);
 
 // Declassification gate for wire-decoded VOs: verification is the trust
 // boundary, so the tainted value feeds the checked path directly.
-inline VerifyResult VerifyContinuousRangeVoEx(
-    const VerifyKey& mvk, std::uint64_t alpha, std::uint64_t beta,
-    const RoleSet& user_roles, const RoleSet& universe,
+inline VerifyResult VerifyContinuousRangeVo(
+    const VerifyContext& ctx, std::uint64_t alpha, std::uint64_t beta,
     const common::Untrusted<ContinuousVo>& vo,
-    std::vector<ContinuousRecord>* results, ThreadPool* pool = nullptr,
-    std::uint64_t expected_epoch = 0) {
-  // untrusted-ok: Verify*Ex is the declassification gate for SP bytes.
-  return VerifyContinuousRangeVoEx(mvk, alpha, beta, user_roles, universe,
-                                   vo.Unvalidated(), results, pool,
-                                   expected_epoch);
+    std::vector<ContinuousRecord>* results) {
+  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
+  return VerifyContinuousRangeVo(ctx, alpha, beta, vo.Unvalidated(), results);
 }
-
-bool VerifyContinuousRangeVo(const VerifyKey& mvk, std::uint64_t alpha,
-                             std::uint64_t beta, const RoleSet& user_roles,
-                             const RoleSet& universe, const ContinuousVo& vo,
-                             std::vector<ContinuousRecord>* results,
-                             std::string* error, ThreadPool* pool = nullptr,
-                             std::uint64_t expected_epoch = 0);
 
 // SP side: equality query. Either one record entry (result/inaccessible) or
 // one gap entry proving absence.
@@ -149,33 +132,20 @@ ContinuousVo BuildContinuousEqualityVo(const ContinuousAds& ads,
                                        const RoleSet& user_roles,
                                        const RoleSet& universe, Rng* rng);
 
-// `pool` is accepted for API uniformity; an equality VO carries a single
-// signature, so the check runs inline.
-VerifyResult VerifyContinuousEqualityVoEx(
-    const VerifyKey& mvk, std::uint64_t key, const RoleSet& user_roles,
-    const RoleSet& universe, const ContinuousVo& vo,
-    std::optional<ContinuousRecord>* result, ThreadPool* pool = nullptr,
-    std::uint64_t expected_epoch = 0);
+// On success `result` (if not null) holds the record when it is
+// accessible and is reset when the VO proves it inaccessible or absent.
+VerifyResult VerifyContinuousEqualityVo(
+    const VerifyContext& ctx, std::uint64_t key, const ContinuousVo& vo,
+    std::optional<ContinuousRecord>* result);
 
 // Declassification gate for wire-decoded VOs (see above).
-inline VerifyResult VerifyContinuousEqualityVoEx(
-    const VerifyKey& mvk, std::uint64_t key, const RoleSet& user_roles,
-    const RoleSet& universe, const common::Untrusted<ContinuousVo>& vo,
-    std::optional<ContinuousRecord>* result, ThreadPool* pool = nullptr,
-    std::uint64_t expected_epoch = 0) {
-  // untrusted-ok: Verify*Ex is the declassification gate for SP bytes.
-  return VerifyContinuousEqualityVoEx(mvk, key, user_roles, universe,
-                                      vo.Unvalidated(), result, pool,
-                                      expected_epoch);
+inline VerifyResult VerifyContinuousEqualityVo(
+    const VerifyContext& ctx, std::uint64_t key,
+    const common::Untrusted<ContinuousVo>& vo,
+    std::optional<ContinuousRecord>* result) {
+  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
+  return VerifyContinuousEqualityVo(ctx, key, vo.Unvalidated(), result);
 }
-
-bool VerifyContinuousEqualityVo(const VerifyKey& mvk, std::uint64_t key,
-                                const RoleSet& user_roles,
-                                const RoleSet& universe, const ContinuousVo& vo,
-                                std::optional<ContinuousRecord>* result,
-                                std::string* error,
-                                ThreadPool* pool = nullptr,
-                                std::uint64_t expected_epoch = 0);
 
 }  // namespace apqa::core
 

@@ -12,10 +12,6 @@ namespace apqa::core {
 
 namespace {
 
-void SetError(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-}
-
 void PutU32Bytes(std::vector<std::uint8_t>* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     out->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -398,142 +394,109 @@ std::size_t DupVo::SerializedSize() const {
   return w.size();
 }
 
-VerifyResult VerifyDupRangeVoEx(const VerifyKey& mvk, const Domain& domain,
-                                const Box& range, const RoleSet& user_roles,
-                                const RoleSet& universe, const DupVo& vo,
-                                std::vector<Record>* results,
-                                ThreadPool* pool,
-                                std::uint64_t expected_epoch) {
-  // Freshness gates everything: a replayed VO must fail with kStaleEpoch
-  // before any structural or signature work happens.
-  VerifyResult fresh = CheckFreshness(mvk, vo.stamp, expected_epoch);
-  if (!fresh.ok()) return fresh;
-  if (!range.WellFormed() ||
-      range.lo.size() != static_cast<std::size_t>(domain.dims) ||
-      !domain.FullBox().ContainsBox(range)) {
-    return VerifyResult::Fail(VerifyCode::kBadQuery,
-                              "query range invalid for domain");
-  }
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  Policy super_policy = Policy::OrOfRoles(lacked);
-
-  // Group per-record entries by key: each covered key must present dup_ids
-  // 0..dup_num-1 exactly once with a consistent dup_num.
-  struct KeyGroup {
-    std::uint32_t dup_num = 0;
-    std::set<std::uint32_t> ids;
-  };
-  std::map<Point, KeyGroup> groups;
-  auto account = [&](const Point& key, std::uint32_t dup_num,
-                     std::uint32_t dup_id) -> bool {
-    if (!domain.ContainsPoint(key) || !range.Contains(key)) return false;
-    KeyGroup& g = groups[key];
-    if (g.dup_num == 0) g.dup_num = dup_num;
-    if (g.dup_num != dup_num || dup_id >= dup_num) return false;
-    return g.ids.insert(dup_id).second;
-  };
-
-  // Structural pass in sequential order; signature checks run through a
-  // SigBatch so a pool changes timing only (see core/parallel_verify.h).
-  // The group-completeness and coverage checks sit between the record and
-  // box signature checks in the sequential verifier, so box jobs are only
-  // queued once those structural checks pass.
-  SigBatch batch(mvk, /*exact_pairings=*/false);
-  VerifyResult struct_fail = VerifyResult::Ok();
+VerifyResult VerifyDupRangeVo(const VerifyContext& ctx, const Box& range,
+                              const DupVo& vo, std::vector<Record>* results) {
+  const Policy super_policy = ctx.SuperPolicy();
   std::vector<std::ptrdiff_t> result_job(vo.results.size(), -1);
-  for (std::size_t i = 0; i < vo.results.size(); ++i) {
-    const DupVo::DupResultEntry& e = vo.results[i];
-    std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-    if (!account(e.key, e.dup_num, e.dup_id)) {
-      struct_fail = VerifyResult::Fail(
-          VerifyCode::kDuplicateBookkeeping,
-          "inconsistent duplicate bookkeeping (result)", idx);
-      break;
-    }
-    if (!e.policy.Evaluate(user_roles)) {
-      struct_fail = VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
-                                       "result policy not satisfied", idx);
-      break;
-    }
-    result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-        DupRecordMessage(e.key, e.value, e.dup_num, e.dup_id), &e.policy,
-        &e.app_sig,
-        VerifyResult::Fail(VerifyCode::kBadSignature,
-                           "dup APP signature verification failed", idx)));
-  }
-  if (struct_fail.ok()) {
-    for (std::size_t i = 0; i < vo.inaccessible.size(); ++i) {
-      const DupVo::DupInaccessibleEntry& e = vo.inaccessible[i];
-      std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-      if (!account(e.key, e.dup_num, e.dup_id)) {
-        struct_fail = VerifyResult::Fail(
-            VerifyCode::kDuplicateBookkeeping,
-            "inconsistent duplicate bookkeeping (inaccessible)", idx);
-        break;
-      }
-      batch.Add(DupRecordMessageFromHash(e.key, e.value_hash, e.dup_num,
-                                         e.dup_id),
-                &super_policy, &e.aps_sig,
-                VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "dup APS signature verification failed",
-                                   idx));
-    }
-  }
-  if (struct_fail.ok()) {
-    // Every key group must be complete.
-    for (const auto& [key, g] : groups) {
-      (void)key;
-      if (g.ids.size() != g.dup_num) {
-        struct_fail = VerifyResult::Fail(VerifyCode::kDuplicateBookkeeping,
-                                         "missing duplicates for a key");
-        break;
-      }
-    }
-  }
-  if (struct_fail.ok()) {
-    // Coverage: key cells + boxes tile the range.
-    Vo coverage;
-    for (const auto& [key, g] : groups) {
-      (void)g;
-      coverage.entries.push_back(InaccessibleRecordEntry{key, Digest{}, {}});
-    }
-    for (const auto& e : vo.boxes) coverage.entries.push_back(e);
-    struct_fail = CheckCoverageEx(range, coverage);
-  }
-  if (struct_fail.ok()) {
-    for (std::size_t i = 0; i < vo.boxes.size(); ++i) {
-      const InaccessibleBoxEntry& e = vo.boxes[i];
-      batch.Add(BoxMessage(e.box), &super_policy, &e.aps_sig,
-                VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "dup box APS signature verification failed",
-                                   static_cast<std::ptrdiff_t>(i)));
-    }
-  }
+  return RunVerify(
+      ctx, {&vo.stamp},
+      [&](SigBatch& batch) -> VerifyResult {
+        if (VerifyResult q = CheckQueryBox(ctx.domain, range); !q.ok()) {
+          return q;
+        }
+        // Group per-record entries by key: each covered key must present
+        // dup_ids 0..dup_num-1 exactly once with a consistent dup_num.
+        struct KeyGroup {
+          std::uint32_t dup_num = 0;
+          std::set<std::uint32_t> ids;
+        };
+        std::map<Point, KeyGroup> groups;
+        auto account = [&](const Point& key, std::uint32_t dup_num,
+                           std::uint32_t dup_id) -> bool {
+          if (!ctx.domain.ContainsPoint(key) || !range.Contains(key)) {
+            return false;
+          }
+          KeyGroup& g = groups[key];
+          if (g.dup_num == 0) g.dup_num = dup_num;
+          if (g.dup_num != dup_num || dup_id >= dup_num) return false;
+          return g.ids.insert(dup_id).second;
+        };
 
-  std::ptrdiff_t bad = batch.FirstFailure(pool);
-  if (results != nullptr) {
-    std::size_t emit = batch.EmitLimit(bad);
-    for (std::size_t i = 0; i < vo.results.size(); ++i) {
-      const DupVo::DupResultEntry& e = vo.results[i];
-      if (result_job[i] < 0) continue;
-      if (static_cast<std::size_t>(result_job[i]) < emit) {
-        results->push_back(Record{e.key, e.value, e.policy});
-      }
-    }
-  }
-  if (bad >= 0) return batch.failure(bad);
-  return struct_fail;
-}
-
-bool VerifyDupRangeVo(const VerifyKey& mvk, const Domain& domain,
-                      const Box& range, const RoleSet& user_roles,
-                      const RoleSet& universe, const DupVo& vo,
-                      std::vector<Record>* results, std::string* error,
-                      ThreadPool* pool, std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyDupRangeVoEx(mvk, domain, range, user_roles, universe,
-                                      vo, results, pool, expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
+        // The group-completeness and coverage checks sit between the record
+        // and box signature checks in the sequential verifier, so box jobs
+        // are only queued once those structural checks pass.
+        for (std::size_t i = 0; i < vo.results.size(); ++i) {
+          const DupVo::DupResultEntry& e = vo.results[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          if (!account(e.key, e.dup_num, e.dup_id)) {
+            return VerifyResult::Fail(
+                VerifyCode::kDuplicateBookkeeping,
+                "inconsistent duplicate bookkeeping (result)", idx);
+          }
+          if (!e.policy.Evaluate(ctx.roles)) {
+            return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
+                                      "result policy not satisfied", idx);
+          }
+          result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
+              DupRecordMessage(e.key, e.value, e.dup_num, e.dup_id),
+              &e.policy, &e.app_sig,
+              VerifyResult::Fail(VerifyCode::kBadSignature,
+                                 "dup APP signature verification failed",
+                                 idx)));
+        }
+        for (std::size_t i = 0; i < vo.inaccessible.size(); ++i) {
+          const DupVo::DupInaccessibleEntry& e = vo.inaccessible[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          if (!account(e.key, e.dup_num, e.dup_id)) {
+            return VerifyResult::Fail(
+                VerifyCode::kDuplicateBookkeeping,
+                "inconsistent duplicate bookkeeping (inaccessible)", idx);
+          }
+          batch.Add(DupRecordMessageFromHash(e.key, e.value_hash, e.dup_num,
+                                             e.dup_id),
+                    &super_policy, &e.aps_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "dup APS signature verification failed",
+                                       idx));
+        }
+        // Every key group must be complete.
+        for (const auto& kv : groups) {
+          if (kv.second.ids.size() != kv.second.dup_num) {
+            return VerifyResult::Fail(VerifyCode::kDuplicateBookkeeping,
+                                      "missing duplicates for a key");
+          }
+        }
+        // Coverage: key cells + boxes tile the range.
+        Vo coverage;
+        for (const auto& kv : groups) {
+          coverage.entries.push_back(
+              InaccessibleRecordEntry{kv.first, Digest{}, {}});
+        }
+        for (const auto& e : vo.boxes) coverage.entries.push_back(e);
+        if (VerifyResult c = CheckCoverage(range, coverage); !c.ok()) {
+          return c;
+        }
+        for (std::size_t i = 0; i < vo.boxes.size(); ++i) {
+          const InaccessibleBoxEntry& e = vo.boxes[i];
+          batch.Add(BoxMessage(e.box), &super_policy, &e.aps_sig,
+                    VerifyResult::Fail(
+                        VerifyCode::kBadSignature,
+                        "dup box APS signature verification failed",
+                        static_cast<std::ptrdiff_t>(i)));
+        }
+        return VerifyResult::Ok();
+      },
+      [&](std::size_t limit) {
+        if (results == nullptr) return;
+        for (std::size_t i = 0; i < vo.results.size(); ++i) {
+          if (result_job[i] < 0 ||
+              static_cast<std::size_t>(result_job[i]) >= limit) {
+            continue;
+          }
+          const DupVo::DupResultEntry& e = vo.results[i];
+          results->push_back(Record{e.key, e.value, e.policy});
+        }
+      });
 }
 
 }  // namespace apqa::core

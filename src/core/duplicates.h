@@ -136,36 +136,18 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
                       const Box& range, const RoleSet& user_roles,
                       const RoleSet& universe, Rng* rng);
 
-// A non-null `pool` fans the signature checks out across its threads with
-// diagnostics identical to the serial path (see core/parallel_verify.h).
-VerifyResult VerifyDupRangeVoEx(const VerifyKey& mvk, const Domain& domain,
-                                const Box& range, const RoleSet& user_roles,
-                                const RoleSet& universe, const DupVo& vo,
-                                std::vector<Record>* results,
-                                ThreadPool* pool = nullptr,
-                                std::uint64_t expected_epoch = 0);
+VerifyResult VerifyDupRangeVo(const VerifyContext& ctx, const Box& range,
+                              const DupVo& vo, std::vector<Record>* results);
 
 // Declassification gate for wire-decoded VOs: verification is the trust
 // boundary, so the tainted value feeds the checked path directly.
-inline VerifyResult VerifyDupRangeVoEx(const VerifyKey& mvk,
-                                       const Domain& domain, const Box& range,
-                                       const RoleSet& user_roles,
-                                       const RoleSet& universe,
-                                       const common::Untrusted<DupVo>& vo,
-                                       std::vector<Record>* results,
-                                       ThreadPool* pool = nullptr,
-                                       std::uint64_t expected_epoch = 0) {
-  // untrusted-ok: Verify*Ex is the declassification gate for SP bytes.
-  return VerifyDupRangeVoEx(mvk, domain, range, user_roles, universe,
-                            vo.Unvalidated(), results, pool, expected_epoch);
+inline VerifyResult VerifyDupRangeVo(const VerifyContext& ctx,
+                                     const Box& range,
+                                     const common::Untrusted<DupVo>& vo,
+                                     std::vector<Record>* results) {
+  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
+  return VerifyDupRangeVo(ctx, range, vo.Unvalidated(), results);
 }
-
-bool VerifyDupRangeVo(const VerifyKey& mvk, const Domain& domain,
-                      const Box& range, const RoleSet& user_roles,
-                      const RoleSet& universe, const DupVo& vo,
-                      std::vector<Record>* results, std::string* error,
-                      ThreadPool* pool = nullptr,
-                      std::uint64_t expected_epoch = 0);
 
 }  // namespace apqa::core
 

@@ -4,14 +4,6 @@
 
 namespace apqa::core {
 
-namespace {
-
-void SetError(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-}
-
-}  // namespace
-
 Vo BuildEqualityVo(const GridTree& tree, const VerifyKey& mvk, const Point& key,
                    const RoleSet& user_roles, const RoleSet& universe,
                    Rng* rng) {
@@ -32,81 +24,68 @@ Vo BuildEqualityVo(const GridTree& tree, const VerifyKey& mvk, const Point& key,
   return vo;
 }
 
-VerifyResult VerifyEqualityVoEx(const VerifyKey& mvk, const Domain& domain,
-                                const Point& key, const RoleSet& user_roles,
-                                const RoleSet& universe, const Vo& vo,
-                                Record* result, bool* accessible,
-                                bool exact_pairings, ThreadPool* pool,
-                                std::uint64_t expected_epoch) {
-  // Freshness gates everything: a replayed VO must fail with kStaleEpoch
-  // before any structural or signature work happens.
-  if (VerifyResult f = CheckFreshness(mvk, vo.stamp, expected_epoch); !f.ok()) {
-    return f;
-  }
-  if (!domain.ContainsPoint(key)) {
-    return VerifyResult::Fail(VerifyCode::kBadQuery,
-                              "query key outside domain");
-  }
-  if (vo.entries.size() != 1) {
-    return VerifyResult::Fail(VerifyCode::kWrongEntryCount,
-                              "equality VO must contain exactly one entry");
-  }
-  const VoEntry& entry = vo.entries[0];
-  if (const auto* res = std::get_if<ResultEntry>(&entry)) {
-    if (res->key != key) {
-      return VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                "result key does not match query", 0);
-    }
-    if (!res->policy.Evaluate(user_roles)) {
-      return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
-                                "result policy not satisfied by user roles",
-                                0);
-    }
-    // A single signature, but routed through SigBatch like every other Ex
-    // verifier so all paths share one checking engine (and its fallbacks).
-    SigBatch batch(mvk, exact_pairings);
-    batch.Add(RecordMessage(res->key, res->value), &res->policy, &res->app_sig,
-              VerifyResult::Fail(VerifyCode::kBadSignature,
-                                 "APP signature verification failed", 0));
-    std::ptrdiff_t fail = batch.FirstFailure(pool);
-    if (fail >= 0) return batch.failure(fail);
-    if (result != nullptr) *result = Record{res->key, res->value, res->policy};
-    if (accessible != nullptr) *accessible = true;
-    return VerifyResult::Ok();
-  }
-  if (const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry)) {
-    if (rec->key != key) {
-      return VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                "inaccessible entry key does not match query",
-                                0);
-    }
-    RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-    Policy super_policy = Policy::OrOfRoles(lacked);
-    SigBatch batch(mvk, exact_pairings);
-    batch.Add(RecordMessageFromHash(rec->key, rec->value_hash), &super_policy,
-              &rec->aps_sig,
-              VerifyResult::Fail(VerifyCode::kBadSignature,
-                                 "APS signature verification failed", 0));
-    std::ptrdiff_t fail = batch.FirstFailure(pool);
-    if (fail >= 0) return batch.failure(fail);
-    if (accessible != nullptr) *accessible = false;
-    return VerifyResult::Ok();
-  }
-  return VerifyResult::Fail(VerifyCode::kUnexpectedEntryType,
-                            "unexpected entry type in equality VO", 0);
-}
-
-bool VerifyEqualityVo(const VerifyKey& mvk, const Domain& domain,
-                      const Point& key, const RoleSet& user_roles,
-                      const RoleSet& universe, const Vo& vo, Record* result,
-                      bool* accessible, std::string* error,
-                      bool exact_pairings, ThreadPool* pool,
-                      std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyEqualityVoEx(mvk, domain, key, user_roles, universe,
-                                      vo, result, accessible, exact_pairings,
-                                      pool, expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
+VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
+                              const Vo& vo, Record* result, bool* accessible) {
+  const Policy super_policy = ctx.SuperPolicy();
+  // Set by the walk when the VO holds the accessible record.
+  const ResultEntry* accessible_entry = nullptr;
+  return RunVerify(
+      ctx, {&vo.stamp},
+      [&](SigBatch& batch) -> VerifyResult {
+        if (!ctx.domain.ContainsPoint(key)) {
+          return VerifyResult::Fail(VerifyCode::kBadQuery,
+                                    "query key outside domain");
+        }
+        if (vo.entries.size() != 1) {
+          return VerifyResult::Fail(
+              VerifyCode::kWrongEntryCount,
+              "equality VO must contain exactly one entry");
+        }
+        const VoEntry& entry = vo.entries[0];
+        if (const auto* res = std::get_if<ResultEntry>(&entry)) {
+          if (res->key != key) {
+            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
+                                      "result key does not match query", 0);
+          }
+          if (!res->policy.Evaluate(ctx.roles)) {
+            return VerifyResult::Fail(
+                VerifyCode::kPolicyNotSatisfied,
+                "result policy not satisfied by user roles", 0);
+          }
+          batch.Add(RecordMessage(res->key, res->value), &res->policy,
+                    &res->app_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "APP signature verification failed",
+                                       0));
+          accessible_entry = res;
+          return VerifyResult::Ok();
+        }
+        if (const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry)) {
+          if (rec->key != key) {
+            return VerifyResult::Fail(
+                VerifyCode::kKeyMismatch,
+                "inaccessible entry key does not match query", 0);
+          }
+          batch.Add(RecordMessageFromHash(rec->key, rec->value_hash),
+                    &super_policy, &rec->aps_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "APS signature verification failed",
+                                       0));
+          return VerifyResult::Ok();
+        }
+        return VerifyResult::Fail(VerifyCode::kUnexpectedEntryType,
+                                  "unexpected entry type in equality VO", 0);
+      },
+      [&](std::size_t limit) {
+        // The VO's single job is below the limit iff it was queued and
+        // verified.
+        if (limit == 0) return;
+        if (accessible != nullptr) *accessible = accessible_entry != nullptr;
+        if (accessible_entry != nullptr && result != nullptr) {
+          *result = Record{accessible_entry->key, accessible_entry->value,
+                           accessible_entry->policy};
+        }
+      });
 }
 
 }  // namespace apqa::core

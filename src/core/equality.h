@@ -7,10 +7,7 @@
 #ifndef APQA_CORE_EQUALITY_H_
 #define APQA_CORE_EQUALITY_H_
 
-#include <string>
-
 #include "core/grid_tree.h"
-#include "core/thread_pool.h"
 #include "core/verify_result.h"
 #include "core/vo.h"
 
@@ -24,39 +21,20 @@ Vo BuildEqualityVo(const GridTree& tree, const VerifyKey& mvk, const Point& key,
                    Rng* rng);
 
 // User side: verifies the VO against the queried key. On success, when the
-// record is accessible, `result` (if not null) receives it and *accessible
-// is set accordingly.
-// The single signature check routes through SigBatch like every other Ex
-// verifier (see core/parallel_verify.h); `pool` keeps the API uniform.
-VerifyResult VerifyEqualityVoEx(const VerifyKey& mvk, const Domain& domain,
-                                const Point& key, const RoleSet& user_roles,
-                                const RoleSet& universe, const Vo& vo,
-                                Record* result, bool* accessible,
-                                bool exact_pairings = false,
-                                ThreadPool* pool = nullptr,
-                                std::uint64_t expected_epoch = 0);
+// record is accessible, `result` (if not null) receives it; `accessible`
+// (if not null) reports which case the VO proved.
+VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
+                              const Vo& vo, Record* result, bool* accessible);
 
 // Declassification gate for wire-decoded VOs: verification is the trust
 // boundary, so the tainted value feeds the checked path directly.
-inline VerifyResult VerifyEqualityVoEx(
-    const VerifyKey& mvk, const Domain& domain, const Point& key,
-    const RoleSet& user_roles, const RoleSet& universe,
-    const common::Untrusted<Vo>& vo, Record* result, bool* accessible,
-    bool exact_pairings = false, ThreadPool* pool = nullptr,
-    std::uint64_t expected_epoch = 0) {
-  // untrusted-ok: Verify*Ex is the declassification gate for SP bytes.
-  return VerifyEqualityVoEx(mvk, domain, key, user_roles, universe,
-                            vo.Unvalidated(), result, accessible,
-                            exact_pairings, pool, expected_epoch);
+inline VerifyResult VerifyEqualityVo(const VerifyContext& ctx,
+                                     const Point& key,
+                                     const common::Untrusted<Vo>& vo,
+                                     Record* result, bool* accessible) {
+  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
+  return VerifyEqualityVo(ctx, key, vo.Unvalidated(), result, accessible);
 }
-
-// Legacy bool API; `error` (if not null) receives the stringified result.
-bool VerifyEqualityVo(const VerifyKey& mvk, const Domain& domain,
-                      const Point& key, const RoleSet& user_roles,
-                      const RoleSet& universe, const Vo& vo, Record* result,
-                      bool* accessible, std::string* error,
-                      bool exact_pairings = false, ThreadPool* pool = nullptr,
-                      std::uint64_t expected_epoch = 0);
 
 }  // namespace apqa::core
 

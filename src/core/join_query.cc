@@ -9,10 +9,6 @@ namespace apqa::core {
 
 namespace {
 
-void SetError(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-}
-
 // Smallest node of `tree` under `from` whose box still covers `box`
 // (Algorithm 4). In a full grid tree this is the aligned node at the same
 // level as `box` when the box is a grid box.
@@ -184,129 +180,82 @@ std::size_t JoinVo::SerializedSize() const {
   return w.size();
 }
 
-VerifyResult VerifyJoinVoEx(const VerifyKey& mvk, const Domain& domain,
-                            const Box& range, const RoleSet& user_roles,
-                            const RoleSet& universe, const JoinVo& vo,
-                            std::vector<std::pair<Record, Record>>* results,
-                            bool exact_pairings, ThreadPool* pool,
-                            std::uint64_t expected_epoch) {
-  // Freshness gates everything: a replayed VO must fail with kStaleEpoch
-  // before any structural or signature work happens.
-  if (VerifyResult f = CheckFreshness(mvk, vo.r_stamp, expected_epoch);
-      !f.ok()) {
-    return f;
-  }
-  if (VerifyResult f = CheckFreshness(mvk, vo.s_stamp, expected_epoch);
-      !f.ok()) {
-    return f;
-  }
-  if (!range.WellFormed() ||
-      range.lo.size() != static_cast<std::size_t>(domain.dims) ||
-      !domain.FullBox().ContainsBox(range)) {
-    return VerifyResult::Fail(VerifyCode::kBadQuery,
-                              "query range invalid for domain");
-  }
-  // Completeness: pair cells plus APS regions tile the range.
-  Vo coverage;
-  for (const auto& p : vo.pairs) coverage.entries.push_back(p.r);
-  for (const auto& e : vo.r_aps) coverage.entries.push_back(e);
-  for (const auto& e : vo.s_aps) coverage.entries.push_back(e);
-  if (VerifyResult r = CheckCoverageEx(range, coverage); !r.ok()) return r;
-
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  Policy super_policy = Policy::OrOfRoles(lacked);
-
-  // Structural pass in sequential order; signature checks are queued and a
-  // pair emits iff its *second* (S-side) job precedes the first failure.
-  SigBatch batch(mvk, exact_pairings);
-  VerifyResult struct_fail = VerifyResult::Ok();
+VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
+                          const JoinVo& vo,
+                          std::vector<std::pair<Record, Record>>* results) {
+  const Policy super_policy = ctx.SuperPolicy();
+  // A pair emits iff its *second* (S-side) job precedes the first failure.
   std::vector<std::ptrdiff_t> pair_job(vo.pairs.size(), -1);
-  for (std::size_t i = 0; i < vo.pairs.size() && struct_fail.ok(); ++i) {
-    const JoinResultPair& pair = vo.pairs[i];
-    std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-    if (pair.r.key != pair.s.key) {
-      struct_fail = VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                       "join pair keys differ", idx);
-      break;
-    }
-    if (!domain.ContainsPoint(pair.r.key) || !range.Contains(pair.r.key)) {
-      struct_fail = VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                                       "join pair key outside range", idx);
-      break;
-    }
-    for (const ResultEntry* side : {&pair.r, &pair.s}) {
-      if (!side->policy.Evaluate(user_roles)) {
-        struct_fail = VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
-                                         "join pair policy not satisfied", idx);
-        break;
-      }
-      pair_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-          RecordMessage(side->key, side->value), &side->policy, &side->app_sig,
-          VerifyResult::Fail(VerifyCode::kBadSignature,
-                             "join pair APP signature verification failed",
-                             idx)));
-    }
-    // An S-side structural failure after the R-side job was queued must not
-    // leave the pair emittable: the sequential verifier never emits it.
-    if (!struct_fail.ok()) pair_job[i] = -1;
-  }
-
-  if (struct_fail.ok()) {
-    for (const auto* side : {&vo.r_aps, &vo.s_aps}) {
-      for (std::size_t i = 0; i < side->size() && struct_fail.ok(); ++i) {
-        const VoEntry& entry = (*side)[i];
-        std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-        if (const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry)) {
-          batch.Add(RecordMessageFromHash(rec->key, rec->value_hash),
-                    &super_policy, &rec->aps_sig,
-                    VerifyResult::Fail(
-                        VerifyCode::kBadSignature,
-                        "join APS record signature verification failed", idx));
-        } else if (const auto* boxe =
-                       std::get_if<InaccessibleBoxEntry>(&entry)) {
-          batch.Add(BoxMessage(boxe->box), &super_policy, &boxe->aps_sig,
-                    VerifyResult::Fail(
-                        VerifyCode::kBadSignature,
-                        "join APS box signature verification failed", idx));
-        } else {
-          struct_fail =
-              VerifyResult::Fail(VerifyCode::kUnexpectedEntryType,
-                                 "unexpected result entry among join APS "
-                                 "entries",
-                                 idx);
+  return RunVerify(
+      ctx, {&vo.r_stamp, &vo.s_stamp},
+      [&](SigBatch& batch) -> VerifyResult {
+        if (VerifyResult q = CheckQueryBox(ctx.domain, range); !q.ok()) {
+          return q;
         }
-      }
-      if (!struct_fail.ok()) break;
-    }
-  }
-
-  std::ptrdiff_t bad = batch.FirstFailure(pool);
-  if (results != nullptr) {
-    std::size_t emit = batch.EmitLimit(bad);
-    for (std::size_t i = 0; i < vo.pairs.size(); ++i) {
-      const JoinResultPair& pair = vo.pairs[i];
-      if (pair_job[i] < 0) continue;
-      if (static_cast<std::size_t>(pair_job[i]) < emit) {
-        results->emplace_back(Record{pair.r.key, pair.r.value, pair.r.policy},
-                              Record{pair.s.key, pair.s.value, pair.s.policy});
-      }
-    }
-  }
-  if (bad >= 0) return batch.failure(bad);
-  return struct_fail;
-}
-
-bool VerifyJoinVo(const VerifyKey& mvk, const Domain& domain, const Box& range,
-                  const RoleSet& user_roles, const RoleSet& universe,
-                  const JoinVo& vo,
-                  std::vector<std::pair<Record, Record>>* results,
-                  std::string* error, bool exact_pairings, ThreadPool* pool,
-                  std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyJoinVoEx(mvk, domain, range, user_roles, universe, vo,
-                                  results, exact_pairings, pool,
-                                  expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
+        // Completeness: pair cells plus APS regions tile the range.
+        Vo coverage;
+        for (const auto& p : vo.pairs) coverage.entries.push_back(p.r);
+        for (const auto& e : vo.r_aps) coverage.entries.push_back(e);
+        for (const auto& e : vo.s_aps) coverage.entries.push_back(e);
+        if (VerifyResult c = CheckCoverage(range, coverage); !c.ok()) {
+          return c;
+        }
+        for (std::size_t i = 0; i < vo.pairs.size(); ++i) {
+          const JoinResultPair& pair = vo.pairs[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          if (pair.r.key != pair.s.key) {
+            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
+                                      "join pair keys differ", idx);
+          }
+          if (!ctx.domain.ContainsPoint(pair.r.key) ||
+              !range.Contains(pair.r.key)) {
+            return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
+                                      "join pair key outside range", idx);
+          }
+          std::ptrdiff_t job = -1;
+          for (const ResultEntry* side : {&pair.r, &pair.s}) {
+            // An S-side structural failure after the R-side job was queued
+            // leaves the pair unemitted, as in the sequential verifier.
+            if (!side->policy.Evaluate(ctx.roles)) {
+              return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
+                                        "join pair policy not satisfied", idx);
+            }
+            job = static_cast<std::ptrdiff_t>(batch.Add(
+                RecordMessage(side->key, side->value), &side->policy,
+                &side->app_sig,
+                VerifyResult::Fail(
+                    VerifyCode::kBadSignature,
+                    "join pair APP signature verification failed", idx)));
+          }
+          pair_job[i] = job;
+        }
+        for (const auto* side : {&vo.r_aps, &vo.s_aps}) {
+          for (std::size_t i = 0; i < side->size(); ++i) {
+            std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+            if (!AddApsCheck(&batch, (*side)[i], &super_policy, idx,
+                             "join APS record signature verification failed",
+                             "join APS box signature verification failed")) {
+              return VerifyResult::Fail(
+                  VerifyCode::kUnexpectedEntryType,
+                  "unexpected result entry among join APS entries", idx);
+            }
+          }
+        }
+        return VerifyResult::Ok();
+      },
+      [&](std::size_t limit) {
+        if (results == nullptr) return;
+        for (std::size_t i = 0; i < vo.pairs.size(); ++i) {
+          if (pair_job[i] < 0 ||
+              static_cast<std::size_t>(pair_job[i]) >= limit) {
+            continue;
+          }
+          const JoinResultPair& pair = vo.pairs[i];
+          results->emplace_back(
+              Record{pair.r.key, pair.r.value, pair.r.policy},
+              Record{pair.s.key, pair.s.value, pair.s.policy});
+        }
+      });
 }
 
 MultiJoinVo BuildMultiJoinVo(const std::vector<const GridTree*>& trees,
@@ -405,147 +354,104 @@ std::size_t MultiJoinVo::SerializedSize() const {
   return w.size();
 }
 
-VerifyResult VerifyMultiJoinVoEx(const VerifyKey& mvk, const Domain& domain,
-                                 const Box& range, const RoleSet& user_roles,
-                                 const RoleSet& universe,
-                                 std::size_t num_tables, const MultiJoinVo& vo,
-                                 std::vector<std::vector<Record>>* results,
-                                 ThreadPool* pool,
-                                 std::uint64_t expected_epoch) {
+VerifyResult VerifyMultiJoinVo(const VerifyContext& ctx, const Box& range,
+                               std::size_t num_tables, const MultiJoinVo& vo,
+                               std::vector<std::vector<Record>>* results) {
   // A missing stamp vector is treated like an unattested stamp: acceptable
   // only while the caller does not demand freshness.
-  if (!vo.stamps.empty() || expected_epoch > 0) {
-    if (vo.stamps.size() != num_tables) {
-      return VerifyResult::Fail(VerifyCode::kStaleEpoch,
-                                "wrong number of freshness stamps");
-    }
+  if ((!vo.stamps.empty() || ctx.expected_epoch > 0) &&
+      vo.stamps.size() != num_tables) {
+    return VerifyResult::Fail(VerifyCode::kStaleEpoch,
+                              "wrong number of freshness stamps");
   }
-  for (const EpochStamp& stamp : vo.stamps) {
-    if (VerifyResult f = CheckFreshness(mvk, stamp, expected_epoch); !f.ok()) {
-      return f;
-    }
-  }
-  if (!range.WellFormed() ||
-      range.lo.size() != static_cast<std::size_t>(domain.dims) ||
-      !domain.FullBox().ContainsBox(range)) {
-    return VerifyResult::Fail(VerifyCode::kBadQuery,
-                              "query range invalid for domain");
-  }
-  if (vo.aps.size() != num_tables) {
-    return VerifyResult::Fail(VerifyCode::kWrongEntryCount,
-                              "wrong number of APS groups");
-  }
-  Vo coverage;
-  for (std::size_t i = 0; i < vo.tuples.size(); ++i) {
-    if (vo.tuples[i].size() != num_tables) {
-      return VerifyResult::Fail(VerifyCode::kWrongEntryCount,
-                                "tuple arity mismatch",
-                                static_cast<std::ptrdiff_t>(i));
-    }
-    coverage.entries.push_back(vo.tuples[i][0]);
-  }
-  for (const auto& side : vo.aps) {
-    for (const auto& e : side) coverage.entries.push_back(e);
-  }
-  if (VerifyResult r = CheckCoverageEx(range, coverage); !r.ok()) return r;
-
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  Policy super_policy = Policy::OrOfRoles(lacked);
-
-  // Structural pass in sequential order; a tuple emits iff its *last*
-  // (num_tables-th) queued job precedes the first signature failure.
-  SigBatch batch(mvk, /*exact_pairings=*/false);
-  VerifyResult struct_fail = VerifyResult::Ok();
+  std::vector<const EpochStamp*> stamps;
+  for (const EpochStamp& stamp : vo.stamps) stamps.push_back(&stamp);
+  const Policy super_policy = ctx.SuperPolicy();
+  // A tuple emits iff its *last* (num_tables-th) job precedes the first
+  // signature failure.
   std::vector<std::ptrdiff_t> tuple_job(vo.tuples.size(), -1);
-  for (std::size_t i = 0; i < vo.tuples.size() && struct_fail.ok(); ++i) {
-    const auto& tuple = vo.tuples[i];
-    std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-    for (const auto& side : tuple) {
-      if (side.key != tuple[0].key) {
-        struct_fail = VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                         "tuple keys differ", idx);
-        break;
-      }
-      if (!domain.ContainsPoint(side.key) || !range.Contains(side.key)) {
-        struct_fail = VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                                         "tuple key outside range", idx);
-        break;
-      }
-      if (!side.policy.Evaluate(user_roles)) {
-        struct_fail = VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
-                                         "tuple policy not satisfied", idx);
-        break;
-      }
-      tuple_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-          RecordMessage(side.key, side.value), &side.policy, &side.app_sig,
-          VerifyResult::Fail(VerifyCode::kBadSignature,
-                             "tuple APP signature verification failed", idx)));
-    }
-    // A mid-tuple structural failure leaves earlier sides queued but the
-    // tuple must not be emittable (the sequential verifier never emits it).
-    if (!struct_fail.ok()) tuple_job[i] = -1;
-  }
-
-  if (struct_fail.ok()) {
-    for (const auto& side : vo.aps) {
-      for (std::size_t i = 0; i < side.size() && struct_fail.ok(); ++i) {
-        const VoEntry& entry = side[i];
-        std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-        if (const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry)) {
-          batch.Add(RecordMessageFromHash(rec->key, rec->value_hash),
-                    &super_policy, &rec->aps_sig,
-                    VerifyResult::Fail(VerifyCode::kBadSignature,
-                                       "multi-join record APS verification "
-                                       "failed",
-                                       idx));
-        } else if (const auto* boxe =
-                       std::get_if<InaccessibleBoxEntry>(&entry)) {
-          batch.Add(BoxMessage(boxe->box), &super_policy, &boxe->aps_sig,
-                    VerifyResult::Fail(
-                        VerifyCode::kBadSignature,
-                        "multi-join box APS verification failed", idx));
-        } else {
-          struct_fail =
-              VerifyResult::Fail(VerifyCode::kUnexpectedEntryType,
-                                 "unexpected entry type in multi-join APS "
-                                 "group",
-                                 idx);
+  return RunVerify(
+      ctx, stamps,
+      [&](SigBatch& batch) -> VerifyResult {
+        if (VerifyResult q = CheckQueryBox(ctx.domain, range); !q.ok()) {
+          return q;
         }
-      }
-      if (!struct_fail.ok()) break;
-    }
-  }
-
-  std::ptrdiff_t bad = batch.FirstFailure(pool);
-  if (results != nullptr) {
-    std::size_t emit = batch.EmitLimit(bad);
-    for (std::size_t i = 0; i < vo.tuples.size(); ++i) {
-      if (tuple_job[i] < 0) continue;
-      if (static_cast<std::size_t>(tuple_job[i]) < emit) {
-        std::vector<Record> out;
-        for (const auto& side : vo.tuples[i]) {
-          out.push_back(Record{side.key, side.value, side.policy});
+        if (vo.aps.size() != num_tables) {
+          return VerifyResult::Fail(VerifyCode::kWrongEntryCount,
+                                    "wrong number of APS groups");
         }
-        results->push_back(std::move(out));
-      }
-    }
-  }
-  if (bad >= 0) return batch.failure(bad);
-  return struct_fail;
-}
-
-bool VerifyMultiJoinVo(const VerifyKey& mvk, const Domain& domain,
-                       const Box& range, const RoleSet& user_roles,
-                       const RoleSet& universe, std::size_t num_tables,
-                       const MultiJoinVo& vo,
-                       std::vector<std::vector<Record>>* results,
-                       std::string* error, ThreadPool* pool,
-                       std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyMultiJoinVoEx(mvk, domain, range, user_roles,
-                                       universe, num_tables, vo, results,
-                                       pool, expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
+        Vo coverage;
+        for (std::size_t i = 0; i < vo.tuples.size(); ++i) {
+          if (vo.tuples[i].size() != num_tables) {
+            return VerifyResult::Fail(VerifyCode::kWrongEntryCount,
+                                      "tuple arity mismatch",
+                                      static_cast<std::ptrdiff_t>(i));
+          }
+          coverage.entries.push_back(vo.tuples[i][0]);
+        }
+        for (const auto& side : vo.aps) {
+          for (const auto& e : side) coverage.entries.push_back(e);
+        }
+        if (VerifyResult c = CheckCoverage(range, coverage); !c.ok()) {
+          return c;
+        }
+        for (std::size_t i = 0; i < vo.tuples.size(); ++i) {
+          const auto& tuple = vo.tuples[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          std::ptrdiff_t job = -1;
+          // A mid-tuple structural failure leaves earlier sides queued but
+          // the tuple unemitted, as in the sequential verifier.
+          for (const auto& side : tuple) {
+            if (side.key != tuple[0].key) {
+              return VerifyResult::Fail(VerifyCode::kKeyMismatch,
+                                        "tuple keys differ", idx);
+            }
+            if (!ctx.domain.ContainsPoint(side.key) ||
+                !range.Contains(side.key)) {
+              return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
+                                        "tuple key outside range", idx);
+            }
+            if (!side.policy.Evaluate(ctx.roles)) {
+              return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
+                                        "tuple policy not satisfied", idx);
+            }
+            job = static_cast<std::ptrdiff_t>(batch.Add(
+                RecordMessage(side.key, side.value), &side.policy,
+                &side.app_sig,
+                VerifyResult::Fail(VerifyCode::kBadSignature,
+                                   "tuple APP signature verification failed",
+                                   idx)));
+          }
+          tuple_job[i] = job;
+        }
+        for (const auto& side : vo.aps) {
+          for (std::size_t i = 0; i < side.size(); ++i) {
+            std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+            if (!AddApsCheck(&batch, side[i], &super_policy, idx,
+                             "multi-join record APS verification failed",
+                             "multi-join box APS verification failed")) {
+              return VerifyResult::Fail(
+                  VerifyCode::kUnexpectedEntryType,
+                  "unexpected entry type in multi-join APS group", idx);
+            }
+          }
+        }
+        return VerifyResult::Ok();
+      },
+      [&](std::size_t limit) {
+        if (results == nullptr) return;
+        for (std::size_t i = 0; i < vo.tuples.size(); ++i) {
+          if (tuple_job[i] < 0 ||
+              static_cast<std::size_t>(tuple_job[i]) >= limit) {
+            continue;
+          }
+          std::vector<Record> out;
+          for (const auto& side : vo.tuples[i]) {
+            out.push_back(Record{side.key, side.value, side.policy});
+          }
+          results->push_back(std::move(out));
+        }
+      });
 }
 
 }  // namespace apqa::core

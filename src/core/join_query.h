@@ -8,8 +8,6 @@
 #ifndef APQA_CORE_JOIN_QUERY_H_
 #define APQA_CORE_JOIN_QUERY_H_
 
-#include <string>
-
 #include "core/grid_tree.h"
 #include "core/verify_result.h"
 #include "core/vo.h"
@@ -45,38 +43,19 @@ JoinVo BuildJoinVo(const GridTree& tree_r, const GridTree& tree_s,
 
 // User side: soundness (pair keys equal, signatures valid, policies
 // satisfied) and completeness (pair cells plus APS regions tile the range).
-// A non-null `pool` fans the signature checks out across its threads with
-// diagnostics identical to the serial path (see core/parallel_verify.h).
-VerifyResult VerifyJoinVoEx(const VerifyKey& mvk, const Domain& domain,
-                            const Box& range, const RoleSet& user_roles,
-                            const RoleSet& universe, const JoinVo& vo,
-                            std::vector<std::pair<Record, Record>>* results,
-                            bool exact_pairings = false,
-                            ThreadPool* pool = nullptr,
-                            std::uint64_t expected_epoch = 0);
+VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
+                          const JoinVo& vo,
+                          std::vector<std::pair<Record, Record>>* results);
 
 // Declassification gate for wire-decoded VOs: verification is the trust
 // boundary, so the tainted value feeds the checked path directly.
-inline VerifyResult VerifyJoinVoEx(
-    const VerifyKey& mvk, const Domain& domain, const Box& range,
-    const RoleSet& user_roles, const RoleSet& universe,
+inline VerifyResult VerifyJoinVo(
+    const VerifyContext& ctx, const Box& range,
     const common::Untrusted<JoinVo>& vo,
-    std::vector<std::pair<Record, Record>>* results,
-    bool exact_pairings = false, ThreadPool* pool = nullptr,
-    std::uint64_t expected_epoch = 0) {
-  // untrusted-ok: Verify*Ex is the declassification gate for SP bytes.
-  return VerifyJoinVoEx(mvk, domain, range, user_roles, universe,
-                        vo.Unvalidated(), results, exact_pairings, pool,
-                        expected_epoch);
+    std::vector<std::pair<Record, Record>>* results) {
+  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
+  return VerifyJoinVo(ctx, range, vo.Unvalidated(), results);
 }
-
-// Legacy bool API; `error` (if not null) receives the stringified result.
-bool VerifyJoinVo(const VerifyKey& mvk, const Domain& domain, const Box& range,
-                  const RoleSet& user_roles, const RoleSet& universe,
-                  const JoinVo& vo,
-                  std::vector<std::pair<Record, Record>>* results,
-                  std::string* error, bool exact_pairings = false,
-                  ThreadPool* pool = nullptr, std::uint64_t expected_epoch = 0);
 
 // --- Multi-way equi-join (§6.2, "easily extended") -------------------------
 //
@@ -101,21 +80,9 @@ MultiJoinVo BuildMultiJoinVo(const std::vector<const GridTree*>& trees,
                              const RoleSet& user_roles,
                              const RoleSet& universe, Rng* rng);
 
-VerifyResult VerifyMultiJoinVoEx(const VerifyKey& mvk, const Domain& domain,
-                                 const Box& range, const RoleSet& user_roles,
-                                 const RoleSet& universe,
-                                 std::size_t num_tables, const MultiJoinVo& vo,
-                                 std::vector<std::vector<Record>>* results,
-                                 ThreadPool* pool = nullptr,
-                                 std::uint64_t expected_epoch = 0);
-
-bool VerifyMultiJoinVo(const VerifyKey& mvk, const Domain& domain,
-                       const Box& range, const RoleSet& user_roles,
-                       const RoleSet& universe, std::size_t num_tables,
-                       const MultiJoinVo& vo,
-                       std::vector<std::vector<Record>>* results,
-                       std::string* error, ThreadPool* pool = nullptr,
-                       std::uint64_t expected_epoch = 0);
+VerifyResult VerifyMultiJoinVo(const VerifyContext& ctx, const Box& range,
+                               std::size_t num_tables, const MultiJoinVo& vo,
+                               std::vector<std::vector<Record>>* results);
 
 }  // namespace apqa::core
 

@@ -13,10 +13,6 @@ namespace apqa::core {
 
 namespace {
 
-void SetError(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-}
-
 using ClauseSet = std::set<policy::Clause>;
 
 ClauseSet Clauses(const Policy& p) {
@@ -398,134 +394,106 @@ KdVo KdVo::DeserializeRaw(common::ByteReader* r) {
   return vo;
 }
 
-VerifyResult VerifyKdRangeVoEx(const VerifyKey& mvk, const Domain& domain,
-                               const Box& range, const RoleSet& user_roles,
-                               const RoleSet& universe, const KdVo& vo,
-                               std::vector<Record>* results,
-                               ThreadPool* pool,
-                               std::uint64_t expected_epoch) {
-  // Freshness gates everything: a replayed VO must fail with kStaleEpoch
-  // before any structural or signature work happens.
-  VerifyResult fresh = CheckFreshness(mvk, vo.stamp, expected_epoch);
-  if (!fresh.ok()) return fresh;
-  if (!range.WellFormed() ||
-      range.lo.size() != static_cast<std::size_t>(domain.dims) ||
-      !domain.FullBox().ContainsBox(range)) {
-    return VerifyResult::Fail(VerifyCode::kBadQuery,
-                              "query range invalid for domain");
-  }
-  // Coverage: clip each region to the range; clipped regions must be
-  // disjoint and tile the range.
-  std::vector<Box> regions;
-  for (const auto& e : vo.results) regions.push_back(e.region);
-  for (const auto& e : vo.leaves) regions.push_back(e.region);
-  for (const auto& e : vo.boxes) regions.push_back(e.box);
-  std::uint64_t covered = 0;
-  for (std::size_t i = 0; i < regions.size(); ++i) {
-    Box clipped = regions[i];
-    std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-    if (clipped.lo.size() != range.lo.size()) {
-      return VerifyResult::Fail(VerifyCode::kDimensionMismatch,
-                                "region dimensionality mismatch", idx);
-    }
-    if (!clipped.WellFormed()) {
-      return VerifyResult::Fail(VerifyCode::kMalformedVo,
-                                "region not a well-formed box", idx);
-    }
-    for (std::size_t d = 0; d < clipped.lo.size(); ++d) {
-      clipped.lo[d] = std::max(clipped.lo[d], range.lo[d]);
-      if (clipped.hi[d] < range.lo[d] || clipped.lo[d] > range.hi[d]) {
-        return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                                  "region outside query range", idx);
-      }
-      clipped.hi[d] = std::min(clipped.hi[d], range.hi[d]);
-    }
-    regions[i] = clipped;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (regions[j].Intersects(clipped)) {
-        return VerifyResult::Fail(VerifyCode::kOverlap, "overlapping regions",
-                                  idx);
-      }
-    }
-    covered += clipped.Volume();
-  }
-  if (covered != range.Volume()) {
-    return VerifyResult::Fail(VerifyCode::kCoverageGap,
-                              "regions do not cover the query range");
-  }
-
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  Policy super_policy = Policy::OrOfRoles(lacked);
-
-  // Structural pass in sequential order; signature checks run through a
-  // SigBatch so a pool changes timing only (see core/parallel_verify.h).
-  SigBatch batch(mvk, /*exact_pairings=*/false);
-  VerifyResult struct_fail = VerifyResult::Ok();
+VerifyResult VerifyKdRangeVo(const VerifyContext& ctx, const Box& range,
+                             const KdVo& vo, std::vector<Record>* results) {
+  const Policy super_policy = ctx.SuperPolicy();
   std::vector<std::ptrdiff_t> result_job(vo.results.size(), -1);
-  for (std::size_t i = 0; i < vo.results.size(); ++i) {
-    const KdResultEntry& e = vo.results[i];
-    std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-    if (!domain.ContainsPoint(e.key) || !e.region.Contains(e.key)) {
-      struct_fail = VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                       "result key outside its region", idx);
-      break;
-    }
-    // A record outside the range itself is acceptable when its leaf region
-    // only partially overlaps: the region still proves emptiness, but the
-    // record is not output as a result.
-    if (!e.policy.Evaluate(user_roles)) {
-      struct_fail = VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
-                                       "result policy not satisfied", idx);
-      break;
-    }
-    result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-        KdLeafMessage(e.region, e.key, e.value), &e.policy, &e.app_sig,
-        VerifyResult::Fail(VerifyCode::kBadSignature,
-                           "kd APP signature verification failed", idx)));
-  }
-  if (struct_fail.ok()) {
-    for (std::size_t i = 0; i < vo.leaves.size(); ++i) {
-      const KdInaccessibleLeafEntry& e = vo.leaves[i];
-      batch.Add(KdLeafMessageFromHash(e.region, e.key, e.value_hash),
-                &super_policy, &e.aps_sig,
-                VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "kd leaf APS signature verification failed",
-                                   static_cast<std::ptrdiff_t>(i)));
-    }
-    for (std::size_t i = 0; i < vo.boxes.size(); ++i) {
-      const InaccessibleBoxEntry& e = vo.boxes[i];
-      batch.Add(BoxMessage(e.box), &super_policy, &e.aps_sig,
-                VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "kd box APS signature verification failed",
-                                   static_cast<std::ptrdiff_t>(i)));
-    }
-  }
+  return RunVerify(
+      ctx, {&vo.stamp},
+      [&](SigBatch& batch) -> VerifyResult {
+        if (VerifyResult q = CheckQueryBox(ctx.domain, range); !q.ok()) {
+          return q;
+        }
+        // Coverage: clip each region to the range; clipped regions must be
+        // disjoint and tile the range.
+        std::vector<Box> regions;
+        for (const auto& e : vo.results) regions.push_back(e.region);
+        for (const auto& e : vo.leaves) regions.push_back(e.region);
+        for (const auto& e : vo.boxes) regions.push_back(e.box);
+        std::uint64_t covered = 0;
+        for (std::size_t i = 0; i < regions.size(); ++i) {
+          Box clipped = regions[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          if (clipped.lo.size() != range.lo.size()) {
+            return VerifyResult::Fail(VerifyCode::kDimensionMismatch,
+                                      "region dimensionality mismatch", idx);
+          }
+          if (!clipped.WellFormed()) {
+            return VerifyResult::Fail(VerifyCode::kMalformedVo,
+                                      "region not a well-formed box", idx);
+          }
+          for (std::size_t d = 0; d < clipped.lo.size(); ++d) {
+            clipped.lo[d] = std::max(clipped.lo[d], range.lo[d]);
+            if (clipped.hi[d] < range.lo[d] || clipped.lo[d] > range.hi[d]) {
+              return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
+                                        "region outside query range", idx);
+            }
+            clipped.hi[d] = std::min(clipped.hi[d], range.hi[d]);
+          }
+          regions[i] = clipped;
+          for (std::size_t j = 0; j < i; ++j) {
+            if (regions[j].Intersects(clipped)) {
+              return VerifyResult::Fail(VerifyCode::kOverlap,
+                                        "overlapping regions", idx);
+            }
+          }
+          covered += clipped.Volume();
+        }
+        if (covered != range.Volume()) {
+          return VerifyResult::Fail(VerifyCode::kCoverageGap,
+                                    "regions do not cover the query range");
+        }
 
-  std::ptrdiff_t bad = batch.FirstFailure(pool);
-  if (results != nullptr) {
-    std::size_t emit = batch.EmitLimit(bad);
-    for (std::size_t i = 0; i < vo.results.size(); ++i) {
-      const KdResultEntry& e = vo.results[i];
-      if (result_job[i] < 0) continue;
-      if (static_cast<std::size_t>(result_job[i]) < emit &&
-          range.Contains(e.key)) {
-        results->push_back(Record{e.key, e.value, e.policy});
-      }
-    }
-  }
-  if (bad >= 0) return batch.failure(bad);
-  return struct_fail;
-}
-
-bool VerifyKdRangeVo(const VerifyKey& mvk, const Domain& domain,
-                     const Box& range, const RoleSet& user_roles,
-                     const RoleSet& universe, const KdVo& vo,
-                     std::vector<Record>* results, std::string* error,
-                     ThreadPool* pool, std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyKdRangeVoEx(mvk, domain, range, user_roles, universe,
-                                     vo, results, pool, expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
+        for (std::size_t i = 0; i < vo.results.size(); ++i) {
+          const KdResultEntry& e = vo.results[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          if (!ctx.domain.ContainsPoint(e.key) || !e.region.Contains(e.key)) {
+            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
+                                      "result key outside its region", idx);
+          }
+          // A record outside the range itself is acceptable when its leaf
+          // region only partially overlaps: the region still proves
+          // emptiness, but the record is not output as a result.
+          if (!e.policy.Evaluate(ctx.roles)) {
+            return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
+                                      "result policy not satisfied", idx);
+          }
+          result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
+              KdLeafMessage(e.region, e.key, e.value), &e.policy, &e.app_sig,
+              VerifyResult::Fail(VerifyCode::kBadSignature,
+                                 "kd APP signature verification failed",
+                                 idx)));
+        }
+        for (std::size_t i = 0; i < vo.leaves.size(); ++i) {
+          const KdInaccessibleLeafEntry& e = vo.leaves[i];
+          batch.Add(KdLeafMessageFromHash(e.region, e.key, e.value_hash),
+                    &super_policy, &e.aps_sig,
+                    VerifyResult::Fail(
+                        VerifyCode::kBadSignature,
+                        "kd leaf APS signature verification failed",
+                        static_cast<std::ptrdiff_t>(i)));
+        }
+        for (std::size_t i = 0; i < vo.boxes.size(); ++i) {
+          const InaccessibleBoxEntry& e = vo.boxes[i];
+          batch.Add(BoxMessage(e.box), &super_policy, &e.aps_sig,
+                    VerifyResult::Fail(
+                        VerifyCode::kBadSignature,
+                        "kd box APS signature verification failed",
+                        static_cast<std::ptrdiff_t>(i)));
+        }
+        return VerifyResult::Ok();
+      },
+      [&](std::size_t limit) {
+        if (results == nullptr) return;
+        for (std::size_t i = 0; i < vo.results.size(); ++i) {
+          const KdResultEntry& e = vo.results[i];
+          if (result_job[i] >= 0 &&
+              static_cast<std::size_t>(result_job[i]) < limit &&
+              range.Contains(e.key)) {
+            results->push_back(Record{e.key, e.value, e.policy});
+          }
+        }
+      });
 }
 
 }  // namespace apqa::core

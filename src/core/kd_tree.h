@@ -116,37 +116,19 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
                     const RoleSet& user_roles, const RoleSet& universe,
                     Rng* rng);
 
-// User side: soundness + completeness. A non-null `pool` fans the signature
-// checks out across its threads with diagnostics identical to the serial
-// path (see core/parallel_verify.h).
-VerifyResult VerifyKdRangeVoEx(const VerifyKey& mvk, const Domain& domain,
-                               const Box& range, const RoleSet& user_roles,
-                               const RoleSet& universe, const KdVo& vo,
-                               std::vector<Record>* results,
-                               ThreadPool* pool = nullptr,
-                               std::uint64_t expected_epoch = 0);
+// User side: soundness + completeness.
+VerifyResult VerifyKdRangeVo(const VerifyContext& ctx, const Box& range,
+                             const KdVo& vo, std::vector<Record>* results);
 
 // Declassification gate for wire-decoded VOs: verification is the trust
 // boundary, so the tainted value feeds the checked path directly.
-inline VerifyResult VerifyKdRangeVoEx(const VerifyKey& mvk,
-                                      const Domain& domain, const Box& range,
-                                      const RoleSet& user_roles,
-                                      const RoleSet& universe,
-                                      const common::Untrusted<KdVo>& vo,
-                                      std::vector<Record>* results,
-                                      ThreadPool* pool = nullptr,
-                                      std::uint64_t expected_epoch = 0) {
-  // untrusted-ok: Verify*Ex is the declassification gate for SP bytes.
-  return VerifyKdRangeVoEx(mvk, domain, range, user_roles, universe,
-                           vo.Unvalidated(), results, pool, expected_epoch);
+inline VerifyResult VerifyKdRangeVo(const VerifyContext& ctx,
+                                    const Box& range,
+                                    const common::Untrusted<KdVo>& vo,
+                                    std::vector<Record>* results) {
+  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
+  return VerifyKdRangeVo(ctx, range, vo.Unvalidated(), results);
 }
-
-bool VerifyKdRangeVo(const VerifyKey& mvk, const Domain& domain,
-                     const Box& range, const RoleSet& user_roles,
-                     const RoleSet& universe, const KdVo& vo,
-                     std::vector<Record>* results, std::string* error,
-                     ThreadPool* pool = nullptr,
-                     std::uint64_t expected_epoch = 0);
 
 }  // namespace apqa::core
 

@@ -1,4 +1,5 @@
-// Whole-VO signature batching with deterministic blame.
+// Whole-VO signature batching with deterministic blame, and the one verify
+// driver every user-side verifier runs through (RunVerify, at the bottom).
 //
 // Every verifier walks its VO once, doing the cheap structural checks
 // (coverage, key agreement, policy evaluation) serially in the original
@@ -18,11 +19,11 @@
 //     each over ~half the remaining range) recovers the lowest
 //     cryptographically failing index — same index the sequential verifier
 //     would return, up to the 2^-128 batching soundness bound.
-// The per-signature path is retained as the diagnostic fallback: exact-mode
-// callers, single-job batches, and anything under a ScopedPerSignatureVerify
-// guard run one Abs::Verify per job (serially short-circuiting, or fanned
-// out over the ThreadPool with an atomic min-failure index so workers stop
-// once every job below the best-known failure has been claimed).
+// The per-signature path is retained as the diagnostic fallback: single-job
+// batches and anything under a ScopedPerSignatureVerify guard run one
+// Abs::Verify per job (serially short-circuiting, or fanned out over the
+// ThreadPool with an atomic min-failure index so workers stop once every
+// job below the best-known failure has been claimed).
 //
 // Thread-safety: jobs only read the VO, the verify key's prepared tables
 // (immutable once built; the attribute memo is mutex-guarded), and
@@ -38,6 +39,7 @@
 
 #include "abs/abs.h"
 #include "abs/batch_verify.h"
+#include "core/app_signature.h"
 #include "core/thread_pool.h"
 #include "core/verify_result.h"
 
@@ -61,8 +63,7 @@ class ScopedPerSignatureVerify {
 
 class SigBatch {
  public:
-  SigBatch(const abs::VerifyKey& mvk, bool exact_pairings)
-      : mvk_(mvk), exact_(exact_pairings) {}
+  explicit SigBatch(const abs::VerifyKey& mvk) : mvk_(mvk) {}
 
   // Queues one ABS check in sequential-verifier order; returns its job
   // index. `policy` and `sig` must outlive FirstFailure (they point into
@@ -77,12 +78,11 @@ class SigBatch {
   std::size_t size() const { return jobs_.size(); }
 
   // Runs the queued checks; returns the lowest failing job index, or -1 if
-  // all pass. Default: whole-VO batch with bisect blame recovery; exact
-  // mode, tiny batches, and ScopedPerSignatureVerify fall back to one
-  // verify per job.
+  // all pass. Default: whole-VO batch with bisect blame recovery; tiny
+  // batches and ScopedPerSignatureVerify fall back to one verify per job.
   std::ptrdiff_t FirstFailure(ThreadPool* pool) const {
     const std::size_t n = jobs_.size();
-    if (exact_ || n <= 1 || ScopedPerSignatureVerify::Active()) {
+    if (n <= 1 || ScopedPerSignatureVerify::Active()) {
       return PerSignatureFirstFailure(pool);
     }
 
@@ -128,7 +128,7 @@ class SigBatch {
   };
 
   bool Check(const Job& j) const {
-    return abs::Abs::Verify(mvk_, j.msg, *j.policy, *j.sig, exact_);
+    return abs::Abs::Verify(mvk_, j.msg, *j.policy, *j.sig);
   }
 
   static abs::BatchAccumulator::ParallelRunner MakeRunner(ThreadPool* pool) {
@@ -209,9 +209,38 @@ class SigBatch {
   }
 
   const abs::VerifyKey& mvk_;
-  bool exact_;
   std::vector<Job> jobs_;
 };
+
+// The user-side verification skeleton shared by every Verify*Vo entry
+// (Algorithms 1, 3 and 4 and the §9 / App. E variants):
+//   1. the freshness gate over every stamp the VO carries, so a replayed VO
+//      fails kStaleEpoch before any other work;
+//   2. `walk(batch)`: the verifier's own structural rules in sequential-
+//      verifier order, queueing each signature check into `batch`; it stops
+//      at and returns the first structural failure (Ok if none);
+//   3. FirstFailure over everything queued;
+//   4. `emit(limit)`: output each result whose jobs all lie below `limit`
+//      (SigBatch::EmitLimit) — partial results match the sequential
+//      verifier's;
+//   5. the lowest signature failure, else the structural verdict.
+template <typename Walk, typename Emit>
+VerifyResult RunVerify(const VerifyContext& ctx,
+                       const std::vector<const EpochStamp*>& stamps,
+                       Walk&& walk, Emit&& emit) {
+  for (const EpochStamp* stamp : stamps) {
+    if (VerifyResult f = CheckFreshness(ctx.mvk, *stamp, ctx.expected_epoch);
+        !f.ok()) {
+      return f;
+    }
+  }
+  SigBatch batch(ctx.mvk);
+  VerifyResult struct_fail = walk(batch);
+  std::ptrdiff_t bad = batch.FirstFailure(ctx.pool);
+  emit(batch.EmitLimit(bad));
+  if (bad >= 0) return batch.failure(bad);
+  return struct_fail;
+}
 
 }  // namespace apqa::core
 

@@ -7,14 +7,6 @@
 
 namespace apqa::core {
 
-namespace {
-
-void SetError(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-}
-
-}  // namespace
-
 Vo BuildRangeVo(const GridTree& tree, const VerifyKey& mvk, const Box& range,
                 const RoleSet& user_roles, const RoleSet& universe, Rng* rng,
                 ThreadPool* pool) {
@@ -94,7 +86,7 @@ Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
   return vo;
 }
 
-VerifyResult CheckCoverageEx(const Box& range, const Vo& vo) {
+VerifyResult CheckCoverage(const Box& range, const Vo& vo) {
   std::uint64_t covered = 0;
   std::vector<Box> boxes;
   boxes.reserve(vo.entries.size());
@@ -131,129 +123,89 @@ VerifyResult CheckCoverageEx(const Box& range, const Vo& vo) {
   return VerifyResult::Ok();
 }
 
-bool CheckCoverage(const Box& range, const Vo& vo, std::string* error) {
-  VerifyResult r = CheckCoverageEx(range, vo);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
-}
-
-VerifyResult VerifyRangeVoEx(const VerifyKey& mvk, const Domain& domain,
-                             const Box& range, const RoleSet& user_roles,
-                             const RoleSet& universe, const Vo& vo,
-                             std::vector<Record>* results, bool exact_pairings,
-                             ThreadPool* pool, std::uint64_t expected_epoch) {
-  return VerifyRangeVoWithLackedEx(mvk, domain, range, user_roles,
-                                   SuperPolicyRoles(universe, user_roles), vo,
-                                   results, exact_pairings, pool,
-                                   expected_epoch);
-}
-
-VerifyResult VerifyRangeVoWithLackedEx(const VerifyKey& mvk,
-                                       const Domain& domain, const Box& range,
-                                       const RoleSet& user_roles,
-                                       const RoleSet& lacked, const Vo& vo,
-                                       std::vector<Record>* results,
-                                       bool exact_pairings, ThreadPool* pool,
-                                       std::uint64_t expected_epoch) {
-  // Freshness gates everything: a replayed VO must fail with kStaleEpoch
-  // before any structural or signature work happens.
-  if (VerifyResult f = CheckFreshness(mvk, vo.stamp, expected_epoch); !f.ok()) {
-    return f;
-  }
+VerifyResult CheckQueryBox(const Domain& domain, const Box& range) {
   if (!range.WellFormed() ||
       range.lo.size() != static_cast<std::size_t>(domain.dims) ||
       !domain.FullBox().ContainsBox(range)) {
     return VerifyResult::Fail(VerifyCode::kBadQuery,
                               "query range invalid for domain");
   }
-  if (VerifyResult r = CheckCoverageEx(range, vo); !r.ok()) return r;
-  Policy super_policy = Policy::OrOfRoles(lacked);
+  return VerifyResult::Ok();
+}
 
-  // One serial structural pass in entry order, queueing signature checks;
-  // SigBatch keeps the diagnostics and partial-result emission identical
-  // to the sequential verifier regardless of the pool (parallel_verify.h).
-  SigBatch batch(mvk, exact_pairings);
-  VerifyResult struct_fail = VerifyResult::Ok();
+bool AddApsCheck(SigBatch* batch, const VoEntry& entry,
+                 const Policy* super_policy, std::ptrdiff_t idx,
+                 const char* record_detail, const char* box_detail) {
+  if (const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry)) {
+    batch->Add(RecordMessageFromHash(rec->key, rec->value_hash), super_policy,
+               &rec->aps_sig,
+               VerifyResult::Fail(VerifyCode::kBadSignature, record_detail,
+                                  idx));
+    return true;
+  }
+  if (const auto* boxe = std::get_if<InaccessibleBoxEntry>(&entry)) {
+    batch->Add(BoxMessage(boxe->box), super_policy, &boxe->aps_sig,
+               VerifyResult::Fail(VerifyCode::kBadSignature, box_detail, idx));
+    return true;
+  }
+  return false;
+}
+
+VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
+                           const Vo& vo, std::vector<Record>* results) {
+  const Policy super_policy = ctx.SuperPolicy();
   std::vector<std::ptrdiff_t> entry_job(vo.entries.size(), -1);
-  for (std::size_t i = 0; i < vo.entries.size(); ++i) {
-    const VoEntry& entry = vo.entries[i];
-    std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-    if (const auto* res = std::get_if<ResultEntry>(&entry)) {
-      if (!domain.ContainsPoint(res->key) || !range.Contains(res->key)) {
-        struct_fail = VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                                         "result key outside range", idx);
-        break;
-      }
-      if (!res->policy.Evaluate(user_roles)) {
-        struct_fail = VerifyResult::Fail(
-            VerifyCode::kPolicyNotSatisfied,
-            "result policy not satisfied by user roles", idx);
-        break;
-      }
-      entry_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-          RecordMessage(res->key, res->value), &res->policy, &res->app_sig,
-          VerifyResult::Fail(VerifyCode::kBadSignature,
-                             "APP signature verification failed", idx)));
-    } else if (const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry)) {
-      if (!domain.ContainsPoint(rec->key)) {
-        struct_fail =
-            VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                               "inaccessible record key outside domain", idx);
-        break;
-      }
-      batch.Add(RecordMessageFromHash(rec->key, rec->value_hash), &super_policy,
-                &rec->aps_sig,
+  return RunVerify(
+      ctx, {&vo.stamp},
+      [&](SigBatch& batch) -> VerifyResult {
+        if (VerifyResult q = CheckQueryBox(ctx.domain, range); !q.ok()) {
+          return q;
+        }
+        if (VerifyResult c = CheckCoverage(range, vo); !c.ok()) return c;
+        for (std::size_t i = 0; i < vo.entries.size(); ++i) {
+          const VoEntry& entry = vo.entries[i];
+          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
+          if (const auto* res = std::get_if<ResultEntry>(&entry)) {
+            if (!ctx.domain.ContainsPoint(res->key) ||
+                !range.Contains(res->key)) {
+              return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
+                                        "result key outside range", idx);
+            }
+            if (!res->policy.Evaluate(ctx.roles)) {
+              return VerifyResult::Fail(
+                  VerifyCode::kPolicyNotSatisfied,
+                  "result policy not satisfied by user roles", idx);
+            }
+            entry_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
+                RecordMessage(res->key, res->value), &res->policy,
+                &res->app_sig,
                 VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "record APS signature verification failed",
-                                   idx));
-    } else {
-      const auto& boxe = std::get<InaccessibleBoxEntry>(entry);
-      batch.Add(BoxMessage(boxe.box), &super_policy, &boxe.aps_sig,
-                VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "box APS signature verification failed",
-                                   idx));
-    }
-  }
-
-  std::ptrdiff_t bad = batch.FirstFailure(pool);
-  if (results != nullptr) {
-    std::size_t emit = batch.EmitLimit(bad);
-    for (std::size_t i = 0; i < vo.entries.size(); ++i) {
-      const auto* res = std::get_if<ResultEntry>(&vo.entries[i]);
-      if (res == nullptr || entry_job[i] < 0) continue;
-      if (static_cast<std::size_t>(entry_job[i]) < emit) {
-        results->push_back(Record{res->key, res->value, res->policy});
-      }
-    }
-  }
-  if (bad >= 0) return batch.failure(bad);
-  return struct_fail;
-}
-
-bool VerifyRangeVo(const VerifyKey& mvk, const Domain& domain, const Box& range,
-                   const RoleSet& user_roles, const RoleSet& universe,
-                   const Vo& vo, std::vector<Record>* results,
-                   std::string* error, bool exact_pairings, ThreadPool* pool,
-                   std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyRangeVoEx(mvk, domain, range, user_roles, universe,
-                                   vo, results, exact_pairings, pool,
-                                   expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
-}
-
-bool VerifyRangeVoWithLacked(const VerifyKey& mvk, const Domain& domain,
-                             const Box& range, const RoleSet& user_roles,
-                             const RoleSet& lacked, const Vo& vo,
-                             std::vector<Record>* results, std::string* error,
-                             bool exact_pairings, ThreadPool* pool,
-                             std::uint64_t expected_epoch) {
-  VerifyResult r = VerifyRangeVoWithLackedEx(mvk, domain, range, user_roles,
-                                             lacked, vo, results,
-                                             exact_pairings, pool,
-                                             expected_epoch);
-  if (!r.ok()) SetError(error, r.ToString());
-  return r.ok();
+                                   "APP signature verification failed", idx)));
+            continue;
+          }
+          const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry);
+          if (rec != nullptr && !ctx.domain.ContainsPoint(rec->key)) {
+            return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
+                                      "inaccessible record key outside domain",
+                                      idx);
+          }
+          AddApsCheck(&batch, entry, &super_policy, idx,
+                      "record APS signature verification failed",
+                      "box APS signature verification failed");
+        }
+        return VerifyResult::Ok();
+      },
+      [&](std::size_t limit) {
+        if (results == nullptr) return;
+        for (std::size_t i = 0; i < vo.entries.size(); ++i) {
+          if (entry_job[i] < 0 ||
+              static_cast<std::size_t>(entry_job[i]) >= limit) {
+            continue;
+          }
+          const auto& res = std::get<ResultEntry>(vo.entries[i]);
+          results->push_back(Record{res.key, res.value, res.policy});
+        }
+      });
 }
 
 }  // namespace apqa::core

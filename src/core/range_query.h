@@ -2,8 +2,6 @@
 #ifndef APQA_CORE_RANGE_QUERY_H_
 #define APQA_CORE_RANGE_QUERY_H_
 
-#include <string>
-
 #include "core/grid_tree.h"
 #include "core/verify_result.h"
 #include "core/vo.h"
@@ -26,65 +24,41 @@ Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
                           ThreadPool* pool = nullptr);
 
 // User side: soundness + completeness verification (Algorithm 3, bottom).
-// On success, appends the accessible result records to `results` (if not
-// null). `exact_pairings` selects per-column pairing checks instead of the
-// batched verifier. When `pool` is given, the per-entry signature checks
-// fan out across it; diagnostics and partial results are identical to the
-// single-threaded path (see parallel_verify.h).
-VerifyResult VerifyRangeVoEx(const VerifyKey& mvk, const Domain& domain,
-                             const Box& range, const RoleSet& user_roles,
-                             const RoleSet& universe, const Vo& vo,
-                             std::vector<Record>* results,
-                             bool exact_pairings = false,
-                             ThreadPool* pool = nullptr,
-                             std::uint64_t expected_epoch = 0);
-
-// Variant with an explicit expected super-policy role set (§8.1).
-VerifyResult VerifyRangeVoWithLackedEx(const VerifyKey& mvk,
-                                       const Domain& domain, const Box& range,
-                                       const RoleSet& user_roles,
-                                       const RoleSet& lacked, const Vo& vo,
-                                       std::vector<Record>* results,
-                                       bool exact_pairings = false,
-                                       ThreadPool* pool = nullptr,
-                                       std::uint64_t expected_epoch = 0);
+// APS entries verify against ctx.SuperPolicy(), so a context carrying the
+// §8.1 reduced lacked set checks VOs built by BuildRangeVoWithLacked. On
+// success, appends the accessible result records to `results` (if not
+// null); on failure, the results whose signatures verified before the
+// first failure (see core/parallel_verify.h).
+VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
+                           const Vo& vo, std::vector<Record>* results);
 
 // Declassification gate for wire-decoded VOs: verification is the trust
 // boundary, so the tainted value feeds the checked path directly.
-inline VerifyResult VerifyRangeVoEx(const VerifyKey& mvk, const Domain& domain,
-                                    const Box& range,
-                                    const RoleSet& user_roles,
-                                    const RoleSet& universe,
-                                    const common::Untrusted<Vo>& vo,
-                                    std::vector<Record>* results,
-                                    bool exact_pairings = false,
-                                    ThreadPool* pool = nullptr,
-                                    std::uint64_t expected_epoch = 0) {
-  // untrusted-ok: Verify*Ex is the declassification gate for SP bytes.
-  return VerifyRangeVoEx(mvk, domain, range, user_roles, universe,
-                         vo.Unvalidated(), results, exact_pairings, pool,
-                         expected_epoch);
+inline VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
+                                  const common::Untrusted<Vo>& vo,
+                                  std::vector<Record>* results) {
+  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
+  return VerifyRangeVo(ctx, range, vo.Unvalidated(), results);
 }
 
-// Legacy bool APIs; `error` (if not null) receives the stringified result.
-bool VerifyRangeVo(const VerifyKey& mvk, const Domain& domain, const Box& range,
-                   const RoleSet& user_roles, const RoleSet& universe,
-                   const Vo& vo, std::vector<Record>* results,
-                   std::string* error, bool exact_pairings = false,
-                   ThreadPool* pool = nullptr, std::uint64_t expected_epoch = 0);
-bool VerifyRangeVoWithLacked(const VerifyKey& mvk, const Domain& domain,
-                             const Box& range, const RoleSet& user_roles,
-                             const RoleSet& lacked, const Vo& vo,
-                             std::vector<Record>* results, std::string* error,
-                             bool exact_pairings = false,
-                             ThreadPool* pool = nullptr,
-                             std::uint64_t expected_epoch = 0);
+// Shared verifier helpers (range, join, kd-tree and duplicate VOs).
 
-// Shared helper (also used by join verification): checks that the entry
-// regions are well-formed, inside `range`, pairwise disjoint, and tile it
-// exactly.
-VerifyResult CheckCoverageEx(const Box& range, const Vo& vo);
-bool CheckCoverage(const Box& range, const Vo& vo, std::string* error);
+// Checks that the entry regions are well-formed, inside `range`, pairwise
+// disjoint, and tile it exactly.
+VerifyResult CheckCoverage(const Box& range, const Vo& vo);
+
+// kBadQuery unless `range` is a well-formed box inside the domain.
+VerifyResult CheckQueryBox(const Domain& domain, const Box& range);
+
+class SigBatch;
+
+// Queues the APS check of an InaccessibleRecordEntry or InaccessibleBoxEntry
+// against `super_policy` (which must outlive the batch); it fails with
+// kBadSignature at `idx` and the detail matching the entry type. Returns
+// false, queueing nothing, for any other entry type.
+bool AddApsCheck(SigBatch* batch, const VoEntry& entry,
+                 const Policy* super_policy, std::ptrdiff_t idx,
+                 const char* record_detail, const char* box_detail);
 
 }  // namespace apqa::core
 

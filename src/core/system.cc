@@ -174,66 +174,69 @@ User::User(SystemKeys keys, UserCredentials creds, int threads)
   WarmSignatureEngine(keys_.mvk);
 }
 
-bool User::VerifyEquality(const Point& key, const Vo& vo, Record* result,
-                          bool* accessible, std::string* error) const {
-  return VerifyEqualityVo(keys_.mvk, keys_.domain, key, creds_.roles,
-                          keys_.universe, vo, result, accessible, error,
-                          /*exact_pairings=*/false, pool_.get(),
-                          expected_epoch_);
+VerifyContext User::Context() const {
+  VerifyContext ctx(keys_.mvk, keys_.domain, creds_.roles, keys_.universe);
+  ctx.expected_epoch = expected_epoch_;
+  ctx.pool = pool_.get();
+  return ctx;
 }
 
-bool User::VerifyRange(const Box& range, const Vo& vo,
-                       std::vector<Record>* results, std::string* error) const {
-  return VerifyRangeVo(keys_.mvk, keys_.domain, range, creds_.roles,
-                       keys_.universe, vo, results, error,
-                       /*exact_pairings=*/false, pool_.get(),
-                       expected_epoch_);
+VerifyResult User::VerifyEquality(const Point& key, const Vo& vo,
+                                  Record* result, bool* accessible) const {
+  return VerifyEqualityVo(Context(), key, vo, result, accessible);
 }
 
-bool User::VerifyJoin(const Box& range, const JoinVo& vo,
-                      std::vector<std::pair<Record, Record>>* results,
-                      std::string* error) const {
-  return VerifyJoinVo(keys_.mvk, keys_.domain, range, creds_.roles,
-                      keys_.universe, vo, results, error,
-                      /*exact_pairings=*/false, pool_.get(),
-                      expected_epoch_);
+VerifyResult User::VerifyRange(const Box& range, const Vo& vo,
+                               std::vector<Record>* results) const {
+  return VerifyRangeVo(Context(), range, vo, results);
 }
 
-bool User::OpenAndVerifyRange(const Box& range, const cpabe::Envelope& env,
-                              std::vector<Record>* results,
-                              std::string* error) const {
-  auto plain = cpabe::Open(keys_.cpk, creds_.cpabe_sk, env);
+VerifyResult User::VerifyJoin(
+    const Box& range, const JoinVo& vo,
+    std::vector<std::pair<Record, Record>>* results) const {
+  return VerifyJoinVo(Context(), range, vo, results);
+}
+
+namespace {
+
+// Decrypts a sealed response and decodes the VO inside it.
+VerifyResult OpenSealedVo(const SystemKeys& keys, const UserCredentials& creds,
+                          const cpabe::Envelope& env,
+                          common::Untrusted<Vo>* vo) {
+  auto plain = cpabe::Open(keys.cpk, creds.cpabe_sk, env);
   if (!plain.has_value()) {
-    if (error != nullptr) *error = "cannot open sealed response";
-    return false;
+    return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
+                              "cannot open sealed response");
   }
   common::ByteReader r(*plain);
-  common::Untrusted<Vo> vo = Vo::Deserialize(&r);
+  *vo = Vo::Deserialize(&r);
   if (!r.ok()) {
-    if (error != nullptr) *error = "malformed sealed VO";
-    return false;
+    return VerifyResult::Fail(VerifyCode::kMalformedVo, "malformed sealed VO");
   }
-  // untrusted-ok: handed straight to VerifyRange, the declassification gate.
-  return VerifyRange(range, vo.Unvalidated(), results, error);
+  return VerifyResult::Ok();
 }
 
-bool User::OpenAndVerifyEquality(const Point& key, const cpabe::Envelope& env,
-                                 Record* result, bool* accessible,
-                                 std::string* error) const {
-  auto plain = cpabe::Open(keys_.cpk, creds_.cpabe_sk, env);
-  if (!plain.has_value()) {
-    if (error != nullptr) *error = "cannot open sealed response";
-    return false;
+}  // namespace
+
+VerifyResult User::OpenAndVerifyRange(const Box& range,
+                                      const cpabe::Envelope& env,
+                                      std::vector<Record>* results) const {
+  common::Untrusted<Vo> vo;
+  if (VerifyResult r = OpenSealedVo(keys_, creds_, env, &vo); !r.ok()) {
+    return r;
   }
-  common::ByteReader r(*plain);
-  common::Untrusted<Vo> vo = Vo::Deserialize(&r);
-  if (!r.ok()) {
-    if (error != nullptr) *error = "malformed sealed VO";
-    return false;
+  return VerifyRangeVo(Context(), range, vo, results);
+}
+
+VerifyResult User::OpenAndVerifyEquality(const Point& key,
+                                         const cpabe::Envelope& env,
+                                         Record* result,
+                                         bool* accessible) const {
+  common::Untrusted<Vo> vo;
+  if (VerifyResult r = OpenSealedVo(keys_, creds_, env, &vo); !r.ok()) {
+    return r;
   }
-  // untrusted-ok: handed straight to VerifyEquality, the declassification
-  // gate.
-  return VerifyEquality(key, vo.Unvalidated(), result, accessible, error);
+  return VerifyEqualityVo(Context(), key, vo, result, accessible);
 }
 
 }  // namespace apqa::core

@@ -140,21 +140,26 @@ class User {
     if (epoch > expected_epoch_) expected_epoch_ = epoch;
   }
 
-  bool VerifyEquality(const Point& key, const Vo& vo, Record* result,
-                      bool* accessible, std::string* error = nullptr) const;
-  bool VerifyRange(const Box& range, const Vo& vo, std::vector<Record>* results,
-                   std::string* error = nullptr) const;
-  bool VerifyJoin(const Box& range, const JoinVo& vo,
-                  std::vector<std::pair<Record, Record>>* results,
-                  std::string* error = nullptr) const;
+  // The VerifyContext every Verify* call below runs under: the user's
+  // roles and lacked set, the pool, and the current expected_epoch().
+  VerifyContext Context() const;
 
-  // Opens a sealed range response and verifies it.
-  bool OpenAndVerifyRange(const Box& range, const cpabe::Envelope& env,
-                          std::vector<Record>* results,
-                          std::string* error = nullptr) const;
-  bool OpenAndVerifyEquality(const Point& key, const cpabe::Envelope& env,
-                             Record* result, bool* accessible,
-                             std::string* error = nullptr) const;
+  VerifyResult VerifyEquality(const Point& key, const Vo& vo, Record* result,
+                              bool* accessible) const;
+  VerifyResult VerifyRange(const Box& range, const Vo& vo,
+                           std::vector<Record>* results) const;
+  VerifyResult VerifyJoin(
+      const Box& range, const JoinVo& vo,
+      std::vector<std::pair<Record, Record>>* results) const;
+
+  // Opens a sealed response and verifies it. A response the user's CP-ABE
+  // key cannot open fails kPolicyNotSatisfied; undecodable bytes fail
+  // kMalformedVo.
+  VerifyResult OpenAndVerifyRange(const Box& range, const cpabe::Envelope& env,
+                                  std::vector<Record>* results) const;
+  VerifyResult OpenAndVerifyEquality(const Point& key,
+                                     const cpabe::Envelope& env,
+                                     Record* result, bool* accessible) const;
 
  private:
   SystemKeys keys_;

@@ -2,8 +2,7 @@
 //
 // Every user-side verifier reports *why* a VO was rejected, not just that it
 // was: a machine-readable code, the index of the offending entry when one
-// can be named, and a human-readable detail string. The legacy bool-
-// returning verifiers remain as thin wrappers that stringify the result.
+// can be named, and a human-readable detail string.
 //
 // Codes split into three layers, mirroring where on the untrusted path the
 // check lives:
@@ -57,7 +56,7 @@ enum class VerifyCode : std::uint8_t {
 
 const char* VerifyCodeName(VerifyCode code);
 
-// [[nodiscard]] at the type level covers every Verify*Ex entry point and
+// [[nodiscard]] at the type level covers every Verify*Vo entry point and
 // helper with one declaration: a dropped verdict is how a forged VO slips
 // through, so discarding one is a compile warning (-Werror in CI), and the
 // rare legitimate discard must be `(void)`-cast with a `// discard-ok:`

@@ -73,7 +73,7 @@ struct Vo {
 
   void Serialize(common::ByteWriter* w) const;
   // Top-level wire entry point: SP bytes come back tainted and only escape
-  // through a Verify*Ex gate (or an audited Unvalidated() call, lint R9).
+  // through a Verify*Vo gate (or an audited Unvalidated() call, lint R9).
   static common::Untrusted<Vo> Deserialize(common::ByteReader* r) {
     return common::Untrusted<Vo>(DeserializeRaw(r));
   }

@@ -121,64 +121,55 @@ VerifiedRow ToVerifiedRow(const core::Record& r) {
 
 }  // namespace
 
-bool ClientSession::VerifyRange(const TableSchema& schema,
-                                const std::vector<double>& lo,
-                                const std::vector<double>& hi,
-                                const core::Vo& vo,
-                                std::vector<VerifiedRow>* rows,
-                                std::string* error) const {
+core::VerifyResult ClientSession::VerifyRange(
+    const TableSchema& schema, const std::vector<double>& lo,
+    const std::vector<double>& hi, const core::Vo& vo,
+    std::vector<VerifiedRow>* rows) const {
   std::vector<core::Record> results;
-  if (!core::VerifyRangeVo(keys_.mvk, schema.domain(),
-                           schema.DiscretizeRange(lo, hi), creds_.roles,
-                           keys_.universe, vo, &results, error)) {
-    return false;
+  core::VerifyResult r =
+      core::VerifyRangeVo(Context(schema), schema.DiscretizeRange(lo, hi), vo,
+                          &results);
+  if (r.ok() && rows != nullptr) {
+    for (const auto& rec : results) rows->push_back(ToVerifiedRow(rec));
   }
-  if (rows != nullptr) {
-    for (const auto& r : results) rows->push_back(ToVerifiedRow(r));
-  }
-  return true;
+  return r;
 }
 
-bool ClientSession::VerifyEquality(const TableSchema& schema,
-                                   const std::vector<double>& attrs,
-                                   const core::Vo& vo,
-                                   std::optional<VerifiedRow>* row,
-                                   std::string* error) const {
+core::VerifyResult ClientSession::VerifyEquality(
+    const TableSchema& schema, const std::vector<double>& attrs,
+    const core::Vo& vo, std::optional<VerifiedRow>* row) const {
   core::Record result;
   bool accessible = false;
-  if (!core::VerifyEqualityVo(keys_.mvk, schema.domain(),
-                              schema.Discretize(attrs), creds_.roles,
-                              keys_.universe, vo, &result, &accessible,
-                              error)) {
-    return false;
-  }
-  if (row != nullptr) {
+  core::VerifyResult r = core::VerifyEqualityVo(
+      Context(schema), schema.Discretize(attrs), vo, &result, &accessible);
+  if (r.ok() && row != nullptr) {
     if (accessible) {
       *row = ToVerifiedRow(result);
     } else {
       row->reset();
     }
   }
-  return true;
+  return r;
 }
 
-bool ClientSession::VerifyJoin(
+core::VerifyResult ClientSession::VerifyJoin(
     const TableSchema& schema_r, const std::vector<double>& lo,
     const std::vector<double>& hi, const core::JoinVo& vo,
-    std::vector<std::pair<VerifiedRow, VerifiedRow>>* rows,
-    std::string* error) const {
+    std::vector<std::pair<VerifiedRow, VerifiedRow>>* rows) const {
   std::vector<std::pair<core::Record, core::Record>> results;
-  if (!core::VerifyJoinVo(keys_.mvk, schema_r.domain(),
-                          schema_r.DiscretizeRange(lo, hi), creds_.roles,
-                          keys_.universe, vo, &results, error)) {
-    return false;
-  }
-  if (rows != nullptr) {
-    for (const auto& [r, s] : results) {
-      rows->emplace_back(ToVerifiedRow(r), ToVerifiedRow(s));
+  core::VerifyResult r = core::VerifyJoinVo(
+      Context(schema_r), schema_r.DiscretizeRange(lo, hi), vo, &results);
+  if (r.ok() && rows != nullptr) {
+    for (const auto& [rec_r, rec_s] : results) {
+      rows->emplace_back(ToVerifiedRow(rec_r), ToVerifiedRow(rec_s));
     }
   }
-  return true;
+  return r;
+}
+
+core::VerifyContext ClientSession::Context(const TableSchema& schema) const {
+  return core::VerifyContext(keys_.mvk, schema.domain(), creds_.roles,
+                             keys_.universe);
 }
 
 }  // namespace apqa::db

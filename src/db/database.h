@@ -111,22 +111,25 @@ class ClientSession {
 
   // Verifies a range VO produced for [lo, hi] on `schema`. On success fills
   // `rows` with the accessible results.
-  bool VerifyRange(const TableSchema& schema, const std::vector<double>& lo,
-                   const std::vector<double>& hi, const core::Vo& vo,
-                   std::vector<VerifiedRow>* rows,
-                   std::string* error = nullptr) const;
+  core::VerifyResult VerifyRange(const TableSchema& schema,
+                                 const std::vector<double>& lo,
+                                 const std::vector<double>& hi,
+                                 const core::Vo& vo,
+                                 std::vector<VerifiedRow>* rows) const;
 
-  bool VerifyEquality(const TableSchema& schema,
-                      const std::vector<double>& attrs, const core::Vo& vo,
-                      std::optional<VerifiedRow>* row,
-                      std::string* error = nullptr) const;
+  core::VerifyResult VerifyEquality(const TableSchema& schema,
+                                    const std::vector<double>& attrs,
+                                    const core::Vo& vo,
+                                    std::optional<VerifiedRow>* row) const;
 
-  bool VerifyJoin(const TableSchema& schema_r, const std::vector<double>& lo,
-                  const std::vector<double>& hi, const core::JoinVo& vo,
-                  std::vector<std::pair<VerifiedRow, VerifiedRow>>* rows,
-                  std::string* error = nullptr) const;
+  core::VerifyResult VerifyJoin(
+      const TableSchema& schema_r, const std::vector<double>& lo,
+      const std::vector<double>& hi, const core::JoinVo& vo,
+      std::vector<std::pair<VerifiedRow, VerifiedRow>>* rows) const;
 
  private:
+  core::VerifyContext Context(const TableSchema& schema) const;
+
   core::SystemKeys keys_;
   core::UserCredentials creds_;
 };

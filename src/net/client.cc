@@ -72,6 +72,13 @@ std::uint64_t ApqaClient::expected_epoch() const {
   return std::max(opts_.min_epoch, stats_.high_water_epoch);
 }
 
+core::VerifyContext ApqaClient::Context() const {
+  core::VerifyContext ctx(keys_.mvk, keys_.domain, creds_.roles,
+                          keys_.universe);
+  ctx.expected_epoch = expected_epoch();
+  return ctx;
+}
+
 void ApqaClient::NoteResponseEpoch(std::uint64_t epoch) {
   stats_.last_server_epoch = epoch;
 }
@@ -103,11 +110,8 @@ ClientResult ApqaClient::Equality(const core::Point& key, core::Record* result,
     // decision is the verified outcome below.
     std::uint64_t claimed_epoch = vo.Unvalidated().stamp.epoch;
     NoteResponseEpoch(claimed_epoch);
-    out.verify = core::VerifyEqualityVoEx(keys_.mvk, keys_.domain, key,
-                                          creds_.roles, keys_.universe, vo,
-                                          result, accessible,
-                                          /*exact_pairings=*/false,
-                                          /*pool=*/nullptr, expected_epoch());
+    out.verify =
+        core::VerifyEqualityVo(Context(), key, vo, result, accessible);
     NoteVerifyOutcome(out.verify, claimed_epoch);
     return out;
   };
@@ -134,10 +138,7 @@ ClientResult ApqaClient::Range(const core::Box& range,
     // decision is the verified outcome below.
     std::uint64_t claimed_epoch = vo.Unvalidated().stamp.epoch;
     NoteResponseEpoch(claimed_epoch);
-    out.verify = core::VerifyRangeVoEx(keys_.mvk, keys_.domain, range,
-                                       creds_.roles, keys_.universe, vo,
-                                       results, /*exact_pairings=*/false,
-                                       /*pool=*/nullptr, expected_epoch());
+    out.verify = core::VerifyRangeVo(Context(), range, vo, results);
     NoteVerifyOutcome(out.verify, claimed_epoch);
     return out;
   };
@@ -167,10 +168,7 @@ ClientResult ApqaClient::Join(
     std::uint64_t claimed_epoch = std::min(vo.Unvalidated().r_stamp.epoch,
                                            vo.Unvalidated().s_stamp.epoch);
     NoteResponseEpoch(claimed_epoch);
-    out.verify = core::VerifyJoinVoEx(keys_.mvk, keys_.domain, range,
-                                      creds_.roles, keys_.universe, vo,
-                                      results, /*exact_pairings=*/false,
-                                      /*pool=*/nullptr, expected_epoch());
+    out.verify = core::VerifyJoinVo(Context(), range, vo, results);
     NoteVerifyOutcome(out.verify, claimed_epoch);
     return out;
   };

@@ -130,7 +130,7 @@ class ApqaClient {
     core::VerifyResult verify;
   };
   // Handlers receive the response still inside the taint wrapper: the VO
-  // payload only escapes through the Verify*Ex declassification gates.
+  // payload only escapes through the Verify*Vo declassification gates.
   using PayloadHandler =
       std::function<PayloadOutcome(const common::Untrusted<Frame>&)>;
 
@@ -138,6 +138,9 @@ class ApqaClient {
                         const std::vector<std::uint8_t>& payload,
                         MsgType expected_response,
                         const PayloadHandler& handle);
+  // The verification context of the next query: the user's roles and the
+  // current expected_epoch().
+  core::VerifyContext Context() const;
   // Epoch bookkeeping shared by the three query paths: records the claimed
   // epoch, bumps the high-water mark on verified success, counts
   // kStaleEpoch verdicts.

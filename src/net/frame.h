@@ -102,7 +102,7 @@ std::vector<std::uint8_t> EncodeFrame(const Frame& f);
 // envelope fields (type/request_id/deadline) are fully validated here —
 // magic, version, type range, length cap, checksum — so the projection
 // helpers below read them without declassifying; the *payload* stays
-// untrusted until a typed payload decoder / Verify*Ex gate accepts it.
+// untrusted until a typed payload decoder / Verify*Vo gate accepts it.
 FrameDecodeError DecodeFrame(const std::vector<std::uint8_t>& buf,
                              common::Untrusted<Frame>* out);
 // Untainted variant for test harnesses that dissect frames byte-by-byte;

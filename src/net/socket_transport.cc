@@ -79,30 +79,45 @@ bool SocketTransport::Send(const std::vector<std::uint8_t>& frame) {
   return true;
 }
 
-RecvStatus SocketTransport::ReadExact(std::uint8_t* out, std::size_t n,
+RecvStatus SocketTransport::ReadUntil(std::size_t n,
                                       std::int64_t deadline_unix_ms) {
-  std::size_t got = 0;
+  std::size_t got = partial_.size();
+  if (got >= n) return RecvStatus::kOk;
+  partial_.resize(n);
+  RecvStatus status = RecvStatus::kOk;
   while (got < n) {
     std::int64_t left = deadline_unix_ms - NowUnixMs();
-    if (left <= 0) return RecvStatus::kTimeout;
+    if (left <= 0) {
+      status = RecvStatus::kTimeout;
+      break;
+    }
     pollfd pfd{};
     pfd.fd = fd_;
     pfd.events = POLLIN;
     int pr = ::poll(&pfd, 1, static_cast<int>(left));
     if (pr < 0) {
       if (errno == EINTR) continue;
-      return RecvStatus::kError;
+      status = RecvStatus::kError;
+      break;
     }
-    if (pr == 0) return RecvStatus::kTimeout;
-    ssize_t r = ::recv(fd_, out + got, n - got, 0);
-    if (r == 0) return RecvStatus::kClosed;
+    if (pr == 0) {
+      status = RecvStatus::kTimeout;
+      break;
+    }
+    ssize_t r = ::recv(fd_, partial_.data() + got, n - got, 0);
+    if (r == 0) {
+      status = RecvStatus::kClosed;
+      break;
+    }
     if (r < 0) {
       if (errno == EINTR || errno == EAGAIN) continue;
-      return RecvStatus::kError;
+      status = RecvStatus::kError;
+      break;
     }
     got += static_cast<std::size_t>(r);
   }
-  return RecvStatus::kOk;
+  partial_.resize(got);
+  return status;
 }
 
 RecvStatus SocketTransport::Recv(std::vector<std::uint8_t>* frame,
@@ -111,31 +126,27 @@ RecvStatus SocketTransport::Recv(std::vector<std::uint8_t>* frame,
   if (fd_ < 0) return RecvStatus::kClosed;
   std::int64_t deadline = NowUnixMs() + timeout_ms;
 
-  std::vector<std::uint8_t> buf(kFrameHeaderBytes);
-  RecvStatus s = ReadExact(buf.data(), kFrameHeaderBytes, deadline);
+  RecvStatus s = ReadUntil(kFrameHeaderBytes, deadline);
   if (s != RecvStatus::kOk) return s;
 
   // Sanity-check the header before trusting the length: a desynchronized
   // stream must not drive a multi-megabyte allocation.
   if (!std::equal(kFrameMagic, kFrameMagic + sizeof(kFrameMagic),
-                  buf.begin())) {
+                  partial_.begin())) {
     return RecvStatus::kError;
   }
   std::uint32_t payload_len = 0;
   for (int i = 3; i >= 0; --i) {
-    payload_len = (payload_len << 8) | buf[18 + static_cast<std::size_t>(i)];
+    payload_len =
+        (payload_len << 8) | partial_[18 + static_cast<std::size_t>(i)];
   }
   if (payload_len > kMaxFramePayloadBytes) return RecvStatus::kError;
 
-  std::size_t rest = payload_len + kFrameChecksumBytes;
-  buf.resize(kFrameHeaderBytes + rest);
-  s = ReadExact(buf.data() + kFrameHeaderBytes, rest, deadline);
-  if (s != RecvStatus::kOk) {
-    // A half-read frame leaves the stream desynchronized for the caller;
-    // timeouts mid-frame are promoted to hard errors.
-    return s == RecvStatus::kTimeout ? RecvStatus::kError : s;
-  }
-  *frame = std::move(buf);
+  s = ReadUntil(kFrameHeaderBytes + payload_len + kFrameChecksumBytes,
+                deadline);
+  if (s != RecvStatus::kOk) return s;
+  *frame = std::move(partial_);
+  partial_.clear();
   return RecvStatus::kOk;
 }
 

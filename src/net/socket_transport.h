@@ -5,6 +5,8 @@
 // any allocation. A desynchronized stream (bad magic, oversized length) is
 // unrecoverable — Recv reports kError and the connection should be dropped;
 // per-frame corruption detection stays with the checksum in DecodeFrame.
+// A timeout never discards bytes: the part of a frame read so far stays in
+// the transport, Recv reports kTimeout, and the next Recv resumes the frame.
 #ifndef APQA_NET_SOCKET_TRANSPORT_H_
 #define APQA_NET_SOCKET_TRANSPORT_H_
 
@@ -39,11 +41,14 @@ class SocketTransport : public Transport {
   void Close() override;
 
  private:
-  // Reads exactly n bytes into out, polling against the deadline.
-  RecvStatus ReadExact(std::uint8_t* out, std::size_t n,
-                       std::int64_t deadline_unix_ms);
+  // Reads until partial_ holds n bytes, polling against the deadline.
+  // Whatever arrived stays in partial_ on every outcome.
+  RecvStatus ReadUntil(std::size_t n, std::int64_t deadline_unix_ms);
 
   int fd_ = -1;
+  // The frame in progress (guarded by recv_mu_): bytes received by a Recv
+  // that timed out mid-frame, resumed by the next Recv.
+  std::vector<std::uint8_t> partial_;
   // Leaf ranks: each is held alone. send/recv share a rank (a thread is a
   // writer or a reader, never both); state_mu_ gets its own rank so a
   // future fd check under an I/O lock nests legally rather than silently.

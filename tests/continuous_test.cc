@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/continuous.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -25,6 +26,11 @@ class ContinuousTest : public ::testing::Test {
         ContinuousAds::Build(mvk_, sk_, records, rng_.get()));
   }
 
+  // The continuous key space is u64, so the grid domain goes unused.
+  VerifyContext Ctx(const RoleSet& user) const {
+    return VerifyContext(mvk_, Domain{}, user, universe_);
+  }
+
   std::unique_ptr<Rng> rng_;
   abs::MasterKey msk_;
   abs::VerifyKey mvk_;
@@ -45,10 +51,8 @@ TEST_F(ContinuousTest, RangeQueryRoundTrip) {
   ContinuousVo vo = BuildContinuousRangeVo(*ads_, mvk_, 50, 500, user,
                                            universe_, rng_.get());
   std::vector<ContinuousRecord> results;
-  std::string error;
-  ASSERT_TRUE(VerifyContinuousRangeVo(mvk_, 50, 500, user, universe_, vo,
-                                      &results, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyContinuousRangeVo(Ctx(user), 50, 500, vo, &results)));
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].key, 100u);
   // 250 (RoleB) and 251 (A&B) are inaccessible entries.
@@ -61,10 +65,8 @@ TEST_F(ContinuousTest, AdjacentKeysNoGapBetween) {
   RoleSet user = {"RoleA", "RoleB"};
   ContinuousVo vo = BuildContinuousRangeVo(*ads_, mvk_, 249, 252, user,
                                            universe_, rng_.get());
-  std::string error;
-  ASSERT_TRUE(VerifyContinuousRangeVo(mvk_, 249, 252, user, universe_, vo,
-                                      nullptr, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyContinuousRangeVo(Ctx(user), 249, 252, vo, nullptr)));
 }
 
 TEST_F(ContinuousTest, RangeRejectsDroppedRecord) {
@@ -73,8 +75,7 @@ TEST_F(ContinuousTest, RangeRejectsDroppedRecord) {
                                            universe_, rng_.get());
   ContinuousVo bad = vo;
   bad.results.clear();  // hide the accessible record
-  EXPECT_FALSE(
-      VerifyContinuousRangeVo(mvk_, 50, 500, user, universe_, bad, nullptr, nullptr));
+  EXPECT_FALSE(VerifyContinuousRangeVo(Ctx(user), 50, 500, bad, nullptr));
 }
 
 TEST_F(ContinuousTest, RangeRejectsDroppedGap) {
@@ -84,8 +85,7 @@ TEST_F(ContinuousTest, RangeRejectsDroppedGap) {
   ContinuousVo bad = vo;
   ASSERT_FALSE(bad.gaps.empty());
   bad.gaps.pop_back();
-  EXPECT_FALSE(
-      VerifyContinuousRangeVo(mvk_, 50, 500, user, universe_, bad, nullptr, nullptr));
+  EXPECT_FALSE(VerifyContinuousRangeVo(Ctx(user), 50, 500, bad, nullptr));
 }
 
 TEST_F(ContinuousTest, EqualityOnExistingAccessibleKey) {
@@ -93,10 +93,8 @@ TEST_F(ContinuousTest, EqualityOnExistingAccessibleKey) {
   ContinuousVo vo =
       BuildContinuousEqualityVo(*ads_, mvk_, 100, user, universe_, rng_.get());
   std::optional<ContinuousRecord> result;
-  std::string error;
-  ASSERT_TRUE(VerifyContinuousEqualityVo(mvk_, 100, user, universe_, vo,
-                                         &result, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyContinuousEqualityVo(Ctx(user), 100, vo, &result)));
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->value, "v100");
 }
@@ -106,10 +104,8 @@ TEST_F(ContinuousTest, EqualityOnInaccessibleKey) {
   ContinuousVo vo =
       BuildContinuousEqualityVo(*ads_, mvk_, 250, user, universe_, rng_.get());
   std::optional<ContinuousRecord> result;
-  std::string error;
-  ASSERT_TRUE(VerifyContinuousEqualityVo(mvk_, 250, user, universe_, vo,
-                                         &result, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyContinuousEqualityVo(Ctx(user), 250, vo, &result)));
   EXPECT_FALSE(result.has_value());
 }
 
@@ -119,14 +115,11 @@ TEST_F(ContinuousTest, EqualityOnAbsentKeyProvenByGap) {
       BuildContinuousEqualityVo(*ads_, mvk_, 500, user, universe_, rng_.get());
   ASSERT_EQ(vo.gaps.size(), 1u);
   std::optional<ContinuousRecord> result;
-  std::string error;
-  ASSERT_TRUE(VerifyContinuousEqualityVo(mvk_, 500, user, universe_, vo,
-                                         &result, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyContinuousEqualityVo(Ctx(user), 500, vo, &result)));
   EXPECT_FALSE(result.has_value());
   // The gap VO for key 500 does not prove absence of key 2000.
-  EXPECT_FALSE(VerifyContinuousEqualityVo(mvk_, 2000, user, universe_, vo,
-                                          nullptr, nullptr));
+  EXPECT_FALSE(VerifyContinuousEqualityVo(Ctx(user), 2000, vo, nullptr));
 }
 
 TEST_F(ContinuousTest, GapVoCannotHideRecord) {
@@ -135,8 +128,7 @@ TEST_F(ContinuousTest, GapVoCannotHideRecord) {
   RoleSet user = {"RoleA"};
   ContinuousVo vo =
       BuildContinuousEqualityVo(*ads_, mvk_, 500, user, universe_, rng_.get());
-  EXPECT_FALSE(
-      VerifyContinuousEqualityVo(mvk_, 900, user, universe_, vo, nullptr, nullptr));
+  EXPECT_FALSE(VerifyContinuousEqualityVo(Ctx(user), 900, vo, nullptr));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "core/kd_tree.h"
 #include "core/parallel_verify.h"
 #include "core/system.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -47,10 +48,8 @@ TEST_F(SystemTest, EqualityAccessible) {
   Vo vo = sp_->EqualityQuery(Point{1}, user_ab_->roles());
   Record result;
   bool accessible = false;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyEquality(Point{1}, vo, &result, &accessible,
-                                       &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(user_ab_->VerifyEquality(Point{1}, vo, &result, &accessible)));
   EXPECT_TRUE(accessible);
   EXPECT_EQ(result.value, "v1");
 }
@@ -64,10 +63,9 @@ TEST_F(SystemTest, EqualityInaccessibleAndAbsentLookAlike) {
     EXPECT_TRUE(
         std::holds_alternative<InaccessibleRecordEntry>(vo.entries[0]));
     bool accessible = true;
-    std::string error;
-    ASSERT_TRUE(user_ab_->VerifyEquality(Point{key}, vo, nullptr, &accessible,
-                                         &error))
-        << "key " << key << ": " << error;
+    ASSERT_TRUE(VerifyOk(
+        user_ab_->VerifyEquality(Point{key}, vo, nullptr, &accessible)))
+        << "key " << key;
     EXPECT_FALSE(accessible);
   }
 }
@@ -82,8 +80,7 @@ TEST_F(SystemTest, RangeQueryReturnsAccessibleRecords) {
   Box range{Point{1}, Point{9}};
   Vo vo = sp_->RangeQuery(range, user_ab_->roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyRange(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user_ab_->VerifyRange(range, vo, &results)));
   // user {A,B} can access: 1 (A), 3 (A&B), 7 ((A&B)|C), 9 (B) — not 4 (C).
   std::set<std::uint32_t> keys;
   for (const auto& r : results) keys.insert(r.key[0]);
@@ -94,8 +91,7 @@ TEST_F(SystemTest, RangeQueryOtherUser) {
   Box range{Point{1}, Point{9}};
   Vo vo = sp_->RangeQuery(range, user_c_->roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user_c_->VerifyRange(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user_c_->VerifyRange(range, vo, &results)));
   std::set<std::uint32_t> keys;
   for (const auto& r : results) keys.insert(r.key[0]);
   EXPECT_EQ(keys, (std::set<std::uint32_t>{4, 7}));
@@ -107,8 +103,7 @@ TEST_F(SystemTest, RangeAggregatesInaccessibleSubtrees) {
   Box range{Point{0}, Point{15}};
   Vo vo = sp_->RangeQuery(range, user_ab_->roles());
   EXPECT_LT(vo.entries.size(), 16u);
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyRange(range, vo, nullptr, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user_ab_->VerifyRange(range, vo, nullptr)));
   bool has_box_entry = false;
   for (const auto& e : vo.entries) {
     has_box_entry |= std::holds_alternative<InaccessibleBoxEntry>(e);
@@ -186,9 +181,8 @@ TEST_F(SystemTest, BasicRangeMatchesTreeRange) {
   Vo basic_vo = sp_->BasicRangeQuery(range, user_ab_->roles());
   EXPECT_EQ(basic_vo.entries.size(), 7u);  // one per cell
   std::vector<Record> r1, r2;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyRange(range, tree_vo, &r1, &error)) << error;
-  ASSERT_TRUE(user_ab_->VerifyRange(range, basic_vo, &r2, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user_ab_->VerifyRange(range, tree_vo, &r1)));
+  ASSERT_TRUE(VerifyOk(user_ab_->VerifyRange(range, basic_vo, &r2)));
   auto key_of = [](const Record& r) { return r.key[0]; };
   std::set<std::uint32_t> k1, k2;
   for (const auto& r : r1) k1.insert(key_of(r));
@@ -206,18 +200,15 @@ TEST_F(SystemTest, VoSerializationRoundTrip) {
   common::ByteReader r(w.data());
   Vo back = Vo::DeserializeRaw(&r);
   ASSERT_TRUE(r.ok());
-  std::string error;
-  EXPECT_TRUE(user_ab_->VerifyRange(range, back, nullptr, &error)) << error;
+  EXPECT_TRUE(VerifyOk(user_ab_->VerifyRange(range, back, nullptr)));
 }
 
 TEST_F(SystemTest, SealedEqualityQuery) {
   cpabe::Envelope env = sp_->SealedEqualityQuery(Point{1}, user_ab_->roles());
   Record result;
   bool accessible = false;
-  std::string error;
-  ASSERT_TRUE(user_ab_->OpenAndVerifyEquality(Point{1}, env, &result,
-                                              &accessible, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(
+      user_ab_->OpenAndVerifyEquality(Point{1}, env, &result, &accessible)));
   EXPECT_TRUE(accessible);
   EXPECT_EQ(result.value, "v1");
   EXPECT_FALSE(
@@ -229,9 +220,7 @@ TEST_F(SystemTest, SealedRangeOnlyOpensForClaimedRoles) {
   Box range{Point{1}, Point{6}};
   cpabe::Envelope env = sp_->SealedRangeQuery(range, user_ab_->roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user_ab_->OpenAndVerifyRange(range, env, &results, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(user_ab_->OpenAndVerifyRange(range, env, &results)));
   // A RoleC user impersonating {A,B} cannot open the response.
   EXPECT_FALSE(user_c_->OpenAndVerifyRange(range, env, nullptr));
 }
@@ -272,8 +261,7 @@ TEST_F(JoinTest, JoinReturnsAccessiblePairs) {
   Box range{Point{0}, Point{15}};
   JoinVo vo = sp_->JoinQuery(range, user_ab_->roles());
   std::vector<std::pair<Record, Record>> results;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyJoin(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user_ab_->VerifyJoin(range, vo, &results)));
   // Matching keys with both sides real: 1 and 9; both accessible to {A,B}.
   std::set<std::uint32_t> keys;
   for (const auto& [r, s] : results) keys.insert(r.key[0]);
@@ -284,8 +272,7 @@ TEST_F(JoinTest, JoinFiltersInaccessibleSides) {
   Box range{Point{0}, Point{15}};
   JoinVo vo = sp_->JoinQuery(range, user_a_->roles());
   std::vector<std::pair<Record, Record>> results;
-  std::string error;
-  ASSERT_TRUE(user_a_->VerifyJoin(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user_a_->VerifyJoin(range, vo, &results)));
   // Key 9 pair exists but R side needs RoleB: only key 1 joins for RoleA.
   std::set<std::uint32_t> keys;
   for (const auto& [r, s] : results) keys.insert(r.key[0]);
@@ -317,8 +304,7 @@ TEST_F(JoinTest, JoinSerializationRoundTrip) {
   vo.Serialize(&w);
   common::ByteReader r(w.data());
   JoinVo back = JoinVo::DeserializeRaw(&r);
-  std::string error;
-  EXPECT_TRUE(user_ab_->VerifyJoin(range, back, nullptr, &error)) << error;
+  EXPECT_TRUE(VerifyOk(user_ab_->VerifyJoin(range, back, nullptr)));
   EXPECT_EQ(vo.SerializedSize(), w.size());
 }
 
@@ -327,9 +313,8 @@ TEST_F(JoinTest, BasicJoinMatchesTreeJoin) {
   JoinVo tree_vo = sp_->JoinQuery(range, user_ab_->roles());
   JoinVo basic_vo = sp_->BasicJoinQuery(range, user_ab_->roles());
   std::vector<std::pair<Record, Record>> r1, r2;
-  std::string error;
-  ASSERT_TRUE(user_ab_->VerifyJoin(range, tree_vo, &r1, &error)) << error;
-  ASSERT_TRUE(user_ab_->VerifyJoin(range, basic_vo, &r2, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user_ab_->VerifyJoin(range, tree_vo, &r1)));
+  ASSERT_TRUE(VerifyOk(user_ab_->VerifyJoin(range, basic_vo, &r2)));
   EXPECT_EQ(r1.size(), r2.size());
   EXPECT_LE(tree_vo.SerializedSize(), basic_vo.SerializedSize());
 }
@@ -351,8 +336,7 @@ TEST_F(MultiDimTest, TwoDimensionalRange) {
   Box range{Point{0, 0}, Point{2, 2}};
   Vo vo = sp.RangeQuery(range, user.roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user.VerifyRange(range, vo, &results, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user.VerifyRange(range, vo, &results)));
   std::set<std::string> values;
   for (const auto& r : results) values.insert(r.value);
   EXPECT_EQ(values, (std::set<std::string>{"a"}));
@@ -361,7 +345,7 @@ TEST_F(MultiDimTest, TwoDimensionalRange) {
   Box range2{Point{0, 0}, Point{3, 3}};
   Vo vo2 = sp.RangeQuery(range2, user.roles());
   results.clear();
-  ASSERT_TRUE(user.VerifyRange(range2, vo2, &results, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user.VerifyRange(range2, vo2, &results)));
   values.clear();
   for (const auto& r : results) values.insert(r.value);
   EXPECT_EQ(values, (std::set<std::string>{"a", "d"}));
@@ -386,19 +370,18 @@ TEST(ParallelPathTest, ThreadedBuildAndQueriesMatchSerial) {
 
   Box range{Point{2}, Point{19}};
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user.VerifyRange(range, sp_par.RangeQuery(range, user.roles()),
-                               &results, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(user.VerifyRange(range, sp_par.RangeQuery(range, user.roles()),
+                                &results)));
   std::set<std::string> got;
   for (const auto& r : results) got.insert(r.value);
 
   ServiceProvider sp_ser(owner.keys(), owner.BuildAds(records),
                          /*threads=*/1);
   results.clear();
-  ASSERT_TRUE(user.VerifyRange(range, sp_ser.RangeQuery(range, user.roles()),
-                               &results, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(user.VerifyRange(range, sp_ser.RangeQuery(range, user.roles()),
+                                &results)));
   std::set<std::string> want;
   for (const auto& r : results) want.insert(r.value);
   EXPECT_EQ(got, want);
@@ -406,10 +389,9 @@ TEST(ParallelPathTest, ThreadedBuildAndQueriesMatchSerial) {
   // Equality through the pool-backed SP as well.
   Record rec;
   bool accessible = false;
-  ASSERT_TRUE(user.VerifyEquality(
+  ASSERT_TRUE(VerifyOk(user.VerifyEquality(
       Point{3}, sp_par.EqualityQuery(Point{3}, user.roles()), &rec,
-      &accessible, &error))
-      << error;
+      &accessible)));
   EXPECT_TRUE(accessible);
   EXPECT_EQ(rec.value, "v3");
 }
@@ -435,8 +417,9 @@ TEST(ParallelPathTest, ParallelVerifyMatchesSerialByteForByte) {
   ThreadPool pool(4);
 
   auto run = [&](const Vo& v, ThreadPool* p, std::vector<Record>* out) {
-    return VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                           keys.universe, v, out, /*exact_pairings=*/false, p);
+    VerifyContext ctx(keys.mvk, keys.domain, creds.roles, keys.universe);
+    ctx.pool = p;
+    return VerifyRangeVo(ctx, range, v, out);
   };
   auto same = [](const VerifyResult& a, const VerifyResult& b) {
     return a.code == b.code && a.entry_index == b.entry_index &&
@@ -484,11 +467,10 @@ TEST(ParallelPathTest, ParallelVerifyMatchesSerialByteForByte) {
   User user_par(owner.keys(), creds, /*threads=*/4);
   User user_ser(owner.keys(), creds);
   std::vector<Record> par_results, ser_results;
-  std::string error;
-  ASSERT_TRUE(user_par.VerifyRange(range, vo, &par_results, &error)) << error;
-  ASSERT_TRUE(user_ser.VerifyRange(range, vo, &ser_results, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user_par.VerifyRange(range, vo, &par_results)));
+  ASSERT_TRUE(VerifyOk(user_ser.VerifyRange(range, vo, &ser_results)));
   EXPECT_TRUE(same_records(par_results, ser_results));
-  EXPECT_FALSE(user_par.VerifyRange(range, bad, nullptr, &error));
+  EXPECT_FALSE(user_par.VerifyRange(range, bad, nullptr));
 }
 
 // Join verification over a pool: diagnostics and emitted pairs must match
@@ -513,8 +495,9 @@ TEST(ParallelPathTest, ParallelJoinVerifyMatchesSerial) {
 
   auto run = [&](const JoinVo& v, ThreadPool* p,
                  std::vector<std::pair<Record, Record>>* out) {
-    return VerifyJoinVoEx(keys.mvk, keys.domain, range, creds.roles,
-                          keys.universe, v, out, /*exact_pairings=*/false, p);
+    VerifyContext ctx(keys.mvk, keys.domain, creds.roles, keys.universe);
+    ctx.pool = p;
+    return VerifyJoinVo(ctx, range, v, out);
   };
 
   std::vector<std::pair<Record, Record>> serial_out, pooled_out;
@@ -573,17 +556,16 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
   ServiceProvider sp(owner.keys(), owner.BuildAds(records));
   UserCredentials creds = owner.EnrollUser({"RoleA"});
   const SystemKeys& keys = owner.keys();
+  const VerifyContext ctx(keys.mvk, keys.domain, creds.roles, keys.universe);
   Box range{Point{1}, Point{18}};
 
   auto run_range = [&](const Vo& v, std::vector<Record>* out,
                        bool per_sig) -> VerifyResult {
     if (per_sig) {
       ScopedPerSignatureVerify guard;
-      return VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                             keys.universe, v, out);
+      return VerifyRangeVo(ctx, range, v, out);
     }
-    return VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                           keys.universe, v, out);
+    return VerifyRangeVo(ctx, range, v, out);
   };
 
   // Range: valid, then one tampered ResultEntry (first / middle / last).
@@ -627,11 +609,9 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
   bool bacc = false, sacc = false;
   VerifyResult be, se;
   {
-    be = VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
-                            keys.universe, evo, &brec, &bacc);
+    be = VerifyEqualityVo(ctx, Point{3}, evo, &brec, &bacc);
     ScopedPerSignatureVerify guard;
-    se = VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
-                            keys.universe, evo, &srec, &sacc);
+    se = VerifyEqualityVo(ctx, Point{3}, evo, &srec, &sacc);
   }
   EXPECT_TRUE(be.ok()) << be.ToString();
   EXPECT_TRUE(SameResult(be, se));
@@ -642,11 +622,9 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
     if (auto* res = std::get_if<ResultEntry>(&entry)) res->value += "x";
   }
   {
-    be = VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
-                            keys.universe, ebad, nullptr, &bacc);
+    be = VerifyEqualityVo(ctx, Point{3}, ebad, nullptr, &bacc);
     ScopedPerSignatureVerify guard;
-    se = VerifyEqualityVoEx(keys.mvk, keys.domain, Point{3}, creds.roles,
-                            keys.universe, ebad, nullptr, &sacc);
+    se = VerifyEqualityVo(ctx, Point{3}, ebad, nullptr, &sacc);
   }
   EXPECT_FALSE(be.ok());
   EXPECT_TRUE(SameResult(be, se))
@@ -661,11 +639,9 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
                       bool per_sig) -> VerifyResult {
     if (per_sig) {
       ScopedPerSignatureVerify guard;
-      return VerifyJoinVoEx(keys.mvk, keys.domain, range, creds.roles,
-                            keys.universe, v, out);
+      return VerifyJoinVo(ctx, range, v, out);
     }
-    return VerifyJoinVoEx(keys.mvk, keys.domain, range, creds.roles,
-                          keys.universe, v, out);
+    return VerifyJoinVo(ctx, range, v, out);
   };
   std::vector<std::pair<Record, Record>> bjout, sjout;
   VerifyResult bj = run_join(jvo, &bjout, false);
@@ -708,14 +684,15 @@ TEST(ParallelPathTest, KdBatchedMatchesPerSignature) {
   RoleSet user = {"RoleA"};
   Box range{Point{2}, Point{27}};
   KdVo vo = BuildKdRangeVo(tree, mvk, range, user, universe, &rng);
+  const VerifyContext ctx(mvk, domain, user, universe);
 
   auto run = [&](const KdVo& v, std::vector<Record>* out,
                  bool per_sig) -> VerifyResult {
     if (per_sig) {
       ScopedPerSignatureVerify guard;
-      return VerifyKdRangeVoEx(mvk, domain, range, user, universe, v, out);
+      return VerifyKdRangeVo(ctx, range, v, out);
     }
-    return VerifyKdRangeVoEx(mvk, domain, range, user, universe, v, out);
+    return VerifyKdRangeVo(ctx, range, v, out);
   };
 
   std::vector<Record> bout, sout;
@@ -752,6 +729,7 @@ TEST(ParallelPathTest, BisectRecoversLowestFailingIndex) {
   ServiceProvider sp(owner.keys(), owner.BuildAds(records));
   UserCredentials creds = owner.EnrollUser({"RoleA"});
   const SystemKeys& keys = owner.keys();
+  const VerifyContext ctx(keys.mvk, keys.domain, creds.roles, keys.universe);
   Box range{Point{0}, Point{15}};
   Vo vo = sp.RangeQuery(range, creds.roles);
 
@@ -767,11 +745,9 @@ TEST(ParallelPathTest, BisectRecoversLowestFailingIndex) {
                  bool per_sig) -> VerifyResult {
     if (per_sig) {
       ScopedPerSignatureVerify guard;
-      return VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                             keys.universe, v, out);
+      return VerifyRangeVo(ctx, range, v, out);
     }
-    return VerifyRangeVoEx(keys.mvk, keys.domain, range, creds.roles,
-                           keys.universe, v, out);
+    return VerifyRangeVo(ctx, range, v, out);
   };
 
   auto check_case = [&](const Vo& bad, const char* what) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "db/database.h"
+#include "verify_ok.h"
 
 namespace apqa::db {
 namespace {
@@ -73,10 +74,8 @@ class DatabaseTest : public ::testing::Test {
 TEST_F(DatabaseTest, AttributeSpaceRangeQuery) {
   core::Vo vo = sp_->Range("trades", {10.0}, {60.0}, client_->roles());
   std::vector<VerifiedRow> rows;
-  std::string error;
-  ASSERT_TRUE(client_->VerifyRange(sp_->GetSchema("trades"), {10.0}, {60.0},
-                                   vo, &rows, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(client_->VerifyRange(sp_->GetSchema("trades"), {10.0},
+                                            {60.0}, vo, &rows)));
   std::set<std::string> values;
   for (const auto& r : rows) values.insert(r.value);
   // Analyst sees trade-a and trade-c; trade-b is Admin-only; trade-d is
@@ -87,16 +86,13 @@ TEST_F(DatabaseTest, AttributeSpaceRangeQuery) {
 TEST_F(DatabaseTest, AttributeSpaceEqualityQuery) {
   core::Vo vo = sp_->Equality("trades", {33.0}, client_->roles());
   std::optional<VerifiedRow> row;
-  std::string error;
-  ASSERT_TRUE(client_->VerifyEquality(sp_->GetSchema("trades"), {33.0}, vo,
-                                      &row, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(
+      client_->VerifyEquality(sp_->GetSchema("trades"), {33.0}, vo, &row)));
   EXPECT_FALSE(row.has_value());  // Admin-only: hidden
 
   vo = sp_->Equality("trades", {57.0}, client_->roles());
-  ASSERT_TRUE(client_->VerifyEquality(sp_->GetSchema("trades"), {57.0}, vo,
-                                      &row, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(
+      client_->VerifyEquality(sp_->GetSchema("trades"), {57.0}, vo, &row)));
   ASSERT_TRUE(row.has_value());
   EXPECT_EQ(row->value, "trade-c");
 }
@@ -113,10 +109,8 @@ TEST_F(DatabaseTest, JoinAcrossTables) {
   core::JoinVo vo =
       sp_->Join("trades", "limits", {0.0}, {99.0}, client_->roles());
   std::vector<std::pair<VerifiedRow, VerifiedRow>> rows;
-  std::string error;
-  ASSERT_TRUE(client_->VerifyJoin(sp_->GetSchema("trades"), {0.0}, {99.0}, vo,
-                                  &rows, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(client_->VerifyJoin(sp_->GetSchema("trades"), {0.0},
+                                           {99.0}, vo, &rows)));
   std::set<std::string> pairs;
   for (const auto& [r, s] : rows) pairs.insert(r.value + "+" + s.value);
   EXPECT_EQ(pairs, (std::set<std::string>{"trade-a+limit-low",
@@ -160,9 +154,8 @@ TEST_F(DatabaseTest, TamperedImportedAdsFailsVerification) {
     return;
   }
   core::Vo vo = evil.Range("trades", {0.0}, {99.0}, client_->roles());
-  std::string error;
   EXPECT_FALSE(client_->VerifyRange(sp_->GetSchema("trades"), {0.0}, {99.0},
-                                    vo, nullptr, &error));
+                                    vo, nullptr));
 }
 
 }  // namespace

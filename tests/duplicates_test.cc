@@ -5,6 +5,7 @@
 #include "core/duplicates.h"
 #include "core/range_query.h"
 #include "core/system.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -76,8 +77,7 @@ TEST(VirtualDimensionTest, EndToEndZkRangeQuery) {
   Box extended_range = ExtendRangeToVirtualDim(range, extended.extended_domain);
   Vo vo = sp.RangeQuery(extended_range, user.roles());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(user.VerifyRange(extended_range, vo, &results, &error)) << error;
+  ASSERT_TRUE(VerifyOk(user.VerifyRange(extended_range, vo, &results)));
   // RoleA sees the merged (a,b) super-record and d.
   std::set<std::uint32_t> keys;
   for (const auto& r : results) keys.insert(r.key[0]);
@@ -102,6 +102,10 @@ class DupTreeTest : public ::testing::Test {
         DupGridTree::Build(mvk_, sk_, domain_, records, rng_.get()));
   }
 
+  VerifyContext Ctx(const RoleSet& user) const {
+    return VerifyContext(mvk_, domain_, user, universe_);
+  }
+
   std::unique_ptr<Rng> rng_;
   abs::MasterKey msk_;
   abs::VerifyKey mvk_;
@@ -116,10 +120,7 @@ TEST_F(DupTreeTest, RangeReturnsAllAccessibleDuplicates) {
   Box range{Point{0}, Point{7}};
   DupVo vo = BuildDupRangeVo(*tree_, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyDupRangeVo(mvk_, domain_, range, user, universe_, vo,
-                               &results, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(VerifyDupRangeVo(Ctx(user), range, vo, &results)));
   std::multiset<std::string> values;
   for (const auto& r : results) values.insert(r.value);
   EXPECT_EQ(values, (std::multiset<std::string>{"a", "c", "d"}));
@@ -133,8 +134,7 @@ TEST_F(DupTreeTest, RejectsHiddenDuplicate) {
   // Drop one accessible duplicate of key 2: dup_num bookkeeping must catch it.
   ASSERT_GE(bad.results.size(), 2u);
   bad.results.erase(bad.results.begin());
-  EXPECT_FALSE(
-      VerifyDupRangeVo(mvk_, domain_, range, user, universe_, bad, nullptr, nullptr));
+  EXPECT_FALSE(VerifyDupRangeVo(Ctx(user), range, bad, nullptr));
 }
 
 TEST_F(DupTreeTest, RejectsForgedDupNum) {
@@ -150,18 +150,14 @@ TEST_F(DupTreeTest, RejectsForgedDupNum) {
   for (auto& e : bad.inaccessible) {
     if (e.key == Point{2}) e.dup_num = 1;
   }
-  EXPECT_FALSE(
-      VerifyDupRangeVo(mvk_, domain_, range, user, universe_, bad, nullptr, nullptr));
+  EXPECT_FALSE(VerifyDupRangeVo(Ctx(user), range, bad, nullptr));
 }
 
 TEST_F(DupTreeTest, InaccessibleGroupsAggregated) {
   RoleSet user = {};  // no roles: everything inaccessible
   Box range{Point{0}, Point{7}};
   DupVo vo = BuildDupRangeVo(*tree_, mvk_, range, user, universe_, rng_.get());
-  std::string error;
-  ASSERT_TRUE(VerifyDupRangeVo(mvk_, domain_, range, user, universe_, vo,
-                               nullptr, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(VerifyDupRangeVo(Ctx(user), range, vo, nullptr)));
   EXPECT_TRUE(vo.results.empty());
   // The whole domain should collapse to a single root APS box.
   EXPECT_EQ(vo.boxes.size(), 1u);

@@ -4,6 +4,7 @@
 
 #include "core/aggregate.h"
 #include "core/system.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -26,6 +27,11 @@ class AggregateTest : public ::testing::Test {
     sp_ = std::make_unique<ServiceProvider>(owner_->keys(),
                                             owner_->BuildAds(records));
   }
+
+  VerifyContext Ctx(const RoleSet& roles) const {
+    return VerifyContext(owner_->keys().mvk, owner_->keys().domain, roles,
+                         owner_->keys().universe);
+  }
   std::unique_ptr<DataOwner> owner_;
   std::unique_ptr<ServiceProvider> sp_;
 };
@@ -34,16 +40,14 @@ TEST_F(AggregateTest, AggregatesAccessibleRecordsOnly) {
   RoleSet roles = {"RoleA"};
   Box range{Point{0}, Point{15}};
   Vo vo = sp_->RangeQuery(range, roles);
-  std::string error;
-  auto agg = VerifyAndAggregate(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, vo,
-                                NumericValueMeasure, &error);
-  ASSERT_TRUE(agg.has_value()) << error;
-  EXPECT_EQ(agg->count, 3u);  // 10.5, 2, 7.5 ("oops" skipped, 100 is RoleB)
-  EXPECT_DOUBLE_EQ(agg->sum, 20.0);
-  EXPECT_DOUBLE_EQ(*agg->min, 2.0);
-  EXPECT_DOUBLE_EQ(*agg->max, 10.5);
-  EXPECT_NEAR(*agg->Avg(), 20.0 / 3, 1e-9);
+  AggregateResult agg;
+  ASSERT_TRUE(VerifyOk(
+      VerifyAndAggregate(Ctx(roles), range, vo, NumericValueMeasure, &agg)));
+  EXPECT_EQ(agg.count, 3u);  // 10.5, 2, 7.5 ("oops" skipped, 100 is RoleB)
+  EXPECT_DOUBLE_EQ(agg.sum, 20.0);
+  EXPECT_DOUBLE_EQ(*agg.min, 2.0);
+  EXPECT_DOUBLE_EQ(*agg.max, 10.5);
+  EXPECT_NEAR(*agg.Avg(), 20.0 / 3, 1e-9);
 }
 
 TEST_F(AggregateTest, FailsOnTamperedVo) {
@@ -52,24 +56,19 @@ TEST_F(AggregateTest, FailsOnTamperedVo) {
   Vo vo = sp_->RangeQuery(range, roles);
   Vo bad = vo;
   bad.entries.pop_back();
-  std::string error;
-  EXPECT_FALSE(VerifyAndAggregate(owner_->keys().mvk, owner_->keys().domain,
-                                  range, roles, owner_->keys().universe, bad,
-                                  NumericValueMeasure, &error)
-                   .has_value());
+  EXPECT_FALSE(
+      VerifyAndAggregate(Ctx(roles), range, bad, NumericValueMeasure, nullptr));
 }
 
 TEST_F(AggregateTest, EmptyRangeAggregatesToZero) {
   RoleSet roles = {"RoleB"};
   Box range{Point{10}, Point{15}};
   Vo vo = sp_->RangeQuery(range, roles);
-  std::string error;
-  auto agg = VerifyAndAggregate(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, vo,
-                                NumericValueMeasure, &error);
-  ASSERT_TRUE(agg.has_value()) << error;
-  EXPECT_EQ(agg->count, 0u);
-  EXPECT_FALSE(agg->Avg().has_value());
+  AggregateResult agg;
+  ASSERT_TRUE(VerifyOk(
+      VerifyAndAggregate(Ctx(roles), range, vo, NumericValueMeasure, &agg)));
+  EXPECT_EQ(agg.count, 0u);
+  EXPECT_FALSE(agg.Avg().has_value());
 }
 
 class MultiJoinTest : public ::testing::Test {
@@ -89,6 +88,11 @@ class MultiJoinTest : public ::testing::Test {
     }));
     for (const auto& t : trees_) tree_ptrs_.push_back(&t);
   }
+
+  VerifyContext Ctx(const RoleSet& roles) const {
+    return VerifyContext(owner_->keys().mvk, owner_->keys().domain, roles,
+                         owner_->keys().universe);
+  }
   std::unique_ptr<DataOwner> owner_;
   std::vector<GridTree> trees_;
   std::vector<const GridTree*> tree_ptrs_;
@@ -101,11 +105,7 @@ TEST_F(MultiJoinTest, ThreeWayJoin) {
   MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
                                     roles, owner_->keys().universe, &rng_);
   std::vector<std::vector<Record>> results;
-  std::string error;
-  ASSERT_TRUE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, 3, vo,
-                                &results, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(VerifyMultiJoinVo(Ctx(roles), range, 3, vo, &results)));
   // Key 1 joins in all three tables and is RoleA-accessible everywhere.
   // Key 5: t-table has no record. Key 9: s-table ok but r-table is RoleB.
   ASSERT_EQ(results.size(), 1u);
@@ -120,11 +120,7 @@ TEST_F(MultiJoinTest, AllRolesSeeMore) {
   MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
                                     roles, owner_->keys().universe, &rng_);
   std::vector<std::vector<Record>> results;
-  std::string error;
-  ASSERT_TRUE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, 3, vo,
-                                &results, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(VerifyMultiJoinVo(Ctx(roles), range, 3, vo, &results)));
   // Keys 1 and 9 join across all three tables.
   ASSERT_EQ(results.size(), 2u);
 }
@@ -137,9 +133,7 @@ TEST_F(MultiJoinTest, RejectsDroppedTuple) {
   MultiJoinVo bad = vo;
   ASSERT_FALSE(bad.tuples.empty());
   bad.tuples.pop_back();
-  EXPECT_FALSE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                 range, roles, owner_->keys().universe, 3, bad,
-                                 nullptr, nullptr));
+  EXPECT_FALSE(VerifyMultiJoinVo(Ctx(roles), range, 3, bad, nullptr));
 }
 
 TEST_F(MultiJoinTest, RejectsWrongArity) {
@@ -147,9 +141,7 @@ TEST_F(MultiJoinTest, RejectsWrongArity) {
   Box range{Point{0}, Point{15}};
   MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
                                     roles, owner_->keys().universe, &rng_);
-  EXPECT_FALSE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                 range, roles, owner_->keys().universe, 2, vo,
-                                 nullptr, nullptr));
+  EXPECT_FALSE(VerifyMultiJoinVo(Ctx(roles), range, 2, vo, nullptr));
 }
 
 TEST_F(MultiJoinTest, TwoTableMultiJoinMatchesPairJoin) {
@@ -162,12 +154,9 @@ TEST_F(MultiJoinTest, TwoTableMultiJoinMatchesPairJoin) {
                            roles, owner_->keys().universe, &rng_);
   std::vector<std::vector<Record>> mresults;
   std::vector<std::pair<Record, Record>> jresults;
-  ASSERT_TRUE(VerifyMultiJoinVo(owner_->keys().mvk, owner_->keys().domain,
-                                range, roles, owner_->keys().universe, 2, mvo,
-                                &mresults, nullptr));
-  ASSERT_TRUE(VerifyJoinVo(owner_->keys().mvk, owner_->keys().domain, range,
-                           roles, owner_->keys().universe, jvo, &jresults,
-                           nullptr));
+  ASSERT_TRUE(
+      VerifyOk(VerifyMultiJoinVo(Ctx(roles), range, 2, mvo, &mresults)));
+  ASSERT_TRUE(VerifyOk(VerifyJoinVo(Ctx(roles), range, jvo, &jresults)));
   EXPECT_EQ(mresults.size(), jresults.size());
 }
 

@@ -60,6 +60,10 @@ struct FaultEnv {
   // A valid authenticated DO→SP update delta (epoch 0 → 1) for the
   // kAdsUpdate payload sweep.
   std::vector<std::uint8_t> update_bytes;
+
+  VerifyContext Ctx(const Domain& domain) const {
+    return VerifyContext(mvk, domain, user, universe);
+  }
 };
 
 FaultEnv* GetEnv() {
@@ -181,9 +185,8 @@ std::vector<QueryCase>& Cases() {
                      if (!vo) return false;
                      Record rec;
                      bool acc = false;
-                     if (!VerifyEqualityVoEx(s->mvk, s->grid_domain, Point{1},
-                                             s->user, s->universe, *vo, &rec,
-                                             &acc)
+                     if (!VerifyEqualityVo(s->Ctx(s->grid_domain), Point{1},
+                                           *vo, &rec, &acc)
                               .ok()) {
                        return false;
                      }
@@ -196,9 +199,8 @@ std::vector<QueryCase>& Cases() {
                      auto vo = Deser<Vo>(buf);
                      if (!vo) return false;
                      std::vector<Record> rs;
-                     if (!VerifyRangeVoEx(s->mvk, s->grid_domain,
-                                          s->grid_range, s->user, s->universe,
-                                          *vo, &rs)
+                     if (!VerifyRangeVo(s->Ctx(s->grid_domain), s->grid_range,
+                                        *vo, &rs)
                               .ok()) {
                        return false;
                      }
@@ -211,8 +213,8 @@ std::vector<QueryCase>& Cases() {
                      auto vo = Deser<JoinVo>(buf);
                      if (!vo) return false;
                      std::vector<std::pair<Record, Record>> ps;
-                     if (!VerifyJoinVoEx(s->mvk, s->grid_domain, s->grid_range,
-                                         s->user, s->universe, *vo, &ps)
+                     if (!VerifyJoinVo(s->Ctx(s->grid_domain), s->grid_range,
+                                       *vo, &ps)
                               .ok()) {
                        return false;
                      }
@@ -231,9 +233,8 @@ std::vector<QueryCase>& Cases() {
                      auto vo = Deser<KdVo>(buf);
                      if (!vo) return false;
                      std::vector<Record> rs;
-                     if (!VerifyKdRangeVoEx(s->mvk, s->grid_domain,
-                                            s->grid_range, s->user,
-                                            s->universe, *vo, &rs)
+                     if (!VerifyKdRangeVo(s->Ctx(s->grid_domain), s->grid_range,
+                                          *vo, &rs)
                               .ok()) {
                        return false;
                      }
@@ -246,9 +247,8 @@ std::vector<QueryCase>& Cases() {
                      auto vo = Deser<DupVo>(buf);
                      if (!vo) return false;
                      std::vector<Record> rs;
-                     if (!VerifyDupRangeVoEx(s->mvk, s->dup_domain,
-                                             s->dup_range, s->user,
-                                             s->universe, *vo, &rs)
+                     if (!VerifyDupRangeVo(s->Ctx(s->dup_domain), s->dup_range,
+                                           *vo, &rs)
                               .ok()) {
                        return false;
                      }
@@ -261,8 +261,8 @@ std::vector<QueryCase>& Cases() {
                      auto vo = Deser<ContinuousVo>(buf);
                      if (!vo) return false;
                      std::vector<ContinuousRecord> rs;
-                     if (!VerifyContinuousRangeVoEx(s->mvk, 50, 350, s->user,
-                                                    s->universe, *vo, &rs)
+                     if (!VerifyContinuousRangeVo(s->Ctx(Domain{}), 50, 350,
+                                                  *vo, &rs)
                               .ok()) {
                        return false;
                      }
@@ -337,9 +337,8 @@ TEST(FaultInjectionTest, TruncationAtEveryBoundaryRejected) {
 
 TEST(TamperMatrixTest, EqualityWrongKeyIsKeyMismatch) {
   FaultEnv* s = GetEnv();
-  VerifyResult r = VerifyEqualityVoEx(s->mvk, s->grid_domain, Point{2},
-                                      s->user, s->universe, s->eq_vo, nullptr,
-                                      nullptr);
+  VerifyResult r = VerifyEqualityVo(
+      s->Ctx(s->grid_domain), Point{2}, s->eq_vo, nullptr, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kKeyMismatch) << r.ToString();
 }
 
@@ -347,9 +346,8 @@ TEST(TamperMatrixTest, EqualityDuplicatedEntryIsWrongEntryCount) {
   FaultEnv* s = GetEnv();
   Vo vo = s->eq_vo;
   vo.entries.push_back(vo.entries[0]);
-  VerifyResult r = VerifyEqualityVoEx(s->mvk, s->grid_domain, Point{1},
-                                      s->user, s->universe, vo, nullptr,
-                                      nullptr);
+  VerifyResult r = VerifyEqualityVo(
+      s->Ctx(s->grid_domain), Point{1}, vo, nullptr, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kWrongEntryCount) << r.ToString();
 }
 
@@ -358,8 +356,8 @@ TEST(TamperMatrixTest, RangeDroppedEntryIsCoverageGap) {
   Vo vo = s->range_vo;
   ASSERT_GT(vo.entries.size(), 1u);
   vo.entries.pop_back();
-  VerifyResult r = VerifyRangeVoEx(s->mvk, s->grid_domain, s->grid_range,
-                                   s->user, s->universe, vo, nullptr);
+  VerifyResult r = VerifyRangeVo(
+      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kCoverageGap) << r.ToString();
 }
 
@@ -367,8 +365,8 @@ TEST(TamperMatrixTest, RangeDuplicatedEntryIsOverlap) {
   FaultEnv* s = GetEnv();
   Vo vo = s->range_vo;
   vo.entries.push_back(vo.entries[0]);
-  VerifyResult r = VerifyRangeVoEx(s->mvk, s->grid_domain, s->grid_range,
-                                   s->user, s->universe, vo, nullptr);
+  VerifyResult r = VerifyRangeVo(
+      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kOverlap) << r.ToString();
 }
 
@@ -384,8 +382,8 @@ TEST(TamperMatrixTest, RangeTamperedValueIsBadSignature) {
     }
   }
   ASSERT_TRUE(tampered);
-  VerifyResult r = VerifyRangeVoEx(s->mvk, s->grid_domain, s->grid_range,
-                                   s->user, s->universe, vo, nullptr);
+  VerifyResult r = VerifyRangeVo(
+      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kBadSignature) << r.ToString();
   EXPECT_GE(r.entry_index, 0);
 }
@@ -393,8 +391,8 @@ TEST(TamperMatrixTest, RangeTamperedValueIsBadSignature) {
 TEST(TamperMatrixTest, RangeInvertedQueryIsBadQuery) {
   FaultEnv* s = GetEnv();
   Box inverted{Point{7}, Point{0}};
-  VerifyResult r = VerifyRangeVoEx(s->mvk, s->grid_domain, inverted, s->user,
-                                   s->universe, s->range_vo, nullptr);
+  VerifyResult r = VerifyRangeVo(
+      s->Ctx(s->grid_domain), inverted, s->range_vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kBadQuery) << r.ToString();
 }
 
@@ -404,8 +402,8 @@ TEST(TamperMatrixTest, JoinTamperedPairKeyIsKeyMismatch) {
   ASSERT_FALSE(vo.pairs.empty());
   vo.pairs[0].s.key = Point{static_cast<std::uint32_t>(
       vo.pairs[0].s.key[0] == 0 ? 1 : vo.pairs[0].s.key[0] - 1)};
-  VerifyResult r = VerifyJoinVoEx(s->mvk, s->grid_domain, s->grid_range,
-                                  s->user, s->universe, vo, nullptr);
+  VerifyResult r = VerifyJoinVo(
+      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kKeyMismatch) << r.ToString();
 }
 
@@ -414,8 +412,8 @@ TEST(TamperMatrixTest, JoinDroppedPairIsCoverageGap) {
   JoinVo vo = s->join_vo;
   ASSERT_FALSE(vo.pairs.empty());
   vo.pairs.clear();
-  VerifyResult r = VerifyJoinVoEx(s->mvk, s->grid_domain, s->grid_range,
-                                  s->user, s->universe, vo, nullptr);
+  VerifyResult r = VerifyJoinVo(
+      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kCoverageGap) << r.ToString();
 }
 
@@ -428,8 +426,8 @@ TEST(TamperMatrixTest, KdDroppedEntryIsCoverageGap) {
   } else {
     vo.leaves.pop_back();
   }
-  VerifyResult r = VerifyKdRangeVoEx(s->mvk, s->grid_domain, s->grid_range,
-                                     s->user, s->universe, vo, nullptr);
+  VerifyResult r = VerifyKdRangeVo(
+      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kCoverageGap) << r.ToString();
 }
 
@@ -438,8 +436,8 @@ TEST(TamperMatrixTest, KdTamperedValueIsBadSignature) {
   KdVo vo = s->kd_vo;
   ASSERT_FALSE(vo.results.empty());
   vo.results[0].value += "x";
-  VerifyResult r = VerifyKdRangeVoEx(s->mvk, s->grid_domain, s->grid_range,
-                                     s->user, s->universe, vo, nullptr);
+  VerifyResult r = VerifyKdRangeVo(
+      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kBadSignature) << r.ToString();
 }
 
@@ -456,16 +454,16 @@ TEST(TamperMatrixTest, DupDroppedGroupMemberIsDuplicateBookkeeping) {
                          });
   ASSERT_NE(it, vo.inaccessible.end());
   vo.inaccessible.erase(it);
-  VerifyResult r = VerifyDupRangeVoEx(s->mvk, s->dup_domain, s->dup_range,
-                                      s->user, s->universe, vo, nullptr);
+  VerifyResult r = VerifyDupRangeVo(
+      s->Ctx(s->dup_domain), s->dup_range, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kDuplicateBookkeeping) << r.ToString();
 }
 
 TEST(TamperMatrixTest, ContinuousInvertedQueryIsBadQuery) {
   FaultEnv* s = GetEnv();
   std::vector<ContinuousRecord> rs;
-  VerifyResult r = VerifyContinuousRangeVoEx(s->mvk, 350, 50, s->user,
-                                             s->universe, s->cont_vo, &rs);
+  VerifyResult r = VerifyContinuousRangeVo(
+      s->Ctx(Domain{}), 350, 50, s->cont_vo, &rs);
   EXPECT_EQ(r.code, VerifyCode::kBadQuery) << r.ToString();
 }
 
@@ -475,8 +473,7 @@ TEST(TamperMatrixTest, ContinuousDroppedEntryIsGapOrMalformed) {
   ASSERT_FALSE(vo.gaps.empty());
   vo.gaps.pop_back();
   std::vector<ContinuousRecord> rs;
-  VerifyResult r = VerifyContinuousRangeVoEx(s->mvk, 50, 350, s->user,
-                                             s->universe, vo, &rs);
+  VerifyResult r = VerifyContinuousRangeVo(s->Ctx(Domain{}), 50, 350, vo, &rs);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.code == VerifyCode::kCoverageGap ||
               r.code == VerifyCode::kMalformedVo)
@@ -489,8 +486,7 @@ TEST(TamperMatrixTest, ContinuousTamperedValueIsBadSignature) {
   ASSERT_FALSE(vo.results.empty());
   vo.results[0].value += "x";
   std::vector<ContinuousRecord> rs;
-  VerifyResult r = VerifyContinuousRangeVoEx(s->mvk, 50, 350, s->user,
-                                             s->universe, vo, &rs);
+  VerifyResult r = VerifyContinuousRangeVo(s->Ctx(Domain{}), 50, 350, vo, &rs);
   EXPECT_EQ(r.code, VerifyCode::kBadSignature) << r.ToString();
 }
 

@@ -14,6 +14,7 @@
 #include "core/parallel_verify.h"
 #include "core/range_query.h"
 #include "core/system.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -29,6 +30,12 @@ struct FreshEnv {
   std::optional<GridTree> tree_r, tree_s;
   // Epoch-0 VOs, frozen as bytes before any update (the replay material).
   std::vector<std::uint8_t> eq_bytes, range_bytes, join_bytes;
+
+  VerifyContext Ctx(std::uint64_t expected_epoch) const {
+    VerifyContext ctx(mvk, domain, user, universe);
+    ctx.expected_epoch = expected_epoch;
+    return ctx;
+  }
 
   static FreshEnv& Get() {
     static FreshEnv* env = [] {
@@ -102,24 +109,18 @@ ReplayCodes VerifyFrozen(std::uint64_t expected_epoch) {
   ReplayCodes out{};
   {
     Vo vo = MustDeser<Vo>(e.eq_bytes);
-    out.eq = VerifyEqualityVoEx(e.mvk, e.domain, Point{1}, e.user, e.universe,
-                                vo, nullptr, nullptr,
-                                /*exact_pairings=*/false, nullptr,
-                                expected_epoch)
+    out.eq = VerifyEqualityVo(e.Ctx(expected_epoch), Point{1}, vo, nullptr,
+                              nullptr)
                  .code;
   }
   {
     Vo vo = MustDeser<Vo>(e.range_bytes);
-    out.range = VerifyRangeVoEx(e.mvk, e.domain, e.range, e.user, e.universe,
-                                vo, nullptr, /*exact_pairings=*/false, nullptr,
-                                expected_epoch)
+    out.range = VerifyRangeVo(e.Ctx(expected_epoch), e.range, vo, nullptr)
                     .code;
   }
   {
     JoinVo vo = MustDeser<JoinVo>(e.join_bytes);
-    out.join = VerifyJoinVoEx(e.mvk, e.domain, e.range, e.user, e.universe,
-                              vo, nullptr, /*exact_pairings=*/false, nullptr,
-                              expected_epoch)
+    out.join = VerifyJoinVo(e.Ctx(expected_epoch), e.range, vo, nullptr)
                    .code;
   }
   return out;
@@ -172,10 +173,7 @@ TEST(ReplayTest, FreshVoAtTheNewEpochVerifies) {
   Rng rng(31);
   Vo vo = BuildRangeVo(*e.tree_r, e.mvk, e.range, e.user, e.universe, &rng);
   std::vector<Record> results;
-  VerifyResult r = VerifyRangeVoEx(e.mvk, e.domain, e.range, e.user,
-                                   e.universe, vo, &results,
-                                   /*exact_pairings=*/false, nullptr,
-                                   /*expected_epoch=*/1);
+  VerifyResult r = VerifyRangeVo(e.Ctx(1), e.range, vo, &results);
   ASSERT_TRUE(r.ok()) << r.ToString();
   // v1 (epoch-0 signature) and v2 (epoch-1 signature) both verify: per-node
   // epochs are mixed after an incremental update; freshness rides the stamp.
@@ -189,11 +187,33 @@ TEST(ReplayTest, NewerVoPassesAnOlderExpectation) {
   Rng rng(32);
   Vo vo = BuildEqualityVo(*e.tree_r, e.mvk, Point{2}, e.user, e.universe,
                           &rng);
-  VerifyResult r = VerifyEqualityVoEx(e.mvk, e.domain, Point{2}, e.user,
-                                      e.universe, vo, nullptr, nullptr,
-                                      /*exact_pairings=*/false, nullptr,
-                                      /*expected_epoch=*/0);
+  VerifyResult r = VerifyEqualityVo(e.Ctx(0), Point{2}, vo, nullptr, nullptr);
   EXPECT_TRUE(r.ok()) << r.ToString();
+}
+
+TEST(ReplayTest, UserFacadeRejectsReplaysAfterEpochAdvance) {
+  // User builds its VerifyContext per call: raising the epoch floor after
+  // construction must reach every query type, not a snapshot taken earlier.
+  FreshEnv& e = FreshEnv::Get();
+  SystemKeys keys;
+  keys.mvk = e.mvk;
+  keys.universe = e.universe;
+  keys.domain = e.domain;
+  User user(keys, UserCredentials{e.user, {}});
+  Vo eq = MustDeser<Vo>(e.eq_bytes);
+  Vo range = MustDeser<Vo>(e.range_bytes);
+  JoinVo join = MustDeser<JoinVo>(e.join_bytes);
+  ASSERT_TRUE(VerifyOk(user.VerifyEquality(Point{1}, eq, nullptr, nullptr)));
+  ASSERT_TRUE(VerifyOk(user.VerifyRange(e.range, range, nullptr)));
+  ASSERT_TRUE(VerifyOk(user.VerifyJoin(e.range, join, nullptr)));
+
+  user.set_expected_epoch(1);
+  EXPECT_EQ(user.VerifyEquality(Point{1}, eq, nullptr, nullptr).code,
+            VerifyCode::kStaleEpoch);
+  EXPECT_EQ(user.VerifyRange(e.range, range, nullptr).code,
+            VerifyCode::kStaleEpoch);
+  EXPECT_EQ(user.VerifyJoin(e.range, join, nullptr).code,
+            VerifyCode::kStaleEpoch);
 }
 
 TEST(ReplayTest, ForgedStampEpochFailsSignatureCheck) {
@@ -202,10 +222,7 @@ TEST(ReplayTest, ForgedStampEpochFailsSignatureCheck) {
   FreshEnv& e = FreshEnv::Get();
   Vo vo = MustDeser<Vo>(e.range_bytes);
   vo.stamp.epoch = 1;  // claim freshness without the DO's signature
-  VerifyResult r = VerifyRangeVoEx(e.mvk, e.domain, e.range, e.user,
-                                   e.universe, vo, nullptr,
-                                   /*exact_pairings=*/false, nullptr,
-                                   /*expected_epoch=*/1);
+  VerifyResult r = VerifyRangeVo(e.Ctx(1), e.range, vo, nullptr);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.code == VerifyCode::kStaleEpoch ||
               r.code == VerifyCode::kBadSignature)

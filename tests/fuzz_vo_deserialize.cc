@@ -89,8 +89,9 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
       std::vector<core::Record> results;
       // discard-ok: the fuzzer only exercises crash-freedom; the
       // verdict on fuzzer-made bytes is meaningless.
-      (void)core::VerifyRangeVoEx(c->mvk, c->domain, c->range, c->user,
-                                  c->universe, vo, &results);
+      (void)core::VerifyRangeVo(
+          core::VerifyContext(c->mvk, c->domain, c->user, c->universe),
+          c->range, vo, &results);
     }
   }
   {

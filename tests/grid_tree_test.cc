@@ -4,6 +4,7 @@
 
 #include "core/range_query.h"
 #include "core/system.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -117,10 +118,8 @@ TEST_F(GridTreeTest, SerializationRoundTripServesQueries) {
   Rng qrng(5);
   Vo vo = BuildRangeVo(*back, mvk_, range, roles, universe_, &qrng);
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyRangeVo(mvk_, back->domain(), range, roles, universe_, vo,
-                            &results, &error))
-      << error;
+  VerifyContext ctx(mvk_, back->domain(), roles, universe_);
+  ASSERT_TRUE(VerifyOk(VerifyRangeVo(ctx, range, vo, &results)));
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].value, "a");
 }
@@ -169,10 +168,9 @@ TEST_F(GridTreeTest, ApplyUpdatesAdvancesEpochAndServesQueries) {
   Rng qrng(9);
   Vo vo = BuildRangeVo(tree, mvk_, range, roles, universe_, &qrng);
   std::vector<Record> results;
-  VerifyResult r = VerifyRangeVoEx(mvk_, tree.domain(), range, roles,
-                                   universe_, vo, &results,
-                                   /*exact_pairings=*/false, nullptr,
-                                   /*expected_epoch=*/1);
+  VerifyContext ctx(mvk_, tree.domain(), roles, universe_);
+  ctx.expected_epoch = 1;
+  VerifyResult r = VerifyRangeVo(ctx, range, vo, &results);
   ASSERT_TRUE(r.ok()) << r.ToString();
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].value, "c");

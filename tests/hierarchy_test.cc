@@ -4,6 +4,9 @@
 #include "abs/abs.h"
 #include "core/app_signature.h"
 #include "core/hierarchy.h"
+#include "core/range_query.h"
+#include "core/system.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -85,6 +88,51 @@ TEST(HierarchyTest, ReducedRelaxationVerifies) {
   auto aps_full = abs::Abs::Relax(mvk, *sig, augmented, msg, lacked, &rng);
   ASSERT_TRUE(aps_full.has_value());
   EXPECT_LT(aps->SerializedSize(), aps_full->SerializedSize());
+}
+
+TEST(HierarchyTest, ReducedLackedContextVerifiesRangeVo) {
+  // §8.1 end-to-end over a range VO: the SP relaxes every APS signature to
+  // the reduced lacked set, so only a context carrying that set accepts it.
+  RoleHierarchy h = UniversityHierarchy();
+  Domain domain{/*dims=*/1, /*bits=*/3};
+  DataOwner owner(RoleSet{"RoleA", "RoleA.S", "RoleA.P", "RoleB", "RoleB.S",
+                          "RoleB.P"},
+                  domain, 1414);
+  auto rec = [&](std::uint32_t key, const char* value, const char* policy) {
+    return Record{Point{key}, value, h.Augment(Policy::Parse(policy))};
+  };
+  GridTree tree = owner.BuildAds({rec(1, "a-prof", "RoleA.P"),
+                                  rec(3, "b-student", "RoleB.S"),
+                                  rec(5, "mixed", "RoleA.S | RoleB.P"),
+                                  rec(6, "b-all", "RoleB")});
+  const SystemKeys& keys = owner.keys();
+  RoleSet user = h.Close({"RoleB.S"});
+  RoleSet reduced = h.ReduceLackedSet(SuperPolicyRoles(keys.universe, user));
+  Box range{Point{0}, Point{7}};
+  Rng rng(15);
+  Vo vo = BuildRangeVoWithLacked(tree, keys.mvk, range, user, reduced, &rng);
+
+  VerifyContext reduced_ctx(keys.mvk, domain, user, keys.universe);
+  reduced_ctx.lacked = reduced;
+  std::vector<Record> results;
+  ASSERT_TRUE(VerifyOk(VerifyRangeVo(reduced_ctx, range, vo, &results)));
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_EQ(results[0].value, "b-student");
+  EXPECT_EQ(results[1].value, "b-all");
+
+  // The universe-derived context expects the unreduced super policy: the
+  // first APS entry is where verification breaks.
+  std::ptrdiff_t first_aps = -1;
+  for (std::size_t i = 0; i < vo.entries.size() && first_aps < 0; ++i) {
+    if (!std::holds_alternative<ResultEntry>(vo.entries[i])) {
+      first_aps = static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  ASSERT_GE(first_aps, 0);
+  VerifyContext full_ctx(keys.mvk, domain, user, keys.universe);
+  VerifyResult r = VerifyRangeVo(full_ctx, range, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kBadSignature) << r.ToString();
+  EXPECT_EQ(r.entry_index, first_aps) << r.ToString();
 }
 
 TEST(HierarchyTest, ReductionUnsoundWithoutAugmentation) {

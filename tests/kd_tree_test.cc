@@ -4,6 +4,7 @@
 
 #include "abs/abs.h"
 #include "core/kd_tree.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -21,6 +22,10 @@ class KdTreeTest : public ::testing::Test {
 
   Record Rec(std::uint32_t key, const std::string& v, const char* pol) {
     return Record{Point{key}, v, Policy::Parse(pol)};
+  }
+
+  VerifyContext Ctx(const Domain& domain, const RoleSet& user) const {
+    return VerifyContext(mvk_, domain, user, universe_);
   }
 
   std::unique_ptr<Rng> rng_;
@@ -83,10 +88,8 @@ TEST_F(KdTreeTest, RangeQueryRoundTrip) {
   Box range{Point{3}, Point{22}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              &results, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyKdRangeVo(Ctx(domain, user), range, vo, &results)));
   std::set<std::uint32_t> keys;
   for (const auto& r : results) keys.insert(r.key[0]);
   EXPECT_EQ(keys, (std::set<std::uint32_t>{5, 9, 17}));
@@ -100,10 +103,7 @@ TEST_F(KdTreeTest, RangeRejectsDroppedEntry) {
   RoleSet user = {"RoleA"};
   Box range{Point{0}, Point{31}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              nullptr, &error))
-      << error;
+  ASSERT_TRUE(VerifyOk(VerifyKdRangeVo(Ctx(domain, user), range, vo, nullptr)));
   KdVo bad = vo;
   if (!bad.boxes.empty()) {
     bad.boxes.pop_back();
@@ -112,8 +112,7 @@ TEST_F(KdTreeTest, RangeRejectsDroppedEntry) {
   } else {
     bad.results.pop_back();
   }
-  EXPECT_FALSE(
-      VerifyKdRangeVo(mvk_, domain, range, user, universe_, bad, nullptr, nullptr));
+  EXPECT_FALSE(VerifyKdRangeVo(Ctx(domain, user), range, bad, nullptr));
 }
 
 TEST_F(KdTreeTest, RangeRejectsTamperedLeafRegion) {
@@ -133,8 +132,7 @@ TEST_F(KdTreeTest, RangeRejectsTamperedLeafRegion) {
   } else {
     bad.results[0].region.lo[0] -= 1;
   }
-  EXPECT_FALSE(
-      VerifyKdRangeVo(mvk_, domain, range, user, universe_, bad, nullptr, nullptr));
+  EXPECT_FALSE(VerifyKdRangeVo(Ctx(domain, user), range, bad, nullptr));
 }
 
 TEST_F(KdTreeTest, EmptyDatabaseStillVerifies) {
@@ -144,10 +142,8 @@ TEST_F(KdTreeTest, EmptyDatabaseStillVerifies) {
   Box range{Point{2}, Point{10}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              &results, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyKdRangeVo(Ctx(domain, user), range, vo, &results)));
   EXPECT_TRUE(results.empty());
 }
 
@@ -170,10 +166,8 @@ TEST_F(KdTreeTest, DenseClusteredBuildRegression) {
   Box range{Point{0}, Point{31}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              &results, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyKdRangeVo(Ctx(domain, user), range, vo, &results)));
   EXPECT_EQ(results.size(), 16u);
 }
 
@@ -190,10 +184,8 @@ TEST_F(KdTreeTest, TwoDimensionalBuild) {
   Box range{Point{0, 0}, Point{7, 7}};
   KdVo vo = BuildKdRangeVo(tree, mvk_, range, user, universe_, rng_.get());
   std::vector<Record> results;
-  std::string error;
-  ASSERT_TRUE(VerifyKdRangeVo(mvk_, domain, range, user, universe_, vo,
-                              &results, &error))
-      << error;
+  ASSERT_TRUE(
+      VerifyOk(VerifyKdRangeVo(Ctx(domain, user), range, vo, &results)));
   std::set<std::string> values;
   for (const auto& r : results) values.insert(r.value);
   EXPECT_EQ(values, (std::set<std::string>{"a", "c"}));

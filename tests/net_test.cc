@@ -1351,11 +1351,11 @@ TEST(UpdateChaosTest, ConcurrentUpdatesAndQueriesStayCoherent) {
   core::Vo vo = core::BuildRangeVo(*w.do_tree, w.owner->keys().mvk,
                                    Box{Point{0}, Point{7}}, w.creds.roles,
                                    w.owner->keys().universe, &vrng);
-  core::VerifyResult vr = core::VerifyRangeVoEx(
-      w.owner->keys().mvk, w.owner->keys().domain, Box{Point{0}, Point{7}},
-      w.creds.roles, w.owner->keys().universe, vo, nullptr,
-      /*exact_pairings=*/false, nullptr,
-      /*expected_epoch=*/w.do_tree->epoch());
+  core::VerifyContext ctx(w.owner->keys().mvk, w.owner->keys().domain,
+                          w.creds.roles, w.owner->keys().universe);
+  ctx.expected_epoch = w.do_tree->epoch();
+  core::VerifyResult vr =
+      core::VerifyRangeVo(ctx, Box{Point{0}, Point{7}}, vo, nullptr);
   EXPECT_TRUE(vr.ok()) << vr.ToString();
 }
 
@@ -1428,6 +1428,39 @@ TEST(TcpTransportTest, CloseWhileBlockedInRecvUnblocksCleanly) {
         std::chrono::steady_clock::now() - t0);
     EXPECT_EQ(status, RecvStatus::kClosed) << "own side: " << close_own_side;
     EXPECT_LT(waited.count(), 5000) << "Close() must wake the blocked recv";
+  }
+}
+
+TEST(TcpTransportTest, StallMidFrameTimesOutThenResumes) {
+  // A peer that stalls inside a frame costs the reader a kTimeout, never the
+  // bytes already read: the next Recv resumes the same frame. Covers a stall
+  // inside the header and one inside the body.
+  Frame f;
+  f.type = MsgType::kRangeQuery;
+  f.request_id = 42;
+  f.payload = std::vector<std::uint8_t>(64, 0xAB);
+  const std::vector<std::uint8_t> wire = EncodeFrame(f);
+  for (std::size_t split : {kFrameHeaderBytes / 2, kFrameHeaderBytes + 20}) {
+    TcpListener listener(0);
+    ASSERT_TRUE(listener.ok());
+    std::unique_ptr<SocketTransport> server_side;
+    std::thread acceptor([&] { server_side = listener.Accept(10000); });
+    auto client_side =
+        SocketTransport::Connect("127.0.0.1", listener.port(), 2000);
+    ASSERT_NE(client_side, nullptr);
+    acceptor.join();
+    ASSERT_NE(server_side, nullptr);
+
+    ASSERT_TRUE(client_side->Send(
+        std::vector<std::uint8_t>(wire.begin(), wire.begin() + split)));
+    std::vector<std::uint8_t> got;
+    EXPECT_EQ(server_side->Recv(&got, /*timeout_ms=*/50), RecvStatus::kTimeout)
+        << "split at " << split;
+    ASSERT_TRUE(client_side->Send(
+        std::vector<std::uint8_t>(wire.begin() + split, wire.end())));
+    ASSERT_EQ(server_side->Recv(&got, /*timeout_ms=*/5000), RecvStatus::kOk)
+        << "split at " << split;
+    EXPECT_EQ(got, wire) << "split at " << split;
   }
 }
 

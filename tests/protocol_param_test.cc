@@ -6,6 +6,7 @@
 #include "core/kd_tree.h"
 #include "core/system.h"
 #include "tpch/tpch.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -59,8 +60,7 @@ TEST_P(RangeProtocolP, ResultsMatchBruteForceAndVerify) {
     Box range = tpch::RandomRangeQuery(domain, 0.3, &rng);
     Vo vo = sp.RangeQuery(range, roles);
     std::vector<Record> results;
-    std::string error;
-    ASSERT_TRUE(user.VerifyRange(range, vo, &results, &error)) << error;
+    ASSERT_TRUE(VerifyOk(user.VerifyRange(range, vo, &results)));
 
     std::set<Point> expect;
     for (const Record& r : records) {
@@ -124,11 +124,8 @@ TEST_P(GridKdEquivalenceP, SameResultsBothVerify) {
     KdVo kvo = BuildKdRangeVo(kd, owner.keys().mvk, range, roles,
                               owner.keys().universe, &rng);
     std::vector<Record> r1, r2;
-    std::string e1, e2;
-    ASSERT_TRUE(user.VerifyRange(range, gvo, &r1, &e1)) << e1;
-    ASSERT_TRUE(VerifyKdRangeVo(owner.keys().mvk, domain, range, roles,
-                                owner.keys().universe, kvo, &r2, &e2))
-        << e2;
+    ASSERT_TRUE(VerifyOk(user.VerifyRange(range, gvo, &r1)));
+    ASSERT_TRUE(VerifyOk(VerifyKdRangeVo(user.Context(), range, kvo, &r2)));
     std::set<Point> k1, k2;
     for (const auto& r : r1) k1.insert(r.key);
     for (const auto& r : r2) k2.insert(r.key);
@@ -173,9 +170,8 @@ TEST_P(EqualityProtocolP, EveryKeyVerifiesWithCorrectOutcome) {
     Vo vo = sp.EqualityQuery(key, roles);
     bool accessible = false;
     Record result;
-    std::string error;
-    ASSERT_TRUE(user.VerifyEquality(key, vo, &result, &accessible, &error))
-        << "key " << k << ": " << error;
+    ASSERT_TRUE(VerifyOk(user.VerifyEquality(key, vo, &result, &accessible)))
+        << "key " << k;
     auto it = by_key.find(key);
     bool expect_accessible =
         it != by_key.end() && it->second.policy.Evaluate(roles);

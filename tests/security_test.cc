@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include "core/system.h"
+#include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
@@ -80,8 +81,8 @@ TEST_F(ZeroKnowledgeTest, RealAndIdealDatabasesProduceSameVoShapes) {
     // Both verify for their respective users.
     User u_real(owner_real.keys(), owner_real.EnrollUser(roles));
     User u_ideal(owner_ideal.keys(), owner_ideal.EnrollUser(roles));
-    EXPECT_TRUE(u_real.VerifyRange(range, vo_real, nullptr, nullptr));
-    EXPECT_TRUE(u_ideal.VerifyRange(range, vo_ideal, nullptr, nullptr));
+    EXPECT_TRUE(VerifyOk(u_real.VerifyRange(range, vo_real, nullptr)));
+    EXPECT_TRUE(VerifyOk(u_ideal.VerifyRange(range, vo_ideal, nullptr)));
   }
 }
 
@@ -153,7 +154,7 @@ TEST_F(UnforgeabilityTest, CannotPresentAccessibleRecordAsHidden) {
     forged.entries.push_back(e);
   }
   User user(owner_->keys(), owner_->EnrollUser(roles));
-  EXPECT_FALSE(user.VerifyRange(range, forged, nullptr, nullptr));
+  EXPECT_FALSE(user.VerifyRange(range, forged, nullptr));
 }
 
 TEST_F(UnforgeabilityTest, CannotReplayVoForDifferentRange) {
@@ -161,12 +162,12 @@ TEST_F(UnforgeabilityTest, CannotReplayVoForDifferentRange) {
   Box range{{0}, {7}};
   Vo vo = sp_->RangeQuery(range, roles);
   User user(owner_->keys(), owner_->EnrollUser(roles));
-  ASSERT_TRUE(user.VerifyRange(range, vo, nullptr, nullptr));
+  ASSERT_TRUE(VerifyOk(user.VerifyRange(range, vo, nullptr)));
   // Same VO against a wider range: coverage fails (record 11 would be
   // silently omitted).
-  EXPECT_FALSE(user.VerifyRange(Box{{0}, {15}}, vo, nullptr, nullptr));
+  EXPECT_FALSE(user.VerifyRange(Box{{0}, {15}}, vo, nullptr));
   // And against a narrower range: out-of-range regions.
-  EXPECT_FALSE(user.VerifyRange(Box{{0}, {5}}, vo, nullptr, nullptr));
+  EXPECT_FALSE(user.VerifyRange(Box{{0}, {5}}, vo, nullptr));
 }
 
 TEST_F(UnforgeabilityTest, CannotSpliceEntriesAcrossUsers) {
@@ -175,7 +176,7 @@ TEST_F(UnforgeabilityTest, CannotSpliceEntriesAcrossUsers) {
   Box range{{0}, {15}};
   Vo vo_b = sp_->RangeQuery(range, {"RoleB"});
   User user_a(owner_->keys(), owner_->EnrollUser({"RoleA"}));
-  EXPECT_FALSE(user_a.VerifyRange(range, vo_b, nullptr, nullptr));
+  EXPECT_FALSE(user_a.VerifyRange(range, vo_b, nullptr));
 }
 
 TEST_F(UnforgeabilityTest, CannotSubstituteValueUnderSameKey) {
@@ -200,7 +201,7 @@ TEST_F(UnforgeabilityTest, CannotSubstituteValueUnderSameKey) {
   }
   ASSERT_TRUE(swapped);
   User user(owner_->keys(), owner_->EnrollUser(roles));
-  EXPECT_FALSE(user.VerifyRange(range, forged, nullptr, nullptr));
+  EXPECT_FALSE(user.VerifyRange(range, forged, nullptr));
 }
 
 }  // namespace
