@@ -5,12 +5,16 @@
 //                   (BMI2/ADX where available) kernel, plus a bit-match
 //                   sweep that aborts on any representation divergence.
 //   fixed-base    — plain width-4 wNAF vs. the GLV dual-track wNAF vs.
-//                   FixedBaseTable::Mul on the same generator.
+//                   FixedBaseTable::Mul on the same generator, plus the
+//                   constant-pattern variable-base GLV ladder (CtScalarMul)
+//                   that every secret-scalar multiply of ABS.Relax runs.
 //   msm           — Pippenger G1Msm/G2Msm vs. the naive ScalarMul-and-add
 //                   loop, n = 4..256.
 //   multipairing  — lockstep batched-inversion MultiPairing vs. the per-pair
 //                   reference (N Miller loops, one final exponentiation).
-//   abs           — end-to-end ABS sign/verify at a fixed predicate length.
+//   abs           — end-to-end ABS sign/verify at a fixed predicate length,
+//                   and ABS.Relax of that signature to a 10-role super
+//                   policy (the SP's per-node VO cost).
 //
 // Every row is also emitted through the JSON trajectory sink (bench_util.h):
 //   APQA_BENCH_JSON=BENCH_msm.json ./bench_msm_micro   (or --json=PATH)
@@ -18,6 +22,7 @@
 
 #include "abs/abs.h"
 #include "bench_util.h"
+#include "crypto/ct.h"
 #include "crypto/msm.h"
 
 namespace {
@@ -123,6 +128,13 @@ void BenchFixedBase(Rng* rng, int iters) {
   Report("g1_mul_glv", glv1);
   std::printf("  %-28s %10.2fx\n", "g1_glv_speedup", wnaf1 / glv1);
   RecordJson(kBench, "g1_glv_speedup", wnaf1 / glv1);
+  // Secret-scalar twin of g1_mul_glv: same scalars, constant-pattern GLV
+  // ladder (scripts/check.sh gates ct_mul_g1 <= 2 * g1_mul_glv).
+  i = 0;
+  double ct1 = TimeMs(iters, [&] {
+    Sink(CtScalarMul(g1, SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
+  });
+  Report("ct_mul_g1", ct1);
   i = 0;
   const FixedBaseTable<Fp>& t1 = G1GeneratorTable();
   double fixed1 = TimeMs(iters, [&] {
@@ -138,6 +150,11 @@ void BenchFixedBase(Rng* rng, int iters) {
     Sink(g2.ScalarMul(ks[static_cast<std::size_t>(i++ % iters)]));
   });
   Report("g2_wnaf", wnaf2);
+  i = 0;
+  double ct2 = TimeMs(iters, [&] {
+    Sink(CtScalarMul(g2, SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
+  });
+  Report("ct_mul_g2", ct2);
   i = 0;
   const FixedBaseTable<Fp2>& t2 = G2GeneratorTable();
   double fixed2 = TimeMs(iters, [&] {
@@ -231,6 +248,17 @@ void BenchAbs(bool fast) {
     Sink(abs::Abs::Verify(mvk, msg, pred, *sig));
   });
   Report("abs_verify_len12", verify_ms);
+
+  // A user holding the second role of every clause lacks the other ten
+  // roles: six rows merge from the signature, four are fresh.
+  policy::RoleSet lacks;
+  for (int i = 0; i < 16; ++i) {
+    if (i >= 12 || i % 2 == 0) lacks.insert("Role" + std::to_string(i));
+  }
+  double relax_ms = TimeMs(iters, [&] {
+    Sink(*abs::Abs::Relax(mvk, *sig, pred, msg, lacks, &rng));
+  });
+  Report("abs_relax_len10", relax_ms);
 }
 
 }  // namespace

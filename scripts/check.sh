@@ -9,8 +9,9 @@
 #   2. Release build with -Werror + full ctest (includes the negative-compile
 #      harness of tests/compile_fail/ and the lockdep suite, which self-skips
 #      its violation tests in Release where APQA_LOCKDEP is off), then the
-#      crypto suites again under APQA_FORCE_PORTABLE=1 so the portable
-#      Montgomery/no-accel arm of the runtime dispatch stays covered, then
+#      crypto suites (and the AbsRelaxFold oracle) again under
+#      APQA_FORCE_PORTABLE=1 so the portable Montgomery/no-accel arm of the
+#      runtime dispatch stays covered, then
 #      a duplicate-(bench,row) gate over the checked-in BENCH_*.json files,
 #      and a build (no run) of the perfbench/ service benchmark into
 #      build/perfbench so an src/ API change that breaks it fails here
@@ -38,7 +39,10 @@
 #      that must emit the mont_mul_{portable,accel} kernel rows, the
 #      mont_kernel_bitmatch differential row (the bench aborts on any
 #      accel/portable representation mismatch, so the row doubles as the
-#      oracle) and the g1_{wnaf,mul_glv,fixed_base} scalar-mult rows; then
+#      oracle), the g1_{wnaf,mul_glv,fixed_base} and ct_mul_{g1,g2}
+#      scalar-mult rows and the abs_relax_len10 row, and whose
+#      constant-pattern GLV ladder is within 2x of the variable-time GLV
+#      wNAF (ct_mul_g1 <= 2.0x g1_mul_glv); then
 #      one fast-mode run of bench_net_service that must emit the
 #      update_latency_vs_batch_{1,16,256} maintenance rows and the
 #      recovery_time_vs_wal_len_{4,16,64} crash-recovery rows into
@@ -78,9 +82,10 @@ echo "=== ctest (forced-portable kernels) ==="
 # crypto suites, so the fallback arm of the runtime dispatch (non-BMI2/ADX
 # hosts) stays covered even on machines where the accelerated kernel is
 # what normally executes. The bitmatch differential inside field_test then
-# proves the two arms agree representation-for-representation.
+# proves the two arms agree representation-for-representation, and the
+# AbsRelaxFold oracle re-checks ABS.Relax byte-for-byte on the portable arm.
 (cd build && APQA_FORCE_PORTABLE=1 ctest --output-on-failure -j "$(nproc)" \
-  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct)')
+  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|AbsRelaxFold)')
 
 echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # The JSON trajectory files must hold exactly one section per bench run:
@@ -241,12 +246,29 @@ APQA_BENCH_FAST=1 APQA_BENCH_JSON="$MSM_JSON" \
 # found zero representation mismatches (the bench aborts otherwise), so a
 # missing row is a failed differential, not just a missing measurement.
 for row in mont_mul_portable mont_mul_accel mont_kernel_bitmatch \
-           g1_wnaf g1_mul_glv g1_fixed_base; do
+           g1_wnaf g1_mul_glv g1_fixed_base ct_mul_g1 ct_mul_g2 \
+           abs_relax_len10; do
   if ! grep -q "\"row\":\"$row\"" "$MSM_JSON"; then
     echo "perf smoke: row '$row' missing from $MSM_JSON" >&2
     exit 1
   fi
 done
+# The constant-pattern GLV ladder must stay within 2x of the variable-time
+# GLV wNAF on the same scalars (measured 1.0-1.5x; the 256-doubling ladder
+# it replaced measured 2.4-2.9x).
+python3 - "$MSM_JSON" <<'EOF'
+import json, sys
+rows = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        r = json.loads(line)
+        rows[r["row"]] = r["ms"]  # last write wins
+ct, glv = rows["ct_mul_g1"], rows["g1_mul_glv"]
+if ct > 2.0 * glv:
+    sys.exit(f"perf smoke: ct_mul_g1 {ct:.3f} ms > 2 * g1_mul_glv {glv:.3f} ms")
+print(f"perf smoke: ct_mul_g1 {ct:.3f} ms vs g1_mul_glv {glv:.3f} ms "
+      f"({ct / glv:.2f}x)")
+EOF
 rm -f "$MSM_JSON"
 
 echo "=== perf smoke (bench_net_service update rows, fast mode) ==="

@@ -449,47 +449,68 @@ std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,
   Fr mu = MessageScalar(sig.tau, msg, sig.epoch);
   const VerifyKey::Precomp& pc = mvk.precomp();
 
-  G2 p1 = G2::Infinity();
-  for (std::size_t j : purge.kept_cols) p1 = p1 + sig.p[j];
+  G2 p_kept = G2::Infinity();
+  for (std::size_t j : purge.kept_cols) p_kept = p_kept + sig.p[j];
 
   // Step 2 (merge duplicates) + Step 3 (append missing attributes). The new
   // predicate ∨_{a∈relax_to} a has one row per role, ordered like RoleSet
   // (lexicographically) — the same order BuildMsp produces for
-  // Policy::OrOfRoles(relax_to).
+  // Policy::OrOfRoles(relax_to). A role with no kept row is "fresh": its
+  // row is a new (C g^mu)^{r_i} and (A B^{u_i})^{r_i} joins P.
+  struct Row {
+    G1 merged = G1::Infinity();
+    bool fresh = true;
+    SecretFr r;  // fresh rows only
+    Fr u;        // fresh rows only
+  };
+  std::vector<Row> rows;
+  rows.reserve(relax_to.size());
+  for (const auto& role : relax_to) {
+    Row& row = rows.emplace_back();
+    for (std::size_t k : purge.kept_rows) {
+      if (msp.row_labels[k] == role) {
+        row.merged = row.merged + sig.s[k];
+        row.fresh = false;
+      }
+    }
+    if (row.fresh) {
+      row.r = rng->NextNonZeroSecretFr();
+      row.u = RoleScalar(role);
+    }
+  }
+
+  // Step 4: re-randomize by rho so the output is distributed like a fresh
+  // signature on the relaxed predicate. Leaking rho would link the APS
+  // signature back to the APP original, so every multiply stays on a
+  // constant-pattern ladder. Fresh rows fold rho into their blinding
+  // scalar instead of being built and then re-randomized:
+  //   rho * (C g^mu)^{r_i}           = C^{rho r_i} g^{mu rho r_i}
+  //   rho * sum_i (A B^{u_i})^{r_i}  = A^{sum rho r_i} B^{sum u_i rho r_i}
+  // — the same group elements, on the fixed-base tables, with the fresh G2
+  // terms collapsed into one pair of multiplies per relaxation.
+  SecretFr rho = rng->NextNonZeroSecretFr();
   Signature out;
   out.tau = sig.tau;
   out.epoch = sig.epoch;
-  out.y = sig.y;
-  out.w = sig.w;
-  out.s.reserve(relax_to.size());
-  for (const auto& role : relax_to) {
-    G1 merged = G1::Infinity();
-    bool found = false;
-    for (std::size_t k : purge.kept_rows) {
-      if (msp.row_labels[k] == role) {
-        merged = merged + sig.s[k];
-        found = true;
-      }
+  out.y = crypto::CtScalarMul(sig.y, rho);
+  out.w = crypto::CtScalarMul(sig.w, rho);
+  out.s.reserve(rows.size());
+  SecretFr fresh_r(Fr::Zero()), fresh_ur(Fr::Zero());
+  bool any_fresh = false;
+  for (const Row& row : rows) {
+    if (row.fresh) {
+      SecretFr rr = rho * row.r;
+      out.s.push_back(pc.c_tab.MulCt(rr) + pc.g_tab.MulCt(mu * rr));
+      fresh_r = fresh_r + rr;
+      fresh_ur = fresh_ur + row.u * rr;
+      any_fresh = true;
+    } else {
+      out.s.push_back(crypto::CtScalarMul(row.merged, rho));
     }
-    if (!found) {
-      SecretFr r = rng->NextNonZeroSecretFr();
-      // (C g^mu)^r and (A B^u)^r via the key-component tables.
-      merged = pc.c_tab.MulCt(r) + pc.g_tab.MulCt(mu * r);
-      Fr u = RoleScalar(role);
-      p1 = p1 + pc.a_tab.MulCt(r) + pc.b_tab.MulCt(u * r);
-    }
-    out.s.push_back(merged);
   }
-
-  // Step 4: re-randomize so the output is distributed like a fresh
-  // signature on the relaxed predicate. Leaking rho would link the APS
-  // signature back to the APP original, so the re-randomization stays on
-  // the constant-pattern ladder.
-  SecretFr rho = rng->NextNonZeroSecretFr();
-  out.y = crypto::CtScalarMul(out.y, rho);
-  out.w = crypto::CtScalarMul(out.w, rho);
-  for (G1& si : out.s) si = crypto::CtScalarMul(si, rho);
-  out.p = {crypto::CtScalarMul(p1, rho)};
+  G2 p = crypto::CtScalarMul(p_kept, rho);
+  if (any_fresh) p = p + pc.a_tab.MulCt(fresh_r) + pc.b_tab.MulCt(fresh_ur);
+  out.p = {p};
   return out;
 }
 

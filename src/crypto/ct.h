@@ -11,12 +11,14 @@
 //      `Declassify()`. `scripts/lint.py --list-declassify` audits every
 //      call site.
 //
-//   2. Constant-pattern kernels — complete-addition point arithmetic
-//      (Renes–Costello–Batina 2016, Alg. 7 for a = 0) driven by fixed-window
-//      ladders whose table lookups scan every entry with masked selects.
-//      Combined with the branch-free field reductions in prime_field.h these
-//      execute the same instruction and memory-access sequence for every
-//      scalar. `FixedBaseTable::MulCt` (msm.h) is the fixed-base variant.
+//   2. Constant-pattern kernels — complete point arithmetic
+//      (Renes–Costello–Batina 2016, Alg. 7 addition and Alg. 9 doubling for
+//      a = 0) driven by fixed-window ladders whose table lookups scan every
+//      entry with masked selects. Combined with the branch-free field
+//      reductions in prime_field.h these execute the same instruction and
+//      memory-access sequence for every scalar. `CtScalarMul` is the
+//      variable-base two-track GLV ladder; `FixedBaseTable::MulCt` (msm.h)
+//      is the fixed-base variant.
 //
 //   3. A ctgrind-style dynamic oracle. Under MemorySanitizer the
 //      CtPoison/CtUnpoison/CtDeclassifyMem macros mark secret bytes as
@@ -212,6 +214,29 @@ CtPoint<F> CtCompleteAdd(const CtPoint<F>& p, const CtPoint<F>& q,
   return r;
 }
 
+// Renes–Costello–Batina 2016, Algorithm 9 (a = 0): complete doubling in
+// 6M + 2S + 1*mult-by-3b, no branches; the identity doubles to itself.
+template <typename F>
+CtPoint<F> CtCompleteDbl(const CtPoint<F>& p, const F& b3) {
+  F t0 = p.y.Square();
+  F z8 = t0 + t0;
+  z8 = z8 + z8;
+  z8 = z8 + z8;  // 8Y^2
+  F t1 = p.y * p.z;
+  F t2 = b3 * p.z.Square();
+  CtPoint<F> r;
+  F x3 = t2 * z8;
+  F y3 = t0 + t2;
+  r.z = t1 * z8;
+  t2 = t2 + t2 + t2;
+  t0 = t0 - t2;
+  r.y = x3 + t0 * y3;
+  F xy = p.x * p.y;
+  r.x = t0 * xy;
+  r.x = r.x + r.x;
+  return r;
+}
+
 // Jacobian (X, Y, Z) = (x Z^2, y Z^3, Z) -> homogeneous (x Z^3 : y Z^3 : Z^3)
 // = (X Z : Y : Z^3). Inversion-free and branch-free; Jacobian infinity
 // (Z = 0) maps to a representative of the projective identity.
@@ -228,34 +253,53 @@ CurvePoint<F> CtToJacobian(const CtPoint<F>& p) {
   return {p.x * p.z, p.y * z2, p.z};
 }
 
-// Constant-pattern variable-base scalar multiplication: fixed 4-bit windows
-// MSB-first, 16-entry table scanned in full with masked selects, one
-// complete addition per window, four complete doublings between windows —
-// 320 complete additions for every scalar, zero data-dependent skips.
+// Constant-pattern variable-base scalar multiplication, two-track GLV:
+// the secret scalar is split branch-free (GlvSplitLimbs) into
+// k = k1 + k2 * lambda with both halves below 2^128, and one shared
+// doubling chain walks 32 fixed 4-bit windows MSB-first. Each window does
+// four complete doublings (none before the top window), then for each
+// track a full scan of the 16-entry table [0..15]P with masked selects and
+// one complete addition — the k2 pick is mapped through the endomorphism
+// (x * beta) after selection, which fixes the identity (0 : 1 : 0). Every
+// scalar costs 124 doublings and 64 additions, zero data-dependent skips.
+// The base must lie in the prime-order subgroup (every point the system
+// multiplies does: generator multiples and subgroup-checked wire points).
 template <typename F>
 CurvePoint<F> CtScalarMul(const CurvePoint<F>& base, const SecretFr& k) {
+  static_assert(GlvEndo<F>::kEnabled);
   const F& b3 = CtCurveB3<F>::Get();
   CtPoint<F> table[16];
   table[0] = CtPoint<F>::Identity();
-  CtPoint<F> p = CtFromJacobian(base);
-  for (int i = 1; i < 16; ++i) table[i] = CtCompleteAdd(table[i - 1], p, b3);
+  table[1] = CtFromJacobian(base);
+  for (int i = 2; i < 16; ++i) {
+    table[i] = (i % 2 == 0) ? CtCompleteDbl(table[i / 2], b3)
+                            : CtCompleteAdd(table[i - 1], table[1], b3);
+  }
 
-  const Limbs<4> e = k.ct_ref().ToCanonical();
-  CtPoint<F> acc = CtPoint<F>::Identity();
-  for (unsigned w = 64; w-- > 0;) {
-    if (w != 63) {
-      for (int i = 0; i < 4; ++i) {
-        ct_trace::Emit('D', w);
-        acc = CtCompleteAdd(acc, acc, b3);
-      }
-    }
-    const u64 digit = (e[w / 16] >> (4 * (w % 16))) & 15u;
+  auto pick = [&table](u64 digit) {
     CtPoint<F> sel = table[0];
     for (u64 d = 1; d < 16; ++d) {
       CtCondAssignObj(&sel, table[d], CtEqMask64(digit, d));
     }
-    ct_trace::Emit('A', w);
-    acc = CtCompleteAdd(acc, sel, b3);
+    return sel;
+  };
+  const GlvDecomp kd = GlvSplitLimbs(k.ct_ref().ToCanonical());
+  const F& beta = GlvEndo<F>::Beta();
+  CtPoint<F> acc = CtPoint<F>::Identity();
+  for (unsigned w = 32; w-- > 0;) {
+    if (w != 31) {
+      for (int i = 0; i < 4; ++i) {
+        ct_trace::Emit('D', w);
+        acc = CtCompleteDbl(acc, b3);
+      }
+    }
+    const unsigned shift = 4 * (w % 16);
+    ct_trace::Emit('T', w);
+    acc = CtCompleteAdd(acc, pick((kd.k1[w / 16] >> shift) & 15u), b3);
+    CtPoint<F> phi = pick((kd.k2[w / 16] >> shift) & 15u);
+    phi.x = phi.x * beta;
+    ct_trace::Emit('U', w);
+    acc = CtCompleteAdd(acc, phi, b3);
   }
   return CtToJacobian(acc);
 }

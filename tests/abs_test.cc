@@ -3,7 +3,10 @@
 
 #include "abs/abs.h"
 #include "abs/batch_verify.h"
+#include "core/hierarchy.h"
+#include "crypto/ct.h"
 #include "crypto/serde.h"
+#include "policy/msp.h"
 
 namespace apqa::abs {
 namespace {
@@ -291,6 +294,125 @@ TEST_F(AbsTest, BatchRejectsForgedPairCancellation) {
     ASSERT_TRUE(
         Abs::AccumulateVerify(mvk_, Msg("p2"), pred, bad2, rng_.get(), &acc2));
     EXPECT_FALSE(acc2.Check()) << "Y cancellation survived, trial " << trial;
+  }
+}
+
+// --- ABS.Relax rho fold vs the build-then-re-randomize reference ---
+
+// Test-local copy of Algorithm 2 as Abs::Relax computed it before fresh
+// rows were folded into rho: each fresh row is built as (C g^mu)^{r_i}, its
+// (A B^{u_i})^{r_i} joins P, and only then is every component raised to
+// rho. It draws the same randomness in the same order, so for one RNG
+// stream it must produce the same group elements — and therefore the same
+// serialized bytes — as the production path.
+std::optional<Signature> ReferenceRelax(const VerifyKey& mvk,
+                                        const Signature& sig,
+                                        const Policy& predicate,
+                                        const std::vector<std::uint8_t>& msg,
+                                        const RoleSet& relax_to, Rng* rng) {
+  policy::Msp msp = policy::BuildMsp(predicate);
+  if (sig.s.size() != msp.Rows() || sig.p.size() != msp.Cols()) {
+    return std::nullopt;
+  }
+  policy::PurgeResult purge = policy::Purge(predicate, relax_to);
+  if (!purge.ok) return std::nullopt;
+  Fr mu = internal::MessageScalar(sig.tau, msg, sig.epoch);
+  const VerifyKey::Precomp& pc = mvk.precomp();
+
+  G2 p1 = G2::Infinity();
+  for (std::size_t j : purge.kept_cols) p1 = p1 + sig.p[j];
+  Signature out;
+  out.tau = sig.tau;
+  out.epoch = sig.epoch;
+  for (const auto& role : relax_to) {
+    G1 merged = G1::Infinity();
+    bool found = false;
+    for (std::size_t k : purge.kept_rows) {
+      if (msp.row_labels[k] == role) {
+        merged = merged + sig.s[k];
+        found = true;
+      }
+    }
+    if (!found) {
+      crypto::SecretFr r = rng->NextNonZeroSecretFr();
+      merged = pc.c_tab.MulCt(r) + pc.g_tab.MulCt(mu * r);
+      Fr u = RoleScalar(role);
+      p1 = p1 + pc.a_tab.MulCt(r) + pc.b_tab.MulCt(u * r);
+    }
+    out.s.push_back(merged);
+  }
+  crypto::SecretFr rho = rng->NextNonZeroSecretFr();
+  out.y = crypto::CtScalarMul(sig.y, rho);
+  out.w = crypto::CtScalarMul(sig.w, rho);
+  for (G1& si : out.s) si = crypto::CtScalarMul(si, rho);
+  out.p = {crypto::CtScalarMul(p1, rho)};
+  return out;
+}
+
+std::vector<std::uint8_t> Bytes(const Signature& sig) {
+  common::ByteWriter w;
+  sig.Serialize(&w);
+  return w.data();
+}
+
+struct FoldCase {
+  const char* name;
+  Policy predicate;
+  RoleSet relax_to;
+};
+
+// Every relax set keeps at least one row (Purge only succeeds when one
+// survives), so "all fresh" is covered as "every role but the kept one".
+TEST(AbsRelaxFold, MatchesBuildThenRerandomizeReference) {
+  Rng setup_rng(4711);
+  MasterKey msk;
+  VerifyKey mvk;
+  Abs::Setup(&setup_rng, &msk, &mvk);
+  core::RoleHierarchy h;
+  h.AddEdge("RoleA", "RoleA.S");
+  h.AddEdge("RoleA", "RoleA.P");
+  h.AddEdge("RoleB", "RoleB.S");
+  RoleSet universe = {"Role0",   "RoleA", "RoleA.S", "RoleA.P",
+                      "RoleB",   "RoleB.S", "RoleC", "RoleD"};
+  SigningKey sk = Abs::KeyGen(msk, universe, &setup_rng);
+
+  const Policy dup = Policy::Parse("(RoleA & RoleB) | (RoleA & RoleC)");
+  const Policy nested =
+      Policy::Parse("(RoleA & (RoleB | RoleC)) | (RoleC & RoleD)");
+  const Policy augmented = h.Augment(Policy::Parse("RoleA.P | RoleB.S"));
+  RoleSet lacked;  // a student of A: lacks everything outside {A, A.S}
+  for (const auto& role : universe) {
+    if (role != "RoleA" && role != "RoleA.S") lacked.insert(role);
+  }
+  const RoleSet reduced = h.ReduceLackedSet(lacked);
+  ASSERT_LT(reduced.size(), lacked.size());
+
+  const std::vector<FoldCase> cases = {
+      {"dup_zero_fresh", dup, {"RoleA"}},
+      {"dup_mixed", dup, {"Role0", "RoleA", "RoleB", "RoleC"}},
+      {"dup_all_but_kept_fresh", dup, universe},
+      {"nested_mixed", nested, {"Role0", "RoleA", "RoleC", "RoleD"}},
+      {"single_zero_fresh", Policy::Parse("RoleC"), {"RoleC"}},
+      {"hierarchy_reduced", augmented, reduced},
+  };
+  const std::vector<std::uint8_t> msg = Msg("fold");
+  for (const FoldCase& c : cases) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      Rng sign_rng(seed);
+      auto sig = Abs::Sign(mvk, sk, msg, c.predicate, &sign_rng);
+      ASSERT_TRUE(sig.has_value());
+      Rng rng_ref(1000 + seed), rng_new(1000 + seed);
+      auto ref = ReferenceRelax(mvk, *sig, c.predicate, msg, c.relax_to,
+                                &rng_ref);
+      auto aps = Abs::Relax(mvk, *sig, c.predicate, msg, c.relax_to, &rng_new);
+      ASSERT_TRUE(ref.has_value());
+      ASSERT_TRUE(aps.has_value());
+      EXPECT_EQ(Bytes(*aps), Bytes(*ref));
+      const Policy super = Policy::OrOfRoles(c.relax_to);
+      EXPECT_TRUE(Abs::Verify(mvk, msg, super, *aps));
+      EXPECT_TRUE(Abs::Verify(mvk, msg, super, *aps, /*exact=*/true));
+    }
   }
 }
 

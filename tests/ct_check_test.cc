@@ -9,11 +9,12 @@
 //   2. Differential: the constant-time primitives (CtEqBytes, CtSelect*,
 //      CtCondAssignObj) match naive semantics on adversarial edge cases,
 //      and every constant-pattern ladder matches its variable-time twin on
-//      edge scalars (0, 1, 2, r-1) and random scalars.
+//      edge scalars (0, 1, 2, r-1, lambda-1, lambda, lambda+1) and random
+//      scalars.
 //   3. Trace equivalence (runs under any compiler): the ct_trace hook
 //      records the ladder step sequence; distinct secrets must produce
-//      byte-identical traces, all the way up through ABS.Sign and
-//      CP-ABE KeyGen. A data-dependent skip, extra add, or reordering
+//      byte-identical traces, all the way up through ABS.Sign, ABS.Relax
+//      and CP-ABE KeyGen. A data-dependent skip, extra add, or reordering
 //      fails the comparison.
 //   4. MSan poisoning (clang + -DAPQA_SANITIZE=memory only): secret scalars
 //      are poisoned as uninitialized memory; any secret-dependent branch or
@@ -39,6 +40,7 @@ namespace apqa {
 namespace {
 
 using crypto::CtCompleteAdd;
+using crypto::CtCompleteDbl;
 using crypto::CtCondAssignObj;
 using crypto::CtEq;
 using crypto::CtEqBytes;
@@ -176,10 +178,16 @@ TEST(CtPrimitives, FieldComparisonsStillCorrect) {
 
 // --- 2b. Ladder vs variable-time differential -------------------------------
 
+// Edge scalars for both ladder shapes: the field ends (0, 1, 2, r - 1) and
+// the GLV split boundary, where k2 turns 0 -> 1 and k1 wraps to 0
+// (lambda - 1, lambda, lambda + 1).
 std::vector<Fr> EdgeAndRandomScalars() {
   Rng rng(0x5ec7e7);
-  std::vector<Fr> ks = {Fr::Zero(), Fr::One(), Fr::FromU64(2),
-                        Fr::Zero() - Fr::One()};  // r - 1
+  const Fr lambda = Fr::FromCanonical(crypto::GlvLambda());
+  std::vector<Fr> ks = {Fr::Zero(),          Fr::One(),
+                        Fr::FromU64(2),      Fr::Zero() - Fr::One(),
+                        lambda - Fr::One(),  lambda,
+                        lambda + Fr::One()};
   for (int i = 0; i < 6; ++i) ks.push_back(rng.NextFr());
   return ks;
 }
@@ -252,6 +260,27 @@ TEST(CtKernels, CompleteAdditionHandlesExceptionalInputs) {
   EXPECT_EQ(crypto::CtToJacobian(CtCompleteAdd(cp, id, b3)), p);
   EXPECT_EQ(crypto::CtToJacobian(CtCompleteAdd(id, cp, b3)), p);
   EXPECT_TRUE(crypto::CtToJacobian(CtCompleteAdd(id, id, b3)).IsInfinity());
+}
+
+// Alg. 9 doubling must agree with the complete addition P + P and with the
+// Jacobian doubling, including on the identity.
+template <typename F>
+void ExpectCompleteDblMatches(const crypto::CurvePoint<F>& p) {
+  const F& b3 = crypto::CtCurveB3<F>::Get();
+  CtPoint<F> cp = crypto::CtFromJacobian(p);
+  const crypto::CurvePoint<F> dbl = crypto::CtToJacobian(CtCompleteDbl(cp, b3));
+  EXPECT_EQ(dbl, crypto::CtToJacobian(CtCompleteAdd(cp, cp, b3)));
+  EXPECT_EQ(dbl, p.Double());
+}
+
+TEST(CtKernels, CompleteDoublingMatchesAdditionAndJacobian) {
+  Rng rng(0xdb1);
+  ExpectCompleteDblMatches(G1::Infinity());
+  ExpectCompleteDblMatches(G2::Infinity());
+  for (int i = 0; i < 4; ++i) {
+    ExpectCompleteDblMatches(crypto::G1Mul(rng.NextNonZeroFr()));
+    ExpectCompleteDblMatches(crypto::G2Mul(rng.NextNonZeroFr()));
+  }
 }
 
 TEST(CtKernels, SecretArithmeticMatchesPlain) {
@@ -364,6 +393,39 @@ TEST(CtTrace, VariableBaseLadderTraceIsScalarIndependent) {
   }
 }
 
+// The variable-base GLV ladder shares one doubling chain between the two
+// tracks: four doublings per window except the top one, then the k1 pick
+// ('T', w) and the phi(k2) pick ('U', w), for w = 31..0 — 124 doublings
+// and 64 additions for every scalar, on both groups. Pinning the exact
+// shape catches a refactor that skips a track or a leading zero window.
+std::vector<std::pair<char, unsigned>> ExpectedGlvLadderTrace() {
+  std::vector<std::pair<char, unsigned>> t;
+  for (unsigned w = 32; w-- > 0;) {
+    if (w != 31) t.insert(t.end(), 4, std::make_pair('D', w));
+    t.emplace_back('T', w);
+    t.emplace_back('U', w);
+  }
+  return t;
+}
+
+TEST(CtTrace, VariableBaseGlvTraceCoversBothTracksEveryWindow) {
+  TraceCapture cap;
+  Rng rng(0x61f);
+  G1 p1 = crypto::G1Mul(rng.NextNonZeroFr());
+  G2 p2 = crypto::G2Mul(rng.NextNonZeroFr());
+  const auto expected = ExpectedGlvLadderTrace();
+  ASSERT_EQ(expected.size(), 31u * 4 + 64);
+  for (const Fr& k : EdgeAndRandomScalars()) {
+    // discard-ok: the trace capture observes the access pattern; the
+    // product itself is irrelevant here.
+    (void)CtScalarMul(p1, SecretFr(k));
+    EXPECT_EQ(cap.Take(), expected) << "G1 ladder shape depends on scalar";
+    // discard-ok: as above, on G2.
+    (void)CtScalarMul(p2, SecretFr(k));
+    EXPECT_EQ(cap.Take(), expected) << "G2 ladder shape depends on scalar";
+  }
+}
+
 TEST(CtTrace, GtPowTraceIsExponentIndependent) {
   TraceCapture cap;
   Rng rng(0x9077);
@@ -413,6 +475,37 @@ TEST(CtTrace, AbsSignTraceIsKeyAndBlindingIndependent) {
   auto t2 = trace_one_signer(20202);
   EXPECT_FALSE(t1.empty());
   EXPECT_EQ(t1, t2) << "ABS.Sign ladder trace depends on key material";
+}
+
+// ABS.Relax on a fixed (predicate, relax_to) with both merged rows (RoleA,
+// duplicated in the predicate) and fresh rows (Role0, RoleB, RoleC): only
+// the signing and relaxation randomness differ between the runs, so the
+// ladder sequence must not.
+TEST(CtTrace, AbsRelaxTraceIsBlindingIndependent) {
+  using abs::Abs;
+  const policy::Policy pred =
+      policy::Policy::Parse("(RoleA & RoleB) | (RoleA & RoleC)");
+  const policy::RoleSet relax_to = {"Role0", "RoleA", "RoleB", "RoleC"};
+  const std::vector<std::uint8_t> msg = {4, 5, 6};
+  Rng setup_rng(0x5e7);
+  abs::MasterKey msk;
+  abs::VerifyKey mvk;
+  Abs::Setup(&setup_rng, &msk, &mvk);
+  abs::SigningKey sk = Abs::KeyGen(msk, {"RoleA", "RoleB"}, &setup_rng);
+
+  auto trace_one = [&](u64 seed) {
+    Rng rng(seed);
+    auto sig = Abs::Sign(mvk, sk, msg, pred, &rng);
+    EXPECT_TRUE(sig.has_value());
+    TraceCapture cap;
+    auto aps = Abs::Relax(mvk, *sig, pred, msg, relax_to, &rng);
+    EXPECT_TRUE(aps.has_value());
+    return cap.Take();
+  };
+  auto t1 = trace_one(606);
+  auto t2 = trace_one(70707);
+  EXPECT_FALSE(t1.empty());
+  EXPECT_EQ(t1, t2) << "ABS.Relax ladder trace depends on blinding scalars";
 }
 
 TEST(CtTrace, CpabeKeyGenTraceIsKeyIndependent) {
