@@ -8,13 +8,18 @@
 //                   FixedBaseTable::Mul on the same generator, plus the
 //                   constant-pattern variable-base GLV ladder (CtScalarMul)
 //                   that every secret-scalar multiply of ABS.Relax runs.
+//   subgroup      — the decode-time prime-order-subgroup checks on affine
+//                   subgroup points: G1 phi(P) + P == [|z|]([|z|]P), G2
+//                   psi(P) == [z]P (check.sh gates g2_subgroup_check
+//                   against g2_wnaf).
 //   msm           — Pippenger G1Msm/G2Msm vs. the naive ScalarMul-and-add
 //                   loop, n = 4..256.
 //   multipairing  — lockstep batched-inversion MultiPairing vs. the per-pair
 //                   reference (N Miller loops, one final exponentiation).
 //   abs           — end-to-end ABS sign/verify at a fixed predicate length,
-//                   and ABS.Relax of that signature to a 10-role super
-//                   policy (the SP's per-node VO cost).
+//                   ABS.Relax of that signature to a 10-role super policy
+//                   (the SP's per-node VO cost), and ABS.Sign of a wide
+//                   multi-column DNF (the DO's per-node re-signing cost).
 //
 // Every row is also emitted through the JSON trajectory sink (bench_util.h):
 //   APQA_BENCH_JSON=BENCH_msm.json ./bench_msm_micro   (or --json=PATH)
@@ -165,6 +170,29 @@ void BenchFixedBase(Rng* rng, int iters) {
   RecordJson(kBench, "g2_fixed_base_speedup", wnaf2 / fixed2);
 }
 
+// Subgroup membership on affine (Z = 1) subgroup points, as ReadG1/ReadG2
+// see them after the curve-equation check. A rejected honest point is a
+// bench bug, not a timing.
+template <typename F>
+double TimeSubgroupCheck(const CurvePoint<F>& gen, Rng* rng, int iters) {
+  std::vector<CurvePoint<F>> pts(static_cast<std::size_t>(iters));
+  for (auto& p : pts) p = gen.ScalarMul(rng->NextNonZeroFr());
+  BatchToAffine<F>(std::span<CurvePoint<F>>(pts));
+  int i = 0;
+  return TimeMs(iters, [&] {
+    if (!pts[static_cast<std::size_t>(i++)].InPrimeOrderSubgroup()) {
+      std::fprintf(stderr, "BENCH BUG: subgroup point rejected\n");
+      std::abort();
+    }
+  });
+}
+
+void BenchSubgroup(Rng* rng, int iters) {
+  std::printf("prime-order subgroup check (%d affine points)\n", iters);
+  Report("g1_subgroup_check", TimeSubgroupCheck(G1Generator(), rng, iters));
+  Report("g2_subgroup_check", TimeSubgroupCheck(G2Generator(), rng, iters));
+}
+
 void BenchMsm(Rng* rng, bool fast) {
   std::printf("Pippenger MSM vs naive sum\n");
   for (std::size_t n : {4u, 16u, 64u, 256u}) {
@@ -259,6 +287,19 @@ void BenchAbs(bool fast) {
     Sink(*abs::Abs::Relax(mvk, *sig, pred, msg, lacks, &rng));
   });
   Report("abs_relax_len10", relax_ms);
+
+  // A node policy shaped like the AP²G-tree's upper levels: single roles
+  // OR'ed with two-role AND clauses — 10 MSP rows, 4 columns, a -1 entry
+  // in every AND clause. More iterations than the rows above: the DO signs
+  // this shape on every update, so its row is the one compared across
+  // commits.
+  policy::Policy dnf = policy::Policy::Parse(
+      "Role0 | Role1 | Role2 | Role3 | (Role4 & Role5) | (Role6 & Role7) | "
+      "(Role8 & Role9)");
+  double dnf_ms = TimeMs(fast ? 2 : 20, [&] {
+    Sink(*abs::Abs::Sign(mvk, sk, msg, dnf, &rng));
+  });
+  Report("abs_sign_dnf", dnf_ms);
 }
 
 }  // namespace
@@ -271,6 +312,7 @@ int main(int argc, char** argv) {
   Rng rng(20260807);
   BenchMontKernel(&rng, fast);
   BenchFixedBase(&rng, fast ? 50 : 400);
+  BenchSubgroup(&rng, fast ? 50 : 400);
   BenchMsm(&rng, fast);
   BenchMultiPairing(&rng, fast);
   BenchAbs(fast);

@@ -9,7 +9,7 @@
 #   2. Release build with -Werror + full ctest (includes the negative-compile
 #      harness of tests/compile_fail/ and the lockdep suite, which self-skips
 #      its violation tests in Release where APQA_LOCKDEP is off), then the
-#      crypto suites (and the AbsRelaxFold oracle) again under
+#      crypto suites (and the AbsRelaxFold / AbsSignFold oracles) again under
 #      APQA_FORCE_PORTABLE=1 so the portable Montgomery/no-accel arm of the
 #      runtime dispatch stays covered, then
 #      a duplicate-(bench,row) gate over the checked-in BENCH_*.json files,
@@ -39,14 +39,18 @@
 #      that must emit the mont_mul_{portable,accel} kernel rows, the
 #      mont_kernel_bitmatch differential row (the bench aborts on any
 #      accel/portable representation mismatch, so the row doubles as the
-#      oracle), the g1_{wnaf,mul_glv,fixed_base} and ct_mul_{g1,g2}
-#      scalar-mult rows and the abs_relax_len10 row, and whose
-#      constant-pattern GLV ladder is within 2x of the variable-time GLV
-#      wNAF (ct_mul_g1 <= 2.0x g1_mul_glv); then
-#      one fast-mode run of bench_net_service that must emit the
+#      oracle), the g1_{wnaf,mul_glv,fixed_base}, g2_wnaf and
+#      ct_mul_{g1,g2} scalar-mult rows, the g{1,2}_subgroup_check rows and the
+#      abs_relax_len10 / abs_sign_dnf rows, and whose constant-pattern GLV
+#      ladder is within 2x of the variable-time GLV wNAF
+#      (ct_mul_g1 <= 2.0x g1_mul_glv) and whose G2 psi subgroup check
+#      stays below a G2 scalar multiplication
+#      (g2_subgroup_check <= 0.6x g2_wnaf); then one fast-mode run of
+#      bench_net_service that must emit the
 #      update_latency_vs_batch_{1,16,256} maintenance rows and the
-#      recovery_time_vs_wal_len_{4,16,64} crash-recovery rows into
-#      BENCH_update.json
+#      recovery_time_vs_wal_len_{4,16,64} crash-recovery rows into a
+#      temporary JSON file (deleted afterwards; the checked-in
+#      BENCH_update.json is a full-mode capture)
 #
 # Usage: scripts/check.sh [--quick|--skip-sanitize]
 #   --quick          analyzers + Release build + ctest only
@@ -83,9 +87,10 @@ echo "=== ctest (forced-portable kernels) ==="
 # hosts) stays covered even on machines where the accelerated kernel is
 # what normally executes. The bitmatch differential inside field_test then
 # proves the two arms agree representation-for-representation, and the
-# AbsRelaxFold oracle re-checks ABS.Relax byte-for-byte on the portable arm.
+# AbsRelaxFold / AbsSignFold oracles re-check ABS.Relax and ABS.Sign
+# byte-for-byte on the portable arm.
 (cd build && APQA_FORCE_PORTABLE=1 ctest --output-on-failure -j "$(nproc)" \
-  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|AbsRelaxFold)')
+  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|AbsRelaxFold|AbsSignFold)')
 
 echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # The JSON trajectory files must hold exactly one section per bench run:
@@ -246,8 +251,9 @@ APQA_BENCH_FAST=1 APQA_BENCH_JSON="$MSM_JSON" \
 # found zero representation mismatches (the bench aborts otherwise), so a
 # missing row is a failed differential, not just a missing measurement.
 for row in mont_mul_portable mont_mul_accel mont_kernel_bitmatch \
-           g1_wnaf g1_mul_glv g1_fixed_base ct_mul_g1 ct_mul_g2 \
-           abs_relax_len10; do
+           g1_wnaf g1_mul_glv g1_fixed_base ct_mul_g1 ct_mul_g2 g2_wnaf \
+           g1_subgroup_check g2_subgroup_check abs_relax_len10 \
+           abs_sign_dnf; do
   if ! grep -q "\"row\":\"$row\"" "$MSM_JSON"; then
     echo "perf smoke: row '$row' missing from $MSM_JSON" >&2
     exit 1
@@ -255,7 +261,11 @@ for row in mont_mul_portable mont_mul_accel mont_kernel_bitmatch \
 done
 # The constant-pattern GLV ladder must stay within 2x of the variable-time
 # GLV wNAF on the same scalars (measured 1.0-1.5x; the 256-doubling ladder
-# it replaced measured 2.4-2.9x).
+# it replaced measured 2.4-2.9x). The G2 psi subgroup check (one 64-bit
+# [|z|] chain) must cost at most 0.6x a G2 GLV scalar multiplication
+# (measured 0.20-0.42x on a loaded 4-vCPU host; the 128-bit lambda-wNAF
+# check it replaced measured 0.59-0.80x, so the gate trips on most runs of
+# the old check while leaving headroom for host noise).
 python3 - "$MSM_JSON" <<'EOF'
 import json, sys
 rows = {}
@@ -268,6 +278,12 @@ if ct > 2.0 * glv:
     sys.exit(f"perf smoke: ct_mul_g1 {ct:.3f} ms > 2 * g1_mul_glv {glv:.3f} ms")
 print(f"perf smoke: ct_mul_g1 {ct:.3f} ms vs g1_mul_glv {glv:.3f} ms "
       f"({ct / glv:.2f}x)")
+sub, wnaf = rows["g2_subgroup_check"], rows["g2_wnaf"]
+if sub > 0.6 * wnaf:
+    sys.exit(f"perf smoke: g2_subgroup_check {sub:.3f} ms > 0.6 * g2_wnaf "
+             f"{wnaf:.3f} ms")
+print(f"perf smoke: g2_subgroup_check {sub:.3f} ms vs g2_wnaf {wnaf:.3f} ms "
+      f"({sub / wnaf:.2f}x)")
 EOF
 rm -f "$MSM_JSON"
 

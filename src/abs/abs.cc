@@ -147,14 +147,26 @@ bool SigningKey::Covers(const RoleSet& roles) const {
 }
 
 void Signature::Serialize(common::ByteWriter* w_) const {
+  // Normalize each group's points with one shared inversion (BatchToAffine
+  // skips infinity); WriteG1/WriteG2 then find Z = 1 and write the
+  // coordinates as they are. Same bytes as writing each point on its own.
+  std::vector<G1> g1s;
+  g1s.reserve(s.size() + 2);
+  g1s.push_back(y);
+  g1s.push_back(w);
+  g1s.insert(g1s.end(), s.begin(), s.end());
+  crypto::BatchToAffine<crypto::Fp>(std::span<G1>(g1s));
+  std::vector<G2> g2s = p;
+  crypto::BatchToAffine<crypto::Fp2>(std::span<G2>(g2s));
+
   w_->PutBytes(tau.data(), tau.size());
   w_->PutU64(epoch);
-  crypto::WriteG1(w_, y);
-  crypto::WriteG1(w_, w);
+  crypto::WriteG1(w_, g1s[0]);
+  crypto::WriteG1(w_, g1s[1]);
   w_->PutU32(static_cast<std::uint32_t>(s.size()));
-  for (const G1& e : s) crypto::WriteG1(w_, e);
+  for (std::size_t i = 2; i < g1s.size(); ++i) crypto::WriteG1(w_, g1s[i]);
   w_->PutU32(static_cast<std::uint32_t>(p.size()));
-  for (const G2& e : p) crypto::WriteG2(w_, e);
+  for (const G2& e : g2s) crypto::WriteG2(w_, e);
 }
 
 Signature Signature::Deserialize(common::ByteReader* r) {
@@ -181,9 +193,13 @@ Signature Signature::Deserialize(common::ByteReader* r) {
 }
 
 std::size_t Signature::SerializedSize() const {
-  common::ByteWriter bw;
-  Serialize(&bw);
-  return bw.size();
+  // Mirrors Serialize without normalizing a single point.
+  auto g1 = [](const G1& e) { return e.IsInfinity() ? 1 : crypto::kG1Bytes; };
+  auto g2 = [](const G2& e) { return e.IsInfinity() ? 1 : crypto::kG2Bytes; };
+  std::size_t n = tau.size() + 8 + g1(y) + g1(w) + 4 + 4;
+  for (const G1& e : s) n += g1(e);
+  for (const G2& e : p) n += g2(e);
+  return n;
 }
 
 void Abs::Setup(Rng* rng, MasterKey* msk, VerifyKey* mvk) {
@@ -241,32 +257,40 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
   std::vector<SecretFr> ri(rows);
   for (auto& r : ri) r = rng->NextNonZeroSecretFr();
 
+  // P_j = prod_i (A B^{u_i})^{M_ij r_i} = A^{alpha_j} B^{beta_j} with
+  // alpha_j = sum_i M_ij r_i and beta_j = sum_i M_ij u_i r_i: the per-row
+  // G2 terms are folded into secret scalars first, so the G2 fixed-base
+  // multiplies run once per column instead of once per row. Same group
+  // elements as summing the rows' (A B^{u_i})^{r_i}.
+  std::vector<SecretFr> alpha(cols, SecretFr(Fr::Zero()));
+  std::vector<SecretFr> beta(cols, SecretFr(Fr::Zero()));
   sig.s.resize(rows);
-  std::vector<G2> ti(rows);  // (A * B^{u_i})^{r_i}
   for (std::size_t i = 0; i < rows; ++i) {
-    // (C g^mu)^{r_i} and (A B^{u_i})^{r_i}, each split over the fixed-base
-    // tables of the key components; blinding scalars stay on the
-    // constant-pattern ladder throughout. The (*v)[i] branch itself is
-    // quarantined: it reveals which owned attributes satisfy the predicate
-    // (an attribute-usage pattern), not key material — see DESIGN.md.
+    // (C g^mu)^{r_i}, split over the fixed-base tables of the key
+    // components; blinding scalars stay on the constant-pattern ladder
+    // throughout. The (*v)[i] branch itself is quarantined: it reveals
+    // which owned attributes satisfy the predicate (an attribute-usage
+    // pattern), not key material — see DESIGN.md.
     G1 si = pc.c_tab.MulCt(ri[i]) + pc.g_tab.MulCt(mu * ri[i]);
     if ((*v)[i] != 0) {
       si = si + crypto::CtScalarMul(sk.k_attr.at(msp.row_labels[i]), r0);
     }
     sig.s[i] = si;
-    Fr ui = RoleScalar(msp.row_labels[i]);
-    ti[i] = pc.a_tab.MulCt(ri[i]) + pc.b_tab.MulCt(ui * ri[i]);
-  }
-
-  sig.p.assign(cols, G2::Infinity());
-  for (std::size_t j = 0; j < cols; ++j) {
-    for (std::size_t i = 0; i < rows; ++i) {
+    SecretFr uri = RoleScalar(msp.row_labels[i]) * ri[i];
+    for (std::size_t j = 0; j < cols; ++j) {
       if (msp.m[i][j] == 1) {
-        sig.p[j] = sig.p[j] + ti[i];
+        alpha[j] = alpha[j] + ri[i];
+        beta[j] = beta[j] + uri;
       } else if (msp.m[i][j] == -1) {
-        sig.p[j] = sig.p[j] - ti[i];
+        alpha[j] = alpha[j] - ri[i];
+        beta[j] = beta[j] - uri;
       }
     }
+  }
+
+  sig.p.resize(cols);
+  for (std::size_t j = 0; j < cols; ++j) {
+    sig.p[j] = pc.a_tab.MulCt(alpha[j]) + pc.b_tab.MulCt(beta[j]);
   }
   return sig;
 }

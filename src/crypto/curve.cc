@@ -1,5 +1,8 @@
 #include "crypto/curve.h"
 
+#include <cstdlib>
+
+#include "crypto/bigint.h"
 #include "crypto/msm.h"
 
 namespace apqa::crypto {
@@ -40,6 +43,30 @@ const G2& G2Generator() {
     return G2::FromAffine(x, y);
   }();
   return g;
+}
+
+const PsiCoeffs& G2PsiCoeffs() {
+  static const PsiCoeffs c = [] {
+    // c1 = xi^-((p-1)/3), c2 = xi^-((p-1)/2) from exact integer exponents
+    // (p = 1 mod 6). Validating psi(G) == [z]G on the generator turns a
+    // wrong coefficient into a startup failure rather than a subgroup check
+    // that rejects honest points or accepts hostile ones.
+    BigInt p = BigInt::FromLimbs(FpTag::kModulus.data(), FpTag::kLimbs);
+    auto xi_pow = [&](unsigned d) {
+      BigInt e = (p - BigInt(1)) / BigInt(d);
+      u64 el[FpTag::kLimbs];
+      e.ToLimbs(el, FpTag::kLimbs);
+      return Fp2::Xi().Pow(std::span<const u64>(el, FpTag::kLimbs)).Inverse();
+    };
+    PsiCoeffs pc{xi_pow(3), xi_pow(2)};
+    const G2& g = G2Generator();
+    // psi spelled out: G2::Psi() would re-enter this initializer.
+    G2 image{g.x.Conjugate() * pc.c1, g.y.Conjugate() * pc.c2,
+             g.z.Conjugate()};
+    if (!(image == -g.MulByAbsZ())) std::abort();
+    return pc;
+  }();
+  return c;
 }
 
 Fp G1CurveB() { return Fp::FromU64(4); }

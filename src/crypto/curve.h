@@ -5,6 +5,8 @@
 #ifndef APQA_CRYPTO_CURVE_H_
 #define APQA_CRYPTO_CURVE_H_
 
+#include <type_traits>
+
 #include "crypto/fp2.h"
 #include "crypto/glv.h"
 
@@ -15,6 +17,15 @@ namespace apqa::crypto {
 // passing a SecretFr to ScalarMul is a compile error, not a silent leak.
 template <typename T>
 class Secret;
+
+// Coefficients of the untwist-Frobenius-twist endomorphism of the G2 curve,
+// psi(x, y) = (conj(x) * c1, conj(y) * c2) with c1 = xi^-((p-1)/3) and
+// c2 = xi^-((p-1)/2), xi = 1 + i. Derived at first use from exact integer
+// exponents and validated against the generator (curve.cc).
+struct PsiCoeffs {
+  Fp2 c1, c2;
+};
+const PsiCoeffs& G2PsiCoeffs();
 
 template <typename F>
 struct CurvePoint {
@@ -239,6 +250,30 @@ struct CurvePoint {
     return acc;
   }
 
+  // [|z|]P for the BLS parameter |z| = kBlsParamAbs (64 bits, Hamming
+  // weight 6): 63 doublings and 5 additions, no recoding and no table. The
+  // chain both subgroup checks below are built from; variable time, public
+  // points only, no subgroup assumption on *this.
+  CurvePoint MulByAbsZ() const {
+    CurvePoint acc = *this;
+    for (int i = 62; i >= 0; --i) {
+      acc = acc.Double();
+      if ((kBlsParamAbs >> i) & 1) acc = acc + *this;
+    }
+    return acc;
+  }
+
+  // psi(X, Y, Z) = (conj(X) c1, conj(Y) c2, conj(Z)) on the G2 twist. The
+  // Jacobian form is exact because conjugation is a field automorphism:
+  // conj(X / Z^2) = conj(X) / conj(Z)^2. On the prime-order subgroup psi
+  // acts as [p] = [z] (mod r).
+  CurvePoint Psi() const
+    requires std::is_same_v<F, Fp2>
+  {
+    const PsiCoeffs& c = G2PsiCoeffs();
+    return {x.Conjugate() * c.c1, y.Conjugate() * c.c2, z.Conjugate()};
+  }
+
   // Reference double-and-add implementation (kept for cross-validation in
   // tests).
   CurvePoint ScalarMulBinary(const Fr& k) const {
@@ -252,11 +287,18 @@ struct CurvePoint {
     return acc;
   }
 
-  // Normalizes to affine coordinates; infinity maps to (0, 0, 0).
+  // Normalizes to affine coordinates; infinity maps to (0, 0, 0). Points
+  // already at Z = 1 (deserialized, or normalized by BatchToAffine) skip
+  // the inversion.
   void ToAffine(F* ax, F* ay) const {
     if (IsInfinity()) {
       *ax = F::Zero();
       *ay = F::Zero();
+      return;
+    }
+    if (z == F::One()) {
+      *ax = x;
+      *ay = y;
       return;
     }
     F zi = z.Inverse();
@@ -288,28 +330,44 @@ struct CurvePoint {
   // Prime-order-subgroup membership. Both BLS12-381 curves have composite
   // order h·r, and a signature forged from a small-cofactor component would
   // survive the curve-equation check, so every point read from untrusted
-  // bytes must pass this too (after OnCurve — the endomorphism identity is
-  // only meaningful for points satisfying the curve equation).
+  // bytes must pass this too (after OnCurve — the endomorphism identities
+  // are only meaningful for points satisfying the curve equation). Both
+  // groups test an endomorphism against the [|z|] chain (MulByAbsZ), with
+  // z = -kBlsParamAbs the BLS parameter and r = z^4 - z^2 + 1.
   //
-  // Fast path (endomorphism check, Scott 2021): P is in the r-subgroup iff
-  // phi(P) == [lambda]P. Soundness: phi satisfies phi^2 + phi + 1 = 0 in
-  // End(E), so phi(P) = [lambda]P implies [lambda^2 + lambda + 1]P =
-  // (phi^2 + phi + 1)(P) = O, and lambda^2 + lambda + 1 = r exactly; since
-  // gcd(h, r) = 1 on both curves the points killed by r form the unique
-  // r-subgroup. Conversely phi acts as [lambda] on that (cyclic) subgroup —
-  // the orientation validated against the generator at beta selection.
-  // Costs one 128-bit scalar multiplication instead of a 255-bit one.
+  // G1 (Scott, ePrint 2021/1130 §6): P is in the r-subgroup iff
+  // phi(P) == [lambda]P, lambda = z^2 - 1, evaluated as
+  // phi(P) + P == [|z|]([|z|]P) — two 64-bit chains of Hamming weight 6
+  // instead of a 128-bit wNAF. Soundness: phi satisfies
+  // phi^2 + phi + 1 = 0 in End(E), so phi(P) = [lambda]P implies
+  // [lambda^2 + lambda + 1]P = O, and lambda^2 + lambda + 1 = r exactly;
+  // since gcd(h, r) = 1 the points killed by r form the unique r-subgroup.
+  // Conversely phi acts as [lambda] on that (cyclic) subgroup — the
+  // orientation validated against the generator at beta selection.
+  //
+  // G2 (Scott, ePrint 2021/1130 §4; proof corrected in El Housni, Guillevic
+  // and Piellard, ePrint 2022/352): P is in the r-subgroup iff
+  // psi(P) == [z]P = -[|z|]P — one 64-bit chain plus a conjugation and two
+  // Fp2 multiplies. Soundness: psi satisfies psi^2 - t psi + p = 0 with
+  // trace t = z + 1, so psi(P) = [z]P implies [z^2 - tz + p]P = [p - z]P
+  // = O, and p - z = (z - 1)^2 r / 3 exactly. The order of P divides
+  // #E'(Fp2) = h2·r as well, and gcd(h2, (z - 1)^2 / 3) = gcd(h2, r) = 1
+  // for BLS12-381, so P is killed by r. Conversely psi acts as
+  // [p] = [z] (mod r) on the r-subgroup, which G2PsiCoeffs() validates
+  // against the generator at first use.
   bool InPrimeOrderSubgroup() const {
     if (IsInfinity()) return true;
-    if constexpr (GlvEndo<F>::kEnabled) {
-      return Endo() == ScalarMulCanonical(GlvLambda());
+    if constexpr (std::is_same_v<F, Fp2>) {
+      return Psi() == -MulByAbsZ();
+    } else if constexpr (GlvEndo<F>::kEnabled) {
+      return Endo() + *this == MulByAbsZ().MulByAbsZ();
     } else {
       return InPrimeOrderSubgroupByOrder();
     }
   }
 
   // The definitional check r·P = ∞, kept as the differential oracle for the
-  // endomorphism fast path (tests/curve_test.cc runs both over the hostile
+  // endomorphism fast paths (tests/curve_test.cc runs both over the hostile
   // point matrix) and as the only check for fields without an endomorphism.
   bool InPrimeOrderSubgroupByOrder() const {
     if (IsInfinity()) return true;

@@ -12,6 +12,11 @@
 
 namespace apqa::crypto {
 
+// Wire sizes of a group element that is not at infinity (flag + affine
+// coordinates); a point at infinity is its one flag byte.
+inline constexpr std::size_t kG1Bytes = 1 + 2 * 48;
+inline constexpr std::size_t kG2Bytes = 1 + 4 * 48;
+
 void WriteFr(common::ByteWriter* w, const Fr& v);
 Fr ReadFr(common::ByteReader* r);
 

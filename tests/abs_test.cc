@@ -3,6 +3,7 @@
 
 #include "abs/abs.h"
 #include "abs/batch_verify.h"
+#include "core/grid_tree.h"
 #include "core/hierarchy.h"
 #include "crypto/ct.h"
 #include "crypto/serde.h"
@@ -412,6 +413,145 @@ TEST(AbsRelaxFold, MatchesBuildThenRerandomizeReference) {
       const Policy super = Policy::OrOfRoles(c.relax_to);
       EXPECT_TRUE(Abs::Verify(mvk, msg, super, *aps));
       EXPECT_TRUE(Abs::Verify(mvk, msg, super, *aps, /*exact=*/true));
+    }
+  }
+}
+
+// --- ABS.Sign column fold vs the per-row reference ---
+
+// Test-local copy of ABS.Sign as it computed P before the G2 terms were
+// folded per column: each row builds t_i = (A B^{u_i})^{r_i} on the
+// fixed-base tables, and P_j is then the signed sum of the rows' t_i over
+// column j of the span program. It draws the same randomness in the same
+// order, so for one RNG stream it must produce the same group elements —
+// and therefore the same serialized bytes — as the production path.
+std::optional<Signature> ReferenceSign(const VerifyKey& mvk,
+                                       const SigningKey& sk,
+                                       const std::vector<std::uint8_t>& msg,
+                                       const Policy& predicate, Rng* rng) {
+  policy::Msp msp = policy::BuildMsp(predicate);
+  RoleSet owned;
+  for (const auto& [role, key] : sk.k_attr) owned.insert(role);
+  auto v = policy::SatisfyingVector(predicate, owned);
+  if (!v.has_value()) return std::nullopt;
+
+  Signature sig;
+  rng->Fill(sig.tau.data(), sig.tau.size());
+  Fr mu = internal::MessageScalar(sig.tau, msg, sig.epoch);
+  const VerifyKey::Precomp& pc = mvk.precomp();
+  crypto::SecretFr r0 = rng->NextNonZeroSecretFr();
+  sig.y = sk.k_base_tab.MulCt(r0);
+  sig.w = sk.k0_tab.MulCt(r0);
+  std::size_t rows = msp.Rows(), cols = msp.Cols();
+  std::vector<crypto::SecretFr> ri(rows);
+  for (auto& r : ri) r = rng->NextNonZeroSecretFr();
+
+  std::vector<G2> ti(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    G1 si = pc.c_tab.MulCt(ri[i]) + pc.g_tab.MulCt(mu * ri[i]);
+    if ((*v)[i] != 0) {
+      si = si + crypto::CtScalarMul(sk.k_attr.at(msp.row_labels[i]), r0);
+    }
+    sig.s.push_back(si);
+    Fr ui = RoleScalar(msp.row_labels[i]);
+    ti[i] = pc.a_tab.MulCt(ri[i]) + pc.b_tab.MulCt(ui * ri[i]);
+  }
+  sig.p.assign(cols, G2::Infinity());
+  for (std::size_t j = 0; j < cols; ++j) {
+    for (std::size_t i = 0; i < rows; ++i) {
+      if (msp.m[i][j] == 1) {
+        sig.p[j] = sig.p[j] + ti[i];
+      } else if (msp.m[i][j] == -1) {
+        sig.p[j] = sig.p[j] - ti[i];
+      }
+    }
+  }
+  return sig;
+}
+
+bool HasNegativeEntry(const policy::Msp& msp) {
+  for (const auto& row : msp.m) {
+    for (std::int8_t e : row) {
+      if (e == -1) return true;
+    }
+  }
+  return false;
+}
+
+TEST(AbsSignFold, MatchesPerRowReference) {
+  Rng setup_rng(4242);
+  MasterKey msk;
+  VerifyKey mvk;
+  Abs::Setup(&setup_rng, &msk, &mvk);
+  RoleSet universe = {"Role0", "RoleA", "RoleB", "RoleC", "RoleD"};
+  RoleSet signer = universe;
+  signer.insert(core::kPseudoRole);
+  SigningKey sk = Abs::KeyGen(msk, signer, &setup_rng);
+
+  struct SignCase {
+    std::string name;
+    Policy predicate;
+  };
+  const Policy and_heavy = Policy::Parse(
+      "(RoleA & RoleB & RoleC) | (RoleB & RoleD) | (RoleA & RoleC & RoleD)");
+  const policy::Msp and_heavy_msp = policy::BuildMsp(and_heavy);
+  ASSERT_GE(and_heavy_msp.Cols(), 3u);
+  ASSERT_TRUE(HasNegativeEntry(and_heavy_msp));
+  std::vector<SignCase> cases = {
+      {"or_of_roles", Policy::OrOfRoles(universe)},
+      {"and_heavy_dnf", and_heavy},
+      {"duplicate_labels", Policy::Parse("(RoleA & RoleB) | (RoleA & RoleC)")},
+  };
+
+  // Real node policies: an 8x8 AP²G-tree over DNF record policies. Levels
+  // 0-2 are its internal nodes (OR of the children's policies, reduced
+  // DNF); each contributes its widest-MSP node.
+  const std::vector<Policy> record_policies = {
+      Policy::Parse("(RoleA & RoleB) | RoleC"),
+      Policy::Parse("(RoleB & RoleD) | (RoleA & RoleC & RoleD)"),
+      Policy::Parse("RoleA & RoleD"),
+      Policy::Parse("Role0 | (RoleB & RoleC)"),
+  };
+  std::vector<core::Record> records;
+  for (std::uint32_t k = 0; k < 12; ++k) {
+    core::Point key{k % 8, (k / 8 * 4 + 3 * k) % 8};
+    records.push_back(core::Record{key, "r" + std::to_string(k),
+                                   record_policies[k % 4]});
+  }
+  core::GridTree tree = core::GridTree::Build(mvk, sk, core::Domain{2, 3},
+                                              records, &setup_rng);
+  std::vector<core::GridTree::NodeId> frontier = {tree.Root()};
+  for (int level = 0; level <= 2; ++level) {
+    const Policy* widest = nullptr;
+    std::size_t widest_cols = 0;
+    std::vector<core::GridTree::NodeId> next;
+    for (const auto& id : frontier) {
+      const Policy& pol = tree.GetNode(id).policy;
+      std::size_t c = policy::BuildMsp(pol).Cols();
+      if (widest == nullptr || c > widest_cols) {
+        widest = &pol;
+        widest_cols = c;
+      }
+      for (const auto& child : tree.Children(id)) next.push_back(child);
+    }
+    ASSERT_NE(widest, nullptr);
+    cases.push_back({"grid_level_" + std::to_string(level), *widest});
+    frontier = std::move(next);
+  }
+  ASSERT_GE(policy::BuildMsp(cases.back().predicate).Cols(), 2u);
+
+  const std::vector<std::uint8_t> msg = Msg("sign-fold");
+  for (const SignCase& c : cases) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(c.name + " seed " + std::to_string(seed));
+      Rng rng_ref(seed), rng_new(seed);
+      auto ref = ReferenceSign(mvk, sk, msg, c.predicate, &rng_ref);
+      auto sig = Abs::Sign(mvk, sk, msg, c.predicate, &rng_new);
+      ASSERT_TRUE(ref.has_value());
+      ASSERT_TRUE(sig.has_value());
+      EXPECT_EQ(Bytes(*sig), Bytes(*ref));
+      EXPECT_TRUE(Abs::Verify(mvk, msg, c.predicate, *sig));
+      EXPECT_TRUE(Abs::Verify(mvk, msg, c.predicate, *sig, /*exact=*/true));
     }
   }
 }

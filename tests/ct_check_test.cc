@@ -451,30 +451,44 @@ TEST(CtTrace, GtPowTraceIsExponentIndependent) {
 // End-to-end: two independently keyed signers producing a signature over
 // the same predicate/attribute structure must drive the ladders
 // identically — only key material and blinding scalars differ between the
-// runs, so any trace divergence is a secret-dependent pattern.
+// runs, so any trace divergence is a secret-dependent pattern. The second
+// predicate spans several MSP columns with -1 entries, so the per-column
+// G2 fold (secret alpha_j / beta_j sums) is on the traced path too.
 TEST(CtTrace, AbsSignTraceIsKeyAndBlindingIndependent) {
   using abs::Abs;
-  const policy::Policy pred =
-      policy::Policy::Parse("(doctor & cardiology) | admin");
-  const policy::RoleSet roles = {"doctor", "cardiology"};
+  struct Case {
+    policy::Policy pred;
+    policy::RoleSet roles;
+  };
+  const std::vector<Case> cases = {
+      {policy::Policy::Parse("(doctor & cardiology) | admin"),
+       {"doctor", "cardiology"}},
+      {policy::Policy::Parse("(doctor & cardiology & nurse) | "
+                             "(cardiology & admin) | (doctor & nurse)"),
+       {"doctor", "cardiology", "nurse"}},
+  };
+  ASSERT_GE(policy::BuildMsp(cases[1].pred).Cols(), 3u);
   const std::vector<std::uint8_t> msg = {1, 2, 3};
 
-  auto trace_one_signer = [&](u64 seed) {
-    Rng rng(seed);
-    abs::MasterKey msk;
-    abs::VerifyKey mvk;
-    Abs::Setup(&rng, &msk, &mvk);
-    abs::SigningKey sk = Abs::KeyGen(msk, roles, &rng);
-    TraceCapture cap;
-    auto sig = Abs::Sign(mvk, sk, msg, pred, &rng);
-    EXPECT_TRUE(sig.has_value());
-    return cap.Take();
-  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.pred.ToString());
+    auto trace_one_signer = [&](u64 seed) {
+      Rng rng(seed);
+      abs::MasterKey msk;
+      abs::VerifyKey mvk;
+      Abs::Setup(&rng, &msk, &mvk);
+      abs::SigningKey sk = Abs::KeyGen(msk, c.roles, &rng);
+      TraceCapture cap;
+      auto sig = Abs::Sign(mvk, sk, msg, c.pred, &rng);
+      EXPECT_TRUE(sig.has_value());
+      return cap.Take();
+    };
 
-  auto t1 = trace_one_signer(101);
-  auto t2 = trace_one_signer(20202);
-  EXPECT_FALSE(t1.empty());
-  EXPECT_EQ(t1, t2) << "ABS.Sign ladder trace depends on key material";
+    auto t1 = trace_one_signer(101);
+    auto t2 = trace_one_signer(20202);
+    EXPECT_FALSE(t1.empty());
+    EXPECT_EQ(t1, t2) << "ABS.Sign ladder trace depends on key material";
+  }
 }
 
 // ABS.Relax on a fixed (predicate, relax_to) with both merged rows (RoleA,

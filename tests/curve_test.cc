@@ -1,5 +1,6 @@
 // Tests for G1/G2 group law, the standard BLS12-381 generators, the GLV
-// endomorphism/decomposition, and the fast subgroup membership check.
+// endomorphism/decomposition, the G2 psi endomorphism, and the fast
+// subgroup membership checks.
 #include <gtest/gtest.h>
 
 #include "crypto/bigint.h"
@@ -203,46 +204,108 @@ TEST(G2Test, GlvMatchesPlainWnafOnEdgeScalars) {
   }
 }
 
-TEST(G1Test, SubgroupFastCheckMatchesByOrder) {
-  // The endomorphism fast path and the definitional r*P == infinity oracle
-  // must agree on subgroup points, the hostile non-subgroup matrix, and
-  // infinity.
-  Rng rng(55);
-  for (int i = 0; i < 5; ++i) {
-    G1 p = G1Mul(rng.NextNonZeroFr());
-    EXPECT_TRUE(p.InPrimeOrderSubgroup());
-    EXPECT_TRUE(p.InPrimeOrderSubgroupByOrder());
+// [k]P for a small public k (the hostile-matrix multipliers).
+template <typename F>
+CurvePoint<F> MulSmall(const CurvePoint<F>& p, u64 k) {
+  Limbs<4> e{};
+  e[0] = k;
+  return p.ScalarMulCanonical(e);
+}
+
+// The fast subgroup check must agree with the definitional r*P == infinity
+// oracle — and with the known answer — on: random subgroup points,
+// infinity, the hostile point H (full order h·r component), pure-cofactor
+// torsion [r]H and [k·r]H (orders dividing the cofactor, coprime to r, so
+// outside the subgroup unless the multiple collapses to infinity), small
+// multiples of H, and the mixed points H + G and [r]H + G.
+template <typename F>
+void ExpectSubgroupMatrix(const CurvePoint<F>& gen, const CurvePoint<F>& h,
+                          Rng* rng) {
+  using Pt = CurvePoint<F>;
+  auto check = [](const Pt& p, bool expected, const std::string& what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(p.InPrimeOrderSubgroup(), p.InPrimeOrderSubgroupByOrder());
+    EXPECT_EQ(p.InPrimeOrderSubgroup(), expected);
+  };
+  for (int i = 0; i < 32; ++i) {
+    check(gen.ScalarMul(rng->NextNonZeroFr()), true, "random subgroup point");
   }
-  EXPECT_TRUE(G1::Infinity().InPrimeOrderSubgroup());
-  EXPECT_TRUE(G1::Infinity().InPrimeOrderSubgroupByOrder());
-  G1 h = hostile::NonSubgroupG1();
-  EXPECT_TRUE(h.OnCurve(G1CurveB()));
-  EXPECT_FALSE(h.InPrimeOrderSubgroup());
-  EXPECT_FALSE(h.InPrimeOrderSubgroupByOrder());
-  // Small multiples of a hostile point stay outside the subgroup (the
-  // cofactors are enormous, so k*h is in the r-torsion only for k ≡ 0 mod
-  // the non-r part of h's order — unreachable for small k).
+  check(Pt::Infinity(), true, "infinity");
+  check(h, false, "hostile H");
   for (u64 k = 2; k < 6; ++k) {
-    Limbs<4> e{};
-    e[0] = k;
-    G1 m = h.ScalarMulCanonical(e);
-    EXPECT_EQ(m.InPrimeOrderSubgroup(), m.InPrimeOrderSubgroupByOrder());
-    EXPECT_FALSE(m.InPrimeOrderSubgroup());
+    check(MulSmall(h, k), false, "[k]H, k = " + std::to_string(k));
   }
+  const Pt rh = h.ScalarMulCanonical(Fr::Modulus());
+  ASSERT_FALSE(rh.IsInfinity());
+  check(rh, false, "[r]H");
+  for (u64 k = 2; k < 8; ++k) {
+    const Pt m = MulSmall(rh, k);
+    check(m, m.IsInfinity(), "[k·r]H, k = " + std::to_string(k));
+  }
+  check(h + gen, false, "H + G");
+  check(rh + gen, false, "[r]H + G");
+  check(rh + gen.ScalarMul(rng->NextNonZeroFr()), false, "[r]H + [k]G");
+}
+
+TEST(G1Test, SubgroupFastCheckMatchesByOrder) {
+  Rng rng(55);
+  G1 h = hostile::NonSubgroupG1();
+  ASSERT_TRUE(h.OnCurve(G1CurveB()));
+  ExpectSubgroupMatrix(G1Generator(), h, &rng);
 }
 
 TEST(G2Test, SubgroupFastCheckMatchesByOrder) {
   Rng rng(56);
-  for (int i = 0; i < 3; ++i) {
-    G2 p = G2Mul(rng.NextNonZeroFr());
-    EXPECT_TRUE(p.InPrimeOrderSubgroup());
-    EXPECT_TRUE(p.InPrimeOrderSubgroupByOrder());
-  }
-  EXPECT_TRUE(G2::Infinity().InPrimeOrderSubgroup());
   G2 h = hostile::NonSubgroupG2();
-  EXPECT_TRUE(h.OnCurve(G2CurveB()));
-  EXPECT_FALSE(h.InPrimeOrderSubgroup());
-  EXPECT_FALSE(h.InPrimeOrderSubgroupByOrder());
+  ASSERT_TRUE(h.OnCurve(G2CurveB()));
+  ExpectSubgroupMatrix(G2Generator(), h, &rng);
+}
+
+TEST(G1Test, MulByAbsZMatchesWnaf) {
+  Limbs<4> z{kBlsParamAbs, 0, 0, 0};
+  Rng rng(57);
+  G1 p = G1Mul(rng.NextNonZeroFr());
+  EXPECT_EQ(p.MulByAbsZ(), p.ScalarMulCanonical(z));
+  G1 h = hostile::NonSubgroupG1();
+  EXPECT_EQ(h.MulByAbsZ(), h.ScalarMulCanonical(z));
+  EXPECT_TRUE(G1::Infinity().MulByAbsZ().IsInfinity());
+}
+
+// psi acts as [z] = [p] (mod r) on the prime-order subgroup, and satisfies
+// the Frobenius characteristic polynomial psi^2 - t psi + p = 0 (t = z + 1)
+// on the whole twist — the two facts the soundness argument of the G2
+// subgroup check rests on (curve.h).
+TEST(G2Test, PsiActsAsZOnSubgroup) {
+  Rng rng(58);
+  // z = -|z| as an Fr scalar: [z]P == psi(P) on the subgroup.
+  Fr z = -Fr::FromU64(kBlsParamAbs);
+  Limbs<4> zl{kBlsParamAbs, 0, 0, 0};
+  for (int i = 0; i < 8; ++i) {
+    G2 p = G2Mul(rng.NextNonZeroFr());
+    EXPECT_EQ(p.Psi(), -p.MulByAbsZ());
+    EXPECT_EQ(p.Psi(), p.ScalarMul(z));
+    EXPECT_EQ(p.MulByAbsZ(), p.ScalarMulCanonical(zl));
+  }
+  // [p]P by plain double-and-add over the 381-bit field modulus.
+  auto mul_by_p = [](const G2& q) {
+    const Limbs<6>& pl = Fp::Modulus();
+    G2 acc = G2::Infinity();
+    for (std::size_t b = BitLengthLimbs<6>(pl); b-- > 0;) {
+      acc = acc.Double();
+      if (BitLimbs<6>(pl, b)) acc = acc + q;
+    }
+    return acc;
+  };
+  const G2 h = hostile::NonSubgroupG2();
+  const G2 rh = h.ScalarMulCanonical(Fr::Modulus());
+  for (const G2& q : {h, rh, h + G2Generator(), G2Generator()}) {
+    G2 psi = q.Psi();
+    // [t]psi(Q) with t = z + 1 = -(|z| - 1).
+    G2 t_psi = -(psi.MulByAbsZ() - psi);
+    EXPECT_TRUE((psi.Psi() - t_psi + mul_by_p(q)).IsInfinity());
+  }
+  // psi fixes infinity.
+  EXPECT_TRUE(G2::Infinity().Psi().IsInfinity());
 }
 
 TEST(G1Test, AddInverseEdgeCases) {

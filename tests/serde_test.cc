@@ -1,7 +1,8 @@
-// Tests for binary serialization: primitives, group elements, and
-// robustness of readers against truncated or corrupt input.
+// Tests for binary serialization: primitives, group elements, ABS
+// signatures, and robustness of readers against truncated or corrupt input.
 #include <gtest/gtest.h>
 
+#include "abs/abs.h"
 #include "common/serde.h"
 #include "crypto/rng.h"
 #include "crypto/pairing.h"
@@ -201,6 +202,62 @@ TEST(GroupSerdeTest, SerializationIsCanonical) {
   crypto::WriteG1(&wa, a);
   crypto::WriteG1(&wb, b);
   EXPECT_EQ(wa.data(), wb.data());
+}
+
+// Signature::Serialize normalizes each group's points with one shared
+// inversion. Its bytes must equal writing every component on its own with
+// WriteG1/WriteG2 — infinity included, which the batch normalization skips
+// — and SerializedSize must count them without serializing.
+TEST(SignatureSerdeTest, BatchNormalizedBytesMatchPerPointWrites) {
+  crypto::Rng rng(61);
+  // Sums of two table multiples: Jacobian points with Z != 1.
+  auto g1 = [&] {
+    crypto::G1 a = crypto::G1Mul(rng.NextNonZeroFr());
+    return a + crypto::G1Mul(rng.NextNonZeroFr());
+  };
+  auto g2 = [&] {
+    crypto::G2 a = crypto::G2Mul(rng.NextNonZeroFr());
+    return a + crypto::G2Mul(rng.NextNonZeroFr());
+  };
+  abs::Signature full;
+  rng.Fill(full.tau.data(), full.tau.size());
+  full.epoch = 7;
+  full.y = g1();
+  full.w = g1();
+  full.s = {g1(), crypto::G1::Infinity(), g1(), g1()};
+  full.p = {crypto::G2::Infinity(), g2(), crypto::G2::Infinity(), g2()};
+  abs::Signature sparse;
+  sparse.y = g1();
+  sparse.w = crypto::G1::Infinity();
+  sparse.p = {crypto::G2::Infinity()};
+  abs::Signature empty;  // every point at infinity, no rows or columns
+
+  for (const abs::Signature* sig : {&full, &sparse, &empty}) {
+    ByteWriter ref;
+    ref.PutBytes(sig->tau.data(), sig->tau.size());
+    ref.PutU64(sig->epoch);
+    crypto::WriteG1(&ref, sig->y);
+    crypto::WriteG1(&ref, sig->w);
+    ref.PutU32(static_cast<std::uint32_t>(sig->s.size()));
+    for (const crypto::G1& e : sig->s) crypto::WriteG1(&ref, e);
+    ref.PutU32(static_cast<std::uint32_t>(sig->p.size()));
+    for (const crypto::G2& e : sig->p) crypto::WriteG2(&ref, e);
+
+    ByteWriter got;
+    sig->Serialize(&got);
+    EXPECT_EQ(got.data(), ref.data());
+    EXPECT_EQ(sig->SerializedSize(), got.size());
+
+    ByteReader r(got.data());
+    abs::Signature back = abs::Signature::Deserialize(&r);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(r.AtEnd());
+    EXPECT_EQ(back.y, sig->y);
+    EXPECT_EQ(back.w, sig->w);
+    EXPECT_EQ(back.s, sig->s);
+    EXPECT_EQ(back.p, sig->p);
+  }
+  EXPECT_EQ(empty.SerializedSize(), abs::Signature::kMinSerializedSize);
 }
 
 }  // namespace
