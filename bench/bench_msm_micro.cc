@@ -2,8 +2,9 @@
 // generic kernels it replaced.
 //
 //   mont-kernel   — portable CIOS Montgomery multiply vs. the dispatched
-//                   (BMI2/ADX where available) kernel, plus a bit-match
-//                   sweep that aborts on any representation divergence.
+//                   (BMI2/ADX where available) kernel, the same pair for
+//                   Fp addition and subtraction, plus bit-match sweeps that
+//                   abort on any representation divergence.
 //   fixed-base    — plain width-4 wNAF vs. the GLV dual-track wNAF vs.
 //                   FixedBaseTable::Mul on the same generator, plus the
 //                   constant-pattern variable-base GLV ladder (CtScalarMul)
@@ -55,7 +56,19 @@ double TimeMs(int iters, Fn&& fn) {
 
 void Report(const char* row, double ms) {
   std::printf("  %-28s %10.3f ms\n", row, ms);
-  RecordJson(kBench, row, ms);
+  RecordJson(kBench, row, ms, "ms");
+}
+
+// A serial chain of `links` field additions or subtractions, each taking
+// the running value as its second operand (so a subtraction chain does not
+// just step down by a constant). Both arms are one out-of-line call per
+// link: the asm kernel, or the noinline portable AddPortable/SubPortable.
+template <typename Op>
+void FpChain(const std::vector<Fp>& xs, const std::vector<Fp>& ys, int links,
+             Op op) {
+  Fp acc = xs[0];
+  for (int j = 0; j < links; ++j) acc = op(ys[j & 63], acc);
+  Sink(acc);
 }
 
 // Portable CIOS vs. the dispatched Montgomery kernel. The two arms must be
@@ -65,6 +78,10 @@ void Report(const char* row, double ms) {
 void BenchMontKernel(Rng* rng, bool fast) {
   std::printf("Montgomery kernel: portable CIOS vs dispatch (accel %s)\n",
               Fp::UsingAccelKernel() ? "active" : "inactive");
+  // 1 when the asm kernels are dispatched, 0 when both arms of every row
+  // below time the portable code (check.sh skips its speed gate then).
+  RecordJson(kBench, "accel_kernels_active", Fp::UsingAccelKernel() ? 1 : 0,
+             "count");
   constexpr int kN = 64;
   std::vector<Fp> xs(kN), ys(kN);
   for (auto& x : xs) {
@@ -96,7 +113,7 @@ void BenchMontKernel(Rng* rng, bool fast) {
   });
   Report("mont_mul_accel", accel);
   std::printf("  %-28s %10.2fx\n", "mont_speedup", portable / accel);
-  RecordJson(kBench, "mont_mul_speedup", portable / accel);
+  RecordJson(kBench, "mont_mul_speedup", portable / accel, "x");
 
   Timer t;
   for (int a = 0; a < kN; ++a) {
@@ -111,6 +128,44 @@ void BenchMontKernel(Rng* rng, bool fast) {
     }
   }
   Report("mont_kernel_bitmatch", t.ElapsedMs());
+
+  // The modular add/subtract kernels next to the multiply, timed the same
+  // way (serial chains; an add is a quarter of a multiply, so 4x the links).
+  constexpr int kAddChain = 4 * kChain;
+  const auto add = [](const Fp& a, const Fp& b) { return a + b; };
+  const auto sub = [](const Fp& a, const Fp& b) { return a - b; };
+  Report("fp_add_portable", TimeMs(iters, [&] {
+           FpChain(xs, ys, kAddChain, Fp::AddPortable);
+         }));
+  Report("fp_add_accel",
+         TimeMs(iters, [&] { FpChain(xs, ys, kAddChain, add); }));
+  Report("fp_sub_portable", TimeMs(iters, [&] {
+           FpChain(xs, ys, kAddChain, Fp::SubPortable);
+         }));
+  Report("fp_sub_accel",
+         TimeMs(iters, [&] { FpChain(xs, ys, kAddChain, sub); }));
+
+  // Bit-match sweep for + and -, aborting like the multiply's: every pair
+  // of the operands above, both orders, plus doubling and negation.
+  t.Reset();
+  for (const Fp& a : xs) {
+    for (const Fp& b : ys) {
+      if ((a + b).MontgomeryRepr() != Fp::AddPortable(a, b).MontgomeryRepr() ||
+          (a - b).MontgomeryRepr() != Fp::SubPortable(a, b).MontgomeryRepr() ||
+          (b - a).MontgomeryRepr() != Fp::SubPortable(b, a).MontgomeryRepr()) {
+        std::fprintf(stderr, "BENCH BUG: accel/portable add/sub mismatch\n");
+        std::abort();
+      }
+    }
+    if (a.Double().MontgomeryRepr() !=
+            Fp::AddPortable(a, a).MontgomeryRepr() ||
+        (-a).MontgomeryRepr() !=
+            Fp::SubPortable(Fp::Zero(), a).MontgomeryRepr()) {
+      std::fprintf(stderr, "BENCH BUG: accel/portable add/sub mismatch\n");
+      std::abort();
+    }
+  }
+  Report("fp_addsub_bitmatch", t.ElapsedMs());
 }
 
 void BenchFixedBase(Rng* rng, int iters) {
@@ -132,7 +187,7 @@ void BenchFixedBase(Rng* rng, int iters) {
   });
   Report("g1_mul_glv", glv1);
   std::printf("  %-28s %10.2fx\n", "g1_glv_speedup", wnaf1 / glv1);
-  RecordJson(kBench, "g1_glv_speedup", wnaf1 / glv1);
+  RecordJson(kBench, "g1_glv_speedup", wnaf1 / glv1, "x");
   // Secret-scalar twin of g1_mul_glv: same scalars, constant-pattern GLV
   // ladder (scripts/check.sh gates ct_mul_g1 <= 2 * g1_mul_glv).
   i = 0;
@@ -147,7 +202,7 @@ void BenchFixedBase(Rng* rng, int iters) {
   });
   Report("g1_fixed_base", fixed1);
   std::printf("  %-28s %10.2fx\n", "g1_speedup", wnaf1 / fixed1);
-  RecordJson(kBench, "g1_fixed_base_speedup", wnaf1 / fixed1);
+  RecordJson(kBench, "g1_fixed_base_speedup", wnaf1 / fixed1, "x");
 
   i = 0;
   const G2& g2 = G2Generator();
@@ -167,7 +222,7 @@ void BenchFixedBase(Rng* rng, int iters) {
   });
   Report("g2_fixed_base", fixed2);
   std::printf("  %-28s %10.2fx\n", "g2_speedup", wnaf2 / fixed2);
-  RecordJson(kBench, "g2_fixed_base_speedup", wnaf2 / fixed2);
+  RecordJson(kBench, "g2_fixed_base_speedup", wnaf2 / fixed2, "x");
 }
 
 // Subgroup membership on affine (Z = 1) subgroup points, as ReadG1/ReadG2

@@ -55,7 +55,7 @@ double TimeMs(int iters, Fn&& fn) {
 
 void Report(const char* row, double ms) {
   std::printf("  %-28s %10.3f ms\n", row, ms);
-  RecordJson(kBench, row, ms);
+  RecordJson(kBench, row, ms, "ms");
 }
 
 void BenchFraming(int iters) {
@@ -172,7 +172,7 @@ void BenchUpdateLatency() {
     std::snprintf(row, sizeof(row), "update_latency_vs_batch_%d", batch);
     double ms = total_ms / reps;
     std::printf("  %-28s %10.3f ms\n", row, ms);
-    RecordJson("update", row, ms);
+    RecordJson("update", row, ms, "ms");
   }
 }
 
@@ -242,7 +242,7 @@ void BenchRecoveryTime() {
     std::snprintf(row, sizeof(row), "recovery_time_vs_wal_len_%d", lens[l]);
     double ms = total_ms / reps;
     std::printf("  %-28s %10.3f ms\n", row, ms);
-    RecordJson("update", row, ms);
+    RecordJson("update", row, ms, "ms");
   }
 }
 

@@ -65,12 +65,12 @@ double TimeMs(int iters, Fn&& fn) {
 
 void Report(const char* row, double ms) {
   std::printf("  %-32s %10.3f ms\n", row, ms);
-  RecordJson(kBench, row, ms);
+  RecordJson(kBench, row, ms, "ms");
 }
 
 void Speedup(const char* row, double baseline, double engine) {
   std::printf("  %-32s %10.2fx\n", row, baseline / engine);
-  RecordJson(kBench, row, baseline / engine);
+  RecordJson(kBench, row, baseline / engine, "x");
 }
 
 void BenchMillerLoop(Rng* rng, int iters) {

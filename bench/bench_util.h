@@ -29,9 +29,10 @@ namespace apqa::bench {
 //
 // When a path is configured (APQA_BENCH_JSON=path in the environment, or a
 // `--json=path` argument passed to EnableJsonFromArgs), every RecordJson call
-// appends one `{"bench":...,"row":...,"ms":...}` line to that file, so a
-// sequence of PRs can track absolute numbers in BENCH_*.json files without
-// scraping stdout.
+// appends one `{"bench":...,"row":...,"value":...,"unit":...}` line to that
+// file, so a sequence of PRs can track absolute numbers in BENCH_*.json
+// files without scraping stdout. `unit` says what the value is: "ms" for
+// times, "x" for speedup ratios, "count" for counts.
 
 inline std::string& JsonPath() {
   static std::string path = [] {
@@ -78,7 +79,7 @@ inline void CompactBenchRows(const std::string& path,
 }
 
 inline void RecordJson(const std::string& bench, const std::string& row,
-                       double ms) {
+                       double value, const char* unit) {
   const std::string& path = JsonPath();
   if (path.empty()) return;
   if (CompactedBenches().insert(path + "\x1f" + bench).second) {
@@ -86,8 +87,10 @@ inline void RecordJson(const std::string& bench, const std::string& row,
   }
   std::FILE* f = std::fopen(path.c_str(), "a");
   if (f == nullptr) return;
-  std::fprintf(f, "{\"bench\":\"%s\",\"row\":\"%s\",\"ms\":%.6f}\n",
-               bench.c_str(), row.c_str(), ms);
+  std::fprintf(f,
+               "{\"bench\":\"%s\",\"row\":\"%s\",\"value\":%.6f,"
+               "\"unit\":\"%s\"}\n",
+               bench.c_str(), row.c_str(), value, unit);
   std::fclose(f);
 }
 

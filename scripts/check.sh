@@ -12,7 +12,8 @@
 #      crypto suites (and the AbsRelaxFold / AbsSignFold oracles) again under
 #      APQA_FORCE_PORTABLE=1 so the portable Montgomery/no-accel arm of the
 #      runtime dispatch stays covered, then
-#      a duplicate-(bench,row) gate over the checked-in BENCH_*.json files,
+#      a duplicate-(bench,row) and unit gate over the checked-in
+#      BENCH_*.json files,
 #      and a build (no run) of the perfbench/ service benchmark into
 #      build/perfbench so an src/ API change that breaks it fails here
 #   3. clang-format diff + clang-tidy on the crypto layer (skipped with a
@@ -36,16 +37,19 @@
 #      whole-VO batched verification is not at least 2x the retained
 #      per-signature path (range_vo_verify_batched <= 0.5x
 #      range_vo_verify_serial); then one fast-mode run of bench_msm_micro
-#      that must emit the mont_mul_{portable,accel} kernel rows, the
-#      mont_kernel_bitmatch differential row (the bench aborts on any
-#      accel/portable representation mismatch, so the row doubles as the
+#      that must emit the mont_mul_{portable,accel} and
+#      fp_{add,sub}_{portable,accel} kernel rows, the mont_kernel_bitmatch
+#      and fp_addsub_bitmatch differential rows (the bench aborts on any
+#      accel/portable representation mismatch, so each row doubles as an
 #      oracle), the g1_{wnaf,mul_glv,fixed_base}, g2_wnaf and
 #      ct_mul_{g1,g2} scalar-mult rows, the g{1,2}_subgroup_check rows and the
 #      abs_relax_len10 / abs_sign_dnf rows, and whose constant-pattern GLV
 #      ladder is within 2x of the variable-time GLV wNAF
 #      (ct_mul_g1 <= 2.0x g1_mul_glv) and whose G2 psi subgroup check
 #      stays below a G2 scalar multiplication
-#      (g2_subgroup_check <= 0.6x g2_wnaf); then one fast-mode run of
+#      (g2_subgroup_check <= 0.6x g2_wnaf), and, when the accelerated
+#      kernels are active, whose asm Fp add beats the portable one
+#      (fp_add_accel <= 0.8x fp_add_portable); then one fast-mode run of
 #      bench_net_service that must emit the
 #      update_latency_vs_batch_{1,16,256} maintenance rows and the
 #      recovery_time_vs_wal_len_{4,16,64} crash-recovery rows into a
@@ -96,7 +100,8 @@ echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # The JSON trajectory files must hold exactly one section per bench run:
 # bench_util.h compacts repeated runs in place, and this gate keeps a
 # stray hand-edit or an old binary from re-introducing duplicate
-# (bench, row) pairs.
+# (bench, row) pairs. Every row must also say what its value is: "ms" for
+# times, "x" for speedup ratios, "count" for counts.
 python3 - BENCH_*.json <<'EOF'
 import json, sys
 bad = 0
@@ -113,6 +118,10 @@ for path in sys.argv[1:]:
                 print(f"{path}:{n}: duplicate row {key}", file=sys.stderr)
                 bad = 1
             seen.add(key)
+            if r.get("unit") not in ("ms", "x", "count") or "value" not in r:
+                print(f"{path}:{n}: row {key} lacks a value with a known unit",
+                      file=sys.stderr)
+                bad = 1
 sys.exit(bad)
 EOF
 
@@ -232,7 +241,7 @@ rows = {}
 with open(sys.argv[1]) as f:
     for line in f:
         r = json.loads(line)
-        rows[r["row"]] = r["ms"]  # last write wins
+        rows[r["row"]] = r["value"]  # last write wins
 serial, batched = rows["range_vo_verify_serial"], rows["range_vo_verify_batched"]
 if batched > 0.5 * serial:
     sys.exit(f"perf smoke: batched {batched:.1f} ms > 0.5 * serial {serial:.1f} ms")
@@ -251,6 +260,8 @@ APQA_BENCH_FAST=1 APQA_BENCH_JSON="$MSM_JSON" \
 # found zero representation mismatches (the bench aborts otherwise), so a
 # missing row is a failed differential, not just a missing measurement.
 for row in mont_mul_portable mont_mul_accel mont_kernel_bitmatch \
+           fp_add_portable fp_add_accel fp_sub_portable fp_sub_accel \
+           fp_addsub_bitmatch accel_kernels_active \
            g1_wnaf g1_mul_glv g1_fixed_base ct_mul_g1 ct_mul_g2 g2_wnaf \
            g1_subgroup_check g2_subgroup_check abs_relax_len10 \
            abs_sign_dnf; do
@@ -265,14 +276,18 @@ done
 # [|z|] chain) must cost at most 0.6x a G2 GLV scalar multiplication
 # (measured 0.20-0.42x on a loaded 4-vCPU host; the 128-bit lambda-wNAF
 # check it replaced measured 0.59-0.80x, so the gate trips on most runs of
-# the old check while leaving headroom for host noise).
+# the old check while leaving headroom for host noise). When the asm
+# kernels are dispatched (accel_kernels_active == 1), a chained Fp add must
+# cost at most 0.8x the portable u128 loop (measured 0.40-0.50x on a 4-vCPU
+# x86-64 VM; on hosts without BMI2/ADX both rows time the portable loop and
+# the gate is skipped).
 python3 - "$MSM_JSON" <<'EOF'
 import json, sys
 rows = {}
 with open(sys.argv[1]) as f:
     for line in f:
         r = json.loads(line)
-        rows[r["row"]] = r["ms"]  # last write wins
+        rows[r["row"]] = r["value"]  # last write wins
 ct, glv = rows["ct_mul_g1"], rows["g1_mul_glv"]
 if ct > 2.0 * glv:
     sys.exit(f"perf smoke: ct_mul_g1 {ct:.3f} ms > 2 * g1_mul_glv {glv:.3f} ms")
@@ -284,6 +299,15 @@ if sub > 0.6 * wnaf:
              f"{wnaf:.3f} ms")
 print(f"perf smoke: g2_subgroup_check {sub:.3f} ms vs g2_wnaf {wnaf:.3f} ms "
       f"({sub / wnaf:.2f}x)")
+add, add_p = rows["fp_add_accel"], rows["fp_add_portable"]
+if rows["accel_kernels_active"] != 1:
+    print("perf smoke: accel kernels inactive; fp_add gate skipped")
+elif add > 0.8 * add_p:
+    sys.exit(f"perf smoke: fp_add_accel {add:.3f} ms > 0.8 * fp_add_portable "
+             f"{add_p:.3f} ms")
+else:
+    print(f"perf smoke: fp_add_accel {add:.3f} ms vs fp_add_portable "
+          f"{add_p:.3f} ms ({add / add_p:.2f}x)")
 EOF
 rm -f "$MSM_JSON"
 

@@ -1,5 +1,6 @@
-// BMI2/ADX 6x64 Montgomery multiply — the only translation unit in the tree
-// allowed to contain vendor intrinsics or inline assembly (lint rule R16).
+// BMI2/ADX 6x64 Montgomery multiply and the 6-limb modular add/subtract —
+// the only translation unit in the tree allowed to contain vendor
+// intrinsics or inline assembly (lint rule R16).
 //
 // Shape: operand-scanning CIOS, one row per multiplier limb. Each row
 // interleaves the six mulx partial products (flag-free multiplies) with two
@@ -175,6 +176,117 @@ void MontMulPair384(const u64* a1, const u64* b1, const u64* a2,
   MontMulPair384Impl(a1, b1, a2, b2, p, inv, r1, r2);
 }
 
+// Writes s0..s5 to r as three 16-byte stores. Callers copy field elements
+// with 16-byte moves, and a 16-byte load that spans two fresh 8-byte stores
+// cannot be store-forwarded (a stall of about a dozen cycles per copy, as
+// much as the add itself); a load inside one 16-byte store forwards. SSE2
+// is baseline x86-64.
+#define APQA_STORE6_X16                                                \
+  "movq %[s0], %%xmm0\n\t"                                             \
+  "movq %[s1], %%xmm1\n\t"                                             \
+  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
+  "movdqu %%xmm0, 0(%[r])\n\t"                                         \
+  "movq %[s2], %%xmm0\n\t"                                             \
+  "movq %[s3], %%xmm1\n\t"                                             \
+  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
+  "movdqu %%xmm0, 16(%[r])\n\t"                                        \
+  "movq %[s4], %%xmm0\n\t"                                             \
+  "movq %[s5], %%xmm1\n\t"                                             \
+  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
+  "movdqu %%xmm0, 32(%[r])\n\t"
+
+// r = a + b mod p. The raw sum goes to r first; the trial subtraction of p
+// then runs in the same registers, and `cmovc` reloads the stored sum when
+// the trial borrowed without a carry out of the add — exactly the portable
+// rule "subtract p iff carry | !borrow". 11 registers, no branch; every
+// cmov reads its memory operand whatever the flag, so the access pattern
+// is fixed too.
+void ModAdd384(const u64* a, const u64* b, const u64* p, u64* r) {
+  u64 s0, s1, s2, s3, s4, s5, c;
+  __asm__ volatile(
+      "movq 0(%[a]), %[s0]\n\t"
+      "addq 0(%[b]), %[s0]\n\t"
+      "movq 8(%[a]), %[s1]\n\t"
+      "adcq 8(%[b]), %[s1]\n\t"
+      "movq 16(%[a]), %[s2]\n\t"
+      "adcq 16(%[b]), %[s2]\n\t"
+      "movq 24(%[a]), %[s3]\n\t"
+      "adcq 24(%[b]), %[s3]\n\t"
+      "movq 32(%[a]), %[s4]\n\t"
+      "adcq 32(%[b]), %[s4]\n\t"
+      "movq 40(%[a]), %[s5]\n\t"
+      "adcq 40(%[b]), %[s5]\n\t"
+      "sbbq %[c], %[c]\n\t" /* c = -carry */
+      "movq %[s0], 0(%[r])\n\t"
+      "movq %[s1], 8(%[r])\n\t"
+      "movq %[s2], 16(%[r])\n\t"
+      "movq %[s3], 24(%[r])\n\t"
+      "movq %[s4], 32(%[r])\n\t"
+      "movq %[s5], 40(%[r])\n\t"
+      "subq 0(%[p]), %[s0]\n\t"
+      "sbbq 8(%[p]), %[s1]\n\t"
+      "sbbq 16(%[p]), %[s2]\n\t"
+      "sbbq 24(%[p]), %[s3]\n\t"
+      "sbbq 32(%[p]), %[s4]\n\t"
+      "sbbq 40(%[p]), %[s5]\n\t"
+      "sbbq $0, %[c]\n\t" /* CF iff borrow && !carry: keep the sum */
+      "cmovcq 0(%[r]), %[s0]\n\t"
+      "cmovcq 8(%[r]), %[s1]\n\t"
+      "cmovcq 16(%[r]), %[s2]\n\t"
+      "cmovcq 24(%[r]), %[s3]\n\t"
+      "cmovcq 32(%[r]), %[s4]\n\t"
+      "cmovcq 40(%[r]), %[s5]\n\t"
+      APQA_STORE6_X16
+      : [s0] "=&r"(s0), [s1] "=&r"(s1), [s2] "=&r"(s2), [s3] "=&r"(s3),
+        [s4] "=&r"(s4), [s5] "=&r"(s5), [c] "=&r"(c)
+      : [a] "r"(a), [b] "r"(b), [p] "r"(p), [r] "r"(r)
+      : "cc", "memory", "xmm0", "xmm1");
+}
+
+// r = a - b mod p: a sub/sbb chain, `sbb` turns the borrow into an
+// all-ones/all-zeros mask, and the masked modulus is added back.
+void ModSub384(const u64* a, const u64* b, const u64* p, u64* r) {
+  u64 s0, s1, s2, s3, s4, s5, mask;
+  __asm__("movq 0(%[a]), %[s0]\n\t"
+          "subq 0(%[b]), %[s0]\n\t"
+          "movq 8(%[a]), %[s1]\n\t"
+          "sbbq 8(%[b]), %[s1]\n\t"
+          "movq 16(%[a]), %[s2]\n\t"
+          "sbbq 16(%[b]), %[s2]\n\t"
+          "movq 24(%[a]), %[s3]\n\t"
+          "sbbq 24(%[b]), %[s3]\n\t"
+          "movq 32(%[a]), %[s4]\n\t"
+          "sbbq 32(%[b]), %[s4]\n\t"
+          "movq 40(%[a]), %[s5]\n\t"
+          "sbbq 40(%[b]), %[s5]\n\t"
+          "sbbq %[m], %[m]\n\t" /* all-ones iff a < b */
+          : [s0] "=&r"(s0), [s1] "=&r"(s1), [s2] "=&r"(s2), [s3] "=&r"(s3),
+            [s4] "=&r"(s4), [s5] "=&r"(s5), [m] "=&r"(mask)
+          : [a] "r"(a), [b] "r"(b)
+          : "cc", "memory");
+  // The masked modulus limbs are formed between the two chains (an `and`
+  // would clear CF mid-chain); as "rm" operands the compiler may keep them
+  // in registers or spill them, so frame-pointer builds do not run out of
+  // GPRs.
+  const u64 m0 = p[0] & mask, m1 = p[1] & mask, m2 = p[2] & mask;
+  const u64 m3 = p[3] & mask, m4 = p[4] & mask, m5 = p[5] & mask;
+  __asm__ volatile(
+      "addq %[m0], %[s0]\n\t"
+      "adcq %[m1], %[s1]\n\t"
+      "adcq %[m2], %[s2]\n\t"
+      "adcq %[m3], %[s3]\n\t"
+      "adcq %[m4], %[s4]\n\t"
+      "adcq %[m5], %[s5]\n\t"
+      APQA_STORE6_X16
+      : [s0] "+r"(s0), [s1] "+r"(s1), [s2] "+r"(s2), [s3] "+r"(s3),
+        [s4] "+r"(s4), [s5] "+r"(s5)
+      : [m0] "rm"(m0), [m1] "rm"(m1), [m2] "rm"(m2), [m3] "rm"(m3),
+        [m4] "rm"(m4), [m5] "rm"(m5), [r] "r"(r)
+      : "cc", "memory", "xmm0", "xmm1");
+}
+
+#undef APQA_STORE6_X16
+
 #else  // !APQA_MONT_ACCEL_X86 — portable-only build; stubs keep the link.
 
 bool MontAccelCompiled() { return false; }
@@ -188,6 +300,10 @@ void MontMul384(const u64*, const u64*, const u64*, u64, u64*) {}
 
 void MontMulPair384(const u64*, const u64*, const u64*, const u64*,
                     const u64*, u64, u64*, u64*) {}
+
+void ModAdd384(const u64*, const u64*, const u64*, u64*) {}
+
+void ModSub384(const u64*, const u64*, const u64*, u64*) {}
 
 #endif  // APQA_MONT_ACCEL_X86
 

@@ -1,4 +1,5 @@
-// Runtime-dispatched accelerated Montgomery kernels.
+// Runtime-dispatched accelerated Montgomery kernels: the multiply and the
+// modular add/subtract next to it.
 //
 // The generic CIOS multiply in prime_field.h is portable and branch-free but
 // serializes every partial product through one u128 carry chain. On x86-64
@@ -6,7 +7,11 @@
 // (adcx/adox: two independent add-with-carry chains) the same 6x64 Montgomery
 // reduction runs with the low-half and high-half accumulations in parallel
 // chains, roughly doubling multiply throughput — and every pairing, MSM and
-// ABS row bottoms out there.
+// ABS row bottoms out there. The modular add/subtract kernels exist because
+// GCC compiles the portable u128 carry loops to non-unrolled code with two
+// add/adc per limb and stack spills: a chained portable Fp add costs about
+// half a Montgomery multiply, and the curve and tower formulas do about as
+// many additions as multiplications.
 //
 // This header is intrinsics-free: it declares the dispatch query and the raw
 // kernel entry points, both defined in mont_accel.cc — the single translation
@@ -39,8 +44,10 @@ bool DetectMontAccel();
 
 // Cached dispatch decision. The function-local static costs one predictable
 // guard check per call — noise next to a 6x64 Montgomery multiply, and the
-// same pattern PrimeField::Consts() already pays on every operation.
-inline bool MontAccelActive() {
+// same pattern PrimeField::Consts() already pays on every operation. Forced
+// inline: left to itself GCC emits it out of line, and a call per field
+// add is ~2% of a range query.
+__attribute__((always_inline)) inline bool MontAccelActive() {
   static const bool active = DetectMontAccel();
   return active;
 }
@@ -57,6 +64,16 @@ void MontMul384(const u64* a, const u64* b, const u64* p, u64 inv, u64* r);
 // component products are independent). Same preconditions as MontMul384.
 void MontMulPair384(const u64* a1, const u64* b1, const u64* a2,
                     const u64* b2, const u64* p, u64 inv, u64* r1, u64* r2);
+
+// r = a + b mod p and r = a - b mod p for 6-limb operands in [0, p): plain
+// add/adc (sub/sbb) chains with a fixed-sequence final correction (a cmovc
+// select for the sum, a masked add of p for the difference). Bit-identical
+// to PrimeField's portable u128 loops (AddPortable/SubPortable); `r` may
+// alias `a` or `b`. Only base-ISA instructions, but gated on the same
+// MontAccelActive() dispatch as the multiply so one switch pins every
+// portable arm.
+void ModAdd384(const u64* a, const u64* b, const u64* p, u64* r);
+void ModSub384(const u64* a, const u64* b, const u64* p, u64* r);
 
 }  // namespace apqa::crypto::accel
 

@@ -169,30 +169,17 @@ class FixedBaseTable {
   CurvePoint<F> MulCt(const SecretFr& k) const {
     if (infinity_base_) return CurvePoint<F>::Infinity();
     const F& b3 = CtCurveB3<F>::Get();
+    const F one = F::One();
     CtPoint<F> acc = CtPoint<F>::Identity();
     if constexpr (GlvEndo<F>::kEnabled) {
       const GlvDecomp kd = GlvSplitLimbs(k.ct_ref().ToCanonical());
       const F& beta = GlvEndo<F>::Beta();
       for (std::size_t w = 0; w < kWindows; ++w) {
         const unsigned shift = static_cast<unsigned>(kWindowBits * (w % 16));
-        const u64 d1 = (kd.k1[w / 16] >> shift) & 15u;
-        CtPoint<F> sel = CtPoint<F>::Identity();
-        for (u64 d = 1; d <= kEntries; ++d) {
-          const std::size_t idx =
-              w * kEntries + static_cast<std::size_t>(d - 1);
-          CtPoint<F> cand{ax_[idx], ay_[idx], F::One()};
-          CtCondAssignObj(&sel, cand, CtEqMask64(d1, d));
-        }
+        CtPoint<F> sel = SelectCt(w, (kd.k1[w / 16] >> shift) & 15u, one);
         ct_trace::Emit('T', static_cast<unsigned>(w));
         acc = CtCompleteAdd(acc, sel, b3);
-        const u64 d2 = (kd.k2[w / 16] >> shift) & 15u;
-        sel = CtPoint<F>::Identity();
-        for (u64 d = 1; d <= kEntries; ++d) {
-          const std::size_t idx =
-              w * kEntries + static_cast<std::size_t>(d - 1);
-          CtPoint<F> cand{ax_[idx], ay_[idx], F::One()};
-          CtCondAssignObj(&sel, cand, CtEqMask64(d2, d));
-        }
+        sel = SelectCt(w, (kd.k2[w / 16] >> shift) & 15u, one);
         sel.x = sel.x * beta;
         ct_trace::Emit('U', static_cast<unsigned>(w));
         acc = CtCompleteAdd(acc, sel, b3);
@@ -202,13 +189,7 @@ class FixedBaseTable {
       for (std::size_t w = 0; w < kWindows; ++w) {
         const u64 digit =
             (e[w / 16] >> (kWindowBits * (w % 16))) & 15u;
-        CtPoint<F> sel = CtPoint<F>::Identity();
-        for (u64 d = 1; d <= kEntries; ++d) {
-          const std::size_t idx =
-              w * kEntries + static_cast<std::size_t>(d - 1);
-          CtPoint<F> cand{ax_[idx], ay_[idx], F::One()};
-          CtCondAssignObj(&sel, cand, CtEqMask64(digit, d));
-        }
+        CtPoint<F> sel = SelectCt(w, digit, one);
         ct_trace::Emit('T', static_cast<unsigned>(w));
         acc = CtCompleteAdd(acc, sel, b3);
       }
@@ -217,6 +198,21 @@ class FixedBaseTable {
   }
 
  private:
+  // Entry `digit` of window `w` as a projective point, or the identity
+  // (0 : 1 : 0) for digit 0. Every one of the 15 entries is read and
+  // mask-selected into (x, y); z is a single select between 0 and 1.
+  CtPoint<F> SelectCt(std::size_t w, u64 digit, const F& one) const {
+    CtPoint<F> sel{F::Zero(), one, F::Zero()};
+    for (u64 d = 1; d <= kEntries; ++d) {
+      const std::size_t idx = w * kEntries + static_cast<std::size_t>(d - 1);
+      const u64 mask = CtEqMask64(digit, d);
+      CtCondAssignObj(&sel.x, ax_[idx], mask);
+      CtCondAssignObj(&sel.y, ay_[idx], mask);
+    }
+    CtCondAssignObj(&sel.z, one, CtNonZeroMask64(digit));
+    return sel;
+  }
+
   std::vector<F> ax_, ay_;
   bool infinity_base_ = false;
 };

@@ -77,25 +77,38 @@ class PrimeField {
   // the final reduction always computes the conditional subtraction (or
   // addition) and selects the result with a mask, never a branch. Secret
   // field elements therefore flow through +, -, * without a data-dependent
-  // branch or access pattern (crypto/ct.h relies on this).
-  PrimeField operator+(const PrimeField& o) const {
+  // branch or access pattern (crypto/ct.h relies on this). The 6-limb base
+  // field routes + and - to the asm kernels of crypto/mont_accel.h under
+  // the same dispatch as the multiply; both arms are bit-identical. Forced
+  // inline: + and - are as frequent as *, and a wrapper call around the
+  // kernel call would cost about as much as the kernel itself.
+  __attribute__((always_inline)) PrimeField operator+(
+      const PrimeField& o) const {
+    // One named result on both arms keeps the return value elided: the
+    // kernel writes straight into the caller's object.
     PrimeField r;
-    u64 carry = AddLimbs<kLimbs>(v_, o.v_, &r.v_);
-    L reduced;
-    u64 borrow = SubLimbs<kLimbs>(r.v_, Tag::kModulus, &reduced);
-    // Subtract p when the raw sum overflowed 64*kLimbs bits or is >= p
-    // (i.e. the trial subtraction did not borrow).
-    u64 use = u64{0} - (carry | (borrow ^ 1));
-    CtSelectLimbs<kLimbs>(use, reduced, r.v_, &r.v_);
+    if constexpr (kLimbs == 6) {
+      if (accel::MontAccelActive()) {
+        accel::ModAdd384(v_.data(), o.v_.data(), Tag::kModulus.data(),
+                         r.v_.data());
+        return r;
+      }
+    }
+    r = AddPortable(*this, o);
     return r;
   }
 
-  PrimeField operator-(const PrimeField& o) const {
+  __attribute__((always_inline)) PrimeField operator-(
+      const PrimeField& o) const {
     PrimeField r;
-    u64 borrow = SubLimbs<kLimbs>(v_, o.v_, &r.v_);
-    L lifted;
-    AddLimbs<kLimbs>(r.v_, Tag::kModulus, &lifted);
-    CtSelectLimbs<kLimbs>(u64{0} - borrow, lifted, r.v_, &r.v_);
+    if constexpr (kLimbs == 6) {
+      if (accel::MontAccelActive()) {
+        accel::ModSub384(v_.data(), o.v_.data(), Tag::kModulus.data(),
+                         r.v_.data());
+        return r;
+      }
+    }
+    r = SubPortable(*this, o);
     return r;
   }
 
@@ -220,8 +233,8 @@ class PrimeField {
   // canonical form should be used; this accessor exists for hashing state).
   const L& MontgomeryRepr() const { return v_; }
 
-  // True when multiplications on this field are routed to the BMI2/ADX
-  // kernel (6-limb fields on CPUs with both extensions, unless
+  // True when multiplications (and + / -) on this field are routed to the
+  // asm kernels (6-limb fields on CPUs with both extensions, unless
   // APQA_FORCE_PORTABLE pinned the fallback). Public so tests and the
   // perf-smoke bitmatch check can report which arm they exercised.
   static bool UsingAccelKernel() {
@@ -235,6 +248,33 @@ class PrimeField {
   static PrimeField MulPortable(const PrimeField& a, const PrimeField& b) {
     PrimeField r;
     r.v_ = MontMulPortable(a.v_, b.v_);
+    return r;
+  }
+
+  // The portable u128 add/subtract with a masked final correction: the
+  // non-x86/forced-portable arm of + and -, and the oracle for
+  // accel::ModAdd384/ModSub384 (tests/field_test.cc, bench_msm_micro
+  // fp_addsub_bitmatch).
+  __attribute__((noinline)) static PrimeField AddPortable(const PrimeField& a,
+                                                         const PrimeField& b) {
+    PrimeField r;
+    u64 carry = AddLimbs<kLimbs>(a.v_, b.v_, &r.v_);
+    L reduced;
+    u64 borrow = SubLimbs<kLimbs>(r.v_, Tag::kModulus, &reduced);
+    // Subtract p when the raw sum overflowed 64*kLimbs bits or is >= p
+    // (i.e. the trial subtraction did not borrow).
+    u64 use = u64{0} - (carry | (borrow ^ 1));
+    CtSelectLimbs<kLimbs>(use, reduced, r.v_, &r.v_);
+    return r;
+  }
+
+  __attribute__((noinline)) static PrimeField SubPortable(const PrimeField& a,
+                                                         const PrimeField& b) {
+    PrimeField r;
+    u64 borrow = SubLimbs<kLimbs>(a.v_, b.v_, &r.v_);
+    L lifted;
+    AddLimbs<kLimbs>(r.v_, Tag::kModulus, &lifted);
+    CtSelectLimbs<kLimbs>(u64{0} - borrow, lifted, r.v_, &r.v_);
     return r;
   }
 

@@ -124,6 +124,72 @@ TEST(FpTest, AccelKernelBitmatchesPortable) {
             Fp::MulPortable(vals[7], vals[8]).MontgomeryRepr());
 }
 
+TEST(FpTest, AddSubKernelBitmatchesPortable) {
+  // The dispatched + and - (asm kernels where MontAccelActive(), the
+  // portable loops under APQA_FORCE_PORTABLE) must match AddPortable /
+  // SubPortable on the Montgomery representation. The kernels act on raw
+  // representations, so the edge values are representations: with
+  // 0, 1, 2, p-1, p-2, (p-1)/2 and (p+1)/2 the pairs reach a raw sum of
+  // exactly p, of 2p-2 (the largest), and differences of zero.
+  const Limbs<6>& p = FpTag::kModulus;
+  // `unit` has representation 1, so FromCanonical(l) * unit has
+  // representation l * R * 1 * R^-1 = l.
+  const Fp unit = Fp::FromCanonical(Fp::One().MontgomeryRepr()).Inverse();
+  ASSERT_EQ(unit.MontgomeryRepr(), (Limbs<6>{1, 0, 0, 0, 0, 0}));
+  auto from_repr = [&unit](const Limbs<6>& l) {
+    Fp f = Fp::FromCanonical(l) * unit;
+    EXPECT_EQ(f.MontgomeryRepr(), l);
+    return f;
+  };
+  auto minus = [&p](u64 k) {
+    Limbs<6> l = p;
+    l[0] -= k;  // p is odd and its low limb is far above k
+    return l;
+  };
+  Limbs<6> half_down = minus(1);  // (p-1)/2
+  Shr1Limbs<6>(&half_down);
+  Limbs<6> half_up = half_down;  // (p+1)/2
+  half_up[0] += 1;
+  std::vector<Fp> vals = {
+      from_repr({0, 0, 0, 0, 0, 0}), from_repr({1, 0, 0, 0, 0, 0}),
+      from_repr({2, 0, 0, 0, 0, 0}), from_repr(minus(1)),
+      from_repr(minus(2)),           from_repr(half_down),
+      from_repr(half_up),            Fp::One()};
+  Rng rng(41);
+  for (int i = 0; i < 40; ++i) vals.push_back(RandomFp(&rng));
+
+  bool hit_p = false, hit_2p_minus_2 = false, hit_zero_diff = false;
+  const Limbs<6> two_p_minus_2 = [&] {
+    Limbs<6> l;
+    AddLimbs<6>(minus(1), minus(1), &l);
+    return l;
+  }();
+  for (const Fp& a : vals) {
+    for (const Fp& b : vals) {
+      ASSERT_EQ((a + b).MontgomeryRepr(),
+                Fp::AddPortable(a, b).MontgomeryRepr());
+      ASSERT_EQ((a - b).MontgomeryRepr(),
+                Fp::SubPortable(a, b).MontgomeryRepr());
+      Limbs<6> raw;
+      AddLimbs<6>(a.MontgomeryRepr(), b.MontgomeryRepr(), &raw);
+      hit_p |= raw == p;
+      hit_2p_minus_2 |= raw == two_p_minus_2;
+      hit_zero_diff |= a.MontgomeryRepr() == b.MontgomeryRepr();
+    }
+    ASSERT_EQ((-a).MontgomeryRepr(),
+              Fp::SubPortable(Fp::Zero(), a).MontgomeryRepr());
+    ASSERT_EQ(a.Double().MontgomeryRepr(),
+              Fp::AddPortable(a, a).MontgomeryRepr());
+  }
+  EXPECT_TRUE(hit_p);
+  EXPECT_TRUE(hit_2p_minus_2);
+  EXPECT_TRUE(hit_zero_diff);
+  // The edge results themselves, independent of either arm.
+  EXPECT_TRUE((vals[5] + vals[6]).IsZero());                 // raw sum p
+  EXPECT_EQ((vals[3] + vals[3]).MontgomeryRepr(), minus(2));  // 2p-2 - p
+  EXPECT_EQ((vals[0] - vals[1]).MontgomeryRepr(), minus(1));  // 0 - 1
+}
+
 TEST(FpTest, FermatLittleTheorem) {
   // a^(p-1) == 1 for a != 0.
   Rng rng(3);
