@@ -9,10 +9,13 @@
 //                   PipeTransport. The difference is queueing + framing +
 //                   (de)serialization, not crypto.
 //   update        — end-to-end DO→SP maintenance latency: re-sign the
-//                   affected grid paths, mint the epoch attestation, encode
-//                   the kAdsUpdate payload, decode it strictly, authenticate
-//                   and apply at the SP. Swept over batch sizes 1/16/256 to
-//                   show the O(depth) amortization of shared ancestors.
+//                   touched leaves and every ancestor whose OR-policy
+//                   changed, mint the epoch attestation, encode the
+//                   kAdsUpdate payload, decode it strictly, authenticate and
+//                   apply at the SP. Swept over batch sizes 1/16/256, then
+//                   split by batch shape at 16 ops: value-only overwrites
+//                   (leaves only) against policy changes that re-sign every
+//                   ancestor up to the root.
 //   recovery      — crash-recovery wall time (SpStateStore::Recover: genesis
 //                   load + full WAL replay through the validate-then-apply
 //                   gate) swept over WAL lengths 4/16/64, showing the linear
@@ -24,6 +27,7 @@
 // can gate them into BENCH_update.json.
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "bench_util.h"
 #include "common/journal.h"
@@ -120,6 +124,41 @@ void BenchRpcOverhead(int queries) {
   server.Stop();
 }
 
+// One DO→SP push, timed end to end: DO re-sign, encode, strict decode,
+// authenticate and apply at the SP. Aborts if the SP rejects the update.
+double TimedPush(core::DataOwner* owner, core::GridTree* do_tree,
+                 core::ServiceProvider* sp,
+                 const std::vector<core::AdsUpdateOp>& ops) {
+  Timer t;
+  core::SignedAdsUpdate update = owner->ApplyUpdates(do_tree, ops);
+  std::vector<std::uint8_t> wire = net::EncodeAdsUpdatePayload(update);
+  core::SignedAdsUpdate decoded;
+  if (!net::DecodeAdsUpdatePayload(wire, &decoded)) {
+    std::fprintf(stderr, "BENCH BUG: update payload failed to decode\n");
+    std::abort();
+  }
+  core::ApplyStatus status = sp->ApplyAdsUpdate(decoded);
+  double ms = t.ElapsedMs();
+  if (status != core::ApplyStatus::kApplied) {
+    std::fprintf(stderr, "BENCH BUG: update rejected (%s)\n",
+                 core::ApplyStatusName(status));
+    std::abort();
+  }
+  return ms;
+}
+
+// The 16 seed records of the update benches on a 16x16 grid (5 and 3 are
+// invertible mod 16, so the keys are pairwise distinct).
+std::vector<core::Record> UpdateSeedRecords() {
+  std::vector<core::Record> out;
+  for (std::uint32_t i = 0; i < 16; ++i) {
+    out.push_back(core::Record{
+        core::Point{(i * 5u) % 16u, (i * 3u) % 16u}, "seed",
+        core::Policy::Parse(i % 2 == 0 ? "RoleA" : "RoleB")});
+  }
+  return out;
+}
+
 void BenchUpdateLatency() {
   std::printf("DO->SP update latency vs batch size\n");
   // A 16x16 grid (depth 4) is the smallest domain where a 256-op batch can
@@ -128,14 +167,7 @@ void BenchUpdateLatency() {
   core::Domain domain{2, 4};
   core::RoleSet universe{"RoleA", "RoleB"};
   core::DataOwner owner(universe, domain, /*seed=*/20260810);
-  std::vector<core::Record> seed_records;
-  // 5 is invertible mod 16, so the 16 seed keys are pairwise distinct.
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    seed_records.push_back(core::Record{
-        core::Point{(i * 5u) % 16u, (i * 3u) % 16u}, "seed",
-        core::Policy::Parse(i % 2 == 0 ? "RoleA" : "RoleB")});
-  }
-  core::GridTree do_tree = owner.BuildAds(seed_records);
+  core::GridTree do_tree = owner.BuildAds(UpdateSeedRecords());
   core::ServiceProvider sp(owner.keys(), core::GridTree(do_tree));
 
   int reps = bench::FastMode() ? 1 : 3;
@@ -145,28 +177,15 @@ void BenchUpdateLatency() {
       std::vector<core::AdsUpdateOp> ops;
       for (int i = 0; i < batch; ++i) {
         // Row-major sweep over the grid: each op in a batch hits its own
-        // unit cell; successive reps overwrite, exercising the upsert path.
+        // unit cell. Cells that change policy re-sign their changed
+        // ancestors; repeat writes of RoleA cells are value-only.
         auto idx = static_cast<std::uint32_t>(i);
         ops.push_back(core::AdsUpdateOp{
             core::AdsUpdateOp::Kind::kUpsert,
             core::Record{core::Point{idx % 16u, idx / 16u}, "upd",
                          core::Policy::Parse("RoleA")}});
       }
-      Timer t;
-      core::SignedAdsUpdate update = owner.ApplyUpdates(&do_tree, ops);
-      std::vector<std::uint8_t> wire = net::EncodeAdsUpdatePayload(update);
-      core::SignedAdsUpdate decoded;
-      if (!net::DecodeAdsUpdatePayload(wire, &decoded)) {
-        std::fprintf(stderr, "BENCH BUG: update payload failed to decode\n");
-        std::abort();
-      }
-      core::ApplyStatus status = sp.ApplyAdsUpdate(decoded);
-      total_ms += t.ElapsedMs();
-      if (status != core::ApplyStatus::kApplied) {
-        std::fprintf(stderr, "BENCH BUG: update rejected (%s)\n",
-                     core::ApplyStatusName(status));
-        std::abort();
-      }
+      total_ms += TimedPush(&owner, &do_tree, &sp, ops);
     }
     char row[64];
     std::snprintf(row, sizeof(row), "update_latency_vs_batch_%d", batch);
@@ -176,18 +195,50 @@ void BenchUpdateLatency() {
   }
 }
 
+void BenchUpdateShape() {
+  std::printf("DO->SP update latency by batch shape (16 ops)\n");
+  // Both rows rewrite the 16 seed records. Value-only keeps each policy,
+  // so no OR-policy above a leaf changes: 16 leaf signatures. The policy
+  // change moves all 16 keys onto a role no other record holds (RoleC,
+  // then RoleD on the next rep), so every ancestor's OR changes and the
+  // whole root-ward path is re-signed.
+  core::Domain domain{2, 4};
+  core::RoleSet universe{"RoleA", "RoleB", "RoleC", "RoleD"};
+  core::DataOwner owner(universe, domain, /*seed=*/20260810);
+  const std::vector<core::Record> seeds = UpdateSeedRecords();
+  core::GridTree do_tree = owner.BuildAds(seeds);
+  core::ServiceProvider sp(owner.keys(), core::GridTree(do_tree));
+
+  int reps = bench::FastMode() ? 1 : 3;
+  auto run = [&](const char* row, auto policy_of) {
+    double total_ms = 0;
+    for (int rep = 0; rep < reps; ++rep) {
+      std::vector<core::AdsUpdateOp> ops;
+      for (const core::Record& r : seeds) {
+        ops.push_back(core::AdsUpdateOp{
+            core::AdsUpdateOp::Kind::kUpsert,
+            core::Record{r.key, "v" + std::to_string(rep),
+                         policy_of(r, rep)}});
+      }
+      total_ms += TimedPush(&owner, &do_tree, &sp, ops);
+    }
+    double ms = total_ms / reps;
+    std::printf("  %-28s %10.3f ms\n", row, ms);
+    RecordJson("update", row, ms, "ms");
+  };
+  run("update_value_only_batch_16",
+      [](const core::Record& r, int) { return r.policy; });
+  run("update_policy_change_batch_16", [](const core::Record&, int rep) {
+    return core::Policy::Parse(rep % 2 == 0 ? "RoleC" : "RoleD");
+  });
+}
+
 void BenchRecoveryTime() {
   std::printf("crash recovery time vs WAL length\n");
   core::Domain domain{2, 4};
   core::RoleSet universe{"RoleA", "RoleB"};
   core::DataOwner owner(universe, domain, /*seed=*/20260810);
-  std::vector<core::Record> seed_records;
-  for (std::uint32_t i = 0; i < 16; ++i) {
-    seed_records.push_back(core::Record{
-        core::Point{(i * 5u) % 16u, (i * 3u) % 16u}, "seed",
-        core::Policy::Parse(i % 2 == 0 ? "RoleA" : "RoleB")});
-  }
-  core::GridTree do_tree = owner.BuildAds(seed_records);
+  core::GridTree do_tree = owner.BuildAds(UpdateSeedRecords());
   // ABS signing is randomized, so a rebuilt genesis would carry a different
   // digest; keep the epoch-0 copy every recovery starts from.
   const core::GridTree genesis(do_tree);
@@ -256,6 +307,7 @@ int main(int argc, char** argv) {
   BenchFraming(iters);
   BenchRpcOverhead(bench::QueriesPerRow());
   BenchUpdateLatency();
+  BenchUpdateShape();
   BenchRecoveryTime();
   return 0;
 }

@@ -51,10 +51,13 @@
 #      kernels are active, whose asm Fp add beats the portable one
 #      (fp_add_accel <= 0.8x fp_add_portable); then one fast-mode run of
 #      bench_net_service that must emit the
-#      update_latency_vs_batch_{1,16,256} maintenance rows and the
+#      update_latency_vs_batch_{1,16,256} maintenance rows, the
+#      update_{value_only,policy_change}_batch_16 batch-shape rows and the
 #      recovery_time_vs_wal_len_{4,16,64} crash-recovery rows into a
 #      temporary JSON file (deleted afterwards; the checked-in
-#      BENCH_update.json is a full-mode capture)
+#      BENCH_update.json is a full-mode capture), and whose value-only
+#      batch costs at most half the policy-change batch
+#      (update_value_only_batch_16 <= 0.5x update_policy_change_batch_16)
 #
 # Usage: scripts/check.sh [--quick|--skip-sanitize]
 #   --quick          analyzers + Release build + ctest only
@@ -318,13 +321,32 @@ rm -f "$UPDATE_JSON"
 APQA_BENCH_FAST=1 APQA_BENCH_QUERIES=1 APQA_BENCH_JSON="$UPDATE_JSON" \
   ./build/bench/bench_net_service >/dev/null
 for row in update_latency_vs_batch_1 update_latency_vs_batch_16 \
-           update_latency_vs_batch_256 recovery_time_vs_wal_len_4 \
+           update_latency_vs_batch_256 update_value_only_batch_16 \
+           update_policy_change_batch_16 recovery_time_vs_wal_len_4 \
            recovery_time_vs_wal_len_16 recovery_time_vs_wal_len_64; do
   if ! grep -q "\"bench\":\"update\",\"row\":\"$row\"" "$UPDATE_JSON"; then
     echo "perf smoke: row '$row' missing from $UPDATE_JSON" >&2
     exit 1
   fi
 done
+# A value-only batch re-signs only its leaves; a batch that changes every
+# ancestor's OR-policy re-signs the whole root-ward path. The value-only
+# row must cost at most half the policy-change row (measured 0.29-0.38x on
+# a 4-vCPU x86-64 VM; re-signing every ancestor regardless measures ~1x).
+python3 - "$UPDATE_JSON" <<'EOF'
+import json, sys
+rows = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        r = json.loads(line)
+        rows[r["row"]] = r["value"]  # last write wins
+vo, pc = rows["update_value_only_batch_16"], rows["update_policy_change_batch_16"]
+if vo > 0.5 * pc:
+    sys.exit(f"perf smoke: update_value_only_batch_16 {vo:.1f} ms > 0.5 * "
+             f"update_policy_change_batch_16 {pc:.1f} ms")
+print(f"perf smoke: value-only update {vo:.1f} ms vs policy change {pc:.1f} ms "
+      f"({vo / pc:.2f}x)")
+EOF
 rm -f "$UPDATE_JSON"
 
 echo "=== all checks passed ==="

@@ -140,8 +140,9 @@ class BatchAccumulator;
 namespace internal {
 
 // mu = H(tau || msg || epoch_le8) as an Fr scalar. The epoch rides inside
-// the hash so re-signed nodes at epoch N+1 invalidate their epoch-N
-// predecessors without any change to the carried message bytes.
+// the hash, so a signature names the epoch it was minted at without any
+// change to the carried message bytes. Older-epoch signatures stay valid;
+// a VO's freshness is the EpochStamp's job (core/app_signature.h).
 Fr MessageScalar(const std::array<std::uint8_t, 32>& tau,
                  const std::vector<std::uint8_t>& msg, std::uint64_t epoch);
 

@@ -1,12 +1,15 @@
 // Dynamic ADS maintenance: the DO→SP update delta.
 //
-// An `AdsDelta` carries the O(depth · |batch|) grid nodes the DataOwner
-// re-signed for one update batch — each patch replaces a node's policy,
-// signature, and (for leaves) record payload — together with the epoch
-// transition it performs and the fresh `EpochStamp` attestation over the
-// post-update signature multiset. A `SignedAdsUpdate` wraps the delta in a
-// DO ABS signature over its canonical bytes so the SP (and anyone relaying
-// frames) cannot forge or tamper with updates.
+// An `AdsDelta` carries the grid nodes the DataOwner re-signed for one
+// update batch: every touched leaf, plus each internal node whose OR-policy
+// changed (at most depth per key). Each patch replaces a node's policy,
+// signature, and (for leaves) record payload. The delta also carries the
+// epoch transition it performs and the fresh `EpochStamp` attestation over
+// the post-update signature multiset. `ApplyDelta` accepts any DO-attested
+// patch set: it checks addressing and the stamp digest, not which nodes are
+// present. A `SignedAdsUpdate` wraps the delta in a DO ABS signature over
+// its canonical bytes so the SP (and anyone relaying frames) cannot forge
+// or tamper with updates.
 //
 // Deltas travel over the untrusted network, so deserialization is total and
 // strict in the PR 2 sense: hostile counts are clamped against the remaining

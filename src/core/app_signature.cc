@@ -76,8 +76,9 @@ std::optional<Signature> SignRecord(const VerifyKey& mvk,
 
 std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
                                  const Box& box, const Policy& node_policy,
-                                 Rng* rng, std::uint64_t epoch) {
-  return Abs::Sign(mvk, sk_do, BoxMessage(box), node_policy, rng, epoch);
+                                 Rng* rng) {
+  return Abs::Sign(mvk, sk_do, BoxMessage(box), node_policy, rng,
+                   /*epoch=*/0);
 }
 
 std::optional<Signature> DeriveAps(const VerifyKey& mvk, const Signature& app,

@@ -96,10 +96,14 @@ std::optional<Signature> SignRecord(const VerifyKey& mvk,
                                     const Record& record, Rng* rng,
                                     std::uint64_t epoch = 0);
 
-// Signs a grid node (APP signature over the grid box).
+// Signs a grid node (APP signature over the grid box). A box signature is
+// always minted at epoch 0, whenever it is signed: its statement (the box
+// and the OR of the children's policies) carries no time, so the epoch in
+// an internal node's APS cannot date a write or a policy change under the
+// box (DESIGN.md, "Freshness & dynamic data").
 std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
                                  const Box& box, const Policy& node_policy,
-                                 Rng* rng, std::uint64_t epoch = 0);
+                                 Rng* rng);
 
 // Derives the APS signature for an inaccessible record/node with respect to
 // a user's super policy roles (𝔸 \ 𝒜).
@@ -112,8 +116,8 @@ std::optional<Signature> DeriveAps(const VerifyKey& mvk, const Signature& app,
 // ---------------------------------------------------------------------------
 // Epoch freshness attestation.
 //
-// Per-node signatures bind the epoch each node was last re-signed at, which
-// after an incremental update is *mixed*: untouched nodes keep older epochs.
+// Leaf signatures bind the epoch their cell was last written at, which
+// after an incremental update is *mixed*; box signatures bind epoch 0.
 // Whole-VO freshness therefore rides on a separate DO attestation: an ABS
 // signature (under the always-derivable Role_∅ policy) over the pair
 // (current epoch, set-hash digest of the entire signature multiset). Every

@@ -46,6 +46,17 @@ std::vector<GridTree::NodeId> GridTree::Children(NodeId id) const {
   return out;
 }
 
+Policy GridTree::OrOfChildren(NodeId id) const {
+  Policy out;
+  bool first = true;
+  for (NodeId child : Children(id)) {
+    const Policy& cp = GetNode(child).policy;
+    out = first ? cp.ToDnf() : policy::OrCombineDnf(out, cp);
+    first = false;
+  }
+  return out;
+}
+
 GridTree::NodeId GridTree::LeafAt(const Point& p) const {
   std::vector<std::uint32_t> c(p.begin(), p.end());
   return NodeId{domain_.bits, IndexOf(domain_.bits, c)};
@@ -229,12 +240,7 @@ GridTree GridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
         node.box.lo[d] = c[d] * cell_side;
         node.box.hi[d] = node.box.lo[d] + cell_side - 1;
       }
-      bool first = true;
-      for (NodeId child : tree.Children(id)) {
-        const Policy& cp = tree.GetNode(child).policy;
-        node.policy = first ? cp.ToDnf() : policy::OrCombineDnf(node.policy, cp);
-        first = false;
-      }
+      node.policy = tree.OrOfChildren(id);
     }
   }
 
@@ -293,15 +299,22 @@ AdsDelta GridTree::ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
   const std::uint64_t to_epoch = epoch_ + 1;
   Policy pseudo_policy = Policy::Var(kPseudoRole);
 
-  // Mutate the touched leaves in place.
-  std::set<std::uint64_t> touched;
+  // Check every key before the first leaf mutates, so a rejected batch
+  // leaves the tree untouched.
   for (const AdsUpdateOp& op : ops) {
-    const Point& key = op.record.key;
-    if (!domain_.ContainsPoint(key)) {
+    if (!domain_.ContainsPoint(op.record.key)) {
       throw std::invalid_argument("update key outside domain");
     }
-    NodeId leaf_id = LeafAt(key);
-    Node& leaf = levels_[leaf_id.level][leaf_id.index];
+  }
+
+  // Mutate the touched leaves in place, remembering each one's policy from
+  // before the batch (a key may be hit by several ops).
+  int bits = domain_.bits;
+  std::map<std::uint64_t, Policy> touched;
+  for (const AdsUpdateOp& op : ops) {
+    NodeId leaf_id = LeafAt(op.record.key);
+    Node& leaf = levels_[bits][leaf_id.index];
+    touched.emplace(leaf_id.index, leaf.policy);
     if (op.kind == AdsUpdateOp::Kind::kUpsert) {
       leaf.is_pseudo = false;
       leaf.record = op.record;
@@ -315,65 +328,68 @@ AdsDelta GridTree::ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
       leaf.record.policy = pseudo_policy;
     }
     leaf.policy = leaf.record.policy;
-    touched.insert(leaf_id.index);
   }
 
-  // Touched leaves plus their ancestor chains — the O(depth · |ops|) set
-  // that gets re-signed (shared ancestors are visited once).
-  int bits = domain_.bits;
-  std::vector<std::set<std::uint64_t>> affected(bits + 1);
-  affected[bits] = std::move(touched);
-  for (int level = bits - 1; level >= 0; --level) {
-    for (std::uint64_t child : affected[level + 1]) {
-      std::vector<std::uint32_t> c = Coords(NodeId{level + 1, child});
-      for (auto& x : c) x /= 2;
-      affected[level].insert(IndexOf(level, c));
-    }
-  }
-
-  // Recompute internal policies bottom-up, then re-sign every affected node
-  // at the new epoch, folding each replacement into the digest.
+  // Re-signs one node (a leaf at the new epoch, a box at epoch 0; see
+  // SignBox), folds the replacement into the digest and emits its patch.
   AdsDelta delta;
   delta.from_epoch = epoch_;
   delta.to_epoch = to_epoch;
-  for (int level = bits; level >= 0; --level) {
-    for (std::uint64_t i : affected[level]) {
-      NodeId id{level, i};
-      Node& node = levels_[level][i];
-      if (!node.is_leaf) {
-        bool first = true;
-        for (NodeId child : Children(id)) {
-          const Policy& cp = GetNode(child).policy;
-          node.policy =
-              first ? cp.ToDnf() : policy::OrCombineDnf(node.policy, cp);
-          first = false;
-        }
-      }
-      crypto::Digest old_c = NodeContribution(level, i, node.sig);
-      std::optional<Signature> sig =
-          node.is_leaf ? SignRecord(mvk, sk_do, node.record, rng, to_epoch)
-                       : SignBox(mvk, sk_do, node.box, node.policy, rng,
-                                 to_epoch);
-      if (!sig.has_value()) {
-        throw std::logic_error(
-            "DO signing key does not cover an updated policy");
-      }
-      node.sig = std::move(*sig);
-      crypto::Digest new_c = NodeContribution(level, i, node.sig);
-      for (std::size_t b = 0; b < digest_.size(); ++b) {
-        digest_[b] ^= old_c[b] ^ new_c[b];
-      }
+  auto resign = [&](int level, std::uint64_t i) {
+    Node& node = levels_[level][i];
+    crypto::Digest old_c = NodeContribution(level, i, node.sig);
+    std::optional<Signature> sig =
+        node.is_leaf
+            ? SignRecord(mvk, sk_do, node.record, rng, to_epoch)
+            : SignBox(mvk, sk_do, node.box, node.policy, rng);
+    if (!sig.has_value()) {
+      throw std::logic_error("DO signing key does not cover an updated policy");
+    }
+    node.sig = std::move(*sig);
+    crypto::Digest new_c = NodeContribution(level, i, node.sig);
+    for (std::size_t b = 0; b < digest_.size(); ++b) {
+      digest_[b] ^= old_c[b] ^ new_c[b];
+    }
 
-      NodePatch patch;
-      patch.level = static_cast<std::uint32_t>(level);
-      patch.index = i;
-      patch.policy = node.policy;
-      patch.sig = node.sig;
-      if (node.is_leaf) {
-        patch.leaf_kind = node.is_pseudo ? 2 : 1;
-        patch.value = node.record.value;
-      }
-      delta.nodes.push_back(std::move(patch));
+    NodePatch patch;
+    patch.level = static_cast<std::uint32_t>(level);
+    patch.index = i;
+    patch.policy = node.policy;
+    patch.sig = node.sig;
+    if (node.is_leaf) {
+      patch.leaf_kind = node.is_pseudo ? 2 : 1;
+      patch.value = node.record.value;
+    }
+    delta.nodes.push_back(std::move(patch));
+  };
+
+  // A leaf signature covers the record payload, so every touched leaf is
+  // re-signed. An internal node's signature covers only its box and the OR
+  // of its children's policies: it is re-signed only when that OR changed,
+  // and only then can its own parent's OR change. Unchanged statements keep
+  // their signatures, which stay valid; freshness is the EpochStamp's job.
+  // Box signatures all carry epoch 0, so no single VO dates the last
+  // re-sign.
+  std::set<std::uint64_t> changed;
+  for (const auto& [i, before] : touched) {
+    resign(bits, i);
+    if (levels_[bits][i].policy != before) changed.insert(i);
+  }
+  for (int level = bits - 1; level >= 0 && !changed.empty(); --level) {
+    std::set<std::uint64_t> parents;
+    for (std::uint64_t child : changed) {
+      std::vector<std::uint32_t> c = Coords(NodeId{level + 1, child});
+      for (auto& x : c) x /= 2;
+      parents.insert(IndexOf(level, c));
+    }
+    changed.clear();
+    for (std::uint64_t i : parents) {
+      Policy policy = OrOfChildren(NodeId{level, i});
+      Node& node = levels_[level][i];
+      if (policy == node.policy) continue;
+      node.policy = std::move(policy);
+      resign(level, i);
+      changed.insert(i);
     }
   }
 

@@ -70,11 +70,14 @@ class GridTree {
   const crypto::Digest& digest() const { return digest_; }
   const EpochStamp& stamp() const { return stamp_; }
 
-  // DO side: applies a batch of upserts/deletes, re-signing only the
-  // touched leaves and their ancestors (O(depth · |ops|) signatures, on the
-  // signing key's fixed-base comb tables) at epoch()+1, and re-attesting
-  // the new digest. Returns the delta the SP replica must apply. Throws
-  // std::invalid_argument on keys outside the domain.
+  // DO side: applies a batch of upserts/deletes at epoch()+1 and re-attests
+  // the new digest. Every touched leaf is re-signed at epoch()+1; an
+  // internal node is re-signed (at epoch 0, see SignBox) only if the OR of
+  // its children's policies changed, since its signature covers nothing
+  // else. A value-only batch therefore costs one signature per touched key,
+  // and a policy edit at most depth more per key. Returns the delta the SP
+  // replica must apply. Throws std::invalid_argument on keys outside the
+  // domain, before any node changes.
   AdsDelta ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
                         const std::vector<AdsUpdateOp>& ops, Rng* rng);
 
@@ -101,6 +104,8 @@ class GridTree {
   // Grid coordinates of a node within its level.
   std::vector<std::uint32_t> Coords(NodeId id) const;
   std::uint64_t IndexOf(int level, const std::vector<std::uint32_t>& c) const;
+  // OR of the children's policies in reduced DNF (Definition 6.1).
+  Policy OrOfChildren(NodeId id) const;
   // XOR set-hash contribution of one node's signature; the tree digest is
   // the XOR over all nodes, so single-node replacement is O(1) digest work.
   crypto::Digest NodeContribution(int level, std::uint64_t index,

@@ -54,6 +54,26 @@ bool DetectMontAccel() {
 
 namespace {
 
+// Writes s0..s5 to r as three 16-byte stores. Callers copy field elements
+// with 16-byte moves, and a 16-byte load that spans two fresh 8-byte stores
+// cannot be store-forwarded (a stall of about a dozen cycles per copy, as
+// much as a whole modular add); a load inside one 16-byte store forwards.
+// The multiply and the add/subtract kernels all end with it. SSE2
+// is baseline x86-64.
+#define APQA_STORE6_X16                                                \
+  "movq %[s0], %%xmm0\n\t"                                             \
+  "movq %[s1], %%xmm1\n\t"                                             \
+  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
+  "movdqu %%xmm0, 0(%[r])\n\t"                                         \
+  "movq %[s2], %%xmm0\n\t"                                             \
+  "movq %[s3], %%xmm1\n\t"                                             \
+  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
+  "movdqu %%xmm0, 16(%[r])\n\t"                                        \
+  "movq %[s4], %%xmm0\n\t"                                             \
+  "movq %[s5], %%xmm1\n\t"                                             \
+  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
+  "movdqu %%xmm0, 32(%[r])\n\t"
+
 // t += mult * src (six 64x64 partial products) over the dual carry chains,
 // then fold the pending CF/OF carries into t6. The leading 32-bit xor zeroes
 // `lo` AND clears CF+OF in one micro-op, starting both chains clean; the
@@ -142,12 +162,17 @@ __attribute__((always_inline)) inline void MontMul6(const u64* a,
             [t4] "r"(t4), [t5] "r"(t5), [p] "r"(p)
           : "cc");
   const u64 use = CtNonZeroMask64(t6) | ~borrow;
-  r[0] = (r0 & use) | (t0 & ~use);
-  r[1] = (r1 & use) | (t1 & ~use);
-  r[2] = (r2 & use) | (t2 & ~use);
-  r[3] = (r3 & use) | (t3 & ~use);
-  r[4] = (r4 & use) | (t4 & ~use);
-  r[5] = (r5 & use) | (t5 & ~use);
+  const u64 s0 = (r0 & use) | (t0 & ~use);
+  const u64 s1 = (r1 & use) | (t1 & ~use);
+  const u64 s2 = (r2 & use) | (t2 & ~use);
+  const u64 s3 = (r3 & use) | (t3 & ~use);
+  const u64 s4 = (r4 & use) | (t4 & ~use);
+  const u64 s5 = (r5 & use) | (t5 & ~use);
+  __asm__(APQA_STORE6_X16
+          :
+          : [s0] "r"(s0), [s1] "r"(s1), [s2] "r"(s2), [s3] "r"(s3),
+            [s4] "r"(s4), [s5] "r"(s5), [r] "r"(r)
+          : "memory", "xmm0", "xmm1");
 }
 
 void MontMul384Impl(const u64* a, const u64* b, const u64* p, u64 inv,
@@ -175,25 +200,6 @@ void MontMulPair384(const u64* a1, const u64* b1, const u64* a2,
                     const u64* b2, const u64* p, u64 inv, u64* r1, u64* r2) {
   MontMulPair384Impl(a1, b1, a2, b2, p, inv, r1, r2);
 }
-
-// Writes s0..s5 to r as three 16-byte stores. Callers copy field elements
-// with 16-byte moves, and a 16-byte load that spans two fresh 8-byte stores
-// cannot be store-forwarded (a stall of about a dozen cycles per copy, as
-// much as the add itself); a load inside one 16-byte store forwards. SSE2
-// is baseline x86-64.
-#define APQA_STORE6_X16                                                \
-  "movq %[s0], %%xmm0\n\t"                                             \
-  "movq %[s1], %%xmm1\n\t"                                             \
-  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
-  "movdqu %%xmm0, 0(%[r])\n\t"                                         \
-  "movq %[s2], %%xmm0\n\t"                                             \
-  "movq %[s3], %%xmm1\n\t"                                             \
-  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
-  "movdqu %%xmm0, 16(%[r])\n\t"                                        \
-  "movq %[s4], %%xmm0\n\t"                                             \
-  "movq %[s5], %%xmm1\n\t"                                             \
-  "punpcklqdq %%xmm1, %%xmm0\n\t"                                      \
-  "movdqu %%xmm0, 32(%[r])\n\t"
 
 // r = a + b mod p. The raw sum goes to r first; the trial subtraction of p
 // then runs in the same registers, and `cmovc` reloads the stored sum when

@@ -47,7 +47,7 @@ class PrimeField {
   // Interprets `l` as a canonical integer; it must already be < modulus.
   static PrimeField FromCanonical(const L& l) {
     PrimeField r;
-    r.v_ = MontMul(l, Consts().r2);
+    MontMul(l, Consts().r2, &r.v_);
     return r;
   }
 
@@ -62,7 +62,9 @@ class PrimeField {
   L ToCanonical() const {
     L one{};
     one[0] = 1;
-    return MontMul(v_, one);
+    L out;
+    MontMul(v_, one, &out);
+    return out;
   }
 
   // Comparisons accumulate over every limb (no early exit) so equality and
@@ -114,9 +116,11 @@ class PrimeField {
 
   PrimeField operator-() const { return Zero() - *this; }
 
-  PrimeField operator*(const PrimeField& o) const {
+  // Forced inline, like + and -, so a product costs one kernel call.
+  __attribute__((always_inline)) PrimeField operator*(
+      const PrimeField& o) const {
     PrimeField r;
-    r.v_ = MontMul(v_, o.v_);
+    MontMul(v_, o.v_, &r.v_);
     return r;
   }
 
@@ -222,10 +226,9 @@ class PrimeField {
         sub_mod(&x2, x1);
       }
     }
+    // x1 or x2 holds the canonical inverse; lift it to Montgomery form.
     PrimeField r;
-    r.v_ = (u == one) ? x1 : x2;
-    // r.v_ currently holds the canonical inverse; lift to Montgomery form.
-    r.v_ = MontMul(r.v_, Consts().r2);
+    MontMul((u == one) ? x1 : x2, Consts().r2, &r.v_);
     return r;
   }
 
@@ -320,17 +323,19 @@ class PrimeField {
   // BMI2/ADX kernel when the CPU has it (crypto/mont_accel.h); everything
   // else — and every field under APQA_FORCE_PORTABLE — takes the portable
   // CIOS below. The dispatch predicate is data-independent, so the
-  // constant-time contract of operator* is preserved on both arms.
-  static L MontMul(const L& a, const L& b) {
+  // constant-time contract of operator* is preserved on both arms. Forced
+  // inline and writing straight into *r, so operator* pays no wrapper call
+  // and no copy of the product; r must not alias a or b.
+  __attribute__((always_inline)) static void MontMul(const L& a, const L& b,
+                                                     L* r) {
     if constexpr (kLimbs == 6) {
       if (accel::MontAccelActive()) {
-        L r;
         accel::MontMul384(a.data(), b.data(), Tag::kModulus.data(),
-                          Consts().inv, r.data());
-        return r;
+                          Consts().inv, r->data());
+        return;
       }
     }
-    return MontMulPortable(a, b);
+    *r = MontMulPortable(a, b);
   }
 
   // CIOS Montgomery multiplication: returns a*b*R^-1 mod p. Always compiled

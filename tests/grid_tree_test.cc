@@ -2,12 +2,142 @@
 // pseudo records, and the DO → SP serialization of the outsourced ADS).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
+#include "common/journal.h"
 #include "core/range_query.h"
+#include "core/sp_storage.h"
 #include "core/system.h"
 #include "verify_ok.h"
 
 namespace apqa::core {
 namespace {
+
+using NodeKey = std::pair<std::uint32_t, std::uint64_t>;  // (level, index)
+
+// Every node of the tree, root first.
+std::vector<GridTree::NodeId> AllNodes(const GridTree& tree) {
+  std::vector<GridTree::NodeId> out = {tree.Root()};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    for (GridTree::NodeId c : tree.Children(out[i])) out.push_back(c);
+  }
+  return out;
+}
+
+// The signed statement of a node: hash(o)|hash(v) for leaves, hash(gb) for
+// internal nodes.
+std::vector<std::uint8_t> NodeMessage(const GridTree::Node& node) {
+  return node.is_leaf ? RecordMessage(node.record.key, node.record.value)
+                      : BoxMessage(node.box);
+}
+
+// The structural invariant the incremental re-sign rule must preserve:
+// every internal policy is the OR of its children's (recomputed here from
+// the definition), and every signature passes the exact ABS verification
+// under the node's own message, policy and the epoch it carries: epoch 0
+// for boxes, never ahead of the tree's for leaves. `verified` (optional)
+// memoizes statements that already passed, so a long batch sequence only
+// re-checks new signatures.
+void ExpectTreeInvariant(const GridTree& tree, const VerifyKey& mvk,
+                         std::set<std::vector<std::uint8_t>>* verified =
+                             nullptr) {
+  for (GridTree::NodeId id : AllNodes(tree)) {
+    const GridTree::Node& node = tree.GetNode(id);
+    SCOPED_TRACE("node level " + std::to_string(id.level) + " index " +
+                 std::to_string(id.index));
+    if (node.is_leaf) {
+      EXPECT_EQ(node.policy, node.record.policy);
+    } else {
+      Policy expect;
+      bool first = true;
+      for (GridTree::NodeId c : tree.Children(id)) {
+        const Policy& cp = tree.GetNode(c).policy;
+        expect = first ? cp.ToDnf() : policy::OrCombineDnf(expect, cp);
+        first = false;
+      }
+      EXPECT_EQ(node.policy, expect);
+    }
+    if (node.is_leaf) {
+      EXPECT_LE(node.sig.epoch, tree.epoch());
+    } else {
+      EXPECT_EQ(node.sig.epoch, 0u) << "a box signature must carry no time";
+    }
+    std::vector<std::uint8_t> msg = NodeMessage(node);
+    common::ByteWriter w;
+    w.PutBytes(msg.data(), msg.size());
+    w.PutString(node.policy.ToString());
+    node.sig.Serialize(&w);
+    if (verified != nullptr && verified->count(w.data()) != 0) continue;
+    EXPECT_TRUE(Abs::Verify(mvk, msg, node.policy, node.sig, /*exact=*/true));
+    if (verified != nullptr) verified->insert(w.data());
+  }
+}
+
+// OR of every leaf policy under `box`, as a reduced DNF clause set,
+// computed from the leaves directly rather than through the children.
+std::set<policy::Clause> LeafClauses(const GridTree& tree, const Box& box) {
+  std::vector<policy::Clause> all;
+  Point p = box.lo;
+  for (;;) {
+    for (const policy::Clause& c :
+         tree.GetNode(tree.LeafAt(p)).policy.DnfClauses()) {
+      all.push_back(c);
+    }
+    std::size_t d = 0;
+    for (; d < p.size() && p[d] == box.hi[d]; ++d) p[d] = box.lo[d];
+    if (d == p.size()) break;
+    ++p[d];
+  }
+  std::set<policy::Clause> reduced;
+  for (const policy::Clause& c : all) {
+    bool absorbed = std::any_of(all.begin(), all.end(), [&](const auto& k) {
+      return k != c && std::includes(c.begin(), c.end(), k.begin(), k.end());
+    });
+    if (!absorbed) reduced.insert(c);
+  }
+  return reduced;
+}
+
+// The patch set an update from `before` to `after` must carry: the touched
+// leaves, plus every internal node whose leaf-level OR changed.
+std::set<NodeKey> ExpectedPatches(const GridTree& before,
+                                  const GridTree& after,
+                                  const std::vector<AdsUpdateOp>& ops) {
+  std::set<NodeKey> out;
+  for (const AdsUpdateOp& op : ops) {
+    GridTree::NodeId leaf = after.LeafAt(op.record.key);
+    out.emplace(leaf.level, leaf.index);
+  }
+  for (GridTree::NodeId id : AllNodes(after)) {
+    if (after.IsLeafLevel(id)) continue;
+    const Box& box = after.GetNode(id).box;
+    if (LeafClauses(before, box) != LeafClauses(after, box)) {
+      out.emplace(id.level, id.index);
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> SigBytes(const GridTree::Node& node) {
+  common::ByteWriter w;
+  node.sig.Serialize(&w);
+  return w.Take();
+}
+
+std::vector<std::uint8_t> TreeBytes(const GridTree& tree) {
+  common::ByteWriter w;
+  tree.Serialize(&w);
+  return w.Take();
+}
+
+std::set<NodeKey> PatchSet(const AdsDelta& delta) {
+  std::set<NodeKey> out;
+  for (const NodePatch& p : delta.nodes) out.emplace(p.level, p.index);
+  EXPECT_EQ(out.size(), delta.nodes.size()) << "duplicate patch";
+  return out;
+}
 
 class GridTreeTest : public ::testing::Test {
  protected:
@@ -178,15 +308,117 @@ TEST_F(GridTreeTest, ApplyUpdatesAdvancesEpochAndServesQueries) {
 
 TEST_F(GridTreeTest, UpdateResignsOnlyAffectedPaths) {
   GridTree tree = BuildSmall();
+  const std::vector<std::uint8_t> root_sig =
+      SigBytes(tree.GetNode(tree.Root()));
   std::vector<AdsUpdateOp> ops = {
       {AdsUpdateOp::Kind::kUpsert,
        Record{Point{1, 1}, "x", Policy::Parse("RoleB")}},
   };
   AdsDelta delta = tree.ApplyUpdates(mvk_, sk_, ops, rng_.get());
-  // One touched leaf re-signs its root→leaf path: depth+1 nodes, no more.
-  EXPECT_LE(delta.nodes.size(),
-            static_cast<std::size_t>(tree.depth() + 1) * ops.size());
-  EXPECT_GE(delta.nodes.size(), 1u);
+  // The leaf, and its parent, whose OR gains RoleB. The root already
+  // covered RoleB through (3,2), so its statement and signature stand.
+  ASSERT_EQ(delta.nodes.size(), 2u);
+  EXPECT_EQ(delta.nodes[0].level, 2u);
+  EXPECT_EQ(delta.nodes[1].level, 1u);
+  EXPECT_EQ(SigBytes(tree.GetNode(tree.Root())), root_sig);
+}
+
+TEST_F(GridTreeTest, FreshTreeRecomputesToStoredPolicies) {
+  // Pins that the skip can fire right after Build: recomputing any
+  // internal OR-policy gives the stored one, and every signature verifies.
+  GridTree tree = BuildSmall();
+  ExpectTreeInvariant(tree, mvk_);
+  for (GridTree::NodeId id : AllNodes(tree)) {
+    if (tree.IsLeafLevel(id)) continue;
+    std::set<policy::Clause> stored;
+    for (const auto& c : tree.GetNode(id).policy.DnfClauses()) stored.insert(c);
+    EXPECT_EQ(stored, LeafClauses(tree, tree.GetNode(id).box));
+  }
+}
+
+TEST_F(GridTreeTest, ValueOnlyUpsertPatchesExactlyTheLeaves) {
+  GridTree tree = BuildSmall();
+  const GridTree before = tree;
+  std::vector<AdsUpdateOp> ops = {
+      {AdsUpdateOp::Kind::kUpsert,
+       Record{Point{0, 1}, "a2", Policy::Parse("RoleA")}},
+      {AdsUpdateOp::Kind::kUpsert,
+       Record{Point{3, 2}, "b2", Policy::Parse("RoleB")}},
+  };
+  AdsDelta delta = tree.ApplyUpdates(mvk_, sk_, ops, rng_.get());
+  ASSERT_EQ(delta.nodes.size(), ops.size());
+  for (const NodePatch& p : delta.nodes) {
+    EXPECT_EQ(p.level, static_cast<std::uint32_t>(tree.depth()));
+    EXPECT_EQ(p.leaf_kind, 1u);
+  }
+  // Internal nodes keep their signatures; the stamp moves on.
+  for (GridTree::NodeId id : AllNodes(tree)) {
+    if (!tree.IsLeafLevel(id)) {
+      EXPECT_EQ(SigBytes(tree.GetNode(id)), SigBytes(before.GetNode(id)));
+    }
+  }
+  EXPECT_EQ(tree.stamp().epoch, 1u);
+  ExpectTreeInvariant(tree, mvk_);
+}
+
+TEST_F(GridTreeTest, PolicyFlippedBackWithinBatchResignsOnlyTheLeaf) {
+  // Several ops on one key: the skip compares against the policy from
+  // before the batch, not against the previous op's.
+  GridTree tree = BuildSmall();
+  std::vector<AdsUpdateOp> ops = {
+      {AdsUpdateOp::Kind::kUpsert,
+       Record{Point{0, 1}, "t", Policy::Parse("RoleB")}},
+      {AdsUpdateOp::Kind::kUpsert,
+       Record{Point{0, 1}, "a3", Policy::Parse("RoleA")}},
+  };
+  AdsDelta delta = tree.ApplyUpdates(mvk_, sk_, ops, rng_.get());
+  ASSERT_EQ(delta.nodes.size(), 1u);
+  EXPECT_EQ(delta.nodes[0].value, "a3");
+  ExpectTreeInvariant(tree, mvk_);
+}
+
+TEST_F(GridTreeTest, PolicyEditPatchesExactlyTheChangedAncestors) {
+  GridTree tree = BuildSmall();
+  const GridTree before = tree;
+  std::vector<AdsUpdateOp> ops = {
+      {AdsUpdateOp::Kind::kUpsert,
+       Record{Point{0, 1}, "a", Policy::Parse("RoleA & RoleB")}},
+  };
+  AdsDelta delta = tree.ApplyUpdates(mvk_, sk_, ops, rng_.get());
+  std::set<NodeKey> expect = ExpectedPatches(before, tree, ops);
+  EXPECT_EQ(PatchSet(delta), expect);
+  // RoleA & RoleB is absorbed nowhere above: the leaf, its parent and the
+  // root all change.
+  EXPECT_EQ(expect.size(), 3u);
+  ExpectTreeInvariant(tree, mvk_);
+  // The re-signed root still carries epoch 0, like a kept one, so its epoch
+  // cannot date this policy change; the leaf carries the batch's epoch.
+  EXPECT_NE(SigBytes(tree.GetNode(tree.Root())),
+            SigBytes(before.GetNode(before.Root())));
+  EXPECT_EQ(tree.GetNode(tree.Root()).sig.epoch, 0u);
+  EXPECT_EQ(tree.GetNode(tree.LeafAt(Point{0, 1})).sig.epoch, 1u);
+}
+
+TEST_F(GridTreeTest, DeleteToPseudoPatchesExactlyTheChangedAncestors) {
+  GridTree tree = BuildSmall();
+  GridTree replica = tree;
+  const GridTree before = tree;
+  std::vector<AdsUpdateOp> ops = {
+      {AdsUpdateOp::Kind::kDelete, Record{Point{0, 1}, "", Policy{}}},
+  };
+  AdsDelta delta = tree.ApplyUpdates(mvk_, sk_, ops, rng_.get());
+  EXPECT_EQ(PatchSet(delta), ExpectedPatches(before, tree, ops));
+  ASSERT_FALSE(delta.nodes.empty());
+  EXPECT_EQ(delta.nodes[0].leaf_kind, 2u);
+  const auto& leaf = tree.GetNode(tree.LeafAt(Point{0, 1}));
+  EXPECT_TRUE(leaf.is_pseudo);
+  EXPECT_EQ(leaf.policy.ToString(), kPseudoRole);
+  // RoleA was only reachable through (0,1): the root loses it too.
+  EXPECT_FALSE(tree.GetNode(tree.Root()).policy.Evaluate({"RoleA"}));
+  ExpectTreeInvariant(tree, mvk_);
+  ASSERT_EQ(replica.ApplyDelta(delta), ApplyStatus::kApplied);
+  EXPECT_EQ(replica.digest(), tree.digest());
+  ExpectTreeInvariant(replica, mvk_);
 }
 
 TEST_F(GridTreeTest, UpdateCanEditPolicyInPlace) {
@@ -211,6 +443,22 @@ TEST_F(GridTreeTest, UpdateRejectsOutOfDomainKeys) {
   EXPECT_THROW(tree.ApplyUpdates(mvk_, sk_, ops, rng_.get()),
                std::invalid_argument);
   EXPECT_EQ(tree.epoch(), 0u) << "rejected batch must not advance the epoch";
+}
+
+TEST_F(GridTreeTest, UpdateRejectsOutOfDomainKeyBeforeAnyLeafChanges) {
+  // The valid op comes first: the batch must still throw before it lands.
+  GridTree tree = BuildSmall();
+  const std::vector<std::uint8_t> bytes = TreeBytes(tree);
+  std::vector<AdsUpdateOp> ops = {
+      {AdsUpdateOp::Kind::kUpsert,
+       Record{Point{0, 1}, "changed", Policy::Parse("RoleB")}},
+      {AdsUpdateOp::Kind::kUpsert,
+       Record{Point{9, 9}, "x", Policy::Parse("RoleA")}},
+  };
+  EXPECT_THROW(tree.ApplyUpdates(mvk_, sk_, ops, rng_.get()),
+               std::invalid_argument);
+  EXPECT_EQ(TreeBytes(tree), bytes);
+  ExpectTreeInvariant(tree, mvk_);
 }
 
 TEST_F(GridTreeTest, ReplicaConvergesThroughApplyDelta) {
@@ -303,6 +551,112 @@ TEST_F(GridTreeTest, SerializationCarriesEpochState) {
   EXPECT_EQ(back->epoch(), 1u);
   EXPECT_EQ(back->digest(), tree.digest());
   EXPECT_EQ(back->stamp().epoch, 1u);
+}
+
+// 50 seeded batches of mixed upserts (value-only and policy-changing) and
+// deletes. After each: the invariant holds on the DO tree and on the
+// ApplyDelta replica, the patch set is exactly the independently computed
+// one, and range VOs over the root and over a node that kept its signature
+// carry epoch 0 and verify at the new expected epoch. At the end, WAL
+// recovery lands on the same digest.
+TEST(GridTreeMixedBatchTest, SeededBatchesKeepInvariantReplicaAndRecovery) {
+  const RoleSet universe = {"RoleA", "RoleB", "RoleC", "RoleD"};
+  DataOwner owner(universe, Domain{2, 2}, /*seed=*/4242);
+  const VerifyKey& mvk = owner.keys().mvk;
+  // RoleC is rare, so the root's OR gains and loses it over the run.
+  const std::vector<std::string> policies = {
+      "RoleA", "RoleB", "RoleA & RoleB", "RoleA | RoleB", "RoleA", "RoleC"};
+  GridTree do_tree = owner.BuildAds(
+      {Record{Point{0, 0}, "r0", Policy::Parse("RoleA")},
+       Record{Point{2, 3}, "r1", Policy::Parse("RoleB")},
+       Record{Point{3, 1}, "r2", Policy::Parse("RoleA | RoleB")}});
+  const GridTree genesis = do_tree;
+  GridTree replica = do_tree;
+  common::MemFile snap, wal;
+  SpStateStore store(&snap, &wal);
+  std::set<std::vector<std::uint8_t>> verified;
+  ExpectTreeInvariant(do_tree, mvk, &verified);
+
+  Rng rng(99);
+  int kept_node_vos = 0, root_patches = 0;
+  for (int b = 0; b < 50; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    std::vector<AdsUpdateOp> ops;
+    int n = 1 + static_cast<int>(rng.NextU64() % 3);
+    for (int i = 0; i < n; ++i) {
+      Point key{static_cast<std::uint32_t>(rng.NextU64() % 4),
+                static_cast<std::uint32_t>(rng.NextU64() % 4)};
+      const GridTree::Node& leaf = do_tree.GetNode(do_tree.LeafAt(key));
+      std::uint64_t pick = rng.NextU64() % 4;
+      if (pick == 0) {
+        ops.push_back({AdsUpdateOp::Kind::kDelete, Record{key, "", Policy{}}});
+      } else if (pick == 1 && !leaf.is_pseudo) {
+        // Value-only overwrite: the perfbench shape.
+        ops.push_back({AdsUpdateOp::Kind::kUpsert,
+                       Record{key, "v" + std::to_string(b), leaf.policy}});
+      } else {
+        ops.push_back(
+            {AdsUpdateOp::Kind::kUpsert,
+             Record{key, "p" + std::to_string(b),
+                    Policy::Parse(policies[rng.NextU64() % policies.size()])}});
+      }
+    }
+    const GridTree before = do_tree;
+    SignedAdsUpdate update = owner.ApplyUpdates(&do_tree, ops);
+    ASSERT_TRUE(VerifyAdsUpdateAuth(mvk, update));
+    std::set<NodeKey> patched = PatchSet(update.delta);
+    EXPECT_EQ(patched, ExpectedPatches(before, do_tree, ops));
+    root_patches += static_cast<int>(patched.count({0, 0}));
+    ExpectTreeInvariant(do_tree, mvk, &verified);
+
+    ASSERT_EQ(replica.ApplyDelta(update.delta), ApplyStatus::kApplied);
+    EXPECT_EQ(replica.digest(), do_tree.digest());
+    ExpectTreeInvariant(replica, mvk, &verified);
+    common::ByteWriter w;
+    update.Serialize(&w);
+    ASSERT_TRUE(store.AppendApplied(w.Take(), update.delta.to_epoch));
+
+    // A user who can read nothing queries the whole domain and the box of
+    // an internal node this batch did not re-sign: each VO is one relaxed
+    // box signature at epoch 0, whether or not the DO re-signed the node,
+    // and verifies at the new expected epoch.
+    std::vector<GridTree::NodeId> probes = {replica.Root()};
+    for (GridTree::NodeId id : AllNodes(replica)) {
+      if (!replica.IsLeafLevel(id) &&
+          patched.count({static_cast<std::uint32_t>(id.level), id.index}) ==
+              0) {
+        probes.push_back(id);
+        ++kept_node_vos;
+        break;
+      }
+    }
+    for (GridTree::NodeId id : probes) {
+      const Box& box = replica.GetNode(id).box;
+      const RoleSet roles = {"RoleD"};
+      Rng qrng(b);
+      Vo vo = BuildRangeVo(replica, mvk, box, roles, universe, &qrng);
+      ASSERT_EQ(vo.entries.size(), 1u);
+      const auto* entry = std::get_if<InaccessibleBoxEntry>(&vo.entries[0]);
+      ASSERT_NE(entry, nullptr);
+      EXPECT_EQ(entry->aps_sig.epoch, 0u);
+      std::vector<Record> results;
+      VerifyContext ctx(mvk, replica.domain(), roles, universe);
+      ctx.expected_epoch = replica.epoch();
+      EXPECT_TRUE(VerifyOk(VerifyRangeVo(ctx, box, vo, &results)));
+      EXPECT_TRUE(results.empty());
+    }
+  }
+  EXPECT_GT(kept_node_vos, 0) << "no batch kept an internal signature";
+  EXPECT_GT(root_patches, 0) << "no batch changed the root's OR";
+  EXPECT_LT(root_patches, 50) << "every batch changed the root's OR";
+
+  SpStateStore reopened(&snap, &wal);
+  RecoveryStats rs;
+  GridTree recovered = reopened.Recover(owner.keys(), genesis, &rs);
+  EXPECT_EQ(rs.wal_applied, 50u);
+  EXPECT_EQ(recovered.epoch(), do_tree.epoch());
+  EXPECT_EQ(recovered.digest(), do_tree.digest());
+  ExpectTreeInvariant(recovered, mvk, &verified);
 }
 
 }  // namespace
