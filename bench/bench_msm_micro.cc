@@ -2,9 +2,11 @@
 // generic kernels it replaced.
 //
 //   mont-kernel   — portable CIOS Montgomery multiply vs. the dispatched
-//                   (BMI2/ADX where available) kernel, the same pair for
-//                   Fp addition and subtraction, plus bit-match sweeps that
-//                   abort on any representation divergence.
+//                   (BMI2/ADX where available) kernel, a chained a = a * b
+//                   whose product round-trips through memory each step, the
+//                   same portable/dispatched pair for Fp addition and
+//                   subtraction, plus bit-match sweeps that abort on any
+//                   representation divergence.
 //   fixed-base    — plain width-4 wNAF vs. the GLV dual-track wNAF vs.
 //                   FixedBaseTable::Mul on the same generator, plus the
 //                   constant-pattern variable-base GLV ladder (CtScalarMul)
@@ -114,6 +116,19 @@ void BenchMontKernel(Rng* rng, bool fast) {
   Report("mont_mul_accel", accel);
   std::printf("  %-28s %10.2fx\n", "mont_speedup", portable / accel);
   RecordJson(kBench, "mont_mul_speedup", portable / accel, "x");
+  // The same chain as callers run it: each product is copied out to memory
+  // and read back as the next operand, so the row also sees the
+  // store-to-load forwarding of the kernel's result stores and the cost of
+  // operator* around the kernel, which the register-resident chain above
+  // can hide.
+  Report("mont_mul_chained", TimeMs(iters, [&] {
+           Fp acc = xs[0];
+           for (int j = 0; j < kChain; ++j) {
+             acc = acc * ys[j & 63];
+             asm volatile("" : : "g"(&acc) : "memory");
+           }
+           Sink(acc);
+         }));
 
   Timer t;
   for (int a = 0; a < kN; ++a) {

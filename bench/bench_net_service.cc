@@ -24,7 +24,8 @@
 // Every row is also emitted through the JSON trajectory sink (bench_util.h):
 //   APQA_BENCH_JSON=BENCH_net.json ./bench_net_service   (or --json=PATH)
 // The update and recovery rows carry their own bench tag so scripts/check.sh
-// can gate them into BENCH_update.json.
+// can gate them into BENCH_update.json (a full-mode capture). The checked-in
+// BENCH_net.json holds the net_service rows of an APQA_BENCH_FAST=1 run.
 #include <algorithm>
 #include <memory>
 #include <string>

@@ -20,6 +20,10 @@
 //   range vo      — user-side range-VO verification: the retained
 //                   per-signature path (serial and 4-thread pool) vs. the
 //                   whole-VO batch, plus the tampered-VO bisect blame path.
+//   vo product    — a point-lookup VO (one APS entry plus the attested
+//                   stamp) verified end to end as one pairing product vs.
+//                   one product per signature, and the number of Miller
+//                   pairs in a range VO's one pairing product.
 //
 // Every row is also emitted through the JSON trajectory sink (bench_util.h):
 //   APQA_BENCH_JSON=BENCH_pairing.json ./bench_pairing_micro  (or --json=PATH)
@@ -28,7 +32,9 @@
 #include "abs/abs.h"
 #include "abs/batch_verify.h"
 #include "bench_util.h"
+#include "core/equality.h"
 #include "core/parallel_verify.h"
+#include "core/range_query.h"
 #include "crypto/pairing.h"
 #include "crypto/pairing_prepared.h"
 
@@ -291,6 +297,94 @@ void BenchRangeVoVerify(bool fast) {
   Report("batch_bisect_tamper_1", bisect);
 }
 
+// One pairing product per VO. The deployment has ten roles and the user
+// holds two, so an APS carries nine rows of distinct roles (the eight
+// lacked roles and Role_∅), as the service benchmark's do.
+void BenchVoProduct(bool fast) {
+  std::printf("one pairing product per VO: point lookup, range-VO pairs\n");
+  policy::RoleSet universe;
+  for (int i = 0; i < 10; ++i) universe.insert("Role" + std::to_string(i));
+  core::Domain domain{/*dims=*/1, /*bits=*/6};
+  core::DataOwner owner(universe, domain, 20261018);
+  std::vector<core::Record> records;
+  for (std::uint32_t k = 0; k < 40; ++k) {
+    std::string a = "Role" + std::to_string(k % 10);
+    std::string b = "Role" + std::to_string((k + 3) % 10);
+    records.push_back(core::Record{core::Point{k}, "v" + std::to_string(k),
+                                   policy::Policy::Parse(a + " & " + b)});
+  }
+  core::ServiceProvider sp(owner.keys(), owner.BuildAds(records));
+  core::UserCredentials creds = owner.EnrollUser({"Role0", "Role3"});
+  const core::SystemKeys& keys = owner.keys();
+  const core::VerifyContext ctx(keys.mvk, keys.domain, creds.roles,
+                                keys.universe);
+
+  // Key 5 needs Role5 & Role8: the lookup answers with one APS entry.
+  const core::Point key{5};
+  core::Vo point = sp.EqualityQuery(key, creds.roles);
+  if (!point.stamp.attested ||
+      !std::holds_alternative<core::InaccessibleRecordEntry>(
+          point.entries.at(0)) ||
+      !core::VerifyEqualityVo(ctx, key, point, nullptr, nullptr).ok()) {
+    std::fprintf(stderr, "BENCH BUG: point VO is not an attested APS\n");
+    std::abort();
+  }
+  // Same-run baseline: one product per signature, the attestation's and
+  // the entry's, as the verifier ran before the attestation joined the
+  // batch.
+  const int iters = fast ? 3 : 20;
+  double per_signature;
+  {
+    core::ScopedPerSignatureVerify guard;
+    per_signature = TimeMs(iters, [&] {
+      Sink(core::VerifyEqualityVo(ctx, key, point, nullptr, nullptr));
+    });
+  }
+  Report("point_vo_verify_per_signature", per_signature);
+  double ms = TimeMs(iters, [&] {
+    Sink(core::VerifyEqualityVo(ctx, key, point, nullptr, nullptr));
+  });
+  Report("point_vo_verify", ms);
+  Speedup("point_vo_product_speedup", per_signature, ms);
+
+  // The range VO's product, accumulated job for job as RunVerify queues
+  // it: the attestation first, then every entry.
+  core::Box range{core::Point{0}, core::Point{39}};
+  core::Vo vo = sp.RangeQuery(range, creds.roles);
+  const policy::Policy super = ctx.SuperPolicy();
+  abs::BatchAccumulator acc(keys.mvk);
+  crypto::Rng wrng;
+  bool shaped = abs::Abs::AccumulateVerify(
+      keys.mvk,
+      core::EpochAttestationMessage(vo.stamp.epoch, vo.stamp.ads_digest),
+      core::AttestationPolicy(), vo.stamp.attestation, &wrng, &acc);
+  for (const core::VoEntry& entry : vo.entries) {
+    if (const auto* res = std::get_if<core::ResultEntry>(&entry)) {
+      shaped &= abs::Abs::AccumulateVerify(
+          keys.mvk, core::RecordMessage(res->key, res->value), res->policy,
+          res->app_sig, &wrng, &acc);
+    } else if (const auto* rec =
+                   std::get_if<core::InaccessibleRecordEntry>(&entry)) {
+      shaped &= abs::Abs::AccumulateVerify(
+          keys.mvk, core::RecordMessageFromHash(rec->key, rec->value_hash),
+          super, rec->aps_sig, &wrng, &acc);
+    } else {
+      const auto& box = std::get<core::InaccessibleBoxEntry>(entry);
+      shaped &= abs::Abs::AccumulateVerify(keys.mvk,
+                                           core::BoxMessage(box.box), super,
+                                           box.aps_sig, &wrng, &acc);
+    }
+  }
+  if (!shaped || !acc.Check()) {
+    std::fprintf(stderr, "BENCH BUG: range VO failed verification\n");
+    std::abort();
+  }
+  std::printf("  %-32s %10zu pairs (%zu signatures)\n", "range_vo_pairs",
+              acc.PairCount(), acc.Size());
+  RecordJson(kBench, "range_vo_pairs", static_cast<double>(acc.PairCount()),
+             "count");
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -308,5 +402,6 @@ int main(int argc, char** argv) {
   BenchAbsVerify(fast);
   BenchAbsBatchVerify(fast);
   BenchRangeVoVerify(fast);
+  BenchVoProduct(fast);
   return 0;
 }

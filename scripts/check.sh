@@ -33,11 +33,13 @@
 #      trace-equivalence tests in ct_check_test (already run in step 2)
 #      cover the same ladders
 #   8. perf smoke: one fast-mode run of bench_pairing_micro with the JSON
-#      sink enabled; fails if the expected rows never reach the file or if
+#      sink enabled; fails if the expected rows never reach the file, if
 #      whole-VO batched verification is not at least 2x the retained
 #      per-signature path (range_vo_verify_batched <= 0.5x
-#      range_vo_verify_serial); then one fast-mode run of bench_msm_micro
-#      that must emit the mont_mul_{portable,accel} and
+#      range_vo_verify_serial), or if a range VO's one pairing product has
+#      more than 7 Miller pairs (range_vo_pairs); then one fast-mode run of
+#      bench_msm_micro
+#      that must emit the mont_mul_{portable,accel,chained} and
 #      fp_{add,sub}_{portable,accel} kernel rows, the mont_kernel_bitmatch
 #      and fp_addsub_bitmatch differential rows (the bench aborts on any
 #      accel/portable representation mismatch, so each row doubles as an
@@ -229,7 +231,8 @@ APQA_BENCH_FAST=1 APQA_BENCH_JSON="$PERF_JSON" \
   ./build/bench/bench_pairing_micro >/dev/null
 for row in pairing_prepared abs_verify_prepared_len12 range_vo_verify_pool4 \
            range_vo_verify_serial range_vo_verify_batched \
-           abs_batch_verify_n8 batch_bisect_tamper_1; do
+           abs_batch_verify_n8 batch_bisect_tamper_1 point_vo_verify \
+           range_vo_pairs; do
   if ! grep -q "\"row\":\"$row\"" "$PERF_JSON"; then
     echo "perf smoke: row '$row' missing from $PERF_JSON" >&2
     exit 1
@@ -237,7 +240,10 @@ for row in pairing_prepared abs_verify_prepared_len12 range_vo_verify_pool4 \
 done
 # Whole-VO batching must beat the retained per-signature path by >= 2x even
 # in the fast configuration (the full bench measures >= ~9x; the loose gate
-# keeps the smoke robust to noisy single-iteration timings).
+# keeps the smoke robust to noisy single-iteration timings). A VO's one
+# pairing product has at most 7 Miller pairs (A, B, a0, h, h0 and two
+# message-side pairs); pairing each role against its own base gives one
+# pair per role on top. A count, so this gate cannot flake.
 python3 - "$PERF_JSON" <<'EOF'
 import json, sys
 rows = {}
@@ -250,6 +256,10 @@ if batched > 0.5 * serial:
     sys.exit(f"perf smoke: batched {batched:.1f} ms > 0.5 * serial {serial:.1f} ms")
 print(f"perf smoke: batched {batched:.1f} ms vs serial {serial:.1f} ms "
       f"({serial / batched:.1f}x)")
+pairs = rows["range_vo_pairs"]
+if pairs > 7:
+    sys.exit(f"perf smoke: range_vo_pairs {pairs:.0f} > 7")
+print(f"perf smoke: range VO verifies with one product of {pairs:.0f} pairs")
 EOF
 rm -f "$PERF_JSON"
 
@@ -262,8 +272,8 @@ APQA_BENCH_FAST=1 APQA_BENCH_JSON="$MSM_JSON" \
 # mont_kernel_bitmatch only reaches the file if the accel/portable sweep
 # found zero representation mismatches (the bench aborts otherwise), so a
 # missing row is a failed differential, not just a missing measurement.
-for row in mont_mul_portable mont_mul_accel mont_kernel_bitmatch \
-           fp_add_portable fp_add_accel fp_sub_portable fp_sub_accel \
+for row in mont_mul_portable mont_mul_accel mont_mul_chained \
+           mont_kernel_bitmatch fp_add_portable fp_add_accel fp_sub_portable fp_sub_accel \
            fp_addsub_bitmatch accel_kernels_active \
            g1_wnaf g1_mul_glv g1_fixed_base ct_mul_g1 ct_mul_g2 g2_wnaf \
            g1_subgroup_check g2_subgroup_check abs_relax_len10 \

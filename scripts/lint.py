@@ -41,9 +41,11 @@ Untrusted taint (hostile-SP path):
   R12 freshness gates first, by construction: every checked Verify*Vo
       entry hands its VO to the shared RunVerify driver before any
       structural or signature work (SigBatch, policy Evaluate, coverage
-      checks), and RunVerify itself runs CheckFreshness before the walk and
-      the batch — a replayed VO must fail kStaleEpoch before the verifier
-      spends effort on it or leaks timing about its contents. Non-vacuity:
+      checks), and RunVerify itself runs the stamp checks (CheckStampFields,
+      or the whole CheckFreshness) before the walk and the batch the
+      attestations join — a replayed VO must fail kStaleEpoch before the
+      verifier spends effort on it or leaks timing about its contents.
+      Non-vacuity:
       every Verify*Vo name declared in src/ must have a body R12 checked,
       and the driver body must be found, so a signature the rule stops
       recognizing fails the lint instead of silently passing it.
@@ -224,7 +226,7 @@ VERIFIER_DECL = re.compile(r"\b(Verify\w*Vo)\s*\(\s*const\s+VerifyContext\b")
 DRIVER_SIG = re.compile(r"\bVerifyResult\s+(RunVerify)\s*\(")
 DRIVER_CALL = re.compile(r"\bRunVerify\s*\(")
 GATE_CALL = re.compile(r"\.Unvalidated\s*\(\)")
-FRESHNESS_CALL = re.compile(r"\bCheckFreshness\s*\(")
+FRESHNESS_CALL = re.compile(r"\bCheck(?:Freshness|StampFields)\s*\(")
 WORK_ANCHOR = re.compile(r"\bSigBatch\b|\.Evaluate\s*\(|\bCheckCoverage|"
                          r"\bFirstFailure\s*\(|\bAttributeBase|"
                          r"\bAbs::Verify\s*\(|\bwalk\s*\(")
@@ -339,7 +341,7 @@ def check_freshness_first(rel, stripped_lines, result):
             violations.append(
                 (rel, lineno(m), "R12",
                  "RunVerify: structural walk or signature batch before (or "
-                 "without) the CheckFreshness gate", "RunVerify"))
+                 "without) the CheckStampFields freshness gate", "RunVerify"))
 
 
 def check_r12_coverage(merged, require_driver=True):

@@ -1,7 +1,7 @@
 // lint-fixture-expect: R12
 // lint-fixture-path: src/core/parallel_verify.h
 // Seeded violation: the shared verify driver runs the structural walk and
-// the signature batch before the freshness gate, so every verifier routed
+// the signature batch before the stamp checks, so every verifier routed
 // through it would check a replayed VO's signatures first.
 namespace apqa::core {
 
@@ -9,11 +9,16 @@ template <typename Walk, typename Emit>
 VerifyResult RunVerify(const VerifyContext& ctx,
                        const std::vector<const EpochStamp*>& stamps,
                        Walk&& walk, Emit&& emit) {
+  const Policy attestation_policy = AttestationPolicy();
   SigBatch batch(ctx.mvk);
+  for (const EpochStamp* stamp : stamps) {
+    batch.Add(EpochAttestationMessage(stamp->epoch, stamp->ads_digest),
+              &attestation_policy, &stamp->attestation, AttestationRejected());
+  }
   VerifyResult struct_fail = walk(batch);
   std::ptrdiff_t bad = batch.FirstFailure(ctx.pool);
   for (const EpochStamp* stamp : stamps) {
-    VerifyResult f = CheckFreshness(ctx.mvk, *stamp, ctx.expected_epoch);
+    VerifyResult f = CheckStampFields(*stamp, ctx.expected_epoch);
     if (!f.ok()) return f;
   }
   emit(batch.EmitLimit(bad));

@@ -75,6 +75,8 @@ const VerifyKey::Precomp& VerifyKey::precomp() const {
     pc->h0_prep = crypto::G2Prepared(h0);
     pc->h_prep = crypto::G2Prepared(h);
     pc->a0_prep = crypto::G2Prepared(a0);
+    pc->a_prep = crypto::G2Prepared(a);
+    pc->b_prep = crypto::G2Prepared(b);
     precomp_ = std::move(pc);
   }
   return *precomp_;

@@ -65,13 +65,14 @@ struct VerifyKey {
 
   // Fixed-base tables for the key components that every sign/relax/verify
   // multiplies: G = g, C = c over G1 and A = h^a, B = h^b over G2 — plus
-  // prepared-pairing line tables for the fixed G2 pairing inputs h0/h/a0,
+  // prepared-pairing line tables for the fixed G2 pairing inputs h0/h/a0
+  // and A/B (whole-VO batches fold every row base A + u*B onto those two),
   // so verification never redoes their Miller-loop G2 arithmetic.
   // Built lazily on first use and shared by copies taken afterwards.
   struct Precomp {
     crypto::FixedBaseTable<crypto::Fp> g_tab, c_tab;
     crypto::FixedBaseTable<crypto::Fp2> a_tab, b_tab;
-    crypto::G2Prepared h0_prep, h_prep, a0_prep;
+    crypto::G2Prepared h0_prep, h_prep, a0_prep, a_prep, b_prep;
     // Rank kAttrCache: taken by verifiers and signers that may already hold
     // the server's kServerSp lock and the pool's kThreadPool lock context.
     mutable common::RankedMutex<common::LockRank::kAttrCache> attr_mu;

@@ -17,7 +17,6 @@ bool BatchAccumulator::Accumulate(const std::vector<std::uint8_t>& msg,
   if (sig.y.IsInfinity()) return false;
 
   Fr mu = internal::MessageScalar(sig.tau, msg, sig.epoch);
-  const VerifyKey::Precomp& pc = mvk_.precomp();
 
   // Fresh per-signature weights: delta for the W-equation, rho_j for each
   // column equation. Independence across signatures is what makes the grand
@@ -27,8 +26,8 @@ bool BatchAccumulator::Accumulate(const std::vector<std::uint8_t>& msg,
   for (auto& r : rho) r = internal::SmallExponentWeight(rng);
 
   // sum_j rho_j * [column j equation], fold weights kept on the scalar side:
-  // the accumulator's per-base MSM absorbs (S_i, c_i) directly, so no G1
-  // scalar multiplication happens here at all.
+  // each S_i joins its role's bucket with weight c_i, so no G1 scalar
+  // multiplication happens here at all.
   for (std::size_t i = 0; i < rows; ++i) {
     Fr ci = Fr::Zero();
     for (std::size_t j = 0; j < cols; ++j) {
@@ -38,11 +37,12 @@ bool BatchAccumulator::Accumulate(const std::vector<std::uint8_t>& msg,
         ci = ci - rho[j];
       }
     }
-    if (!ci.IsZero()) {
-      const crypto::G2Prepared& xi =
-          mvk_.AttributeBasePrepared(RoleScalar(msp.row_labels[i]));
-      acc_.Add(&xi, sig.s[i], ci);
-    }
+    if (ci.IsZero()) continue;
+    auto [it, inserted] = roles_.try_emplace(msp.row_labels[i]);
+    RoleBucket& b = it->second;
+    if (inserted) b.u = RoleScalar(msp.row_labels[i]);
+    b.pts.push_back(sig.s[i]);
+    b.weights.push_back(ci);
   }
   // e(Y, h)^{-rho_0} from column 0 and e(Y, h0)^{-delta} from the
   // W-equation share the point -Y: deferred to one multi-set MSM in Check.
@@ -50,7 +50,8 @@ bool BatchAccumulator::Accumulate(const std::vector<std::uint8_t>& msg,
   y_rho0_.push_back(rho[0]);
   y_delta_.push_back(delta);
   // delta * e(W, A0) side of the W-equation.
-  acc_.Add(&pc.a0_prep, sig.w, delta);
+  w_pts_.push_back(sig.w);
+  w_delta_.push_back(delta);
   // Message side, deferred: e(-(C g^mu), sum_j rho_j P_j) splits into
   // e(-C, .)^{rho_j} and e(-g, .)^{mu rho_j} terms of two shared G2 MSMs.
   for (std::size_t j = 0; j < cols; ++j) {
@@ -64,36 +65,70 @@ bool BatchAccumulator::Accumulate(const std::vector<std::uint8_t>& msg,
 
 bool BatchAccumulator::Check(const ParallelRunner& runner) {
   const VerifyKey::Precomp& pc = mvk_.precomp();
-  // The two multi-set folds are independent of each other (and of the
-  // per-base MSMs IsOne runs), so fan them out when a runner is supplied.
+  auto run = [&](std::size_t n, const std::function<void(std::size_t)>& f) {
+    if (runner && n > 1) {
+      runner(n, f);
+    } else {
+      for (std::size_t t = 0; t < n; ++t) f(t);
+    }
+  };
+
+  // Stage 1, all mutually independent: the W fold, the two multi-set folds,
+  // and the reduction of every multi-point role bucket to one point. Each
+  // task writes only its own output, so the fan-out is race-free; the
+  // runner's join publishes the results.
+  std::vector<const RoleBucket*> multi;
+  for (const auto& [label, b] : roles_) {
+    if (b.pts.size() > 1) multi.push_back(&b);
+  }
+  std::vector<G1> reduced(multi.size());
+  G1 w_fold;
   std::vector<G1> yf;
   std::vector<G2> pf;
-  auto fold = [&](std::size_t t) {
+  run(3 + multi.size(), [&](std::size_t t) {
     if (t == 0) {
+      w_fold = crypto::G1Msm(w_pts_, w_delta_);
+    } else if (t == 1) {
       std::vector<Fr> sets[] = {std::move(y_rho0_), std::move(y_delta_)};
       yf = crypto::G1MsmShared(std::span<const G1>(y_pts_),
                                std::span<const std::vector<Fr>>(sets, 2));
-    } else {
+    } else if (t == 2) {
       std::vector<Fr> sets[] = {std::move(p_rho_), std::move(p_murho_)};
       pf = crypto::G2MsmShared(std::span<const G2>(p_pts_),
                                std::span<const std::vector<Fr>>(sets, 2));
+    } else {
+      const RoleBucket& b = *multi[t - 3];
+      reduced[t - 3] = crypto::G1Msm(b.pts, b.weights);
     }
-  };
-  if (runner) {
-    runner(2, fold);
-  } else {
-    fold(0);
-    fold(1);
+  });
+
+  // Stage 2: fold the per-role points onto A and B (header comment).
+  std::vector<G1> ab_pts;
+  std::vector<Fr> ab_sets[2];
+  ab_pts.reserve(roles_.size());
+  std::size_t r = 0;
+  for (const auto& [label, b] : roles_) {
+    if (b.pts.size() > 1) {
+      ab_pts.push_back(reduced[r++]);
+      ab_sets[0].push_back(Fr::One());
+      ab_sets[1].push_back(b.u);
+    } else {
+      ab_pts.push_back(b.pts[0]);
+      ab_sets[0].push_back(b.weights[0]);
+      ab_sets[1].push_back(b.u * b.weights[0]);
+    }
   }
-  if (!yf.empty()) {
-    acc_.Add(&pc.h_prep, yf[0], Fr::One());
-    acc_.Add(&pc.h0_prep, yf[1], Fr::One());
-  }
-  if (!pf.empty()) {
-    acc_.AddFresh(-mvk_.c, pf[0]);
-    acc_.AddFresh(-mvk_.g, pf[1]);
-  }
-  return acc_.IsOne(runner);
+  std::vector<G1> ab = crypto::G1MsmShared(
+      std::span<const G1>(ab_pts), std::span<const std::vector<Fr>>(ab_sets));
+
+  std::vector<crypto::PreparedPair> prepared = {
+      {ab[0], &pc.a_prep}, {ab[1], &pc.b_prep}, {w_fold, &pc.a0_prep},
+      {yf[0], &pc.h_prep}, {yf[1], &pc.h0_prep}};
+  std::vector<std::pair<G1, G2>> fresh = {{-mvk_.c, pf[0]}, {-mvk_.g, pf[1]}};
+  pairs_ = 0;
+  for (const auto& p : prepared) pairs_ += p.p.IsInfinity() ? 0 : 1;
+  for (const auto& [p, q] : fresh) pairs_ += q.IsInfinity() ? 0 : 1;
+  return crypto::MultiPairingPrepared(prepared, fresh).IsOne();
 }
 
 bool Abs::AccumulateVerify(const VerifyKey& mvk,

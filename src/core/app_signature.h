@@ -89,12 +89,14 @@ struct VerifyContext {
 };
 
 // Signs a record (APP signature). Pseudo records use policy Role_∅ and a
-// random value supplied by the caller. `epoch` is the ADS epoch the
-// signature is minted at (bound into the ABS message scalar).
+// random value supplied by the caller. Like a box signature, a record
+// signature is always minted at epoch 0, at build and on every re-sign: its
+// statement (key, value hash, policy) carries no time, so the epoch in a
+// leaf's APS cannot date the cell's last write (DESIGN.md, "Freshness &
+// dynamic data").
 std::optional<Signature> SignRecord(const VerifyKey& mvk,
                                     const SigningKey& sk_do,
-                                    const Record& record, Rng* rng,
-                                    std::uint64_t epoch = 0);
+                                    const Record& record, Rng* rng);
 
 // Signs a grid node (APP signature over the grid box). A box signature is
 // always minted at epoch 0, whenever it is signed: its statement (the box
@@ -116,14 +118,13 @@ std::optional<Signature> DeriveAps(const VerifyKey& mvk, const Signature& app,
 // ---------------------------------------------------------------------------
 // Epoch freshness attestation.
 //
-// Leaf signatures bind the epoch their cell was last written at, which
-// after an incremental update is *mixed*; box signatures bind epoch 0.
-// Whole-VO freshness therefore rides on a separate DO attestation: an ABS
-// signature (under the always-derivable Role_∅ policy) over the pair
+// Node signatures (leaves and boxes alike) bind epoch 0, so they carry no
+// time. Whole-VO freshness therefore rides on a separate DO attestation: an
+// ABS signature (under the always-derivable Role_∅ policy) over the pair
 // (current epoch, set-hash digest of the entire signature multiset). Every
-// VO carries the stamp; verifiers check it against the caller's
-// expected_epoch *before* any per-entry signature work, so a replayed VO
-// fails with kStaleEpoch rather than a generic signature failure.
+// VO carries the stamp; verifiers check its fields against the caller's
+// expected_epoch *before* any per-entry work, so a replayed VO fails with
+// kStaleEpoch rather than a generic signature failure.
 
 struct EpochStamp {
   std::uint64_t epoch = 0;
@@ -161,15 +162,23 @@ std::optional<EpochStamp> MakeEpochStamp(const VerifyKey& mvk,
                                          std::uint64_t epoch,
                                          const Digest& ads_digest, Rng* rng);
 
-// The freshness gate the shared verify driver (core/parallel_verify.h) runs
-// before anything else. `expected_epoch` is the *minimum* acceptable epoch
-// (newer stamps pass — the client may lag behind the DO). Rejections:
+// The freshness check of one stamp. `expected_epoch` is the *minimum*
+// acceptable epoch (newer stamps pass — the client may lag behind the DO).
+// Rejections, in this order:
 //   * stamp.epoch < expected_epoch                  -> kStaleEpoch
 //   * unattested stamp at expected_epoch > 0        -> kStaleEpoch
 //   * attestation minted at a different epoch       -> kStaleEpoch
-//   * attestation fails ABS verification            -> kBadSignature
+//   * attestation fails ABS verification            -> AttestationRejected()
+// The first three are CheckStampFields. The shared verify driver
+// (core/parallel_verify.h) runs CheckStampFields over every stamp before
+// anything else and queues each attestation as a leading job of the VO's
+// signature batch; a standalone stamp (the SP's snapshot gate) takes the
+// whole check here.
 VerifyResult CheckFreshness(const VerifyKey& mvk, const EpochStamp& stamp,
                             std::uint64_t expected_epoch);
+VerifyResult CheckStampFields(const EpochStamp& stamp,
+                              std::uint64_t expected_epoch);
+VerifyResult AttestationRejected();
 
 }  // namespace apqa::core
 

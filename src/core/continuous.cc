@@ -353,7 +353,9 @@ VerifyResult VerifyContinuousEqualityVo(
     const VerifyContext& ctx, std::uint64_t key, const ContinuousVo& vo,
     std::optional<ContinuousRecord>* result) {
   const Policy super_policy = ctx.SuperPolicy();
-  // Set by the walk when the VO holds the accessible record.
+  // Set by the walk: the VO's one signature job, and the accessible record
+  // if the entry holds one.
+  std::optional<std::size_t> job;
   const ContinuousVo::ResultEntry* accessible_entry = nullptr;
   return RunVerify(
       ctx, {&vo.stamp},
@@ -375,11 +377,11 @@ VerifyResult VerifyContinuousEqualityVo(
             return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
                                       "result policy not satisfied", 0);
           }
-          batch.Add(ContinuousRecordMessage(e.key, e.value), &e.policy,
-                    &e.app_sig,
-                    VerifyResult::Fail(VerifyCode::kBadSignature,
-                                       "APP signature verification failed",
-                                       0));
+          job = batch.Add(ContinuousRecordMessage(e.key, e.value), &e.policy,
+                          &e.app_sig,
+                          VerifyResult::Fail(
+                              VerifyCode::kBadSignature,
+                              "APP signature verification failed", 0));
           accessible_entry = &e;
         } else if (!vo.inaccessible.empty()) {
           const auto& e = vo.inaccessible[0];
@@ -387,28 +389,28 @@ VerifyResult VerifyContinuousEqualityVo(
             return VerifyResult::Fail(VerifyCode::kKeyMismatch,
                                       "inaccessible key mismatch", 0);
           }
-          batch.Add(ContinuousRecordMessageFromHash(e.key, e.value_hash),
-                    &super_policy, &e.aps_sig,
-                    VerifyResult::Fail(VerifyCode::kBadSignature,
-                                       "APS signature verification failed",
-                                       0));
+          job = batch.Add(ContinuousRecordMessageFromHash(e.key, e.value_hash),
+                          &super_policy, &e.aps_sig,
+                          VerifyResult::Fail(
+                              VerifyCode::kBadSignature,
+                              "APS signature verification failed", 0));
         } else {
           const auto& e = vo.gaps[0];
           if (!(e.gap.lo < key && key < e.gap.hi)) {
             return VerifyResult::Fail(VerifyCode::kKeyMismatch,
                                       "gap does not contain query key", 0);
           }
-          batch.Add(GapMessage(e.gap), &super_policy, &e.aps_sig,
-                    VerifyResult::Fail(
-                        VerifyCode::kBadSignature,
-                        "gap APS signature verification failed", 0));
+          job = batch.Add(GapMessage(e.gap), &super_policy, &e.aps_sig,
+                          VerifyResult::Fail(
+                              VerifyCode::kBadSignature,
+                              "gap APS signature verification failed", 0));
         }
         return VerifyResult::Ok();
       },
       [&](std::size_t limit) {
-        // The VO's single job is below the limit iff it was queued and
-        // verified.
-        if (limit == 0 || result == nullptr) return;
+        // The entry's job is below the limit iff it was queued and it and
+        // the attestations ahead of it verified.
+        if (!job || *job >= limit || result == nullptr) return;
         if (accessible_entry == nullptr) {
           result->reset();
         } else {

@@ -1,5 +1,7 @@
 #include "core/equality.h"
 
+#include <optional>
+
 #include "core/parallel_verify.h"
 
 namespace apqa::core {
@@ -27,7 +29,9 @@ Vo BuildEqualityVo(const GridTree& tree, const VerifyKey& mvk, const Point& key,
 VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
                               const Vo& vo, Record* result, bool* accessible) {
   const Policy super_policy = ctx.SuperPolicy();
-  // Set by the walk when the VO holds the accessible record.
+  // Set by the walk: the VO's one signature job, and the accessible record
+  // if the entry holds one.
+  std::optional<std::size_t> job;
   const ResultEntry* accessible_entry = nullptr;
   return RunVerify(
       ctx, {&vo.stamp},
@@ -52,11 +56,11 @@ VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
                 VerifyCode::kPolicyNotSatisfied,
                 "result policy not satisfied by user roles", 0);
           }
-          batch.Add(RecordMessage(res->key, res->value), &res->policy,
-                    &res->app_sig,
-                    VerifyResult::Fail(VerifyCode::kBadSignature,
-                                       "APP signature verification failed",
-                                       0));
+          job = batch.Add(RecordMessage(res->key, res->value), &res->policy,
+                          &res->app_sig,
+                          VerifyResult::Fail(
+                              VerifyCode::kBadSignature,
+                              "APP signature verification failed", 0));
           accessible_entry = res;
           return VerifyResult::Ok();
         }
@@ -66,20 +70,20 @@ VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
                 VerifyCode::kKeyMismatch,
                 "inaccessible entry key does not match query", 0);
           }
-          batch.Add(RecordMessageFromHash(rec->key, rec->value_hash),
-                    &super_policy, &rec->aps_sig,
-                    VerifyResult::Fail(VerifyCode::kBadSignature,
-                                       "APS signature verification failed",
-                                       0));
+          job = batch.Add(RecordMessageFromHash(rec->key, rec->value_hash),
+                          &super_policy, &rec->aps_sig,
+                          VerifyResult::Fail(
+                              VerifyCode::kBadSignature,
+                              "APS signature verification failed", 0));
           return VerifyResult::Ok();
         }
         return VerifyResult::Fail(VerifyCode::kUnexpectedEntryType,
                                   "unexpected entry type in equality VO", 0);
       },
       [&](std::size_t limit) {
-        // The VO's single job is below the limit iff it was queued and
-        // verified.
-        if (limit == 0) return;
+        // The entry's job is below the limit iff it was queued and it and
+        // the attestations ahead of it verified.
+        if (!job || *job >= limit) return;
         if (accessible != nullptr) *accessible = accessible_entry != nullptr;
         if (accessible_entry != nullptr && result != nullptr) {
           *result = Record{accessible_entry->key, accessible_entry->value,

@@ -330,7 +330,7 @@ AdsDelta GridTree::ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
     leaf.policy = leaf.record.policy;
   }
 
-  // Re-signs one node (a leaf at the new epoch, a box at epoch 0; see
+  // Re-signs one node (at epoch 0, leaf or box; see SignRecord and
   // SignBox), folds the replacement into the digest and emits its patch.
   AdsDelta delta;
   delta.from_epoch = epoch_;
@@ -340,7 +340,7 @@ AdsDelta GridTree::ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
     crypto::Digest old_c = NodeContribution(level, i, node.sig);
     std::optional<Signature> sig =
         node.is_leaf
-            ? SignRecord(mvk, sk_do, node.record, rng, to_epoch)
+            ? SignRecord(mvk, sk_do, node.record, rng)
             : SignBox(mvk, sk_do, node.box, node.policy, rng);
     if (!sig.has_value()) {
       throw std::logic_error("DO signing key does not cover an updated policy");
@@ -368,7 +368,7 @@ AdsDelta GridTree::ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
   // of its children's policies: it is re-signed only when that OR changed,
   // and only then can its own parent's OR change. Unchanged statements keep
   // their signatures, which stay valid; freshness is the EpochStamp's job.
-  // Box signatures all carry epoch 0, so no single VO dates the last
+  // Node signatures all carry epoch 0, so no single VO dates the last
   // re-sign.
   std::set<std::uint64_t> changed;
   for (const auto& [i, before] : touched) {

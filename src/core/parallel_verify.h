@@ -3,11 +3,11 @@
 //
 // Every verifier walks its VO once, doing the cheap structural checks
 // (coverage, key agreement, policy evaluation) serially in the original
-// order, and queues the expensive ABS signature checks into a SigBatch.
-// By default the batch folds ALL queued signatures into one
-// abs::BatchAccumulator — one G1 MSM per shared prepared G2 base, two
-// shared message-side G2 MSMs, and a single final exponentiation for the
-// entire VO — instead of running one multi-pairing per signature.
+// order, and queues the expensive ABS signature checks into a SigBatch,
+// behind the VO's epoch attestations. The batch folds ALL queued
+// signatures into one abs::BatchAccumulator — a single pairing product of
+// at most seven Miller pairs and one final exponentiation for the entire
+// VO — instead of running one multi-pairing per signature.
 //
 // Blame stays byte-identical to the sequential verifier. Jobs are queued in
 // the exact order the sequential verifier would have evaluated them, and
@@ -19,11 +19,11 @@
 //     each over ~half the remaining range) recovers the lowest
 //     cryptographically failing index — same index the sequential verifier
 //     would return, up to the 2^-128 batching soundness bound.
-// The per-signature path is retained as the diagnostic fallback: single-job
-// batches and anything under a ScopedPerSignatureVerify guard run one
-// Abs::Verify per job (serially short-circuiting, or fanned out over the
-// ThreadPool with an atomic min-failure index so workers stop once every
-// job below the best-known failure has been claimed).
+// The per-signature path is retained as the test and bench oracle: under a
+// ScopedPerSignatureVerify guard every job runs its own Abs::Verify
+// (serially short-circuiting, or fanned out over the ThreadPool with an
+// atomic min-failure index so workers stop once every job below the
+// best-known failure has been claimed).
 //
 // Thread-safety: jobs only read the VO, the verify key's prepared tables
 // (immutable once built; the attribute memo is mutex-guarded), and
@@ -78,13 +78,13 @@ class SigBatch {
   std::size_t size() const { return jobs_.size(); }
 
   // Runs the queued checks; returns the lowest failing job index, or -1 if
-  // all pass. Default: whole-VO batch with bisect blame recovery; tiny
-  // batches and ScopedPerSignatureVerify fall back to one verify per job.
+  // all pass: one whole-VO batch with bisect blame recovery, or one verify
+  // per job under ScopedPerSignatureVerify.
   std::ptrdiff_t FirstFailure(ThreadPool* pool) const {
-    const std::size_t n = jobs_.size();
-    if (n <= 1 || ScopedPerSignatureVerify::Active()) {
+    if (ScopedPerSignatureVerify::Active()) {
       return PerSignatureFirstFailure(pool);
     }
+    const std::size_t n = jobs_.size();
 
     // Accumulate in sequential order until the first structural failure:
     // the sequential verifier never evaluates anything past it, so jobs
@@ -169,10 +169,10 @@ class SigBatch {
     return static_cast<std::ptrdiff_t>(lo);
   }
 
-  // Retained diagnostic fallback: one Abs::Verify per job. Serial when
-  // `pool` is null, single-threaded, or there is at most one job; the pool
-  // path tracks the lowest known failure in an atomic so workers stop as
-  // soon as every job below it has been claimed.
+  // Retained oracle: one Abs::Verify per job. Serial when `pool` is null,
+  // single-threaded, or there is at most one job; the pool path tracks the
+  // lowest known failure in an atomic so workers stop as soon as every job
+  // below it has been claimed.
   std::ptrdiff_t PerSignatureFirstFailure(ThreadPool* pool) const {
     const std::size_t n = jobs_.size();
     if (pool == nullptr || pool->thread_count() <= 1 || n <= 1) {
@@ -214,27 +214,37 @@ class SigBatch {
 
 // The user-side verification skeleton shared by every Verify*Vo entry
 // (Algorithms 1, 3 and 4 and the §9 / App. E variants):
-//   1. the freshness gate over every stamp the VO carries, so a replayed VO
-//      fails kStaleEpoch before any other work;
-//   2. `walk(batch)`: the verifier's own structural rules in sequential-
+//   1. the freshness gate: CheckStampFields over every stamp the VO
+//      carries, in order, so a replayed VO fails kStaleEpoch before any
+//      other work;
+//   2. each stamp's attestation is queued as a leading job of `batch`,
+//      blamed as AttestationRejected(): it shares the VO's one pairing
+//      product, and blame still reaches it before any entry;
+//   3. `walk(batch)`: the verifier's own structural rules in sequential-
 //      verifier order, queueing each signature check into `batch`; it stops
 //      at and returns the first structural failure (Ok if none);
-//   3. FirstFailure over everything queued;
-//   4. `emit(limit)`: output each result whose jobs all lie below `limit`
+//   4. FirstFailure over everything queued;
+//   5. `emit(limit)`: output each result whose jobs all lie below `limit`
 //      (SigBatch::EmitLimit) — partial results match the sequential
-//      verifier's;
-//   5. the lowest signature failure, else the structural verdict.
+//      verifier's, and a rejected attestation emits nothing;
+//   6. the lowest signature failure, else the structural verdict.
 template <typename Walk, typename Emit>
 VerifyResult RunVerify(const VerifyContext& ctx,
                        const std::vector<const EpochStamp*>& stamps,
                        Walk&& walk, Emit&& emit) {
   for (const EpochStamp* stamp : stamps) {
-    if (VerifyResult f = CheckFreshness(ctx.mvk, *stamp, ctx.expected_epoch);
+    if (VerifyResult f = CheckStampFields(*stamp, ctx.expected_epoch);
         !f.ok()) {
       return f;
     }
   }
+  const Policy attestation_policy = AttestationPolicy();
   SigBatch batch(ctx.mvk);
+  for (const EpochStamp* stamp : stamps) {
+    if (!stamp->attested) continue;
+    batch.Add(EpochAttestationMessage(stamp->epoch, stamp->ads_digest),
+              &attestation_policy, &stamp->attestation, AttestationRejected());
+  }
   VerifyResult struct_fail = walk(batch);
   std::ptrdiff_t bad = batch.FirstFailure(ctx.pool);
   emit(batch.EmitLimit(bad));

@@ -298,6 +298,97 @@ TEST_F(AbsTest, BatchRejectsForgedPairCancellation) {
   }
 }
 
+// The batch folds every row base A + u*B onto A and B by bilinearity, so
+// it must keep each row bound to its role. An APS's super-policy is an OR of
+// roles: its span program has one column, so every row carries the same
+// fold weight rho_0 and sum c_i*S_i cannot tell the rows apart. Only the
+// role scalar u does. Each case runs as a one-signature batch (single-point
+// role buckets) and next to a valid APS over the same roles (multi-point
+// buckets, reduced by an MSM before the fold).
+class AbsApsFoldTest : public AbsTest {
+ protected:
+  void SetUp() override {
+    AbsTest::SetUp();
+    Policy pred = Policy::Parse("RoleA & RoleB");
+    for (const char* m : {"m1", "m2"}) {
+      auto sig = Abs::Sign(mvk_, sk_all_, Msg(m), pred, rng_.get());
+      ASSERT_TRUE(sig.has_value());
+      auto aps = Abs::Relax(mvk_, *sig, pred, Msg(m), lacks_, rng_.get());
+      ASSERT_TRUE(aps.has_value());
+      aps_.push_back(std::move(*aps));
+    }
+    ASSERT_EQ(aps_[0].s.size(), lacks_.size());
+  }
+
+  // True iff the batch accepts `bad` (on message m1), alone or after the
+  // valid APS on m2.
+  bool BatchAccepts(const Signature& bad, bool with_valid) {
+    BatchAccumulator acc(mvk_);
+    if (with_valid) {
+      EXPECT_TRUE(Abs::AccumulateVerify(mvk_, Msg("m2"), super_, aps_[1],
+                                        rng_.get(), &acc));
+    }
+    EXPECT_TRUE(
+        Abs::AccumulateVerify(mvk_, Msg("m1"), super_, bad, rng_.get(), &acc));
+    return acc.Check();
+  }
+
+  RoleSet lacks_ = {"Role0", "RoleA", "RoleB", "RoleD"};
+  Policy super_ = Policy::OrOfRoles(lacks_);
+  std::vector<Signature> aps_;
+};
+
+TEST_F(AbsApsFoldTest, ValidApsPasses) {
+  EXPECT_TRUE(BatchAccepts(aps_[0], false));
+  EXPECT_TRUE(BatchAccepts(aps_[0], true));
+}
+
+TEST_F(AbsApsFoldTest, RowsOfDifferentRolesSwappedAreRejected) {
+  policy::Msp msp = policy::BuildMsp(super_);
+  ASSERT_NE(msp.row_labels[0], msp.row_labels[1]);
+  Signature swapped = aps_[0];
+  std::swap(swapped.s[0], swapped.s[1]);
+  ASSERT_FALSE(Abs::Verify(mvk_, Msg("m1"), super_, swapped));
+  EXPECT_FALSE(BatchAccepts(swapped, false));
+  EXPECT_FALSE(BatchAccepts(swapped, true));
+}
+
+TEST_F(AbsApsFoldTest, PerturbationKeepingRowSumIsRejected) {
+  // S_0 + T and S_1 - T: sum S_i is unchanged, sum u_i*S_i moves by
+  // (u_0 - u_1)*T.
+  G1 t = crypto::G1Generator().ScalarMul(Fr::FromU64(0xC0FFEE));
+  Signature bent = aps_[0];
+  bent.s[0] = bent.s[0] + t;
+  bent.s[1] = bent.s[1] + (-t);
+  ASSERT_FALSE(Abs::Verify(mvk_, Msg("m1"), super_, bent));
+  EXPECT_FALSE(BatchAccepts(bent, false));
+  EXPECT_FALSE(BatchAccepts(bent, true));
+}
+
+TEST_F(AbsApsFoldTest, ProductStaysAtSevenPairs) {
+  // Nine signatures over five roles and three predicate shapes: the old
+  // per-role grouping would pair one prepared base per role plus h, h0 and
+  // a0; the fold keeps A, B, a0, h, h0 and the two message-side pairs.
+  std::vector<Policy> preds = {Policy::Parse("RoleA & RoleB"),
+                               Policy::Parse("(RoleA & RoleC) | RoleD"),
+                               super_};
+  BatchAccumulator acc(mvk_);
+  for (std::size_t k = 0; k < 9; ++k) {
+    const Policy& pred = preds[k % preds.size()];
+    auto msg = Msg("p" + std::to_string(k));
+    auto sig = Abs::Sign(mvk_, sk_all_, msg, pred, rng_.get());
+    ASSERT_TRUE(sig.has_value());
+    ASSERT_TRUE(
+        Abs::AccumulateVerify(mvk_, msg, pred, *sig, rng_.get(), &acc));
+  }
+  EXPECT_TRUE(acc.Check());
+  EXPECT_EQ(acc.PairCount(), 7u);
+
+  BatchAccumulator empty(mvk_);
+  EXPECT_TRUE(empty.Check());
+  EXPECT_EQ(empty.PairCount(), 0u);
+}
+
 // --- ABS.Relax rho fold vs the build-then-re-randomize reference ---
 
 // Test-local copy of Algorithm 2 as Abs::Relax computed it before fresh

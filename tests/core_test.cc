@@ -527,11 +527,6 @@ TEST(ParallelPathTest, ParallelJoinVerifyMatchesSerial) {
 
 // --- Whole-VO batched verification vs the retained per-signature path ---
 
-bool SameResult(const VerifyResult& a, const VerifyResult& b) {
-  return a.code == b.code && a.entry_index == b.entry_index &&
-         a.detail == b.detail;
-}
-
 bool SameRecords(const std::vector<Record>& a, const std::vector<Record>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {

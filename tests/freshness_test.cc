@@ -175,8 +175,9 @@ TEST(ReplayTest, FreshVoAtTheNewEpochVerifies) {
   std::vector<Record> results;
   VerifyResult r = VerifyRangeVo(e.Ctx(1), e.range, vo, &results);
   ASSERT_TRUE(r.ok()) << r.ToString();
-  // v1 (epoch-0 signature) and v2 (epoch-1 signature) both verify: per-node
-  // epochs are mixed after an incremental update; freshness rides the stamp.
+  // v1 (signed at build) and v2 (signed by the epoch-1 batch) both verify:
+  // node signatures carry epoch 0 whenever they are minted, and freshness
+  // rides the stamp.
   ASSERT_EQ(results.size(), 2u);
 }
 
@@ -227,6 +228,148 @@ TEST(ReplayTest, ForgedStampEpochFailsSignatureCheck) {
   EXPECT_TRUE(r.code == VerifyCode::kStaleEpoch ||
               r.code == VerifyCode::kBadSignature)
       << r.ToString();
+}
+
+// --- The attestation rides the VO's signature batch -----------------------
+//
+// RunVerify checks every stamp's fields first, then queues each attestation
+// as a leading job of the VO's one signature batch. Blame must still reach
+// a bad attestation before any entry, emit nothing, and read the same on
+// the batched and per-signature paths.
+
+void ExpectAttestationRejected(const VerifyResult& r) {
+  EXPECT_EQ(r.code, VerifyCode::kBadSignature) << r.ToString();
+  EXPECT_EQ(r.entry_index, -1) << r.ToString();
+  EXPECT_EQ(r.detail, "epoch attestation rejected");
+}
+
+TEST(AttestationBatchTest, ForgedAttestationOutranksABrokenEntry) {
+  FreshEnv& e = FreshEnv::Get();
+  Rng rng(41);
+  Vo range = BuildRangeVo(*e.tree_r, e.mvk, e.range, e.user, e.universe,
+                          &rng);
+  ASSERT_TRUE(range.stamp.attested);
+  Vo bad = range;
+  bad.stamp.ads_digest[0] ^= 1;  // the attestation no longer signs this
+  bad.entries.pop_back();        // and the entries no longer cover the box
+  for (bool per_sig : {false, true}) {
+    std::optional<ScopedPerSignatureVerify> guard;
+    if (per_sig) guard.emplace();
+    std::vector<Record> results;
+    ExpectAttestationRejected(
+        VerifyRangeVo(e.Ctx(1), e.range, bad, &results));
+    EXPECT_TRUE(results.empty()) << "per_sig " << per_sig;
+  }
+
+  // Equality: the accessible record must not be emitted either.
+  Vo eq = BuildEqualityVo(*e.tree_r, e.mvk, Point{1}, e.user, e.universe,
+                          &rng);
+  ASSERT_TRUE(std::holds_alternative<ResultEntry>(eq.entries[0]));
+  for (bool broken_entry : {false, true}) {
+    Vo ebad = eq;
+    ebad.stamp.attestation.w = ebad.stamp.attestation.w.Double();
+    if (broken_entry) std::get<ResultEntry>(ebad.entries[0]).key = Point{2};
+    for (bool per_sig : {false, true}) {
+      std::optional<ScopedPerSignatureVerify> guard;
+      if (per_sig) guard.emplace();
+      Record rec{Point{7}, "untouched", Policy{}};
+      bool accessible = false;
+      ExpectAttestationRejected(
+          VerifyEqualityVo(e.Ctx(1), Point{1}, ebad, &rec, &accessible));
+      EXPECT_EQ(rec.value, "untouched");
+      EXPECT_FALSE(accessible);
+    }
+  }
+
+  // A structurally broken attestation (wrong row count) is blamed the same.
+  Vo shape = range;
+  shape.stamp.attestation.s.push_back(shape.stamp.attestation.s[0]);
+  std::vector<Record> results;
+  ExpectAttestationRejected(VerifyRangeVo(e.Ctx(1), e.range, shape, &results));
+  EXPECT_TRUE(results.empty());
+}
+
+TEST(AttestationBatchTest, BatchedMatchesPerSignatureOnAttestedVos) {
+  FreshEnv& e = FreshEnv::Get();
+  Rng rng(42);
+  // Equality: accessible (key 1) and inaccessible (key 5) entries.
+  for (std::uint32_t k : {1u, 5u}) {
+    Vo eq = BuildEqualityVo(*e.tree_r, e.mvk, Point{k}, e.user, e.universe,
+                            &rng);
+    ASSERT_TRUE(eq.stamp.attested);
+    std::vector<Vo> variants(4, eq);
+    variants[1].stamp.ads_digest[0] ^= 1;
+    for (std::size_t v : {2u, 3u}) {
+      if (auto* res = std::get_if<ResultEntry>(&variants[v].entries[0])) {
+        res->value += "x";
+      } else {
+        auto& rec = std::get<InaccessibleRecordEntry>(variants[v].entries[0]);
+        rec.value_hash[0] ^= 1;
+      }
+    }
+    variants[3].stamp.attestation.y = variants[3].stamp.attestation.y.Double();
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      Record brec, srec;
+      bool bacc = false, sacc = false;
+      VerifyResult b =
+          VerifyEqualityVo(e.Ctx(1), Point{k}, variants[v], &brec, &bacc);
+      VerifyResult s;
+      {
+        ScopedPerSignatureVerify guard;
+        s = VerifyEqualityVo(e.Ctx(1), Point{k}, variants[v], &srec, &sacc);
+      }
+      EXPECT_EQ(b.ok(), v == 0) << "key " << k << " variant " << v;
+      EXPECT_TRUE(SameResult(b, s))
+          << "key " << k << " variant " << v << ": " << b.ToString()
+          << " vs " << s.ToString();
+      EXPECT_EQ(bacc, sacc);
+      EXPECT_EQ(brec.value, srec.value);
+    }
+  }
+
+  // Join: two stamps, so two leading attestation jobs.
+  JoinVo join = BuildJoinVo(*e.tree_r, *e.tree_s, e.mvk, e.range, e.user,
+                            e.universe, &rng);
+  ASSERT_TRUE(join.r_stamp.attested && join.s_stamp.attested);
+  ASSERT_FALSE(join.pairs.empty());
+  std::vector<JoinVo> variants(5, join);
+  variants[1].r_stamp.ads_digest[0] ^= 1;
+  variants[2].s_stamp.ads_digest[0] ^= 1;
+  variants[3].pairs.front().r.value += "x";
+  variants[4].s_stamp.ads_digest[0] ^= 1;
+  variants[4].pairs.front().s.value += "x";
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    std::vector<std::pair<Record, Record>> bout, sout;
+    VerifyResult b = VerifyJoinVo(e.Ctx(1), e.range, variants[v], &bout);
+    VerifyResult s;
+    {
+      ScopedPerSignatureVerify guard;
+      s = VerifyJoinVo(e.Ctx(1), e.range, variants[v], &sout);
+    }
+    EXPECT_EQ(b.ok(), v == 0) << "variant " << v;
+    EXPECT_TRUE(SameResult(b, s))
+        << "variant " << v << ": " << b.ToString() << " vs " << s.ToString();
+    EXPECT_EQ(bout.size(), sout.size()) << "variant " << v;
+    if (v == 1 || v == 2 || v == 4) {
+      ExpectAttestationRejected(b);
+      EXPECT_TRUE(bout.empty());
+    }
+  }
+}
+
+// Every stamp's fields are checked before any attestation is verified. So
+// when one join stamp carries a forged attestation and the other is stale,
+// the stale stamp is reported, though it comes second.
+TEST(AttestationBatchTest, StaleSecondStampOutranksForgedFirstAttestation) {
+  FreshEnv& e = FreshEnv::Get();
+  Rng rng(43);
+  JoinVo join = BuildJoinVo(*e.tree_r, *e.tree_s, e.mvk, e.range, e.user,
+                            e.universe, &rng);
+  JoinVo frozen = MustDeser<JoinVo>(e.join_bytes);
+  join.r_stamp.ads_digest[0] ^= 1;
+  join.s_stamp = frozen.s_stamp;  // epoch 0, below the expected epoch 1
+  VerifyResult r = VerifyJoinVo(e.Ctx(1), e.range, join, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kStaleEpoch) << r.ToString();
 }
 
 }  // namespace

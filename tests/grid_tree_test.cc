@@ -59,11 +59,7 @@ void ExpectTreeInvariant(const GridTree& tree, const VerifyKey& mvk,
       }
       EXPECT_EQ(node.policy, expect);
     }
-    if (node.is_leaf) {
-      EXPECT_LE(node.sig.epoch, tree.epoch());
-    } else {
-      EXPECT_EQ(node.sig.epoch, 0u) << "a box signature must carry no time";
-    }
+    EXPECT_EQ(node.sig.epoch, 0u) << "a node signature must carry no time";
     std::vector<std::uint8_t> msg = NodeMessage(node);
     common::ByteWriter w;
     w.PutBytes(msg.data(), msg.size());
@@ -391,12 +387,12 @@ TEST_F(GridTreeTest, PolicyEditPatchesExactlyTheChangedAncestors) {
   // root all change.
   EXPECT_EQ(expect.size(), 3u);
   ExpectTreeInvariant(tree, mvk_);
-  // The re-signed root still carries epoch 0, like a kept one, so its epoch
-  // cannot date this policy change; the leaf carries the batch's epoch.
+  // The re-signed root and leaf still carry epoch 0, like kept ones, so
+  // neither epoch can date this write or this policy change.
   EXPECT_NE(SigBytes(tree.GetNode(tree.Root())),
             SigBytes(before.GetNode(before.Root())));
   EXPECT_EQ(tree.GetNode(tree.Root()).sig.epoch, 0u);
-  EXPECT_EQ(tree.GetNode(tree.LeafAt(Point{0, 1})).sig.epoch, 1u);
+  EXPECT_EQ(tree.GetNode(tree.LeafAt(Point{0, 1})).sig.epoch, 0u);
 }
 
 TEST_F(GridTreeTest, DeleteToPseudoPatchesExactlyTheChangedAncestors) {
