@@ -17,8 +17,6 @@
 //                   against g2_wnaf).
 //   msm           — Pippenger G1Msm/G2Msm vs. the naive ScalarMul-and-add
 //                   loop, n = 4..256.
-//   multipairing  — lockstep batched-inversion MultiPairing vs. the per-pair
-//                   reference (N Miller loops, one final exponentiation).
 //   abs           — end-to-end ABS sign/verify at a fixed predicate length,
 //                   ABS.Relax of that signature to a 10-role super policy
 //                   (the SP's per-node VO cost), and ABS.Sign of a wide
@@ -292,33 +290,6 @@ void BenchMsm(Rng* rng, bool fast) {
   }
 }
 
-void BenchMultiPairing(Rng* rng, bool fast) {
-  std::printf("MultiPairing: lockstep batched inversion vs per-pair\n");
-  for (std::size_t n : {2u, 8u, 16u}) {
-    if (fast && n > 8) break;
-    std::vector<std::pair<G1, G2>> pairs;
-    for (std::size_t j = 0; j < n; ++j) {
-      pairs.emplace_back(G1Mul(rng->NextNonZeroFr()),
-                         G2Mul(rng->NextNonZeroFr()));
-    }
-    int iters = 5;
-    double per_pair = TimeMs(iters, [&] {
-      GT f = GT::One();
-      for (const auto& [p, q] : pairs) f = f * MillerLoop(p, q);
-      Sink(FinalExponentiation(f));
-    });
-    double batched = TimeMs(iters, [&] {
-      Sink(MultiPairing(pairs));
-    });
-    char row[64];
-    std::snprintf(row, sizeof(row), "multipairing_perpair_n%zu", n);
-    Report(row, per_pair);
-    std::snprintf(row, sizeof(row), "multipairing_batched_n%zu", n);
-    Report(row, batched);
-    std::printf("  %-28s %10.2fx\n", "speedup", per_pair / batched);
-  }
-}
-
 void BenchAbs(bool fast) {
   std::printf("ABS end-to-end (predicate length 12)\n");
   crypto::Rng rng(11);
@@ -384,7 +355,6 @@ int main(int argc, char** argv) {
   BenchFixedBase(&rng, fast ? 50 : 400);
   BenchSubgroup(&rng, fast ? 50 : 400);
   BenchMsm(&rng, fast);
-  BenchMultiPairing(&rng, fast);
   BenchAbs(fast);
   return 0;
 }

@@ -1,25 +1,27 @@
 // Micro-benchmark (ablation): the prepared-pairing verification engine vs.
-// the paths it replaced.
+// the reference arms it is checked against (reference/).
 //
-//   miller loop   — sparse-line MillerLoop vs. the affine audit oracle
-//                   MillerLoopGeneric, and MillerLoopPrepared on a cached
-//                   G2Prepared coefficient table.
+//   miller loop   — the generic audit oracle MillerLoopGeneric vs.
+//                   MillerLoopPrepared on a cached G2Prepared table.
 //   final exp     — the cyclotomic BLS12 chain vs. the exact
 //                   FinalExponentiationGeneric square-and-multiply ladder.
-//   pairing       — Pairing(p, q) vs. PairWith(p, prepared) plus the
-//                   pre-engine baseline (generic Miller loop + generic FE),
-//                   and the one-off G2Prepared construction cost.
+//   pairing       — Pairing(p, q) (G2 prepared per call) vs.
+//                   PairWith(p, prepared) plus the pre-engine baseline
+//                   (generic Miller loop + generic FE), and the one-off
+//                   G2Prepared construction cost.
 //   fp12          — full Fp12 mul vs. MulBySparseLine on line-shaped operands.
-//   multipairing  — on-the-fly MultiPairing vs. MultiPairingPrepared with
-//                   every G2 input served from a cached table.
-//   abs           — end-to-end ABS verify: the prepared engine (Abs::Verify)
-//                   vs. the pre-engine path (Abs::VerifyUnprepared), same
-//                   signature, same run.
+//   multipairing  — MultiPairing (G2 prepared per call) vs.
+//                   MultiPairingPrepared with every G2 input served from a
+//                   cached table.
+//   abs           — end-to-end ABS verify: Abs::Verify (a batch of one) vs.
+//                   the reference VerifyUnprepared, same signature, same
+//                   run; and Abs::Verify on the 1-row attestation shape the
+//                   SP checks once per DO update.
 //   abs batch     — whole-batch BatchAccumulator verification of n
 //                   signatures sharing one final exponentiation.
-//   range vo      — user-side range-VO verification: the retained
-//                   per-signature path (serial and 4-thread pool) vs. the
-//                   whole-VO batch, plus the tampered-VO bisect blame path.
+//   range vo      — user-side range-VO verification: the retained serial
+//                   per-signature path vs. the whole-VO batch, plus the
+//                   tampered-VO bisect blame path.
 //   vo product    — a point-lookup VO (one APS entry plus the attested
 //                   stamp) verified end to end as one pairing product vs.
 //                   one product per signature, and the number of Miller
@@ -37,6 +39,8 @@
 #include "core/range_query.h"
 #include "crypto/pairing.h"
 #include "crypto/pairing_prepared.h"
+#include "reference/abs_unprepared.h"
+#include "reference/pairing_generic.h"
 
 namespace {
 
@@ -80,14 +84,12 @@ void Speedup(const char* row, double baseline, double engine) {
 }
 
 void BenchMillerLoop(Rng* rng, int iters) {
-  std::printf("Miller loop: generic vs sparse-line vs prepared\n");
+  std::printf("Miller loop: generic vs prepared\n");
   G1 p = G1Mul(rng->NextNonZeroFr());
   G2 q = G2Mul(rng->NextNonZeroFr());
   G2Prepared prep(q);
   double generic = TimeMs(iters, [&] { Sink(MillerLoopGeneric(p, q)); });
   Report("miller_generic", generic);
-  double sparse = TimeMs(iters, [&] { Sink(MillerLoop(p, q)); });
-  Report("miller_sparse", sparse);
   double prepared = TimeMs(iters, [&] { Sink(MillerLoopPrepared(p, prep)); });
   Report("miller_prepared", prepared);
   Speedup("miller_prepared_vs_generic", generic, prepared);
@@ -95,7 +97,8 @@ void BenchMillerLoop(Rng* rng, int iters) {
 
 void BenchFinalExp(Rng* rng, int iters) {
   std::printf("final exponentiation: generic ladder vs cyclotomic chain\n");
-  GT f = MillerLoop(G1Mul(rng->NextNonZeroFr()), G2Mul(rng->NextNonZeroFr()));
+  GT f = MillerLoopPrepared(G1Mul(rng->NextNonZeroFr()),
+                            G2Prepared(G2Mul(rng->NextNonZeroFr())));
   double generic = TimeMs(iters, [&] { Sink(FinalExponentiationGeneric(f)); });
   Report("final_exp_generic", generic);
   double fast = TimeMs(iters, [&] { Sink(FinalExponentiation(f)); });
@@ -126,7 +129,8 @@ void BenchPairing(Rng* rng, int iters) {
 
 void BenchFp12Mul(Rng* rng, int iters) {
   std::printf("Fp12 line fold: full mul vs sparse-line mul\n");
-  GT a = MillerLoop(G1Mul(rng->NextNonZeroFr()), G2Mul(rng->NextNonZeroFr()));
+  GT a = MillerLoopPrepared(G1Mul(rng->NextNonZeroFr()),
+                            G2Prepared(G2Mul(rng->NextNonZeroFr())));
   // Line-shaped operand: only the w^0, w^2, w^3 slots are non-zero.
   Fp2 a0 = a.c0.c0, a2 = a.c0.c1, a3 = a.c1.c1;
   GT line = Fp12::FromSparseLine(a0, a2, a3);
@@ -165,7 +169,7 @@ void BenchMultiPairing(Rng* rng, bool fast) {
 }
 
 void BenchAbsVerify(bool fast) {
-  std::printf("ABS verify end-to-end: prepared engine vs pre-engine path\n");
+  std::printf("ABS verify end-to-end: batch of one vs reference path\n");
   crypto::Rng rng(11);
   abs::MasterKey msk;
   abs::VerifyKey mvk;
@@ -184,11 +188,11 @@ void BenchAbsVerify(bool fast) {
 
   // Warm both paths once so table construction is not billed to either row.
   Sink(abs::Abs::Verify(mvk, msg, pred, *sig));
-  Sink(abs::Abs::VerifyUnprepared(mvk, msg, pred, *sig));
+  Sink(abs::VerifyUnprepared(mvk, msg, pred, *sig));
 
   int iters = fast ? 2 : 8;
   double unprepared = TimeMs(iters, [&] {
-    Sink(abs::Abs::VerifyUnprepared(mvk, msg, pred, *sig));
+    Sink(abs::VerifyUnprepared(mvk, msg, pred, *sig));
   });
   Report("abs_verify_unprepared_len12", unprepared);
   double prepared = TimeMs(iters, [&] {
@@ -196,6 +200,20 @@ void BenchAbsVerify(bool fast) {
   });
   Report("abs_verify_prepared_len12", prepared);
   Speedup("abs_verify_speedup", unprepared, prepared);
+
+  // The SP's per-update check: one epoch-attestation-shaped signature (a
+  // single Role_NULL row, one column).
+  abs::SigningKey sk_do = abs::Abs::KeyGen(msk, {core::kPseudoRole}, &rng);
+  const policy::Policy attest = core::AttestationPolicy();
+  auto att = abs::Abs::Sign(mvk, sk_do, msg, attest, &rng);
+  if (!att || !abs::Abs::Verify(mvk, msg, attest, *att)) {
+    std::fprintf(stderr, "BENCH BUG: attestation failed verification\n");
+    std::abort();
+  }
+  double attest_ms = TimeMs(fast ? 5 : 40, [&] {
+    Sink(abs::Abs::Verify(mvk, msg, attest, *att));
+  });
+  Report("abs_verify_attest", attest_ms);
 }
 
 void BenchAbsBatchVerify(bool fast) {
@@ -231,7 +249,7 @@ void BenchAbsBatchVerify(bool fast) {
       abs::BatchAccumulator acc(mvk);
       crypto::Rng wrng;
       for (std::size_t k = 0; k < n; ++k) {
-        abs::Abs::AccumulateVerify(mvk, msgs[k], pred, sigs[k], &wrng, &acc);
+        acc.Accumulate(msgs[k], pred, sigs[k], &wrng);
       }
       Sink(acc.Check());
     });
@@ -257,30 +275,25 @@ void BenchRangeVoVerify(bool fast) {
   const core::SystemKeys& keys = owner.keys();
   core::Box range{core::Point{0}, core::Point{static_cast<std::uint32_t>(n - 1)}};
   core::Vo vo = sp.RangeQuery(range, creds.roles);
-  core::ThreadPool pool(4);
 
-  auto verify = [&](const core::Vo& v, core::ThreadPool* p) {
+  auto verify = [&](const core::Vo& v) {
     core::VerifyContext ctx(keys.mvk, keys.domain, creds.roles,
                             keys.universe);
-    ctx.pool = p;
     Sink(core::VerifyRangeVo(ctx, range, v, nullptr));
   };
 
-  // The serial/pool rows pin the retained per-signature path so the batched
+  // The serial row pins the retained per-signature path so the batched
   // row below has a same-run baseline (and the trajectory keeps its
   // pre-batching series).
   int iters = fast ? 1 : 5;
-  double serial, pooled;
+  double serial;
   {
     core::ScopedPerSignatureVerify per_signature;
-    serial = TimeMs(iters, [&] { verify(vo, nullptr); });
+    serial = TimeMs(iters, [&] { verify(vo); });
     Report("range_vo_verify_serial", serial);
-    pooled = TimeMs(iters, [&] { verify(vo, &pool); });
-    Report("range_vo_verify_pool4", pooled);
   }
-  Speedup("range_vo_pool_speedup", serial, pooled);
 
-  double batched = TimeMs(iters, [&] { verify(vo, nullptr); });
+  double batched = TimeMs(iters, [&] { verify(vo); });
   Report("range_vo_verify_batched", batched);
   Speedup("range_vo_batch_speedup", serial, batched);
 
@@ -293,7 +306,7 @@ void BenchRangeVoVerify(bool fast) {
       break;
     }
   }
-  double bisect = TimeMs(iters, [&] { verify(tampered, nullptr); });
+  double bisect = TimeMs(iters, [&] { verify(tampered); });
   Report("batch_bisect_tamper_1", bisect);
 }
 
@@ -354,25 +367,22 @@ void BenchVoProduct(bool fast) {
   const policy::Policy super = ctx.SuperPolicy();
   abs::BatchAccumulator acc(keys.mvk);
   crypto::Rng wrng;
-  bool shaped = abs::Abs::AccumulateVerify(
-      keys.mvk,
+  bool shaped = acc.Accumulate(
       core::EpochAttestationMessage(vo.stamp.epoch, vo.stamp.ads_digest),
-      core::AttestationPolicy(), vo.stamp.attestation, &wrng, &acc);
+      core::AttestationPolicy(), vo.stamp.attestation, &wrng);
   for (const core::VoEntry& entry : vo.entries) {
     if (const auto* res = std::get_if<core::ResultEntry>(&entry)) {
-      shaped &= abs::Abs::AccumulateVerify(
-          keys.mvk, core::RecordMessage(res->key, res->value), res->policy,
-          res->app_sig, &wrng, &acc);
+      shaped &= acc.Accumulate(core::RecordMessage(res->key, res->value),
+                               res->policy, res->app_sig, &wrng);
     } else if (const auto* rec =
                    std::get_if<core::InaccessibleRecordEntry>(&entry)) {
-      shaped &= abs::Abs::AccumulateVerify(
-          keys.mvk, core::RecordMessageFromHash(rec->key, rec->value_hash),
-          super, rec->aps_sig, &wrng, &acc);
+      shaped &= acc.Accumulate(
+          core::RecordMessageFromHash(rec->key, rec->value_hash), super,
+          rec->aps_sig, &wrng);
     } else {
       const auto& box = std::get<core::InaccessibleBoxEntry>(entry);
-      shaped &= abs::Abs::AccumulateVerify(keys.mvk,
-                                           core::BoxMessage(box.box), super,
-                                           box.aps_sig, &wrng, &acc);
+      shaped &= acc.Accumulate(core::BoxMessage(box.box), super, box.aps_sig,
+                               &wrng);
     }
   }
   if (!shaped || !acc.Check()) {

@@ -229,7 +229,7 @@ PERF_JSON=$(mktemp /tmp/BENCH_pairing_smoke.XXXXXX.json)
 rm -f "$PERF_JSON"
 APQA_BENCH_FAST=1 APQA_BENCH_JSON="$PERF_JSON" \
   ./build/bench/bench_pairing_micro >/dev/null
-for row in pairing_prepared abs_verify_prepared_len12 range_vo_verify_pool4 \
+for row in pairing_prepared abs_verify_prepared_len12 abs_verify_attest \
            range_vo_verify_serial range_vo_verify_batched \
            abs_batch_verify_n8 batch_bisect_tamper_1 point_vo_verify \
            range_vo_pairs; do

@@ -95,7 +95,7 @@ import sys
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
 AUDIT_ROOTS = [SRC] + [os.path.join(REPO, d)
-                       for d in ("tests", "bench", "examples")]
+                       for d in ("reference", "tests", "bench", "examples")]
 FIXTURES = os.path.join(REPO, "scripts", "lint_fixtures")
 CACHE_PATH = os.path.join(REPO, "build", "lint_cache.json")
 
@@ -228,7 +228,7 @@ DRIVER_CALL = re.compile(r"\bRunVerify\s*\(")
 GATE_CALL = re.compile(r"\.Unvalidated\s*\(\)")
 FRESHNESS_CALL = re.compile(r"\bCheck(?:Freshness|StampFields)\s*\(")
 WORK_ANCHOR = re.compile(r"\bSigBatch\b|\.Evaluate\s*\(|\bCheckCoverage|"
-                         r"\bFirstFailure\s*\(|\bAttributeBase|"
+                         r"\bFirstFailure\s*\(|"
                          r"\bAbs::Verify\s*\(|\bwalk\s*\(")
 
 # R13: fatal client statuses that must be returned, not retried.

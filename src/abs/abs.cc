@@ -1,5 +1,6 @@
 #include "abs/abs.h"
 
+#include "common/lock_rank.h"
 #include "crypto/serde.h"
 #include "crypto/sha256.h"
 
@@ -80,43 +81,6 @@ const VerifyKey::Precomp& VerifyKey::precomp() const {
     precomp_ = std::move(pc);
   }
   return *precomp_;
-}
-
-const crypto::G2Prepared& VerifyKey::AttributeBasePrepared(const Fr& u) const {
-  const Precomp& pc = precomp();
-  crypto::Limbs<4> key = u.ToCanonical();
-  {
-    std::lock_guard lock(pc.attr_mu);
-    auto it = pc.attr_prep.find(key);
-    if (it != pc.attr_prep.end()) return it->second;
-  }
-  // Build outside the lock (table construction is the expensive part);
-  // emplace keeps the first insertion on a race, and map-node stability
-  // makes the returned reference long-lived.
-  crypto::G2Prepared prep(a + pc.b_tab.Mul(u));
-  std::lock_guard lock(pc.attr_mu);
-  return pc.attr_prep.emplace(key, std::move(prep)).first->second;
-}
-
-const crypto::GT& VerifyKey::GeneratorPairing() const {
-  const Precomp& pc = precomp();
-  std::call_once(pc.gen_pairing_once,
-                 [&] { pc.gen_pairing = crypto::PairWith(g, pc.h_prep); });
-  return pc.gen_pairing;
-}
-
-G2 VerifyKey::AttributeBase(const Fr& u) const {
-  const Precomp& pc = precomp();
-  crypto::Limbs<4> key = u.ToCanonical();
-  {
-    std::lock_guard lock(pc.attr_mu);
-    auto it = pc.attr_base.find(key);
-    if (it != pc.attr_base.end()) return it->second;
-  }
-  G2 base = a + pc.b_tab.Mul(u);
-  std::lock_guard lock(pc.attr_mu);
-  pc.attr_base.emplace(key, base);
-  return base;
 }
 
 void VerifyKey::Serialize(common::ByteWriter* w) const {
@@ -295,169 +259,6 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
     sig.p[j] = pc.a_tab.MulCt(alpha[j]) + pc.b_tab.MulCt(beta[j]);
   }
   return sig;
-}
-
-bool Abs::Verify(const VerifyKey& mvk, const std::vector<std::uint8_t>& msg,
-                 const Policy& predicate, const Signature& sig, bool exact) {
-  Msp msp = BuildMsp(predicate);
-  std::size_t rows = msp.Rows(), cols = msp.Cols();
-  if (sig.s.size() != rows || sig.p.size() != cols) return false;
-  if (sig.y.IsInfinity()) return false;
-
-  Fr mu = MessageScalar(sig.tau, msg, sig.epoch);
-  G1 cg = MessageBase(mvk, mu);
-
-  // All fixed G2 pairing inputs come from cached line tables: h0/h/a0 from
-  // the key's precomp, the per-row bases A * B^{u_i} from the prepared
-  // memo. Only the signature's P_j components pair as fresh G2 points.
-  const VerifyKey::Precomp& pc = mvk.precomp();
-  std::vector<const crypto::G2Prepared*> xi(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    xi[i] = &mvk.AttributeBasePrepared(RoleScalar(msp.row_labels[i]));
-  }
-
-  if (exact) {
-    // e(W, A0) == e(Y, h0)
-    if (!crypto::MultiPairingPrepared(
-             {{sig.w, &pc.a0_prep}, {-sig.y, &pc.h0_prep}})
-             .IsOne()) {
-      return false;
-    }
-    for (std::size_t j = 0; j < cols; ++j) {
-      std::vector<crypto::PreparedPair> pairs;
-      for (std::size_t i = 0; i < rows; ++i) {
-        if (msp.m[i][j] == 1) {
-          pairs.push_back({sig.s[i], xi[i]});
-        } else if (msp.m[i][j] == -1) {
-          pairs.push_back({-sig.s[i], xi[i]});
-        }
-      }
-      if (j == 0) pairs.push_back({-sig.y, &pc.h_prep});
-      if (!crypto::MultiPairingPrepared(pairs, {{-cg, sig.p[j]}}).IsOne()) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // Batched verification: fold the W-equation (weight delta) and all t
-  // column equations (weights rho_j) into a single pairing product. The
-  // batching weights stay plain Fr (variable-time folds): they are drawn
-  // fresh after the signature is fixed and protect only this call's
-  // soundness, so leaking them post-hoc is harmless — quarantined in
-  // DESIGN.md.
-  //
-  // Small-exponent batching (Bellare–Garay–Rabin): 128-bit nonzero weights
-  // keep the per-call forgery bound at 2^-128 while halving every weight
-  // multiplication, since the wNAF ladder length tracks the scalar
-  // magnitude.
-  Rng rng;  // fresh OS-seeded randomness for the batching weights
-  Fr delta = internal::SmallExponentWeight(&rng);
-  std::vector<Fr> rho(cols);
-  for (auto& r : rho) r = internal::SmallExponentWeight(&rng);
-
-  std::vector<crypto::PreparedPair> pairs;
-  pairs.reserve(rows + 3);
-  // sum_j rho_j * [column j equation], fold weights on the G1 side as in
-  // VerifyUnprepared below.
-  for (std::size_t i = 0; i < rows; ++i) {
-    Fr ci = Fr::Zero();
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (msp.m[i][j] == 1) {
-        ci = ci + rho[j];
-      } else if (msp.m[i][j] == -1) {
-        ci = ci - rho[j];
-      }
-    }
-    if (!ci.IsZero()) pairs.push_back({sig.s[i].ScalarMul(ci), xi[i]});
-  }
-  G2 psum = crypto::G2Msm(std::span<const G2>(sig.p.data(), cols),
-                          std::span<const Fr>(rho.data(), cols));
-  pairs.push_back({-sig.y.ScalarMul(rho[0]), &pc.h_prep});
-  // delta * [e(W, A0) == e(Y, h0)]
-  pairs.push_back({sig.w.ScalarMul(delta), &pc.a0_prep});
-  pairs.push_back({-sig.y.ScalarMul(delta), &pc.h0_prep});
-  return crypto::MultiPairingPrepared(pairs, {{-cg, psum}}).IsOne();
-}
-
-bool Abs::VerifyUnprepared(const VerifyKey& mvk,
-                           const std::vector<std::uint8_t>& msg,
-                           const Policy& predicate, const Signature& sig,
-                           bool exact) {
-  // Pre-engine path: on-the-fly MultiPairing, no cached line tables. Kept
-  // as the same-run bench baseline and as the differential oracle against
-  // the prepared path above.
-  Msp msp = BuildMsp(predicate);
-  std::size_t rows = msp.Rows(), cols = msp.Cols();
-  if (sig.s.size() != rows || sig.p.size() != cols) return false;
-  if (sig.y.IsInfinity()) return false;
-
-  Fr mu = MessageScalar(sig.tau, msg, sig.epoch);
-  G1 cg = MessageBase(mvk, mu);
-
-  std::vector<G2> xi(rows);  // A * B^{u_i}
-  for (std::size_t i = 0; i < rows; ++i) {
-    xi[i] = mvk.AttributeBase(RoleScalar(msp.row_labels[i]));
-  }
-
-  if (exact) {
-    // e(W, A0) == e(Y, h0)
-    if (!crypto::MultiPairing({{sig.w, mvk.a0}, {-sig.y, mvk.h0}}).IsOne()) {
-      return false;
-    }
-    for (std::size_t j = 0; j < cols; ++j) {
-      std::vector<std::pair<G1, G2>> pairs;
-      for (std::size_t i = 0; i < rows; ++i) {
-        if (msp.m[i][j] == 1) {
-          pairs.emplace_back(sig.s[i], xi[i]);
-        } else if (msp.m[i][j] == -1) {
-          pairs.emplace_back(-sig.s[i], xi[i]);
-        }
-      }
-      if (j == 0) pairs.emplace_back(-sig.y, mvk.h);
-      pairs.emplace_back(-cg, sig.p[j]);
-      if (!crypto::MultiPairing(pairs).IsOne()) return false;
-    }
-    return true;
-  }
-
-  // Batched verification: fold the W-equation (weight delta) and all t
-  // column equations (weights rho_j) into a single pairing product. The
-  // batching weights stay plain Fr (variable-time folds): they are drawn
-  // fresh after the signature is fixed and protect only this call's
-  // soundness, so leaking them post-hoc is harmless — quarantined in
-  // DESIGN.md.
-  Rng rng;  // fresh OS-seeded randomness for the batching weights
-  Fr delta = rng.NextNonZeroFr();
-  std::vector<Fr> rho(cols);
-  for (auto& r : rho) r = rng.NextNonZeroFr();
-
-  std::vector<std::pair<G1, G2>> pairs;
-  pairs.reserve(rows + 4);
-  // sum_j rho_j * [column j equation]:
-  //   prod_i e(S_i, X_i)^{sum_j M_ij rho_j}
-  //     == e(Y, h)^{rho_0} * e(cg, sum_j rho_j P_j)
-  // The fold weight is applied on the G1 side (e(S_i^{c_i}, X_i)) where a
-  // scalar multiplication is ~3x cheaper than in G2.
-  for (std::size_t i = 0; i < rows; ++i) {
-    Fr ci = Fr::Zero();
-    for (std::size_t j = 0; j < cols; ++j) {
-      if (msp.m[i][j] == 1) {
-        ci = ci + rho[j];
-      } else if (msp.m[i][j] == -1) {
-        ci = ci - rho[j];
-      }
-    }
-    if (!ci.IsZero()) pairs.emplace_back(sig.s[i].ScalarMul(ci), xi[i]);
-  }
-  G2 psum = crypto::G2Msm(std::span<const G2>(sig.p.data(), cols),
-                          std::span<const Fr>(rho.data(), cols));
-  pairs.emplace_back(-sig.y.ScalarMul(rho[0]), mvk.h);
-  pairs.emplace_back(-cg, psum);
-  // delta * [e(W, A0) == e(Y, h0)]
-  pairs.emplace_back(sig.w.ScalarMul(delta), mvk.a0);
-  pairs.emplace_back(-sig.y.ScalarMul(delta), mvk.h0);
-  return crypto::MultiPairing(pairs).IsOne();
 }
 
 std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,

@@ -14,12 +14,10 @@
 #include <array>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "common/lock_rank.h"
 #include "common/serde.h"
 #include "crypto/msm.h"
 #include "crypto/pairing.h"
@@ -46,40 +44,17 @@ struct VerifyKey {
   void Serialize(common::ByteWriter* w) const;
   static VerifyKey Deserialize(common::ByteReader* r);
 
-  // h^(a + b*u) for an attribute scalar u — the per-row base used by both
-  // signing and verification. Served from the precomputed B table plus a
-  // per-scalar memo (verification keys are long-lived and see the same
-  // role scalars over and over).
-  G2 AttributeBase(const Fr& u) const;
-
-  // Prepared-pairing table for h^(a + b*u), memoized like AttributeBase.
-  // The returned reference stays valid for the key's lifetime (map nodes
-  // are stable) and the table is immutable once built, so it is safe to
-  // share read-only across verifier threads.
-  const crypto::G2Prepared& AttributeBasePrepared(const Fr& u) const;
-
-  // Memoized constant e(g, h) — the generator pairing warmed alongside the
-  // prepared tables so callers (warm-up paths, benches, tests) never
-  // re-derive it.
-  const crypto::GT& GeneratorPairing() const;
-
   // Fixed-base tables for the key components that every sign/relax/verify
   // multiplies: G = g, C = c over G1 and A = h^a, B = h^b over G2 — plus
   // prepared-pairing line tables for the fixed G2 pairing inputs h0/h/a0
-  // and A/B (whole-VO batches fold every row base A + u*B onto those two),
-  // so verification never redoes their Miller-loop G2 arithmetic.
-  // Built lazily on first use and shared by copies taken afterwards.
+  // and A/B (the batch verifier folds every row base A + u*B onto those
+  // two), so verification never redoes their Miller-loop G2 arithmetic.
+  // Built lazily on first use (or by calling precomp() to warm a key read
+  // off the wire), immutable afterwards, and shared by copies taken since.
   struct Precomp {
     crypto::FixedBaseTable<crypto::Fp> g_tab, c_tab;
     crypto::FixedBaseTable<crypto::Fp2> a_tab, b_tab;
     crypto::G2Prepared h0_prep, h_prep, a0_prep, a_prep, b_prep;
-    // Rank kAttrCache: taken by verifiers and signers that may already hold
-    // the server's kServerSp lock and the pool's kThreadPool lock context.
-    mutable common::RankedMutex<common::LockRank::kAttrCache> attr_mu;
-    mutable std::map<crypto::Limbs<4>, G2> attr_base;  // keyed by canonical u
-    mutable std::map<crypto::Limbs<4>, crypto::G2Prepared> attr_prep;
-    mutable std::once_flag gen_pairing_once;
-    mutable crypto::GT gen_pairing;  // e(g, h), built on first use
   };
   const Precomp& precomp() const;
 
@@ -136,8 +111,6 @@ struct Signature {
 // Maps a role name to its attribute scalar (SHA-256 into Fr).
 Fr RoleScalar(const std::string& role);
 
-class BatchAccumulator;
-
 namespace internal {
 
 // mu = H(tau || msg || epoch_le8) as an Fr scalar. The epoch rides inside
@@ -176,33 +149,14 @@ class Abs {
                                        const Policy& predicate, Rng* rng,
                                        std::uint64_t epoch = 0);
 
-  // ABS.Verify. `exact` checks every span-program column equation separately
-  // (slower); the default folds them with random weights into a single
-  // multi-pairing (standard batching, sound up to 2^-128). Both paths run
-  // on the prepared-pairing engine: line tables for the fixed mvk
-  // components and memoized attribute bases are reused across calls.
+  // ABS.Verify: a batch of one — accumulate the signature into a fresh
+  // BatchAccumulator (abs/batch_verify.h) under OS-seeded small-exponent
+  // weights, then Check() it. The W-equation and every span-program column
+  // equation fold into one pairing product (sound up to 2^-128; the
+  // reference library's VerifyUnprepared(..., true) is the column-by-column
+  // oracle).
   static bool Verify(const VerifyKey& mvk, const std::vector<std::uint8_t>& msg,
-                     const Policy& predicate, const Signature& sig,
-                     bool exact = false);
-
-  // Whole-VO batched verification: performs the same structural checks as
-  // Verify, then accumulates this signature's pairing equations — weighted
-  // with fresh 128-bit small exponents from `rng` — into `acc` instead of
-  // evaluating them. Returns false (leaving `acc` untouched) on a structural
-  // mismatch; a true return means the signature is valid iff the
-  // accumulator's whole product later checks out (BatchAccumulator::Check).
-  static bool AccumulateVerify(const VerifyKey& mvk,
-                               const std::vector<std::uint8_t>& msg,
-                               const Policy& predicate, const Signature& sig,
-                               Rng* rng, BatchAccumulator* acc);
-
-  // The pre-engine verifier (on-the-fly MultiPairing, no cached G2 tables).
-  // Kept as the same-run baseline for benches and as a differential oracle
-  // for tests, mirroring MillerLoopGeneric's role in the crypto layer.
-  static bool VerifyUnprepared(const VerifyKey& mvk,
-                               const std::vector<std::uint8_t>& msg,
-                               const Policy& predicate, const Signature& sig,
-                               bool exact = false);
+                     const Policy& predicate, const Signature& sig);
 
   // ABS.Relax (Algorithm 2): derives a signature on ∨_{a∈relax_to} a from a
   // signature on `predicate`. Fails iff predicate(𝔸 \ relax_to) = 1.

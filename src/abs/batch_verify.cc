@@ -8,9 +8,9 @@ using policy::Msp;
 bool BatchAccumulator::Accumulate(const std::vector<std::uint8_t>& msg,
                                   const Policy& predicate,
                                   const Signature& sig, Rng* rng) {
-  // Structural checks mirror Abs::Verify exactly: the batch path must blame
-  // the same signatures the sequential verifier would, and these failures
-  // are deterministic (no algebra involved).
+  // Structural checks: component counts and Y != infinity. These failures
+  // are deterministic (no algebra involved), so a caller can blame them
+  // without running the batch.
   Msp msp = BuildMsp(predicate);
   std::size_t rows = msp.Rows(), cols = msp.Cols();
   if (sig.s.size() != rows || sig.p.size() != cols) return false;
@@ -131,12 +131,11 @@ bool BatchAccumulator::Check(const ParallelRunner& runner) {
   return crypto::MultiPairingPrepared(prepared, fresh).IsOne();
 }
 
-bool Abs::AccumulateVerify(const VerifyKey& mvk,
-                           const std::vector<std::uint8_t>& msg,
-                           const Policy& predicate, const Signature& sig,
-                           Rng* rng, BatchAccumulator* acc) {
-  (void)mvk;  // the accumulator is bound to its key at construction
-  return acc->Accumulate(msg, predicate, sig, rng);
+bool Abs::Verify(const VerifyKey& mvk, const std::vector<std::uint8_t>& msg,
+                 const Policy& predicate, const Signature& sig) {
+  Rng rng;  // fresh OS-seeded randomness for the batching weights
+  BatchAccumulator acc(mvk);
+  return acc.Accumulate(msg, predicate, sig, &rng) && acc.Check();
 }
 
 }  // namespace apqa::abs

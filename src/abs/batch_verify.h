@@ -1,13 +1,12 @@
 // Whole-VO batched ABS verification.
 //
-// A verification object carries dozens of ABS signatures, and each
-// Abs::Verify already folds its own column equations into one multi-pairing
-// — but still pays its own Miller loops and its own final exponentiation.
-// BatchAccumulator lifts the fold one level: every signature's weighted
-// pairing equations are poured into a single pairing product over the
+// The library's one ABS verification equation. A verification object
+// carries dozens of ABS signatures; BatchAccumulator pours every signature's
+// weighted pairing equations into a single pairing product over the
 // verification key's fixed prepared G2 bases, so a whole VO — its epoch
 // attestation included — costs ONE final exponentiation over at most seven
 // Miller pairs: A, B, a0, h, h0 and two fresh message-side pairs.
+// Abs::Verify is the batch of one.
 //
 // Soundness: each signature k draws its own fresh small-exponent weights
 // delta_k, rho_{k,j} (128-bit, nonzero, from the caller's RNG). The grand
@@ -62,9 +61,9 @@ class BatchAccumulator {
 
   // Folds one signature's equations into the batch under fresh weights from
   // `rng`. Returns false — leaving the batch untouched — iff the signature
-  // fails Verify's structural checks (component counts, Y != infinity);
-  // those failures are deterministic, so callers can blame them without
-  // running the batch. Prefer calling through Abs::AccumulateVerify.
+  // fails the structural checks (component counts, Y != infinity); those
+  // failures are deterministic, so callers can blame them without running
+  // the batch.
   bool Accumulate(const std::vector<std::uint8_t>& msg,
                   const Policy& predicate, const Signature& sig, Rng* rng);
 

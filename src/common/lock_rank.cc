@@ -14,7 +14,6 @@ const char* LockRankName(LockRank r) {
     case LockRank::kServerSp: return "server-sp";
     case LockRank::kThreadPool: return "thread-pool";
     case LockRank::kSigningBuild: return "signing-build";
-    case LockRank::kAttrCache: return "attr-cache";
     case LockRank::kTransportFault: return "transport-fault";
     case LockRank::kTransportPipe: return "transport-pipe";
     case LockRank::kTransportSendRecv: return "transport-send-recv";

@@ -30,7 +30,6 @@ namespace apqa::common {
 // slot between layers. Derived nesting chains (see DESIGN.md):
 //   kServerSp → kThreadPool     (SP's internal pool runs under sp_mu_)
 //   kServerSp → kSigningBuild   (lazy precomp build during a query)
-//   kServerSp → kAttrCache      (attribute-base memo during verification)
 //   kSigningBuild → (none)      (build_mu bodies take no further locks)
 // Transport locks are leaves: never held across a call that locks anything
 // else (FaultyTransport releases mu_ before delegating to its inner
@@ -40,7 +39,6 @@ enum class LockRank : int {
   kServerSp = 20,         // SpServer::sp_mu_
   kThreadPool = 30,       // core::ThreadPool::mu_
   kSigningBuild = 40,     // abs/cpabe lazy-precomp build_mu
-  kAttrCache = 50,        // abs::VerifyKey::Precomp::attr_mu
   kTransportFault = 60,   // net::FaultyTransport::mu_
   kTransportPipe = 70,    // net::PipeTransport::Inbox::mu
   kTransportSendRecv = 80,// net::SocketTransport::{send,recv}_mu_

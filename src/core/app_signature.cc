@@ -48,14 +48,6 @@ std::vector<std::uint8_t> BoxMessage(const Box& box) {
   return std::vector<std::uint8_t>(h.begin(), h.end());
 }
 
-void WarmSignatureEngine(const VerifyKey& mvk) {
-  // precomp() builds the fixed-base and prepared-pairing tables;
-  // GeneratorPairing() additionally memoizes the constant e(g, h) so the
-  // first Verify pays no pairing-setup cost at all.
-  mvk.precomp();
-  mvk.GeneratorPairing();
-}
-
 policy::RoleSet SuperPolicyRoles(const policy::RoleSet& universe,
                                  const policy::RoleSet& user_roles) {
   policy::RoleSet lacked;

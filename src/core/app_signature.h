@@ -45,12 +45,6 @@ std::vector<std::uint8_t> RecordMessageFromHash(const Point& key,
 // hash(gb) — the signed message of a grid-node APP signature.
 std::vector<std::uint8_t> BoxMessage(const Box& box);
 
-// Forces construction of the verification key's fixed-base
-// scalar-multiplication tables (crypto/msm.h). Keys produced by Setup are
-// already warm; call this once for keys received over the wire so the first
-// signature operation does not pay the table build.
-void WarmSignatureEngine(const VerifyKey& mvk);
-
 // The super access policy for a user holding `user_roles` within `universe`:
 // the OR of every role the user lacks (always includes Role_∅).
 policy::RoleSet SuperPolicyRoles(const policy::RoleSet& universe,

@@ -19,20 +19,16 @@
 //     each over ~half the remaining range) recovers the lowest
 //     cryptographically failing index — same index the sequential verifier
 //     would return, up to the 2^-128 batching soundness bound.
-// The per-signature path is retained as the test and bench oracle: under a
-// ScopedPerSignatureVerify guard every job runs its own Abs::Verify
-// (serially short-circuiting, or fanned out over the ThreadPool with an
-// atomic min-failure index so workers stop once every job below the
-// best-known failure has been claimed).
+// The per-signature path is retained as the test and bench blame oracle:
+// under a ScopedPerSignatureVerify guard every job runs its own Abs::Verify
+// (a batch of one), serially, stopping at the first failure.
 //
 // Thread-safety: jobs only read the VO, the verify key's prepared tables
-// (immutable once built; the attribute memo is mutex-guarded), and
-// per-call randomness. Pool workers write disjoint slots or claim jobs via
-// monotonic fetch_add, so the fan-out is TSan-clean by construction.
+// (immutable once built), and per-call randomness. The batch's MSM fan-out
+// writes disjoint slots, so it is TSan-clean by construction.
 #ifndef APQA_CORE_PARALLEL_VERIFY_H_
 #define APQA_CORE_PARALLEL_VERIFY_H_
 
-#include <atomic>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -81,9 +77,7 @@ class SigBatch {
   // all pass: one whole-VO batch with bisect blame recovery, or one verify
   // per job under ScopedPerSignatureVerify.
   std::ptrdiff_t FirstFailure(ThreadPool* pool) const {
-    if (ScopedPerSignatureVerify::Active()) {
-      return PerSignatureFirstFailure(pool);
-    }
+    if (ScopedPerSignatureVerify::Active()) return PerSignatureFirstFailure();
     const std::size_t n = jobs_.size();
 
     // Accumulate in sequential order until the first structural failure:
@@ -93,8 +87,8 @@ class SigBatch {
     abs::BatchAccumulator acc(mvk_);
     std::size_t s = n;
     for (std::size_t i = 0; i < n; ++i) {
-      if (!abs::Abs::AccumulateVerify(mvk_, jobs_[i].msg, *jobs_[i].policy,
-                                      *jobs_[i].sig, &rng, &acc)) {
+      if (!acc.Accumulate(jobs_[i].msg, *jobs_[i].policy, *jobs_[i].sig,
+                          &rng)) {
         s = i;
         break;
       }
@@ -127,10 +121,6 @@ class SigBatch {
     VerifyResult on_fail;
   };
 
-  bool Check(const Job& j) const {
-    return abs::Abs::Verify(mvk_, j.msg, *j.policy, *j.sig);
-  }
-
   static abs::BatchAccumulator::ParallelRunner MakeRunner(ThreadPool* pool) {
     if (pool == nullptr || pool->thread_count() <= 1) return {};
     return [pool](std::size_t n,
@@ -146,8 +136,7 @@ class SigBatch {
     abs::Rng rng;
     abs::BatchAccumulator acc(mvk_);
     for (std::size_t i = lo; i < hi; ++i) {
-      abs::Abs::AccumulateVerify(mvk_, jobs_[i].msg, *jobs_[i].policy,
-                                 *jobs_[i].sig, &rng, &acc);
+      acc.Accumulate(jobs_[i].msg, *jobs_[i].policy, *jobs_[i].sig, &rng);
     }
     return acc.Check(MakeRunner(pool));
   }
@@ -169,43 +158,15 @@ class SigBatch {
     return static_cast<std::ptrdiff_t>(lo);
   }
 
-  // Retained oracle: one Abs::Verify per job. Serial when `pool` is null,
-  // single-threaded, or there is at most one job; the pool path tracks the
-  // lowest known failure in an atomic so workers stop as soon as every job
-  // below it has been claimed.
-  std::ptrdiff_t PerSignatureFirstFailure(ThreadPool* pool) const {
-    const std::size_t n = jobs_.size();
-    if (pool == nullptr || pool->thread_count() <= 1 || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) {
-        if (!Check(jobs_[i])) return static_cast<std::ptrdiff_t>(i);
+  // Retained oracle: one Abs::Verify per job, in order.
+  std::ptrdiff_t PerSignatureFirstFailure() const {
+    for (std::size_t i = 0; i < jobs_.size(); ++i) {
+      const Job& j = jobs_[i];
+      if (!abs::Abs::Verify(mvk_, j.msg, *j.policy, *j.sig)) {
+        return static_cast<std::ptrdiff_t>(i);
       }
-      return -1;
     }
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> min_fail{n};
-    pool->ParallelFor(
-        static_cast<std::size_t>(pool->thread_count()), [&](std::size_t) {
-          for (;;) {
-            std::size_t i = next.fetch_add(1);
-            // fetch_add claims indices in increasing order and min_fail
-            // only ever decreases, so once a claim lands at or above the
-            // best-known failure every later claim will too: stop. Every
-            // index below the final min_fail was claimed before min_fail
-            // could have dropped past it, hence evaluated — the minimum is
-            // exact.
-            if (i >= n || i >= min_fail.load(std::memory_order_relaxed)) {
-              break;
-            }
-            if (!Check(jobs_[i])) {
-              std::size_t cur = min_fail.load(std::memory_order_relaxed);
-              while (i < cur && !min_fail.compare_exchange_weak(
-                                    cur, i, std::memory_order_relaxed)) {
-              }
-            }
-          }
-        });
-    std::size_t f = min_fail.load();
-    return f == n ? -1 : static_cast<std::ptrdiff_t>(f);
+    return -1;
   }
 
   const abs::VerifyKey& mvk_;

@@ -52,7 +52,7 @@ ServiceProvider::ServiceProvider(SystemKeys keys, GridTree tree, int threads)
   // Build the scalar-multiplication tables up front (no-op when the keys
   // came from a warm Setup in this process) so worker threads never race on
   // the first relaxation.
-  WarmSignatureEngine(keys_.mvk);
+  keys_.mvk.precomp();
   keys_.cpk.precomp();
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
 }
@@ -171,7 +171,7 @@ cpabe::Envelope ServiceProvider::SealedEqualityQuery(const Point& key,
 User::User(SystemKeys keys, UserCredentials creds, int threads)
     : keys_(std::move(keys)), creds_(std::move(creds)) {
   if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads);
-  WarmSignatureEngine(keys_.mvk);
+  keys_.mvk.precomp();  // fixed-base and prepared-pairing tables
 }
 
 VerifyContext User::Context() const {

@@ -355,23 +355,18 @@ struct CurvePoint {
   // for BLS12-381, so P is killed by r. Conversely psi acts as
   // [p] = [z] (mod r) on the r-subgroup, which G2PsiCoeffs() validates
   // against the generator at first use.
+  //
+  // The definitional check r·P = ∞ is the differential oracle
+  // (InPrimeOrderSubgroupByOrder in reference/pairing_generic.h).
   bool InPrimeOrderSubgroup() const {
     if (IsInfinity()) return true;
     if constexpr (std::is_same_v<F, Fp2>) {
       return Psi() == -MulByAbsZ();
-    } else if constexpr (GlvEndo<F>::kEnabled) {
-      return Endo() + *this == MulByAbsZ().MulByAbsZ();
     } else {
-      return InPrimeOrderSubgroupByOrder();
+      static_assert(GlvEndo<F>::kEnabled,
+                    "subgroup check needs the GLV endomorphism");
+      return Endo() + *this == MulByAbsZ().MulByAbsZ();
     }
-  }
-
-  // The definitional check r·P = ∞, kept as the differential oracle for the
-  // endomorphism fast paths (tests/curve_test.cc runs both over the hostile
-  // point matrix) and as the only check for fields without an endomorphism.
-  bool InPrimeOrderSubgroupByOrder() const {
-    if (IsInfinity()) return true;
-    return ScalarMulCanonical(Fr::Modulus()).IsInfinity();
   }
 };
 

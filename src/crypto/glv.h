@@ -46,9 +46,9 @@ template <typename T>
 class Secret;
 
 // Endomorphism trait for curve coordinate fields. The primary template
-// disables GLV (the Fp12 instantiation of CurvePoint used inside the Miller
-// loop has no cheap endomorphism worth wiring); the Fp/Fp2 specializations
-// expose the per-group beta, validated against the generator on first use.
+// disables GLV; the Fp/Fp2 specializations — the only CurvePoint fields in
+// use — expose the per-group beta, validated against the generator on
+// first use.
 template <typename F>
 struct GlvEndo {
   static constexpr bool kEnabled = false;

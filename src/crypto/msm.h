@@ -384,7 +384,7 @@ CurvePoint<F> StrausMsm(const std::vector<CurvePoint<F>>& ps,
 }  // namespace msm_internal
 
 // Multi-scalar multiplication: sum_i scalars[i] * pts[i]. Sizes must match.
-// A single term is a plain wNAF multiply; from 2 up to `kMsmStrausCutoff`
+// A single term is a GLV multiply; from 2 up to `kMsmStrausCutoff`
 // terms the shared-doubling interleaved wNAF (StrausMsm) wins; above it
 // Pippenger's bucket method is used (points batch-normalized to affine so
 // bucket accumulation runs on mixed additions). Both multi-term paths size
@@ -411,7 +411,9 @@ CurvePoint<F> Msm(std::span<const CurvePoint<F>> pts,
   }
   if (ps.empty()) return CurvePoint<F>::Infinity();
 
-  if (ps.size() == 1) return ps[0].ScalarMulCanonical(es[0]);
+  // One term: the GLV ladder, under the same prime-order precondition as
+  // the Pippenger expansion below.
+  if (ps.size() == 1) return ps[0].ScalarMulGlv(es[0]);
   if (ps.size() < kMsmStrausCutoff) {
     return msm_internal::StrausMsm<F>(ps, es);
   }
@@ -509,9 +511,9 @@ std::vector<CurvePoint<F>> MsmShared(
     }
   }
   if (ps.empty()) return out;
-  if (ps.size() == 1) {
+  if (ps.size() == 1) {  // one prime-order point: GLV ladder per set
     for (std::size_t s = 0; s < sets; ++s) {
-      if (!IsZeroLimbs<4>(es[s][0])) out[s] = ps[0].ScalarMulCanonical(es[s][0]);
+      if (!IsZeroLimbs<4>(es[s][0])) out[s] = ps[0].ScalarMulGlv(es[s][0]);
     }
     return out;
   }

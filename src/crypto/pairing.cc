@@ -1,158 +1,8 @@
 #include "crypto/pairing.h"
 
-#include "crypto/bigint.h"
-#include "crypto/msm.h"
+#include "crypto/pairing_prepared.h"
 
 namespace apqa::crypto {
-
-namespace {
-
-// Embeds an Fp element into Fp12 (constant coefficient).
-Fp12 EmbedFp(const Fp& a) {
-  Fp12 r = Fp12::Zero();
-  r.c0.c0.c0 = a;
-  return r;
-}
-
-// Embeds an Fp2 element into Fp12.
-Fp12 EmbedFp2(const Fp2& a) {
-  Fp12 r = Fp12::Zero();
-  r.c0.c0 = a;
-  return r;
-}
-
-struct UntwistConsts {
-  Fp12 winv2;  // w^-2
-  Fp12 winv3;  // w^-3
-};
-
-const UntwistConsts& Untwist() {
-  static const UntwistConsts c = [] {
-    Fp12 w = Fp12::Zero();
-    w.c1.c0 = Fp2::One();  // the element w itself
-    Fp12 w2 = w.Square();
-    UntwistConsts uc;
-    uc.winv2 = w2.Inverse();
-    uc.winv3 = (w2 * w).Inverse();
-    return uc;
-  }();
-  return c;
-}
-
-// Exponent of the final-exponentiation hard part, (p^4 - p^2 + 1) / r,
-// derived by exact integer arithmetic at first use.
-const std::vector<u64>& HardPartExponent() {
-  static const std::vector<u64> e = [] {
-    BigInt p = BigInt::FromLimbs(FpTag::kModulus.data(), 6);
-    BigInt r = BigInt::FromLimbs(FrTag::kModulus.data(), 4);
-    BigInt p2 = p * p;
-    BigInt p4 = p2 * p2;
-    BigInt num = p4 - p2 + BigInt(1);
-    BigInt q, rem;
-    BigInt::DivMod(num, r, &q, &rem);
-    // The BLS family guarantees exact divisibility; a failure here would
-    // mean the curve constants are corrupted.
-    if (!rem.IsZero()) std::abort();
-    std::vector<u64> limbs((q.BitLength() + 63) / 64);
-    q.ToLimbs(limbs.data(), limbs.size());
-    return limbs;
-  }();
-  return e;
-}
-
-// Affine point in E(Fp12).
-struct Pt {
-  Fp12 x, y;
-};
-
-// Line through a and b (or tangent at a if a == b) evaluated at the
-// (embedded) G1 point (xp, yp); also advances a to a+b (or 2a).
-Fp12 LineAndStep(Pt* a, const Pt& b, bool tangent, const Fp12& xp,
-                 const Fp12& yp) {
-  Fp12 lambda;
-  if (tangent) {
-    Fp12 x2 = a->x.Square();
-    lambda = (x2 + x2 + x2) * (a->y + a->y).Inverse();
-  } else {
-    lambda = (b.y - a->y) * (b.x - a->x).Inverse();
-  }
-  Fp12 l = yp - a->y - lambda * (xp - a->x);
-  Fp12 x3 = lambda.Square() - a->x - b.x;
-  Fp12 y3 = lambda * (a->x - x3) - a->y;
-  a->x = x3;
-  a->y = y3;
-  return l;
-}
-
-}  // namespace
-
-GT MillerLoopGeneric(const G1& p, const G2& q) {
-  if (p.IsInfinity() || q.IsInfinity()) return GT::One();
-
-  Fp pax, pay;
-  p.ToAffine(&pax, &pay);
-  Fp12 xp = EmbedFp(pax);
-  Fp12 yp = EmbedFp(pay);
-
-  Fp2 qax, qay;
-  q.ToAffine(&qax, &qay);
-  const auto& ut = Untwist();
-  Pt qq{EmbedFp2(qax) * ut.winv2, EmbedFp2(qay) * ut.winv3};
-  Pt t = qq;
-
-  Fp12 f = Fp12::One();
-  // |u| has 64 bits; iterate from the bit below the MSB down to 0.
-  int msb = 63;
-  while (!((kBlsParamAbs >> msb) & 1)) --msb;
-  for (int i = msb - 1; i >= 0; --i) {
-    f = f.Square() * LineAndStep(&t, t, /*tangent=*/true, xp, yp);
-    if ((kBlsParamAbs >> i) & 1) {
-      f = f * LineAndStep(&t, qq, /*tangent=*/false, xp, yp);
-    }
-  }
-  // u < 0: conjugate (the vertical-line correction dies in the final
-  // exponentiation).
-  return f.Conjugate();
-}
-
-GT MillerLoop(const G1& p, const G2& q) {
-  if (p.IsInfinity() || q.IsInfinity()) return GT::One();
-
-  Fp xp, yp;
-  p.ToAffine(&xp, &yp);
-  Fp2 xq, yq;
-  q.ToAffine(&xq, &yq);
-
-  // Affine twisted-coordinate loop: slopes live in Fp2; lines are sparse.
-  // Each line value on the M-twist, multiplied through by w^3 (an Fp4
-  // element, killed by the final exponentiation), is
-  //   l = (lambda*x_T - y_T) + (-lambda*x_P) w^2 + (y_P) w^3
-  // and is folded into f with the dedicated sparse product.
-  Fp2 xt = xq, yt = yq;
-  Fp2 yp2{yp, Fp::Zero()};
-  Fp12 f = Fp12::One();
-  int msb = 63;
-  while (!((kBlsParamAbs >> msb) & 1)) --msb;
-  for (int i = msb - 1; i >= 0; --i) {
-    // Tangent at T.
-    Fp2 xt2 = xt.Square();
-    Fp2 lambda = (xt2 + xt2 + xt2) * (yt + yt).Inverse();
-    f = f.Square().MulBySparseLine(lambda * xt - yt, lambda.MulByFp(-xp), yp2);
-    Fp2 x3 = lambda.Square() - xt - xt;
-    yt = lambda * (xt - x3) - yt;
-    xt = x3;
-    if ((kBlsParamAbs >> i) & 1) {
-      // Chord through T and Q.
-      Fp2 lam2 = (yq - yt) * (xq - xt).Inverse();
-      f = f.MulBySparseLine(lam2 * xt - yt, lam2.MulByFp(-xp), yp2);
-      Fp2 x3a = lam2.Square() - xt - xq;
-      yt = lam2 * (xt - x3a) - yt;
-      xt = x3a;
-    }
-  }
-  // u < 0: conjugate.
-  return f.Conjugate();
-}
 
 namespace {
 
@@ -163,7 +13,7 @@ Fp12 ExpByBlsX(const Fp12& f) {
   return f.PowCyclotomic(std::span<const u64>(e, 1)).Conjugate();
 }
 
-// Shared easy part f^((p^6 - 1)(p^2 + 1)); lands in the cyclotomic
+// Easy part f^((p^6 - 1)(p^2 + 1)); lands in the cyclotomic
 // subgroup, where Granger-Scott squarings and conjugation-inverse apply.
 Fp12 EasyPart(const Fp12& f) {
   Fp12 t = f.Conjugate() * f.Inverse();
@@ -179,8 +29,9 @@ GT FinalExponentiation(const GT& f) {
   // group order, so the map remains a non-degenerate bilinear pairing and
   // IsOne checks are unaffected; this is the same convention production
   // BLS12-381 libraries use. Four exponentiations by the 64-bit |x| replace
-  // the generic ~1270-bit windowed exponentiation (FinalExponentiation-
-  // Generic below keeps the exact-exponent path as the audit oracle).
+  // the generic ~1270-bit windowed exponentiation (the reference library's
+  // FinalExponentiationGeneric keeps the exact-exponent path as the audit
+  // oracle).
   GT r = EasyPart(f);
   GT y0 = r.CyclotomicSquare();             // r^2
   GT y1 = ExpByBlsX(r);                     // r^x
@@ -202,84 +53,10 @@ GT FinalExponentiation(const GT& f) {
   return r * y1;
 }
 
-GT FinalExponentiationGeneric(const GT& f) {
-  // Exact exponent (p^4 - p^2 + 1)/r derived by integer arithmetic; the
-  // production chain above must equal this raised to the third power.
-  GT t = EasyPart(f);
-  const auto& e = HardPartExponent();
-  return t.PowCyclotomic(std::span<const u64>(e.data(), e.size()));
-}
-
-GT Pairing(const G1& p, const G2& q) {
-  return FinalExponentiation(MillerLoop(p, q));
-}
+GT Pairing(const G1& p, const G2& q) { return MultiPairing({{p, q}}); }
 
 GT MultiPairing(const std::vector<std::pair<G1, G2>>& pairs) {
-  // Run all Miller loops in lockstep: every pair follows the same
-  // doubling/addition schedule (the bits of |u|), so the per-step affine
-  // slope denominators — 2*y_T on a doubling, x_Q - x_T on an addition —
-  // can be merged into a single Fp2 inversion via Montgomery's trick.
-  // Inputs are batch-normalized to affine the same way (one Fp inversion
-  // for the G1 side, one Fp2 inversion for the G2 side).
-  std::vector<G1> ps;
-  std::vector<G2> qs;
-  ps.reserve(pairs.size());
-  qs.reserve(pairs.size());
-  for (const auto& [p, q] : pairs) {
-    if (p.IsInfinity() || q.IsInfinity()) continue;  // e(P, O) = e(O, Q) = 1
-    ps.push_back(p);
-    qs.push_back(q);
-  }
-  const std::size_t n = ps.size();
-  if (n == 0) return GT::One();
-  BatchToAffine<Fp>(std::span<G1>(ps));
-  BatchToAffine<Fp2>(std::span<G2>(qs));
-
-  std::vector<Fp> neg_xp(n);
-  std::vector<Fp2> yp2(n), xq(n), yq(n), xt(n), yt(n), den(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    neg_xp[k] = -ps[k].x;
-    yp2[k] = Fp2{ps[k].y, Fp::Zero()};
-    xq[k] = qs[k].x;
-    yq[k] = qs[k].y;
-    xt[k] = xq[k];
-    yt[k] = yq[k];
-  }
-
-  Fp12 f = Fp12::One();
-  int msb = 63;
-  while (!((kBlsParamAbs >> msb) & 1)) --msb;
-  for (int i = msb - 1; i >= 0; --i) {
-    f = f.Square();
-    // Doubling step for every running point T.
-    for (std::size_t k = 0; k < n; ++k) den[k] = yt[k] + yt[k];
-    BatchInverse(den.data(), n);
-    for (std::size_t k = 0; k < n; ++k) {
-      Fp2 xt2 = xt[k].Square();
-      Fp2 lambda = (xt2 + xt2 + xt2) * den[k];
-      f = f.MulBySparseLine(lambda * xt[k] - yt[k], lambda.MulByFp(neg_xp[k]),
-                            yp2[k]);
-      Fp2 x3 = lambda.Square() - xt[k] - xt[k];
-      yt[k] = lambda * (xt[k] - x3) - yt[k];
-      xt[k] = x3;
-    }
-    if ((kBlsParamAbs >> i) & 1) {
-      // Addition step T += Q for every pair.
-      for (std::size_t k = 0; k < n; ++k) den[k] = xq[k] - xt[k];
-      BatchInverse(den.data(), n);
-      for (std::size_t k = 0; k < n; ++k) {
-        Fp2 lambda = (yq[k] - yt[k]) * den[k];
-        f = f.MulBySparseLine(lambda * xt[k] - yt[k],
-                              lambda.MulByFp(neg_xp[k]), yp2[k]);
-        Fp2 x3 = lambda.Square() - xt[k] - xq[k];
-        yt[k] = lambda * (xt[k] - x3) - yt[k];
-        xt[k] = x3;
-      }
-    }
-  }
-  // u < 0: conjugate (the product of per-pair conjugates equals the
-  // conjugate of the lockstep product).
-  return FinalExponentiation(f.Conjugate());
+  return MultiPairingPrepared({}, pairs);
 }
 
 }  // namespace apqa::crypto

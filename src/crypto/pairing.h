@@ -1,9 +1,11 @@
 // Optimal ate pairing e : G1 x G2 -> GT for BLS12-381.
 //
-// The Miller loop is computed over the untwisted image of G2 in E(Fp12) with
-// affine line functions — a deliberately simple, easily-audited formulation.
-// Products of pairings share a single final exponentiation via
-// `MultiPairing`, which is the dominant cost saver for ABS verification.
+// The one Miller-loop engine is the prepared-line schedule of
+// crypto/pairing_prepared.h: `Pairing` and `MultiPairing` prepare their G2
+// points per call (inversion-free) and run it. Products of pairings share a
+// single final exponentiation. The generic loop over E(Fp12) and the
+// exact-exponent final exponentiation live in the reference library
+// (reference/pairing_generic.h) as oracles.
 #ifndef APQA_CRYPTO_PAIRING_H_
 #define APQA_CRYPTO_PAIRING_H_
 
@@ -17,35 +19,19 @@ namespace apqa::crypto {
 
 using GT = Fp12;
 
-// Miller loop f_{|u|,Q}(P), conjugated for the negative curve parameter.
-// Returns GT::One() if either input is infinity (so that degenerate terms
-// drop out of pairing products).
-GT MillerLoop(const G1& p, const G2& q);
-
-// Generic reference Miller loop over the untwisted image of G2 in E(Fp12).
-// Slower than MillerLoop (which works on the twist with Fp2 line
-// arithmetic); kept for cross-validation.
-GT MillerLoopGeneric(const G1& p, const G2& q);
-
 // Final exponentiation. Computes f^(3 (p^12 - 1) / r) via the BLS12
 // parameter addition chain; the fixed cube is coprime to r, so the result
 // is still a non-degenerate bilinear pairing (the convention production
 // BLS12-381 libraries use) and IsOne checks are unaffected. Every pairing
-// path in this library shares this one function.
+// path in this library shares this one function; the reference library's
+// FinalExponentiationGeneric(f)^3 is its unit-tested oracle.
 GT FinalExponentiation(const GT& f);
-
-// Audit oracle: the exact exponent f^((p^12 - 1) / r) computed by generic
-// windowed exponentiation against an integer-arithmetic-derived hard part.
-// FinalExponentiation(f) == FinalExponentiationGeneric(f)^3 is unit-tested.
-GT FinalExponentiationGeneric(const GT& f);
 
 // e(p, q).
 GT Pairing(const G1& p, const G2& q);
 
-// prod_i e(p_i, q_i) with one shared final exponentiation. The Miller loops
-// run in lockstep so that each doubling/addition step merges the per-pair
-// affine-slope inversions into a single batched inversion (Montgomery's
-// trick), and the inputs are affine-normalized with one inversion per side.
+// prod_i e(p_i, q_i) with one shared final exponentiation:
+// MultiPairingPrepared({}, pairs). Pairs with an identity side are skipped.
 GT MultiPairing(const std::vector<std::pair<G1, G2>>& pairs);
 
 }  // namespace apqa::crypto

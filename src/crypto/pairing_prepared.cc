@@ -28,7 +28,7 @@ G2Prepared::G2Prepared(const G2& q) {
 
   // Homogeneous projective running point T = (X : Y : Z), x = X/Z, y = Y/Z.
   // The step formulas below are inversion-free; each stored line differs
-  // from the affine line MillerLoop would compute by an Fp2 scale factor
+  // from the affine chord/tangent line by an Fp2 scale factor
   // (-2YZ on a doubling, X - x_Q Z on an addition), which the final
   // exponentiation kills: gcd of the hard-part exponent with p^2 - 1 is 1.
   Fp2 x = xq, y = yq, z = Fp2::One();
@@ -77,22 +77,42 @@ G2Prepared::G2Prepared(const G2& q) {
   }
 }
 
-GT MillerLoopPrepared(const G1& p, const G2Prepared& q) {
-  if (p.IsInfinity() || q.IsInfinity()) return GT::One();
-  Fp xp, yp;
-  p.ToAffine(&xp, &yp);
+namespace {
 
-  const auto& cs = q.coeffs();
+// The one Miller-loop body. Every table walks the same |u|-bit schedule, so
+// all pairs run in lockstep under one accumulator: a single Fp12 squaring
+// per step, then one sparse line fold per pair. `g1s` must be affine and
+// free of infinity, and no table may be the prepared infinity. Returns the
+// Miller value before the final exponentiation.
+GT MillerLoopLockstep(const std::vector<G1>& g1s,
+                      const std::vector<const G2Prepared*>& tabs) {
   Fp12 f = Fp12::One();
   std::size_t idx = 0;
   const int msb = ParamMsb();
   for (int i = msb - 1; i >= 0; --i) {
     f = f.Square();
-    FoldLine(&f, cs[idx++], xp, yp);
-    if ((kBlsParamAbs >> i) & 1) FoldLine(&f, cs[idx++], xp, yp);
+    for (std::size_t k = 0; k < g1s.size(); ++k) {
+      FoldLine(&f, tabs[k]->coeffs()[idx], g1s[k].x, g1s[k].y);
+    }
+    ++idx;
+    if ((kBlsParamAbs >> i) & 1) {
+      for (std::size_t k = 0; k < g1s.size(); ++k) {
+        FoldLine(&f, tabs[k]->coeffs()[idx], g1s[k].x, g1s[k].y);
+      }
+      ++idx;
+    }
   }
-  // u < 0: conjugate.
+  // u < 0: conjugate once for the lockstep product.
   return f.Conjugate();
+}
+
+}  // namespace
+
+GT MillerLoopPrepared(const G1& p, const G2Prepared& q) {
+  if (p.IsInfinity() || q.IsInfinity()) return GT::One();
+  std::vector<G1> g1s = {p};
+  BatchToAffine<Fp>(std::span<G1>(g1s));
+  return MillerLoopLockstep(g1s, {&q});
 }
 
 GT PairWith(const G1& p, const G2Prepared& q) {
@@ -122,29 +142,9 @@ GT MultiPairingPrepared(const std::vector<PreparedPair>& prepared,
     g1s.push_back(p);
     tabs.push_back(&local.back());
   }
-
-  const std::size_t n = g1s.size();
-  if (n == 0) return GT::One();
+  if (g1s.empty()) return GT::One();
   BatchToAffine<Fp>(std::span<G1>(g1s));
-
-  Fp12 f = Fp12::One();
-  std::size_t idx = 0;
-  const int msb = ParamMsb();
-  for (int i = msb - 1; i >= 0; --i) {
-    f = f.Square();
-    for (std::size_t k = 0; k < n; ++k) {
-      FoldLine(&f, tabs[k]->coeffs()[idx], g1s[k].x, g1s[k].y);
-    }
-    ++idx;
-    if ((kBlsParamAbs >> i) & 1) {
-      for (std::size_t k = 0; k < n; ++k) {
-        FoldLine(&f, tabs[k]->coeffs()[idx], g1s[k].x, g1s[k].y);
-      }
-      ++idx;
-    }
-  }
-  // u < 0: conjugate once for the lockstep product.
-  return FinalExponentiation(f.Conjugate());
+  return FinalExponentiation(MillerLoopLockstep(g1s, tabs));
 }
 
 }  // namespace apqa::crypto

@@ -1,7 +1,8 @@
 // Prepared optimal ate pairing: cached G2 line coefficients.
 //
-// Verification pairs the same handful of G2 points (master-verify-key
-// components, memoized attribute bases) against many G1 points. `G2Prepared`
+// This is the library's one Miller-loop engine. Verification pairs the
+// master verify key's fixed G2 points against many G1 points, and
+// `Pairing`/`MultiPairing` prepare their G2 points per call. `G2Prepared`
 // runs the Miller-loop G2 arithmetic once — with inversion-free homogeneous
 // projective step formulas — and stores the three Fp2 line coefficients of
 // every doubling/addition step. A subsequent pairing against any G1 point
@@ -13,7 +14,7 @@
 // safe to share read-only across threads without synchronization. All
 // functions here only read the tables.
 //
-// Identity semantics (matching `Pairing`/`MultiPairing`): a pair whose G1
+// Identity semantics (shared by `Pairing`/`MultiPairing`): a pair whose G1
 // side is infinity or whose G2 side was prepared from infinity contributes
 // the neutral element — `PairWith` returns GT::One() and
 // `MultiPairingPrepared` skips the pair.

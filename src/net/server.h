@@ -120,7 +120,7 @@ class SpServer {
   core::ThreadPool pool_;
   // Serializes ServiceProvider query/update execution. Rank kServerSp: the
   // SP fans VO construction out over its pool and signs lazily, so pool and
-  // signing/attr-cache locks nest *inside* this one (see common/lock_rank.h).
+  // signing-build locks nest *inside* this one (see common/lock_rank.h).
   common::RankedMutex<common::LockRank::kServerSp> sp_mu_;
 
   std::atomic<bool> draining_{false};

@@ -1,13 +1,17 @@
 // Tests for the ABS scheme with predicate relaxation (§5.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "abs/abs.h"
 #include "abs/batch_verify.h"
+#include "core/app_signature.h"
 #include "core/grid_tree.h"
 #include "core/hierarchy.h"
 #include "crypto/ct.h"
 #include "crypto/serde.h"
 #include "policy/msp.h"
+#include "reference/abs_unprepared.h"
 
 namespace apqa::abs {
 namespace {
@@ -39,7 +43,8 @@ TEST_F(AbsTest, SignVerifyRoundTrip) {
   auto sig = Abs::Sign(mvk_, sk_all_, Msg("hello"), pred, rng_.get());
   ASSERT_TRUE(sig.has_value());
   EXPECT_TRUE(Abs::Verify(mvk_, Msg("hello"), pred, *sig));
-  EXPECT_TRUE(Abs::Verify(mvk_, Msg("hello"), pred, *sig, /*exact=*/true));
+  EXPECT_TRUE(
+      VerifyUnprepared(mvk_, Msg("hello"), pred, *sig, /*exact=*/true));
 }
 
 TEST_F(AbsTest, VerifyRejectsWrongMessage) {
@@ -98,7 +103,8 @@ TEST_F(AbsTest, RelaxProducesVerifiableSignature) {
   ASSERT_TRUE(relaxed.has_value());
   Policy super = Policy::OrOfRoles(lacks);
   EXPECT_TRUE(Abs::Verify(mvk_, Msg("m"), super, *relaxed));
-  EXPECT_TRUE(Abs::Verify(mvk_, Msg("m"), super, *relaxed, /*exact=*/true));
+  EXPECT_TRUE(
+      VerifyUnprepared(mvk_, Msg("m"), super, *relaxed, /*exact=*/true));
   // The relaxed signature does not verify under the original predicate.
   EXPECT_FALSE(Abs::Verify(mvk_, Msg("m"), pred, *relaxed));
 }
@@ -195,6 +201,82 @@ TEST_F(AbsTest, KeyGenCovers) {
   EXPECT_FALSE(sk.Covers({"RoleC"}));
 }
 
+// --- Abs::Verify (a batch of one) vs the column-by-column reference ---
+
+// Abs::Verify runs one BatchAccumulator over a single signature; the
+// reference VerifyUnprepared(..., exact=true) checks the W-equation and
+// every span-program column on its own. The two must agree on a valid
+// signature and on every tampered variant, over the 1-row attestation
+// shape, a DNF whose span program has -1 entries, and a predicate with a
+// duplicated role label.
+TEST_F(AbsTest, VerifyAgreesWithColumnByColumnReference) {
+  SigningKey sk = Abs::KeyGen(msk_, {core::kPseudoRole, "RoleA", "RoleB",
+                                     "RoleC", "RoleD"},
+                              rng_.get());
+  const Policy dnf = Policy::Parse(
+      "(RoleA & RoleB & RoleC) | (RoleB & RoleD) | (RoleA & RoleC & RoleD)");
+  const policy::Msp dnf_msp = policy::BuildMsp(dnf);
+  ASSERT_TRUE(std::any_of(dnf_msp.m.begin(), dnf_msp.m.end(), [](auto& row) {
+    return std::find(row.begin(), row.end(), -1) != row.end();
+  }));
+  struct Case {
+    const char* name;
+    Policy predicate;
+  };
+  const std::vector<Case> cases = {
+      {"attestation", core::AttestationPolicy()},
+      {"dnf_negative_entries", dnf},
+      {"duplicate_labels", Policy::Parse("(RoleA & RoleB) | (RoleA & RoleC)")},
+  };
+  const G1 g1 = crypto::G1Generator();
+  const G2 g2 = crypto::G2Generator();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto msg = Msg(c.name);
+    auto sig = Abs::Sign(mvk_, sk, msg, c.predicate, rng_.get());
+    ASSERT_TRUE(sig.has_value());
+    const policy::Msp msp = policy::BuildMsp(c.predicate);
+
+    std::vector<std::pair<std::string, Signature>> variants;
+    auto add = [&](std::string name, auto&& tamper) {
+      Signature v = *sig;
+      tamper(v);
+      variants.emplace_back(std::move(name), std::move(v));
+    };
+    add("w", [&](Signature& v) { v.w = v.w + g1; });
+    add("y", [&](Signature& v) { v.y = v.y + g1; });
+    add("y_infinity", [&](Signature& v) { v.y = G1::Infinity(); });
+    for (std::size_t i = 0; i < sig->s.size(); ++i) {
+      add("s" + std::to_string(i), [&](Signature& v) { v.s[i] = v.s[i] + g1; });
+    }
+    for (std::size_t j = 0; j < sig->p.size(); ++j) {
+      add("p" + std::to_string(j), [&](Signature& v) { v.p[j] = v.p[j] + g2; });
+    }
+    add("extra_s", [&](Signature& v) { v.s.push_back(g1); });
+    add("missing_s", [&](Signature& v) { v.s.pop_back(); });
+    add("extra_p", [&](Signature& v) { v.p.push_back(g2); });
+    add("missing_p", [&](Signature& v) { v.p.pop_back(); });
+    for (std::size_t i = 1; i < msp.Rows(); ++i) {
+      if (msp.row_labels[i] != msp.row_labels[0]) {
+        add("rows_swapped", [&](Signature& v) { std::swap(v.s[0], v.s[i]); });
+        break;
+      }
+    }
+
+    EXPECT_TRUE(Abs::Verify(mvk_, msg, c.predicate, *sig));
+    EXPECT_TRUE(VerifyUnprepared(mvk_, msg, c.predicate, *sig, true));
+    EXPECT_FALSE(Abs::Verify(mvk_, Msg("other"), c.predicate, *sig));
+    EXPECT_FALSE(
+        VerifyUnprepared(mvk_, Msg("other"), c.predicate, *sig, true));
+    for (const auto& [name, v] : variants) {
+      SCOPED_TRACE(name);
+      EXPECT_FALSE(VerifyUnprepared(mvk_, msg, c.predicate, v, true));
+      EXPECT_FALSE(Abs::Verify(mvk_, msg, c.predicate, v));
+    }
+    EXPECT_EQ(variants.back().first == "rows_swapped", msp.Rows() > 1);
+  }
+}
+
 // --- Whole-VO batched verification (abs/batch_verify.h) ---
 
 TEST_F(AbsTest, BatchAcceptsValidSignatures) {
@@ -210,8 +292,8 @@ TEST_F(AbsTest, BatchAcceptsValidSignatures) {
     auto sig = Abs::Sign(mvk_, sk_all_, msg, preds[k % preds.size()],
                          rng_.get());
     ASSERT_TRUE(sig.has_value());
-    ASSERT_TRUE(Abs::AccumulateVerify(mvk_, msg, preds[k % preds.size()],
-                                      *sig, rng_.get(), &acc));
+    ASSERT_TRUE(acc.Accumulate(msg, preds[k % preds.size()], *sig,
+                               rng_.get()));
   }
   EXPECT_EQ(acc.Size(), 9u);
   EXPECT_TRUE(acc.Check());
@@ -226,8 +308,7 @@ TEST_F(AbsTest, BatchRejectsOneTamperedSignature) {
       auto sig = Abs::Sign(mvk_, sk_all_, msg, pred, rng_.get());
       ASSERT_TRUE(sig.has_value());
       if (k == tampered) sig->s[0] = sig->s[0].Double();
-      ASSERT_TRUE(
-          Abs::AccumulateVerify(mvk_, msg, pred, *sig, rng_.get(), &acc));
+      ASSERT_TRUE(acc.Accumulate(msg, pred, *sig, rng_.get()));
     }
     EXPECT_FALSE(acc.Check()) << "tampered index " << tampered;
   }
@@ -238,17 +319,14 @@ TEST_F(AbsTest, BatchStructuralFailureLeavesBatchUntouched) {
   auto good = Abs::Sign(mvk_, sk_all_, Msg("ok"), pred, rng_.get());
   ASSERT_TRUE(good.has_value());
   BatchAccumulator acc(mvk_);
-  ASSERT_TRUE(
-      Abs::AccumulateVerify(mvk_, Msg("ok"), pred, *good, rng_.get(), &acc));
+  ASSERT_TRUE(acc.Accumulate(Msg("ok"), pred, *good, rng_.get()));
 
   Signature wrong_shape = *good;
   wrong_shape.s.push_back(crypto::G1Generator());
-  EXPECT_FALSE(Abs::AccumulateVerify(mvk_, Msg("ok"), pred, wrong_shape,
-                                     rng_.get(), &acc));
+  EXPECT_FALSE(acc.Accumulate(Msg("ok"), pred, wrong_shape, rng_.get()));
   Signature y_inf = *good;
   y_inf.y = G1::Infinity();
-  EXPECT_FALSE(
-      Abs::AccumulateVerify(mvk_, Msg("ok"), pred, y_inf, rng_.get(), &acc));
+  EXPECT_FALSE(acc.Accumulate(Msg("ok"), pred, y_inf, rng_.get()));
 
   // The rejected signatures contributed nothing: the batch still passes.
   EXPECT_EQ(acc.Size(), 1u);
@@ -276,10 +354,8 @@ TEST_F(AbsTest, BatchRejectsForgedPairCancellation) {
     ASSERT_FALSE(Abs::Verify(mvk_, Msg("p1"), pred, bad1));
     ASSERT_FALSE(Abs::Verify(mvk_, Msg("p2"), pred, bad2));
     BatchAccumulator acc(mvk_);
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("p1"), pred, bad1, rng_.get(), &acc));
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("p2"), pred, bad2, rng_.get(), &acc));
+    ASSERT_TRUE(acc.Accumulate(Msg("p1"), pred, bad1, rng_.get()));
+    ASSERT_TRUE(acc.Accumulate(Msg("p2"), pred, bad2, rng_.get()));
     EXPECT_FALSE(acc.Check()) << "W cancellation survived, trial " << trial;
 
     // Y-side cancellation: hits the shared h and h0 folds instead.
@@ -290,10 +366,8 @@ TEST_F(AbsTest, BatchRejectsForgedPairCancellation) {
     ASSERT_FALSE(Abs::Verify(mvk_, Msg("p1"), pred, bad1));
     ASSERT_FALSE(Abs::Verify(mvk_, Msg("p2"), pred, bad2));
     BatchAccumulator acc2(mvk_);
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("p1"), pred, bad1, rng_.get(), &acc2));
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("p2"), pred, bad2, rng_.get(), &acc2));
+    ASSERT_TRUE(acc2.Accumulate(Msg("p1"), pred, bad1, rng_.get()));
+    ASSERT_TRUE(acc2.Accumulate(Msg("p2"), pred, bad2, rng_.get()));
     EXPECT_FALSE(acc2.Check()) << "Y cancellation survived, trial " << trial;
   }
 }
@@ -325,11 +399,9 @@ class AbsApsFoldTest : public AbsTest {
   bool BatchAccepts(const Signature& bad, bool with_valid) {
     BatchAccumulator acc(mvk_);
     if (with_valid) {
-      EXPECT_TRUE(Abs::AccumulateVerify(mvk_, Msg("m2"), super_, aps_[1],
-                                        rng_.get(), &acc));
+      EXPECT_TRUE(acc.Accumulate(Msg("m2"), super_, aps_[1], rng_.get()));
     }
-    EXPECT_TRUE(
-        Abs::AccumulateVerify(mvk_, Msg("m1"), super_, bad, rng_.get(), &acc));
+    EXPECT_TRUE(acc.Accumulate(Msg("m1"), super_, bad, rng_.get()));
     return acc.Check();
   }
 
@@ -378,8 +450,7 @@ TEST_F(AbsApsFoldTest, ProductStaysAtSevenPairs) {
     auto msg = Msg("p" + std::to_string(k));
     auto sig = Abs::Sign(mvk_, sk_all_, msg, pred, rng_.get());
     ASSERT_TRUE(sig.has_value());
-    ASSERT_TRUE(
-        Abs::AccumulateVerify(mvk_, msg, pred, *sig, rng_.get(), &acc));
+    ASSERT_TRUE(acc.Accumulate(msg, pred, *sig, rng_.get()));
   }
   EXPECT_TRUE(acc.Check());
   EXPECT_EQ(acc.PairCount(), 7u);
@@ -503,7 +574,7 @@ TEST(AbsRelaxFold, MatchesBuildThenRerandomizeReference) {
       EXPECT_EQ(Bytes(*aps), Bytes(*ref));
       const Policy super = Policy::OrOfRoles(c.relax_to);
       EXPECT_TRUE(Abs::Verify(mvk, msg, super, *aps));
-      EXPECT_TRUE(Abs::Verify(mvk, msg, super, *aps, /*exact=*/true));
+      EXPECT_TRUE(VerifyUnprepared(mvk, msg, super, *aps, /*exact=*/true));
     }
   }
 }
@@ -642,7 +713,8 @@ TEST(AbsSignFold, MatchesPerRowReference) {
       ASSERT_TRUE(sig.has_value());
       EXPECT_EQ(Bytes(*sig), Bytes(*ref));
       EXPECT_TRUE(Abs::Verify(mvk, msg, c.predicate, *sig));
-      EXPECT_TRUE(Abs::Verify(mvk, msg, c.predicate, *sig, /*exact=*/true));
+      EXPECT_TRUE(
+          VerifyUnprepared(mvk, msg, c.predicate, *sig, /*exact=*/true));
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "core/range_query.h"
 #include "core/sp_storage.h"
 #include "core/system.h"
+#include "reference/abs_unprepared.h"
 #include "verify_ok.h"
 
 namespace apqa::core {
@@ -66,7 +67,8 @@ void ExpectTreeInvariant(const GridTree& tree, const VerifyKey& mvk,
     w.PutString(node.policy.ToString());
     node.sig.Serialize(&w);
     if (verified != nullptr && verified->count(w.data()) != 0) continue;
-    EXPECT_TRUE(Abs::Verify(mvk, msg, node.policy, node.sig, /*exact=*/true));
+    EXPECT_TRUE(abs::VerifyUnprepared(mvk, msg, node.policy, node.sig,
+                                      /*exact=*/true));
     if (verified != nullptr) verified->insert(w.data());
   }
 }

@@ -151,7 +151,7 @@ TEST(LockdepDeathTest, DefaultHandlerAborts) {
   EXPECT_DEATH(
       {
         RankedMutex<LockRank::kServerSp> lower;
-        RankedMutex<LockRank::kAttrCache> higher;
+        RankedMutex<LockRank::kSigningBuild> higher;
         std::lock_guard l1(higher);
         std::lock_guard l2(lower);
       },
@@ -166,7 +166,7 @@ core::Record Rec(std::uint32_t key, const std::string& value,
 }
 
 // Pins the documented lock order of the whole service runtime: concurrent
-// queries (sessions_mu_ → sp_mu_ → pool/signing/attr-cache, transports at
+// queries (sessions_mu_ → sp_mu_ → pool/signing, transports at
 // the leaves) interleaved with an authenticated ADS update must not trip a
 // single rank check. A refactor that nests any two of these locks the other
 // way fails here on the first occurrence, not on the unlucky schedule that

@@ -4,9 +4,33 @@
 #include "crypto/pairing.h"
 #include "crypto/pairing_prepared.h"
 #include "crypto/rng.h"
+#include "reference/pairing_generic.h"
 
 namespace apqa::crypto {
 namespace {
+
+// Pair lists of n = 0..4 random pairs, each list also in variants with an
+// infinity on the G1 or the G2 side of one pair. Every list goes against
+// MultiPairingGeneric (the generic Miller loops under the exact final
+// exponentiation, cubed).
+std::vector<std::vector<std::pair<G1, G2>>> OracleCases(Rng* rng) {
+  std::vector<std::vector<std::pair<G1, G2>>> cases;
+  for (std::size_t n = 0; n <= 4; ++n) {
+    std::vector<std::pair<G1, G2>> pairs;
+    for (std::size_t i = 0; i < n; ++i) {
+      pairs.emplace_back(G1Mul(rng->NextNonZeroFr()),
+                         G2Mul(rng->NextNonZeroFr()));
+    }
+    cases.push_back(pairs);
+    if (n == 0) continue;
+    auto g1_inf = pairs, g2_inf = pairs;
+    g1_inf[0].first = G1::Infinity();
+    g2_inf[n - 1].second = G2::Infinity();
+    cases.push_back(g1_inf);
+    cases.push_back(g2_inf);
+  }
+  return cases;
+}
 
 TEST(PairingTest, NonDegenerate) {
   GT e = Pairing(G1Generator(), G2Generator());
@@ -102,16 +126,20 @@ TEST(PairingTest, PowCyclotomicMatchesPow) {
 
 TEST(PairingTest, TwistedMillerLoopMatchesGeneric) {
   // The production Miller loop works on the twist with sparse Fp2 lines
-  // (each line carries an extra w^3 in Fp4, killed by the final
-  // exponentiation); the generic loop over E(Fp12) is the reference.
+  // (each line carries an extra w^3 in Fp4 and an Fp2 projective scale,
+  // both killed by the final exponentiation); the generic loop over
+  // E(Fp12) under the exact final exponentiation is the reference.
   Rng rng(107);
-  for (int i = 0; i < 3; ++i) {
-    G1 p = G1Mul(rng.NextNonZeroFr());
-    G2 q = G2Mul(rng.NextNonZeroFr());
-    EXPECT_EQ(FinalExponentiation(MillerLoop(p, q)),
-              FinalExponentiation(MillerLoopGeneric(p, q)));
+  for (const auto& pairs : OracleCases(&rng)) {
+    SCOPED_TRACE("pairs: " + std::to_string(pairs.size()));
+    EXPECT_EQ(MultiPairing(pairs), MultiPairingGeneric(pairs));
+    if (pairs.size() == 1) {
+      EXPECT_EQ(Pairing(pairs[0].first, pairs[0].second),
+                MultiPairingGeneric(pairs));
+    }
   }
   EXPECT_TRUE(MillerLoopGeneric(G1::Infinity(), G2Generator()).IsOne());
+  EXPECT_TRUE(MillerLoopGeneric(G1Generator(), G2::Infinity()).IsOne());
 }
 
 TEST(PairingTest, FinalExponentiationMatchesGenericCubed) {
@@ -119,7 +147,8 @@ TEST(PairingTest, FinalExponentiationMatchesGenericCubed) {
   // the generic path computes the exact exponent. Cube the oracle.
   Rng rng(108);
   for (int i = 0; i < 3; ++i) {
-    GT f = MillerLoop(G1Mul(rng.NextNonZeroFr()), G2Mul(rng.NextNonZeroFr()));
+    GT f = MillerLoopPrepared(G1Mul(rng.NextNonZeroFr()),
+                              G2Prepared(G2Mul(rng.NextNonZeroFr())));
     GT generic = FinalExponentiationGeneric(f);
     EXPECT_EQ(FinalExponentiation(f), generic * generic * generic);
   }
@@ -129,16 +158,26 @@ TEST(PairingTest, FinalExponentiationMatchesGenericCubed) {
 TEST(PairingPreparedTest, MatchesOnTheFlyMillerLoop) {
   // Cached homogeneous-projective lines differ from the affine lines only
   // by Fp2 scale factors, so equality holds after final exponentiation.
+  // Every pair is served from a cached table here; the fresh-point path is
+  // TwistedMillerLoopMatchesGeneric.
   Rng rng(109);
-  for (int i = 0; i < 3; ++i) {
-    G1 p = G1Mul(rng.NextNonZeroFr());
-    G2 q = G2Mul(rng.NextNonZeroFr());
-    G2Prepared qp(q);
-    EXPECT_EQ(FinalExponentiation(MillerLoopPrepared(p, qp)),
-              FinalExponentiation(MillerLoop(p, q)));
-    EXPECT_EQ(PairWith(p, qp), Pairing(p, q));
-    EXPECT_EQ(FinalExponentiation(MillerLoopPrepared(p, qp)),
-              FinalExponentiation(MillerLoopGeneric(p, q)));
+  for (const auto& pairs : OracleCases(&rng)) {
+    SCOPED_TRACE("pairs: " + std::to_string(pairs.size()));
+    std::vector<G2Prepared> tabs;
+    tabs.reserve(pairs.size());
+    std::vector<PreparedPair> prepped;
+    for (const auto& [p, q] : pairs) {
+      tabs.emplace_back(q);
+      prepped.push_back({p, &tabs.back()});
+    }
+    const GT want = MultiPairingGeneric(pairs);
+    EXPECT_EQ(MultiPairingPrepared(prepped), want);
+    if (pairs.size() == 1) {
+      EXPECT_EQ(PairWith(pairs[0].first, tabs[0]), want);
+      EXPECT_EQ(FinalExponentiation(MillerLoopPrepared(pairs[0].first,
+                                                       tabs[0])),
+                want);
+    }
   }
 }
 
