@@ -216,6 +216,13 @@ void BenchFixedBase(Rng* rng, int iters) {
   Report("g1_fixed_base", fixed1);
   std::printf("  %-28s %10.2fx\n", "g1_speedup", wnaf1 / fixed1);
   RecordJson(kBench, "g1_fixed_base_speedup", wnaf1 / fixed1, "x");
+  // Secret-scalar twin of g1_fixed_base: the constant-pattern walk of the
+  // same table (scripts/check.sh gates ct_fixed_base_g1 <= 0.6 * ct_mul_g1).
+  i = 0;
+  double ct_fixed1 = TimeMs(iters, [&] {
+    Sink(t1.MulCt(SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
+  });
+  Report("ct_fixed_base_g1", ct_fixed1);
 
   i = 0;
   const G2& g2 = G2Generator();
@@ -236,6 +243,11 @@ void BenchFixedBase(Rng* rng, int iters) {
   Report("g2_fixed_base", fixed2);
   std::printf("  %-28s %10.2fx\n", "g2_speedup", wnaf2 / fixed2);
   RecordJson(kBench, "g2_fixed_base_speedup", wnaf2 / fixed2, "x");
+  i = 0;
+  double ct_fixed2 = TimeMs(iters, [&] {
+    Sink(t2.MulCt(SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
+  });
+  Report("ct_fixed_base_g2", ct_fixed2);
 }
 
 // Subgroup membership on affine (Z = 1) subgroup points, as ReadG1/ReadG2

@@ -43,11 +43,13 @@
 #      fp_{add,sub}_{portable,accel} kernel rows, the mont_kernel_bitmatch
 #      and fp_addsub_bitmatch differential rows (the bench aborts on any
 #      accel/portable representation mismatch, so each row doubles as an
-#      oracle), the g1_{wnaf,mul_glv,fixed_base}, g2_wnaf and
-#      ct_mul_{g1,g2} scalar-mult rows, the g{1,2}_subgroup_check rows and the
-#      abs_relax_len10 / abs_sign_dnf rows, and whose constant-pattern GLV
-#      ladder is within 2x of the variable-time GLV wNAF
-#      (ct_mul_g1 <= 2.0x g1_mul_glv) and whose G2 psi subgroup check
+#      oracle), the g1_{wnaf,mul_glv,fixed_base}, g2_wnaf,
+#      ct_mul_{g1,g2} and ct_fixed_base_{g1,g2} scalar-mult rows, the
+#      g{1,2}_subgroup_check rows and the abs_relax_len10 / abs_sign_dnf
+#      rows, and whose constant-pattern GLV ladder is within 2x of the
+#      variable-time GLV wNAF (ct_mul_g1 <= 2.0x g1_mul_glv), whose
+#      constant-pattern fixed-base walk costs at most 0.6x that ladder
+#      (ct_fixed_base_g1 <= 0.6x ct_mul_g1) and whose G2 psi subgroup check
 #      stays below a G2 scalar multiplication
 #      (g2_subgroup_check <= 0.6x g2_wnaf), and, when the accelerated
 #      kernels are active, whose asm Fp add beats the portable one
@@ -276,6 +278,7 @@ for row in mont_mul_portable mont_mul_accel mont_mul_chained \
            mont_kernel_bitmatch fp_add_portable fp_add_accel fp_sub_portable fp_sub_accel \
            fp_addsub_bitmatch accel_kernels_active \
            g1_wnaf g1_mul_glv g1_fixed_base ct_mul_g1 ct_mul_g2 g2_wnaf \
+           ct_fixed_base_g1 ct_fixed_base_g2 \
            g1_subgroup_check g2_subgroup_check abs_relax_len10 \
            abs_sign_dnf; do
   if ! grep -q "\"row\":\"$row\"" "$MSM_JSON"; then
@@ -285,7 +288,10 @@ for row in mont_mul_portable mont_mul_accel mont_mul_chained \
 done
 # The constant-pattern GLV ladder must stay within 2x of the variable-time
 # GLV wNAF on the same scalars (measured 1.0-1.5x; the 256-doubling ladder
-# it replaced measured 2.4-2.9x). The G2 psi subgroup check (one 64-bit
+# it replaced measured 2.4-2.9x). The constant-pattern fixed-base walk
+# (signed radix-2^6 windows, one masked read and one mixed complete addition
+# per pick, no doublings) must cost at most 0.6x the variable-base ladder on
+# the same scalars (measured ~0.32x). The G2 psi subgroup check (one 64-bit
 # [|z|] chain) must cost at most 0.6x a G2 GLV scalar multiplication
 # (measured 0.20-0.42x on a loaded 4-vCPU host; the 128-bit lambda-wNAF
 # check it replaced measured 0.59-0.80x, so the gate trips on most runs of
@@ -306,6 +312,12 @@ if ct > 2.0 * glv:
     sys.exit(f"perf smoke: ct_mul_g1 {ct:.3f} ms > 2 * g1_mul_glv {glv:.3f} ms")
 print(f"perf smoke: ct_mul_g1 {ct:.3f} ms vs g1_mul_glv {glv:.3f} ms "
       f"({ct / glv:.2f}x)")
+fixed = rows["ct_fixed_base_g1"]
+if fixed > 0.6 * ct:
+    sys.exit(f"perf smoke: ct_fixed_base_g1 {fixed:.3f} ms > 0.6 * ct_mul_g1 "
+             f"{ct:.3f} ms")
+print(f"perf smoke: ct_fixed_base_g1 {fixed:.3f} ms vs ct_mul_g1 {ct:.3f} ms "
+      f"({fixed / ct:.2f}x)")
 sub, wnaf = rows["g2_subgroup_check"], rows["g2_wnaf"]
 if sub > 0.6 * wnaf:
     sys.exit(f"perf smoke: g2_subgroup_check {sub:.3f} ms > 0.6 * g2_wnaf "

@@ -8,22 +8,6 @@ namespace ct_trace {
 void (*hook)(char op, unsigned step) = nullptr;
 }  // namespace ct_trace
 
-const Fp& CtCurveB3<Fp>::Get() {
-  static const Fp b3 = [] {
-    Fp b = G1CurveB();
-    return b + b + b;
-  }();
-  return b3;
-}
-
-const Fp2& CtCurveB3<Fp2>::Get() {
-  static const Fp2 b3 = [] {
-    Fp2 b = G2CurveB();
-    return b + b + b;
-  }();
-  return b3;
-}
-
 G1 CtG1Mul(const SecretFr& k) { return G1GeneratorTable().MulCt(k); }
 
 G2 CtG2Mul(const SecretFr& k) { return G2GeneratorTable().MulCt(k); }

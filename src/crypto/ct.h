@@ -12,13 +12,14 @@
 //      call site.
 //
 //   2. Constant-pattern kernels — complete point arithmetic
-//      (Renes–Costello–Batina 2016, Alg. 7 addition and Alg. 9 doubling for
-//      a = 0) driven by fixed-window ladders whose table lookups scan every
-//      entry with masked selects. Combined with the branch-free field
-//      reductions in prime_field.h these execute the same instruction and
-//      memory-access sequence for every scalar. `CtScalarMul` is the
-//      variable-base two-track GLV ladder; `FixedBaseTable::MulCt` (msm.h)
-//      is the fixed-base variant.
+//      (Renes–Costello–Batina 2016: Alg. 7 addition, Alg. 8 mixed addition
+//      and Alg. 9 doubling for a = 0, with 3b * x as an addition chain)
+//      driven by signed-window (Booth) ladders whose table lookups read
+//      every entry and OR-accumulate the one selected by a mask. Combined
+//      with the branch-free field reductions in prime_field.h these execute
+//      the same instruction and memory-access sequence for every scalar.
+//      `CtScalarMul` is the variable-base two-track GLV ladder;
+//      `FixedBaseTable::MulCt` (msm.h) is the fixed-base variant.
 //
 //   3. A ctgrind-style dynamic oracle. Under MemorySanitizer the
 //      CtPoison/CtUnpoison/CtDeclassifyMem macros mark secret bytes as
@@ -169,18 +170,20 @@ inline void Emit(char op, unsigned step) {
 
 // --- Complete-formula point arithmetic --------------------------------------
 
-// 3*b for the curve y^2 = x^3 + b a point coordinate field lives on;
-// specialized for Fp (G1, b = 4) and Fp2 (G2, b = 4(1+i)) in ct.cc.
-template <typename F>
-struct CtCurveB3;
-template <>
-struct CtCurveB3<Fp> {
-  static const Fp& Get();
-};
-template <>
-struct CtCurveB3<Fp2> {
-  static const Fp2& Get();
-};
+// 3b * x for the curve y^2 = x^3 + b over the point's coordinate field, by
+// additions only: b = 4 on G1, so 3b * x = 12x; b = 4(1 + i) on G2, so
+// 3b * x = 12 * (xi * x) with xi = 1 + i (MulByXi: one Fp add, one sub).
+inline Fp MulBy3b(const Fp& x) {
+  Fp t = x + x + x;  // 3x
+  t = t + t;
+  return t + t;
+}
+inline Fp2 MulBy3b(const Fp2& x) {
+  Fp2 t = x.MulByXi();
+  t = t + t + t;
+  t = t + t;
+  return t + t;
+}
 
 // Homogeneous projective point (X : Y : Z); identity is (0 : 1 : 0). The
 // complete formulas below are total on the odd-order BLS12-381 groups —
@@ -194,8 +197,7 @@ struct CtPoint {
 // Renes–Costello–Batina 2016, Algorithm 7 (a = 0): 12M + 2*mult-by-3b + 19
 // additions, no branches, complete for groups without 2-torsion.
 template <typename F>
-CtPoint<F> CtCompleteAdd(const CtPoint<F>& p, const CtPoint<F>& q,
-                         const F& b3) {
+CtPoint<F> CtCompleteAdd(const CtPoint<F>& p, const CtPoint<F>& q) {
   F t0 = p.x * q.x;
   F t1 = p.y * q.y;
   F t2 = p.z * q.z;
@@ -203,10 +205,33 @@ CtPoint<F> CtCompleteAdd(const CtPoint<F>& p, const CtPoint<F>& q,
   F t4 = (p.y + p.z) * (q.y + q.z) - t1 - t2;  // Y1Z2 + Y2Z1
   F t5 = (p.x + p.z) * (q.x + q.z) - t0 - t2;  // X1Z2 + X2Z1
   F three_t0 = t0 + t0 + t0;
-  F b3t2 = b3 * t2;
-  F b3t5 = b3 * t5;
+  F b3t2 = MulBy3b(t2);
+  F b3t5 = MulBy3b(t5);
   F s = t1 + b3t2;   // Y1Y2 + 3bZ1Z2
   F d = t1 - b3t2;   // Y1Y2 - 3bZ1Z2
+  CtPoint<F> r;
+  r.x = t3 * d - t4 * b3t5;
+  r.y = d * s + b3t5 * three_t0;
+  r.z = s * t4 + three_t0 * t3;
+  return r;
+}
+
+// Renes–Costello–Batina 2016, Algorithm 8 (a = 0): complete mixed addition
+// P + (qx, qy) with an affine, non-identity second operand (Z2 = 1) — the
+// Alg. 7 schedule with Z2 folded away, 11M + 2*mult-by-3b. P may be the
+// identity or equal to Q.
+template <typename F>
+CtPoint<F> CtCompleteAddMixed(const CtPoint<F>& p, const F& qx, const F& qy) {
+  F t0 = p.x * qx;
+  F t1 = p.y * qy;
+  F t3 = (p.x + p.y) * (qx + qy) - t0 - t1;  // X1Y2 + X2Y1
+  F t4 = qy * p.z + p.y;                     // Y1 + Y2Z1
+  F t5 = qx * p.z + p.x;                     // X1 + X2Z1
+  F three_t0 = t0 + t0 + t0;
+  F b3t2 = MulBy3b(p.z);
+  F b3t5 = MulBy3b(t5);
+  F s = t1 + b3t2;
+  F d = t1 - b3t2;
   CtPoint<F> r;
   r.x = t3 * d - t4 * b3t5;
   r.y = d * s + b3t5 * three_t0;
@@ -217,13 +242,13 @@ CtPoint<F> CtCompleteAdd(const CtPoint<F>& p, const CtPoint<F>& q,
 // Renes–Costello–Batina 2016, Algorithm 9 (a = 0): complete doubling in
 // 6M + 2S + 1*mult-by-3b, no branches; the identity doubles to itself.
 template <typename F>
-CtPoint<F> CtCompleteDbl(const CtPoint<F>& p, const F& b3) {
+CtPoint<F> CtCompleteDbl(const CtPoint<F>& p) {
   F t0 = p.y.Square();
   F z8 = t0 + t0;
   z8 = z8 + z8;
   z8 = z8 + z8;  // 8Y^2
   F t1 = p.y * p.z;
-  F t2 = b3 * p.z.Square();
+  F t2 = MulBy3b(p.z.Square());
   CtPoint<F> r;
   F x3 = t2 * z8;
   F y3 = t0 + t2;
@@ -253,53 +278,116 @@ CurvePoint<F> CtToJacobian(const CtPoint<F>& p) {
   return {p.x * p.z, p.y * z2, p.z};
 }
 
+// --- Signed-window ladder helpers -------------------------------------------
+
+// One signed (Booth) radix-2^W digit of a nonnegative integer below 2^128:
+// digit w is b(Ww-1) + sum_{j<W-1} 2^j b(Ww+j) - 2^(W-1) b(Ww+W-1), with
+// b(-1) = 0, so the digits lie in [-2^(W-1), 2^(W-1)] and
+// sum_w digit_w 2^(Ww) reconstructs the integer once the windows cover bit
+// 128 (ceil(129 / W) windows). Returned as a magnitude and an all-ones mask
+// when the digit is negative; branch-free in the scalar bits, the only
+// branches depend on the public window index.
+struct BoothDigit {
+  u64 mag;
+  u64 neg;
+};
+
+template <unsigned W>
+inline BoothDigit CtBoothDigit(const Limbs<4>& e, unsigned w) {
+  static_assert(W >= 2 && W <= 8);
+  // The W + 1 bits b(Ww-1) .. b(Ww+W-1), low bit first.
+  u64 v;
+  if (w == 0) {
+    v = e[0] << 1;
+  } else {
+    const unsigned pos = W * w - 1;
+    const unsigned limb = pos / 64, off = pos % 64;
+    v = e[limb] >> off;
+    if (off + W + 1 > 64 && limb + 1 < 4) v |= e[limb + 1] << (64 - off);
+  }
+  v &= (u64{1} << (W + 1)) - 1;
+  const u64 top = v >> W;
+  const u64 low = v & ((u64{1} << W) - 1);
+  const u64 u = (low >> 1) + (low & 1);  // b(Ww-1) + the low W-1 bits
+  const u64 neg = u64{0} - top;
+  // top ? 2^(W-1) - u : u, by wrapping arithmetic.
+  return {u + (((u64{1} << (W - 1)) - u - u) & neg), neg};
+}
+
+// Returns entries[idx - 1] for idx in 1..n and all-zero words for idx = 0.
+// Every entry is read and OR-accumulated under an equality mask, so the
+// loads and the instruction sequence are the same for every idx.
+template <typename T>
+inline T CtLookup(const T* entries, std::size_t n, u64 idx) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(sizeof(T) % sizeof(u64) == 0);
+  constexpr std::size_t kWords = sizeof(T) / sizeof(u64);
+  u64 acc[kWords] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const u64 mask = CtEqMask64(idx, i + 1);
+    u64 w[kWords];
+    std::memcpy(w, &entries[i], sizeof(T));
+    for (std::size_t j = 0; j < kWords; ++j) acc[j] |= w[j] & mask;
+  }
+  T out;
+  std::memcpy(&out, acc, sizeof(T));
+  return out;
+}
+
+// *y = neg ? -y : y, branch-free.
+template <typename F>
+inline void CtCondNegate(F* y, u64 neg) {
+  CtCondAssignObj(y, -*y, neg);
+}
+
 // Constant-pattern variable-base scalar multiplication, two-track GLV:
 // the secret scalar is split branch-free (GlvSplitLimbs) into
-// k = k1 + k2 * lambda with both halves below 2^128, and one shared
-// doubling chain walks 32 fixed 4-bit windows MSB-first. Each window does
-// four complete doublings (none before the top window), then for each
-// track a full scan of the 16-entry table [0..15]P with masked selects and
-// one complete addition — the k2 pick is mapped through the endomorphism
-// (x * beta) after selection, which fixes the identity (0 : 1 : 0). Every
-// scalar costs 124 doublings and 64 additions, zero data-dependent skips.
+// k = k1 + k2 * lambda with both halves below 2^128, each half is read as
+// 26 signed radix-2^5 (Booth) digits in [-16, 16], and one shared doubling
+// chain walks the windows MSB-first. Each window does five complete
+// doublings (none before the top window), then for each track an
+// OR-accumulated masked read of the 16-entry projective table [1..16]P
+// (digit 0 reads all-zero words, patched to the identity (0 : 1 : 0) by a
+// masked select of 1 into y), a masked y-negation for a negative digit,
+// and one complete addition — the k2 pick is mapped through the
+// endomorphism (x * beta) after selection, which fixes the identity. Every
+// scalar costs 125 doublings and 52 additions, zero data-dependent skips.
 // The base must lie in the prime-order subgroup (every point the system
 // multiplies does: generator multiples and subgroup-checked wire points).
 template <typename F>
 CurvePoint<F> CtScalarMul(const CurvePoint<F>& base, const SecretFr& k) {
   static_assert(GlvEndo<F>::kEnabled);
-  const F& b3 = CtCurveB3<F>::Get();
-  CtPoint<F> table[16];
-  table[0] = CtPoint<F>::Identity();
-  table[1] = CtFromJacobian(base);
-  for (int i = 2; i < 16; ++i) {
-    table[i] = (i % 2 == 0) ? CtCompleteDbl(table[i / 2], b3)
-                            : CtCompleteAdd(table[i - 1], table[1], b3);
+  constexpr unsigned kBits = 5, kWindows = 26, kEntries = 16;
+  CtPoint<F> table[kEntries];  // table[i] = (i + 1) * base
+  table[0] = CtFromJacobian(base);
+  for (unsigned i = 1; i < kEntries; ++i) {
+    table[i] = (i % 2 == 1) ? CtCompleteDbl(table[i / 2])
+                            : CtCompleteAdd(table[i - 1], table[0]);
   }
 
-  auto pick = [&table](u64 digit) {
-    CtPoint<F> sel = table[0];
-    for (u64 d = 1; d < 16; ++d) {
-      CtCondAssignObj(&sel, table[d], CtEqMask64(digit, d));
-    }
+  const F one = F::One();
+  auto pick = [&table, &one](BoothDigit d) {
+    CtPoint<F> sel = CtLookup(table, kEntries, d.mag);
+    CtCondAssignObj(&sel.y, one, CtIsZeroMask64(d.mag));
+    CtCondNegate(&sel.y, d.neg);
     return sel;
   };
   const GlvDecomp kd = GlvSplitLimbs(k.ct_ref().ToCanonical());
   const F& beta = GlvEndo<F>::Beta();
   CtPoint<F> acc = CtPoint<F>::Identity();
-  for (unsigned w = 32; w-- > 0;) {
-    if (w != 31) {
-      for (int i = 0; i < 4; ++i) {
+  for (unsigned w = kWindows; w-- > 0;) {
+    if (w != kWindows - 1) {
+      for (unsigned i = 0; i < kBits; ++i) {
         ct_trace::Emit('D', w);
-        acc = CtCompleteDbl(acc, b3);
+        acc = CtCompleteDbl(acc);
       }
     }
-    const unsigned shift = 4 * (w % 16);
     ct_trace::Emit('T', w);
-    acc = CtCompleteAdd(acc, pick((kd.k1[w / 16] >> shift) & 15u), b3);
-    CtPoint<F> phi = pick((kd.k2[w / 16] >> shift) & 15u);
+    acc = CtCompleteAdd(acc, pick(CtBoothDigit<kBits>(kd.k1, w)));
+    CtPoint<F> phi = pick(CtBoothDigit<kBits>(kd.k2, w));
     phi.x = phi.x * beta;
     ct_trace::Emit('U', w);
-    acc = CtCompleteAdd(acc, phi, b3);
+    acc = CtCompleteAdd(acc, phi);
   }
   return CtToJacobian(acc);
 }

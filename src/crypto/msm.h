@@ -7,8 +7,9 @@
 //                     plus 3(n-1) multiplications. Zero entries stay zero
 //                     (mirroring PrimeField::Inverse).
 //   BatchToAffine   — normalizes many Jacobian points with one inversion.
-//   FixedBaseTable  — radix-16 windowed table for a long-lived base: one
-//                     mixed addition per 4 scalar bits, no doublings.
+//   FixedBaseTable  — signed radix-64 windowed table for a long-lived base
+//                     over the two GLV halves: one mixed addition per 6
+//                     bits of each half, no doublings.
 //   Msm / G1Msm / G2Msm — Pippenger's bucket method with a naive fallback
 //                     below a size cutoff.
 //
@@ -17,8 +18,9 @@
 // scalars only: a `SecretFr` (crypto/ct.h) does not convert and hits a
 // deleted overload, so secrets cannot reach them without an explicit
 // `Declassify()`. Secret exponents use `FixedBaseTable::MulCt`, which walks
-// the same precomputed tables with a full-scan masked select and complete
-// addition formulas — identical memory-access pattern for every scalar.
+// the same precomputed tables with a full-scan masked read and complete
+// mixed-addition formulas — identical memory-access pattern for every
+// scalar.
 #ifndef APQA_CRYPTO_MSM_H_
 #define APQA_CRYPTO_MSM_H_
 
@@ -69,25 +71,28 @@ void BatchToAffine(std::span<CurvePoint<F>> pts) {
 }
 
 // Fixed-base precomputation for a long-lived base point (a generator, an ABS
-// verification-key component, a signing-key base). Stores the multiples
-// d * 16^w * P (d = 1..15) for each radix-16 window, normalized to affine
-// with one shared inversion — a multiply is mixed additions only, no
-// doublings, no per-call table build.
-//
-// On the GLV-capable fields (Fp, Fp2) the scalar is decomposed as
-// k = k1 + k2 * lambda with both sub-scalars at most 128 bits, so the table
-// only stores the 32 windows covering a sub-scalar; the k2 track reuses the
-// same entries under the endomorphism (beta-scaled x), costing one field
-// multiply per window instead of a second table. Half the precompute
-// memory and build time of the full-width layout, same per-multiply
-// addition count. Fields without an endomorphism keep the 64-window form.
+// verification-key component, a signing-key base). The scalar is split as
+// k = k1 + k2 * lambda (crypto/glv.h), both halves below 2^128, and each
+// half is read as 22 signed radix-2^6 (Booth) digits in [-32, 32]. The
+// table stores d * 64^w * P for d = 1..32 in each of the 22 windows (704
+// entries), normalized to affine with one shared inversion; a negative
+// digit negates y, and the k2 track reuses the same entries under the
+// endomorphism (beta-scaled x) — one field multiply per pick instead of a
+// second table. A multiply is 44 picks and at most 44 mixed additions, no
+// doublings, no per-call table build. Only the GLV fields (Fp, Fp2) are
+// supported; the base must lie in the prime-order subgroup (true for every
+// table the system builds: generators and their multiples).
 template <typename F>
 class FixedBaseTable {
+  static_assert(GlvEndo<F>::kEnabled,
+                "FixedBaseTable walks GLV halves; Fp and Fp2 only");
+
  public:
-  static constexpr std::size_t kWindowBits = 4;
-  // 32 windows cover a 128-bit GLV sub-scalar; 64 cover a full Fr scalar.
-  static constexpr std::size_t kWindows = GlvEndo<F>::kEnabled ? 32 : 64;
-  static constexpr std::size_t kEntries = 15;   // digits 1..15
+  static constexpr unsigned kWindowBits = 6;
+  // ceil(129 / 6): signed digits of a 128-bit half need a window past bit
+  // 127 so the top digit is nonnegative.
+  static constexpr std::size_t kWindows = 22;
+  static constexpr std::size_t kEntries = 32;  // |digit| = 1..32
 
   FixedBaseTable() = default;
 
@@ -97,123 +102,92 @@ class FixedBaseTable {
       return;
     }
     std::vector<CurvePoint<F>> pts(kWindows * kEntries);
-    CurvePoint<F> window_base = base;  // 16^w * P
+    CurvePoint<F> window_base = base;  // 64^w * P
     for (std::size_t w = 0; w < kWindows; ++w) {
-      CurvePoint<F> acc = CurvePoint<F>::Infinity();
-      for (std::size_t d = 1; d <= kEntries; ++d) {
+      CurvePoint<F> acc = window_base;
+      pts[w * kEntries] = acc;
+      for (std::size_t d = 2; d <= kEntries; ++d) {
         acc = acc + window_base;
         pts[w * kEntries + (d - 1)] = acc;
       }
-      window_base = acc + window_base;  // 16 * (16^w * P)
+      window_base = acc.Double();  // 2 * (32 * 64^w * P)
     }
     // For a base in the prime-order subgroup no entry can be infinity
-    // (d * 16^w is never divisible by r), so affine coordinates are total.
+    // (d * 64^w <= 2^131 is never divisible by r), so affine coordinates
+    // are total.
     BatchToAffine<F>(pts);
-    ax_.resize(pts.size());
-    ay_.resize(pts.size());
+    entries_.resize(pts.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      ax_[i] = pts[i].x;
-      ay_[i] = pts[i].y;
+      entries_[i] = {pts[i].x, pts[i].y};
     }
   }
 
-  bool Initialized() const { return infinity_base_ || !ax_.empty(); }
+  bool Initialized() const { return infinity_base_ || !entries_.empty(); }
 
-  // Variable-time multiply: skips zero windows and indexes the table by the
-  // scalar digit. Public scalars only — SecretFr hits the deleted overload.
-  // On GLV fields the base must lie in the prime-order subgroup (true for
-  // every table the system builds: generators and their multiples).
+  // Variable-time multiply: skips zero digits and indexes the table by the
+  // digit magnitude. Public scalars only — SecretFr hits the deleted
+  // overload.
   CurvePoint<F> Mul(const Fr& k) const {
     if (infinity_base_) return CurvePoint<F>::Infinity();
+    const GlvDecomp kd = GlvSplit(k);
+    const F& beta = GlvEndo<F>::Beta();
     CurvePoint<F> acc = CurvePoint<F>::Infinity();
-    if constexpr (GlvEndo<F>::kEnabled) {
-      const GlvDecomp kd = GlvSplit(k);
-      const F& beta = GlvEndo<F>::Beta();
-      for (std::size_t w = 0; w < kWindows; ++w) {
-        const unsigned shift = static_cast<unsigned>(kWindowBits * (w % 16));
-        unsigned d1 = static_cast<unsigned>(kd.k1[w / 16] >> shift) & 15u;
-        if (d1 != 0) {
-          std::size_t idx = w * kEntries + (d1 - 1);
-          acc = acc.AddMixed(ax_[idx], ay_[idx]);
-        }
-        unsigned d2 = static_cast<unsigned>(kd.k2[w / 16] >> shift) & 15u;
-        if (d2 != 0) {
-          // phi-track: the stored entry scaled through the endomorphism.
-          std::size_t idx = w * kEntries + (d2 - 1);
-          acc = acc.AddMixed(ax_[idx] * beta, ay_[idx]);
-        }
+    for (unsigned w = 0; w < kWindows; ++w) {
+      const Entry* window = &entries_[w * kEntries];
+      const BoothDigit d1 = CtBoothDigit<kWindowBits>(kd.k1, w);
+      if (d1.mag != 0) {
+        const Entry& e = window[d1.mag - 1];
+        acc = acc.AddMixed(e.x, d1.neg != 0 ? -e.y : e.y);
       }
-    } else {
-      Limbs<4> e = k.ToCanonical();
-      for (std::size_t w = 0; w < kWindows; ++w) {
-        unsigned d =
-            static_cast<unsigned>(e[w / 16] >> (kWindowBits * (w % 16))) & 15u;
-        if (d == 0) continue;
-        std::size_t idx = w * kEntries + (d - 1);
-        acc = acc.AddMixed(ax_[idx], ay_[idx]);
+      const BoothDigit d2 = CtBoothDigit<kWindowBits>(kd.k2, w);
+      if (d2.mag != 0) {
+        // phi-track: the stored entry scaled through the endomorphism.
+        const Entry& e = window[d2.mag - 1];
+        acc = acc.AddMixed(e.x * beta, d2.neg != 0 ? -e.y : e.y);
       }
     }
     return acc;
   }
   CurvePoint<F> Mul(const SecretFr&) const = delete;
 
-  // Constant-pattern multiply for secret scalars: every window scans all 15
-  // table entries with masked selects (digit 0 selects the identity) and
-  // performs one complete addition per track — the same loads and the same
-  // instruction sequence for every scalar. On GLV fields the secret scalar
-  // is decomposed with the branch-free GlvSplitLimbs (Barrett quotient,
-  // masked corrections) and each window runs the P-track select/add ('T')
-  // followed by the phi-track select/add ('U'); the endomorphism scaling is
-  // applied to the already-selected x, which maps the identity encoding
-  // (0 : 1 : 0) to itself, so digit 0 stays the identity on both tracks.
+  // Constant-pattern multiply for secret scalars. The scalar is decomposed
+  // with the branch-free GlvSplitLimbs (Barrett quotient, masked
+  // corrections) and each window runs the k1 pick ('T') and then the k2
+  // pick ('U'): one OR-accumulated masked read of all 32 entries, a masked
+  // y-negation for a negative digit, the beta scaling of x on the k2 track,
+  // one complete mixed addition (Renes–Costello–Batina Alg. 8) into the
+  // projective accumulator, and a masked keep of the old accumulator when
+  // the digit is 0 (the all-zero read is not a point). The same loads and
+  // the same instruction sequence for every scalar.
   CurvePoint<F> MulCt(const SecretFr& k) const {
     if (infinity_base_) return CurvePoint<F>::Infinity();
-    const F& b3 = CtCurveB3<F>::Get();
-    const F one = F::One();
+    const GlvDecomp kd = GlvSplitLimbs(k.ct_ref().ToCanonical());
+    const F& beta = GlvEndo<F>::Beta();
     CtPoint<F> acc = CtPoint<F>::Identity();
-    if constexpr (GlvEndo<F>::kEnabled) {
-      const GlvDecomp kd = GlvSplitLimbs(k.ct_ref().ToCanonical());
-      const F& beta = GlvEndo<F>::Beta();
-      for (std::size_t w = 0; w < kWindows; ++w) {
-        const unsigned shift = static_cast<unsigned>(kWindowBits * (w % 16));
-        CtPoint<F> sel = SelectCt(w, (kd.k1[w / 16] >> shift) & 15u, one);
-        ct_trace::Emit('T', static_cast<unsigned>(w));
-        acc = CtCompleteAdd(acc, sel, b3);
-        sel = SelectCt(w, (kd.k2[w / 16] >> shift) & 15u, one);
-        sel.x = sel.x * beta;
-        ct_trace::Emit('U', static_cast<unsigned>(w));
-        acc = CtCompleteAdd(acc, sel, b3);
-      }
-    } else {
-      const Limbs<4> e = k.ct_ref().ToCanonical();
-      for (std::size_t w = 0; w < kWindows; ++w) {
-        const u64 digit =
-            (e[w / 16] >> (kWindowBits * (w % 16))) & 15u;
-        CtPoint<F> sel = SelectCt(w, digit, one);
-        ct_trace::Emit('T', static_cast<unsigned>(w));
-        acc = CtCompleteAdd(acc, sel, b3);
-      }
+    auto add_pick = [&acc, &beta](const Entry* window, BoothDigit d,
+                                  bool phi_track) {
+      Entry sel = CtLookup(window, kEntries, d.mag);
+      CtCondNegate(&sel.y, d.neg);
+      if (phi_track) sel.x = sel.x * beta;
+      const CtPoint<F> sum = CtCompleteAddMixed(acc, sel.x, sel.y);
+      CtCondAssignObj(&acc, sum, CtNonZeroMask64(d.mag));
+    };
+    for (unsigned w = 0; w < kWindows; ++w) {
+      const Entry* window = &entries_[w * kEntries];
+      ct_trace::Emit('T', w);
+      add_pick(window, CtBoothDigit<kWindowBits>(kd.k1, w), false);
+      ct_trace::Emit('U', w);
+      add_pick(window, CtBoothDigit<kWindowBits>(kd.k2, w), true);
     }
     return CtToJacobian(acc);
   }
 
  private:
-  // Entry `digit` of window `w` as a projective point, or the identity
-  // (0 : 1 : 0) for digit 0. Every one of the 15 entries is read and
-  // mask-selected into (x, y); z is a single select between 0 and 1.
-  CtPoint<F> SelectCt(std::size_t w, u64 digit, const F& one) const {
-    CtPoint<F> sel{F::Zero(), one, F::Zero()};
-    for (u64 d = 1; d <= kEntries; ++d) {
-      const std::size_t idx = w * kEntries + static_cast<std::size_t>(d - 1);
-      const u64 mask = CtEqMask64(digit, d);
-      CtCondAssignObj(&sel.x, ax_[idx], mask);
-      CtCondAssignObj(&sel.y, ay_[idx], mask);
-    }
-    CtCondAssignObj(&sel.z, one, CtNonZeroMask64(digit));
-    return sel;
-  }
+  struct Entry {
+    F x, y;
+  };
 
-  std::vector<F> ax_, ay_;
+  std::vector<Entry> entries_;
   bool infinity_base_ = false;
 };
 
@@ -369,16 +343,54 @@ CurvePoint<F> StrausChain(const std::vector<CurvePoint<F>>& tab,
   return acc;
 }
 
+// GLV expansion for the Straus chains. A scalar set wider than 128 bits is
+// split term by term, k = k1 + k2 * lambda (crypto/glv.h), into
+// [k1_0 .. k1_{n-1}, k2_0 .. k2_{n-1}], the scalars for the table
+// [P-tables; phi-tables] that WithPhiTables builds; the shared doubling
+// chain then runs ~128 steps instead of ~255. The inputs are prime-order
+// points, on which phi acts as multiplication by lambda.
+inline constexpr std::size_t kGlvHalfBits = 128;
+
+inline std::vector<Limbs<4>> GlvSplitSet(const std::vector<Limbs<4>>& es) {
+  const std::size_t n = es.size();
+  std::vector<Limbs<4>> out(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const GlvDecomp d = GlvSplitLimbs(es[i]);
+    out[i] = d.k1;
+    out[n + i] = d.k2;
+  }
+  return out;
+}
+
+// Appends the phi-image of an affine odd-multiple table: (2j + 1) phi(P) =
+// phi((2j + 1) P) = (beta x, y), one field multiply per entry and no
+// second normalization.
+template <typename F>
+std::vector<CurvePoint<F>> WithPhiTables(std::vector<CurvePoint<F>> tab) {
+  const F& beta = GlvEndo<F>::Beta();
+  const std::size_t m = tab.size();
+  tab.resize(2 * m);
+  for (std::size_t i = 0; i < m; ++i) {
+    tab[m + i] = {tab[i].x * beta, tab[i].y, tab[i].z};
+  }
+  return tab;
+}
+
 // Interleaved wNAF (Straus): per-point affine odd-multiple tables plus one
 // shared doubling chain. For the dozens-of-terms, short-scalar MSMs
 // produced by whole-VO batch verification this beats Pippenger, whose
 // per-window bucket collapse dominates at such sizes; Pippenger takes over
 // once the term count amortizes its buckets (see kMsmStrausCutoff).
+// Full-width scalar sets run GLV-split against the phi-extended tables.
 template <typename F>
 CurvePoint<F> StrausMsm(const std::vector<CurvePoint<F>>& ps,
                         const std::vector<Limbs<4>>& es) {
-  const unsigned width = StrausWidth(MaxBitLength(es));
-  return StrausChain<F>(StrausTables<F>(ps, width), width, es);
+  const std::size_t bits = MaxBitLength(es);
+  const unsigned width = StrausWidth(bits);
+  std::vector<CurvePoint<F>> tab = StrausTables<F>(ps, width);
+  if (bits <= kGlvHalfBits) return StrausChain<F>(tab, width, es);
+  return StrausChain<F>(WithPhiTables<F>(std::move(tab)), width,
+                        GlvSplitSet(es));
 }
 
 }  // namespace msm_internal
@@ -389,7 +401,8 @@ CurvePoint<F> StrausMsm(const std::vector<CurvePoint<F>>& ps,
 // Pippenger's bucket method is used (points batch-normalized to affine so
 // bucket accumulation runs on mixed additions). Both multi-term paths size
 // their window loops to the widest actual scalar, so 128-bit batching
-// weights cost roughly half of full-width folds.
+// weights cost roughly half of full-width folds; wider scalars are GLV-split
+// on both paths, so no chain runs past ~128 doublings.
 inline constexpr std::size_t kMsmStrausCutoff = 128;
 
 template <typename F>
@@ -489,7 +502,9 @@ G2 G2Msm(std::span<const G2> pts, std::span<const Fr> scalars);
 // instead of k full MSMs. Whole-VO batch verification leans on this twice:
 // the signature Y components fold under both the column-0 and W-equation
 // weights, and the message-side G2 points fold under both the rho and
-// mu*rho weight vectors. Every set must have exactly pts.size() scalars.
+// mu*rho weight vectors. A set wider than 128 bits runs GLV-split against
+// the phi-extended table (msm_internal::WithPhiTables, built once for the
+// first such set). Every set must have exactly pts.size() scalars.
 template <typename F>
 std::vector<CurvePoint<F>> MsmShared(
     std::span<const CurvePoint<F>> pts,
@@ -517,12 +532,23 @@ std::vector<CurvePoint<F>> MsmShared(
     }
     return out;
   }
+  std::vector<std::size_t> bits(sets);
   std::size_t chain_bits = 0;
-  for (const auto& e : es) chain_bits += msm_internal::MaxBitLength(e);
+  for (std::size_t s = 0; s < sets; ++s) {
+    bits[s] = msm_internal::MaxBitLength(es[s]);
+    chain_bits += bits[s];
+  }
   const unsigned width = msm_internal::StrausWidth(chain_bits);
   std::vector<CurvePoint<F>> tab = msm_internal::StrausTables<F>(ps, width);
+  std::vector<CurvePoint<F>> tab_phi;  // [tab; phi(tab)], on first wide set
   for (std::size_t s = 0; s < sets; ++s) {
-    out[s] = msm_internal::StrausChain<F>(tab, width, es[s]);
+    if (bits[s] <= msm_internal::kGlvHalfBits) {
+      out[s] = msm_internal::StrausChain<F>(tab, width, es[s]);
+      continue;
+    }
+    if (tab_phi.empty()) tab_phi = msm_internal::WithPhiTables<F>(tab);
+    out[s] = msm_internal::StrausChain<F>(tab_phi, width,
+                                          msm_internal::GlvSplitSet(es[s]));
   }
   return out;
 }

@@ -10,7 +10,8 @@
 //      CtCondAssignObj) match naive semantics on adversarial edge cases,
 //      and every constant-pattern ladder matches its variable-time twin on
 //      edge scalars (0, 1, 2, r-1, lambda-1, lambda, lambda+1) and random
-//      scalars.
+//      scalars, and the plain wNAF on scalars whose GLV halves drive every
+//      signed (Booth) digit to its extremes.
 //   3. Trace equivalence (runs under any compiler): the ct_trace hook
 //      records the ladder step sequence; distinct secrets must produce
 //      byte-identical traces, all the way up through ABS.Sign, ABS.Relax
@@ -214,6 +215,201 @@ TEST(CtKernels, VariableBaseCtScalarMulMatchesWnaf) {
                   .IsInfinity());
 }
 
+// A 127-bit GLV half (below lambda ~ 2^127.4) whose signed radix-2^W
+// digits alternate between the two Booth extremes: windows read
+// 1 0...0 (digit -2^(W-1) after a carry-in of 0) and 0 1...1 (digit
+// +2^(W-1) after a carry-in of 1). `negative_first` picks which extreme
+// window 0 gets (window 0 has no carry-in, so it reads 2^(W-1) - 1 on the
+// other phase).
+Limbs<4> BoothExtremeHalf(unsigned width, bool negative_first) {
+  Limbs<4> e{};
+  for (unsigned w = 0; width * w < 127; ++w) {
+    const bool negative = (w % 2 == 0) == negative_first;
+    const u64 bits = negative ? u64{1} << (width - 1)
+                              : (u64{1} << (width - 1)) - 1;
+    for (unsigned b = 0; b < width; ++b) {
+      const unsigned pos = width * w + b;
+      if (pos < 127 && ((bits >> b) & 1)) e[pos / 64] |= u64{1} << (pos % 64);
+    }
+  }
+  return e;
+}
+
+// k1 + k2 * lambda for halves below lambda: GlvSplitLimbs returns exactly
+// (k1, k2) for it.
+Fr FromGlvHalves(const Limbs<4>& k1, const Limbs<4>& k2) {
+  return Fr::FromCanonical(k1) +
+         Fr::FromCanonical(k2) * Fr::FromCanonical(crypto::GlvLambda());
+}
+
+// The edge scalars above plus scalars whose GLV halves hit every Booth
+// extreme of both ladder widths (radix 2^5 variable-base, 2^6 fixed-base),
+// on either half or both, and the largest halves: lambda - 1 and
+// 2^127 - 1. (2^128 - 1 is not a GLV half of any reduced scalar; the
+// digit reconstruction test below covers it.)
+std::vector<Fr> BoothEdgeScalars() {
+  std::vector<Fr> ks = EdgeAndRandomScalars();
+  const Limbs<4> zero{};
+  for (unsigned width : {5u, 6u}) {
+    for (bool negative_first : {false, true}) {
+      const Limbs<4> h = BoothExtremeHalf(width, negative_first);
+      const Limbs<4> other = BoothExtremeHalf(width, !negative_first);
+      ks.push_back(FromGlvHalves(h, zero));
+      ks.push_back(FromGlvHalves(zero, h));
+      ks.push_back(FromGlvHalves(h, other));
+    }
+  }
+  Limbs<4> lambda_minus_1 = crypto::GlvLambda();
+  lambda_minus_1[0] -= 1;  // lambda's low limb is nonzero
+  const Limbs<4> ones127 = {~u64{0}, ~u64{0} >> 1, 0, 0};
+  ks.push_back(FromGlvHalves(lambda_minus_1, lambda_minus_1));
+  ks.push_back(FromGlvHalves(ones127, ones127));
+  ks.push_back(FromGlvHalves(ones127, zero));
+  return ks;
+}
+
+// sum_w digit_w 2^(W w) over `windows` signed digits, reduced mod r (exact
+// for the sub-2^128 inputs below). Also checks every digit's range.
+template <unsigned W>
+Fr BoothReconstruct(const Limbs<4>& e, unsigned windows) {
+  Fr acc = Fr::Zero(), radix_pow = Fr::One();
+  const Fr radix = Fr::FromU64(u64{1} << W);
+  for (unsigned w = 0; w < windows; ++w) {
+    const crypto::BoothDigit d = crypto::CtBoothDigit<W>(e, w);
+    EXPECT_LE(d.mag, u64{1} << (W - 1));
+    EXPECT_TRUE(d.neg == 0 || d.neg == ~u64{0});
+    const Fr term = Fr::FromU64(d.mag) * radix_pow;
+    acc = d.neg != 0 ? acc - term : acc + term;
+    radix_pow = radix_pow * radix;
+  }
+  return acc;
+}
+
+TEST(CtKernels, BoothDigitsReconstructHalves) {
+  Rng rng(0xb007);
+  std::vector<Limbs<4>> halves = {
+      Limbs<4>{},
+      Limbs<4>{1, 0, 0, 0},
+      Limbs<4>{~u64{0}, ~u64{0}, 0, 0},  // 2^128 - 1
+      Limbs<4>{~u64{0}, ~u64{0} >> 1, 0, 0},
+      crypto::GlvLambda(),
+      BoothExtremeHalf(5, false), BoothExtremeHalf(5, true),
+      BoothExtremeHalf(6, false), BoothExtremeHalf(6, true)};
+  for (int i = 0; i < 8; ++i) halves.push_back({rng.NextU64(), rng.NextU64()});
+  for (const Limbs<4>& h : halves) {
+    const Fr want = Fr::FromCanonical(h);
+    EXPECT_EQ(BoothReconstruct<5>(h, 26), want);
+    EXPECT_EQ(BoothReconstruct<6>(h, 22), want);
+    // The top window of each ladder never reads a negative digit.
+    EXPECT_EQ(crypto::CtBoothDigit<5>(h, 25).neg, u64{0});
+    EXPECT_EQ(crypto::CtBoothDigit<6>(h, 21).neg, u64{0});
+  }
+}
+
+// BoothEdgeScalars really drives each ladder's digits to +-2^(W-1) in every
+// window that lies wholly below bit 127 (window 0 can only reach the
+// negative extreme: it has no carry-in).
+template <unsigned W>
+void ExpectBoothExtremesCovered(unsigned windows) {
+  std::vector<bool> plus(windows, false), minus(windows, false);
+  for (const Fr& k : BoothEdgeScalars()) {
+    const crypto::GlvDecomp kd = crypto::GlvSplitLimbs(k.ToCanonical());
+    for (const Limbs<4>* h : {&kd.k1, &kd.k2}) {
+      for (unsigned w = 0; w < windows; ++w) {
+        const crypto::BoothDigit d = crypto::CtBoothDigit<W>(*h, w);
+        if (d.mag != (u64{1} << (W - 1))) continue;
+        (d.neg != 0 ? minus : plus)[w] = true;
+      }
+    }
+  }
+  for (unsigned w = 0; W * (w + 1) <= 127; ++w) {
+    EXPECT_TRUE(minus[w]) << "W=" << W << " window " << w;
+    if (w > 0) {
+      EXPECT_TRUE(plus[w]) << "W=" << W << " window " << w;
+    }
+  }
+}
+
+TEST(CtKernels, BoothEdgeScalarsHitEveryDigitExtreme) {
+  ExpectBoothExtremesCovered<5>(26);
+  ExpectBoothExtremesCovered<6>(22);
+}
+
+// Every ladder — MulCt and Mul on a fixed-base table, CtScalarMul — against
+// the plain wNAF ScalarMulCanonical (no GLV, no table) on both groups, for
+// the Booth edge scalars, on the generator tables and on a table for a
+// random base; a table over the point at infinity yields infinity.
+template <typename F>
+void ExpectLaddersMatchCanonical(const crypto::CurvePoint<F>& base,
+                                 const crypto::FixedBaseTable<F>& tab) {
+  for (const Fr& k : BoothEdgeScalars()) {
+    const crypto::CurvePoint<F> want = base.ScalarMulCanonical(k.ToCanonical());
+    EXPECT_EQ(tab.MulCt(SecretFr(k)), want);
+    EXPECT_EQ(tab.Mul(k), want);
+    EXPECT_EQ(CtScalarMul(base, SecretFr(k)), want);
+  }
+}
+
+TEST(CtKernels, LaddersMatchCanonicalOnBoothEdgeScalars) {
+  Rng rng(0xed9e);
+  ExpectLaddersMatchCanonical(crypto::G1Generator(),
+                              crypto::G1GeneratorTable());
+  ExpectLaddersMatchCanonical(crypto::G2Generator(),
+                              crypto::G2GeneratorTable());
+  const G1 p1 = crypto::G1Mul(rng.NextNonZeroFr());
+  const G2 p2 = crypto::G2Mul(rng.NextNonZeroFr());
+  ExpectLaddersMatchCanonical(p1, crypto::FixedBaseTable<Fp>(p1));
+  ExpectLaddersMatchCanonical(p2, crypto::FixedBaseTable<Fp2>(p2));
+
+  const crypto::FixedBaseTable<Fp> inf1(G1::Infinity());
+  const crypto::FixedBaseTable<Fp2> inf2(G2::Infinity());
+  for (const Fr& k : {Fr::Zero(), Fr::One(), rng.NextFr()}) {
+    EXPECT_TRUE(inf1.MulCt(SecretFr(k)).IsInfinity());
+    EXPECT_TRUE(inf1.Mul(k).IsInfinity());
+    EXPECT_TRUE(inf2.MulCt(SecretFr(k)).IsInfinity());
+    EXPECT_TRUE(inf2.Mul(k).IsInfinity());
+    EXPECT_TRUE(CtScalarMul(G2::Infinity(), SecretFr(k)).IsInfinity());
+  }
+}
+
+// The addition-chain 3b multiply equals the field multiply by 3 * b.
+TEST(CtKernels, MulBy3bMatchesFieldMultiply) {
+  Rng rng(0x3b);
+  const Fp b1 = crypto::G1CurveB();
+  const Fp2 b2 = crypto::G2CurveB();
+  const Fp b3_1 = b1 + b1 + b1;
+  const Fp2 b3_2 = b2 + b2 + b2;
+  for (int i = 0; i < 4; ++i) {
+    const Fp x = crypto::G1Mul(rng.NextNonZeroFr()).x;
+    const Fp2 y = crypto::G2Mul(rng.NextNonZeroFr()).y;
+    EXPECT_EQ(crypto::MulBy3b(x), b3_1 * x);
+    EXPECT_EQ(crypto::MulBy3b(y), b3_2 * y);
+  }
+  EXPECT_TRUE(crypto::MulBy3b(Fp::Zero()).IsZero());
+  EXPECT_EQ(crypto::MulBy3b(Fp2::One()), b3_2);
+}
+
+// Alg. 8 mixed addition agrees with Alg. 7 on an affine second operand,
+// including the doubling case, an inverse pair and an identity first
+// operand.
+TEST(CtKernels, CompleteMixedAdditionMatchesFullAddition) {
+  Rng rng(0x8a);
+  const G1 p = crypto::G1Mul(rng.NextNonZeroFr());
+  G1 q = crypto::G1Mul(rng.NextNonZeroFr());
+  Fp qx, qy;
+  q.ToAffine(&qx, &qy);
+  const CtPoint<Fp> cq = {qx, qy, Fp::One()};
+  for (const CtPoint<Fp>& a :
+       {crypto::CtFromJacobian(p), CtPoint<Fp>::Identity(), cq,
+        CtPoint<Fp>{qx, -qy, Fp::One()}}) {
+    EXPECT_EQ(crypto::CtToJacobian(crypto::CtCompleteAddMixed(a, qx, qy)),
+              crypto::CtToJacobian(CtCompleteAdd(a, cq)));
+  }
+  EXPECT_TRUE(crypto::CtToJacobian(crypto::CtCompleteAddMixed(
+                                       CtPoint<Fp>{qx, -qy, Fp::One()}, qx, qy))
+                  .IsInfinity());
+}
+
 TEST(CtKernels, GeneratorCtMulsMatch) {
   for (const Fr& k : EdgeAndRandomScalars()) {
     EXPECT_EQ(CtG1Mul(SecretFr(k)), crypto::G1Mul(k));
@@ -247,29 +443,27 @@ TEST(CtKernels, CtInverseMatchesEgcdInverse) {
 TEST(CtKernels, CompleteAdditionHandlesExceptionalInputs) {
   Rng rng(0xadd);
   G1 p = crypto::G1Mul(rng.NextNonZeroFr());
-  const Fp& b3 = crypto::CtCurveB3<Fp>::Get();
   CtPoint<Fp> cp = crypto::CtFromJacobian(p);
   CtPoint<Fp> id = CtPoint<Fp>::Identity();
 
   // P + P (the doubling case that breaks incomplete formulas).
-  EXPECT_EQ(crypto::CtToJacobian(CtCompleteAdd(cp, cp, b3)), p.Double());
+  EXPECT_EQ(crypto::CtToJacobian(CtCompleteAdd(cp, cp)), p.Double());
   // P + (-P) = O.
   CtPoint<Fp> neg = {cp.x, -cp.y, cp.z};
-  EXPECT_TRUE(crypto::CtToJacobian(CtCompleteAdd(cp, neg, b3)).IsInfinity());
+  EXPECT_TRUE(crypto::CtToJacobian(CtCompleteAdd(cp, neg)).IsInfinity());
   // P + O = P, O + P = P, O + O = O.
-  EXPECT_EQ(crypto::CtToJacobian(CtCompleteAdd(cp, id, b3)), p);
-  EXPECT_EQ(crypto::CtToJacobian(CtCompleteAdd(id, cp, b3)), p);
-  EXPECT_TRUE(crypto::CtToJacobian(CtCompleteAdd(id, id, b3)).IsInfinity());
+  EXPECT_EQ(crypto::CtToJacobian(CtCompleteAdd(cp, id)), p);
+  EXPECT_EQ(crypto::CtToJacobian(CtCompleteAdd(id, cp)), p);
+  EXPECT_TRUE(crypto::CtToJacobian(CtCompleteAdd(id, id)).IsInfinity());
 }
 
 // Alg. 9 doubling must agree with the complete addition P + P and with the
 // Jacobian doubling, including on the identity.
 template <typename F>
 void ExpectCompleteDblMatches(const crypto::CurvePoint<F>& p) {
-  const F& b3 = crypto::CtCurveB3<F>::Get();
   CtPoint<F> cp = crypto::CtFromJacobian(p);
-  const crypto::CurvePoint<F> dbl = crypto::CtToJacobian(CtCompleteDbl(cp, b3));
-  EXPECT_EQ(dbl, crypto::CtToJacobian(CtCompleteAdd(cp, cp, b3)));
+  const crypto::CurvePoint<F> dbl = crypto::CtToJacobian(CtCompleteDbl(cp));
+  EXPECT_EQ(dbl, crypto::CtToJacobian(CtCompleteAdd(cp, cp)));
   EXPECT_EQ(dbl, p.Double());
 }
 
@@ -354,10 +548,10 @@ TEST(CtTrace, FixedBaseLadderTraceIsScalarIndependent) {
 }
 
 // The GLV fixed-base walk must touch both mini-scalar tracks in every
-// window in a fixed order: ('T', w) then ('U', w) for w = 0..31. Pinning
-// the exact shape (not just scalar-independence) catches a refactor that,
-// say, skips the endomorphism track when k2 == 0 — which would leak the
-// magnitude of the secret scalar.
+// signed radix-2^6 window in a fixed order: ('T', w) then ('U', w) for
+// w = 0..21. Pinning the exact shape (not just scalar-independence) catches
+// a refactor that, say, skips the endomorphism track when k2 == 0 — which
+// would leak the magnitude of the secret scalar.
 TEST(CtTrace, FixedBaseGlvTraceCoversBothTracksEveryWindow) {
   TraceCapture cap;
   const auto& tab = crypto::G1GeneratorTable();
@@ -365,8 +559,8 @@ TEST(CtTrace, FixedBaseGlvTraceCoversBothTracksEveryWindow) {
   // product itself is irrelevant here.
   (void)tab.MulCt(SecretFr(Fr::Zero()));
   auto t = cap.Take();
-  ASSERT_EQ(t.size(), 64u);
-  for (unsigned w = 0; w < 32; ++w) {
+  ASSERT_EQ(t.size(), 44u);
+  for (unsigned w = 0; w < 22; ++w) {
     EXPECT_EQ(t[2 * w], std::make_pair('T', w));
     EXPECT_EQ(t[2 * w + 1], std::make_pair('U', w));
   }
@@ -394,14 +588,15 @@ TEST(CtTrace, VariableBaseLadderTraceIsScalarIndependent) {
 }
 
 // The variable-base GLV ladder shares one doubling chain between the two
-// tracks: four doublings per window except the top one, then the k1 pick
-// ('T', w) and the phi(k2) pick ('U', w), for w = 31..0 — 124 doublings
-// and 64 additions for every scalar, on both groups. Pinning the exact
-// shape catches a refactor that skips a track or a leading zero window.
+// tracks: five doublings per signed radix-2^5 window except the top one,
+// then the k1 pick ('T', w) and the phi(k2) pick ('U', w), for w = 25..0 —
+// 125 doublings and 52 additions for every scalar, on both groups. Pinning
+// the exact shape catches a refactor that skips a track or a leading zero
+// window.
 std::vector<std::pair<char, unsigned>> ExpectedGlvLadderTrace() {
   std::vector<std::pair<char, unsigned>> t;
-  for (unsigned w = 32; w-- > 0;) {
-    if (w != 31) t.insert(t.end(), 4, std::make_pair('D', w));
+  for (unsigned w = 26; w-- > 0;) {
+    if (w != 25) t.insert(t.end(), 5, std::make_pair('D', w));
     t.emplace_back('T', w);
     t.emplace_back('U', w);
   }
@@ -414,7 +609,7 @@ TEST(CtTrace, VariableBaseGlvTraceCoversBothTracksEveryWindow) {
   G1 p1 = crypto::G1Mul(rng.NextNonZeroFr());
   G2 p2 = crypto::G2Mul(rng.NextNonZeroFr());
   const auto expected = ExpectedGlvLadderTrace();
-  ASSERT_EQ(expected.size(), 31u * 4 + 64);
+  ASSERT_EQ(expected.size(), 25u * 5 + 52);
   for (const Fr& k : EdgeAndRandomScalars()) {
     // discard-ok: the trace capture observes the access pattern; the
     // product itself is irrelevant here.

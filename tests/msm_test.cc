@@ -313,6 +313,68 @@ TEST(MsmTest, SharedMultiSetMatchesPerSetMsm) {
   EXPECT_EQ(gf[1], G2Msm(std::span<const G2>(qs), std::span<const Fr>(b)));
 }
 
+// The Straus paths (2..127 terms) GLV-split a scalar set wider than 128
+// bits into k1 * P + k2 * phi(P). Every prefix of a fixed point list, under
+// a 128-bit set (no split), a full-width set with the top-of-range and
+// split-boundary scalars, and a set alternating the two (split, with half
+// its terms short), must equal the prefix sum of plain wNAF
+// ScalarMulCanonical products — through Msm and through MsmShared folding
+// all three sets off one table.
+template <typename F>
+void ExpectStrausMatchesCanonical(const CurvePoint<F>& gen, std::size_t step,
+                                  Rng* rng) {
+  using Pt = CurvePoint<F>;
+  const std::size_t kMax = kMsmStrausCutoff - 1;
+  const Fr lambda = Fr::FromCanonical(GlvLambda());
+  std::vector<Pt> pts(kMax);
+  std::vector<std::vector<Fr>> sets(3, std::vector<Fr>(kMax));
+  for (std::size_t i = 0; i < kMax; ++i) {
+    pts[i] = gen.ScalarMul(rng->NextNonZeroFr());
+    const Fr short_k =
+        Fr::FromCanonical(Limbs<4>{rng->NextU64(), rng->NextU64(), 0, 0});
+    const Fr wide_k = rng->NextFr();
+    sets[0][i] = short_k;
+    sets[1][i] = wide_k;
+    sets[2][i] = i % 2 == 0 ? short_k : wide_k;
+  }
+  sets[1][0] = RMinusOne();
+  sets[1][1] = lambda;
+  sets[1][2] = lambda + Fr::One();
+  sets[2][1] = lambda - Fr::One();
+  // prefix[s][n] = sum_{i < n} sets[s][i] * pts[i].
+  std::vector<std::vector<Pt>> prefix(3, std::vector<Pt>(kMax + 1));
+  for (std::size_t s = 0; s < 3; ++s) {
+    prefix[s][0] = Pt::Infinity();
+    for (std::size_t i = 0; i < kMax; ++i) {
+      prefix[s][i + 1] =
+          prefix[s][i] + pts[i].ScalarMulCanonical(sets[s][i].ToCanonical());
+    }
+  }
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n < kMax; n += step) sizes.push_back(n);
+  sizes.push_back(kMax);
+  for (std::size_t n : sizes) {
+    const std::span<const Pt> ps(pts.data(), n);
+    std::vector<std::vector<Fr>> cut(3);
+    for (std::size_t s = 0; s < 3; ++s) {
+      cut[s].assign(sets[s].begin(), sets[s].begin() + n);
+      EXPECT_EQ(Msm<F>(ps, std::span<const Fr>(cut[s])), prefix[s][n])
+          << "set " << s << " n=" << n;
+    }
+    const std::vector<Pt> shared = MsmShared<F>(
+        ps, std::span<const std::vector<Fr>>(cut.data(), cut.size()));
+    for (std::size_t s = 0; s < 3; ++s) {
+      EXPECT_EQ(shared[s], prefix[s][n]) << "shared set " << s << " n=" << n;
+    }
+  }
+}
+
+TEST(MsmTest, StrausGlvSplitMatchesCanonical) {
+  Rng rng(17);
+  ExpectStrausMatchesCanonical(G1Generator(), 1, &rng);
+  ExpectStrausMatchesCanonical(G2Generator(), 9, &rng);
+}
+
 TEST(MultiPairingBatchedTest, CancellationStillHolds) {
   Rng rng(14);
   Fr a = rng.NextNonZeroFr();
