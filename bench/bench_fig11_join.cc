@@ -45,7 +45,7 @@ int main() {
       sp_t += t.ElapsedMs();
       kb_b += basic.SerializedSize() / 1024.0;
       kb_t += tree.SerializedSize() / 1024.0;
-      std::vector<std::pair<core::Record, core::Record>> r1, r2;
+      std::vector<std::vector<core::Record>> r1, r2;
       t.Reset();
       bool ok1 = user.VerifyJoin(range, basic, &r1).ok();
       u_b += t.ElapsedMs();

@@ -69,7 +69,7 @@ int main() {
 
   core::Box q12{{8}, {47}};
   core::JoinVo jvo = join_sp.JoinQuery(q12, roles);
-  std::vector<std::pair<core::Record, core::Record>> pairs;
+  std::vector<std::vector<core::Record>> pairs;
   if (core::VerifyResult r = join_user.VerifyJoin(q12, jvo, &pairs);
       !r.ok()) {
     std::printf("Q12 VERIFICATION FAILED: %s\n", r.ToString().c_str());
@@ -78,8 +78,8 @@ int main() {
   std::printf("Q12 join on orderkey in [8,47]: verified, %zu pairs, "
               "VO %.1f KB\n", pairs.size(), jvo.SerializedSize() / 1024.0);
   for (std::size_t i = 0; i < std::min<std::size_t>(pairs.size(), 3); ++i) {
-    std::printf("    orderkey=%u  %s  <->  %s\n", pairs[i].first.key[0],
-                pairs[i].first.value.c_str(), pairs[i].second.value.c_str());
+    std::printf("    orderkey=%u  %s  <->  %s\n", pairs[i][0].key[0],
+                pairs[i][0].value.c_str(), pairs[i][1].value.c_str());
   }
 
   // --- Relaxed model: AP2kd-tree -------------------------------------------

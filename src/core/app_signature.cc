@@ -72,14 +72,6 @@ std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
                    /*epoch=*/0);
 }
 
-std::optional<Signature> DeriveAps(const VerifyKey& mvk, const Signature& app,
-                                   const Policy& original_policy,
-                                   const std::vector<std::uint8_t>& message,
-                                   const policy::RoleSet& lacked_roles,
-                                   Rng* rng) {
-  return Abs::Relax(mvk, app, original_policy, message, lacked_roles, rng);
-}
-
 void EpochStamp::Serialize(common::ByteWriter* w) const {
   w->PutU64(epoch);
   w->PutU8(attested ? 1 : 0);

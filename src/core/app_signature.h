@@ -101,14 +101,6 @@ std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
                                  const Box& box, const Policy& node_policy,
                                  Rng* rng);
 
-// Derives the APS signature for an inaccessible record/node with respect to
-// a user's super policy roles (𝔸 \ 𝒜).
-std::optional<Signature> DeriveAps(const VerifyKey& mvk, const Signature& app,
-                                   const Policy& original_policy,
-                                   const std::vector<std::uint8_t>& message,
-                                   const policy::RoleSet& lacked_roles,
-                                   Rng* rng);
-
 // ---------------------------------------------------------------------------
 // Epoch freshness attestation.
 //

@@ -3,6 +3,7 @@
 #include <optional>
 
 #include "core/parallel_verify.h"
+#include "core/range_query.h"
 
 namespace apqa::core {
 
@@ -17,12 +18,8 @@ Vo BuildEqualityVo(const GridTree& tree, const VerifyKey& mvk, const Point& key,
                                      leaf.record.policy, leaf.sig});
     return vo;
   }
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  Digest vh =
-      crypto::Sha256::Hash(leaf.record.value.data(), leaf.record.value.size());
-  auto msg = RecordMessageFromHash(leaf.record.key, vh);
-  auto aps = DeriveAps(mvk, leaf.sig, leaf.policy, msg, lacked, rng);
-  vo.entries.push_back(InaccessibleRecordEntry{leaf.record.key, vh, *aps});
+  vo.entries.push_back(
+      RelaxNode(mvk, leaf, SuperPolicyRoles(universe, user_roles), rng));
   return vo;
 }
 

@@ -245,44 +245,22 @@ GridTree GridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
   }
 
   // Sign everything. Signing jobs are independent; fan out when a pool is
-  // provided (each job gets its own RNG stream seeded from the caller's).
-  struct Job {
-    Node* node;
-  };
+  // provided (each worker gets its own RNG stream seeded from the caller's).
   std::vector<Node*> jobs;
   jobs.reserve(tree.NodeCount());
   for (auto& level : tree.levels_) {
     for (auto& node : level) jobs.push_back(&node);
   }
-  auto sign_one = [&](Node* node, Rng* r) {
-    std::optional<Signature> sig;
-    if (node->is_leaf) {
-      sig = SignRecord(mvk, sk_do, node->record, r);
-    } else {
-      sig = SignBox(mvk, sk_do, node->box, node->policy, r);
-    }
+  ForEachSeeded(pool, rng, jobs.size(), [&](std::size_t i, Rng* r) {
+    Node* node = jobs[i];
+    std::optional<Signature> sig =
+        node->is_leaf ? SignRecord(mvk, sk_do, node->record, r)
+                      : SignBox(mvk, sk_do, node->box, node->policy, r);
     if (!sig.has_value()) {
       throw std::logic_error("DO signing key does not cover a record policy");
     }
     node->sig = std::move(*sig);
-  };
-  if (pool != nullptr && pool->thread_count() > 1) {
-    std::vector<Rng> rngs;
-    rngs.reserve(pool->thread_count());
-    std::vector<std::uint64_t> seeds;
-    for (int t = 0; t < pool->thread_count(); ++t) seeds.push_back(rng->NextU64());
-    for (auto s : seeds) rngs.emplace_back(s);
-    std::atomic<std::size_t> next{0};
-    pool->ParallelFor(pool->thread_count(), [&](std::size_t t) {
-      for (;;) {
-        std::size_t i = next.fetch_add(1);
-        if (i >= jobs.size()) break;
-        sign_one(jobs[i], &rngs[t]);
-      }
-    });
-  } else {
-    for (Node* j : jobs) sign_one(j, rng);
-  }
+  });
 
   tree.RecomputeDigest();
   auto stamp = MakeEpochStamp(mvk, sk_do, /*epoch=*/0, tree.digest_, rng);

@@ -1,10 +1,12 @@
-// Authenticated equi-join queries (paper §6.2, Algorithm 4).
+// Authenticated equi-join queries (paper §6.2, Algorithm 4), for k ≥ 2
+// tables.
 //
-// For R ⋈_{R.o=S.o} S with R.o ∈ [α,β], the SP walks the two AP²G-trees in
-// lockstep. A region contributes no join results if it is inaccessible on
-// the R side or on the S side; either way one APS signature proves it. Leaf
-// pairs that are accessible on both sides are join results, proven by the
-// two APP signatures.
+// For R1 ⋈ R2 ⋈ ... ⋈ Rk on the shared key, key ∈ [α,β], the SP walks the
+// first table's AP²G-tree and tracks, in every other tree, the smallest
+// node covering the current region. A region contributes no join results if
+// it is inaccessible in any table; the first blocking table (in table
+// order) proves that with one APS signature. Cells accessible in every
+// table are join results, proven by one APP signature per table.
 #ifndef APQA_CORE_JOIN_QUERY_H_
 #define APQA_CORE_JOIN_QUERY_H_
 
@@ -14,75 +16,52 @@
 
 namespace apqa::core {
 
-struct JoinResultPair {
-  ResultEntry r;
-  ResultEntry s;
-};
-
 struct JoinVo {
-  std::vector<JoinResultPair> pairs;
-  std::vector<VoEntry> r_aps;  // inaccessible covers from tree R
-  std::vector<VoEntry> s_aps;  // blocking covers from tree S
-  EpochStamp r_stamp;          // freshness attestation of tree R
-  EpochStamp s_stamp;          // freshness attestation of tree S
-
-  void Serialize(common::ByteWriter* w) const;
-  // Tainted wire entry; see core/vo.h. DeserializeRaw is serde-layer only.
-  static common::Untrusted<JoinVo> Deserialize(common::ByteReader* r) {
-    return common::Untrusted<JoinVo>(DeserializeRaw(r));
-  }
-  static JoinVo DeserializeRaw(common::ByteReader* r);
-  std::size_t SerializedSize() const;
-};
-
-// SP side (Algorithm 4).
-JoinVo BuildJoinVo(const GridTree& tree_r, const GridTree& tree_s,
-                   const VerifyKey& mvk, const Box& range,
-                   const RoleSet& user_roles, const RoleSet& universe,
-                   Rng* rng, ThreadPool* pool = nullptr);
-
-// User side: soundness (pair keys equal, signatures valid, policies
-// satisfied) and completeness (pair cells plus APS regions tile the range).
-VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
-                          const JoinVo& vo,
-                          std::vector<std::pair<Record, Record>>* results);
-
-// Declassification gate for wire-decoded VOs: verification is the trust
-// boundary, so the tainted value feeds the checked path directly.
-inline VerifyResult VerifyJoinVo(
-    const VerifyContext& ctx, const Box& range,
-    const common::Untrusted<JoinVo>& vo,
-    std::vector<std::pair<Record, Record>>* results) {
-  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
-  return VerifyJoinVo(ctx, range, vo.Unvalidated(), results);
-}
-
-// --- Multi-way equi-join (§6.2, "easily extended") -------------------------
-//
-// R1 ⋈ R2 ⋈ ... ⋈ Rk on the shared key, key ∈ [α,β]. A cell contributes a
-// result tuple iff it is accessible in every tree; otherwise the first
-// blocking tree (in table order) proves non-contribution with one APS
-// signature.
-
-struct MultiJoinVo {
+  // stamps[i]: freshness attestation of table i's ADS.
+  std::vector<EpochStamp> stamps;
   // One ResultEntry per table for each joining key.
   std::vector<std::vector<ResultEntry>> tuples;
   // aps[i]: blocking covers contributed by table i.
   std::vector<std::vector<VoEntry>> aps;
-  // stamps[i]: freshness attestation of table i's ADS.
-  std::vector<EpochStamp> stamps;
 
+  // Wire layout: the k stamps, then u32 + the tuples of k entries each,
+  // then k × (u32 + APS entries).
+  void Serialize(common::ByteWriter* w) const;
+  // Tainted wire entry; see core/vo.h. The table count is not on the wire:
+  // the caller knows how many tables it asked to join. DeserializeRaw is
+  // serde-layer only.
+  static common::Untrusted<JoinVo> Deserialize(common::ByteReader* r,
+                                               std::size_t tables) {
+    return common::Untrusted<JoinVo>(DeserializeRaw(r, tables));
+  }
+  static JoinVo DeserializeRaw(common::ByteReader* r, std::size_t tables);
   std::size_t SerializedSize() const;
 };
 
-MultiJoinVo BuildMultiJoinVo(const std::vector<const GridTree*>& trees,
-                             const VerifyKey& mvk, const Box& range,
-                             const RoleSet& user_roles,
-                             const RoleSet& universe, Rng* rng);
+// SP side (Algorithm 4) over trees.size() ≥ 2 tables sharing one key grid.
+// Relaxations fan out over `pool` when given.
+JoinVo BuildJoinVo(const std::vector<const GridTree*>& trees,
+                   const VerifyKey& mvk, const Box& range,
+                   const RoleSet& user_roles, const RoleSet& universe,
+                   Rng* rng, ThreadPool* pool = nullptr);
 
-VerifyResult VerifyMultiJoinVo(const VerifyContext& ctx, const Box& range,
-                               std::size_t num_tables, const MultiJoinVo& vo,
-                               std::vector<std::vector<Record>>* results);
+// User side: soundness (tuple keys equal, signatures valid, policies
+// satisfied) and completeness (tuple cells plus APS regions tile the
+// range), for a join of `tables` tables. On success appends one record per
+// table for each result tuple.
+VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
+                          std::size_t tables, const JoinVo& vo,
+                          std::vector<std::vector<Record>>* results);
+
+// Declassification gate for wire-decoded VOs: verification is the trust
+// boundary, so the tainted value feeds the checked path directly.
+inline VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
+                                 std::size_t tables,
+                                 const common::Untrusted<JoinVo>& vo,
+                                 std::vector<std::vector<Record>>* results) {
+  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
+  return VerifyJoinVo(ctx, range, tables, vo.Unvalidated(), results);
+}
 
 }  // namespace apqa::core
 

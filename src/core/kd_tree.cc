@@ -320,32 +320,24 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
 
 void KdVo::Serialize(common::ByteWriter* w) const {
   stamp.Serialize(w);
-  auto write_point = [w](const Point& p) {
-    w->PutU32(static_cast<std::uint32_t>(p.size()));
-    for (auto c : p) w->PutU32(c);
-  };
-  auto write_box = [&](const Box& b) {
-    write_point(b.lo);
-    write_point(b.hi);
-  };
   w->PutU32(static_cast<std::uint32_t>(results.size()));
   for (const auto& e : results) {
-    write_box(e.region);
-    write_point(e.key);
+    WriteBox(w, e.region);
+    WritePoint(w, e.key);
     w->PutString(e.value);
     w->PutString(e.policy.ToString());
     e.app_sig.Serialize(w);
   }
   w->PutU32(static_cast<std::uint32_t>(leaves.size()));
   for (const auto& e : leaves) {
-    write_box(e.region);
-    write_point(e.key);
+    WriteBox(w, e.region);
+    WritePoint(w, e.key);
     w->PutBytes(e.value_hash.data(), e.value_hash.size());
     e.aps_sig.Serialize(w);
   }
   w->PutU32(static_cast<std::uint32_t>(boxes.size()));
   for (const auto& e : boxes) {
-    write_box(e.box);
+    WriteBox(w, e.box);
     e.aps_sig.Serialize(w);
   }
 }

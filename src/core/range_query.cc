@@ -1,7 +1,6 @@
 #include "core/range_query.h"
 
 #include <deque>
-#include <mutex>
 
 #include "core/parallel_verify.h"
 
@@ -18,14 +17,10 @@ Vo BuildRangeVo(const GridTree& tree, const VerifyKey& mvk, const Box& range,
 Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
                           const Box& range, const RoleSet& user_roles,
                           const RoleSet& lacked, Rng* rng, ThreadPool* pool) {
-
   // Phase 1: BFS to find result leaves and inaccessible covers.
-  struct RelaxJob {
-    GridTree::NodeId id;
-  };
   Vo vo;
   vo.stamp = tree.stamp();
-  std::vector<RelaxJob> jobs;
+  std::vector<const GridTree::Node*> covers;
   std::deque<GridTree::NodeId> queue;
   queue.push_back(tree.Root());
   while (!queue.empty()) {
@@ -47,43 +42,40 @@ Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
         for (GridTree::NodeId c : tree.Children(id)) queue.push_back(c);
       }
     } else {
-      jobs.push_back(RelaxJob{id});
+      covers.push_back(&node);
     }
   }
 
-  // Phase 2: derive APS signatures (ABS.Relax), independently per node.
-  std::vector<VoEntry> relaxed(jobs.size());
-  auto relax_one = [&](std::size_t i, Rng* r) {
-    const GridTree::Node& node = tree.GetNode(jobs[i].id);
-    std::vector<std::uint8_t> msg;
-    if (node.is_leaf) {
-      Digest vh = crypto::Sha256::Hash(node.record.value.data(),
-                                       node.record.value.size());
-      msg = RecordMessageFromHash(node.record.key, vh);
-      auto aps = DeriveAps(mvk, node.sig, node.policy, msg, lacked, r);
-      relaxed[i] = InaccessibleRecordEntry{node.record.key, vh, std::move(*aps)};
-    } else {
-      msg = BoxMessage(node.box);
-      auto aps = DeriveAps(mvk, node.sig, node.policy, msg, lacked, r);
-      relaxed[i] = InaccessibleBoxEntry{node.box, std::move(*aps)};
-    }
-  };
-  if (pool != nullptr && pool->thread_count() > 1 && jobs.size() > 1) {
-    std::vector<Rng> rngs;
-    for (int t = 0; t < pool->thread_count(); ++t) rngs.emplace_back(rng->NextU64());
-    std::atomic<std::size_t> next{0};
-    pool->ParallelFor(pool->thread_count(), [&](std::size_t t) {
-      for (;;) {
-        std::size_t i = next.fetch_add(1);
-        if (i >= jobs.size()) break;
-        relax_one(i, &rngs[t]);
-      }
-    });
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) relax_one(i, rng);
+  // Phase 2: derive the APS signatures (ABS.Relax), independently per node.
+  for (auto& e : RelaxNodes(covers, mvk, lacked, rng, pool)) {
+    vo.entries.push_back(std::move(e));
   }
-  for (auto& e : relaxed) vo.entries.push_back(std::move(e));
   return vo;
+}
+
+VoEntry RelaxNode(const VerifyKey& mvk, const GridTree::Node& node,
+                  const RoleSet& lacked, Rng* rng) {
+  if (node.is_leaf) {
+    Digest vh = crypto::Sha256::Hash(node.record.value.data(),
+                                     node.record.value.size());
+    auto aps = Abs::Relax(mvk, node.sig, node.policy,
+                          RecordMessageFromHash(node.record.key, vh), lacked,
+                          rng);
+    return InaccessibleRecordEntry{node.record.key, vh, std::move(*aps)};
+  }
+  auto aps = Abs::Relax(mvk, node.sig, node.policy, BoxMessage(node.box),
+                        lacked, rng);
+  return InaccessibleBoxEntry{node.box, std::move(*aps)};
+}
+
+std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
+                                const VerifyKey& mvk, const RoleSet& lacked,
+                                Rng* rng, ThreadPool* pool) {
+  std::vector<VoEntry> relaxed(nodes.size());
+  ForEachSeeded(pool, rng, nodes.size(), [&](std::size_t i, Rng* r) {
+    relaxed[i] = RelaxNode(mvk, *nodes[i], lacked, r);
+  });
+  return relaxed;
 }
 
 VerifyResult CheckCoverage(const Box& range, const Vo& vo) {

@@ -41,6 +41,21 @@ inline VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
   return VerifyRangeVo(ctx, range, vo.Unvalidated(), results);
 }
 
+// Shared builder stage (range, join and equality VOs).
+
+// The APS entry proving `node` inaccessible: its APP signature relaxed
+// (ABS.Relax) to the super policy ∨ lacked. A leaf becomes an
+// InaccessibleRecordEntry carrying only hash(v), an internal node an
+// InaccessibleBoxEntry.
+VoEntry RelaxNode(const VerifyKey& mvk, const GridTree::Node& node,
+                  const RoleSet& lacked, Rng* rng);
+
+// RelaxNode over every node, fanned out over `pool` by ForEachSeeded; the
+// entries come back in `nodes` order.
+std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
+                                const VerifyKey& mvk, const RoleSet& lacked,
+                                Rng* rng, ThreadPool* pool);
+
 // Shared verifier helpers (range, join, kd-tree and duplicate VOs).
 
 // Checks that the entry regions are well-formed, inside `range`, pairwise

@@ -74,8 +74,8 @@ JoinVo ServiceProvider::JoinQuery(const Box& range, const RoleSet& roles) {
   if (!tree_s_.has_value()) {
     throw std::logic_error("no join table attached");
   }
-  return BuildJoinVo(tree_, *tree_s_, keys_.mvk, range, roles, keys_.universe,
-                     &rng_, pool_.get());
+  return BuildJoinVo({&tree_, &*tree_s_}, keys_.mvk, range, roles,
+                     keys_.universe, &rng_, pool_.get());
 }
 
 ApplyStatus ServiceProvider::ApplyAdsUpdate(const SignedAdsUpdate& update) {
@@ -83,16 +83,14 @@ ApplyStatus ServiceProvider::ApplyAdsUpdate(const SignedAdsUpdate& update) {
   return tree_.ApplyDelta(update.delta);
 }
 
-Vo ServiceProvider::BasicRangeQuery(const Box& range, const RoleSet& roles) {
-  // Repeat the equality protocol for every discrete value in the range.
-  Vo vo;
-  vo.stamp = tree_.stamp();
+namespace {
+
+// Calls fn(p) for every point p of `range`, in row-major order.
+template <typename Fn>
+void ForEachCell(const Box& range, Fn fn) {
   Point cur = range.lo;
   for (;;) {
-    Vo one = BuildEqualityVo(tree_, keys_.mvk, cur, roles, keys_.universe,
-                             &rng_);
-    vo.entries.push_back(std::move(one.entries[0]));
-    // Advance the odometer.
+    fn(cur);
     int d = static_cast<int>(cur.size()) - 1;
     while (d >= 0) {
       if (cur[d] < range.hi[d]) {
@@ -102,8 +100,21 @@ Vo ServiceProvider::BasicRangeQuery(const Box& range, const RoleSet& roles) {
       cur[d] = range.lo[d];
       --d;
     }
-    if (d < 0) break;
+    if (d < 0) return;
   }
+}
+
+}  // namespace
+
+Vo ServiceProvider::BasicRangeQuery(const Box& range, const RoleSet& roles) {
+  // Repeat the equality protocol for every discrete value in the range.
+  Vo vo;
+  vo.stamp = tree_.stamp();
+  ForEachCell(range, [&](const Point& p) {
+    Vo one = BuildEqualityVo(tree_, keys_.mvk, p, roles, keys_.universe,
+                             &rng_);
+    vo.entries.push_back(std::move(one.entries[0]));
+  });
   return vo;
 }
 
@@ -111,41 +122,27 @@ JoinVo ServiceProvider::BasicJoinQuery(const Box& range, const RoleSet& roles) {
   if (!tree_s_.has_value()) {
     throw std::logic_error("no join table attached");
   }
+  const std::vector<const GridTree*> trees = {&tree_, &*tree_s_};
   JoinVo vo;
-  vo.r_stamp = tree_.stamp();
-  vo.s_stamp = tree_s_->stamp();
-  Point cur = range.lo;
-  for (;;) {
-    const GridTree::Node& leaf_r = tree_.GetNode(tree_.LeafAt(cur));
-    if (!leaf_r.policy.Evaluate(roles)) {
-      Vo one = BuildEqualityVo(tree_, keys_.mvk, cur, roles, keys_.universe,
-                               &rng_);
-      vo.r_aps.push_back(std::move(one.entries[0]));
-    } else {
-      const GridTree::Node& leaf_s = tree_s_->GetNode(tree_s_->LeafAt(cur));
-      if (!leaf_s.policy.Evaluate(roles)) {
-        Vo one = BuildEqualityVo(*tree_s_, keys_.mvk, cur, roles,
+  vo.aps.resize(trees.size());
+  for (const GridTree* t : trees) vo.stamps.push_back(t->stamp());
+  ForEachCell(range, [&](const Point& p) {
+    // The first table whose leaf the user cannot access proves the cell
+    // with its equality VO; otherwise the cell is a result tuple.
+    std::vector<ResultEntry> tuple;
+    for (std::size_t i = 0; i < trees.size(); ++i) {
+      const GridTree::Node& leaf = trees[i]->GetNode(trees[i]->LeafAt(p));
+      if (!leaf.policy.Evaluate(roles)) {
+        Vo one = BuildEqualityVo(*trees[i], keys_.mvk, p, roles,
                                  keys_.universe, &rng_);
-        vo.s_aps.push_back(std::move(one.entries[0]));
-      } else {
-        vo.pairs.push_back(JoinResultPair{
-            ResultEntry{leaf_r.record.key, leaf_r.record.value,
-                        leaf_r.record.policy, leaf_r.sig},
-            ResultEntry{leaf_s.record.key, leaf_s.record.value,
-                        leaf_s.record.policy, leaf_s.sig}});
+        vo.aps[i].push_back(std::move(one.entries[0]));
+        return;
       }
+      tuple.push_back(ResultEntry{leaf.record.key, leaf.record.value,
+                                  leaf.record.policy, leaf.sig});
     }
-    int d = static_cast<int>(cur.size()) - 1;
-    while (d >= 0) {
-      if (cur[d] < range.hi[d]) {
-        ++cur[d];
-        break;
-      }
-      cur[d] = range.lo[d];
-      --d;
-    }
-    if (d < 0) break;
-  }
+    vo.tuples.push_back(std::move(tuple));
+  });
   return vo;
 }
 
@@ -191,10 +188,9 @@ VerifyResult User::VerifyRange(const Box& range, const Vo& vo,
   return VerifyRangeVo(Context(), range, vo, results);
 }
 
-VerifyResult User::VerifyJoin(
-    const Box& range, const JoinVo& vo,
-    std::vector<std::pair<Record, Record>>* results) const {
-  return VerifyJoinVo(Context(), range, vo, results);
+VerifyResult User::VerifyJoin(const Box& range, const JoinVo& vo,
+                              std::vector<std::vector<Record>>* results) const {
+  return VerifyJoinVo(Context(), range, 2, vo, results);
 }
 
 namespace {

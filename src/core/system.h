@@ -148,9 +148,10 @@ class User {
                               bool* accessible) const;
   VerifyResult VerifyRange(const Box& range, const Vo& vo,
                            std::vector<Record>* results) const;
-  VerifyResult VerifyJoin(
-      const Box& range, const JoinVo& vo,
-      std::vector<std::pair<Record, Record>>* results) const;
+  // The two-table join of ServiceProvider::JoinQuery: one record per table
+  // for each result tuple.
+  VerifyResult VerifyJoin(const Box& range, const JoinVo& vo,
+                          std::vector<std::vector<Record>>* results) const;
 
   // Opens a sealed response and verifies it. A response the user's CP-ABE
   // key cannot open fails kPolicyNotSatisfied; undecodable bytes fail

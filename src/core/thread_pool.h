@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "common/lock_rank.h"
+#include "crypto/rng.h"
 
 namespace apqa::core {
 
@@ -75,6 +76,14 @@ class ThreadPool {
   std::size_t max_queue_ = 0;
   bool stop_ = false;
 };
+
+// Runs fn(i, rng) for every i in [0, n). With a pool of two or more threads
+// and n > 1 it draws one seed per worker from `rng`, in worker order, and
+// the workers pull indices off a shared counter, each on its own stream.
+// Otherwise it runs in index order on `rng` itself, so fixed-seed output
+// does not depend on whether a pool exists.
+void ForEachSeeded(ThreadPool* pool, crypto::Rng* rng, std::size_t n,
+                   const std::function<void(std::size_t, crypto::Rng*)>& fn);
 
 }  // namespace apqa::core
 

@@ -108,7 +108,7 @@ core::JoinVo SpDatabase::Join(const std::string& table_r,
       tr.schema.domain().bits != ts.schema.domain().bits) {
     throw std::invalid_argument("join tables must share a key grid");
   }
-  return core::BuildJoinVo(tr.tree, ts.tree, keys_.mvk,
+  return core::BuildJoinVo({&tr.tree, &ts.tree}, keys_.mvk,
                            tr.schema.DiscretizeRange(lo, hi), roles,
                            keys_.universe, &rng_);
 }
@@ -155,13 +155,15 @@ core::VerifyResult ClientSession::VerifyEquality(
 core::VerifyResult ClientSession::VerifyJoin(
     const TableSchema& schema_r, const std::vector<double>& lo,
     const std::vector<double>& hi, const core::JoinVo& vo,
-    std::vector<std::pair<VerifiedRow, VerifiedRow>>* rows) const {
-  std::vector<std::pair<core::Record, core::Record>> results;
+    std::vector<std::vector<VerifiedRow>>* rows) const {
+  std::vector<std::vector<core::Record>> results;
   core::VerifyResult r = core::VerifyJoinVo(
-      Context(schema_r), schema_r.DiscretizeRange(lo, hi), vo, &results);
+      Context(schema_r), schema_r.DiscretizeRange(lo, hi), 2, vo, &results);
   if (r.ok() && rows != nullptr) {
-    for (const auto& [rec_r, rec_s] : results) {
-      rows->emplace_back(ToVerifiedRow(rec_r), ToVerifiedRow(rec_s));
+    for (const auto& tuple : results) {
+      std::vector<VerifiedRow> row;
+      for (const auto& rec : tuple) row.push_back(ToVerifiedRow(rec));
+      rows->push_back(std::move(row));
     }
   }
   return r;

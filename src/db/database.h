@@ -122,10 +122,12 @@ class ClientSession {
                                     const core::Vo& vo,
                                     std::optional<VerifiedRow>* row) const;
 
+  // Verifies a SpDatabase::Join VO; `rows` gets one row per table for each
+  // result tuple.
   core::VerifyResult VerifyJoin(
       const TableSchema& schema_r, const std::vector<double>& lo,
       const std::vector<double>& hi, const core::JoinVo& vo,
-      std::vector<std::pair<VerifiedRow, VerifiedRow>>* rows) const;
+      std::vector<std::vector<VerifiedRow>>* rows) const;
 
  private:
   core::VerifyContext Context(const TableSchema& schema) const;

@@ -9,13 +9,16 @@
 // sequences instead of sleeping.
 //
 // DeadlineBudget does the client-side deadline arithmetic against an
-// injectable millisecond clock; all remaining-time math saturates at zero
-// rather than wrapping.
+// injectable millisecond clock (Clock); all remaining-time math saturates at
+// zero rather than wrapping.
 #ifndef APQA_NET_BACKOFF_H_
 #define APQA_NET_BACKOFF_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <functional>
+#include <thread>
 
 #include "common/mutate.h"
 
@@ -84,6 +87,26 @@ class DeadlineBudget {
  private:
   std::uint64_t start_ms_;
   std::uint32_t budget_ms_;
+};
+
+// Milliseconds on the steady clock.
+inline std::uint64_t SteadyNowMs() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+inline void SleepMs(std::uint32_t ms) {
+  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+// The millisecond clock and sleep a retrying client paces itself by. Tests
+// swap both for fakes (the clients' SetClockForTest / SetSleepForTest) so
+// deadline and backoff schedules are deterministic.
+struct Clock {
+  std::function<std::uint64_t()> now_ms = SteadyNowMs;
+  std::function<void(std::uint32_t)> sleep_ms = SleepMs;
 };
 
 }  // namespace apqa::net

@@ -1,8 +1,7 @@
 #include "net/client.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
+#include <cstdint>
 
 #include "common/serde.h"
 #include "core/equality.h"
@@ -13,11 +12,15 @@ namespace apqa::net {
 
 namespace {
 
-std::uint64_t SteadyNowMs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
+// The epoch a response VO claims to be served at; a join is served at the
+// oldest of its tables' epochs.
+std::uint64_t ClaimedEpoch(const core::Vo& vo) { return vo.stamp.epoch; }
+std::uint64_t ClaimedEpoch(const core::JoinVo& vo) {
+  std::uint64_t epoch = UINT64_MAX;
+  for (const core::EpochStamp& stamp : vo.stamps) {
+    epoch = std::min(epoch, stamp.epoch);
+  }
+  return epoch;
 }
 
 }  // namespace
@@ -48,150 +51,21 @@ std::string ClientResult::ToString() const {
   return s;
 }
 
-ApqaClient::ApqaClient(core::SystemKeys keys, core::UserCredentials creds,
-                       std::shared_ptr<Transport> transport,
-                       ClientOptions opts)
-    : keys_(std::move(keys)),
-      creds_(std::move(creds)),
-      transport_(std::move(transport)),
-      opts_(opts),
-      now_ms_(SteadyNowMs),
-      sleep_ms_([](std::uint32_t ms) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-      }) {}
-
-void ApqaClient::SetClockForTest(std::function<std::uint64_t()> now_ms) {
-  now_ms_ = std::move(now_ms);
-}
-
-void ApqaClient::SetSleepForTest(std::function<void(std::uint32_t)> sleep_ms) {
-  sleep_ms_ = std::move(sleep_ms);
-}
-
-std::uint64_t ApqaClient::expected_epoch() const {
-  return std::max(opts_.min_epoch, stats_.high_water_epoch);
-}
-
-core::VerifyContext ApqaClient::Context() const {
-  core::VerifyContext ctx(keys_.mvk, keys_.domain, creds_.roles,
-                          keys_.universe);
-  ctx.expected_epoch = expected_epoch();
-  return ctx;
-}
-
-void ApqaClient::NoteResponseEpoch(std::uint64_t epoch) {
-  stats_.last_server_epoch = epoch;
-}
-
-void ApqaClient::NoteVerifyOutcome(const core::VerifyResult& verify,
-                                   std::uint64_t epoch) {
-  if (verify.ok()) {
-    if (epoch > stats_.high_water_epoch) stats_.high_water_epoch = epoch;
-  } else if (verify.code == core::VerifyCode::kStaleEpoch) {
-    ++stats_.stale_epoch_rejections;
-  }
-}
-
-ClientResult ApqaClient::Equality(const core::Point& key, core::Record* result,
-                                  bool* accessible) {
-  QueryRequest req;
-  req.type = MsgType::kEqualityQuery;
-  req.key = key;
-  req.roles = creds_.roles;
-  auto handle = [&](const common::Untrusted<Frame>& response) {
-    PayloadOutcome out;
-    // untrusted-ok: the reader feeds Vo::Deserialize, which hands the VO
-    // straight back inside a taint wrapper.
-    common::ByteReader r(response.Unvalidated().payload);
-    common::Untrusted<core::Vo> vo = core::Vo::Deserialize(&r);
-    if (!r.ok() || !r.AtEnd()) return out;
-    out.wire_ok = true;
-    // untrusted-ok: observability of the *claimed* epoch only; the trust
-    // decision is the verified outcome below.
-    std::uint64_t claimed_epoch = vo.Unvalidated().stamp.epoch;
-    NoteResponseEpoch(claimed_epoch);
-    out.verify =
-        core::VerifyEqualityVo(Context(), key, vo, result, accessible);
-    NoteVerifyOutcome(out.verify, claimed_epoch);
-    return out;
-  };
-  return RunQuery(MsgType::kEqualityQuery, EncodeQueryPayload(req),
-                  MsgType::kVoResponse, handle);
-}
-
-ClientResult ApqaClient::Range(const core::Box& range,
-                               std::vector<core::Record>* results) {
-  QueryRequest req;
-  req.type = MsgType::kRangeQuery;
-  req.range = range;
-  req.roles = creds_.roles;
-  auto handle = [&](const common::Untrusted<Frame>& response) {
-    PayloadOutcome out;
-    // untrusted-ok: the reader feeds Vo::Deserialize, which hands the VO
-    // straight back inside a taint wrapper.
-    common::ByteReader r(response.Unvalidated().payload);
-    common::Untrusted<core::Vo> vo = core::Vo::Deserialize(&r);
-    if (!r.ok() || !r.AtEnd()) return out;
-    out.wire_ok = true;
-    if (results != nullptr) results->clear();
-    // untrusted-ok: observability of the *claimed* epoch only; the trust
-    // decision is the verified outcome below.
-    std::uint64_t claimed_epoch = vo.Unvalidated().stamp.epoch;
-    NoteResponseEpoch(claimed_epoch);
-    out.verify = core::VerifyRangeVo(Context(), range, vo, results);
-    NoteVerifyOutcome(out.verify, claimed_epoch);
-    return out;
-  };
-  return RunQuery(MsgType::kRangeQuery, EncodeQueryPayload(req),
-                  MsgType::kVoResponse, handle);
-}
-
-ClientResult ApqaClient::Join(
-    const core::Box& range,
-    std::vector<std::pair<core::Record, core::Record>>* results) {
-  QueryRequest req;
-  req.type = MsgType::kJoinQuery;
-  req.range = range;
-  req.roles = creds_.roles;
-  auto handle = [&](const common::Untrusted<Frame>& response) {
-    PayloadOutcome out;
-    // untrusted-ok: the reader feeds JoinVo::Deserialize, which hands the VO
-    // straight back inside a taint wrapper.
-    common::ByteReader r(response.Unvalidated().payload);
-    common::Untrusted<core::JoinVo> vo = core::JoinVo::Deserialize(&r);
-    if (!r.ok() || !r.AtEnd()) return out;
-    out.wire_ok = true;
-    if (results != nullptr) results->clear();
-    // The server serves at the older of the two table epochs.
-    // untrusted-ok: observability of the *claimed* epoch only; the trust
-    // decision is the verified outcome below.
-    std::uint64_t claimed_epoch = std::min(vo.Unvalidated().r_stamp.epoch,
-                                           vo.Unvalidated().s_stamp.epoch);
-    NoteResponseEpoch(claimed_epoch);
-    out.verify = core::VerifyJoinVo(Context(), range, vo, results);
-    NoteVerifyOutcome(out.verify, claimed_epoch);
-    return out;
-  };
-  return RunQuery(MsgType::kJoinQuery, EncodeQueryPayload(req),
-                  MsgType::kJoinVoResponse, handle);
-}
-
-ClientResult ApqaClient::RunQuery(MsgType type,
-                                  const std::vector<std::uint8_t>& payload,
-                                  MsgType expected_response,
-                                  const PayloadHandler& handle) {
+ClientResult AttemptLoop::Run(MsgType type,
+                              const std::vector<std::uint8_t>& payload,
+                              const ReplyHandler& on_reply) {
   ClientResult result;
-  DeadlineBudget budget(opts_.deadline_ms, now_ms_());
-  DecorrelatedJitterBackoff backoff(opts_.backoff, opts_.backoff_seed);
+  DeadlineBudget budget(opts.deadline_ms, clock.now_ms());
+  DecorrelatedJitterBackoff backoff(opts.backoff, opts.backoff_seed);
 
-  for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
-    std::uint32_t remaining = budget.RemainingMs(now_ms_());
+  for (int attempt = 1; attempt <= opts.max_attempts; ++attempt) {
+    std::uint32_t remaining = budget.RemainingMs(clock.now_ms());
     if (remaining == 0) {
       result.status = ClientStatus::kDeadlineExceeded;
       return result;
     }
     result.attempts = attempt;
-    std::uint32_t attempt_ms = std::min(remaining, opts_.attempt_timeout_ms);
+    std::uint32_t attempt_ms = std::min(remaining, opts.attempt_timeout_ms);
 
     Frame f;
     f.type = type;
@@ -202,15 +76,15 @@ ClientResult ApqaClient::RunQuery(MsgType type,
     std::uint32_t retry_hint_ms = 0;
     bool transport_closed = false;
 
-    if (!transport_->Send(EncodeFrame(f))) {
+    if (!transport->Send(EncodeFrame(f))) {
       transport_closed = true;
     } else {
-      DeadlineBudget attempt_budget(attempt_ms, now_ms_());
+      DeadlineBudget attempt_budget(attempt_ms, clock.now_ms());
       std::vector<std::uint8_t> buf;
       for (;;) {
-        std::uint32_t left = attempt_budget.RemainingMs(now_ms_());
+        std::uint32_t left = attempt_budget.RemainingMs(clock.now_ms());
         if (left == 0) break;  // attempt timed out → retryable
-        RecvStatus st = transport_->Recv(&buf, left);
+        RecvStatus st = transport->Recv(&buf, left);
         if (st == RecvStatus::kTimeout) continue;  // loop re-checks budget
         if (st == RecvStatus::kClosed) {
           transport_closed = true;
@@ -224,8 +98,7 @@ ClientResult ApqaClient::RunQuery(MsgType type,
           continue;
         }
         if (FrameRequestId(resp) != f.request_id) continue;  // stale attempt
-        MsgType resp_type = FrameType(resp);
-        if (resp_type == MsgType::kError) {
+        if (FrameType(resp) == MsgType::kError) {
           ErrorInfo info;
           if (!DecodeErrorPayload(resp, &info)) continue;
           if (RpcErrorRetryable(info.code)) {
@@ -236,24 +109,8 @@ ClientResult ApqaClient::RunQuery(MsgType type,
           result.server_error = info;
           return result;
         }
-        if (resp_type != expected_response) {
-          // A well-checksummed frame of the wrong type with our request id
-          // is a protocol violation by the SP, not line noise: fatal.
-          result.status = ClientStatus::kVerifyRejected;
-          result.verify = core::VerifyResult::Fail(
-              core::VerifyCode::kMalformedVo, "unexpected response type");
-          result.detail = MsgTypeName(resp_type);
-          return result;
-        }
-        PayloadOutcome out = handle(resp);
-        if (!out.wire_ok) break;  // mangled VO bytes → retryable
-        if (!out.verify.ok()) {
-          result.status = ClientStatus::kVerifyRejected;
-          result.verify = std::move(out.verify);
-          return result;
-        }
-        result.status = ClientStatus::kOk;
-        return result;
+        if (on_reply(resp, &result)) return result;
+        break;  // unusable reply → retryable
       }
     }
 
@@ -261,9 +118,9 @@ ClientResult ApqaClient::RunQuery(MsgType type,
       result.status = ClientStatus::kTransportClosed;
       return result;
     }
-    if (attempt == opts_.max_attempts) break;
+    if (attempt == opts.max_attempts) break;
 
-    remaining = budget.RemainingMs(now_ms_());
+    remaining = budget.RemainingMs(clock.now_ms());
     std::uint32_t delay = backoff.NextDelayMs(retry_hint_ms, remaining);
     if (remaining == 0 || delay >= remaining) {
       // Sleeping through the rest of the budget cannot succeed; surface
@@ -271,12 +128,117 @@ ClientResult ApqaClient::RunQuery(MsgType type,
       result.status = ClientStatus::kDeadlineExceeded;
       return result;
     }
-    sleep_ms_(delay);
+    clock.sleep_ms(delay);
     result.backoff_total_ms += delay;
   }
 
   result.status = ClientStatus::kRetriesExhausted;
   return result;
+}
+
+ApqaClient::ApqaClient(core::SystemKeys keys, core::UserCredentials creds,
+                       std::shared_ptr<Transport> transport,
+                       ClientOptions opts)
+    : keys_(std::move(keys)),
+      creds_(std::move(creds)),
+      loop_(std::move(transport), opts) {}
+
+std::uint64_t ApqaClient::expected_epoch() const {
+  return std::max(loop_.opts.min_epoch, stats_.high_water_epoch);
+}
+
+core::VerifyContext ApqaClient::Context() const {
+  core::VerifyContext ctx(keys_.mvk, keys_.domain, creds_.roles,
+                          keys_.universe);
+  ctx.expected_epoch = expected_epoch();
+  return ctx;
+}
+
+template <typename Decode, typename Verify>
+ClientResult ApqaClient::Query(const QueryRequest& req, MsgType response_type,
+                               Decode decode, Verify verify) {
+  auto on_reply = [&](const common::Untrusted<Frame>& response,
+                      ClientResult* out) {
+    MsgType type = FrameType(response);
+    if (type != response_type) {
+      // A well-checksummed frame of the wrong type with our request id is
+      // a protocol violation by the SP, not line noise: fatal.
+      out->status = ClientStatus::kVerifyRejected;
+      out->verify = core::VerifyResult::Fail(core::VerifyCode::kMalformedVo,
+                                             "unexpected response type");
+      out->detail = MsgTypeName(type);
+      return true;
+    }
+    // untrusted-ok: the reader feeds the VO decoder, which hands the VO
+    // straight back inside a taint wrapper.
+    common::ByteReader r(response.Unvalidated().payload);
+    auto vo = decode(&r);
+    if (!r.ok() || !r.AtEnd()) return false;  // mangled VO bytes → retryable
+    // untrusted-ok: observability of the *claimed* epoch only; the trust
+    // decision is the verified outcome below.
+    std::uint64_t claimed_epoch = ClaimedEpoch(vo.Unvalidated());
+    stats_.last_server_epoch = claimed_epoch;
+    core::VerifyResult verdict = verify(Context(), vo);
+    if (!verdict.ok()) {
+      if (verdict.code == core::VerifyCode::kStaleEpoch) {
+        ++stats_.stale_epoch_rejections;
+      }
+      out->status = ClientStatus::kVerifyRejected;
+      out->verify = std::move(verdict);
+      return true;
+    }
+    stats_.high_water_epoch = std::max(stats_.high_water_epoch, claimed_epoch);
+    out->status = ClientStatus::kOk;
+    return true;
+  };
+  return loop_.Run(req.type, EncodeQueryPayload(req), on_reply);
+}
+
+ClientResult ApqaClient::Equality(const core::Point& key, core::Record* result,
+                                  bool* accessible) {
+  QueryRequest req;
+  req.type = MsgType::kEqualityQuery;
+  req.key = key;
+  req.roles = creds_.roles;
+  return Query(
+      req, MsgType::kVoResponse,
+      [](common::ByteReader* r) { return core::Vo::Deserialize(r); },
+      [&](const core::VerifyContext& ctx,
+          const common::Untrusted<core::Vo>& vo) {
+        return core::VerifyEqualityVo(ctx, key, vo, result, accessible);
+      });
+}
+
+ClientResult ApqaClient::Range(const core::Box& range,
+                               std::vector<core::Record>* results) {
+  QueryRequest req;
+  req.type = MsgType::kRangeQuery;
+  req.range = range;
+  req.roles = creds_.roles;
+  return Query(
+      req, MsgType::kVoResponse,
+      [](common::ByteReader* r) { return core::Vo::Deserialize(r); },
+      [&](const core::VerifyContext& ctx,
+          const common::Untrusted<core::Vo>& vo) {
+        if (results != nullptr) results->clear();
+        return core::VerifyRangeVo(ctx, range, vo, results);
+      });
+}
+
+ClientResult ApqaClient::Join(const core::Box& range,
+                              std::vector<std::vector<core::Record>>* results) {
+  QueryRequest req;
+  req.type = MsgType::kJoinQuery;
+  req.range = range;
+  req.roles = creds_.roles;
+  return Query(
+      req, MsgType::kJoinVoResponse,
+      [](common::ByteReader* r) { return core::JoinVo::Deserialize(r, 2); },
+      [&](const core::VerifyContext& ctx,
+          const common::Untrusted<core::JoinVo>& vo) {
+        if (results != nullptr) results->clear();
+        return core::VerifyJoinVo(ctx, range, 2, vo, results);
+      });
 }
 
 std::string UpdateResult::ToString() const {
@@ -293,120 +255,53 @@ std::string UpdateResult::ToString() const {
 
 DoUpdateClient::DoUpdateClient(std::shared_ptr<Transport> transport,
                                ClientOptions opts)
-    : transport_(std::move(transport)),
-      opts_(opts),
-      now_ms_(SteadyNowMs),
-      sleep_ms_([](std::uint32_t ms) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-      }) {}
-
-void DoUpdateClient::SetClockForTest(std::function<std::uint64_t()> now_ms) {
-  now_ms_ = std::move(now_ms);
-}
-
-void DoUpdateClient::SetSleepForTest(
-    std::function<void(std::uint32_t)> sleep_ms) {
-  sleep_ms_ = std::move(sleep_ms);
-}
+    : loop_(std::move(transport), opts) {}
 
 UpdateResult DoUpdateClient::Push(const core::SignedAdsUpdate& update) {
   UpdateResult result;
-  const std::vector<std::uint8_t> payload = EncodeAdsUpdatePayload(update);
-  DeadlineBudget budget(opts_.deadline_ms, now_ms_());
-  DecorrelatedJitterBackoff backoff(opts_.backoff, opts_.backoff_seed);
-
-  for (int attempt = 1; attempt <= opts_.max_attempts; ++attempt) {
-    std::uint32_t remaining = budget.RemainingMs(now_ms_());
-    if (remaining == 0) {
-      result.status = ClientStatus::kDeadlineExceeded;
-      return result;
+  bool acked = false;  // an ack (or a wrong-type reply) settled the push
+  auto on_reply = [&](const common::Untrusted<Frame>& response,
+                      ClientResult* out) {
+    MsgType type = FrameType(response);
+    if (type != MsgType::kUpdateAck) {
+      acked = true;
+      out->status = ClientStatus::kServerRejected;
+      out->detail = std::string("unexpected response type ") +
+                    MsgTypeName(type);
+      return true;
     }
-    result.attempts = attempt;
-    std::uint32_t attempt_ms = std::min(remaining, opts_.attempt_timeout_ms);
-
-    Frame f;
-    f.type = MsgType::kAdsUpdate;
-    f.request_id = next_request_id_++;
-    f.deadline_ms = attempt_ms;
-    f.payload = payload;
-
-    std::uint32_t retry_hint_ms = 0;
-    bool transport_closed = false;
-
-    if (!transport_->Send(EncodeFrame(f))) {
-      transport_closed = true;
-    } else {
-      DeadlineBudget attempt_budget(attempt_ms, now_ms_());
-      std::vector<std::uint8_t> buf;
-      for (;;) {
-        std::uint32_t left = attempt_budget.RemainingMs(now_ms_());
-        if (left == 0) break;  // attempt timed out → retryable
-        RecvStatus st = transport_->Recv(&buf, left);
-        if (st == RecvStatus::kTimeout) continue;
-        if (st == RecvStatus::kClosed) {
-          transport_closed = true;
-          break;
-        }
-        if (st == RecvStatus::kError) break;  // retryable
-        common::Untrusted<Frame> resp;
-        if (DecodeFrame(buf, &resp) != FrameDecodeError::kOk) continue;
-        if (FrameRequestId(resp) != f.request_id) continue;  // stale attempt
-        MsgType resp_type = FrameType(resp);
-        if (resp_type == MsgType::kError) {
-          ErrorInfo info;
-          if (!DecodeErrorPayload(resp, &info)) continue;
-          if (RpcErrorRetryable(info.code)) {
-            retry_hint_ms = info.backoff_hint_ms;
-            break;
-          }
-          result.status = ClientStatus::kServerRejected;
-          result.detail = RpcErrorCodeName(info.code);
-          if (!info.detail.empty()) result.detail += ": " + info.detail;
-          return result;
-        }
-        if (resp_type != MsgType::kUpdateAck) {
-          result.status = ClientStatus::kServerRejected;
-          result.detail = std::string("unexpected response type ") +
-                          MsgTypeName(resp_type);
-          return result;
-        }
-        UpdateAck ack;
-        if (!DecodeUpdateAckPayload(resp, &ack)) {
-          // A mangled ack says nothing about whether the delta landed; the
-          // retry is safe because a landed delta re-acks kAlreadyApplied.
-          break;
-        }
-        result.apply = ack.status;
-        result.server_epoch = ack.epoch;
-        if (ack.status == core::ApplyStatus::kApplied ||
-            ack.status == core::ApplyStatus::kAlreadyApplied) {
-          result.status = ClientStatus::kOk;
-          return result;
-        }
-        // kEpochGap / kBadPatch: the SP examined the delta and refused it.
-        // Re-sending the same bytes cannot change the verdict — fatal.
-        result.status = ClientStatus::kServerRejected;
-        result.detail = core::ApplyStatusName(ack.status);
-        return result;
-      }
+    UpdateAck ack;
+    if (!DecodeUpdateAckPayload(response, &ack)) {
+      // A mangled ack says nothing about whether the delta landed; the
+      // retry is safe because a landed delta re-acks kAlreadyApplied.
+      return false;
     }
-
-    if (transport_closed) {
-      result.status = ClientStatus::kTransportClosed;
-      return result;
+    acked = true;
+    result.apply = ack.status;
+    result.server_epoch = ack.epoch;
+    if (ack.status == core::ApplyStatus::kApplied ||
+        ack.status == core::ApplyStatus::kAlreadyApplied) {
+      out->status = ClientStatus::kOk;
+      return true;
     }
-    if (attempt == opts_.max_attempts) break;
-
-    remaining = budget.RemainingMs(now_ms_());
-    std::uint32_t delay = backoff.NextDelayMs(retry_hint_ms, remaining);
-    if (remaining == 0 || delay >= remaining) {
-      result.status = ClientStatus::kDeadlineExceeded;
-      return result;
+    // kEpochGap / kBadPatch: the SP examined the delta and refused it.
+    // Re-sending the same bytes cannot change the verdict — fatal.
+    out->status = ClientStatus::kServerRejected;
+    out->detail = core::ApplyStatusName(ack.status);
+    return true;
+  };
+  ClientResult sent = loop_.Run(MsgType::kAdsUpdate,
+                                EncodeAdsUpdatePayload(update), on_reply);
+  result.status = sent.status;
+  result.attempts = sent.attempts;
+  result.detail = sent.detail;
+  if (sent.status == ClientStatus::kServerRejected && !acked) {
+    // Refused by a fatal error frame.
+    result.detail = RpcErrorCodeName(sent.server_error.code);
+    if (!sent.server_error.detail.empty()) {
+      result.detail += ": " + sent.server_error.detail;
     }
-    sleep_ms_(delay);
   }
-
-  result.status = ClientStatus::kRetriesExhausted;
   return result;
 }
 

@@ -86,6 +86,32 @@ struct ClientResult {
   std::string ToString() const;
 };
 
+// The deadline/attempt/backoff loop ApqaClient and DoUpdateClient share.
+// Each attempt sends one fresh frame and waits, within the attempt's slice
+// of the deadline, for the reply carrying its request id; corrupt and stale
+// frames are skipped. Retryable error frames end the attempt; fatal ones end
+// the call with kServerRejected and `server_error`. Every other reply goes
+// to the caller's handler, which either settles the call (sets the status
+// and returns true) or ends the attempt as retryable (returns false).
+class AttemptLoop {
+ public:
+  using ReplyHandler =
+      std::function<bool(const common::Untrusted<Frame>&, ClientResult*)>;
+
+  AttemptLoop(std::shared_ptr<Transport> t, ClientOptions o)
+      : transport(std::move(t)), opts(o) {}
+
+  ClientResult Run(MsgType type, const std::vector<std::uint8_t>& payload,
+                   const ReplyHandler& on_reply);
+
+  std::shared_ptr<Transport> transport;
+  ClientOptions opts;
+  Clock clock;
+
+ private:
+  std::uint64_t next_request_id_ = 1;
+};
+
 class ApqaClient {
  public:
   ApqaClient(core::SystemKeys keys, core::UserCredentials creds,
@@ -96,8 +122,9 @@ class ApqaClient {
                         bool* accessible);
   ClientResult Range(const core::Box& range,
                      std::vector<core::Record>* results);
+  // The two-table join: one record per table for each result tuple.
   ClientResult Join(const core::Box& range,
-                    std::vector<std::pair<core::Record, core::Record>>* results);
+                    std::vector<std::vector<core::Record>>* results);
 
   const ClientStats& stats() const { return stats_; }
   // The epoch floor applied to the next query's verification.
@@ -108,54 +135,41 @@ class ApqaClient {
   // it is the cross-replica rollback detector: a replica serving below the
   // mark established on its peer fails kStaleEpoch, not silently.
   void SetTransport(std::shared_ptr<Transport> transport) {
-    transport_ = std::move(transport);
+    loop_.transport = std::move(transport);
   }
   // Per-query deadline override, so a failover policy can hand each
   // endpoint a slice of its total budget.
   void set_deadline_ms(std::uint32_t deadline_ms) {
-    opts_.deadline_ms = deadline_ms;
+    loop_.opts.deadline_ms = deadline_ms;
   }
 
   // Test seams: inject a fake millisecond clock / sleep so deadline and
   // backoff schedules are deterministic in tests. Defaults: steady_clock /
   // this_thread::sleep_for.
-  void SetClockForTest(std::function<std::uint64_t()> now_ms);
-  void SetSleepForTest(std::function<void(std::uint32_t)> sleep_ms);
+  void SetClockForTest(std::function<std::uint64_t()> now_ms) {
+    loop_.clock.now_ms = std::move(now_ms);
+  }
+  void SetSleepForTest(std::function<void(std::uint32_t)> sleep_ms) {
+    loop_.clock.sleep_ms = std::move(sleep_ms);
+  }
 
  private:
-  // wire_ok=false → the payload was not a structurally valid VO (retryable);
-  // wire_ok=true → `verify` decides between success and fatal rejection.
-  struct PayloadOutcome {
-    bool wire_ok = false;
-    core::VerifyResult verify;
-  };
-  // Handlers receive the response still inside the taint wrapper: the VO
-  // payload only escapes through the Verify*Vo declassification gates.
-  using PayloadHandler =
-      std::function<PayloadOutcome(const common::Untrusted<Frame>&)>;
-
-  ClientResult RunQuery(MsgType type,
-                        const std::vector<std::uint8_t>& payload,
-                        MsgType expected_response,
-                        const PayloadHandler& handle);
+  // The one query path: sends `req`, then per reply checks the response
+  // type, parses the VO with `decode`, notes the claimed epoch, verifies
+  // with `verify` and notes the outcome. A VO that does not parse ends the
+  // attempt (retryable); a wrong response type or a failed verification is
+  // fatal.
+  template <typename Decode, typename Verify>
+  ClientResult Query(const QueryRequest& req, MsgType response_type,
+                     Decode decode, Verify verify);
   // The verification context of the next query: the user's roles and the
   // current expected_epoch().
   core::VerifyContext Context() const;
-  // Epoch bookkeeping shared by the three query paths: records the claimed
-  // epoch, bumps the high-water mark on verified success, counts
-  // kStaleEpoch verdicts.
-  void NoteResponseEpoch(std::uint64_t epoch);
-  void NoteVerifyOutcome(const core::VerifyResult& verify,
-                         std::uint64_t epoch);
 
   core::SystemKeys keys_;
   core::UserCredentials creds_;
-  std::shared_ptr<Transport> transport_;
-  ClientOptions opts_;
+  AttemptLoop loop_;
   ClientStats stats_;
-  std::uint64_t next_request_id_ = 1;
-  std::function<std::uint64_t()> now_ms_;
-  std::function<void(std::uint32_t)> sleep_ms_;
 };
 
 // Outcome of a DO-side update push.
@@ -186,15 +200,15 @@ class DoUpdateClient {
 
   UpdateResult Push(const core::SignedAdsUpdate& update);
 
-  void SetClockForTest(std::function<std::uint64_t()> now_ms);
-  void SetSleepForTest(std::function<void(std::uint32_t)> sleep_ms);
+  void SetClockForTest(std::function<std::uint64_t()> now_ms) {
+    loop_.clock.now_ms = std::move(now_ms);
+  }
+  void SetSleepForTest(std::function<void(std::uint32_t)> sleep_ms) {
+    loop_.clock.sleep_ms = std::move(sleep_ms);
+  }
 
  private:
-  std::shared_ptr<Transport> transport_;
-  ClientOptions opts_;
-  std::uint64_t next_request_id_ = 1;
-  std::function<std::uint64_t()> now_ms_;
-  std::function<void(std::uint32_t)> sleep_ms_;
+  AttemptLoop loop_;
 };
 
 }  // namespace apqa::net

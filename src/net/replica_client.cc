@@ -1,26 +1,13 @@
 #include "net/replica_client.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
-#include <thread>
 
 namespace apqa::net {
 
 namespace {
 
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-std::uint64_t DefaultNowMs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-void DefaultSleepMs(std::uint32_t ms) {
-  std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-}
 
 }  // namespace
 
@@ -43,9 +30,7 @@ FailoverClient::FailoverClient(core::SystemKeys keys,
                                std::vector<ReplicaEndpoint> endpoints,
                                FailoverOptions opts)
     : inner_(std::move(keys), std::move(creds), nullptr, opts.client),
-      opts_(opts),
-      now_ms_(DefaultNowMs),
-      sleep_ms_(DefaultSleepMs) {
+      opts_(opts) {
   slots_.reserve(endpoints.size());
   for (std::size_t i = 0; i < endpoints.size(); ++i) {
     // Distinct per-slot seeds keep replica cooldowns decorrelated from each
@@ -56,13 +41,13 @@ FailoverClient::FailoverClient(core::SystemKeys keys,
 }
 
 void FailoverClient::SetClockForTest(std::function<std::uint64_t()> now_ms) {
-  now_ms_ = now_ms;
+  clock_.now_ms = now_ms;
   inner_.SetClockForTest(std::move(now_ms));
 }
 
 void FailoverClient::SetSleepForTest(
     std::function<void(std::uint32_t)> sleep_ms) {
-  sleep_ms_ = sleep_ms;
+  clock_.sleep_ms = sleep_ms;
   inner_.SetSleepForTest(std::move(sleep_ms));
 }
 
@@ -77,8 +62,7 @@ ClientResult FailoverClient::Range(const core::Box& range,
 }
 
 ClientResult FailoverClient::Join(
-    const core::Box& range,
-    std::vector<std::pair<core::Record, core::Record>>* results) {
+    const core::Box& range, std::vector<std::vector<core::Record>>* results) {
   return Run([&] { return inner_.Join(range, results); });
 }
 
@@ -139,14 +123,14 @@ void FailoverClient::Quarantine(std::size_t idx, const std::string& reason) {
 
 ClientResult FailoverClient::Run(
     const std::function<ClientResult()>& attempt) {
-  DeadlineBudget budget(opts_.total_deadline_ms, now_ms_());
+  DeadlineBudget budget(opts_.total_deadline_ms, clock_.now_ms());
   ClientResult last;
   last.status = ClientStatus::kTransportClosed;
   last.detail = "no replica endpoint reachable";
   bool attempted = false;
 
   for (;;) {
-    std::uint64_t now = now_ms_();
+    std::uint64_t now = clock_.now_ms();
     std::uint32_t remaining = budget.RemainingMs(now);
     if (remaining == 0) {
       if (attempted) return last;  // most recent failure explains the miss
@@ -179,7 +163,7 @@ ClientResult FailoverClient::Run(
             attempted ? last.status : ClientStatus::kDeadlineExceeded;
         return last;
       }
-      sleep_ms_(static_cast<std::uint32_t>(wait));
+      clock_.sleep_ms(static_cast<std::uint32_t>(wait));
       continue;
     }
 
@@ -190,7 +174,7 @@ ClientResult FailoverClient::Run(
                                              : nullptr;
     }
     if (!slot.transport) {
-      NoteFailure(idx, now_ms_());
+      NoteFailure(idx, clock_.now_ms());
       attempted = true;
       last.status = ClientStatus::kTransportClosed;
       last.detail = "connect to " + slot.endpoint.name + " failed";
@@ -227,7 +211,7 @@ ClientResult FailoverClient::Run(
         }
         // kInternal: this replica's handler is broken; try another. The
         // transport is fine (the server answered), so keep it cached.
-        NoteFailure(idx, now_ms_());
+        NoteFailure(idx, clock_.now_ms());
         last = r;
         break;
 
@@ -235,7 +219,7 @@ ClientResult FailoverClient::Run(
       case ClientStatus::kRetriesExhausted:
       case ClientStatus::kTransportClosed:
         slot.transport.reset();
-        NoteFailure(idx, now_ms_());
+        NoteFailure(idx, clock_.now_ms());
         last = r;
         break;
     }

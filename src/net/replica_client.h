@@ -95,7 +95,7 @@ class FailoverClient {
   ClientResult Range(const core::Box& range,
                      std::vector<core::Record>* results);
   ClientResult Join(const core::Box& range,
-                    std::vector<std::pair<core::Record, core::Record>>* results);
+                    std::vector<std::vector<core::Record>>* results);
 
   const ClientStats& stats() const { return inner_.stats(); }
   const EndpointStats& endpoint_stats(std::size_t i) const {
@@ -134,8 +134,7 @@ class FailoverClient {
   FailoverOptions opts_;
   std::vector<Slot> slots_;
   std::size_t preferred_ = 0;
-  std::function<std::uint64_t()> now_ms_;
-  std::function<void(std::uint32_t)> sleep_ms_;
+  Clock clock_;
 };
 
 }  // namespace apqa::net

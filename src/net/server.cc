@@ -1,20 +1,13 @@
 #include "net/server.h"
 
-#include <chrono>
 #include <exception>
 
 #include "common/serde.h"
+#include "net/backoff.h"
 
 namespace apqa::net {
 
 namespace {
-
-std::uint64_t NowMs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 // Request types a session admits: the three queries plus DO update frames
 // (everything else arriving at a server is either a response type echoed
@@ -117,7 +110,7 @@ void SpServer::HandleFrame(const std::shared_ptr<Transport>& t,
                 "server draining"});
     return;
   }
-  std::uint64_t arrival_ms = NowMs();
+  std::uint64_t arrival_ms = SteadyNowMs();
   std::uint64_t request_id = FrameRequestId(frame);
   bool queued = pool_.TrySubmit(
       [this, t, frame = std::move(frame), arrival_ms]() mutable {
@@ -142,7 +135,7 @@ void SpServer::Process(const std::shared_ptr<Transport>& t,
   // executed: the client has moved on, and executing it would only delay
   // requests that are still live.
   std::uint32_t deadline_ms = FrameDeadlineMs(frame);
-  if (deadline_ms > 0 && NowMs() - arrival_ms >= deadline_ms) {
+  if (deadline_ms > 0 && SteadyNowMs() - arrival_ms >= deadline_ms) {
     expired_.fetch_add(1);
     ReplyError(t, request_id,
                {RpcErrorCode::kDeadlineExceeded, 0, "expired in queue"});

@@ -227,25 +227,29 @@ TEST_F(SystemTest, SealedRangeOnlyOpensForClaimedRoles) {
 
 class JoinTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    Domain domain{1, 4};
-    owner_ = std::make_unique<DataOwner>(RoleSet{"RoleA", "RoleB"}, domain,
-                                         777);
-    std::vector<Record> r_records = {
+  static std::vector<Record> RRecords() {
+    return {
         Rec(1, "r1", "RoleA"),
         Rec(3, "r3", "RoleA"),
         Rec(5, "r5", "RoleB"),
         Rec(9, "r9", "RoleA & RoleB"),
     };
-    std::vector<Record> s_records = {
+  }
+  static std::vector<Record> SRecords() {
+    return {
         Rec(1, "s1", "RoleA"),
         Rec(4, "s4", "RoleB"),
         Rec(9, "s9", "RoleB"),
         Rec(11, "s11", "RoleA"),
     };
+  }
+
+  void SetUp() override {
+    owner_ = std::make_unique<DataOwner>(RoleSet{"RoleA", "RoleB"},
+                                         Domain{1, 4}, 777);
     sp_ = std::make_unique<ServiceProvider>(owner_->keys(),
-                                            owner_->BuildAds(r_records));
-    sp_->AttachJoinTable(owner_->BuildAds(s_records));
+                                            owner_->BuildAds(RRecords()));
+    sp_->AttachJoinTable(owner_->BuildAds(SRecords()));
     user_a_ = std::make_unique<User>(owner_->keys(),
                                      owner_->EnrollUser({"RoleA"}));
     user_ab_ = std::make_unique<User>(owner_->keys(),
@@ -260,22 +264,22 @@ class JoinTest : public ::testing::Test {
 TEST_F(JoinTest, JoinReturnsAccessiblePairs) {
   Box range{Point{0}, Point{15}};
   JoinVo vo = sp_->JoinQuery(range, user_ab_->roles());
-  std::vector<std::pair<Record, Record>> results;
+  std::vector<std::vector<Record>> results;
   ASSERT_TRUE(VerifyOk(user_ab_->VerifyJoin(range, vo, &results)));
   // Matching keys with both sides real: 1 and 9; both accessible to {A,B}.
   std::set<std::uint32_t> keys;
-  for (const auto& [r, s] : results) keys.insert(r.key[0]);
+  for (const auto& row : results) keys.insert(row[0].key[0]);
   EXPECT_EQ(keys, (std::set<std::uint32_t>{1, 9}));
 }
 
 TEST_F(JoinTest, JoinFiltersInaccessibleSides) {
   Box range{Point{0}, Point{15}};
   JoinVo vo = sp_->JoinQuery(range, user_a_->roles());
-  std::vector<std::pair<Record, Record>> results;
+  std::vector<std::vector<Record>> results;
   ASSERT_TRUE(VerifyOk(user_a_->VerifyJoin(range, vo, &results)));
   // Key 9 pair exists but R side needs RoleB: only key 1 joins for RoleA.
   std::set<std::uint32_t> keys;
-  for (const auto& [r, s] : results) keys.insert(r.key[0]);
+  for (const auto& row : results) keys.insert(row[0].key[0]);
   EXPECT_EQ(keys, (std::set<std::uint32_t>{1}));
 }
 
@@ -283,17 +287,17 @@ TEST_F(JoinTest, JoinRejectsDroppedPair) {
   Box range{Point{0}, Point{15}};
   JoinVo vo = sp_->JoinQuery(range, user_ab_->roles());
   JoinVo bad = vo;
-  ASSERT_FALSE(bad.pairs.empty());
-  bad.pairs.pop_back();
+  ASSERT_FALSE(bad.tuples.empty());
+  bad.tuples.pop_back();
   EXPECT_FALSE(user_ab_->VerifyJoin(range, bad, nullptr));
 }
 
 TEST_F(JoinTest, JoinRejectsMismatchedPairKeys) {
   Box range{Point{0}, Point{15}};
   JoinVo vo = sp_->JoinQuery(range, user_ab_->roles());
-  ASSERT_GE(vo.pairs.size(), 2u);
+  ASSERT_GE(vo.tuples.size(), 2u);
   JoinVo bad = vo;
-  std::swap(bad.pairs[0].s, bad.pairs[1].s);
+  std::swap(bad.tuples[0][1], bad.tuples[1][1]);
   EXPECT_FALSE(user_ab_->VerifyJoin(range, bad, nullptr));
 }
 
@@ -303,16 +307,45 @@ TEST_F(JoinTest, JoinSerializationRoundTrip) {
   common::ByteWriter w;
   vo.Serialize(&w);
   common::ByteReader r(w.data());
-  JoinVo back = JoinVo::DeserializeRaw(&r);
+  JoinVo back = JoinVo::DeserializeRaw(&r, 2);
   EXPECT_TRUE(VerifyOk(user_ab_->VerifyJoin(range, back, nullptr)));
   EXPECT_EQ(vo.SerializedSize(), w.size());
+}
+
+// A fixed-seed serial two-table join VO, pinned byte for byte: the join
+// builder's entry order, relaxation randomness and wire layout cannot drift.
+TEST_F(JoinTest, SerialTwoTableVoBytesArePinned) {
+  DataOwner owner(RoleSet{"RoleA", "RoleB"}, Domain{1, 4}, 777);
+  GridTree r = owner.BuildAds(RRecords());
+  GridTree s = owner.BuildAds(SRecords());
+  Rng rng(2026);
+  JoinVo vo = BuildJoinVo({&r, &s}, owner.keys().mvk, Box{Point{0}, Point{15}},
+                          RoleSet{"RoleA"}, owner.keys().universe, &rng);
+  common::ByteWriter w;
+  vo.Serialize(&w);
+  EXPECT_EQ(w.size(), 4878u);
+  EXPECT_EQ(crypto::DigestToHex(crypto::Sha256::Hash(w.data().data(), w.size())),
+            "1bcab8670393dd1f9b051bc679445f36230cc5224aa8bbd3ec0e0ceb9956b7ef");
+}
+
+// S key shifted *and* R value tampered on one tuple: the key check runs
+// before any side's policy or signature, so the verdict names the key.
+TEST_F(JoinTest, KeyMismatchOutranksTamperedValue) {
+  Box range{Point{0}, Point{15}};
+  JoinVo vo = sp_->JoinQuery(range, user_ab_->roles());
+  ASSERT_GE(vo.tuples.size(), 2u);
+  vo.tuples[1][1].key[0] += 1;
+  vo.tuples[1][0].value += "-tampered";
+  VerifyResult v = user_ab_->VerifyJoin(range, vo, nullptr);
+  EXPECT_EQ(v.code, VerifyCode::kKeyMismatch) << v.ToString();
+  EXPECT_EQ(v.entry_index, 1);
 }
 
 TEST_F(JoinTest, BasicJoinMatchesTreeJoin) {
   Box range{Point{0}, Point{15}};
   JoinVo tree_vo = sp_->JoinQuery(range, user_ab_->roles());
   JoinVo basic_vo = sp_->BasicJoinQuery(range, user_ab_->roles());
-  std::vector<std::pair<Record, Record>> r1, r2;
+  std::vector<std::vector<Record>> r1, r2;
   ASSERT_TRUE(VerifyOk(user_ab_->VerifyJoin(range, tree_vo, &r1)));
   ASSERT_TRUE(VerifyOk(user_ab_->VerifyJoin(range, basic_vo, &r2)));
   EXPECT_EQ(r1.size(), r2.size());
@@ -494,13 +527,13 @@ TEST(ParallelPathTest, ParallelJoinVerifyMatchesSerial) {
   ThreadPool pool(4);
 
   auto run = [&](const JoinVo& v, ThreadPool* p,
-                 std::vector<std::pair<Record, Record>>* out) {
+                 std::vector<std::vector<Record>>* out) {
     VerifyContext ctx(keys.mvk, keys.domain, creds.roles, keys.universe);
     ctx.pool = p;
-    return VerifyJoinVo(ctx, range, v, out);
+    return VerifyJoinVo(ctx, range, 2, v, out);
   };
 
-  std::vector<std::pair<Record, Record>> serial_out, pooled_out;
+  std::vector<std::vector<Record>> serial_out, pooled_out;
   VerifyResult serial = run(vo, nullptr, &serial_out);
   VerifyResult pooled = run(vo, &pool, &pooled_out);
   EXPECT_TRUE(serial.ok()) << serial.ToString();
@@ -510,9 +543,9 @@ TEST(ParallelPathTest, ParallelJoinVerifyMatchesSerial) {
   ASSERT_EQ(serial_out.size(), pooled_out.size());
   EXPECT_FALSE(serial_out.empty());
 
-  ASSERT_FALSE(vo.pairs.empty());
+  ASSERT_FALSE(vo.tuples.empty());
   JoinVo bad = vo;
-  bad.pairs.back().s.value += "-tampered";
+  bad.tuples.back()[1].value += "-tampered";
   serial_out.clear();
   pooled_out.clear();
   VerifyResult serial_bad = run(bad, nullptr, &serial_out);
@@ -629,24 +662,23 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
   ServiceProvider spj(owner.keys(), owner.BuildAds(records));
   spj.AttachJoinTable(owner.BuildAds(records));
   JoinVo jvo = spj.JoinQuery(range, creds.roles);
-  auto run_join = [&](const JoinVo& v,
-                      std::vector<std::pair<Record, Record>>* out,
+  auto run_join = [&](const JoinVo& v, std::vector<std::vector<Record>>* out,
                       bool per_sig) -> VerifyResult {
     if (per_sig) {
       ScopedPerSignatureVerify guard;
-      return VerifyJoinVo(ctx, range, v, out);
+      return VerifyJoinVo(ctx, range, 2, v, out);
     }
-    return VerifyJoinVo(ctx, range, v, out);
+    return VerifyJoinVo(ctx, range, 2, v, out);
   };
-  std::vector<std::pair<Record, Record>> bjout, sjout;
+  std::vector<std::vector<Record>> bjout, sjout;
   VerifyResult bj = run_join(jvo, &bjout, false);
   VerifyResult sj = run_join(jvo, &sjout, true);
   EXPECT_TRUE(bj.ok()) << bj.ToString();
   EXPECT_TRUE(SameResult(bj, sj));
   EXPECT_EQ(bjout.size(), sjout.size());
-  ASSERT_FALSE(jvo.pairs.empty());
+  ASSERT_FALSE(jvo.tuples.empty());
   JoinVo jbad = jvo;
-  jbad.pairs.front().r.value += "-tampered";
+  jbad.tuples.front()[0].value += "-tampered";
   bjout.clear();
   sjout.clear();
   bj = run_join(jbad, &bjout, false);
@@ -655,6 +687,49 @@ TEST(ParallelPathTest, BatchedMatchesPerSignatureByteForByte) {
   EXPECT_TRUE(SameResult(bj, sj))
       << bj.ToString() << " vs " << sj.ToString();
   EXPECT_EQ(bjout.size(), sjout.size());
+}
+
+// Join VOs built with the relaxations fanned out over 4 threads verify to
+// the same row set as serial builds, for 2- and 3-table joins.
+TEST(ParallelPathTest, PooledJoinMatchesSerial) {
+  Domain domain{/*dims=*/1, /*bits=*/4};
+  DataOwner owner(RoleSet{"RoleA", "RoleB"}, domain, 1234);
+  std::vector<GridTree> trees;
+  for (std::uint32_t t = 0; t < 3; ++t) {
+    std::vector<Record> records;
+    for (std::uint32_t k = 0; k < 16; ++k) {
+      if ((k + t) % 5 == 0) continue;
+      records.push_back(Rec(k, "t" + std::to_string(t) + "_" + std::to_string(k),
+                            (k + 2 * t) % 7 == 0 ? "RoleB" : "RoleA"));
+    }
+    trees.push_back(owner.BuildAds(records));
+  }
+  const SystemKeys& keys = owner.keys();
+  RoleSet roles = {"RoleA"};
+  VerifyContext ctx(keys.mvk, keys.domain, roles, keys.universe);
+  Box range{Point{1}, Point{14}};
+  ThreadPool pool(4);
+  Rng rng(77);
+  for (std::size_t k : {2u, 3u}) {
+    std::vector<const GridTree*> ptrs;
+    for (std::size_t i = 0; i < k; ++i) ptrs.push_back(&trees[i]);
+    JoinVo serial =
+        BuildJoinVo(ptrs, keys.mvk, range, roles, keys.universe, &rng);
+    JoinVo pooled =
+        BuildJoinVo(ptrs, keys.mvk, range, roles, keys.universe, &rng, &pool);
+    std::vector<std::vector<Record>> serial_rows, pooled_rows;
+    ASSERT_TRUE(VerifyOk(VerifyJoinVo(ctx, range, k, serial, &serial_rows)));
+    ASSERT_TRUE(VerifyOk(VerifyJoinVo(ctx, range, k, pooled, &pooled_rows)));
+    EXPECT_FALSE(serial_rows.empty()) << k << " tables";
+    ASSERT_EQ(serial_rows.size(), pooled_rows.size()) << k << " tables";
+    for (std::size_t i = 0; i < serial_rows.size(); ++i) {
+      EXPECT_TRUE(SameRecords(serial_rows[i], pooled_rows[i]))
+          << k << " tables, row " << i;
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      EXPECT_EQ(serial.aps[i].size(), pooled.aps[i].size());
+    }
+  }
 }
 
 // Same equivalence for the kd-tree verifier, which batches through the same

@@ -108,11 +108,13 @@ TEST_F(DatabaseTest, JoinAcrossTables) {
 
   core::JoinVo vo =
       sp_->Join("trades", "limits", {0.0}, {99.0}, client_->roles());
-  std::vector<std::pair<VerifiedRow, VerifiedRow>> rows;
+  std::vector<std::vector<VerifiedRow>> rows;
   ASSERT_TRUE(VerifyOk(client_->VerifyJoin(sp_->GetSchema("trades"), {0.0},
                                            {99.0}, vo, &rows)));
   std::set<std::string> pairs;
-  for (const auto& [r, s] : rows) pairs.insert(r.value + "+" + s.value);
+  for (const auto& row : rows) {
+    pairs.insert(row[0].value + "+" + row[1].value);
+  }
   EXPECT_EQ(pairs, (std::set<std::string>{"trade-a+limit-low",
                                           "trade-c+limit-mid"}));
 }

@@ -102,10 +102,10 @@ class MultiJoinTest : public ::testing::Test {
 TEST_F(MultiJoinTest, ThreeWayJoin) {
   RoleSet roles = {"RoleA"};
   Box range{Point{0}, Point{15}};
-  MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
-                                    roles, owner_->keys().universe, &rng_);
+  JoinVo vo = BuildJoinVo(tree_ptrs_, owner_->keys().mvk, range, roles,
+                          owner_->keys().universe, &rng_);
   std::vector<std::vector<Record>> results;
-  ASSERT_TRUE(VerifyOk(VerifyMultiJoinVo(Ctx(roles), range, 3, vo, &results)));
+  ASSERT_TRUE(VerifyOk(VerifyJoinVo(Ctx(roles), range, 3, vo, &results)));
   // Key 1 joins in all three tables and is RoleA-accessible everywhere.
   // Key 5: t-table has no record. Key 9: s-table ok but r-table is RoleB.
   ASSERT_EQ(results.size(), 1u);
@@ -117,10 +117,10 @@ TEST_F(MultiJoinTest, ThreeWayJoin) {
 TEST_F(MultiJoinTest, AllRolesSeeMore) {
   RoleSet roles = {"RoleA", "RoleB"};
   Box range{Point{0}, Point{15}};
-  MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
-                                    roles, owner_->keys().universe, &rng_);
+  JoinVo vo = BuildJoinVo(tree_ptrs_, owner_->keys().mvk, range, roles,
+                          owner_->keys().universe, &rng_);
   std::vector<std::vector<Record>> results;
-  ASSERT_TRUE(VerifyOk(VerifyMultiJoinVo(Ctx(roles), range, 3, vo, &results)));
+  ASSERT_TRUE(VerifyOk(VerifyJoinVo(Ctx(roles), range, 3, vo, &results)));
   // Keys 1 and 9 join across all three tables.
   ASSERT_EQ(results.size(), 2u);
 }
@@ -128,36 +128,78 @@ TEST_F(MultiJoinTest, AllRolesSeeMore) {
 TEST_F(MultiJoinTest, RejectsDroppedTuple) {
   RoleSet roles = {"RoleA", "RoleB"};
   Box range{Point{0}, Point{15}};
-  MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
-                                    roles, owner_->keys().universe, &rng_);
-  MultiJoinVo bad = vo;
+  JoinVo vo = BuildJoinVo(tree_ptrs_, owner_->keys().mvk, range, roles,
+                          owner_->keys().universe, &rng_);
+  JoinVo bad = vo;
   ASSERT_FALSE(bad.tuples.empty());
   bad.tuples.pop_back();
-  EXPECT_FALSE(VerifyMultiJoinVo(Ctx(roles), range, 3, bad, nullptr));
+  EXPECT_FALSE(VerifyJoinVo(Ctx(roles), range, 3, bad, nullptr));
 }
 
 TEST_F(MultiJoinTest, RejectsWrongArity) {
   RoleSet roles = {"RoleA"};
   Box range{Point{0}, Point{15}};
-  MultiJoinVo vo = BuildMultiJoinVo(tree_ptrs_, owner_->keys().mvk, range,
-                                    roles, owner_->keys().universe, &rng_);
-  EXPECT_FALSE(VerifyMultiJoinVo(Ctx(roles), range, 2, vo, nullptr));
+  JoinVo vo = BuildJoinVo(tree_ptrs_, owner_->keys().mvk, range, roles,
+                          owner_->keys().universe, &rng_);
+  VerifyResult r = VerifyJoinVo(Ctx(roles), range, 2, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kStaleEpoch) << r.ToString();
+  // Fewer than two tables is no join: rejected before the tuples are read.
+  r = VerifyJoinVo(Ctx(roles), range, 1, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kBadQuery) << r.ToString();
+  common::ByteWriter w;
+  vo.Serialize(&w);
+  common::ByteReader reader(w.data());
+  JoinVo none = JoinVo::DeserializeRaw(&reader, 0);
+  EXPECT_FALSE(reader.ok());
+  EXPECT_TRUE(none.tuples.empty());
 }
 
-TEST_F(MultiJoinTest, TwoTableMultiJoinMatchesPairJoin) {
-  RoleSet roles = {"RoleA"};
+// The last table's key shifted *and* the first table's value tampered on
+// one tuple: the key check runs before any side's policy or signature.
+TEST_F(MultiJoinTest, KeyMismatchOutranksTamperedValue) {
+  RoleSet roles = {"RoleA", "RoleB"};
   Box range{Point{0}, Point{15}};
-  std::vector<const GridTree*> two = {tree_ptrs_[0], tree_ptrs_[1]};
-  MultiJoinVo mvo = BuildMultiJoinVo(two, owner_->keys().mvk, range, roles,
-                                     owner_->keys().universe, &rng_);
-  JoinVo jvo = BuildJoinVo(trees_[0], trees_[1], owner_->keys().mvk, range,
-                           roles, owner_->keys().universe, &rng_);
-  std::vector<std::vector<Record>> mresults;
-  std::vector<std::pair<Record, Record>> jresults;
-  ASSERT_TRUE(
-      VerifyOk(VerifyMultiJoinVo(Ctx(roles), range, 2, mvo, &mresults)));
-  ASSERT_TRUE(VerifyOk(VerifyJoinVo(Ctx(roles), range, jvo, &jresults)));
-  EXPECT_EQ(mresults.size(), jresults.size());
+  JoinVo vo = BuildJoinVo(tree_ptrs_, owner_->keys().mvk, range, roles,
+                          owner_->keys().universe, &rng_);
+  ASSERT_EQ(vo.tuples.size(), 2u);
+  vo.tuples[1][2].key[0] += 1;
+  vo.tuples[1][0].value += "-tampered";
+  VerifyResult r = VerifyJoinVo(Ctx(roles), range, 3, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kKeyMismatch) << r.ToString();
+  EXPECT_EQ(r.entry_index, 1);
+}
+
+// A 3-table VO survives Serialize / Deserialize(r, 3) and verifies to the
+// same rows; read as a 2-table VO the same bytes are rejected.
+TEST_F(MultiJoinTest, ThreeTableWireRoundTrip) {
+  RoleSet roles = {"RoleA", "RoleB"};
+  Box range{Point{0}, Point{15}};
+  JoinVo vo = BuildJoinVo(tree_ptrs_, owner_->keys().mvk, range, roles,
+                          owner_->keys().universe, &rng_);
+  common::ByteWriter w;
+  vo.Serialize(&w);
+  EXPECT_EQ(vo.SerializedSize(), w.size());
+
+  common::ByteReader r3(w.data());
+  common::Untrusted<JoinVo> back = JoinVo::Deserialize(&r3, 3);
+  ASSERT_TRUE(r3.ok() && r3.AtEnd());
+  std::vector<std::vector<Record>> want, got;
+  ASSERT_TRUE(VerifyOk(VerifyJoinVo(Ctx(roles), range, 3, vo, &want)));
+  ASSERT_TRUE(VerifyOk(VerifyJoinVo(Ctx(roles), range, 3, back, &got)));
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(want[i].size(), got[i].size());
+    for (std::size_t j = 0; j < want[i].size(); ++j) {
+      EXPECT_EQ(want[i][j].key, got[i][j].key);
+      EXPECT_EQ(want[i][j].value, got[i][j].value);
+    }
+  }
+
+  common::ByteReader r2(w.data());
+  common::Untrusted<JoinVo> as_two = JoinVo::Deserialize(&r2, 2);
+  bool rejected = !r2.ok() || !r2.AtEnd() ||
+                  !VerifyJoinVo(Ctx(roles), range, 2, as_two, nullptr).ok();
+  EXPECT_TRUE(rejected);
 }
 
 }  // namespace

@@ -110,7 +110,7 @@ FaultEnv* GetEnv() {
                                 st->universe, &rng);
     st->range_vo = BuildRangeVo(*st->tree_r, st->mvk, st->grid_range, st->user,
                                 st->universe, &rng);
-    st->join_vo = BuildJoinVo(*st->tree_r, *st->tree_s, st->mvk,
+    st->join_vo = BuildJoinVo({&*st->tree_r, &*st->tree_s}, st->mvk,
                               st->grid_range, st->user, st->universe, &rng);
     st->kd_vo = BuildKdRangeVo(*st->kd, st->mvk, st->grid_range, st->user,
                                st->universe, &rng);
@@ -164,12 +164,13 @@ std::vector<std::uint8_t> Ser(const VoT& vo) {
   return w.data();
 }
 
-// Deserializes a VoT from buf; nullopt if the reader flags an error or
-// trailing bytes remain.
-template <typename VoT>
-std::optional<VoT> Deser(const std::vector<std::uint8_t>& buf) {
+// Deserializes a VoT from buf (`args` follow the reader: a JoinVo takes its
+// table count); nullopt if the reader flags an error or trailing bytes
+// remain.
+template <typename VoT, typename... Args>
+std::optional<VoT> Deser(const std::vector<std::uint8_t>& buf, Args... args) {
   common::ByteReader r(buf.data(), buf.size());
-  VoT vo = VoT::DeserializeRaw(&r);
+  VoT vo = VoT::DeserializeRaw(&r, args...);
   if (!r.ok() || !r.AtEnd()) return std::nullopt;
   return vo;
 }
@@ -210,17 +211,17 @@ std::vector<QueryCase>& Cases() {
 
     cs->push_back({"join", Ser(s->join_vo),
                    [s](const std::vector<std::uint8_t>& buf, std::string* out) {
-                     auto vo = Deser<JoinVo>(buf);
+                     auto vo = Deser<JoinVo>(buf, 2);
                      if (!vo) return false;
-                     std::vector<std::pair<Record, Record>> ps;
+                     std::vector<std::vector<Record>> ps;
                      if (!VerifyJoinVo(s->Ctx(s->grid_domain), s->grid_range,
-                                       *vo, &ps)
+                                       2, *vo, &ps)
                               .ok()) {
                        return false;
                      }
                      std::vector<std::string> items;
-                     for (const auto& [r, t] : ps) {
-                       items.push_back(r.value + "|" + t.value);
+                     for (const auto& row : ps) {
+                       items.push_back(row[0].value + "|" + row[1].value);
                      }
                      std::sort(items.begin(), items.end());
                      out->clear();
@@ -399,21 +400,21 @@ TEST(TamperMatrixTest, RangeInvertedQueryIsBadQuery) {
 TEST(TamperMatrixTest, JoinTamperedPairKeyIsKeyMismatch) {
   FaultEnv* s = GetEnv();
   JoinVo vo = s->join_vo;
-  ASSERT_FALSE(vo.pairs.empty());
-  vo.pairs[0].s.key = Point{static_cast<std::uint32_t>(
-      vo.pairs[0].s.key[0] == 0 ? 1 : vo.pairs[0].s.key[0] - 1)};
+  ASSERT_FALSE(vo.tuples.empty());
+  Point& key = vo.tuples[0][1].key;
+  key = Point{key[0] == 0 ? 1u : key[0] - 1};
   VerifyResult r = VerifyJoinVo(
-      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
+      s->Ctx(s->grid_domain), s->grid_range, 2, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kKeyMismatch) << r.ToString();
 }
 
 TEST(TamperMatrixTest, JoinDroppedPairIsCoverageGap) {
   FaultEnv* s = GetEnv();
   JoinVo vo = s->join_vo;
-  ASSERT_FALSE(vo.pairs.empty());
-  vo.pairs.clear();
+  ASSERT_FALSE(vo.tuples.empty());
+  vo.tuples.clear();
   VerifyResult r = VerifyJoinVo(
-      s->Ctx(s->grid_domain), s->grid_range, vo, nullptr);
+      s->Ctx(s->grid_domain), s->grid_range, 2, vo, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kCoverageGap) << r.ToString();
 }
 

@@ -69,7 +69,7 @@ struct FreshEnv {
                                            e->user, e->universe, &rng));
       e->range_bytes = freeze(BuildRangeVo(*e->tree_r, e->mvk, e->range,
                                            e->user, e->universe, &rng));
-      e->join_bytes = freeze(BuildJoinVo(*e->tree_r, *e->tree_s, e->mvk,
+      e->join_bytes = freeze(BuildJoinVo({&*e->tree_r, &*e->tree_s}, e->mvk,
                                          e->range, e->user, e->universe,
                                          &rng));
 
@@ -90,10 +90,11 @@ struct FreshEnv {
   }
 };
 
-template <typename VoT>
-VoT MustDeser(const std::vector<std::uint8_t>& bytes) {
+// `args` follow the reader: a JoinVo takes its table count.
+template <typename VoT, typename... Args>
+VoT MustDeser(const std::vector<std::uint8_t>& bytes, Args... args) {
   common::ByteReader r(bytes);
-  VoT vo = VoT::DeserializeRaw(&r);
+  VoT vo = VoT::DeserializeRaw(&r, args...);
   EXPECT_TRUE(r.ok() && r.AtEnd());
   return vo;
 }
@@ -119,8 +120,8 @@ ReplayCodes VerifyFrozen(std::uint64_t expected_epoch) {
                     .code;
   }
   {
-    JoinVo vo = MustDeser<JoinVo>(e.join_bytes);
-    out.join = VerifyJoinVo(e.Ctx(expected_epoch), e.range, vo, nullptr)
+    JoinVo vo = MustDeser<JoinVo>(e.join_bytes, 2);
+    out.join = VerifyJoinVo(e.Ctx(expected_epoch), e.range, 2, vo, nullptr)
                    .code;
   }
   return out;
@@ -203,7 +204,7 @@ TEST(ReplayTest, UserFacadeRejectsReplaysAfterEpochAdvance) {
   User user(keys, UserCredentials{e.user, {}});
   Vo eq = MustDeser<Vo>(e.eq_bytes);
   Vo range = MustDeser<Vo>(e.range_bytes);
-  JoinVo join = MustDeser<JoinVo>(e.join_bytes);
+  JoinVo join = MustDeser<JoinVo>(e.join_bytes, 2);
   ASSERT_TRUE(VerifyOk(user.VerifyEquality(Point{1}, eq, nullptr, nullptr)));
   ASSERT_TRUE(VerifyOk(user.VerifyRange(e.range, range, nullptr)));
   ASSERT_TRUE(VerifyOk(user.VerifyJoin(e.range, join, nullptr)));
@@ -328,23 +329,23 @@ TEST(AttestationBatchTest, BatchedMatchesPerSignatureOnAttestedVos) {
   }
 
   // Join: two stamps, so two leading attestation jobs.
-  JoinVo join = BuildJoinVo(*e.tree_r, *e.tree_s, e.mvk, e.range, e.user,
+  JoinVo join = BuildJoinVo({&*e.tree_r, &*e.tree_s}, e.mvk, e.range, e.user,
                             e.universe, &rng);
-  ASSERT_TRUE(join.r_stamp.attested && join.s_stamp.attested);
-  ASSERT_FALSE(join.pairs.empty());
+  ASSERT_TRUE(join.stamps[0].attested && join.stamps[1].attested);
+  ASSERT_FALSE(join.tuples.empty());
   std::vector<JoinVo> variants(5, join);
-  variants[1].r_stamp.ads_digest[0] ^= 1;
-  variants[2].s_stamp.ads_digest[0] ^= 1;
-  variants[3].pairs.front().r.value += "x";
-  variants[4].s_stamp.ads_digest[0] ^= 1;
-  variants[4].pairs.front().s.value += "x";
+  variants[1].stamps[0].ads_digest[0] ^= 1;
+  variants[2].stamps[1].ads_digest[0] ^= 1;
+  variants[3].tuples.front()[0].value += "x";
+  variants[4].stamps[1].ads_digest[0] ^= 1;
+  variants[4].tuples.front()[1].value += "x";
   for (std::size_t v = 0; v < variants.size(); ++v) {
-    std::vector<std::pair<Record, Record>> bout, sout;
-    VerifyResult b = VerifyJoinVo(e.Ctx(1), e.range, variants[v], &bout);
+    std::vector<std::vector<Record>> bout, sout;
+    VerifyResult b = VerifyJoinVo(e.Ctx(1), e.range, 2, variants[v], &bout);
     VerifyResult s;
     {
       ScopedPerSignatureVerify guard;
-      s = VerifyJoinVo(e.Ctx(1), e.range, variants[v], &sout);
+      s = VerifyJoinVo(e.Ctx(1), e.range, 2, variants[v], &sout);
     }
     EXPECT_EQ(b.ok(), v == 0) << "variant " << v;
     EXPECT_TRUE(SameResult(b, s))
@@ -363,12 +364,12 @@ TEST(AttestationBatchTest, BatchedMatchesPerSignatureOnAttestedVos) {
 TEST(AttestationBatchTest, StaleSecondStampOutranksForgedFirstAttestation) {
   FreshEnv& e = FreshEnv::Get();
   Rng rng(43);
-  JoinVo join = BuildJoinVo(*e.tree_r, *e.tree_s, e.mvk, e.range, e.user,
+  JoinVo join = BuildJoinVo({&*e.tree_r, &*e.tree_s}, e.mvk, e.range, e.user,
                             e.universe, &rng);
-  JoinVo frozen = MustDeser<JoinVo>(e.join_bytes);
-  join.r_stamp.ads_digest[0] ^= 1;
-  join.s_stamp = frozen.s_stamp;  // epoch 0, below the expected epoch 1
-  VerifyResult r = VerifyJoinVo(e.Ctx(1), e.range, join, nullptr);
+  JoinVo frozen = MustDeser<JoinVo>(e.join_bytes, 2);
+  join.stamps[0].ads_digest[0] ^= 1;
+  join.stamps[1] = frozen.stamps[1];  // epoch 0, below the expected epoch 1
+  VerifyResult r = VerifyJoinVo(e.Ctx(1), e.range, 2, join, nullptr);
   EXPECT_EQ(r.code, VerifyCode::kStaleEpoch) << r.ToString();
 }
 

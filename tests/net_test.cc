@@ -548,12 +548,12 @@ TEST(SpServiceTest, EqualityRangeAndJoinOverPipe) {
   for (const auto& row : rows) values.push_back(row.value);
   EXPECT_EQ(values, (std::vector<std::string>{"v1", "v3", "v7", "v9"}));
 
-  std::vector<std::pair<Record, Record>> pairs;
+  std::vector<std::vector<Record>> pairs;
   r = client.Join(Box{Point{0}, Point{15}}, &pairs);
   ASSERT_TRUE(r.ok()) << r.ToString();
   ASSERT_EQ(pairs.size(), 2u);  // keys 3 and 7 accessible on both sides
-  EXPECT_EQ(pairs[0].first.value, "v3");
-  EXPECT_EQ(pairs[0].second.value, "s3");
+  EXPECT_EQ(pairs[0][0].value, "v3");
+  EXPECT_EQ(pairs[0][1].value, "s3");
 
   ServerStats stats = server.stats();
   EXPECT_EQ(stats.served, 4u);
