@@ -6,11 +6,12 @@
 // *shape* is what must hold, see EXPERIMENTS.md).
 //
 // Scales are reduced relative to the paper (see tpch/tpch.h). Environment
-// overrides: APQA_BENCH_QUERIES (queries averaged per row, default 5),
+// overrides: APQA_BENCH_QUERIES (queries averaged per row, default 3),
 // APQA_BENCH_FAST (=1 shrinks sweeps for smoke-testing).
 #ifndef APQA_BENCH_BENCH_UTIL_H_
 #define APQA_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +19,7 @@
 #include <functional>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/system.h"
@@ -32,7 +34,7 @@ namespace apqa::bench {
 // appends one `{"bench":...,"row":...,"value":...,"unit":...}` line to that
 // file, so a sequence of PRs can track absolute numbers in BENCH_*.json
 // files without scraping stdout. `unit` says what the value is: "ms" for
-// times, "x" for speedup ratios, "count" for counts.
+// times, "x" for speedup ratios, "count" for counts, "KiB" for sizes.
 
 inline std::string& JsonPath() {
   static std::string path = [] {
@@ -173,6 +175,7 @@ struct QueryCosts {
   double user_ms = 0;
   double vo_kb = 0;
   double results = 0;
+  double relaxations = 0;  // APS entries, one ABS.Relax each
 };
 
 inline QueryCosts MeasureRange(Deployment& d, double selectivity, int queries,
@@ -197,11 +200,16 @@ inline QueryCosts MeasureRange(Deployment& d, double selectivity, int queries,
       std::abort();
     }
     costs.results += static_cast<double>(results.size());
+    costs.relaxations += static_cast<double>(std::count_if(
+        vo.entries.begin(), vo.entries.end(), [](const core::VoEntry& e) {
+          return !std::holds_alternative<core::ResultEntry>(e);
+        }));
   }
   costs.sp_ms /= queries;
   costs.user_ms /= queries;
   costs.vo_kb /= queries;
   costs.results /= queries;
+  costs.relaxations /= queries;
   return costs;
 }
 

@@ -62,6 +62,9 @@
 #      BENCH_update.json is a full-mode capture), and whose value-only
 #      batch costs at most half the policy-change batch
 #      (update_value_only_batch_16 <= 0.5x update_policy_change_batch_16)
+#   9. paper shape: one fast-mode run of bench_fig7_range; at an 8% range
+#      the AP2G tree must cost no more than Basic on SP CPU, user CPU and
+#      VO size (Fig 7's claim, gated as a shape rather than a time)
 #
 # Usage: scripts/check.sh [--quick|--skip-sanitize]
 #   --quick          analyzers + Release build + ctest only
@@ -108,7 +111,7 @@ echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # bench_util.h compacts repeated runs in place, and this gate keeps a
 # stray hand-edit or an old binary from re-introducing duplicate
 # (bench, row) pairs. Every row must also say what its value is: "ms" for
-# times, "x" for speedup ratios, "count" for counts.
+# times, "x" for speedup ratios, "count" for counts, "KiB" for sizes.
 python3 - BENCH_*.json <<'EOF'
 import json, sys
 bad = 0
@@ -125,7 +128,8 @@ for path in sys.argv[1:]:
                 print(f"{path}:{n}: duplicate row {key}", file=sys.stderr)
                 bad = 1
             seen.add(key)
-            if r.get("unit") not in ("ms", "x", "count") or "value" not in r:
+            if (r.get("unit") not in ("ms", "x", "count", "KiB")
+                    or "value" not in r):
                 print(f"{path}:{n}: row {key} lacks a value with a known unit",
                       file=sys.stderr)
                 bad = 1
@@ -370,5 +374,36 @@ print(f"perf smoke: value-only update {vo:.1f} ms vs policy change {pc:.1f} ms "
       f"({vo / pc:.2f}x)")
 EOF
 rm -f "$UPDATE_JSON"
+
+echo "=== paper shape (bench_fig7_range, fast mode) ==="
+# Fig 7's claim as a shape, not an absolute time: at an 8% range the AP2G
+# tree costs at most what Basic (one equality proof per cell) costs on SP
+# CPU, user CPU and VO size (measured ~0.3x, ~0.4x and ~0.3x on a 4-vCPU
+# x86-64 VM). The checked-in BENCH_paper.json is a full-mode capture.
+cmake --build build -j --target bench_fig7_range >/dev/null
+FIG7_JSON=$(mktemp /tmp/BENCH_paper_smoke.XXXXXX.json)
+rm -f "$FIG7_JSON"
+APQA_BENCH_FAST=1 APQA_BENCH_JSON="$FIG7_JSON" \
+  ./build/bench/bench_fig7_range >/dev/null
+python3 - "$FIG7_JSON" <<'EOF'
+import json, sys
+rows = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        r = json.loads(line)
+        rows[r["row"]] = r["value"]  # last write wins
+for metric in ("sp_ms", "user_ms", "vo_kb", "relaxations"):
+    for scheme in ("basic", "ap2g"):
+        if f"{scheme}_{metric}_sel8" not in rows:
+            sys.exit(f"fig7 shape: row {scheme}_{metric}_sel8 missing")
+for metric in ("sp_ms", "user_ms", "vo_kb"):
+    basic, tree = rows[f"basic_{metric}_sel8"], rows[f"ap2g_{metric}_sel8"]
+    if tree > basic:
+        sys.exit(f"fig7 shape: ap2g_{metric}_sel8 {tree:.1f} > "
+                 f"basic_{metric}_sel8 {basic:.1f}")
+    print(f"fig7 shape: {metric} at 8%: AP2G {tree:.1f} vs Basic {basic:.1f} "
+          f"({tree / basic:.2f}x)")
+EOF
+rm -f "$FIG7_JSON"
 
 echo "=== all checks passed ==="

@@ -467,12 +467,11 @@ VerifyResult VerifyDupRangeVo(const VerifyContext& ctx, const Box& range,
           }
         }
         // Coverage: key cells + boxes tile the range.
-        Vo coverage;
+        std::vector<Box> coverage;
         for (const auto& kv : groups) {
-          coverage.entries.push_back(
-              InaccessibleRecordEntry{kv.first, Digest{}, {}});
+          coverage.push_back(Box{kv.first, kv.first});
         }
-        for (const auto& e : vo.boxes) coverage.entries.push_back(e);
+        for (const auto& e : vo.boxes) coverage.push_back(e.box);
         if (VerifyResult c = CheckCoverage(range, coverage); !c.ok()) {
           return c;
         }

@@ -194,17 +194,17 @@ VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
                                     "wrong number of APS groups");
         }
         // Completeness: tuple cells plus APS regions tile the range.
-        Vo coverage;
+        std::vector<Box> coverage;
         for (std::size_t i = 0; i < vo.tuples.size(); ++i) {
           if (vo.tuples[i].size() != tables) {
             return VerifyResult::Fail(VerifyCode::kWrongEntryCount,
                                       "tuple arity mismatch",
                                       static_cast<std::ptrdiff_t>(i));
           }
-          coverage.entries.push_back(vo.tuples[i][0]);
+          coverage.push_back(EntryRegion(vo.tuples[i][0]));
         }
         for (const auto& side : vo.aps) {
-          for (const auto& e : side) coverage.entries.push_back(e);
+          for (const auto& e : side) coverage.push_back(EntryRegion(e));
         }
         if (VerifyResult c = CheckCoverage(range, coverage); !c.ok()) {
           return c;

@@ -282,15 +282,9 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
     queue.pop_front();
     const KdTree::Node& node = tree.nodes()[idx];
     if (!node.region.Intersects(range)) continue;
-    if (!range.ContainsBox(node.region) && !node.is_leaf) {
-      queue.push_back(node.left);
-      queue.push_back(node.right);
-      continue;
-    }
     if (node.is_leaf) {
-      // A leaf partially intersecting the range is returned whole; its
-      // region clipped to the range still accounts for coverage. For
-      // simplicity we return the leaf and let the verifier clip.
+      // A leaf crossing the range is returned whole; the verifier clips
+      // its region.
       if (node.policy.Evaluate(user_roles)) {
         vo.results.push_back(KdResultEntry{node.region, node.record.key,
                                            node.record.value,
@@ -306,6 +300,8 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
       }
       continue;
     }
+    // An internal node the user cannot access is relaxed once, whether the
+    // range contains it or it crosses the range boundary; the verifier clips.
     if (node.policy.Evaluate(user_roles)) {
       queue.push_back(node.left);
       queue.push_back(node.right);
@@ -396,45 +392,13 @@ VerifyResult VerifyKdRangeVo(const VerifyContext& ctx, const Box& range,
         if (VerifyResult q = CheckQueryBox(ctx.domain, range); !q.ok()) {
           return q;
         }
-        // Coverage: clip each region to the range; clipped regions must be
-        // disjoint and tile the range.
+        // Coverage: leaf regions and boxes may cross the range boundary;
+        // CheckCoverage clips them.
         std::vector<Box> regions;
         for (const auto& e : vo.results) regions.push_back(e.region);
         for (const auto& e : vo.leaves) regions.push_back(e.region);
         for (const auto& e : vo.boxes) regions.push_back(e.box);
-        std::uint64_t covered = 0;
-        for (std::size_t i = 0; i < regions.size(); ++i) {
-          Box clipped = regions[i];
-          std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
-          if (clipped.lo.size() != range.lo.size()) {
-            return VerifyResult::Fail(VerifyCode::kDimensionMismatch,
-                                      "region dimensionality mismatch", idx);
-          }
-          if (!clipped.WellFormed()) {
-            return VerifyResult::Fail(VerifyCode::kMalformedVo,
-                                      "region not a well-formed box", idx);
-          }
-          for (std::size_t d = 0; d < clipped.lo.size(); ++d) {
-            clipped.lo[d] = std::max(clipped.lo[d], range.lo[d]);
-            if (clipped.hi[d] < range.lo[d] || clipped.lo[d] > range.hi[d]) {
-              return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
-                                        "region outside query range", idx);
-            }
-            clipped.hi[d] = std::min(clipped.hi[d], range.hi[d]);
-          }
-          regions[i] = clipped;
-          for (std::size_t j = 0; j < i; ++j) {
-            if (regions[j].Intersects(clipped)) {
-              return VerifyResult::Fail(VerifyCode::kOverlap,
-                                        "overlapping regions", idx);
-            }
-          }
-          covered += clipped.Volume();
-        }
-        if (covered != range.Volume()) {
-          return VerifyResult::Fail(VerifyCode::kCoverageGap,
-                                    "regions do not cover the query range");
-        }
+        if (VerifyResult c = CheckCoverage(range, regions); !c.ok()) return c;
 
         for (std::size_t i = 0; i < vo.results.size(); ++i) {
           const KdResultEntry& e = vo.results[i];

@@ -1,5 +1,6 @@
 #include "core/range_query.h"
 
+#include <algorithm>
 #include <deque>
 
 #include "core/parallel_verify.h"
@@ -28,21 +29,16 @@ Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
     queue.pop_front();
     const GridTree::Node& node = tree.GetNode(id);
     if (!node.box.Intersects(range)) continue;
-    if (!range.ContainsBox(node.box)) {
-      // Partial overlap: explore the subtree.
-      for (GridTree::NodeId c : tree.Children(id)) queue.push_back(c);
-      continue;
-    }
-    // Node fully inside the query range.
-    if (node.policy.Evaluate(user_roles)) {
-      if (node.is_leaf) {
-        vo.entries.push_back(ResultEntry{node.record.key, node.record.value,
-                                         node.record.policy, node.sig});
-      } else {
-        for (GridTree::NodeId c : tree.Children(id)) queue.push_back(c);
-      }
-    } else {
+    if (!node.policy.Evaluate(user_roles)) {
+      // Nothing under the node is accessible: one APS proves its whole box,
+      // the in-range part of a node crossing the range boundary included.
       covers.push_back(&node);
+    } else if (node.is_leaf) {
+      // A leaf is one cell, so a leaf that intersects the range lies in it.
+      vo.entries.push_back(ResultEntry{node.record.key, node.record.value,
+                                       node.record.policy, node.sig});
+    } else {
+      for (GridTree::NodeId c : tree.Children(id)) queue.push_back(c);
     }
   }
 
@@ -78,12 +74,12 @@ std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
   return relaxed;
 }
 
-VerifyResult CheckCoverage(const Box& range, const Vo& vo) {
+VerifyResult CheckCoverage(const Box& range, const std::vector<Box>& regions) {
   std::uint64_t covered = 0;
-  std::vector<Box> boxes;
-  boxes.reserve(vo.entries.size());
-  for (std::size_t i = 0; i < vo.entries.size(); ++i) {
-    Box b = EntryRegion(vo.entries[i]);
+  std::vector<Box> clipped;
+  clipped.reserve(regions.size());
+  for (std::size_t i = 0; i < regions.size(); ++i) {
+    Box b = regions[i];
     std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);
     if (b.lo.size() != range.lo.size()) {
       return VerifyResult::Fail(VerifyCode::kDimensionMismatch,
@@ -95,18 +91,22 @@ VerifyResult CheckCoverage(const Box& range, const Vo& vo) {
       return VerifyResult::Fail(VerifyCode::kMalformedVo,
                                 "entry region not a well-formed box", idx);
     }
-    if (!range.ContainsBox(b)) {
+    if (!range.Intersects(b)) {
       return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
                                 "entry region outside query range", idx);
     }
-    for (const Box& prev : boxes) {
+    for (std::size_t d = 0; d < b.lo.size(); ++d) {
+      b.lo[d] = std::max(b.lo[d], range.lo[d]);
+      b.hi[d] = std::min(b.hi[d], range.hi[d]);
+    }
+    for (const Box& prev : clipped) {
       if (prev.Intersects(b)) {
         return VerifyResult::Fail(VerifyCode::kOverlap,
                                   "overlapping entry regions", idx);
       }
     }
     covered += b.Volume();
-    boxes.push_back(b);
+    clipped.push_back(std::move(b));
   }
   if (covered != range.Volume()) {
     return VerifyResult::Fail(VerifyCode::kCoverageGap,
@@ -153,7 +153,10 @@ VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
         if (VerifyResult q = CheckQueryBox(ctx.domain, range); !q.ok()) {
           return q;
         }
-        if (VerifyResult c = CheckCoverage(range, vo); !c.ok()) return c;
+        std::vector<Box> regions;
+        regions.reserve(vo.entries.size());
+        for (const VoEntry& e : vo.entries) regions.push_back(EntryRegion(e));
+        if (VerifyResult c = CheckCoverage(range, regions); !c.ok()) return c;
         for (std::size_t i = 0; i < vo.entries.size(); ++i) {
           const VoEntry& entry = vo.entries[i];
           std::ptrdiff_t idx = static_cast<std::ptrdiff_t>(i);

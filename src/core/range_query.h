@@ -8,9 +8,11 @@
 
 namespace apqa::core {
 
-// SP side: breadth-first VO construction with policy pruning. Nodes fully
-// inside the range that the user cannot access contribute a single APS
-// signature (derived with ABS.Relax, parallelized over `pool` when given).
+// SP side: breadth-first VO construction with policy pruning. Every node
+// that intersects the range and that the user cannot access contributes a
+// single APS signature (derived with ABS.Relax, parallelized over `pool`
+// when given), whether the range contains it or it crosses the range
+// boundary; only accessible nodes are split.
 Vo BuildRangeVo(const GridTree& tree, const VerifyKey& mvk, const Box& range,
                 const RoleSet& user_roles, const RoleSet& universe, Rng* rng,
                 ThreadPool* pool = nullptr);
@@ -58,9 +60,12 @@ std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
 
 // Shared verifier helpers (range, join, kd-tree and duplicate VOs).
 
-// Checks that the entry regions are well-formed, inside `range`, pairwise
-// disjoint, and tile it exactly.
-VerifyResult CheckCoverage(const Box& range, const Vo& vo);
+// The one coverage check: every region must be a well-formed box of the
+// range's dimensionality that intersects `range` (a region may cross its
+// boundary: an APS proves its whole box); clipped to the range, the regions
+// must be pairwise disjoint and tile it exactly. A failure's entry_index is
+// the index into `regions`.
+VerifyResult CheckCoverage(const Box& range, const std::vector<Box>& regions);
 
 // kBadQuery unless `range` is a well-formed box inside the domain.
 VerifyResult CheckQueryBox(const Domain& domain, const Box& range);

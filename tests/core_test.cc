@@ -4,9 +4,14 @@
 // inaccessible vs. non-existent records.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <map>
+
 #include "core/kd_tree.h"
 #include "core/parallel_verify.h"
 #include "core/system.h"
+#include "tpch/tpch.h"
 #include "verify_ok.h"
 
 namespace apqa::core {
@@ -847,6 +852,190 @@ TEST(ParallelPathTest, BisectRecoversLowestFailingIndex) {
     if (auto* res = std::get_if<ResultEntry>(&entry)) res->value += "x";
   }
   check_case(all, "all tampered");
+}
+
+// --- Crossing boxes: one APS per maximal inaccessible subtree --------------
+
+// The rule the range builder followed before crossing boxes, as a plain
+// traversal with no crypto: a node that only partly overlaps the range is
+// always split, and only inaccessible nodes inside the range are relaxed.
+// Returns the result entries and the nodes to relax, in BFS order.
+struct ContainmentCover {
+  std::vector<VoEntry> results;
+  std::vector<const GridTree::Node*> covers;
+};
+
+ContainmentCover ContainmentRuleCover(const GridTree& tree, const Box& range,
+                                      const RoleSet& roles) {
+  ContainmentCover out;
+  std::deque<GridTree::NodeId> queue{tree.Root()};
+  while (!queue.empty()) {
+    GridTree::NodeId id = queue.front();
+    queue.pop_front();
+    const GridTree::Node& node = tree.GetNode(id);
+    if (!node.box.Intersects(range)) continue;
+    bool split = !range.ContainsBox(node.box) || node.policy.Evaluate(roles);
+    if (node.is_leaf && split) {
+      out.results.push_back(ResultEntry{node.record.key, node.record.value,
+                                        node.record.policy, node.sig});
+    } else if (split) {
+      for (GridTree::NodeId c : tree.Children(id)) queue.push_back(c);
+    } else {
+      out.covers.push_back(&node);
+    }
+  }
+  return out;
+}
+
+std::size_t Relaxations(const Vo& vo) {
+  return static_cast<std::size_t>(
+      std::count_if(vo.entries.begin(), vo.entries.end(), [](const auto& e) {
+        return !std::holds_alternative<ResultEntry>(e);
+      }));
+}
+
+std::vector<std::string> SortedValues(const std::vector<Record>& rs) {
+  std::vector<std::string> out;
+  for (const Record& r : rs) out.push_back(r.value);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// A TPC-H Lineitem deployment on an 8³ grid, the benches' policy mix.
+struct TpchDeployment {
+  tpch::PolicyGen policies{10, 10, 3, 2, 20180610};
+  Domain domain{3, 3};
+  DataOwner owner{policies.universe(), domain, 20180610};
+  std::unique_ptr<ServiceProvider> sp;
+
+  TpchDeployment() {
+    tpch::TpchGen gen(0.1, 20180610);
+    ThreadPool pool(4);
+    sp = std::make_unique<ServiceProvider>(
+        owner.keys(),
+        owner.BuildAds(tpch::LineitemRecords(gen.Lineitem(), domain,
+                                             policies.policies()),
+                       &pool));
+  }
+};
+
+TpchDeployment& Tpch() {
+  static TpchDeployment* d = new TpchDeployment;
+  return *d;
+}
+
+// Seeded Q6 ranges at 20% and 50% access and 1% and 8% selectivity. For
+// each: the crossing-rule VO verifies to the records of the Basic
+// (per-cell equality) VO; a VO under the containment rule still verifies,
+// to the same records; the crossing rule never relaxes more nodes; and every
+// APS entry is maximal: its node is the root or its parent is accessible.
+TEST(CrossingCoverTest, MatchesBasicAndContainmentRule) {
+  TpchDeployment& d = Tpch();
+  const SystemKeys& keys = d.owner.keys();
+  const GridTree& tree = d.sp->tree();
+  // Every non-root node's box → its parent.
+  std::map<std::pair<Point, Point>, GridTree::NodeId> parent_of;
+  std::deque<GridTree::NodeId> queue{tree.Root()};
+  while (!queue.empty()) {
+    GridTree::NodeId id = queue.front();
+    queue.pop_front();
+    if (tree.IsLeafLevel(id)) continue;
+    for (GridTree::NodeId c : tree.Children(id)) {
+      const Box& b = tree.GetNode(c).box;
+      parent_of[{b.lo, b.hi}] = id;
+      queue.push_back(c);
+    }
+  }
+
+  Rng rng(5150);
+  Rng qrng(6);
+  std::size_t crossing_total = 0, containment_total = 0;
+  for (double access : {0.2, 0.5}) {
+    RoleSet roles = d.policies.RolesForAccessFraction(access);
+    User user(keys, d.owner.EnrollUser(roles));
+    for (double sel : {0.01, 0.08}) {
+      for (int q = 0; q < 5; ++q) {
+        Box range = tpch::RandomRangeQuery(keys.domain, sel, &qrng);
+        std::string what = "access " + std::to_string(access) + " sel " +
+                           std::to_string(sel) + " query " +
+                           std::to_string(q);
+        Vo vo = d.sp->RangeQuery(range, roles);
+        std::vector<Record> got, basic;
+        ASSERT_TRUE(VerifyOk(user.VerifyRange(range, vo, &got))) << what;
+        ASSERT_TRUE(VerifyOk(user.VerifyRange(
+            range, d.sp->BasicRangeQuery(range, roles), &basic)))
+            << what;
+        EXPECT_EQ(SortedValues(got), SortedValues(basic)) << what;
+
+        ContainmentCover old_rule = ContainmentRuleCover(tree, range, roles);
+        Vo old_vo;
+        old_vo.stamp = tree.stamp();
+        old_vo.entries = old_rule.results;
+        for (VoEntry& e :
+             RelaxNodes(old_rule.covers, keys.mvk,
+                        SuperPolicyRoles(keys.universe, roles), &rng,
+                        nullptr)) {
+          old_vo.entries.push_back(std::move(e));
+        }
+        std::vector<Record> old_got;
+        ASSERT_TRUE(VerifyOk(user.VerifyRange(range, old_vo, &old_got)))
+            << what;
+        EXPECT_EQ(SortedValues(old_got), SortedValues(basic)) << what;
+
+        EXPECT_LE(Relaxations(vo), old_rule.covers.size()) << what;
+        crossing_total += Relaxations(vo);
+        containment_total += old_rule.covers.size();
+
+        for (const VoEntry& e : vo.entries) {
+          if (std::holds_alternative<ResultEntry>(e)) continue;
+          Box b = EntryRegion(e);
+          auto it = parent_of.find({b.lo, b.hi});
+          if (it == parent_of.end()) {
+            EXPECT_TRUE(b == tree.GetNode(tree.Root()).box) << what;
+            continue;
+          }
+          EXPECT_TRUE(tree.GetNode(it->second).policy.Evaluate(roles))
+              << what << ": an APS entry's parent is inaccessible";
+        }
+      }
+    }
+  }
+  // The crossing rule must actually merge boundary boxes on this data.
+  EXPECT_LT(crossing_total, containment_total)
+      << crossing_total << " vs " << containment_total;
+}
+
+// The crossing-rule build with its relaxations on 1, 2 and 4 threads yields
+// the same entry regions in the same order as the serial build, and each
+// verifies to the serial records. Part of the TSan workload in
+// scripts/check.sh.
+TEST(ParallelPathTest, PooledCrossingBuildMatchesSerial) {
+  TpchDeployment& d = Tpch();
+  const SystemKeys& keys = d.owner.keys();
+  RoleSet roles = d.policies.RolesForAccessFraction(0.2);
+  VerifyContext ctx(keys.mvk, keys.domain, roles, keys.universe);
+  Rng rng(616);
+  Rng qrng(7);
+  Box range = tpch::RandomRangeQuery(keys.domain, 0.08, &qrng);
+  Vo serial = BuildRangeVo(d.sp->tree(), keys.mvk, range, roles,
+                           keys.universe, &rng);
+  std::vector<Record> serial_out;
+  ASSERT_TRUE(VerifyOk(VerifyRangeVo(ctx, range, serial, &serial_out)));
+  for (int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    Vo pooled = BuildRangeVo(d.sp->tree(), keys.mvk, range, roles,
+                             keys.universe, &rng, &pool);
+    ASSERT_EQ(pooled.entries.size(), serial.entries.size()) << threads;
+    for (std::size_t i = 0; i < serial.entries.size(); ++i) {
+      EXPECT_TRUE(EntryRegion(pooled.entries[i]) ==
+                  EntryRegion(serial.entries[i]))
+          << threads << " threads, entry " << i;
+    }
+    std::vector<Record> pooled_out;
+    ASSERT_TRUE(VerifyOk(VerifyRangeVo(ctx, range, pooled, &pooled_out)))
+        << threads;
+    EXPECT_TRUE(SameRecords(pooled_out, serial_out)) << threads;
+  }
 }
 
 }  // namespace

@@ -57,6 +57,18 @@ struct FaultEnv {
   KdVo kd_vo;
   DupVo dup_vo;
   ContinuousVo cont_vo;
+  // Crossing-box fixtures. A 4×4 grid whose quadrants all cross the
+  // centre range: the accessible record at (1, 1) keeps its quadrant
+  // accessible, and the other three quadrants are relaxed as crossing
+  // boxes. And a duplicate tree over keys 0..7 whose [2, 3] and [6, 7]
+  // subtrees are inaccessible, queried over the whole domain.
+  Domain quad_domain{2, 2};
+  Box quad_range{Point{1, 1}, Point{2, 2}};
+  std::optional<GridTree> quad;
+  Vo cross_vo;
+  Domain dup_wide_domain{1, 3};
+  std::optional<DupGridTree> dup_wide;
+  DupVo dup_wide_vo;
   // A valid authenticated DO→SP update delta (epoch 0 → 1) for the
   // kAdsUpdate payload sweep.
   std::vector<std::uint8_t> update_bytes;
@@ -131,6 +143,30 @@ FaultEnv* GetEnv() {
     common::ByteWriter uw;
     update->Serialize(&uw);
     st->update_bytes = uw.data();
+
+    // Crossing-box fixtures, built last so the draws above (and the bytes
+    // of every corpus baseline) do not depend on them.
+    st->quad = GridTree::Build(
+        st->mvk, sk, st->quad_domain,
+        {
+            Record{Point{1, 1}, "q11", Policy::Parse("RoleA")},
+            Record{Point{2, 1}, "q21", Policy::Parse("RoleB")},
+            Record{Point{1, 2}, "q12", Policy::Parse("RoleB")},
+        },
+        &rng);
+    st->cross_vo = BuildRangeVo(*st->quad, st->mvk, st->quad_range, st->user,
+                                st->universe, &rng);
+    st->dup_wide = DupGridTree::Build(
+        st->mvk, sk, st->dup_wide_domain,
+        {
+            Record{Point{1}, "a", Policy::Parse("RoleA")},
+            Record{Point{1}, "b", Policy::Parse("RoleB")},
+            Record{Point{5}, "c", Policy::Parse("RoleA")},
+        },
+        &rng);
+    st->dup_wide_vo = BuildDupRangeVo(*st->dup_wide, st->mvk,
+                                      Box{Point{0}, Point{7}}, st->user,
+                                      st->universe, &rng);
     return st;
   }();
   return s;
@@ -489,6 +525,198 @@ TEST(TamperMatrixTest, ContinuousTamperedValueIsBadSignature) {
   std::vector<ContinuousRecord> rs;
   VerifyResult r = VerifyContinuousRangeVo(s->Ctx(Domain{}), 50, 350, vo, &rs);
   EXPECT_EQ(r.code, VerifyCode::kBadSignature) << r.ToString();
+}
+
+// --- Crossing boxes: an APS proves its whole box, clipped to the range ------
+
+// Index of the entry of `vo` whose region is `box`; -1 if none.
+std::ptrdiff_t IndexOfRegion(const Vo& vo, const Box& box) {
+  for (std::size_t i = 0; i < vo.entries.size(); ++i) {
+    if (EntryRegion(vo.entries[i]) == box) {
+      return static_cast<std::ptrdiff_t>(i);
+    }
+  }
+  return -1;
+}
+
+const Box kQuadX0Y0{Point{0, 0}, Point{1, 1}};
+const Box kQuadX1Y0{Point{2, 0}, Point{3, 1}};
+const Box kQuadX1Y1{Point{2, 2}, Point{3, 3}};
+
+TEST(CrossingTamperTest, BaselineRelaxesEachCrossingQuadrantOnce) {
+  FaultEnv* s = GetEnv();
+  const Vo& vo = s->cross_vo;
+  // One result (1, 1) and three crossing quadrant boxes.
+  ASSERT_EQ(vo.entries.size(), 4u);
+  EXPECT_TRUE(std::holds_alternative<ResultEntry>(vo.entries[0]));
+  for (std::size_t i = 1; i < vo.entries.size(); ++i) {
+    ASSERT_TRUE(std::holds_alternative<InaccessibleBoxEntry>(vo.entries[i]));
+    EXPECT_FALSE(s->quad_range.ContainsBox(EntryRegion(vo.entries[i])));
+  }
+  std::vector<Record> rs;
+  ASSERT_TRUE(VerifyRangeVo(s->Ctx(s->quad_domain), s->quad_range, vo, &rs)
+                  .ok());
+  EXPECT_EQ(CanonRecords(rs), "1,1,:q11;");
+}
+
+TEST(CrossingTamperTest, SiblingApsIsBadSignature) {
+  FaultEnv* s = GetEnv();
+  Vo vo = s->cross_vo;
+  std::ptrdiff_t a = IndexOfRegion(vo, kQuadX1Y0);
+  std::ptrdiff_t b = IndexOfRegion(vo, kQuadX1Y1);
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  std::get<InaccessibleBoxEntry>(vo.entries[a]).aps_sig =
+      std::get<InaccessibleBoxEntry>(vo.entries[b]).aps_sig;
+  VerifyResult r =
+      VerifyRangeVo(s->Ctx(s->quad_domain), s->quad_range, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kBadSignature) << r.ToString();
+  EXPECT_EQ(r.entry_index, a);
+}
+
+TEST(CrossingTamperTest, CrossingBoxHidingAResultIsBadSignatureOrOverlap) {
+  FaultEnv* s = GetEnv();
+  // The accessible quadrant cannot be relaxed for this user...
+  const GridTree& tree = *s->quad;
+  GridTree::NodeId q0 = tree.Children(tree.Root())[0];
+  ASSERT_TRUE(tree.GetNode(q0).box == kQuadX0Y0);
+  Rng rng(3);
+  EXPECT_FALSE(abs::Abs::Relax(s->mvk, tree.GetNode(q0).sig,
+                               tree.GetNode(q0).policy, BoxMessage(kQuadX0Y0),
+                               SuperPolicyRoles(s->universe, s->user), &rng)
+                   .has_value());
+  // ...so a box over it that hides the result (1, 1) carries a borrowed APS.
+  const Signature& borrowed = std::get<InaccessibleBoxEntry>(
+      s->cross_vo.entries[IndexOfRegion(s->cross_vo, kQuadX1Y1)]).aps_sig;
+  Vo hidden = s->cross_vo;
+  hidden.entries[0] = InaccessibleBoxEntry{kQuadX0Y0, borrowed};
+  VerifyResult r =
+      VerifyRangeVo(s->Ctx(s->quad_domain), s->quad_range, hidden, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kBadSignature) << r.ToString();
+  EXPECT_EQ(r.entry_index, 0);
+  // Kept next to the result, the box overlaps it inside the range.
+  Vo kept = s->cross_vo;
+  kept.entries.push_back(InaccessibleBoxEntry{kQuadX0Y0, borrowed});
+  r = VerifyRangeVo(s->Ctx(s->quad_domain), s->quad_range, kept, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kOverlap) << r.ToString();
+  EXPECT_EQ(r.entry_index,
+            static_cast<std::ptrdiff_t>(kept.entries.size()) - 1);
+}
+
+TEST(CrossingTamperTest, CrossingBoxesOverlappingInRangeAreOverlap) {
+  FaultEnv* s = GetEnv();
+  Vo vo = s->cross_vo;
+  std::ptrdiff_t a = IndexOfRegion(vo, kQuadX1Y0);
+  std::ptrdiff_t b = IndexOfRegion(vo, kQuadX1Y1);
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  // [2, 3] × [0, 2] still crosses the range and now shares cell (2, 2) with
+  // the quadrant above it.
+  std::get<InaccessibleBoxEntry>(vo.entries[a]).box.hi[1] = 2;
+  VerifyResult r =
+      VerifyRangeVo(s->Ctx(s->quad_domain), s->quad_range, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kOverlap) << r.ToString();
+  EXPECT_EQ(r.entry_index, std::max(a, b));
+}
+
+TEST(CrossingTamperTest, BoxOutsideRangeIsRegionOutsideRange) {
+  FaultEnv* s = GetEnv();
+  Vo vo = s->cross_vo;
+  InaccessibleBoxEntry outside =
+      std::get<InaccessibleBoxEntry>(vo.entries[IndexOfRegion(vo, kQuadX1Y1)]);
+  outside.box = Box{Point{3, 3}, Point{3, 3}};
+  vo.entries.push_back(outside);
+  VerifyResult r =
+      VerifyRangeVo(s->Ctx(s->quad_domain), s->quad_range, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kRegionOutsideRange) << r.ToString();
+  EXPECT_EQ(r.entry_index, static_cast<std::ptrdiff_t>(vo.entries.size()) - 1);
+}
+
+// The join and duplicate builders relax only contained nodes, but their
+// verifiers run the same clipped check. Cropping a whole-domain VO to a
+// narrower range leaves boxes that cross it: a valid crossing VO.
+TEST(CrossingTamperTest, JoinCrossingGapAndOverlap) {
+  FaultEnv* s = GetEnv();
+  const Box range{Point{1}, Point{6}};
+  JoinVo vo = s->join_vo;
+  std::erase_if(vo.tuples, [&](const std::vector<ResultEntry>& t) {
+    return !range.Contains(t[0].key);
+  });
+  std::size_t crossing_table = 0, crossing_pos = 0, crossing = 0;
+  for (std::size_t t = 0; t < vo.aps.size(); ++t) {
+    std::erase_if(vo.aps[t], [&](const VoEntry& e) {
+      return !range.Intersects(EntryRegion(e));
+    });
+    for (std::size_t i = 0; i < vo.aps[t].size(); ++i) {
+      if (!range.ContainsBox(EntryRegion(vo.aps[t][i]))) {
+        crossing_table = t;
+        crossing_pos = i;
+        ++crossing;
+      }
+    }
+  }
+  ASSERT_EQ(crossing, 1u);
+  auto verify = [&](const JoinVo& v) {
+    return VerifyJoinVo(s->Ctx(s->grid_domain), range, 2, v, nullptr);
+  };
+  ASSERT_TRUE(verify(vo).ok()) << verify(vo).ToString();
+
+  JoinVo gap = vo;
+  gap.aps[crossing_table].erase(gap.aps[crossing_table].begin() +
+                                static_cast<std::ptrdiff_t>(crossing_pos));
+  VerifyResult r = verify(gap);
+  EXPECT_EQ(r.code, VerifyCode::kCoverageGap) << r.ToString();
+  EXPECT_EQ(r.entry_index, -1);
+
+  // Coverage indexes tuples first, then each table's APS group in order.
+  JoinVo overlap = vo;
+  auto& group = overlap.aps[crossing_table];
+  group.insert(group.begin() + static_cast<std::ptrdiff_t>(crossing_pos) + 1,
+               group[crossing_pos]);
+  std::size_t expected = overlap.tuples.size() + crossing_pos + 1;
+  for (std::size_t t = 0; t < crossing_table; ++t) {
+    expected += overlap.aps[t].size();
+  }
+  r = verify(overlap);
+  EXPECT_EQ(r.code, VerifyCode::kOverlap) << r.ToString();
+  EXPECT_EQ(r.entry_index, static_cast<std::ptrdiff_t>(expected));
+}
+
+TEST(CrossingTamperTest, DupCrossingGapAndOverlap) {
+  FaultEnv* s = GetEnv();
+  const Box range{Point{3}, Point{6}};
+  DupVo vo = s->dup_wide_vo;
+  std::erase_if(vo.results, [&](const DupVo::DupResultEntry& e) {
+    return !range.Contains(e.key);
+  });
+  std::erase_if(vo.inaccessible, [&](const DupVo::DupInaccessibleEntry& e) {
+    return !range.Contains(e.key);
+  });
+  std::erase_if(vo.boxes, [&](const InaccessibleBoxEntry& e) {
+    return !range.Intersects(e.box);
+  });
+  // Boxes [2, 3] and [6, 7] cross the range; keys 4 and 5 lie inside it.
+  ASSERT_EQ(vo.boxes.size(), 2u);
+  for (const auto& e : vo.boxes) EXPECT_FALSE(range.ContainsBox(e.box));
+  auto verify = [&](const DupVo& v, std::vector<Record>* out) {
+    return VerifyDupRangeVo(s->Ctx(s->dup_wide_domain), range, v, out);
+  };
+  std::vector<Record> rs;
+  ASSERT_TRUE(verify(vo, &rs).ok()) << verify(vo, nullptr).ToString();
+  EXPECT_EQ(CanonRecords(rs), "5,:c;");
+
+  DupVo gap = vo;
+  gap.boxes.pop_back();
+  VerifyResult r = verify(gap, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kCoverageGap) << r.ToString();
+  EXPECT_EQ(r.entry_index, -1);
+
+  // Coverage indexes the two key cells first, then the boxes.
+  DupVo overlap = vo;
+  overlap.boxes.push_back(overlap.boxes[0]);
+  r = verify(overlap, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kOverlap) << r.ToString();
+  EXPECT_EQ(r.entry_index, 4);
 }
 
 // --- Byte-level corruptions map through VerifyResult::FromReader -----------

@@ -166,8 +166,20 @@ TEST_F(UnforgeabilityTest, CannotReplayVoForDifferentRange) {
   // Same VO against a wider range: coverage fails (record 11 would be
   // silently omitted).
   EXPECT_FALSE(user.VerifyRange(Box{{0}, {15}}, vo, nullptr));
-  // And against a narrower range: out-of-range regions.
-  EXPECT_FALSE(user.VerifyRange(Box{{0}, {5}}, vo, nullptr));
+  // And against a narrower range that leaves result 2 outside it.
+  EXPECT_FALSE(user.VerifyRange(Box{{0}, {1}}, vo, nullptr));
+  // A narrower range that only cuts through the inaccessible box [4, 7] is
+  // no forgery: the box's APS proves its in-range part [4, 5] too, so the
+  // replay verifies to exactly the records of a fresh VO for [0, 5].
+  Box narrow{{0}, {5}};
+  std::vector<Record> replayed, fresh;
+  ASSERT_TRUE(VerifyOk(user.VerifyRange(narrow, vo, &replayed)));
+  ASSERT_TRUE(VerifyOk(
+      user.VerifyRange(narrow, sp_->RangeQuery(narrow, roles), &fresh)));
+  ASSERT_EQ(replayed.size(), 1u);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(replayed[0].value, "v2");
+  EXPECT_EQ(fresh[0].value, "v2");
 }
 
 TEST_F(UnforgeabilityTest, CannotSpliceEntriesAcrossUsers) {
