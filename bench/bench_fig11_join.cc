@@ -1,11 +1,18 @@
 // Figure 11: join query performance (TPC-H Q12 shape: Lineitem ⋈ Orders on
-// orderkey) vs. query range — Basic vs. AP2G-tree.
+// orderkey) vs. query range — Basic vs. AP2G-tree. Series: SP CPU time,
+// user CPU time, VO size, and ABS.Relax calls per VO.
+//
+// With --json=PATH (or APQA_BENCH_JSON=PATH) every point is also recorded
+// as rows "<scheme>_<metric>_sel<percent>", scheme basic or ap2g, metric
+// sp_ms, user_ms, vo_kb or relaxations (e.g. "ap2g_vo_kb_sel5");
+// BENCH_paper.json holds a full-mode capture.
 #include "bench_util.h"
 
 using namespace apqa;
 using namespace apqa::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  EnableJsonFromArgs(argc, argv);
   PrintHeader("Figure 11", "join query cost vs. query range (Basic vs AP2G)");
   DeployConfig cfg;
   cfg.domain = core::Domain{1, 8};  // 1-D orderkey domain, 256 keys
@@ -25,8 +32,9 @@ int main() {
   core::User user(owner.keys(), owner.EnrollUser(roles));
   std::printf("lineitem keys=%zu orders keys=%zu\n\n", lineitem.size(),
               orders.size());
-  std::printf("%-10s | %-22s | %-22s | %-20s\n", "Range",
-              "SP CPU (ms) B/T", "User CPU (ms) B/T", "VO (KB) B/T");
+  std::printf("%-10s | %-22s | %-22s | %-20s | %-16s\n", "Range",
+              "SP CPU (ms) B/T", "User CPU (ms) B/T", "VO (KB) B/T",
+              "Relax/VO B/T");
 
   int queries = QueriesPerRow();
   std::vector<double> sels = FastMode()
@@ -34,33 +42,41 @@ int main() {
                                  : std::vector<double>{0.025, 0.05, 0.1, 0.2};
   crypto::Rng rng(99);
   for (double sel : sels) {
-    double sp_b = 0, sp_t = 0, u_b = 0, u_t = 0, kb_b = 0, kb_t = 0;
+    QueryCosts basic, tree;
     for (int q = 0; q < queries; ++q) {
       core::Box range = tpch::RandomRangeQuery(cfg.domain, sel, &rng);
       Timer t;
-      core::JoinVo basic = sp.BasicJoinQuery(range, roles);
-      sp_b += t.ElapsedMs();
+      core::JoinVo basic_vo = sp.BasicJoinQuery(range, roles);
+      basic.sp_ms += t.ElapsedMs();
       t.Reset();
-      core::JoinVo tree = sp.JoinQuery(range, roles);
-      sp_t += t.ElapsedMs();
-      kb_b += basic.SerializedSize() / 1024.0;
-      kb_t += tree.SerializedSize() / 1024.0;
+      core::JoinVo tree_vo = sp.JoinQuery(range, roles);
+      tree.sp_ms += t.ElapsedMs();
+      basic.vo_kb += basic_vo.SerializedSize() / 1024.0;
+      tree.vo_kb += tree_vo.SerializedSize() / 1024.0;
+      basic.relaxations += Relaxations(basic_vo);
+      tree.relaxations += Relaxations(tree_vo);
       std::vector<std::vector<core::Record>> r1, r2;
       t.Reset();
-      bool ok1 = user.VerifyJoin(range, basic, &r1).ok();
-      u_b += t.ElapsedMs();
+      bool ok1 = user.VerifyJoin(range, basic_vo, &r1).ok();
+      basic.user_ms += t.ElapsedMs();
       t.Reset();
-      bool ok2 = user.VerifyJoin(range, tree, &r2).ok();
-      u_t += t.ElapsedMs();
+      bool ok2 = user.VerifyJoin(range, tree_vo, &r2).ok();
+      tree.user_ms += t.ElapsedMs();
       if (!ok1 || !ok2 || r1.size() != r2.size()) {
         std::fprintf(stderr, "BENCH BUG: join mismatch\n");
         return 1;
       }
     }
-    std::printf("%-9.1f%% | %8.0f / %-11.0f | %8.0f / %-11.0f | %7.0f / %-10.0f\n",
-                sel * 100, sp_b / queries, sp_t / queries, u_b / queries,
-                u_t / queries, kb_b / queries, kb_t / queries);
+    basic = PerQuery(basic, queries);
+    tree = PerQuery(tree, queries);
+    std::printf(
+        "%-9.1f%% | %8.0f / %-11.0f | %8.0f / %-11.0f | %7.0f / %-10.0f | "
+        "%6.1f / %-7.1f\n",
+        sel * 100, basic.sp_ms, tree.sp_ms, basic.user_ms, tree.user_ms,
+        basic.vo_kb, tree.vo_kb, basic.relaxations, tree.relaxations);
     std::fflush(stdout);
+    RecordPoint("fig11_join", "basic", sel, basic);
+    RecordPoint("fig11_join", "ap2g", sel, tree);
   }
   std::printf("\nExpected shape (paper Fig 11): AP2G-tree substantially lower\n"
               "than Basic on all metrics.\n");

@@ -1,13 +1,20 @@
 // Figure 15 (Appendix E): handling duplicate records — the zero-knowledge
 // virtual-dimension AP2G-tree vs. the non-ZK dup-embedding AP2G-tree vs. the
-// Basic approach, over data with duplicate query keys.
+// Basic approach, over data with duplicate query keys. Series: SP CPU time,
+// user CPU time, VO size, and ABS.Relax calls per VO.
+//
+// With --json=PATH (or APQA_BENCH_JSON=PATH) every point is also recorded
+// as rows "<scheme>_<metric>_sel<percent>", scheme basic, zk or nonzk,
+// metric sp_ms, user_ms, vo_kb or relaxations (e.g. "nonzk_vo_kb_sel20");
+// BENCH_paper.json holds a full-mode capture.
 #include "bench_util.h"
 #include "core/duplicates.h"
 
 using namespace apqa;
 using namespace apqa::bench;
 
-int main() {
+int main(int argc, char** argv) {
+  EnableJsonFromArgs(argc, argv);
   PrintHeader("Figure 15", "duplicate records: ZK vs non-ZK vs Basic");
   DeployConfig cfg;
   cfg.domain = core::Domain{1, 5};  // 1-D keys 0..31 with duplicates
@@ -68,16 +75,16 @@ int main() {
               nsig / 1048576.0, nz_build);
 
   int queries = QueriesPerRow();
-  std::printf("%-10s | %-28s | %-28s | %-24s\n", "Range",
+  std::printf("%-10s | %-28s | %-28s | %-24s | %-22s\n", "Range",
               "SP CPU (ms) B/ZK/nZK", "User CPU (ms) B/ZK/nZK",
-              "VO (KB) B/ZK/nZK");
+              "VO (KB) B/ZK/nZK", "Relax/VO B/ZK/nZK");
   std::vector<double> sels = FastMode()
                                  ? std::vector<double>{0.2}
                                  : std::vector<double>{0.1, 0.2, 0.4};
   crypto::Rng nz_rng(17);
   for (double sel : sels) {
     crypto::Rng qrng(7);
-    double sp[3] = {0, 0, 0}, us[3] = {0, 0, 0}, kb[3] = {0, 0, 0};
+    QueryCosts basic, zk, nonzk;
     for (int q = 0; q < queries; ++q) {
       core::Box range = tpch::RandomRangeQuery(cfg.domain, sel, &qrng);
       core::Box zk_range =
@@ -86,20 +93,22 @@ int main() {
       // Basic (ZK, per-cell equality over the extended domain).
       Timer t;
       core::Vo bvo = zk_sp.BasicRangeQuery(zk_range, roles);
-      sp[0] += t.ElapsedMs();
-      kb[0] += bvo.SerializedSize() / 1024.0;
+      basic.sp_ms += t.ElapsedMs();
+      basic.vo_kb += bvo.SerializedSize() / 1024.0;
+      basic.relaxations += Relaxations(bvo);
       t.Reset();
       bool ok0 = zk_user.VerifyRange(zk_range, bvo, nullptr).ok();
-      us[0] += t.ElapsedMs();
+      basic.user_ms += t.ElapsedMs();
 
       // ZK AP2G-tree over the virtual dimension.
       t.Reset();
       core::Vo zvo = zk_sp.RangeQuery(zk_range, roles);
-      sp[1] += t.ElapsedMs();
-      kb[1] += zvo.SerializedSize() / 1024.0;
+      zk.sp_ms += t.ElapsedMs();
+      zk.vo_kb += zvo.SerializedSize() / 1024.0;
+      zk.relaxations += Relaxations(zvo);
       t.Reset();
       bool ok1 = zk_user.VerifyRange(zk_range, zvo, nullptr).ok();
-      us[1] += t.ElapsedMs();
+      zk.user_ms += t.ElapsedMs();
 
       // Non-ZK dup-embedding tree.
       t.Reset();
@@ -107,23 +116,31 @@ int main() {
                                               range, roles,
                                               nz_owner.keys().universe,
                                               &nz_rng);
-      sp[2] += t.ElapsedMs();
-      kb[2] += nvo.SerializedSize() / 1024.0;
+      nonzk.sp_ms += t.ElapsedMs();
+      nonzk.vo_kb += nvo.SerializedSize() / 1024.0;
+      nonzk.relaxations +=
+          static_cast<double>(nvo.inaccessible.size() + nvo.boxes.size());
       t.Reset();
       bool ok2 = core::VerifyDupRangeVo(nz_ctx, range, nvo, nullptr).ok();
-      us[2] += t.ElapsedMs();
+      nonzk.user_ms += t.ElapsedMs();
       if (!ok0 || !ok1 || !ok2) {
         std::fprintf(stderr, "BENCH BUG: duplicate VO failed (%d/%d/%d)\n",
                      ok0, ok1, ok2);
         return 1;
       }
     }
+    basic = PerQuery(basic, queries);
+    zk = PerQuery(zk, queries);
+    nonzk = PerQuery(nonzk, queries);
     std::printf("%-9.1f%% | %7.0f/%7.0f/%-10.0f | %7.0f/%7.0f/%-10.0f |"
-                " %6.0f/%6.0f/%-8.0f\n",
-                sel * 100, sp[0] / queries, sp[1] / queries, sp[2] / queries,
-                us[0] / queries, us[1] / queries, us[2] / queries,
-                kb[0] / queries, kb[1] / queries, kb[2] / queries);
+                " %6.0f/%6.0f/%-8.0f | %5.1f/%5.1f/%-8.1f\n",
+                sel * 100, basic.sp_ms, zk.sp_ms, nonzk.sp_ms, basic.user_ms,
+                zk.user_ms, nonzk.user_ms, basic.vo_kb, zk.vo_kb, nonzk.vo_kb,
+                basic.relaxations, zk.relaxations, nonzk.relaxations);
     std::fflush(stdout);
+    RecordPoint("fig15_duplicates", "basic", sel, basic);
+    RecordPoint("fig15_duplicates", "zk", sel, zk);
+    RecordPoint("fig15_duplicates", "nonzk", sel, nonzk);
   }
   std::printf("\nExpected shape (paper Fig 15): the ZK virtual-dimension\n"
               "index costs ~3x the non-ZK variant (and ~3-4x its size), and\n"

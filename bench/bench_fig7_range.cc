@@ -11,21 +11,6 @@
 using namespace apqa;
 using namespace apqa::bench;
 
-namespace {
-
-void RecordPoint(const char* scheme, double sel, const QueryCosts& c) {
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), "_sel%g", sel * 100);
-  std::string prefix = scheme;
-  RecordJson("fig7_range", prefix + "_sp_ms" + suffix, c.sp_ms, "ms");
-  RecordJson("fig7_range", prefix + "_user_ms" + suffix, c.user_ms, "ms");
-  RecordJson("fig7_range", prefix + "_vo_kb" + suffix, c.vo_kb, "KiB");
-  RecordJson("fig7_range", prefix + "_relaxations" + suffix, c.relaxations,
-             "count");
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   EnableJsonFromArgs(argc, argv);
   PrintHeader("Figure 7", "range query cost vs. query range (Basic vs AP2G)");
@@ -40,7 +25,7 @@ int main(int argc, char** argv) {
   int queries = QueriesPerRow();
   std::vector<double> sels = FastMode()
                                  ? std::vector<double>{0.02, 0.08}
-                                 : std::vector<double>{0.005, 0.01, 0.02, 0.04,
+                                 : std::vector<double>{0.002, 0.01, 0.02, 0.04,
                                                        0.08};
   for (double sel : sels) {
     QueryCosts basic = MeasureRange(d, sel, queries, /*basic=*/true);
@@ -51,8 +36,8 @@ int main(int argc, char** argv) {
         sel * 100, basic.sp_ms, tree.sp_ms, basic.user_ms, tree.user_ms,
         basic.vo_kb, tree.vo_kb, basic.relaxations, tree.relaxations);
     std::fflush(stdout);
-    RecordPoint("basic", sel, basic);
-    RecordPoint("ap2g", sel, tree);
+    RecordPoint("fig7_range", "basic", sel, basic);
+    RecordPoint("fig7_range", "ap2g", sel, tree);
   }
   std::printf("\nExpected shape (paper Fig 7): AP2G-tree beats Basic on every\n"
               "metric; the gap widens with the range size because APS\n"

@@ -178,6 +178,42 @@ struct QueryCosts {
   double relaxations = 0;  // APS entries, one ABS.Relax each
 };
 
+// Records one exhibit point of `bench` as rows
+// "<scheme>_<metric>_sel<percent>", metric sp_ms, user_ms, vo_kb or
+// relaxations (e.g. "ap2g_sp_ms_sel8").
+inline void RecordPoint(const std::string& bench, const std::string& scheme,
+                        double sel, const QueryCosts& c) {
+  char suffix[32];
+  std::snprintf(suffix, sizeof(suffix), "_sel%g", sel * 100);
+  RecordJson(bench, scheme + "_sp_ms" + suffix, c.sp_ms, "ms");
+  RecordJson(bench, scheme + "_user_ms" + suffix, c.user_ms, "ms");
+  RecordJson(bench, scheme + "_vo_kb" + suffix, c.vo_kb, "KiB");
+  RecordJson(bench, scheme + "_relaxations" + suffix, c.relaxations, "count");
+}
+
+// Averages every field of `c` over `queries`.
+inline QueryCosts PerQuery(QueryCosts c, int queries) {
+  c.sp_ms /= queries;
+  c.user_ms /= queries;
+  c.vo_kb /= queries;
+  c.results /= queries;
+  c.relaxations /= queries;
+  return c;
+}
+
+// APS entries of a range or join VO, one ABS.Relax each.
+inline double Relaxations(const core::Vo& vo) {
+  return static_cast<double>(std::count_if(
+      vo.entries.begin(), vo.entries.end(), [](const core::VoEntry& e) {
+        return !std::holds_alternative<core::ResultEntry>(e);
+      }));
+}
+inline double Relaxations(const core::JoinVo& vo) {
+  double n = 0;
+  for (const auto& side : vo.aps) n += static_cast<double>(side.size());
+  return n;
+}
+
 inline QueryCosts MeasureRange(Deployment& d, double selectivity, int queries,
                                bool basic, std::uint64_t query_seed = 7) {
   crypto::Rng rng(query_seed);
@@ -200,17 +236,9 @@ inline QueryCosts MeasureRange(Deployment& d, double selectivity, int queries,
       std::abort();
     }
     costs.results += static_cast<double>(results.size());
-    costs.relaxations += static_cast<double>(std::count_if(
-        vo.entries.begin(), vo.entries.end(), [](const core::VoEntry& e) {
-          return !std::holds_alternative<core::ResultEntry>(e);
-        }));
+    costs.relaxations += Relaxations(vo);
   }
-  costs.sp_ms /= queries;
-  costs.user_ms /= queries;
-  costs.vo_kb /= queries;
-  costs.results /= queries;
-  costs.relaxations /= queries;
-  return costs;
+  return PerQuery(costs, queries);
 }
 
 inline void PrintHeader(const char* exhibit, const char* description) {

@@ -59,31 +59,39 @@ int main() {
   std::printf("    + %zu hidden trades, %zu empty-gap proofs\n\n",
               vo.inaccessible.size(), vo.gaps.size());
 
-  // Equality query on an exact timestamp with no trade: the gap region
-  // proves absence (the relaxed model discloses distribution knowledge).
-  ContinuousVo evo =
-      BuildContinuousEqualityVo(ads, mvk, 1'005'000, trader, universe, &rng);
-  std::optional<ContinuousRecord> result;
-  if (VerifyResult r = VerifyContinuousEqualityVo(ctx, 1'005'000, evo, &result);
+  // Equality query on an exact timestamp with no trade: the range [t, t],
+  // whose one gap entry proves absence (the relaxed model discloses
+  // distribution knowledge).
+  ContinuousVo evo = BuildContinuousRangeVo(ads, mvk, 1'005'000, 1'005'000,
+                                            trader, universe, &rng);
+  results.clear();
+  if (VerifyResult r =
+          VerifyContinuousRangeVo(ctx, 1'005'000, 1'005'000, evo, &results);
       !r.ok()) {
     std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
   std::printf("equality t=1005000: verified, %s\n",
-              result.has_value() ? "trade found" : "proven absent (gap)");
+              !results.empty() ? "trade found" : "proven absent (gap)");
 
   // The compliance flag at t=1000048 is invisible to the trader but its
   // *presence in the timeline* is provable — that is exactly the §9.2
   // trade-off versus the zero-knowledge grid.
-  ContinuousVo fvo =
-      BuildContinuousEqualityVo(ads, mvk, 1'000'048, trader, universe, &rng);
-  if (VerifyResult r = VerifyContinuousEqualityVo(ctx, 1'000'048, fvo, &result);
+  ContinuousVo fvo = BuildContinuousRangeVo(ads, mvk, 1'000'048, 1'000'048,
+                                            trader, universe, &rng);
+  results.clear();
+  if (VerifyResult r =
+          VerifyContinuousRangeVo(ctx, 1'000'048, 1'000'048, fvo, &results);
       !r.ok()) {
     std::printf("VERIFICATION FAILED: %s\n", r.ToString().c_str());
     return 1;
   }
-  std::printf("equality t=1000048: verified, %s\n",
-              result.has_value() ? "trade visible"
-                                 : "a record exists but is inaccessible");
+  const char* outcome = "proven absent (gap)";
+  if (!results.empty()) {
+    outcome = "trade visible";
+  } else if (!fvo.inaccessible.empty()) {
+    outcome = "a record exists but is inaccessible";
+  }
+  std::printf("equality t=1000048: verified, %s\n", outcome);
   return 0;
 }

@@ -65,6 +65,11 @@
 #   9. paper shape: one fast-mode run of bench_fig7_range; at an 8% range
 #      the AP2G tree must cost no more than Basic on SP CPU, user CPU and
 #      VO size (Fig 7's claim, gated as a shape rather than a time)
+#  10. paper shape: one fast-mode run each of bench_fig11_join and
+#      bench_fig15_duplicates, gated on their deterministic rows only (VO
+#      size and ABS.Relax calls per VO): at a 5% join range AP2G is at or
+#      below Basic (Fig 11), and at a 20% duplicate range non-ZK is at or
+#      below ZK, which is at or below Basic (Fig 15)
 #
 # Usage: scripts/check.sh [--quick|--skip-sanitize]
 #   --quick          analyzers + Release build + ctest only
@@ -405,5 +410,44 @@ for metric in ("sp_ms", "user_ms", "vo_kb"):
           f"({tree / basic:.2f}x)")
 EOF
 rm -f "$FIG7_JSON"
+
+echo "=== paper shape (bench_fig11_join, bench_fig15_duplicates, fast mode) ==="
+# VO size and relaxations per VO depend only on the seeds, so these shapes
+# hold exactly run to run; the time rows are recorded, not gated.
+cmake --build build -j --target bench_fig11_join bench_fig15_duplicates \
+  >/dev/null
+SHAPE_JSON=$(mktemp /tmp/BENCH_paper_smoke.XXXXXX.json)
+rm -f "$SHAPE_JSON"
+APQA_BENCH_FAST=1 APQA_BENCH_JSON="$SHAPE_JSON" \
+  ./build/bench/bench_fig11_join >/dev/null
+APQA_BENCH_FAST=1 APQA_BENCH_JSON="$SHAPE_JSON" \
+  ./build/bench/bench_fig15_duplicates >/dev/null
+python3 - "$SHAPE_JSON" <<'EOF'
+import json, sys
+rows = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        r = json.loads(line)
+        rows[(r["bench"], r["row"])] = r["value"]
+# (bench, selectivity suffix, schemes whose values must not decrease)
+shapes = [("fig11_join", "sel5", ("ap2g", "basic")),
+          ("fig15_duplicates", "sel20", ("nonzk", "zk", "basic"))]
+for bench, sel, order in shapes:
+    for metric in ("vo_kb", "relaxations"):
+        values = []
+        for scheme in order:
+            row = f"{scheme}_{metric}_{sel}"
+            if (bench, row) not in rows:
+                sys.exit(f"{bench} shape: row {row} missing")
+            values.append(rows[(bench, row)])
+        for i in range(len(order) - 1):
+            if values[i] > values[i + 1]:
+                sys.exit(f"{bench} shape: {order[i]}_{metric}_{sel} "
+                         f"{values[i]:.2f} > {order[i + 1]}_{metric}_{sel} "
+                         f"{values[i + 1]:.2f}")
+        print(f"{bench} shape: {metric} at {sel}: " +
+              " <= ".join(f"{s} {v:.2f}" for s, v in zip(order, values)))
+EOF
+rm -f "$SHAPE_JSON"
 
 echo "=== all checks passed ==="

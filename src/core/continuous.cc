@@ -314,111 +314,4 @@ VerifyResult VerifyContinuousRangeVo(const VerifyContext& ctx,
       });
 }
 
-ContinuousVo BuildContinuousEqualityVo(const ContinuousAds& ads,
-                                       const VerifyKey& mvk, std::uint64_t key,
-                                       const RoleSet& user_roles,
-                                       const RoleSet& universe, Rng* rng) {
-  RoleSet lacked = SuperPolicyRoles(universe, user_roles);
-  ContinuousVo vo;
-  vo.stamp = ads.stamp();
-  for (const auto& sr : ads.records()) {
-    if (sr.record.key != key) continue;
-    if (sr.record.policy.Evaluate(user_roles)) {
-      vo.results.push_back(ContinuousVo::ResultEntry{
-          sr.record.key, sr.record.value, sr.record.policy, sr.sig});
-    } else {
-      Digest vh = crypto::Sha256::Hash(sr.record.value.data(),
-                                       sr.record.value.size());
-      auto msg = ContinuousRecordMessageFromHash(sr.record.key, vh);
-      auto aps =
-          abs::Abs::Relax(mvk, sr.sig, sr.record.policy, msg, lacked, rng);
-      vo.inaccessible.push_back(
-          ContinuousVo::InaccessibleEntry{sr.record.key, vh, std::move(*aps)});
-    }
-    return vo;
-  }
-  Policy pseudo = Policy::Var(kPseudoRole);
-  for (const auto& sg : ads.gaps()) {
-    if (sg.gap.lo < key && key < sg.gap.hi) {
-      auto aps =
-          abs::Abs::Relax(mvk, sg.sig, pseudo, GapMessage(sg.gap), lacked, rng);
-      vo.gaps.push_back(ContinuousVo::GapEntry{sg.gap, std::move(*aps)});
-      return vo;
-    }
-  }
-  return vo;  // key coincides with a sentinel; empty VO will fail verification
-}
-
-VerifyResult VerifyContinuousEqualityVo(
-    const VerifyContext& ctx, std::uint64_t key, const ContinuousVo& vo,
-    std::optional<ContinuousRecord>* result) {
-  const Policy super_policy = ctx.SuperPolicy();
-  // Set by the walk: the VO's one signature job, and the accessible record
-  // if the entry holds one.
-  std::optional<std::size_t> job;
-  const ContinuousVo::ResultEntry* accessible_entry = nullptr;
-  return RunVerify(
-      ctx, {&vo.stamp},
-      [&](SigBatch& batch) -> VerifyResult {
-        std::size_t total =
-            vo.results.size() + vo.inaccessible.size() + vo.gaps.size();
-        if (total != 1) {
-          return VerifyResult::Fail(
-              VerifyCode::kWrongEntryCount,
-              "equality VO must contain exactly one entry");
-        }
-        if (!vo.results.empty()) {
-          const auto& e = vo.results[0];
-          if (e.key != key) {
-            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                      "result key does not match query", 0);
-          }
-          if (!e.policy.Evaluate(ctx.roles)) {
-            return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
-                                      "result policy not satisfied", 0);
-          }
-          job = batch.Add(ContinuousRecordMessage(e.key, e.value), &e.policy,
-                          &e.app_sig,
-                          VerifyResult::Fail(
-                              VerifyCode::kBadSignature,
-                              "APP signature verification failed", 0));
-          accessible_entry = &e;
-        } else if (!vo.inaccessible.empty()) {
-          const auto& e = vo.inaccessible[0];
-          if (e.key != key) {
-            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                      "inaccessible key mismatch", 0);
-          }
-          job = batch.Add(ContinuousRecordMessageFromHash(e.key, e.value_hash),
-                          &super_policy, &e.aps_sig,
-                          VerifyResult::Fail(
-                              VerifyCode::kBadSignature,
-                              "APS signature verification failed", 0));
-        } else {
-          const auto& e = vo.gaps[0];
-          if (!(e.gap.lo < key && key < e.gap.hi)) {
-            return VerifyResult::Fail(VerifyCode::kKeyMismatch,
-                                      "gap does not contain query key", 0);
-          }
-          job = batch.Add(GapMessage(e.gap), &super_policy, &e.aps_sig,
-                          VerifyResult::Fail(
-                              VerifyCode::kBadSignature,
-                              "gap APS signature verification failed", 0));
-        }
-        return VerifyResult::Ok();
-      },
-      [&](std::size_t limit) {
-        // The entry's job is below the limit iff it was queued and it and
-        // the attestations ahead of it verified.
-        if (!job || *job >= limit || result == nullptr) return;
-        if (accessible_entry == nullptr) {
-          result->reset();
-        } else {
-          *result = ContinuousRecord{accessible_entry->key,
-                                     accessible_entry->value,
-                                     accessible_entry->policy};
-        }
-      });
-}
-
 }  // namespace apqa::core

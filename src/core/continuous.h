@@ -3,16 +3,16 @@
 //
 // Instead of one pseudo record per discrete key, the DO signs pseudo
 // *regions* with policy Role_∅ for the gaps between consecutive keys:
-// (-∞, o₁), (o₁, o₂), …, (o_n, +∞). An equality or range query is answered
-// with the matching records plus APS signatures for the intersecting gap
-// regions. This discloses the key distribution (acceptable once
-// zero-knowledge is relaxed) but makes the ADS size proportional to the
-// data instead of the domain.
+// (-∞, o₁), (o₁, o₂), …, (o_n, +∞). A range query is answered with the
+// matching records plus APS signatures for the intersecting gap regions; an
+// equality query on k is the range query [k, k], whose VO is one entry: the
+// record, or the one gap that contains k. This discloses the key
+// distribution (acceptable once zero-knowledge is relaxed) but makes the ADS
+// size proportional to the data instead of the domain.
 #ifndef APQA_CORE_CONTINUOUS_H_
 #define APQA_CORE_CONTINUOUS_H_
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -123,28 +123,6 @@ inline VerifyResult VerifyContinuousRangeVo(
     std::vector<ContinuousRecord>* results) {
   // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
   return VerifyContinuousRangeVo(ctx, alpha, beta, vo.Unvalidated(), results);
-}
-
-// SP side: equality query. Either one record entry (result/inaccessible) or
-// one gap entry proving absence.
-ContinuousVo BuildContinuousEqualityVo(const ContinuousAds& ads,
-                                       const VerifyKey& mvk, std::uint64_t key,
-                                       const RoleSet& user_roles,
-                                       const RoleSet& universe, Rng* rng);
-
-// On success `result` (if not null) holds the record when it is
-// accessible and is reset when the VO proves it inaccessible or absent.
-VerifyResult VerifyContinuousEqualityVo(
-    const VerifyContext& ctx, std::uint64_t key, const ContinuousVo& vo,
-    std::optional<ContinuousRecord>* result);
-
-// Declassification gate for wire-decoded VOs (see above).
-inline VerifyResult VerifyContinuousEqualityVo(
-    const VerifyContext& ctx, std::uint64_t key,
-    const common::Untrusted<ContinuousVo>& vo,
-    std::optional<ContinuousRecord>* result) {
-  // untrusted-ok: Verify*Vo is the declassification gate for SP bytes.
-  return VerifyContinuousEqualityVo(ctx, key, vo.Unvalidated(), result);
 }
 
 }  // namespace apqa::core

@@ -4,7 +4,6 @@
 #include "core/range_query.h"
 
 #include <algorithm>
-#include <deque>
 #include <set>
 #include <stdexcept>
 
@@ -104,38 +103,6 @@ std::vector<std::uint8_t> DupRecordMessageFromHash(const Point& key,
   return msg;
 }
 
-std::vector<std::uint32_t> DupGridTree::Coords(NodeId id) const {
-  std::vector<std::uint32_t> c(domain_.dims);
-  std::uint64_t side = std::uint64_t{1} << id.level;
-  std::uint64_t idx = id.index;
-  for (int d = domain_.dims - 1; d >= 0; --d) {
-    c[d] = static_cast<std::uint32_t>(idx % side);
-    idx /= side;
-  }
-  return c;
-}
-
-std::uint64_t DupGridTree::IndexOf(int level,
-                                   const std::vector<std::uint32_t>& c) const {
-  std::uint64_t side = std::uint64_t{1} << level;
-  std::uint64_t idx = 0;
-  for (int d = 0; d < domain_.dims; ++d) idx = idx * side + c[d];
-  return idx;
-}
-
-std::vector<DupGridTree::NodeId> DupGridTree::Children(NodeId id) const {
-  std::vector<NodeId> out;
-  if (IsLeafLevel(id)) return out;
-  std::vector<std::uint32_t> c = Coords(id);
-  int n = 1 << domain_.dims;
-  for (int mask = 0; mask < n; ++mask) {
-    std::vector<std::uint32_t> cc(domain_.dims);
-    for (int d = 0; d < domain_.dims; ++d) cc[d] = 2 * c[d] + ((mask >> d) & 1);
-    out.push_back(NodeId{id.level + 1, IndexOf(id.level + 1, cc)});
-  }
-  return out;
-}
-
 DupGridTree DupGridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
                                const Domain& domain,
                                const std::vector<Record>& records, Rng* rng) {
@@ -152,15 +119,9 @@ DupGridTree DupGridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
   }
 
   int bits = domain.bits;
-  std::uint64_t leaf_count = domain.CellCount();
-  auto& leaves = tree.levels_[bits];
-  leaves.resize(leaf_count);
+  tree.LayOutLevel(bits);
   Policy pseudo = Policy::Var(kPseudoRole);
-  for (std::uint64_t i = 0; i < leaf_count; ++i) {
-    Node& node = leaves[i];
-    node.is_leaf = true;
-    auto c = tree.Coords(NodeId{bits, i});
-    node.box = Box{Point(c.begin(), c.end()), Point(c.begin(), c.end())};
+  for (Node& node : tree.levels_[bits]) {
     auto it = by_key.find(node.box.lo);
     std::uint32_t dup_num = 0;
     if (it == by_key.end()) {
@@ -201,28 +162,11 @@ DupGridTree DupGridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
   }
 
   for (int level = bits - 1; level >= 0; --level) {
-    std::uint64_t count = 1;
-    for (int d = 0; d < domain.dims; ++d) count *= std::uint64_t{1} << level;
+    tree.LayOutLevel(level);
     auto& nodes = tree.levels_[level];
-    nodes.resize(count);
-    std::uint32_t cell_side = std::uint32_t{1} << (bits - level);
-    for (std::uint64_t i = 0; i < count; ++i) {
+    for (std::uint64_t i = 0; i < nodes.size(); ++i) {
       Node& node = nodes[i];
-      NodeId id{level, i};
-      auto c = tree.Coords(id);
-      node.box.lo.resize(domain.dims);
-      node.box.hi.resize(domain.dims);
-      for (int d = 0; d < domain.dims; ++d) {
-        node.box.lo[d] = c[d] * cell_side;
-        node.box.hi[d] = node.box.lo[d] + cell_side - 1;
-      }
-      bool first = true;
-      for (NodeId child : tree.Children(id)) {
-        const Policy& cp = tree.GetNode(child).policy;
-        node.policy =
-            first ? cp.ToDnf() : policy::OrCombineDnf(node.policy, cp);
-        first = false;
-      }
+      node.policy = tree.OrOfChildren(NodeId{level, i});
       auto sig =
           abs::Abs::Sign(mvk, sk_do, BoxMessage(node.box), node.policy, rng);
       node.sig = std::move(*sig);
@@ -263,62 +207,47 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
   RoleSet lacked = SuperPolicyRoles(universe, user_roles);
   DupVo vo;
   vo.stamp = tree.stamp();
-  std::deque<DupGridTree::NodeId> queue{tree.Root()};
-  while (!queue.empty()) {
-    DupGridTree::NodeId id = queue.front();
-    queue.pop_front();
-    const DupGridTree::Node& node = tree.GetNode(id);
-    if (!node.box.Intersects(range)) continue;
-    if (!range.ContainsBox(node.box)) {
-      for (auto c : tree.Children(id)) queue.push_back(c);
-      continue;
-    }
-    if (!node.policy.Evaluate(user_roles)) {
-      if (node.is_leaf) {
-        // Whole duplicate group inaccessible: one APS per member (the
-        // member count dup_num is disclosed — non-ZK by design).
-        std::uint32_t dup_num = static_cast<std::uint32_t>(node.dups.size());
-        for (const auto& e : node.dups) {
-          Digest vh = crypto::Sha256::Hash(e.record.value.data(),
-                                           e.record.value.size());
-          auto msg =
-              DupRecordMessageFromHash(e.record.key, vh, dup_num, e.dup_id);
-          auto aps =
-              abs::Abs::Relax(mvk, e.sig, e.record.policy, msg, lacked, rng);
-          vo.inaccessible.push_back(DupVo::DupInaccessibleEntry{
-              e.record.key, vh, dup_num, e.dup_id, std::move(*aps)});
+  // One APS per group member (the member count dup_num is disclosed —
+  // non-ZK by design).
+  auto relax_member = [&](const DupEntry& e, std::uint32_t dup_num) {
+    Digest vh =
+        crypto::Sha256::Hash(e.record.value.data(), e.record.value.size());
+    auto msg = DupRecordMessageFromHash(e.record.key, vh, dup_num, e.dup_id);
+    auto aps = abs::Abs::Relax(mvk, e.sig, e.record.policy, msg, lacked, rng);
+    vo.inaccessible.push_back(DupVo::DupInaccessibleEntry{
+        e.record.key, vh, dup_num, e.dup_id, std::move(*aps)});
+  };
+  WalkGridCover(
+      tree, range,
+      [&](DupGridTree::NodeId id) {
+        return tree.GetNode(id).policy.Evaluate(user_roles);
+      },
+      [&](DupGridTree::NodeId id) {
+        const DupGridTree::Node& node = tree.GetNode(id);
+        if (node.is_leaf) {
+          // Whole duplicate group inaccessible.
+          std::uint32_t dup_num = static_cast<std::uint32_t>(node.dups.size());
+          for (const DupEntry& e : node.dups) relax_member(e, dup_num);
+          return;
         }
-      } else {
         auto aps = abs::Abs::Relax(mvk, node.sig, node.policy,
                                    BoxMessage(node.box), lacked, rng);
         vo.boxes.push_back(InaccessibleBoxEntry{node.box, std::move(*aps)});
-      }
-      continue;
-    }
-    if (!node.is_leaf) {
-      for (auto c : tree.Children(id)) queue.push_back(c);
-      continue;
-    }
-    // Accessible leaf: emit each duplicate individually.
-    std::uint32_t dup_num = static_cast<std::uint32_t>(node.dups.size());
-    for (const auto& e : node.dups) {
-      if (e.record.policy.Evaluate(user_roles)) {
-        vo.results.push_back(DupVo::DupResultEntry{e.record.key,
-                                                   e.record.value,
-                                                   e.record.policy, dup_num,
-                                                   e.dup_id, e.sig});
-      } else {
-        Digest vh = crypto::Sha256::Hash(e.record.value.data(),
-                                         e.record.value.size());
-        auto msg =
-            DupRecordMessageFromHash(e.record.key, vh, dup_num, e.dup_id);
-        auto aps =
-            abs::Abs::Relax(mvk, e.sig, e.record.policy, msg, lacked, rng);
-        vo.inaccessible.push_back(DupVo::DupInaccessibleEntry{
-            e.record.key, vh, dup_num, e.dup_id, std::move(*aps)});
-      }
-    }
-  }
+      },
+      [&](DupGridTree::NodeId id) {
+        // Accessible leaf: emit each duplicate individually.
+        const DupGridTree::Node& node = tree.GetNode(id);
+        std::uint32_t dup_num = static_cast<std::uint32_t>(node.dups.size());
+        for (const DupEntry& e : node.dups) {
+          if (e.record.policy.Evaluate(user_roles)) {
+            vo.results.push_back(DupVo::DupResultEntry{
+                e.record.key, e.record.value, e.record.policy, dup_num,
+                e.dup_id, e.sig});
+          } else {
+            relax_member(e, dup_num);
+          }
+        }
+      });
   return vo;
 }
 

@@ -8,7 +8,10 @@
 //
 // Non-zero-knowledge approach: duplicate counts are embedded in the APP
 // signature messages (hash(o)|hash(v)|dup_num|dup_id). The ADS is a grid
-// tree whose leaves hold the duplicate group; the verifier checks that all
+// tree, addressed like the AP²G-tree, whose leaves hold the duplicate
+// group. The SP runs the cover walk (WalkCover, core/range_query.h): an
+// inaccessible node that meets the range, crossing it or not, is one box
+// APS, or one APS per member for a leaf; the verifier checks that all
 // dup_ids 0..dup_num-1 of every covered key are present.
 #ifndef APQA_CORE_DUPLICATES_H_
 #define APQA_CORE_DUPLICATES_H_
@@ -17,9 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "core/app_signature.h"
-#include "core/record.h"
-#include "core/thread_pool.h"
+#include "core/grid_tree.h"
 #include "core/verify_result.h"
 #include "core/vo.h"
 
@@ -58,47 +59,39 @@ std::vector<std::uint8_t> DupRecordMessageFromHash(const Point& key,
                                                    std::uint32_t dup_num,
                                                    std::uint32_t dup_id);
 
-// Grid tree whose leaves hold duplicate groups.
-class DupGridTree {
+// One member of a leaf's duplicate group, signed over
+// DupRecordMessage(key, value, dup_num, dup_id).
+struct DupEntry {
+  Record record;
+  std::uint32_t dup_id = 0;
+  Signature sig;
+};
+
+struct DupGridNode {
+  Box box;
+  Policy policy;
+  Signature sig;               // internal nodes only
+  bool is_leaf = false;
+  bool is_pseudo = false;      // leaf with no real records
+  std::vector<DupEntry> dups;  // leaf group (size >= 1)
+};
+
+// Grid tree whose leaves hold duplicate groups; addressed like the
+// AP²G-tree (core/grid_tree.h).
+class DupGridTree : public GridLevels<DupGridNode> {
  public:
-  struct DupEntry {
-    Record record;
-    std::uint32_t dup_id = 0;
-    Signature sig;
-  };
-  struct Node {
-    Box box;
-    Policy policy;
-    Signature sig;            // internal nodes only
-    bool is_leaf = false;
-    bool is_pseudo = false;   // leaf with no real records
-    std::vector<DupEntry> dups;  // leaf group (size >= 1)
-  };
-  struct NodeId {
-    int level = 0;
-    std::uint64_t index = 0;
-  };
+  using Node = DupGridNode;
 
   static DupGridTree Build(const VerifyKey& mvk, const SigningKey& sk_do,
                            const Domain& domain,
                            const std::vector<Record>& records, Rng* rng);
 
-  const Domain& domain() const { return domain_; }
   // Freshness attestation minted at Build (static ADS, epoch stays 0).
   const EpochStamp& stamp() const { return stamp_; }
-  NodeId Root() const { return {0, 0}; }
-  const Node& GetNode(NodeId id) const { return levels_[id.level][id.index]; }
-  bool IsLeafLevel(NodeId id) const { return id.level == domain_.bits; }
-  std::vector<NodeId> Children(NodeId id) const;
   void SerializedSize(std::size_t* structure_bytes,
                       std::size_t* signature_bytes) const;
 
  private:
-  std::vector<std::uint32_t> Coords(NodeId id) const;
-  std::uint64_t IndexOf(int level, const std::vector<std::uint32_t>& c) const;
-
-  Domain domain_;
-  std::vector<std::vector<Node>> levels_;
   EpochStamp stamp_;
 };
 

@@ -25,22 +25,82 @@
 
 namespace apqa::core {
 
-class GridTree {
+// Node addressing of a full 2^d-ary grid tree over a power-of-two domain,
+// shared by the AP²G-tree and the duplicate tree (core/duplicates.h).
+class GridShape {
  public:
-  struct Node {
-    Box box;
-    Policy policy;
-    Signature sig;
-    bool is_leaf = false;
-    bool is_pseudo = false;  // leaf without a real record
-    Record record;           // leaf payload (pseudo records hold a random value)
-  };
-
   // Node address: level 0 is the root; level `bits` holds the unit cells.
   struct NodeId {
     int level = 0;
     std::uint64_t index = 0;  // row-major over the level's grid
   };
+
+  const Domain& domain() const { return domain_; }
+  NodeId Root() const { return {0, 0}; }
+  bool IsLeafLevel(NodeId id) const { return id.level == domain_.bits; }
+  // 2^(level·dims) nodes.
+  std::uint64_t LevelSize(int level) const;
+  std::vector<NodeId> Children(NodeId id) const;
+  NodeId Parent(NodeId id) const;
+  // Leaf node covering a unit cell.
+  NodeId LeafAt(const Point& p) const;
+  // The grid box of a node: a 2^(bits-level) cube.
+  Box NodeBox(NodeId id) const;
+
+ protected:
+  Domain domain_;
+
+ private:
+  // Grid coordinates of a node within its level.
+  std::vector<std::uint32_t> Coords(NodeId id) const;
+  std::uint64_t IndexOf(int level, const std::vector<std::uint32_t>& c) const;
+};
+
+// The levels of a grid tree whose nodes carry a `box`, an `is_leaf` flag and
+// a `policy`.
+template <typename NodeT>
+class GridLevels : public GridShape {
+ public:
+  const NodeT& GetNode(NodeId id) const { return levels_[id.level][id.index]; }
+
+ protected:
+  // Sizes level `level` of levels_ and sets its nodes' boxes and leaf flags.
+  void LayOutLevel(int level) {
+    auto& nodes = levels_[level];
+    nodes.resize(LevelSize(level));
+    for (std::uint64_t i = 0; i < nodes.size(); ++i) {
+      nodes[i].box = NodeBox(NodeId{level, i});
+      nodes[i].is_leaf = level == domain_.bits;
+    }
+  }
+
+  // OR of the children's policies in reduced DNF (Definition 6.1).
+  Policy OrOfChildren(NodeId id) const {
+    Policy out;
+    bool first = true;
+    for (NodeId child : Children(id)) {
+      const Policy& cp = GetNode(child).policy;
+      out = first ? cp.ToDnf() : policy::OrCombineDnf(out, cp);
+      first = false;
+    }
+    return out;
+  }
+
+  std::vector<std::vector<NodeT>> levels_;  // levels_[L]: LevelSize(L) nodes
+};
+
+struct GridTreeNode {
+  Box box;
+  Policy policy;
+  Signature sig;
+  bool is_leaf = false;
+  bool is_pseudo = false;  // leaf without a real record
+  Record record;           // leaf payload (pseudo records hold a random value)
+};
+
+class GridTree : public GridLevels<GridTreeNode> {
+ public:
+  using Node = GridTreeNode;
 
   // Builds and signs the tree (DO side). Duplicate keys are rejected
   // (Appendix E handles duplicates via a virtual dimension; see
@@ -49,15 +109,7 @@ class GridTree {
                         const Domain& domain, const std::vector<Record>& records,
                         Rng* rng, ThreadPool* pool = nullptr);
 
-  const Domain& domain() const { return domain_; }
   int depth() const { return domain_.bits; }
-
-  NodeId Root() const { return {0, 0}; }
-  const Node& GetNode(NodeId id) const { return levels_[id.level][id.index]; }
-  bool IsLeafLevel(NodeId id) const { return id.level == domain_.bits; }
-  std::vector<NodeId> Children(NodeId id) const;
-  // Leaf node covering a unit cell.
-  NodeId LeafAt(const Point& p) const;
 
   // --- Dynamic maintenance (ROADMAP item 2) -------------------------------
   //
@@ -101,19 +153,12 @@ class GridTree {
                       std::size_t* signature_bytes) const;
 
  private:
-  // Grid coordinates of a node within its level.
-  std::vector<std::uint32_t> Coords(NodeId id) const;
-  std::uint64_t IndexOf(int level, const std::vector<std::uint32_t>& c) const;
-  // OR of the children's policies in reduced DNF (Definition 6.1).
-  Policy OrOfChildren(NodeId id) const;
   // XOR set-hash contribution of one node's signature; the tree digest is
   // the XOR over all nodes, so single-node replacement is O(1) digest work.
   crypto::Digest NodeContribution(int level, std::uint64_t index,
                                   const Signature& sig) const;
   void RecomputeDigest();
 
-  Domain domain_;
-  std::vector<std::vector<Node>> levels_;  // levels_[L] has 2^(L*dims) nodes
   std::uint64_t epoch_ = 0;
   crypto::Digest digest_{};
   EpochStamp stamp_;

@@ -1,103 +1,56 @@
 #include "core/join_query.h"
 
-#include <deque>
+#include <stdexcept>
 
 #include "core/parallel_verify.h"
 #include "core/range_query.h"
 
 namespace apqa::core {
 
-namespace {
-
-// Smallest node of `tree` under `from` whose box still covers `box`
-// (Algorithm 4). In a full grid tree this is the aligned node at the same
-// level as `box` when the box is a grid box.
-GridTree::NodeId DescendCovering(const GridTree& tree, GridTree::NodeId from,
-                                 const Box& box) {
-  GridTree::NodeId cur = from;
-  for (;;) {
-    if (tree.IsLeafLevel(cur)) return cur;
-    bool descended = false;
-    for (GridTree::NodeId c : tree.Children(cur)) {
-      if (tree.GetNode(c).box.ContainsBox(box)) {
-        cur = c;
-        descended = true;
-        break;
-      }
-    }
-    if (!descended) return cur;
-  }
-}
-
-}  // namespace
-
 JoinVo BuildJoinVo(const std::vector<const GridTree*>& trees,
                    const VerifyKey& mvk, const Box& range,
                    const RoleSet& user_roles, const RoleSet& universe,
                    Rng* rng, ThreadPool* pool) {
+  const Domain& grid = trees[0]->domain();
+  for (const GridTree* t : trees) {
+    if (t->domain() != grid) {
+      throw std::invalid_argument("join tables must share a key grid");
+    }
+  }
   const std::size_t k = trees.size();
+  // The first table, in table order, whose node at `id` the user cannot
+  // access; k if there is none. On the shared grid every table's node at
+  // `id` covers the same box.
+  auto blocking_table = [&](GridTree::NodeId id) {
+    std::size_t i = 0;
+    while (i < k && trees[i]->GetNode(id).policy.Evaluate(user_roles)) ++i;
+    return i;
+  };
   JoinVo vo;
   vo.aps.resize(k);
   for (const GridTree* t : trees) vo.stamps.push_back(t->stamp());
-  // Blocking covers, in BFS order, and the table each one proves.
+  // Blocking covers, in walk order, and the table each one proves.
   std::vector<const GridTree::Node*> covers;
   std::vector<std::size_t> cover_table;
-  auto block = [&](std::size_t table, GridTree::NodeId id) {
-    covers.push_back(&trees[table]->GetNode(id));
-    cover_table.push_back(table);
-  };
-
-  // BFS over the first tree; item[i] (i ≥ 1) is the node of tree i that
-  // covers the region of item[0].
-  const GridTree& lead_tree = *trees[0];
-  std::deque<std::vector<GridTree::NodeId>> queue;
-  std::vector<GridTree::NodeId> root;
-  for (const GridTree* t : trees) root.push_back(t->Root());
-  queue.push_back(std::move(root));
-  while (!queue.empty()) {
-    std::vector<GridTree::NodeId> item = std::move(queue.front());
-    queue.pop_front();
-    const GridTree::Node& lead = lead_tree.GetNode(item[0]);
-    if (!lead.box.Intersects(range)) continue;
-    if (!range.ContainsBox(lead.box)) {
-      for (GridTree::NodeId c : lead_tree.Children(item[0])) {
-        item[0] = c;
-        queue.push_back(item);
-      }
-      continue;
-    }
-    if (!lead.policy.Evaluate(user_roles)) {
-      block(0, item[0]);
-      continue;
-    }
-    // Descend every other tree to the node covering the lead box; the first
-    // inaccessible one blocks the region.
-    bool blocked = false;
-    for (std::size_t i = 1; i < k && !blocked; ++i) {
-      item[i] = DescendCovering(*trees[i], item[i], lead.box);
-      if (!trees[i]->GetNode(item[i]).policy.Evaluate(user_roles)) {
-        block(i, item[i]);
-        blocked = true;
-      }
-    }
-    if (blocked) continue;
-    if (lead_tree.IsLeafLevel(item[0])) {
-      // Accessible leaves in every table: a result tuple. Accessibility
-      // excludes pseudo records (policy Role_∅).
-      std::vector<ResultEntry> tuple;
-      for (std::size_t i = 0; i < k; ++i) {
-        const GridTree::Node& n = trees[i]->GetNode(item[i]);
-        tuple.push_back(
-            ResultEntry{n.record.key, n.record.value, n.record.policy, n.sig});
-      }
-      vo.tuples.push_back(std::move(tuple));
-    } else {
-      for (GridTree::NodeId c : lead_tree.Children(item[0])) {
-        item[0] = c;
-        queue.push_back(item);
-      }
-    }
-  }
+  WalkGridCover(
+      *trees[0], range,
+      [&](GridTree::NodeId id) { return blocking_table(id) == k; },
+      [&](GridTree::NodeId id) {
+        std::size_t table = blocking_table(id);
+        covers.push_back(&trees[table]->GetNode(id));
+        cover_table.push_back(table);
+      },
+      [&](GridTree::NodeId id) {
+        // Accessible leaves in every table: a result tuple. Accessibility
+        // excludes pseudo records (policy Role_∅).
+        std::vector<ResultEntry> tuple;
+        for (const GridTree* t : trees) {
+          const GridTree::Node& n = t->GetNode(id);
+          tuple.push_back(ResultEntry{n.record.key, n.record.value,
+                                      n.record.policy, n.sig});
+        }
+        vo.tuples.push_back(std::move(tuple));
+      });
 
   std::vector<VoEntry> relaxed =
       RelaxNodes(covers, mvk, SuperPolicyRoles(universe, user_roles), rng,

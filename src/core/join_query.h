@@ -1,12 +1,14 @@
 // Authenticated equi-join queries (paper §6.2, Algorithm 4), for k ≥ 2
 // tables.
 //
-// For R1 ⋈ R2 ⋈ ... ⋈ Rk on the shared key, key ∈ [α,β], the SP walks the
-// first table's AP²G-tree and tracks, in every other tree, the smallest
-// node covering the current region. A region contributes no join results if
-// it is inaccessible in any table; the first blocking table (in table
-// order) proves that with one APS signature. Cells accessible in every
-// table are join results, proven by one APP signature per table.
+// For R1 ⋈ R2 ⋈ ... ⋈ Rk on the shared key, key ∈ [α,β], the tables share
+// one key grid, so the node at one position (NodeId) covers the same box in
+// every tree. The SP runs the cover walk (WalkCover, core/range_query.h)
+// over node positions: a position contributes no join results if its node
+// is inaccessible in any table, and the first blocking table (in table
+// order) proves that with one APS signature, also for a node that crosses
+// the range. Cells accessible in every table are join results, proven by
+// one APP signature per table.
 #ifndef APQA_CORE_JOIN_QUERY_H_
 #define APQA_CORE_JOIN_QUERY_H_
 
@@ -38,8 +40,9 @@ struct JoinVo {
   std::size_t SerializedSize() const;
 };
 
-// SP side (Algorithm 4) over trees.size() ≥ 2 tables sharing one key grid.
-// Relaxations fan out over `pool` when given.
+// SP side (Algorithm 4) over trees.size() ≥ 2 tables sharing one key grid;
+// throws std::invalid_argument, before it reads any node, unless every tree
+// has the first tree's Domain. Relaxations fan out over `pool` when given.
 JoinVo BuildJoinVo(const std::vector<const GridTree*>& trees,
                    const VerifyKey& mvk, const Box& range,
                    const RoleSet& user_roles, const RoleSet& universe,

@@ -1,6 +1,7 @@
 #include "core/kd_tree.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
 #include <set>
@@ -276,41 +277,38 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
   RoleSet lacked = SuperPolicyRoles(universe, user_roles);
   KdVo vo;
   vo.stamp = tree.stamp();
-  std::deque<int> queue{tree.root()};
-  while (!queue.empty()) {
-    int idx = queue.front();
-    queue.pop_front();
-    const KdTree::Node& node = tree.nodes()[idx];
-    if (!node.region.Intersects(range)) continue;
-    if (node.is_leaf) {
-      // A leaf crossing the range is returned whole; the verifier clips
-      // its region.
-      if (node.policy.Evaluate(user_roles)) {
+  const std::vector<KdTree::Node>& nodes = tree.nodes();
+  // A leaf region crossing the range is returned whole, as is a crossing
+  // cover; the verifier clips every region to the range.
+  WalkCover(
+      tree.root(), range,
+      [&](int idx) { return CoverView{nodes[idx].region, nodes[idx].is_leaf}; },
+      [&](int idx) { return nodes[idx].policy.Evaluate(user_roles); },
+      [&](int idx) {
+        return std::array<int, 2>{nodes[idx].left, nodes[idx].right};
+      },
+      [&](int idx) {
+        const KdTree::Node& node = nodes[idx];
+        if (node.is_leaf) {
+          Digest vh = crypto::Sha256::Hash(node.record.value.data(),
+                                           node.record.value.size());
+          auto msg = KdLeafMessageFromHash(node.region, node.record.key, vh);
+          auto aps =
+              abs::Abs::Relax(mvk, node.sig, node.policy, msg, lacked, rng);
+          vo.leaves.push_back(KdInaccessibleLeafEntry{
+              node.region, node.record.key, vh, std::move(*aps)});
+          return;
+        }
+        auto aps = abs::Abs::Relax(mvk, node.sig, node.policy,
+                                   BoxMessage(node.region), lacked, rng);
+        vo.boxes.push_back(InaccessibleBoxEntry{node.region, std::move(*aps)});
+      },
+      [&](int idx) {
+        const KdTree::Node& node = nodes[idx];
         vo.results.push_back(KdResultEntry{node.region, node.record.key,
                                            node.record.value,
                                            node.record.policy, node.sig});
-      } else {
-        Digest vh = crypto::Sha256::Hash(node.record.value.data(),
-                                         node.record.value.size());
-        auto msg = KdLeafMessageFromHash(node.region, node.record.key, vh);
-        auto aps = abs::Abs::Relax(mvk, node.sig, node.policy, msg, lacked, rng);
-        vo.leaves.push_back(
-            KdInaccessibleLeafEntry{node.region, node.record.key, vh,
-                                    std::move(*aps)});
-      }
-      continue;
-    }
-    // An internal node the user cannot access is relaxed once, whether the
-    // range contains it or it crosses the range boundary; the verifier clips.
-    if (node.policy.Evaluate(user_roles)) {
-      queue.push_back(node.left);
-      queue.push_back(node.right);
-    } else {
-      auto msg = BoxMessage(node.region);
-      auto aps = abs::Abs::Relax(mvk, node.sig, node.policy, msg, lacked, rng);
-      vo.boxes.push_back(InaccessibleBoxEntry{node.region, std::move(*aps)});
-    }
-  }
+      });
   return vo;
 }
 

@@ -111,7 +111,8 @@ struct KdVo {
   static KdVo DeserializeRaw(common::ByteReader* r);
 };
 
-// SP side: Algorithm 3 adapted to the kd structure.
+// SP side: Algorithm 3 adapted to the kd structure, by the cover walk
+// (WalkCover, core/range_query.h).
 KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
                     const RoleSet& user_roles, const RoleSet& universe,
                     Rng* rng);

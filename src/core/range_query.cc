@@ -1,7 +1,6 @@
 #include "core/range_query.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "core/parallel_verify.h"
 
@@ -18,29 +17,22 @@ Vo BuildRangeVo(const GridTree& tree, const VerifyKey& mvk, const Box& range,
 Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
                           const Box& range, const RoleSet& user_roles,
                           const RoleSet& lacked, Rng* rng, ThreadPool* pool) {
-  // Phase 1: BFS to find result leaves and inaccessible covers.
+  // Phase 1: find result leaves and inaccessible covers.
   Vo vo;
   vo.stamp = tree.stamp();
   std::vector<const GridTree::Node*> covers;
-  std::deque<GridTree::NodeId> queue;
-  queue.push_back(tree.Root());
-  while (!queue.empty()) {
-    GridTree::NodeId id = queue.front();
-    queue.pop_front();
-    const GridTree::Node& node = tree.GetNode(id);
-    if (!node.box.Intersects(range)) continue;
-    if (!node.policy.Evaluate(user_roles)) {
-      // Nothing under the node is accessible: one APS proves its whole box,
-      // the in-range part of a node crossing the range boundary included.
-      covers.push_back(&node);
-    } else if (node.is_leaf) {
-      // A leaf is one cell, so a leaf that intersects the range lies in it.
-      vo.entries.push_back(ResultEntry{node.record.key, node.record.value,
-                                       node.record.policy, node.sig});
-    } else {
-      for (GridTree::NodeId c : tree.Children(id)) queue.push_back(c);
-    }
-  }
+  WalkGridCover(
+      tree, range,
+      [&](GridTree::NodeId id) {
+        return tree.GetNode(id).policy.Evaluate(user_roles);
+      },
+      [&](GridTree::NodeId id) { covers.push_back(&tree.GetNode(id)); },
+      [&](GridTree::NodeId id) {
+        // A leaf is one cell, so a result leaf lies in the range.
+        const GridTree::Node& node = tree.GetNode(id);
+        vo.entries.push_back(ResultEntry{node.record.key, node.record.value,
+                                         node.record.policy, node.sig});
+      });
 
   // Phase 2: derive the APS signatures (ABS.Relax), independently per node.
   for (auto& e : RelaxNodes(covers, mvk, lacked, rng, pool)) {

@@ -2,17 +2,71 @@
 #ifndef APQA_CORE_RANGE_QUERY_H_
 #define APQA_CORE_RANGE_QUERY_H_
 
+#include <deque>
+
 #include "core/grid_tree.h"
 #include "core/verify_result.h"
 #include "core/vo.h"
 
 namespace apqa::core {
 
-// SP side: breadth-first VO construction with policy pruning. Every node
-// that intersects the range and that the user cannot access contributes a
-// single APS signature (derived with ABS.Relax, parallelized over `pool`
-// when given), whether the range contains it or it crosses the range
-// boundary; only accessible nodes are split.
+// How the cover walk sees one node.
+struct CoverView {
+  const Box& box;
+  bool is_leaf;
+};
+
+// The one cover walk behind every VO builder: ranges (Algorithm 3), joins
+// (Algorithm 4), non-ZK duplicates (Appendix E) and the AP²kd-tree (§9.1).
+// Breadth-first from `root`, skipping every node whose box misses `range`;
+// `view(id)` gives a node's CoverView, and `accessible(id)`, asked only of
+// nodes the range meets, whether the user may access anything under it.
+//   - A node the user cannot access is a cover, `on_cover(id)`: one APS
+//     proves its whole box, whether the range contains it or it crosses the
+//     range boundary.
+//   - An accessible leaf is a result, `on_result(id)`.
+//   - Any other node is split into `children(id)`.
+// The walk order is part of a VO's bytes: entries follow it, and so do the
+// RNG draws of builders that relax as they go.
+template <typename Id, typename ViewFn, typename AccessibleFn,
+          typename ChildrenFn, typename CoverFn, typename ResultFn>
+void WalkCover(Id root, const Box& range, ViewFn view, AccessibleFn accessible,
+               ChildrenFn children, CoverFn on_cover, ResultFn on_result) {
+  std::deque<Id> queue{root};
+  while (!queue.empty()) {
+    Id id = queue.front();
+    queue.pop_front();
+    const CoverView node = view(id);
+    if (!node.box.Intersects(range)) continue;
+    if (!accessible(id)) {
+      on_cover(id);
+    } else if (node.is_leaf) {
+      on_result(id);
+    } else {
+      for (Id c : children(id)) queue.push_back(c);
+    }
+  }
+}
+
+// WalkCover over a grid tree (GridTree or DupGridTree).
+template <typename Tree, typename AccessibleFn, typename CoverFn,
+          typename ResultFn>
+void WalkGridCover(const Tree& tree, const Box& range, AccessibleFn accessible,
+                   CoverFn on_cover, ResultFn on_result) {
+  using Id = typename Tree::NodeId;
+  WalkCover(
+      tree.Root(), range,
+      [&tree](Id id) {
+        const auto& node = tree.GetNode(id);
+        return CoverView{node.box, node.is_leaf};
+      },
+      accessible, [&tree](Id id) { return tree.Children(id); }, on_cover,
+      on_result);
+}
+
+// SP side: VO construction by WalkCover. Every cover contributes a single
+// APS signature (derived with ABS.Relax, parallelized over `pool` when
+// given).
 Vo BuildRangeVo(const GridTree& tree, const VerifyKey& mvk, const Box& range,
                 const RoleSet& user_roles, const RoleSet& universe, Rng* rng,
                 ThreadPool* pool = nullptr);

@@ -101,6 +101,7 @@ struct Domain {
     }
     return true;
   }
+  bool operator==(const Domain&) const = default;
 };
 
 struct Record {

@@ -104,10 +104,6 @@ core::JoinVo SpDatabase::Join(const std::string& table_r,
                               const RoleSet& roles) {
   const Table& tr = tables_.at(table_r);
   const Table& ts = tables_.at(table_s);
-  if (tr.schema.domain().dims != ts.schema.domain().dims ||
-      tr.schema.domain().bits != ts.schema.domain().bits) {
-    throw std::invalid_argument("join tables must share a key grid");
-  }
   return core::BuildJoinVo({&tr.tree, &ts.tree}, keys_.mvk,
                            tr.schema.DiscretizeRange(lo, hi), roles,
                            keys_.universe, &rng_);

@@ -88,47 +88,71 @@ TEST_F(ContinuousTest, RangeRejectsDroppedGap) {
   EXPECT_FALSE(VerifyContinuousRangeVo(Ctx(user), 50, 500, bad, nullptr));
 }
 
+// An equality query on key k is the range query [k, k]: its VO is one
+// entry, the record or the one gap that contains k.
 TEST_F(ContinuousTest, EqualityOnExistingAccessibleKey) {
   RoleSet user = {"RoleA"};
-  ContinuousVo vo =
-      BuildContinuousEqualityVo(*ads_, mvk_, 100, user, universe_, rng_.get());
-  std::optional<ContinuousRecord> result;
+  ContinuousVo vo = BuildContinuousRangeVo(*ads_, mvk_, 100, 100, user,
+                                           universe_, rng_.get());
+  EXPECT_EQ(vo.results.size(), 1u);
+  std::vector<ContinuousRecord> results;
   ASSERT_TRUE(
-      VerifyOk(VerifyContinuousEqualityVo(Ctx(user), 100, vo, &result)));
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->value, "v100");
+      VerifyOk(VerifyContinuousRangeVo(Ctx(user), 100, 100, vo, &results)));
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(results[0].value, "v100");
 }
 
 TEST_F(ContinuousTest, EqualityOnInaccessibleKey) {
   RoleSet user = {"RoleA"};
-  ContinuousVo vo =
-      BuildContinuousEqualityVo(*ads_, mvk_, 250, user, universe_, rng_.get());
-  std::optional<ContinuousRecord> result;
+  ContinuousVo vo = BuildContinuousRangeVo(*ads_, mvk_, 250, 250, user,
+                                           universe_, rng_.get());
+  EXPECT_EQ(vo.inaccessible.size(), 1u);
+  EXPECT_TRUE(vo.results.empty());
+  EXPECT_TRUE(vo.gaps.empty());
+  std::vector<ContinuousRecord> results;
   ASSERT_TRUE(
-      VerifyOk(VerifyContinuousEqualityVo(Ctx(user), 250, vo, &result)));
-  EXPECT_FALSE(result.has_value());
+      VerifyOk(VerifyContinuousRangeVo(Ctx(user), 250, 250, vo, &results)));
+  EXPECT_TRUE(results.empty());
 }
 
 TEST_F(ContinuousTest, EqualityOnAbsentKeyProvenByGap) {
   RoleSet user = {"RoleA"};
-  ContinuousVo vo =
-      BuildContinuousEqualityVo(*ads_, mvk_, 500, user, universe_, rng_.get());
+  ContinuousVo vo = BuildContinuousRangeVo(*ads_, mvk_, 500, 500, user,
+                                           universe_, rng_.get());
   ASSERT_EQ(vo.gaps.size(), 1u);
-  std::optional<ContinuousRecord> result;
+  EXPECT_TRUE(vo.results.empty());
+  EXPECT_TRUE(vo.inaccessible.empty());
+  std::vector<ContinuousRecord> results;
   ASSERT_TRUE(
-      VerifyOk(VerifyContinuousEqualityVo(Ctx(user), 500, vo, &result)));
-  EXPECT_FALSE(result.has_value());
+      VerifyOk(VerifyContinuousRangeVo(Ctx(user), 500, 500, vo, &results)));
+  EXPECT_TRUE(results.empty());
   // The gap VO for key 500 does not prove absence of key 2000.
-  EXPECT_FALSE(VerifyContinuousEqualityVo(Ctx(user), 2000, vo, nullptr));
+  VerifyResult r = VerifyContinuousRangeVo(Ctx(user), 2000, 2000, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kRegionOutsideRange) << r.ToString();
 }
 
 TEST_F(ContinuousTest, GapVoCannotHideRecord) {
   // SP returns the gap (251, 900) for a query on key 500 — valid. But for a
   // query on key 900 (existing record) the same gap is rejected.
   RoleSet user = {"RoleA"};
-  ContinuousVo vo =
-      BuildContinuousEqualityVo(*ads_, mvk_, 500, user, universe_, rng_.get());
-  EXPECT_FALSE(VerifyContinuousEqualityVo(Ctx(user), 900, vo, nullptr));
+  ContinuousVo vo = BuildContinuousRangeVo(*ads_, mvk_, 500, 500, user,
+                                           universe_, rng_.get());
+  VerifyResult r = VerifyContinuousRangeVo(Ctx(user), 900, 900, vo, nullptr);
+  EXPECT_EQ(r.code, VerifyCode::kRegionOutsideRange) << r.ToString();
+}
+
+// A record VO answered for another key names the key as outside the range,
+// whether the record is accessible or not.
+TEST_F(ContinuousTest, EqualityRecordVoRejectedForOtherKey) {
+  RoleSet user = {"RoleA"};
+  for (std::uint64_t key : {100u, 250u}) {
+    ContinuousVo vo = BuildContinuousRangeVo(*ads_, mvk_, key, key, user,
+                                             universe_, rng_.get());
+    VerifyResult r =
+        VerifyContinuousRangeVo(Ctx(user), key + 1, key + 1, vo, nullptr);
+    EXPECT_EQ(r.code, VerifyCode::kRegionOutsideRange) << key;
+    EXPECT_EQ(r.entry_index, 0) << key;
+  }
 }
 
 }  // namespace

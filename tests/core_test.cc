@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <optional>
 
+#include "core/duplicates.h"
 #include "core/kd_tree.h"
 #include "core/parallel_verify.h"
 #include "core/system.h"
@@ -331,6 +333,123 @@ TEST_F(JoinTest, SerialTwoTableVoBytesArePinned) {
   EXPECT_EQ(w.size(), 4878u);
   EXPECT_EQ(crypto::DigestToHex(crypto::Sha256::Hash(w.data().data(), w.size())),
             "1bcab8670393dd1f9b051bc679445f36230cc5224aa8bbd3ec0e0ceb9956b7ef");
+}
+
+// --- Pinned VO bytes: fixed seeds, byte for byte ---------------------------
+//
+// Each builder's entry order, relaxation randomness and wire layout are
+// pinned by the SHA-256 of one fixed-seed VO: a 2-D range VO whose range
+// crosses inaccessible nodes, and whole-domain kd-tree and duplicate VOs.
+
+template <typename VoT>
+std::pair<std::size_t, std::string> VoDigest(const VoT& vo) {
+  common::ByteWriter w;
+  vo.Serialize(&w);
+  return {w.size(), crypto::DigestToHex(
+                        crypto::Sha256::Hash(w.data().data(), w.size()))};
+}
+
+TEST(PinnedVoTest, CrossingTwoDimRangeVoBytesArePinned) {
+  DataOwner owner(RoleSet{"RoleA", "RoleB"}, Domain{2, 3}, 4711);
+  std::vector<Record> records;
+  for (std::uint32_t x = 0; x < 8; ++x) {
+    for (std::uint32_t y = 0; y < 8; ++y) {
+      if ((3 * x + y) % 4 != 0) continue;
+      records.push_back(Record{Point{x, y}, "r" + std::to_string(8 * x + y),
+                               Policy::Parse(x < 4 && y < 4 ? "RoleA"
+                                             : (x + y) % 3 == 0
+                                                 ? "RoleA | RoleB"
+                                                 : "RoleB")});
+    }
+  }
+  GridTree tree = owner.BuildAds(records);
+  const Box range{Point{1, 2}, Point{6, 5}};
+  const RoleSet roles{"RoleA"};
+  Rng rng(2026);
+  Vo vo = BuildRangeVo(tree, owner.keys().mvk, range, roles,
+                       owner.keys().universe, &rng);
+  std::size_t crossing = 0;
+  for (const VoEntry& e : vo.entries) {
+    if (!std::holds_alternative<ResultEntry>(e) &&
+        !range.ContainsBox(EntryRegion(e))) {
+      ++crossing;
+    }
+  }
+  EXPECT_GT(crossing, 0u);
+  VerifyContext ctx(owner.keys().mvk, owner.keys().domain, roles,
+                    owner.keys().universe);
+  ASSERT_TRUE(VerifyOk(VerifyRangeVo(ctx, range, vo, nullptr)));
+  auto [size, hex] = VoDigest(vo);
+  EXPECT_EQ(size, 8313u);
+  EXPECT_EQ(hex,
+            "b26e6e7cd0417a404e2f6c37cb6f6dbba933c23925cc10b38b17b1ceb6c53271");
+}
+
+TEST(PinnedVoTest, WholeDomainKdVoBytesArePinned) {
+  DataOwner owner(RoleSet{"RoleA", "RoleB"}, Domain{1, 4}, 4712);
+  std::vector<Record> records = {
+      Rec(1, "k1", "RoleA"),  Rec(2, "k2", "RoleB"),
+      Rec(5, "k5", "RoleB"),  Rec(6, "k6", "RoleB"),
+      Rec(9, "k9", "RoleA"),  Rec(12, "k12", "RoleA & RoleB"),
+      Rec(14, "k14", "RoleB"),
+  };
+  KdTree tree = KdTree::Build(owner.keys().mvk, owner.signing_key(),
+                              owner.keys().domain, records, owner.rng());
+  Rng rng(2026);
+  KdVo vo = BuildKdRangeVo(tree, owner.keys().mvk, Box{Point{0}, Point{15}},
+                           RoleSet{"RoleA"}, owner.keys().universe, &rng);
+  auto [size, hex] = VoDigest(vo);
+  EXPECT_EQ(size, 3742u);
+  EXPECT_EQ(hex,
+            "e9e2a2d705053acd8d5a1bb19fa65ef380e232f21aff86feb437e35884a5f08a");
+}
+
+TEST(PinnedVoTest, WholeDomainDupVoBytesArePinned) {
+  DataOwner owner(RoleSet{"RoleA", "RoleB"}, Domain{1, 3}, 4713);
+  std::vector<Record> records = {
+      Rec(1, "a", "RoleA"), Rec(1, "b", "RoleB"), Rec(2, "c", "RoleB"),
+      Rec(4, "d", "RoleA"), Rec(4, "e", "RoleA"), Rec(6, "f", "RoleB"),
+  };
+  DupGridTree tree = DupGridTree::Build(owner.keys().mvk, owner.signing_key(),
+                                        owner.keys().domain, records,
+                                        owner.rng());
+  Rng rng(2026);
+  DupVo vo = BuildDupRangeVo(tree, owner.keys().mvk, Box{Point{0}, Point{7}},
+                             RoleSet{"RoleA"}, owner.keys().universe, &rng);
+  auto [size, hex] = VoDigest(vo);
+  EXPECT_EQ(size, 5592u);
+  EXPECT_EQ(hex,
+            "976ed58c7d52d23dd56ce6e377ada02a8c68bff5d6d3bf26986037057cb3b0bb");
+}
+
+// The join walks one node position across its tables, so it refuses tables
+// on different key grids: different bits or different dims, with the odd
+// table first, in the middle or last.
+TEST_F(JoinTest, RejectsTablesOnDifferentGrids) {
+  DataOwner owner(RoleSet{"RoleA", "RoleB"}, Domain{1, 4}, 777);
+  const SystemKeys& keys = owner.keys();
+  GridTree r = owner.BuildAds(RRecords());
+  GridTree s = owner.BuildAds(SRecords());
+  GridTree wider = GridTree::Build(keys.mvk, owner.signing_key(), Domain{1, 5},
+                                   SRecords(), owner.rng());
+  GridTree plane = GridTree::Build(
+      keys.mvk, owner.signing_key(), Domain{2, 4},
+      {Record{Point{1, 1}, "p11", Policy::Parse("RoleA")}}, owner.rng());
+  Rng rng(5);
+  const Box range{Point{0}, Point{15}};
+  for (const GridTree* odd : {&wider, &plane}) {
+    for (const std::vector<const GridTree*>& trees :
+         {std::vector<const GridTree*>{&r, odd},
+          std::vector<const GridTree*>{odd, &r},
+          std::vector<const GridTree*>{&r, &s, odd},
+          std::vector<const GridTree*>{&r, odd, &s}}) {
+      // discard-ok: the call must throw before it returns a VO.
+      EXPECT_THROW((void)BuildJoinVo(trees, keys.mvk, range, RoleSet{"RoleA"},
+                                     keys.universe, &rng),
+                   std::invalid_argument)
+          << trees.size() << " tables, dims " << odd->domain().dims;
+    }
+  }
 }
 
 // S key shifted *and* R value tampered on one tuple: the key check runs
@@ -856,35 +975,54 @@ TEST(ParallelPathTest, BisectRecoversLowestFailingIndex) {
 
 // --- Crossing boxes: one APS per maximal inaccessible subtree --------------
 
-// The rule the range builder followed before crossing boxes, as a plain
+// The rule the builders followed before crossing boxes, as a plain
 // traversal with no crypto: a node that only partly overlaps the range is
-// always split, and only inaccessible nodes inside the range are relaxed.
-// Returns the result entries and the nodes to relax, in BFS order.
+// always split, and only inaccessible nodes inside the range are covers.
+// `accessible(id)` says whether the user may access a node. Returns the
+// result leaves and the covers, in BFS order.
+template <typename Tree>
 struct ContainmentCover {
-  std::vector<VoEntry> results;
-  std::vector<const GridTree::Node*> covers;
+  std::vector<typename Tree::NodeId> results, covers;
 };
 
-ContainmentCover ContainmentRuleCover(const GridTree& tree, const Box& range,
-                                      const RoleSet& roles) {
-  ContainmentCover out;
-  std::deque<GridTree::NodeId> queue{tree.Root()};
+template <typename Tree, typename AccessibleFn>
+ContainmentCover<Tree> ContainmentRuleCover(const Tree& tree, const Box& range,
+                                            AccessibleFn accessible) {
+  ContainmentCover<Tree> out;
+  std::deque<typename Tree::NodeId> queue{tree.Root()};
   while (!queue.empty()) {
-    GridTree::NodeId id = queue.front();
+    typename Tree::NodeId id = queue.front();
     queue.pop_front();
-    const GridTree::Node& node = tree.GetNode(id);
+    const auto& node = tree.GetNode(id);
     if (!node.box.Intersects(range)) continue;
-    bool split = !range.ContainsBox(node.box) || node.policy.Evaluate(roles);
+    bool split = !range.ContainsBox(node.box) || accessible(id);
     if (node.is_leaf && split) {
-      out.results.push_back(ResultEntry{node.record.key, node.record.value,
-                                        node.record.policy, node.sig});
+      out.results.push_back(id);
     } else if (split) {
-      for (GridTree::NodeId c : tree.Children(id)) queue.push_back(c);
+      for (typename Tree::NodeId c : tree.Children(id)) queue.push_back(c);
     } else {
-      out.covers.push_back(&node);
+      out.covers.push_back(id);
     }
   }
   return out;
+}
+
+// Every non-root node's box → its parent.
+template <typename Tree>
+std::map<std::pair<Point, Point>, typename Tree::NodeId> ParentsByBox(
+    const Tree& tree) {
+  std::map<std::pair<Point, Point>, typename Tree::NodeId> parent_of;
+  std::deque<typename Tree::NodeId> queue{tree.Root()};
+  while (!queue.empty()) {
+    typename Tree::NodeId id = queue.front();
+    queue.pop_front();
+    for (typename Tree::NodeId c : tree.Children(id)) {
+      const Box& b = tree.GetNode(c).box;
+      parent_of[{b.lo, b.hi}] = id;
+      queue.push_back(c);
+    }
+  }
+  return parent_of;
 }
 
 std::size_t Relaxations(const Vo& vo) {
@@ -933,19 +1071,7 @@ TEST(CrossingCoverTest, MatchesBasicAndContainmentRule) {
   TpchDeployment& d = Tpch();
   const SystemKeys& keys = d.owner.keys();
   const GridTree& tree = d.sp->tree();
-  // Every non-root node's box → its parent.
-  std::map<std::pair<Point, Point>, GridTree::NodeId> parent_of;
-  std::deque<GridTree::NodeId> queue{tree.Root()};
-  while (!queue.empty()) {
-    GridTree::NodeId id = queue.front();
-    queue.pop_front();
-    if (tree.IsLeafLevel(id)) continue;
-    for (GridTree::NodeId c : tree.Children(id)) {
-      const Box& b = tree.GetNode(c).box;
-      parent_of[{b.lo, b.hi}] = id;
-      queue.push_back(c);
-    }
-  }
+  auto parent_of = ParentsByBox(tree);
 
   Rng rng(5150);
   Rng qrng(6);
@@ -967,14 +1093,24 @@ TEST(CrossingCoverTest, MatchesBasicAndContainmentRule) {
             << what;
         EXPECT_EQ(SortedValues(got), SortedValues(basic)) << what;
 
-        ContainmentCover old_rule = ContainmentRuleCover(tree, range, roles);
+        auto old_rule =
+            ContainmentRuleCover(tree, range, [&](GridTree::NodeId id) {
+              return tree.GetNode(id).policy.Evaluate(roles);
+            });
         Vo old_vo;
         old_vo.stamp = tree.stamp();
-        old_vo.entries = old_rule.results;
-        for (VoEntry& e :
-             RelaxNodes(old_rule.covers, keys.mvk,
-                        SuperPolicyRoles(keys.universe, roles), &rng,
-                        nullptr)) {
+        for (GridTree::NodeId id : old_rule.results) {
+          const GridTree::Node& n = tree.GetNode(id);
+          old_vo.entries.push_back(ResultEntry{n.record.key, n.record.value,
+                                               n.record.policy, n.sig});
+        }
+        std::vector<const GridTree::Node*> old_covers;
+        for (GridTree::NodeId id : old_rule.covers) {
+          old_covers.push_back(&tree.GetNode(id));
+        }
+        for (VoEntry& e : RelaxNodes(old_covers, keys.mvk,
+                                     SuperPolicyRoles(keys.universe, roles),
+                                     &rng, nullptr)) {
           old_vo.entries.push_back(std::move(e));
         }
         std::vector<Record> old_got;
@@ -1035,6 +1171,290 @@ TEST(ParallelPathTest, PooledCrossingBuildMatchesSerial) {
     ASSERT_TRUE(VerifyOk(VerifyRangeVo(ctx, range, pooled, &pooled_out)))
         << threads;
     EXPECT_TRUE(SameRecords(pooled_out, serial_out)) << threads;
+  }
+}
+
+// Three tables on the Fig 11 key grid (1-D, 256 order keys): Lineitem and
+// Orders by order key, and Orders again under rotated policies.
+struct JoinDeployment {
+  tpch::PolicyGen policies{10, 10, 3, 2, 20180610};
+  Domain domain{1, 8};
+  DataOwner owner{policies.universe(), domain, 20180610};
+  std::vector<GridTree> trees;
+
+  JoinDeployment() {
+    tpch::TpchGen gen(0.1, 20180610);
+    ThreadPool pool(4);
+    std::vector<Policy> rotated = policies.policies();
+    std::rotate(rotated.begin(), rotated.begin() + 1, rotated.end());
+    trees.push_back(owner.BuildAds(
+        tpch::LineitemByOrderKey(gen.Lineitem(), domain, policies.policies()),
+        &pool));
+    trees.push_back(owner.BuildAds(
+        tpch::OrdersByOrderKey(gen.Orders(), domain, policies.policies()),
+        &pool));
+    trees.push_back(owner.BuildAds(
+        tpch::OrdersByOrderKey(gen.Orders(), domain, rotated), &pool));
+  }
+
+  std::vector<const GridTree*> First(std::size_t k) const {
+    std::vector<const GridTree*> out;
+    for (std::size_t i = 0; i < k; ++i) out.push_back(&trees[i]);
+    return out;
+  }
+};
+
+JoinDeployment& Joins() {
+  static JoinDeployment* d = new JoinDeployment;
+  return *d;
+}
+
+// One "v1|v2|…" string per join row, sorted.
+std::vector<std::string> SortedRows(
+    const std::vector<std::vector<Record>>& rows) {
+  std::vector<std::string> out;
+  for (const auto& row : rows) {
+    std::string s;
+    for (const Record& r : row) s += r.value + "|";
+    out.push_back(s);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The plaintext join over a 1-D range: every key whose leaf is accessible in
+// each table.
+std::vector<std::string> PlainJoin(const std::vector<const GridTree*>& trees,
+                                   const Box& range, const RoleSet& roles) {
+  std::vector<std::vector<Record>> rows;
+  for (std::uint32_t key = range.lo[0]; key <= range.hi[0]; ++key) {
+    std::vector<Record> row;
+    for (const GridTree* t : trees) {
+      const GridTree::Node& leaf = t->GetNode(t->LeafAt(Point{key}));
+      if (!leaf.policy.Evaluate(roles)) break;
+      row.push_back(leaf.record);
+    }
+    if (row.size() == trees.size()) rows.push_back(std::move(row));
+  }
+  return SortedRows(rows);
+}
+
+// The join builder follows the crossing rule. Seeded ranges at 20% and 50%
+// access and 1% and 8% selectivity, 2- and 3-table joins: the VO verifies to
+// the plaintext join (and, for two tables, to the Basic VO's rows); it never
+// relaxes more nodes than the containment rule, and fewer in total; and
+// every APS entry is maximal: its node is the root or its parent is
+// accessible in every table.
+TEST(CrossingCoverTest, JoinMatchesBasicAndContainmentRule) {
+  JoinDeployment& d = Joins();
+  const SystemKeys& keys = d.owner.keys();
+  ServiceProvider sp(keys, d.trees[0]);
+  sp.AttachJoinTable(d.trees[1]);
+  auto parent_of = ParentsByBox(d.trees[0]);
+  Rng rng(5151);
+  Rng qrng(8);
+  std::size_t crossing_total = 0, containment_total = 0;
+  for (double access : {0.2, 0.5}) {
+    RoleSet roles = d.policies.RolesForAccessFraction(access);
+    VerifyContext ctx(keys.mvk, keys.domain, roles, keys.universe);
+    for (double sel : {0.01, 0.08}) {
+      for (int q = 0; q < 5; ++q) {
+        Box range = tpch::RandomRangeQuery(keys.domain, sel, &qrng);
+        for (std::size_t k : {2u, 3u}) {
+          std::string what = "access " + std::to_string(access) + " sel " +
+                             std::to_string(sel) + " query " +
+                             std::to_string(q) + ", " + std::to_string(k) +
+                             " tables";
+          std::vector<const GridTree*> trees = d.First(k);
+          JoinVo vo = BuildJoinVo(trees, keys.mvk, range, roles,
+                                  keys.universe, &rng);
+          std::vector<std::vector<Record>> rows;
+          ASSERT_TRUE(VerifyOk(VerifyJoinVo(ctx, range, k, vo, &rows)))
+              << what;
+          EXPECT_EQ(SortedRows(rows), PlainJoin(trees, range, roles)) << what;
+          if (k == 2) {
+            std::vector<std::vector<Record>> basic_rows;
+            ASSERT_TRUE(VerifyOk(VerifyJoinVo(
+                ctx, range, k, sp.BasicJoinQuery(range, roles), &basic_rows)))
+                << what;
+            EXPECT_EQ(SortedRows(rows), SortedRows(basic_rows)) << what;
+          }
+
+          auto accessible = [&](GridTree::NodeId id) {
+            for (const GridTree* t : trees) {
+              if (!t->GetNode(id).policy.Evaluate(roles)) return false;
+            }
+            return true;
+          };
+          std::size_t relaxed = 0;
+          for (const auto& side : vo.aps) relaxed += side.size();
+          std::size_t old_covers =
+              ContainmentRuleCover(*trees[0], range, accessible).covers.size();
+          EXPECT_LE(relaxed, old_covers) << what;
+          crossing_total += relaxed;
+          containment_total += old_covers;
+
+          for (const auto& side : vo.aps) {
+            for (const VoEntry& e : side) {
+              Box b = EntryRegion(e);
+              auto it = parent_of.find({b.lo, b.hi});
+              if (it == parent_of.end()) {
+                EXPECT_TRUE(b == keys.domain.FullBox()) << what;
+                continue;
+              }
+              EXPECT_TRUE(accessible(it->second))
+                  << what << ": an APS entry's parent is blocked";
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_LT(crossing_total, containment_total)
+      << crossing_total << " vs " << containment_total;
+}
+
+// A Fig 15 duplicate deployment: keys 0..31, up to three records per key
+// under varying policies, some keys absent.
+struct DupDeployment {
+  tpch::PolicyGen policies{10, 10, 3, 2, 20180610};
+  Domain domain{1, 5};
+  DataOwner owner{policies.universe(), domain, 20180611};
+  std::vector<Record> records;
+  std::optional<DupGridTree> tree;
+
+  DupDeployment() {
+    Rng data_rng(20180610);
+    for (std::uint32_t key = 0; key < domain.SideLength(); ++key) {
+      if (data_rng.NextU64() % 4 == 0) continue;
+      int dups = 1 + static_cast<int>(data_rng.NextU64() % 3);
+      for (int i = 0; i < dups; ++i) {
+        records.push_back(Record{
+            Point{key}, "v" + std::to_string(key) + "#" + std::to_string(i),
+            policies.policies()[data_rng.NextU64() %
+                                policies.policies().size()]});
+      }
+    }
+    tree = DupGridTree::Build(owner.keys().mvk, owner.signing_key(), domain,
+                              records, owner.rng());
+  }
+};
+
+// The duplicate builder follows the crossing rule. Seeded ranges at 20% and
+// 50% access and 1% and 8% selectivity: the VO verifies to the plaintext
+// filter of the records; it never makes more ABS.Relax calls than the
+// containment rule; and every relaxed node is maximal: a box's node, or the
+// leaf of a wholly inaccessible group, is the root or has an accessible
+// parent.
+TEST(CrossingCoverTest, DupMatchesPlaintextAndContainmentRule) {
+  DupDeployment d;
+  const DupGridTree& tree = *d.tree;
+  const SystemKeys& keys = d.owner.keys();
+  auto parent_of = ParentsByBox(tree);
+  Rng rng(5152);
+  Rng qrng(9);
+  std::size_t crossing_total = 0, containment_total = 0;
+  for (double access : {0.2, 0.5}) {
+    RoleSet roles = d.policies.RolesForAccessFraction(access);
+    VerifyContext ctx(keys.mvk, keys.domain, roles, keys.universe);
+    auto accessible = [&](DupGridTree::NodeId id) {
+      return tree.GetNode(id).policy.Evaluate(roles);
+    };
+    for (double sel : {0.01, 0.08}) {
+      for (int q = 0; q < 5; ++q) {
+        Box range = tpch::RandomRangeQuery(keys.domain, sel, &qrng);
+        std::string what = "access " + std::to_string(access) + " sel " +
+                           std::to_string(sel) + " query " +
+                           std::to_string(q);
+        DupVo vo = BuildDupRangeVo(tree, keys.mvk, range, roles,
+                                   keys.universe, &rng);
+        std::vector<Record> got, plain;
+        ASSERT_TRUE(VerifyOk(VerifyDupRangeVo(ctx, range, vo, &got))) << what;
+        for (const Record& r : d.records) {
+          if (range.Contains(r.key) && r.policy.Evaluate(roles)) {
+            plain.push_back(r);
+          }
+        }
+        EXPECT_EQ(SortedValues(got), SortedValues(plain)) << what;
+
+        // One Relax per box and per inaccessible group member.
+        auto old_rule = ContainmentRuleCover(tree, range, accessible);
+        std::size_t old_relaxed = 0;
+        for (DupGridTree::NodeId id : old_rule.covers) {
+          const DupGridTree::Node& n = tree.GetNode(id);
+          old_relaxed += n.is_leaf ? n.dups.size() : 1;
+        }
+        for (DupGridTree::NodeId id : old_rule.results) {
+          for (const DupEntry& e : tree.GetNode(id).dups) {
+            old_relaxed += e.record.policy.Evaluate(roles) ? 0 : 1;
+          }
+        }
+        std::size_t relaxed = vo.boxes.size() + vo.inaccessible.size();
+        EXPECT_LE(relaxed, old_relaxed) << what;
+        crossing_total += relaxed;
+        containment_total += old_relaxed;
+
+        for (const InaccessibleBoxEntry& e : vo.boxes) {
+          auto it = parent_of.find({e.box.lo, e.box.hi});
+          if (it == parent_of.end()) {
+            EXPECT_TRUE(e.box == keys.domain.FullBox()) << what;
+            continue;
+          }
+          EXPECT_TRUE(accessible(it->second))
+              << what << ": a box's parent is inaccessible";
+        }
+        for (const auto& e : vo.inaccessible) {
+          DupGridTree::NodeId leaf = tree.LeafAt(e.key);
+          if (accessible(leaf)) continue;  // one member of a result leaf
+          EXPECT_TRUE(accessible(tree.Parent(leaf)))
+              << what << ": an inaccessible group's parent is inaccessible";
+        }
+      }
+    }
+  }
+  EXPECT_LT(crossing_total, containment_total)
+      << crossing_total << " vs " << containment_total;
+}
+
+// A crossing join built with its relaxations on 1, 2 and 4 threads has the
+// serial build's APS regions in the same order, per table, and verifies to
+// the same rows. Part of the TSan workload in scripts/check.sh.
+TEST(ParallelPathTest, PooledCrossingJoinMatchesSerial) {
+  JoinDeployment& d = Joins();
+  const SystemKeys& keys = d.owner.keys();
+  RoleSet roles = d.policies.RolesForAccessFraction(0.2);
+  VerifyContext ctx(keys.mvk, keys.domain, roles, keys.universe);
+  std::vector<const GridTree*> trees = d.First(3);
+  Rng rng(617);
+  const Box range{Point{37}, Point{90}};
+  JoinVo serial =
+      BuildJoinVo(trees, keys.mvk, range, roles, keys.universe, &rng);
+  std::size_t crossing = 0;
+  for (const auto& side : serial.aps) {
+    for (const VoEntry& e : side) {
+      crossing += range.ContainsBox(EntryRegion(e)) ? 0 : 1;
+    }
+  }
+  ASSERT_GT(crossing, 0u);
+  std::vector<std::vector<Record>> serial_rows;
+  ASSERT_TRUE(VerifyOk(VerifyJoinVo(ctx, range, 3, serial, &serial_rows)));
+  for (int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    JoinVo pooled =
+        BuildJoinVo(trees, keys.mvk, range, roles, keys.universe, &rng, &pool);
+    ASSERT_EQ(pooled.aps.size(), serial.aps.size()) << threads;
+    for (std::size_t t = 0; t < serial.aps.size(); ++t) {
+      ASSERT_EQ(pooled.aps[t].size(), serial.aps[t].size()) << threads;
+      for (std::size_t i = 0; i < serial.aps[t].size(); ++i) {
+        EXPECT_TRUE(EntryRegion(pooled.aps[t][i]) ==
+                    EntryRegion(serial.aps[t][i]))
+            << threads << " threads, table " << t << ", entry " << i;
+      }
+    }
+    std::vector<std::vector<Record>> pooled_rows;
+    ASSERT_TRUE(VerifyOk(VerifyJoinVo(ctx, range, 3, pooled, &pooled_rows)))
+        << threads;
+    EXPECT_EQ(SortedRows(pooled_rows), SortedRows(serial_rows)) << threads;
   }
 }
 
