@@ -9,6 +9,8 @@
 #include <map>
 #include <optional>
 
+#include "core/ads_update.h"
+#include "core/continuous.h"
 #include "core/duplicates.h"
 #include "core/kd_tree.h"
 #include "core/parallel_verify.h"
@@ -420,6 +422,50 @@ TEST(PinnedVoTest, WholeDomainDupVoBytesArePinned) {
   EXPECT_EQ(size, 5592u);
   EXPECT_EQ(hex,
             "976ed58c7d52d23dd56ce6e377ada02a8c68bff5d6d3bf26986037057cb3b0bb");
+}
+
+TEST(PinnedVoTest, ContinuousRangeVoBytesArePinned) {
+  DataOwner owner(RoleSet{"RoleA", "RoleB"}, Domain{1, 4}, 4714);
+  std::vector<ContinuousRecord> records = {
+      {100, "c100", Policy::Parse("RoleA")},
+      {200, "c200", Policy::Parse("RoleB")},
+      {250, "c250", Policy::Parse("RoleA | RoleB")},
+      {300, "c300", Policy::Parse("RoleA & RoleB")},
+      {450, "c450", Policy::Parse("RoleA")},
+  };
+  ContinuousAds ads = ContinuousAds::Build(
+      owner.keys().mvk, owner.signing_key(), records, owner.rng());
+  Rng rng(2026);
+  ContinuousVo vo = BuildContinuousRangeVo(ads, owner.keys().mvk, 50, 400,
+                                           RoleSet{"RoleA"},
+                                           owner.keys().universe, &rng);
+  auto [size, hex] = VoDigest(vo);
+  EXPECT_EQ(size, 6369u);
+  EXPECT_EQ(hex,
+            "4ab6b1e5125e8d808ca12fe4b864ea12cb0e9c48abc0f70d44353d64e3a4962c");
+}
+
+// The DO → SP update codec: a fixed-seed signed delta with an upsert, an
+// overwrite and a delete, pinned byte for byte.
+TEST(PinnedVoTest, SignedAdsUpdateBytesArePinned) {
+  DataOwner owner(RoleSet{"RoleA", "RoleB"}, Domain{1, 3}, 4715);
+  GridTree tree = owner.BuildAds({Rec(1, "a", "RoleA"), Rec(3, "b", "RoleB"),
+                                  Rec(6, "c", "RoleA | RoleB")});
+  Rng rng(2026);
+  std::vector<AdsUpdateOp> ops = {
+      {AdsUpdateOp::Kind::kUpsert, Rec(2, "d", "RoleB")},
+      {AdsUpdateOp::Kind::kUpsert, Rec(3, "b2", "RoleA & RoleB")},
+      {AdsUpdateOp::Kind::kDelete, Rec(6, "", "RoleA")},
+  };
+  AdsDelta delta =
+      tree.ApplyUpdates(owner.keys().mvk, owner.signing_key(), ops, &rng);
+  auto update = SignAdsUpdate(owner.keys().mvk, owner.signing_key(),
+                              std::move(delta), &rng);
+  ASSERT_TRUE(update.has_value());
+  auto [size, hex] = VoDigest(*update);
+  EXPECT_EQ(size, 4792u);
+  EXPECT_EQ(hex,
+            "028293350f82f0d2ee5a89dcc02ba5c27b2954b794e51f256cd75b81090d767c");
 }
 
 // The join walks one node position across its tables, so it refuses tables

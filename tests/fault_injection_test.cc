@@ -30,6 +30,7 @@
 #include "core/kd_tree.h"
 #include "core/range_query.h"
 #include "crypto/serde.h"
+#include "crypto/sha256.h"
 #include "test_hostile_points.h"
 
 namespace apqa::core {
@@ -168,25 +169,53 @@ FaultEnv* GetEnv() {
   return s;
 }
 
+std::string RecordItem(const Record& r) {
+  std::string s;
+  for (auto c : r.key) s += std::to_string(c) + ",";
+  return s + ":" + r.value;
+}
+
 std::string CanonRecords(const std::vector<Record>& rs) {
   std::vector<std::string> items;
-  for (const Record& r : rs) {
-    std::string s;
-    for (auto c : r.key) s += std::to_string(c) + ",";
-    items.push_back(s + ":" + r.value);
-  }
+  for (const Record& r : rs) items.push_back(RecordItem(r));
   std::sort(items.begin(), items.end());
   std::string out;
   for (const auto& i : items) out += i + ";";
   return out;
 }
 
+// What one replay of a case's bytes produced: the decode outcome, the
+// verdict, and the results the verifier emitted in emission order (a
+// rejected VO may still have emitted the entries ahead of its failure).
+struct Outcome {
+  std::string decode = "ok";  // else the wire error and its detail
+  VerifyResult verdict;       // set only when the bytes decoded
+  std::vector<std::string> emitted;
+
+  bool accepted() const { return decode == "ok" && verdict.ok(); }
+  // The accepted result set: emitted results, sorted.
+  std::string Canon() const {
+    std::vector<std::string> items = emitted;
+    std::sort(items.begin(), items.end());
+    std::string out;
+    for (const auto& i : items) out += i + ";";
+    return out;
+  }
+  // Everything observable, emission order kept.
+  std::string Line() const {
+    std::string out = decode + " | " + VerifyCodeName(verdict.code) + " " +
+                      std::to_string(verdict.entry_index) + " " +
+                      verdict.detail + " |";
+    for (const auto& i : emitted) out += " " + i;
+    return out;
+  }
+};
+
 struct QueryCase {
   const char* name;
   std::vector<std::uint8_t> bytes;
-  // Deserializes + verifies `buf`; on acceptance fills the canonical
-  // accessible-result string and returns true.
-  std::function<bool(const std::vector<std::uint8_t>&, std::string*)> run;
+  // Deserializes + verifies `buf`.
+  std::function<Outcome(const std::vector<std::uint8_t>&)> run;
 };
 
 template <typename VoT>
@@ -197,13 +226,22 @@ std::vector<std::uint8_t> Ser(const VoT& vo) {
 }
 
 // Deserializes a VoT from buf (`args` follow the reader: a JoinVo takes its
-// table count); nullopt if the reader flags an error or trailing bytes
-// remain.
+// table count); nullopt, with the reason in `out->decode`, if the reader
+// flags an error or trailing bytes remain.
 template <typename VoT, typename... Args>
-std::optional<VoT> Deser(const std::vector<std::uint8_t>& buf, Args... args) {
+std::optional<VoT> Deser(const std::vector<std::uint8_t>& buf, Outcome* out,
+                         Args... args) {
   common::ByteReader r(buf.data(), buf.size());
   VoT vo = VoT::DeserializeRaw(&r, args...);
-  if (!r.ok() || !r.AtEnd()) return std::nullopt;
+  if (!r.ok()) {
+    out->decode = std::string(common::WireErrorName(r.error())) + ": " +
+                  (r.error_detail() != nullptr ? r.error_detail() : "");
+    return std::nullopt;
+  }
+  if (!r.AtEnd()) {
+    out->decode = "trailing bytes";
+    return std::nullopt;
+  }
   return vo;
 }
 
@@ -213,100 +251,90 @@ std::vector<QueryCase>& Cases() {
     auto* cs = new std::vector<QueryCase>;
 
     cs->push_back({"equality", Ser(s->eq_vo),
-                   [s](const std::vector<std::uint8_t>& buf, std::string* out) {
-                     auto vo = Deser<Vo>(buf);
-                     if (!vo) return false;
-                     Record rec;
-                     bool acc = false;
-                     if (!VerifyEqualityVo(s->Ctx(s->grid_domain), Point{1},
-                                           *vo, &rec, &acc)
-                              .ok()) {
-                       return false;
-                     }
-                     *out = acc ? "acc:" + rec.value : "inacc";
-                     return true;
+                   [s](const std::vector<std::uint8_t>& buf) {
+                     Outcome out;
+                     auto vo = Deser<Vo>(buf, &out);
+                     if (!vo) return out;
+                     // The placeholder record and `acc` stay as they are
+                     // unless the verifier emits.
+                     Record rec{Point{}, "(none)", Policy{}};
+                     bool acc = true;
+                     out.verdict = VerifyEqualityVo(s->Ctx(s->grid_domain),
+                                                    Point{1}, *vo, &rec, &acc);
+                     out.emitted.push_back(acc ? "acc:" + rec.value : "inacc");
+                     return out;
                    }});
 
     cs->push_back({"range", Ser(s->range_vo),
-                   [s](const std::vector<std::uint8_t>& buf, std::string* out) {
-                     auto vo = Deser<Vo>(buf);
-                     if (!vo) return false;
+                   [s](const std::vector<std::uint8_t>& buf) {
+                     Outcome out;
+                     auto vo = Deser<Vo>(buf, &out);
+                     if (!vo) return out;
                      std::vector<Record> rs;
-                     if (!VerifyRangeVo(s->Ctx(s->grid_domain), s->grid_range,
-                                        *vo, &rs)
-                              .ok()) {
-                       return false;
+                     out.verdict = VerifyRangeVo(s->Ctx(s->grid_domain),
+                                                 s->grid_range, *vo, &rs);
+                     for (const Record& r : rs) {
+                       out.emitted.push_back(RecordItem(r));
                      }
-                     *out = CanonRecords(rs);
-                     return true;
+                     return out;
                    }});
 
     cs->push_back({"join", Ser(s->join_vo),
-                   [s](const std::vector<std::uint8_t>& buf, std::string* out) {
-                     auto vo = Deser<JoinVo>(buf, 2);
-                     if (!vo) return false;
+                   [s](const std::vector<std::uint8_t>& buf) {
+                     Outcome out;
+                     auto vo = Deser<JoinVo>(buf, &out, 2);
+                     if (!vo) return out;
                      std::vector<std::vector<Record>> ps;
-                     if (!VerifyJoinVo(s->Ctx(s->grid_domain), s->grid_range,
-                                       2, *vo, &ps)
-                              .ok()) {
-                       return false;
-                     }
-                     std::vector<std::string> items;
+                     out.verdict = VerifyJoinVo(s->Ctx(s->grid_domain),
+                                                s->grid_range, 2, *vo, &ps);
                      for (const auto& row : ps) {
-                       items.push_back(row[0].value + "|" + row[1].value);
+                       out.emitted.push_back(row[0].value + "|" +
+                                             row[1].value);
                      }
-                     std::sort(items.begin(), items.end());
-                     out->clear();
-                     for (const auto& i : items) *out += i + ";";
-                     return true;
+                     return out;
                    }});
 
     cs->push_back({"kd", Ser(s->kd_vo),
-                   [s](const std::vector<std::uint8_t>& buf, std::string* out) {
-                     auto vo = Deser<KdVo>(buf);
-                     if (!vo) return false;
+                   [s](const std::vector<std::uint8_t>& buf) {
+                     Outcome out;
+                     auto vo = Deser<KdVo>(buf, &out);
+                     if (!vo) return out;
                      std::vector<Record> rs;
-                     if (!VerifyKdRangeVo(s->Ctx(s->grid_domain), s->grid_range,
-                                          *vo, &rs)
-                              .ok()) {
-                       return false;
+                     out.verdict = VerifyKdRangeVo(s->Ctx(s->grid_domain),
+                                                   s->grid_range, *vo, &rs);
+                     for (const Record& r : rs) {
+                       out.emitted.push_back(RecordItem(r));
                      }
-                     *out = CanonRecords(rs);
-                     return true;
+                     return out;
                    }});
 
     cs->push_back({"dup", Ser(s->dup_vo),
-                   [s](const std::vector<std::uint8_t>& buf, std::string* out) {
-                     auto vo = Deser<DupVo>(buf);
-                     if (!vo) return false;
+                   [s](const std::vector<std::uint8_t>& buf) {
+                     Outcome out;
+                     auto vo = Deser<DupVo>(buf, &out);
+                     if (!vo) return out;
                      std::vector<Record> rs;
-                     if (!VerifyDupRangeVo(s->Ctx(s->dup_domain), s->dup_range,
-                                           *vo, &rs)
-                              .ok()) {
-                       return false;
+                     out.verdict = VerifyDupRangeVo(s->Ctx(s->dup_domain),
+                                                    s->dup_range, *vo, &rs);
+                     for (const Record& r : rs) {
+                       out.emitted.push_back(RecordItem(r));
                      }
-                     *out = CanonRecords(rs);
-                     return true;
+                     return out;
                    }});
 
     cs->push_back({"continuous", Ser(s->cont_vo),
-                   [s](const std::vector<std::uint8_t>& buf, std::string* out) {
-                     auto vo = Deser<ContinuousVo>(buf);
-                     if (!vo) return false;
+                   [s](const std::vector<std::uint8_t>& buf) {
+                     Outcome out;
+                     auto vo = Deser<ContinuousVo>(buf, &out);
+                     if (!vo) return out;
                      std::vector<ContinuousRecord> rs;
-                     if (!VerifyContinuousRangeVo(s->Ctx(Domain{}), 50, 350,
-                                                  *vo, &rs)
-                              .ok()) {
-                       return false;
-                     }
-                     std::vector<std::string> items;
+                     out.verdict = VerifyContinuousRangeVo(
+                         s->Ctx(Domain{}), 50, 350, *vo, &rs);
                      for (const auto& r : rs) {
-                       items.push_back(std::to_string(r.key) + ":" + r.value);
+                       out.emitted.push_back(std::to_string(r.key) + ":" +
+                                             r.value);
                      }
-                     std::sort(items.begin(), items.end());
-                     out->clear();
-                     for (const auto& i : items) *out += i + ";";
-                     return true;
+                     return out;
                    }});
 
     return cs;
@@ -314,13 +342,28 @@ std::vector<QueryCase>& Cases() {
   return *cases;
 }
 
+// Replays case `ci`'s kMutationsPerCase seeded mutations, in order.
+template <typename Fn>
+void ForEachMutation(std::size_t ci, Fn&& fn) {
+  auto& cases = Cases();
+  // Donor buffer from a *different* query type: splice mutations model a
+  // hostile SP answering with bytes from the wrong VO kind.
+  const auto& donor = cases[(ci + 1) % cases.size()].bytes;
+  common::MutRng rng(0xA59CA11Full ^ ci);
+  for (int i = 0; i < kMutationsPerCase; ++i) {
+    std::vector<std::uint8_t> buf = cases[ci].bytes;
+    common::MutationKind kind = common::Mutate(&buf, &rng, &donor);
+    fn(i, kind, buf);
+  }
+}
+
 // --- The corpus ------------------------------------------------------------
 
 TEST(FaultInjectionTest, BaselinesVerify) {
   for (auto& qc : Cases()) {
-    std::string canon;
-    EXPECT_TRUE(qc.run(qc.bytes, &canon)) << qc.name;
-    EXPECT_FALSE(canon.empty()) << qc.name;
+    Outcome o = qc.run(qc.bytes);
+    EXPECT_TRUE(o.accepted()) << qc.name << ": " << o.Line();
+    EXPECT_FALSE(o.emitted.empty()) << qc.name;
   }
 }
 
@@ -330,25 +373,20 @@ TEST(FaultInjectionTest, SeededMutationCorpusNeverForges) {
   int accepted = 0;
   for (std::size_t ci = 0; ci < cases.size(); ++ci) {
     QueryCase& qc = cases[ci];
-    std::string baseline;
-    ASSERT_TRUE(qc.run(qc.bytes, &baseline)) << qc.name;
-    // Donor buffer from a *different* query type: splice mutations model a
-    // hostile SP answering with bytes from the wrong VO kind.
-    const auto& donor = cases[(ci + 1) % cases.size()].bytes;
-    common::MutRng rng(0xA59CA11Full ^ ci);
-    for (int i = 0; i < kMutationsPerCase; ++i) {
-      std::vector<std::uint8_t> buf = qc.bytes;
-      common::MutationKind kind = common::Mutate(&buf, &rng, &donor);
-      std::string canon;
-      if (qc.run(buf, &canon)) {
+    Outcome baseline = qc.run(qc.bytes);
+    ASSERT_TRUE(baseline.accepted()) << qc.name;
+    ForEachMutation(ci, [&](int i, common::MutationKind kind,
+                            const std::vector<std::uint8_t>& buf) {
+      Outcome o = qc.run(buf);
+      if (o.accepted()) {
         ++accepted;
-        EXPECT_EQ(canon, baseline)
+        EXPECT_EQ(o.Canon(), baseline.Canon())
             << qc.name << " mutation " << i << " ("
             << common::MutationKindName(kind)
             << ") was accepted with a different result set";
       }
       ++total;
-    }
+    });
   }
   EXPECT_GE(total, 1000);
   // Most mutations must actually be rejected; if nearly everything is
@@ -356,12 +394,34 @@ TEST(FaultInjectionTest, SeededMutationCorpusNeverForges) {
   EXPECT_LT(accepted, total / 2);
 }
 
+// The whole corpus's observable behaviour, pinned: for every baseline and
+// every seeded mutation, the decode outcome, the verdict (code, entry
+// index, detail) and the results emitted, partial emissions on a rejected
+// VO included. A refactor of the decoders or verifiers that moves any of
+// them changes the digest.
+TEST(FaultInjectionTest, MutationVerdictsArePinned) {
+  auto& cases = Cases();
+  std::string lines;
+  for (std::size_t ci = 0; ci < cases.size(); ++ci) {
+    QueryCase& qc = cases[ci];
+    lines += std::string(qc.name) + " base " + qc.run(qc.bytes).Line() + "\n";
+    ForEachMutation(ci, [&](int i, common::MutationKind,
+                            const std::vector<std::uint8_t>& buf) {
+      lines += std::string(qc.name) + " " + std::to_string(i) + " " +
+               qc.run(buf).Line() + "\n";
+    });
+  }
+  EXPECT_EQ(crypto::DigestToHex(crypto::Sha256::Hash(
+                reinterpret_cast<const std::uint8_t*>(lines.data()),
+                lines.size())),
+            "64686925761b2ba97fc1d636ab27d0ab15fd18224a2243aa8157219bbc3be75d");
+}
+
 TEST(FaultInjectionTest, TruncationAtEveryBoundaryRejected) {
   for (auto& qc : Cases()) {
     for (std::size_t n = 0; n < qc.bytes.size(); ++n) {
       std::vector<std::uint8_t> buf(qc.bytes.begin(), qc.bytes.begin() + n);
-      std::string canon;
-      EXPECT_FALSE(qc.run(buf, &canon)) << qc.name << " prefix " << n;
+      EXPECT_FALSE(qc.run(buf).accepted()) << qc.name << " prefix " << n;
     }
   }
 }
