@@ -20,6 +20,8 @@
 #      notice when the clang tools are not installed — the default
 #      toolchain here is GCC)
 #   4. UBSan build of the crypto stack (curve / msm / pairing / abs / ct)
+#      and of the hostile-input decoders, whose count clamps all run
+#      through one ByteReader::GetList (serde / fault injection / grid tree)
 #   5. ASan build of the hostile-bytes suite (serde / fault injection / fuzz)
 #   6. TSan build of the thread pool and the parallel SP/ADS paths; TSan
 #      auto-enables APQA_LOCKDEP, so this stage also runs the lockdep suite
@@ -164,10 +166,12 @@ fi
 echo "=== build (UBSan) ==="
 cmake -B build-ubsan -S . -DAPQA_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target \
-  curve_test msm_test pairing_test abs_test ct_check_test
+  curve_test msm_test pairing_test abs_test ct_check_test \
+  serde_test fault_injection_test grid_tree_test
 
-echo "=== crypto tests under UBSan ==="
-for t in curve_test msm_test pairing_test abs_test ct_check_test; do
+echo "=== crypto and hostile-input tests under UBSan ==="
+for t in curve_test msm_test pairing_test abs_test ct_check_test \
+    serde_test fault_injection_test grid_tree_test; do
   echo "--- $t ---"
   ./build-ubsan/tests/"$t" --gtest_brief=1
 done

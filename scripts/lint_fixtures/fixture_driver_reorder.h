@@ -5,10 +5,10 @@
 // through it would check a replayed VO's signatures first.
 namespace apqa::core {
 
-template <typename Walk, typename Emit>
+template <typename Walk>
 VerifyResult RunVerify(const VerifyContext& ctx,
                        const std::vector<const EpochStamp*>& stamps,
-                       Walk&& walk, Emit&& emit) {
+                       Walk&& walk) {
   const Policy attestation_policy = AttestationPolicy();
   SigBatch batch(ctx.mvk);
   for (const EpochStamp* stamp : stamps) {
@@ -21,7 +21,7 @@ VerifyResult RunVerify(const VerifyContext& ctx,
     VerifyResult f = CheckStampFields(*stamp, ctx.expected_epoch);
     if (!f.ok()) return f;
   }
-  emit(batch.EmitLimit(bad));
+  batch.RunOutputs(bad);
   return bad >= 0 ? batch.failure(bad) : struct_fail;
 }
 

@@ -17,8 +17,7 @@ VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
   }
   return RunVerify(
       ctx, {&vo.stamp},
-      [&](SigBatch& batch) -> VerifyResult { return VerifyResult::Ok(); },
-      [&](std::size_t limit) {});
+      [&](SigBatch& batch) -> VerifyResult { return VerifyResult::Ok(); });
 }
 
 }  // namespace apqa::core

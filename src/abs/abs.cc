@@ -129,10 +129,9 @@ void Signature::Serialize(common::ByteWriter* w_) const {
   w_->PutU64(epoch);
   crypto::WriteG1(w_, g1s[0]);
   crypto::WriteG1(w_, g1s[1]);
-  w_->PutU32(static_cast<std::uint32_t>(s.size()));
-  for (std::size_t i = 2; i < g1s.size(); ++i) crypto::WriteG1(w_, g1s[i]);
-  w_->PutU32(static_cast<std::uint32_t>(p.size()));
-  for (const G2& e : g2s) crypto::WriteG2(w_, e);
+  w_->PutList(std::span<const G1>(g1s).subspan(2),
+              [w_](const G1& e) { crypto::WriteG1(w_, e); });
+  w_->PutList(g2s, [w_](const G2& e) { crypto::WriteG2(w_, e); });
 }
 
 Signature Signature::Deserialize(common::ByteReader* r) {
@@ -141,20 +140,9 @@ Signature Signature::Deserialize(common::ByteReader* r) {
   sig.epoch = r->GetU64();
   sig.y = crypto::ReadG1(r);
   sig.w = crypto::ReadG1(r);
-  std::uint32_t ns = r->GetU32();
-  // A G1 element takes at least one byte on the wire; element counts beyond
-  // the remaining bytes are corrupt. Guards reserve() from hostile counts.
-  if (!r->CheckCount(ns, 1)) return sig;
-  sig.s.reserve(ns);
-  for (std::uint32_t i = 0; i < ns && r->ok(); ++i) {
-    sig.s.push_back(crypto::ReadG1(r));
-  }
-  std::uint32_t np = r->GetU32();
-  if (!r->CheckCount(np, 1)) return sig;
-  sig.p.reserve(np);
-  for (std::uint32_t i = 0; i < np && r->ok(); ++i) {
-    sig.p.push_back(crypto::ReadG2(r));
-  }
+  // A group element takes at least one byte on the wire.
+  r->GetList(&sig.s, 1, [r] { return crypto::ReadG1(r); });
+  r->GetList(&sig.p, 1, [r] { return crypto::ReadG2(r); });
   return sig;
 }
 

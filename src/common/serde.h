@@ -76,6 +76,13 @@ class ByteWriter {
     PutU32(static_cast<std::uint32_t>(s.size()));
     PutBytes(s.data(), s.size());
   }
+  // A counted list: the u32 element count, then `put(e)` for each element.
+  // ByteReader::GetList reads it back.
+  template <typename List, typename Put>
+  void PutList(const List& list, Put&& put) {
+    PutU32(static_cast<std::uint32_t>(list.size()));
+    for (const auto& e : list) put(e);
+  }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
   std::size_t size() const { return buf_.size(); }
@@ -179,6 +186,17 @@ class ByteReader {
     }
     std::memcpy(out, buf_ + pos_, n);
     pos_ += n;
+  }
+  // A counted list as PutList writes it: the u32 count, then one `get()`
+  // per element, appended to `out`. Every element takes at least
+  // `min_elem_bytes` on the wire, so the count is clamped (CheckCount)
+  // before anything is reserved; the element loop stops at the first error.
+  template <typename T, typename Get>
+  void GetList(std::vector<T>* out, std::size_t min_elem_bytes, Get&& get) {
+    std::uint32_t n = GetU32();
+    if (!CheckCount(n, min_elem_bytes)) return;
+    out->reserve(n);
+    for (std::uint32_t i = 0; i < n && ok(); ++i) out->push_back(get());
   }
   std::string GetString() {
     std::uint32_t n = GetU32();

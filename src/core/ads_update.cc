@@ -38,8 +38,7 @@ NodePatch NodePatch::Deserialize(common::ByteReader* r) {
 void AdsDelta::Serialize(common::ByteWriter* w) const {
   w->PutU64(from_epoch);
   w->PutU64(to_epoch);
-  w->PutU32(static_cast<std::uint32_t>(nodes.size()));
-  for (const NodePatch& p : nodes) p.Serialize(w);
+  w->PutList(nodes, [w](const NodePatch& p) { p.Serialize(w); });
   stamp.Serialize(w);
 }
 
@@ -47,14 +46,8 @@ AdsDelta AdsDelta::DeserializeRaw(common::ByteReader* r) {
   AdsDelta d;
   d.from_epoch = r->GetU64();
   d.to_epoch = r->GetU64();
-  std::uint32_t count = r->GetU32();
-  // Hostile counts are clamped against the remaining bytes before the
-  // vector reserves anything (allocation-bomb guard, as in PR 2).
-  if (!r->CheckCount(count, NodePatch::kMinSerializedSize)) return d;
-  d.nodes.reserve(count);
-  for (std::uint32_t i = 0; i < count && r->ok(); ++i) {
-    d.nodes.push_back(NodePatch::Deserialize(r));
-  }
+  r->GetList(&d.nodes, NodePatch::kMinSerializedSize,
+             [r] { return NodePatch::Deserialize(r); });
   d.stamp = EpochStamp::DeserializeRaw(r);
   return d;
 }

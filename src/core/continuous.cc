@@ -142,61 +142,49 @@ std::size_t ContinuousVo::SerializedSize() const {
 
 void ContinuousVo::Serialize(common::ByteWriter* w) const {
   stamp.Serialize(w);
-  w->PutU32(static_cast<std::uint32_t>(results.size()));
-  for (const auto& e : results) {
+  w->PutList(results, [w](const ResultEntry& e) {
     w->PutU64(e.key);
     w->PutString(e.value);
     w->PutString(e.policy.ToString());
     e.app_sig.Serialize(w);
-  }
-  w->PutU32(static_cast<std::uint32_t>(inaccessible.size()));
-  for (const auto& e : inaccessible) {
+  });
+  w->PutList(inaccessible, [w](const InaccessibleEntry& e) {
     w->PutU64(e.key);
     w->PutBytes(e.value_hash.data(), e.value_hash.size());
     e.aps_sig.Serialize(w);
-  }
-  w->PutU32(static_cast<std::uint32_t>(gaps.size()));
-  for (const auto& e : gaps) {
+  });
+  w->PutList(gaps, [w](const GapEntry& e) {
     w->PutU64(e.gap.lo);
     w->PutU64(e.gap.hi);
     e.aps_sig.Serialize(w);
-  }
+  });
 }
 
 ContinuousVo ContinuousVo::DeserializeRaw(common::ByteReader* r) {
   ContinuousVo vo;
   vo.stamp = EpochStamp::DeserializeRaw(r);
-  std::uint32_t nr = r->GetU32();
-  if (!r->CheckCount(nr, kMinVoEntryBytes)) return vo;
-  vo.results.reserve(nr);
-  for (std::uint32_t i = 0; i < nr && r->ok(); ++i) {
+  r->GetList(&vo.results, kMinVoEntryBytes, [r] {
     ResultEntry e;
     e.key = r->GetU64();
     e.value = r->GetString();
     e.policy = ReadPolicy(r);
     e.app_sig = Signature::Deserialize(r);
-    vo.results.push_back(std::move(e));
-  }
-  std::uint32_t ni = r->GetU32();
-  if (!r->CheckCount(ni, kMinVoEntryBytes)) return vo;
-  vo.inaccessible.reserve(ni);
-  for (std::uint32_t i = 0; i < ni && r->ok(); ++i) {
+    return e;
+  });
+  r->GetList(&vo.inaccessible, kMinVoEntryBytes, [r] {
     InaccessibleEntry e;
     e.key = r->GetU64();
     r->Get(e.value_hash.data(), e.value_hash.size());
     e.aps_sig = Signature::Deserialize(r);
-    vo.inaccessible.push_back(std::move(e));
-  }
-  std::uint32_t ng = r->GetU32();
-  if (!r->CheckCount(ng, kMinVoEntryBytes)) return vo;
-  vo.gaps.reserve(ng);
-  for (std::uint32_t i = 0; i < ng && r->ok(); ++i) {
+    return e;
+  });
+  r->GetList(&vo.gaps, kMinVoEntryBytes, [r] {
     GapEntry e;
     e.gap.lo = r->GetU64();
     e.gap.hi = r->GetU64();
     e.aps_sig = Signature::Deserialize(r);
-    vo.gaps.push_back(std::move(e));
-  }
+    return e;
+  });
   return vo;
 }
 
@@ -205,7 +193,6 @@ VerifyResult VerifyContinuousRangeVo(const VerifyContext& ctx,
                                      const ContinuousVo& vo,
                                      std::vector<ContinuousRecord>* results) {
   const Policy super_policy = ctx.SuperPolicy();
-  std::vector<std::ptrdiff_t> result_job(vo.results.size(), -1);
   return RunVerify(
       ctx, {&vo.stamp},
       [&](SigBatch& batch) -> VerifyResult {
@@ -276,11 +263,16 @@ VerifyResult VerifyContinuousRangeVo(const VerifyContext& ctx,
             return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
                                       "result policy not satisfied", idx);
           }
-          result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-              ContinuousRecordMessage(e.key, e.value), &e.policy, &e.app_sig,
-              VerifyResult::Fail(VerifyCode::kBadSignature,
-                                 "record APP signature verification failed",
-                                 idx)));
+          batch.Add(ContinuousRecordMessage(e.key, e.value), &e.policy,
+                    &e.app_sig,
+                    VerifyResult::Fail(
+                        VerifyCode::kBadSignature,
+                        "record APP signature verification failed", idx));
+          if (results != nullptr) {
+            batch.OnVerified([results, &e] {
+              results->push_back(ContinuousRecord{e.key, e.value, e.policy});
+            });
+          }
         }
         for (std::size_t i = 0; i < vo.inaccessible.size(); ++i) {
           const auto& e = vo.inaccessible[i];
@@ -300,17 +292,6 @@ VerifyResult VerifyContinuousRangeVo(const VerifyContext& ctx,
                         static_cast<std::ptrdiff_t>(i)));
         }
         return VerifyResult::Ok();
-      },
-      [&](std::size_t limit) {
-        if (results == nullptr) return;
-        for (std::size_t i = 0; i < vo.results.size(); ++i) {
-          if (result_job[i] < 0 ||
-              static_cast<std::size_t>(result_job[i]) >= limit) {
-            continue;
-          }
-          const auto& e = vo.results[i];
-          results->push_back(ContinuousRecord{e.key, e.value, e.policy});
-        }
       });
 }
 

@@ -253,37 +253,28 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
 
 void DupVo::Serialize(common::ByteWriter* w) const {
   stamp.Serialize(w);
-  w->PutU32(static_cast<std::uint32_t>(results.size()));
-  for (const auto& e : results) {
+  w->PutList(results, [w](const DupResultEntry& e) {
     WritePoint(w, e.key);
     w->PutString(e.value);
     w->PutString(e.policy.ToString());
     w->PutU32(e.dup_num);
     w->PutU32(e.dup_id);
     e.app_sig.Serialize(w);
-  }
-  w->PutU32(static_cast<std::uint32_t>(inaccessible.size()));
-  for (const auto& e : inaccessible) {
+  });
+  w->PutList(inaccessible, [w](const DupInaccessibleEntry& e) {
     WritePoint(w, e.key);
     w->PutBytes(e.value_hash.data(), e.value_hash.size());
     w->PutU32(e.dup_num);
     w->PutU32(e.dup_id);
     e.aps_sig.Serialize(w);
-  }
-  w->PutU32(static_cast<std::uint32_t>(boxes.size()));
-  for (const auto& e : boxes) {
-    WriteBox(w, e.box);
-    e.aps_sig.Serialize(w);
-  }
+  });
+  w->PutList(boxes, [w](const auto& e) { WriteBoxEntry(w, e); });
 }
 
 DupVo DupVo::DeserializeRaw(common::ByteReader* r) {
   DupVo vo;
   vo.stamp = EpochStamp::DeserializeRaw(r);
-  std::uint32_t nr = r->GetU32();
-  if (!r->CheckCount(nr, kMinVoEntryBytes)) return vo;
-  vo.results.reserve(nr);
-  for (std::uint32_t i = 0; i < nr && r->ok(); ++i) {
+  r->GetList(&vo.results, kMinVoEntryBytes, [r] {
     DupResultEntry e;
     e.key = ReadPoint(r);
     e.value = r->GetString();
@@ -291,29 +282,18 @@ DupVo DupVo::DeserializeRaw(common::ByteReader* r) {
     e.dup_num = r->GetU32();
     e.dup_id = r->GetU32();
     e.app_sig = Signature::Deserialize(r);
-    vo.results.push_back(std::move(e));
-  }
-  std::uint32_t ni = r->GetU32();
-  if (!r->CheckCount(ni, kMinVoEntryBytes)) return vo;
-  vo.inaccessible.reserve(ni);
-  for (std::uint32_t i = 0; i < ni && r->ok(); ++i) {
+    return e;
+  });
+  r->GetList(&vo.inaccessible, kMinVoEntryBytes, [r] {
     DupInaccessibleEntry e;
     e.key = ReadPoint(r);
     r->Get(e.value_hash.data(), e.value_hash.size());
     e.dup_num = r->GetU32();
     e.dup_id = r->GetU32();
     e.aps_sig = Signature::Deserialize(r);
-    vo.inaccessible.push_back(std::move(e));
-  }
-  std::uint32_t nb = r->GetU32();
-  if (!r->CheckCount(nb, kMinVoEntryBytes)) return vo;
-  vo.boxes.reserve(nb);
-  for (std::uint32_t i = 0; i < nb && r->ok(); ++i) {
-    InaccessibleBoxEntry e;
-    e.box = ReadBox(r);
-    e.aps_sig = Signature::Deserialize(r);
-    vo.boxes.push_back(std::move(e));
-  }
+    return e;
+  });
+  r->GetList(&vo.boxes, kMinVoEntryBytes, [r] { return ReadBoxEntry(r); });
   return vo;
 }
 
@@ -326,7 +306,6 @@ std::size_t DupVo::SerializedSize() const {
 VerifyResult VerifyDupRangeVo(const VerifyContext& ctx, const Box& range,
                               const DupVo& vo, std::vector<Record>* results) {
   const Policy super_policy = ctx.SuperPolicy();
-  std::vector<std::ptrdiff_t> result_job(vo.results.size(), -1);
   return RunVerify(
       ctx, {&vo.stamp},
       [&](SigBatch& batch) -> VerifyResult {
@@ -366,12 +345,16 @@ VerifyResult VerifyDupRangeVo(const VerifyContext& ctx, const Box& range,
             return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
                                       "result policy not satisfied", idx);
           }
-          result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-              DupRecordMessage(e.key, e.value, e.dup_num, e.dup_id),
-              &e.policy, &e.app_sig,
-              VerifyResult::Fail(VerifyCode::kBadSignature,
-                                 "dup APP signature verification failed",
-                                 idx)));
+          batch.Add(DupRecordMessage(e.key, e.value, e.dup_num, e.dup_id),
+                    &e.policy, &e.app_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "dup APP signature verification failed",
+                                       idx));
+          if (results != nullptr) {
+            batch.OnVerified([results, &e] {
+              results->push_back(Record{e.key, e.value, e.policy});
+            });
+          }
         }
         for (std::size_t i = 0; i < vo.inaccessible.size(); ++i) {
           const DupVo::DupInaccessibleEntry& e = vo.inaccessible[i];
@@ -405,25 +388,11 @@ VerifyResult VerifyDupRangeVo(const VerifyContext& ctx, const Box& range,
           return c;
         }
         for (std::size_t i = 0; i < vo.boxes.size(); ++i) {
-          const InaccessibleBoxEntry& e = vo.boxes[i];
-          batch.Add(BoxMessage(e.box), &super_policy, &e.aps_sig,
-                    VerifyResult::Fail(
-                        VerifyCode::kBadSignature,
-                        "dup box APS signature verification failed",
-                        static_cast<std::ptrdiff_t>(i)));
+          AddBoxApsCheck(&batch, vo.boxes[i], &super_policy,
+                         static_cast<std::ptrdiff_t>(i),
+                         "dup box APS signature verification failed");
         }
         return VerifyResult::Ok();
-      },
-      [&](std::size_t limit) {
-        if (results == nullptr) return;
-        for (std::size_t i = 0; i < vo.results.size(); ++i) {
-          if (result_job[i] < 0 ||
-              static_cast<std::size_t>(result_job[i]) >= limit) {
-            continue;
-          }
-          const DupVo::DupResultEntry& e = vo.results[i];
-          results->push_back(Record{e.key, e.value, e.policy});
-        }
       });
 }
 

@@ -1,7 +1,5 @@
 #include "core/equality.h"
 
-#include <optional>
-
 #include "core/parallel_verify.h"
 #include "core/range_query.h"
 
@@ -26,10 +24,6 @@ Vo BuildEqualityVo(const GridTree& tree, const VerifyKey& mvk, const Point& key,
 VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
                               const Vo& vo, Record* result, bool* accessible) {
   const Policy super_policy = ctx.SuperPolicy();
-  // Set by the walk: the VO's one signature job, and the accessible record
-  // if the entry holds one.
-  std::optional<std::size_t> job;
-  const ResultEntry* accessible_entry = nullptr;
   return RunVerify(
       ctx, {&vo.stamp},
       [&](SigBatch& batch) -> VerifyResult {
@@ -53,12 +47,17 @@ VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
                 VerifyCode::kPolicyNotSatisfied,
                 "result policy not satisfied by user roles", 0);
           }
-          job = batch.Add(RecordMessage(res->key, res->value), &res->policy,
-                          &res->app_sig,
-                          VerifyResult::Fail(
-                              VerifyCode::kBadSignature,
-                              "APP signature verification failed", 0));
-          accessible_entry = res;
+          batch.Add(RecordMessage(res->key, res->value), &res->policy,
+                    &res->app_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "APP signature verification failed",
+                                       0));
+          batch.OnVerified([res, result, accessible] {
+            if (accessible != nullptr) *accessible = true;
+            if (result != nullptr) {
+              *result = Record{res->key, res->value, res->policy};
+            }
+          });
           return VerifyResult::Ok();
         }
         if (const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry)) {
@@ -67,25 +66,18 @@ VerifyResult VerifyEqualityVo(const VerifyContext& ctx, const Point& key,
                 VerifyCode::kKeyMismatch,
                 "inaccessible entry key does not match query", 0);
           }
-          job = batch.Add(RecordMessageFromHash(rec->key, rec->value_hash),
-                          &super_policy, &rec->aps_sig,
-                          VerifyResult::Fail(
-                              VerifyCode::kBadSignature,
-                              "APS signature verification failed", 0));
+          batch.Add(RecordMessageFromHash(rec->key, rec->value_hash),
+                    &super_policy, &rec->aps_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "APS signature verification failed",
+                                       0));
+          batch.OnVerified([accessible] {
+            if (accessible != nullptr) *accessible = false;
+          });
           return VerifyResult::Ok();
         }
         return VerifyResult::Fail(VerifyCode::kUnexpectedEntryType,
                                   "unexpected entry type in equality VO", 0);
-      },
-      [&](std::size_t limit) {
-        // The entry's job is below the limit iff it was queued and it and
-        // the attestations ahead of it verified.
-        if (!job || *job >= limit) return;
-        if (accessible != nullptr) *accessible = accessible_entry != nullptr;
-        if (accessible_entry != nullptr && result != nullptr) {
-          *result = Record{accessible_entry->key, accessible_entry->value,
-                           accessible_entry->policy};
-        }
       });
 }
 

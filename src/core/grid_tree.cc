@@ -142,9 +142,11 @@ std::optional<GridTree> GridTree::Deserialize(common::ByteReader* r) {
   GridTree tree;
   tree.domain_.dims = static_cast<int>(r->GetU32());
   tree.domain_.bits = static_cast<int>(r->GetU32());
+  // At most 2^22 cells. Capped on dims * bits, not on CellCount(), which
+  // wraps to 0 at 2^64 cells.
   if (!r->ok() || tree.domain_.dims < 1 || tree.domain_.dims > 8 ||
       tree.domain_.bits < 1 || tree.domain_.bits > 16 ||
-      tree.domain_.CellCount() > (1u << 22)) {
+      tree.domain_.dims * tree.domain_.bits > 22) {
     return std::nullopt;
   }
   tree.epoch_ = r->GetU64();

@@ -63,13 +63,11 @@ JoinVo BuildJoinVo(const std::vector<const GridTree*>& trees,
 
 void JoinVo::Serialize(common::ByteWriter* w) const {
   for (const EpochStamp& stamp : stamps) stamp.Serialize(w);
-  w->PutU32(static_cast<std::uint32_t>(tuples.size()));
-  for (const auto& tuple : tuples) {
+  w->PutList(tuples, [w](const std::vector<ResultEntry>& tuple) {
     for (const ResultEntry& e : tuple) SerializeEntry(w, e);
-  }
+  });
   for (const auto& side : aps) {
-    w->PutU32(static_cast<std::uint32_t>(side.size()));
-    for (const VoEntry& e : side) SerializeEntry(w, e);
+    w->PutList(side, [w](const VoEntry& e) { SerializeEntry(w, e); });
   }
 }
 
@@ -83,11 +81,8 @@ JoinVo JoinVo::DeserializeRaw(common::ByteReader* r, std::size_t tables) {
   for (std::size_t i = 0; i < tables; ++i) {
     vo.stamps.push_back(EpochStamp::DeserializeRaw(r));
   }
-  std::uint32_t nt = r->GetU32();
   // `tables` entries per tuple, each at least kMinVoEntryBytes on the wire.
-  if (!r->CheckCount(nt, tables * kMinVoEntryBytes)) return vo;
-  vo.tuples.reserve(nt);
-  for (std::uint32_t t = 0; t < nt && r->ok(); ++t) {
+  r->GetList(&vo.tuples, tables * kMinVoEntryBytes, [&] {
     std::vector<VoEntry> read;
     for (std::size_t i = 0; i < tables; ++i) read.push_back(DeserializeEntry(r));
     std::vector<ResultEntry> tuple;
@@ -96,20 +91,15 @@ JoinVo JoinVo::DeserializeRaw(common::ByteReader* r, std::size_t tables) {
       if (res == nullptr) {
         r->MarkBad(common::WireError::kMalformed,
                    "join pair entry is not a result entry");
-        return vo;
+        break;
       }
       tuple.push_back(std::move(*res));
     }
-    vo.tuples.push_back(std::move(tuple));
-  }
+    return tuple;
+  });
   vo.aps.resize(tables);
   for (auto& side : vo.aps) {
-    std::uint32_t n = r->GetU32();
-    if (!r->CheckCount(n, kMinVoEntryBytes)) return vo;
-    side.reserve(n);
-    for (std::uint32_t i = 0; i < n && r->ok(); ++i) {
-      side.push_back(DeserializeEntry(r));
-    }
+    r->GetList(&side, kMinVoEntryBytes, [r] { return DeserializeEntry(r); });
   }
   return vo;
 }
@@ -134,8 +124,6 @@ VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
   std::vector<const EpochStamp*> stamps;
   for (const EpochStamp& stamp : vo.stamps) stamps.push_back(&stamp);
   const Policy super_policy = ctx.SuperPolicy();
-  // A tuple emits iff its last table's job precedes the first failure.
-  std::vector<std::ptrdiff_t> tuple_job(vo.tuples.size(), -1);
   return RunVerify(
       ctx, stamps,
       [&](SigBatch& batch) -> VerifyResult {
@@ -176,22 +164,28 @@ VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
             return VerifyResult::Fail(VerifyCode::kRegionOutsideRange,
                                       "join pair key outside range", idx);
           }
-          std::ptrdiff_t job = -1;
           for (const ResultEntry& side : tuple) {
             // A structural failure after earlier sides were queued leaves
-            // the tuple unemitted, as in the sequential verifier.
+            // the tuple without an output, as in the sequential verifier.
             if (!side.policy.Evaluate(ctx.roles)) {
               return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
                                         "join pair policy not satisfied", idx);
             }
-            job = static_cast<std::ptrdiff_t>(batch.Add(
-                RecordMessage(side.key, side.value), &side.policy,
-                &side.app_sig,
-                VerifyResult::Fail(
-                    VerifyCode::kBadSignature,
-                    "join pair APP signature verification failed", idx)));
+            batch.Add(RecordMessage(side.key, side.value), &side.policy,
+                      &side.app_sig,
+                      VerifyResult::Fail(
+                          VerifyCode::kBadSignature,
+                          "join pair APP signature verification failed", idx));
           }
-          tuple_job[i] = job;
+          if (results != nullptr) {
+            batch.OnVerified([results, &tuple] {
+              std::vector<Record> row;
+              for (const ResultEntry& side : tuple) {
+                row.push_back(Record{side.key, side.value, side.policy});
+              }
+              results->push_back(std::move(row));
+            });
+          }
         }
         for (const auto& side : vo.aps) {
           for (std::size_t i = 0; i < side.size(); ++i) {
@@ -206,20 +200,6 @@ VerifyResult VerifyJoinVo(const VerifyContext& ctx, const Box& range,
           }
         }
         return VerifyResult::Ok();
-      },
-      [&](std::size_t limit) {
-        if (results == nullptr) return;
-        for (std::size_t i = 0; i < vo.tuples.size(); ++i) {
-          if (tuple_job[i] < 0 ||
-              static_cast<std::size_t>(tuple_job[i]) >= limit) {
-            continue;
-          }
-          std::vector<Record> row;
-          for (const ResultEntry& side : vo.tuples[i]) {
-            row.push_back(Record{side.key, side.value, side.policy});
-          }
-          results->push_back(std::move(row));
-        }
       });
 }
 

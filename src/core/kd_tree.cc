@@ -314,26 +314,20 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
 
 void KdVo::Serialize(common::ByteWriter* w) const {
   stamp.Serialize(w);
-  w->PutU32(static_cast<std::uint32_t>(results.size()));
-  for (const auto& e : results) {
+  w->PutList(results, [w](const KdResultEntry& e) {
     WriteBox(w, e.region);
     WritePoint(w, e.key);
     w->PutString(e.value);
     w->PutString(e.policy.ToString());
     e.app_sig.Serialize(w);
-  }
-  w->PutU32(static_cast<std::uint32_t>(leaves.size()));
-  for (const auto& e : leaves) {
+  });
+  w->PutList(leaves, [w](const KdInaccessibleLeafEntry& e) {
     WriteBox(w, e.region);
     WritePoint(w, e.key);
     w->PutBytes(e.value_hash.data(), e.value_hash.size());
     e.aps_sig.Serialize(w);
-  }
-  w->PutU32(static_cast<std::uint32_t>(boxes.size()));
-  for (const auto& e : boxes) {
-    WriteBox(w, e.box);
-    e.aps_sig.Serialize(w);
-  }
+  });
+  w->PutList(boxes, [w](const auto& e) { WriteBoxEntry(w, e); });
 }
 
 std::size_t KdVo::SerializedSize() const {
@@ -345,45 +339,30 @@ std::size_t KdVo::SerializedSize() const {
 KdVo KdVo::DeserializeRaw(common::ByteReader* r) {
   KdVo vo;
   vo.stamp = EpochStamp::DeserializeRaw(r);
-  std::uint32_t nr = r->GetU32();
-  if (!r->CheckCount(nr, kMinVoEntryBytes)) return vo;
-  vo.results.reserve(nr);
-  for (std::uint32_t i = 0; i < nr && r->ok(); ++i) {
+  r->GetList(&vo.results, kMinVoEntryBytes, [r] {
     KdResultEntry e;
     e.region = ReadBox(r);
     e.key = ReadPoint(r);
     e.value = r->GetString();
     e.policy = ReadPolicy(r);
     e.app_sig = Signature::Deserialize(r);
-    vo.results.push_back(std::move(e));
-  }
-  std::uint32_t nl = r->GetU32();
-  if (!r->CheckCount(nl, kMinVoEntryBytes)) return vo;
-  vo.leaves.reserve(nl);
-  for (std::uint32_t i = 0; i < nl && r->ok(); ++i) {
+    return e;
+  });
+  r->GetList(&vo.leaves, kMinVoEntryBytes, [r] {
     KdInaccessibleLeafEntry e;
     e.region = ReadBox(r);
     e.key = ReadPoint(r);
     r->Get(e.value_hash.data(), e.value_hash.size());
     e.aps_sig = Signature::Deserialize(r);
-    vo.leaves.push_back(std::move(e));
-  }
-  std::uint32_t nb = r->GetU32();
-  if (!r->CheckCount(nb, kMinVoEntryBytes)) return vo;
-  vo.boxes.reserve(nb);
-  for (std::uint32_t i = 0; i < nb && r->ok(); ++i) {
-    InaccessibleBoxEntry e;
-    e.box = ReadBox(r);
-    e.aps_sig = Signature::Deserialize(r);
-    vo.boxes.push_back(std::move(e));
-  }
+    return e;
+  });
+  r->GetList(&vo.boxes, kMinVoEntryBytes, [r] { return ReadBoxEntry(r); });
   return vo;
 }
 
 VerifyResult VerifyKdRangeVo(const VerifyContext& ctx, const Box& range,
                              const KdVo& vo, std::vector<Record>* results) {
   const Policy super_policy = ctx.SuperPolicy();
-  std::vector<std::ptrdiff_t> result_job(vo.results.size(), -1);
   return RunVerify(
       ctx, {&vo.stamp},
       [&](SigBatch& batch) -> VerifyResult {
@@ -412,11 +391,18 @@ VerifyResult VerifyKdRangeVo(const VerifyContext& ctx, const Box& range,
             return VerifyResult::Fail(VerifyCode::kPolicyNotSatisfied,
                                       "result policy not satisfied", idx);
           }
-          result_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-              KdLeafMessage(e.region, e.key, e.value), &e.policy, &e.app_sig,
-              VerifyResult::Fail(VerifyCode::kBadSignature,
-                                 "kd APP signature verification failed",
-                                 idx)));
+          batch.Add(KdLeafMessage(e.region, e.key, e.value), &e.policy,
+                    &e.app_sig,
+                    VerifyResult::Fail(VerifyCode::kBadSignature,
+                                       "kd APP signature verification failed",
+                                       idx));
+          if (results != nullptr) {
+            batch.OnVerified([results, &e, &range] {
+              if (range.Contains(e.key)) {
+                results->push_back(Record{e.key, e.value, e.policy});
+              }
+            });
+          }
         }
         for (std::size_t i = 0; i < vo.leaves.size(); ++i) {
           const KdInaccessibleLeafEntry& e = vo.leaves[i];
@@ -428,25 +414,11 @@ VerifyResult VerifyKdRangeVo(const VerifyContext& ctx, const Box& range,
                         static_cast<std::ptrdiff_t>(i)));
         }
         for (std::size_t i = 0; i < vo.boxes.size(); ++i) {
-          const InaccessibleBoxEntry& e = vo.boxes[i];
-          batch.Add(BoxMessage(e.box), &super_policy, &e.aps_sig,
-                    VerifyResult::Fail(
-                        VerifyCode::kBadSignature,
-                        "kd box APS signature verification failed",
-                        static_cast<std::ptrdiff_t>(i)));
+          AddBoxApsCheck(&batch, vo.boxes[i], &super_policy,
+                         static_cast<std::ptrdiff_t>(i),
+                         "kd box APS signature verification failed");
         }
         return VerifyResult::Ok();
-      },
-      [&](std::size_t limit) {
-        if (results == nullptr) return;
-        for (std::size_t i = 0; i < vo.results.size(); ++i) {
-          const KdResultEntry& e = vo.results[i];
-          if (result_job[i] >= 0 &&
-              static_cast<std::size_t>(result_job[i]) < limit &&
-              range.Contains(e.key)) {
-            results->push_back(Record{e.key, e.value, e.policy});
-          }
-        }
       });
 }
 

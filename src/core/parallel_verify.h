@@ -30,6 +30,7 @@
 #define APQA_CORE_PARALLEL_VERIFY_H_
 
 #include <cstddef>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -61,14 +62,21 @@ class SigBatch {
  public:
   explicit SigBatch(const abs::VerifyKey& mvk) : mvk_(mvk) {}
 
-  // Queues one ABS check in sequential-verifier order; returns its job
-  // index. `policy` and `sig` must outlive FirstFailure (they point into
-  // the VO or at a caller-owned super policy); `on_fail` is the exact
-  // VerifyResult the sequential verifier would return if this check fails.
-  std::size_t Add(std::vector<std::uint8_t> msg, const policy::Policy* policy,
-                  const abs::Signature* sig, VerifyResult on_fail) {
-    jobs_.push_back(Job{std::move(msg), policy, sig, std::move(on_fail)});
-    return jobs_.size() - 1;
+  // Queues one ABS check in sequential-verifier order. `policy` and `sig`
+  // must outlive FirstFailure (they point into the VO or at a caller-owned
+  // super policy); `on_fail` is the exact VerifyResult the sequential
+  // verifier would return if this check fails.
+  void Add(std::vector<std::uint8_t> msg, const policy::Policy* policy,
+           const abs::Signature* sig, VerifyResult on_fail) {
+    jobs_.push_back(Job{std::move(msg), policy, sig, std::move(on_fail), {}});
+  }
+
+  // Attaches an entry's output action (push its record, its join row, ...)
+  // to the last queued job: the job that completes the entry. A verifier
+  // calls it once every structural check of the entry has passed, so an
+  // entry that fails one mid-way never outputs.
+  void OnVerified(std::function<void()> output) {
+    jobs_.back().output = std::move(output);
   }
 
   std::size_t size() const { return jobs_.size(); }
@@ -105,12 +113,16 @@ class SigBatch {
     return jobs_[static_cast<std::size_t>(i)].on_fail;
   }
 
-  // Jobs strictly below this index succeeded; used for partial-result
-  // emission after a failure (matching the sequential verifier, which
-  // emits an entry's results only once all its checks have passed).
-  std::size_t EmitLimit(std::ptrdiff_t first_failure) const {
-    return first_failure >= 0 ? static_cast<std::size_t>(first_failure)
-                              : jobs_.size();
+  // Runs the output actions of the jobs below `first_failure` (of every
+  // job if it is -1), in job order: the entries whose checks all passed,
+  // as the sequential verifier would have output them.
+  void RunOutputs(std::ptrdiff_t first_failure) const {
+    const std::size_t limit = first_failure >= 0
+                                  ? static_cast<std::size_t>(first_failure)
+                                  : jobs_.size();
+    for (std::size_t i = 0; i < limit; ++i) {
+      if (jobs_[i].output) jobs_[i].output();
+    }
   }
 
  private:
@@ -119,6 +131,7 @@ class SigBatch {
     const policy::Policy* policy;
     const abs::Signature* sig;
     VerifyResult on_fail;
+    std::function<void()> output;  // set by OnVerified
   };
 
   static abs::BatchAccumulator::ParallelRunner MakeRunner(ThreadPool* pool) {
@@ -182,17 +195,19 @@ class SigBatch {
 //      blamed as AttestationRejected(): it shares the VO's one pairing
 //      product, and blame still reaches it before any entry;
 //   3. `walk(batch)`: the verifier's own structural rules in sequential-
-//      verifier order, queueing each signature check into `batch`; it stops
-//      at and returns the first structural failure (Ok if none);
+//      verifier order, queueing each signature check into `batch` and
+//      attaching each entry's output action to the job that completes it
+//      (SigBatch::OnVerified); it stops at and returns the first structural
+//      failure (Ok if none);
 //   4. FirstFailure over everything queued;
-//   5. `emit(limit)`: output each result whose jobs all lie below `limit`
-//      (SigBatch::EmitLimit) — partial results match the sequential
-//      verifier's, and a rejected attestation emits nothing;
+//   5. the output actions of the jobs below that failure, in job order
+//      (SigBatch::RunOutputs) — partial results match the sequential
+//      verifier's, and a rejected attestation outputs nothing;
 //   6. the lowest signature failure, else the structural verdict.
-template <typename Walk, typename Emit>
+template <typename Walk>
 VerifyResult RunVerify(const VerifyContext& ctx,
                        const std::vector<const EpochStamp*>& stamps,
-                       Walk&& walk, Emit&& emit) {
+                       Walk&& walk) {
   for (const EpochStamp* stamp : stamps) {
     if (VerifyResult f = CheckStampFields(*stamp, ctx.expected_epoch);
         !f.ok()) {
@@ -208,7 +223,7 @@ VerifyResult RunVerify(const VerifyContext& ctx,
   }
   VerifyResult struct_fail = walk(batch);
   std::ptrdiff_t bad = batch.FirstFailure(ctx.pool);
-  emit(batch.EmitLimit(bad));
+  batch.RunOutputs(bad);
   if (bad >= 0) return batch.failure(bad);
   return struct_fail;
 }

@@ -128,17 +128,22 @@ bool AddApsCheck(SigBatch* batch, const VoEntry& entry,
     return true;
   }
   if (const auto* boxe = std::get_if<InaccessibleBoxEntry>(&entry)) {
-    batch->Add(BoxMessage(boxe->box), super_policy, &boxe->aps_sig,
-               VerifyResult::Fail(VerifyCode::kBadSignature, box_detail, idx));
+    AddBoxApsCheck(batch, *boxe, super_policy, idx, box_detail);
     return true;
   }
   return false;
 }
 
+void AddBoxApsCheck(SigBatch* batch, const InaccessibleBoxEntry& box,
+                    const Policy* super_policy, std::ptrdiff_t idx,
+                    const char* detail) {
+  batch->Add(BoxMessage(box.box), super_policy, &box.aps_sig,
+             VerifyResult::Fail(VerifyCode::kBadSignature, detail, idx));
+}
+
 VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
                            const Vo& vo, std::vector<Record>* results) {
   const Policy super_policy = ctx.SuperPolicy();
-  std::vector<std::ptrdiff_t> entry_job(vo.entries.size(), -1);
   return RunVerify(
       ctx, {&vo.stamp},
       [&](SigBatch& batch) -> VerifyResult {
@@ -163,11 +168,16 @@ VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
                   VerifyCode::kPolicyNotSatisfied,
                   "result policy not satisfied by user roles", idx);
             }
-            entry_job[i] = static_cast<std::ptrdiff_t>(batch.Add(
-                RecordMessage(res->key, res->value), &res->policy,
-                &res->app_sig,
-                VerifyResult::Fail(VerifyCode::kBadSignature,
-                                   "APP signature verification failed", idx)));
+            batch.Add(RecordMessage(res->key, res->value), &res->policy,
+                      &res->app_sig,
+                      VerifyResult::Fail(VerifyCode::kBadSignature,
+                                         "APP signature verification failed",
+                                         idx));
+            if (results != nullptr) {
+              batch.OnVerified([results, res] {
+                results->push_back(Record{res->key, res->value, res->policy});
+              });
+            }
             continue;
           }
           const auto* rec = std::get_if<InaccessibleRecordEntry>(&entry);
@@ -181,17 +191,6 @@ VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
                       "box APS signature verification failed");
         }
         return VerifyResult::Ok();
-      },
-      [&](std::size_t limit) {
-        if (results == nullptr) return;
-        for (std::size_t i = 0; i < vo.entries.size(); ++i) {
-          if (entry_job[i] < 0 ||
-              static_cast<std::size_t>(entry_job[i]) >= limit) {
-            continue;
-          }
-          const auto& res = std::get<ResultEntry>(vo.entries[i]);
-          results->push_back(Record{res.key, res.value, res.policy});
-        }
       });
 }
 

@@ -133,6 +133,10 @@ class SigBatch;
 bool AddApsCheck(SigBatch* batch, const VoEntry& entry,
                  const Policy* super_policy, std::ptrdiff_t idx,
                  const char* record_detail, const char* box_detail);
+// Its box case, for the kd and dup VOs, which list box entries apart.
+void AddBoxApsCheck(SigBatch* batch, const InaccessibleBoxEntry& box,
+                    const Policy* super_policy, std::ptrdiff_t idx,
+                    const char* detail);
 
 }  // namespace apqa::core
 

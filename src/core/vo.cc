@@ -84,11 +84,21 @@ void SerializeEntry(common::ByteWriter* w, const VoEntry& entry) {
     w->PutBytes(rec->value_hash.data(), rec->value_hash.size());
     rec->aps_sig.Serialize(w);
   } else {
-    const auto& box = std::get<InaccessibleBoxEntry>(entry);
     w->PutU8(2);
-    WriteBox(w, box.box);
-    box.aps_sig.Serialize(w);
+    WriteBoxEntry(w, std::get<InaccessibleBoxEntry>(entry));
   }
+}
+
+void WriteBoxEntry(common::ByteWriter* w, const InaccessibleBoxEntry& e) {
+  WriteBox(w, e.box);
+  e.aps_sig.Serialize(w);
+}
+
+InaccessibleBoxEntry ReadBoxEntry(common::ByteReader* r) {
+  InaccessibleBoxEntry e;
+  e.box = ReadBox(r);
+  e.aps_sig = Signature::Deserialize(r);
+  return e;
 }
 
 VoEntry DeserializeEntry(common::ByteReader* r) {
@@ -109,12 +119,8 @@ VoEntry DeserializeEntry(common::ByteReader* r) {
       e.aps_sig = Signature::Deserialize(r);
       return e;
     }
-    case 2: {
-      InaccessibleBoxEntry e;
-      e.box = ReadBox(r);
-      e.aps_sig = Signature::Deserialize(r);
-      return e;
-    }
+    case 2:
+      return ReadBoxEntry(r);
     default:
       r->MarkBad(common::WireError::kUnknownTag, "unknown VO entry tag");
       return InaccessibleBoxEntry{};
@@ -123,19 +129,14 @@ VoEntry DeserializeEntry(common::ByteReader* r) {
 
 void Vo::Serialize(common::ByteWriter* w) const {
   stamp.Serialize(w);
-  w->PutU32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& e : entries) SerializeEntry(w, e);
+  w->PutList(entries, [w](const VoEntry& e) { SerializeEntry(w, e); });
 }
 
 Vo Vo::DeserializeRaw(common::ByteReader* r) {
   Vo vo;
   vo.stamp = EpochStamp::DeserializeRaw(r);
-  std::uint32_t n = r->GetU32();
-  if (!r->CheckCount(n, kMinVoEntryBytes)) return vo;
-  vo.entries.reserve(n);
-  for (std::uint32_t i = 0; i < n && r->ok(); ++i) {
-    vo.entries.push_back(DeserializeEntry(r));
-  }
+  r->GetList(&vo.entries, kMinVoEntryBytes,
+             [r] { return DeserializeEntry(r); });
   return vo;
 }
 

@@ -61,6 +61,9 @@ Point ReadPoint(common::ByteReader* r);
 void WriteBox(common::ByteWriter* w, const Box& b);
 Box ReadBox(common::ByteReader* r);
 Policy ReadPolicy(common::ByteReader* r);
+// An inaccessible box entry without its tag, as the kd and dup VOs list it.
+void WriteBoxEntry(common::ByteWriter* w, const InaccessibleBoxEntry& e);
+InaccessibleBoxEntry ReadBoxEntry(common::ByteReader* r);
 
 void SerializeEntry(common::ByteWriter* w, const VoEntry& entry);
 VoEntry DeserializeEntry(common::ByteReader* r);

@@ -263,6 +263,17 @@ TEST_F(GridTreeTest, DeserializeRejectsGarbage) {
   auto bytes = w.data();
   common::ByteReader r2(bytes.data(), bytes.size() / 2);
   EXPECT_FALSE(GridTree::Deserialize(&r2).has_value());
+
+  // dims 4 / bits 16 is 2^64 cells, which wraps a 64-bit cell count to 0;
+  // the header alone is rejected, before any byte past it is read.
+  common::ByteWriter header;
+  header.PutU32(4);
+  header.PutU32(16);
+  std::vector<std::uint8_t> wide = header.data();
+  wide.insert(wide.end(), bytes.begin() + 8, bytes.end());
+  common::ByteReader r3(wide);
+  EXPECT_FALSE(GridTree::Deserialize(&r3).has_value());
+  EXPECT_EQ(r3.Remaining(), wide.size() - 8);
 }
 
 // --- Dynamic maintenance (epochs, deltas, replica convergence) --------------
