@@ -14,7 +14,9 @@
 //   subgroup      — the decode-time prime-order-subgroup checks on affine
 //                   subgroup points: G1 phi(P) + P == [|z|]([|z|]P), G2
 //                   psi(P) == [z]P (check.sh gates g2_subgroup_check
-//                   against g2_wnaf).
+//                   against g2_wnaf), and the G1 check in groups of eight
+//                   as the decoders' batched admission runs it
+//                   (g1_subgroup_check_x8, per point).
 //   msm           — Pippenger G1Msm/G2Msm vs. the naive ScalarMul-and-add
 //                   loop, n = 4..256.
 //   abs           — end-to-end ABS sign/verify at a fixed predicate length,
@@ -30,6 +32,7 @@
 #include "bench_util.h"
 #include "crypto/ct.h"
 #include "crypto/msm.h"
+#include "crypto/serde.h"
 
 namespace {
 
@@ -267,9 +270,33 @@ double TimeSubgroupCheck(const CurvePoint<F>& gen, Rng* rng, int iters) {
   });
 }
 
+// The same G1 check as decoders run it: groups of eight points through
+// the batched pass (the eight-lane IFMA kernel where active), timed per
+// point so the row compares with g1_subgroup_check.
+double TimeSubgroupCheckX8(Rng* rng, int iters) {
+  const int groups = (iters + 7) / 8;
+  std::vector<G1> pts(static_cast<std::size_t>(groups) * 8);
+  for (auto& p : pts) p = G1Mul(rng->NextNonZeroFr());
+  BatchToAffine<Fp>(std::span<G1>(pts));
+  int g = 0;
+  return TimeMs(groups, [&] {
+    std::span<const G1> group(pts.data() + 8 * g++, 8);
+    if (FirstOutsideG1Subgroup(group) != group.size()) {
+      std::fprintf(stderr, "BENCH BUG: subgroup point rejected\n");
+      std::abort();
+    }
+  }) / 8;
+}
+
 void BenchSubgroup(Rng* rng, int iters) {
-  std::printf("prime-order subgroup check (%d affine points)\n", iters);
+  std::printf("prime-order subgroup check (%d affine points, IFMA lanes %s)\n",
+              iters, accel::IfmaLanesActive() ? "active" : "inactive");
+  // 1 when g1_subgroup_check_x8 ran on the IFMA lanes, 0 when it timed the
+  // scalar test (check.sh skips its speed gate then).
+  RecordJson(kBench, "ifma_lanes_active", accel::IfmaLanesActive() ? 1 : 0,
+             "count");
   Report("g1_subgroup_check", TimeSubgroupCheck(G1Generator(), rng, iters));
+  Report("g1_subgroup_check_x8", TimeSubgroupCheckX8(rng, iters));
   Report("g2_subgroup_check", TimeSubgroupCheck(G2Generator(), rng, iters));
 }
 

@@ -9,9 +9,11 @@
 #   2. Release build with -Werror + full ctest (includes the negative-compile
 #      harness of tests/compile_fail/ and the lockdep suite, which self-skips
 #      its violation tests in Release where APQA_LOCKDEP is off), then the
-#      crypto suites (and the AbsRelaxFold / AbsSignFold oracles) again under
-#      APQA_FORCE_PORTABLE=1 so the portable Montgomery/no-accel arm of the
-#      runtime dispatch stays covered, then
+#      crypto suites (and the AbsRelaxFold / AbsSignFold oracles, the
+#      subgroup-admission and serde suites and the pinned fault-injection
+#      verdicts) again under APQA_FORCE_PORTABLE=1 so the portable
+#      Montgomery/no-accel arm and the scalar subgroup check of the runtime
+#      dispatch stay covered, then
 #      a duplicate-(bench,row) and unit gate over the checked-in
 #      BENCH_*.json files,
 #      and a build (no run) of the perfbench/ service benchmark into
@@ -19,9 +21,10 @@
 #   3. clang-format diff + clang-tidy on the crypto layer (skipped with a
 #      notice when the clang tools are not installed — the default
 #      toolchain here is GCC)
-#   4. UBSan build of the crypto stack (curve / msm / pairing / abs / ct)
-#      and of the hostile-input decoders, whose count clamps all run
-#      through one ByteReader::GetList (serde / fault injection / grid tree)
+#   4. UBSan build of the crypto stack (curve / msm / pairing / abs / ct /
+#      subgroup admission) and of the hostile-input decoders, whose count
+#      clamps all run through one ByteReader::GetList (serde / fault
+#      injection / grid tree)
 #   5. ASan build of the hostile-bytes suite (serde / fault injection / fuzz)
 #   6. TSan build of the thread pool and the parallel SP/ADS paths; TSan
 #      auto-enables APQA_LOCKDEP, so this stage also runs the lockdep suite
@@ -47,7 +50,8 @@
 #      accel/portable representation mismatch, so each row doubles as an
 #      oracle), the g1_{wnaf,mul_glv,fixed_base}, g2_wnaf,
 #      ct_mul_{g1,g2} and ct_fixed_base_{g1,g2} scalar-mult rows, the
-#      g{1,2}_subgroup_check rows and the abs_relax_len10 / abs_sign_dnf
+#      g{1,2}_subgroup_check, g1_subgroup_check_x8 and ifma_lanes_active
+#      rows and the abs_relax_len10 / abs_sign_dnf
 #      rows, and whose constant-pattern GLV ladder is within 2x of the
 #      variable-time GLV wNAF (ct_mul_g1 <= 2.0x g1_mul_glv), whose
 #      constant-pattern fixed-base walk costs at most 0.6x that ladder
@@ -55,7 +59,10 @@
 #      stays below a G2 scalar multiplication
 #      (g2_subgroup_check <= 0.6x g2_wnaf), and, when the accelerated
 #      kernels are active, whose asm Fp add beats the portable one
-#      (fp_add_accel <= 0.8x fp_add_portable); then one fast-mode run of
+#      (fp_add_accel <= 0.8x fp_add_portable), and, when the IFMA lanes are
+#      active, whose eight-point G1 subgroup pass costs at most 0.7x the
+#      scalar check per point (g1_subgroup_check_x8 <= 0.7x
+#      g1_subgroup_check); then one fast-mode run of
 #      bench_net_service that must emit the
 #      update_latency_vs_batch_{1,16,256} maintenance rows, the
 #      update_{value_only,policy_change}_batch_16 batch-shape rows and the
@@ -109,9 +116,12 @@ echo "=== ctest (forced-portable kernels) ==="
 # what normally executes. The bitmatch differential inside field_test then
 # proves the two arms agree representation-for-representation, and the
 # AbsRelaxFold / AbsSignFold oracles re-check ABS.Relax and ABS.Sign
-# byte-for-byte on the portable arm.
+# byte-for-byte on the portable arm. The same switch turns off the
+# eight-lane IFMA subgroup kernel, so the admission oracles, the serde
+# suites and the pinned fault-injection verdicts re-run on the scalar
+# subgroup test: both arms must give the same verdict on every input.
 (cd build && APQA_FORCE_PORTABLE=1 ctest --output-on-failure -j "$(nproc)" \
-  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|AbsRelaxFold|AbsSignFold)')
+  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|AbsRelaxFold|AbsSignFold|SubgroupAdmission|AdmissionPrecedence|[A-Za-z]*Serde|FaultInjectionTest\.MutationVerdictsArePinned)')
 
 echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # The JSON trajectory files must hold exactly one section per bench run:
@@ -167,11 +177,11 @@ echo "=== build (UBSan) ==="
 cmake -B build-ubsan -S . -DAPQA_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j --target \
   curve_test msm_test pairing_test abs_test ct_check_test \
-  serde_test fault_injection_test grid_tree_test
+  serde_test subgroup_admission_test fault_injection_test grid_tree_test
 
 echo "=== crypto and hostile-input tests under UBSan ==="
 for t in curve_test msm_test pairing_test abs_test ct_check_test \
-    serde_test fault_injection_test grid_tree_test; do
+    serde_test subgroup_admission_test fault_injection_test grid_tree_test; do
   echo "--- $t ---"
   ./build-ubsan/tests/"$t" --gtest_brief=1
 done
@@ -293,6 +303,7 @@ for row in mont_mul_portable mont_mul_accel mont_mul_chained \
            g1_wnaf g1_mul_glv g1_fixed_base ct_mul_g1 ct_mul_g2 g2_wnaf \
            ct_fixed_base_g1 ct_fixed_base_g2 \
            g1_subgroup_check g2_subgroup_check abs_relax_len10 \
+           ifma_lanes_active g1_subgroup_check_x8 \
            abs_sign_dnf; do
   if ! grep -q "\"row\":\"$row\"" "$MSM_JSON"; then
     echo "perf smoke: row '$row' missing from $MSM_JSON" >&2
@@ -312,7 +323,10 @@ done
 # kernels are dispatched (accel_kernels_active == 1), a chained Fp add must
 # cost at most 0.8x the portable u128 loop (measured 0.40-0.50x on a 4-vCPU
 # x86-64 VM; on hosts without BMI2/ADX both rows time the portable loop and
-# the gate is skipped).
+# the gate is skipped). When the eight-lane IFMA subgroup kernel runs
+# (ifma_lanes_active == 1), a G1 check in groups of eight must cost at most
+# 0.7x the scalar check per point (measured 0.13-0.16x); otherwise both rows
+# time the scalar test and the gate is skipped.
 python3 - "$MSM_JSON" <<'EOF'
 import json, sys
 rows = {}
@@ -346,6 +360,15 @@ elif add > 0.8 * add_p:
 else:
     print(f"perf smoke: fp_add_accel {add:.3f} ms vs fp_add_portable "
           f"{add_p:.3f} ms ({add / add_p:.2f}x)")
+x8, g1 = rows["g1_subgroup_check_x8"], rows["g1_subgroup_check"]
+if rows["ifma_lanes_active"] != 1:
+    print("perf smoke: IFMA lanes inactive; g1_subgroup_check_x8 gate skipped")
+elif x8 > 0.7 * g1:
+    sys.exit(f"perf smoke: g1_subgroup_check_x8 {x8:.3f} ms > 0.7 * "
+             f"g1_subgroup_check {g1:.3f} ms")
+else:
+    print(f"perf smoke: g1_subgroup_check_x8 {x8:.3f} ms vs g1_subgroup_check "
+          f"{g1:.3f} ms ({x8 / g1:.2f}x)")
 EOF
 rm -f "$MSM_JSON"
 

@@ -113,17 +113,17 @@ bool SigningKey::Covers(const RoleSet& roles) const {
 }
 
 void Signature::Serialize(common::ByteWriter* w_) const {
-  // Normalize each group's points with one shared inversion (BatchToAffine
-  // skips infinity); WriteG1/WriteG2 then find Z = 1 and write the
-  // coordinates as they are. Same bytes as writing each point on its own.
+  // Normalize every point of both groups with one shared inversion
+  // (BatchToAffine skips infinity); WriteG1/WriteG2 then find Z = 1 and
+  // write the coordinates as they are. Same bytes as writing each point on
+  // its own.
   std::vector<G1> g1s;
   g1s.reserve(s.size() + 2);
   g1s.push_back(y);
   g1s.push_back(w);
   g1s.insert(g1s.end(), s.begin(), s.end());
-  crypto::BatchToAffine<crypto::Fp>(std::span<G1>(g1s));
   std::vector<G2> g2s = p;
-  crypto::BatchToAffine<crypto::Fp2>(std::span<G2>(g2s));
+  crypto::BatchToAffine(std::span<G1>(g1s), std::span<G2>(g2s));
 
   w_->PutBytes(tau.data(), tau.size());
   w_->PutU64(epoch);

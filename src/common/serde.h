@@ -18,6 +18,10 @@
 #include <utility>
 #include <vector>
 
+namespace apqa::crypto {
+class PointAdmission;  // crypto/serde.h
+}  // namespace apqa::crypto
+
 namespace apqa::common {
 
 // Compile-time taint marker for data decoded off the untrusted wire — the
@@ -141,10 +145,25 @@ class ByteReader {
     }
     ok_ = false;
   }
+  // Flags an error that a deferred check found earlier in the input than
+  // anything flagged so far, so it replaces the recorded error.
+  // crypto::PointAdmission reports its batched subgroup checks this way:
+  // every point it queued was read before the reader's first error.
+  void MarkBadEarlier(WireError e, const char* detail) {
+    ok_ = false;
+    error_ = e;
+    detail_ = detail;
+  }
   WireError error() const { return error_; }
   // May be null; points to a static string describing the first error.
   const char* error_detail() const { return detail_; }
   std::size_t Remaining() const { return size_ - pos_; }
+
+  // The subgroup-check batch that crypto::ReadG1 queues into, or null when
+  // each point is checked as it is read (crypto::PointAdmission attaches
+  // and detaches it).
+  crypto::PointAdmission* admission() const { return admission_; }
+  void set_admission(crypto::PointAdmission* a) { admission_ = a; }
 
   // Guards element-count fields read off the wire: every element of the
   // announced collection occupies at least `min_elem_bytes`, so a count
@@ -216,6 +235,7 @@ class ByteReader {
   bool ok_ = true;
   WireError error_ = WireError::kNone;
   const char* detail_ = nullptr;
+  crypto::PointAdmission* admission_ = nullptr;
 };
 
 }  // namespace apqa::common

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "crypto/serde.h"
+
 namespace apqa::core {
 
 using crypto::Sha256;
@@ -43,6 +45,7 @@ void AdsDelta::Serialize(common::ByteWriter* w) const {
 }
 
 AdsDelta AdsDelta::DeserializeRaw(common::ByteReader* r) {
+  crypto::PointAdmission admit(r);
   AdsDelta d;
   d.from_epoch = r->GetU64();
   d.to_epoch = r->GetU64();
@@ -58,6 +61,7 @@ void SignedAdsUpdate::Serialize(common::ByteWriter* w) const {
 }
 
 SignedAdsUpdate SignedAdsUpdate::DeserializeRaw(common::ByteReader* r) {
+  crypto::PointAdmission admit(r);
   SignedAdsUpdate u;
   u.delta = AdsDelta::DeserializeRaw(r);
   u.auth = Signature::Deserialize(r);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "crypto/serde.h"
+
 namespace apqa::core {
 
 using crypto::Sha256;
@@ -82,6 +84,7 @@ void EpochStamp::Serialize(common::ByteWriter* w) const {
 }
 
 EpochStamp EpochStamp::DeserializeRaw(common::ByteReader* r) {
+  crypto::PointAdmission admit(r);
   EpochStamp s;
   s.epoch = r->GetU64();
   std::uint8_t flag = r->GetU8();

@@ -5,6 +5,7 @@
 
 #include "core/parallel_verify.h"
 #include "core/vo.h"
+#include "crypto/serde.h"
 
 namespace apqa::core {
 
@@ -161,6 +162,7 @@ void ContinuousVo::Serialize(common::ByteWriter* w) const {
 }
 
 ContinuousVo ContinuousVo::DeserializeRaw(common::ByteReader* r) {
+  crypto::PointAdmission admit(r);
   ContinuousVo vo;
   vo.stamp = EpochStamp::DeserializeRaw(r);
   r->GetList(&vo.results, kMinVoEntryBytes, [r] {

@@ -2,6 +2,7 @@
 
 #include "core/parallel_verify.h"
 #include "core/range_query.h"
+#include "crypto/serde.h"
 
 #include <algorithm>
 #include <set>
@@ -272,6 +273,7 @@ void DupVo::Serialize(common::ByteWriter* w) const {
 }
 
 DupVo DupVo::DeserializeRaw(common::ByteReader* r) {
+  crypto::PointAdmission admit(r);
   DupVo vo;
   vo.stamp = EpochStamp::DeserializeRaw(r);
   r->GetList(&vo.results, kMinVoEntryBytes, [r] {

@@ -139,6 +139,7 @@ void GridTree::Serialize(common::ByteWriter* w) const {
 }
 
 std::optional<GridTree> GridTree::Deserialize(common::ByteReader* r) {
+  crypto::PointAdmission admit(r);
   GridTree tree;
   tree.domain_.dims = static_cast<int>(r->GetU32());
   tree.domain_.bits = static_cast<int>(r->GetU32());

@@ -4,6 +4,7 @@
 
 #include "core/parallel_verify.h"
 #include "core/range_query.h"
+#include "crypto/serde.h"
 
 namespace apqa::core {
 
@@ -72,6 +73,7 @@ void JoinVo::Serialize(common::ByteWriter* w) const {
 }
 
 JoinVo JoinVo::DeserializeRaw(common::ByteReader* r, std::size_t tables) {
+  crypto::PointAdmission admit(r);
   JoinVo vo;
   if (tables < 2) {
     r->MarkBad(common::WireError::kMalformed,

@@ -9,6 +9,7 @@
 
 #include "core/parallel_verify.h"
 #include "core/range_query.h"
+#include "crypto/serde.h"
 
 namespace apqa::core {
 
@@ -337,6 +338,7 @@ std::size_t KdVo::SerializedSize() const {
 }
 
 KdVo KdVo::DeserializeRaw(common::ByteReader* r) {
+  crypto::PointAdmission admit(r);
   KdVo vo;
   vo.stamp = EpochStamp::DeserializeRaw(r);
   r->GetList(&vo.results, kMinVoEntryBytes, [r] {

@@ -1,5 +1,7 @@
 #include "core/vo.h"
 
+#include "crypto/serde.h"
+
 namespace apqa::core {
 
 void WritePoint(common::ByteWriter* w, const Point& p) {
@@ -133,6 +135,7 @@ void Vo::Serialize(common::ByteWriter* w) const {
 }
 
 Vo Vo::DeserializeRaw(common::ByteReader* r) {
+  crypto::PointAdmission admit(r);
   Vo vo;
   vo.stamp = EpochStamp::DeserializeRaw(r);
   r->GetList(&vo.entries, kMinVoEntryBytes,

@@ -27,6 +27,10 @@
 #include <cstdlib>
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#endif
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define APQA_MONT_ACCEL_X86 1
 #endif
 
@@ -293,6 +297,369 @@ void ModSub384(const u64* a, const u64* b, const u64* p, u64* r) {
 
 #undef APQA_STORE6_X16
 
+// ---------------------------------------------------------------------------
+// Eight-lane G1 subgroup check on AVX-512 IFMA.
+//
+// Field: radix 2^52, eight limbs (416 bits) per element, one __m512i per
+// limb holding that limb of all eight lanes. vpmadd52{lo,hi}uq add the low
+// and high 52-bit halves of a 52x52 product into 64-bit accumulators, so a
+// Montgomery multiply (R = 2^416, operand scanning) lets every column
+// accumulate without carrying and propagates carries once, at the end.
+//
+// Lazy reduction. p < 2^381 leaves 35 bits of headroom under R: for inputs
+// a, b < 2^16 p the product a*b*R^-1 + m*p/R stays below 2p, so the
+// multiply never subtracts p and no element is ever fully reduced. Every
+// value below carries a bound in units of p (noted next to it); additions
+// add bounds, and a subtraction a - b adds an offset 2^k p > b first
+// (bounded-offset subtraction), so limbs may go negative until the next
+// normalization, whose arithmetic shifts move signed carries. Only
+// normalized elements (limbs in [0, 2^52)) feed a multiply, because the
+// IFMA units read the low 52 bits of each input limb. Every loop over the
+// limbs of an element is fully unrolled (#pragma GCC unroll), so each limb
+// lives in its own register instead of an indexed stack array.
+//
+// Group law: the same Jacobian formulas as CurvePoint (dbl-2009-l,
+// madd-2007-bl, add-2007-bl), without their branches. Where the scalar
+// code branches (an operand at infinity, equal or opposite operands) the
+// branch-free formula yields Z = 0, and Z = 0 then survives every later
+// doubling and addition. So a lane whose final Z is nonzero ran the exact
+// group law, and a lane that ends with Z = 0 is handed back for the scalar
+// test.
+
+// GCC 12's _mm512_srli/srai_epi64 pass _mm512_undefined_epi32() as the
+// unused merge source, which -Wuninitialized reports at every inlined use.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// The kernel touches only its own locals and the caller's fixed-size input
+// and output arrays, in an order that does not depend on the data. ASan and
+// TSan instrumentation of its hundreds of 64-byte temporaries made it
+// slower than the scalar test in sanitizer builds, so it is left out of
+// both.
+#define APQA_IFMA_ATTRS \
+  target("avx512f,avx512ifma"), no_sanitize("address", "thread")
+#define APQA_IFMA_FN __attribute__((APQA_IFMA_ATTRS))
+#define APQA_IFMA_INLINE __attribute__((APQA_IFMA_ATTRS, always_inline)) inline
+// The group-law steps stay out of line: each inlines its multiplies fully
+// unrolled, and one copy of each keeps the chains' loop inside the
+// instruction caches.
+#define APQA_IFMA_STEP __attribute__((APQA_IFMA_ATTRS, noinline))
+
+namespace {
+
+constexpr int kLanes = 8;
+constexpr int kL52 = 8;  // limbs per element
+constexpr u64 kMask52 = (u64{1} << 52) - 1;
+
+struct V8 {
+  __m512i l[kL52];
+};
+
+struct LanePoint {
+  V8 x, y, z;
+};
+
+struct LaneField {
+  V8 p;
+  V8 off[7];  // off[k] = 2^k * p, the subtraction offsets
+  __m512i pinv;  // -p^-1 mod 2^52
+  __m512i mask;
+};
+
+// Splits a little-endian integer of `words` 64-bit limbs (at most 416
+// bits) into eight 52-bit limbs.
+void To52(const u64* a, int words, u64* out) {
+  for (int j = 0; j < kL52; ++j) {
+    const int bit = 52 * j;
+    const int w = bit / 64;
+    const int s = bit % 64;
+    u64 v = w < words ? a[w] >> s : 0;
+    if (s > 12 && w + 1 < words) v |= a[w + 1] << (64 - s);
+    out[j] = v & kMask52;
+  }
+}
+
+APQA_IFMA_INLINE V8 Broadcast(const u64* limbs52) {
+  V8 r;
+  for (int j = 0; j < kL52; ++j) {
+    r.l[j] = _mm512_set1_epi64(static_cast<long long>(limbs52[j]));
+  }
+  return r;
+}
+
+// Loads lane i's element from in[i] (6x64 limbs) for i < n; the spare lanes
+// repeat lane 0.
+APQA_IFMA_INLINE V8 LoadLanes(const u64 (*in)[6], int n) {
+  alignas(64) u64 t[kL52][kLanes];
+  for (int i = 0; i < kLanes; ++i) {
+    u64 l52[kL52];
+    To52(in[i < n ? i : 0], 6, l52);
+      for (int j = 0; j < kL52; ++j) t[j][i] = l52[j];
+  }
+  V8 r;
+  for (int j = 0; j < kL52; ++j) r.l[j] = _mm512_load_si512(t[j]);
+  return r;
+}
+
+// Signed carry propagation: limbs 0..6 into [0, 2^52), the rest into limb 7.
+APQA_IFMA_INLINE void Norm(const LaneField& f, V8* a) {
+#pragma GCC unroll 16
+  for (int j = 0; j < kL52 - 1; ++j) {
+    a->l[j + 1] =
+        _mm512_add_epi64(a->l[j + 1], _mm512_srai_epi64(a->l[j], 52));
+    a->l[j] = _mm512_and_si512(a->l[j], f.mask);
+  }
+}
+
+// a * b * 2^-416 mod p, below 2p for normalized a, b < 2^16 p; normalized.
+APQA_IFMA_INLINE V8 Mul(const LaneField& f, const V8& a, const V8& b) {
+  const __m512i zero = _mm512_setzero_si512();
+  __m512i t[kL52 + 1];
+#pragma GCC unroll 16
+  for (int j = 0; j <= kL52; ++j) t[j] = zero;
+#pragma GCC unroll 16
+  for (int i = 0; i < kL52; ++i) {
+    const __m512i bi = b.l[i];
+#pragma GCC unroll 16
+    for (int j = 0; j < kL52; ++j) {
+      t[j] = _mm512_madd52lo_epu64(t[j], a.l[j], bi);
+    }
+#pragma GCC unroll 16
+    for (int j = 0; j < kL52; ++j) {
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], a.l[j], bi);
+    }
+    const __m512i m = _mm512_madd52lo_epu64(zero, t[0], f.pinv);
+#pragma GCC unroll 16
+    for (int j = 0; j < kL52; ++j) {
+      t[j] = _mm512_madd52lo_epu64(t[j], f.p.l[j], m);
+    }
+#pragma GCC unroll 16
+    for (int j = 0; j < kL52; ++j) {
+      t[j + 1] = _mm512_madd52hi_epu64(t[j + 1], f.p.l[j], m);
+    }
+    // The low 52 bits of t[0] are now zero: carry the rest and shift.
+    t[1] = _mm512_add_epi64(t[1], _mm512_srli_epi64(t[0], 52));
+#pragma GCC unroll 16
+    for (int j = 0; j < kL52; ++j) t[j] = t[j + 1];
+    t[kL52] = zero;
+  }
+  V8 r;
+#pragma GCC unroll 16
+  for (int j = 0; j < kL52; ++j) r.l[j] = t[j];
+  Norm(f, &r);
+  return r;
+}
+
+APQA_IFMA_INLINE V8 Sqr(const LaneField& f, const V8& a) { return Mul(f, a, a); }
+
+// a + b, not normalized.
+APQA_IFMA_INLINE V8 Add(const V8& a, const V8& b) {
+  V8 r;
+#pragma GCC unroll 16
+  for (int j = 0; j < kL52; ++j) r.l[j] = _mm512_add_epi64(a.l[j], b.l[j]);
+  return r;
+}
+
+// a - b + 2^k p, not normalized; requires b < 2^k p.
+APQA_IFMA_INLINE V8 Sub(const LaneField& f, const V8& a, const V8& b, int k) {
+  V8 r;
+#pragma GCC unroll 16
+  for (int j = 0; j < kL52; ++j) {
+    r.l[j] = _mm512_add_epi64(_mm512_sub_epi64(a.l[j], b.l[j]),
+                              f.off[k].l[j]);
+  }
+  return r;
+}
+
+APQA_IFMA_INLINE V8 Normed(const LaneField& f, V8 a) {
+  Norm(f, &a);
+  return a;
+}
+
+// dbl-2009-l. Input coordinates normalized and below 64p; output X3 < 34p,
+// Y3 < 18p, Z3 < 4p, normalized.
+APQA_IFMA_STEP void Dbl(const LaneField& f, LanePoint* io) {
+  const LanePoint& q = *io;
+  const V8 a = Sqr(f, q.x);                           // < 2
+  const V8 b = Sqr(f, q.y);                           // < 2
+  const V8 c = Sqr(f, b);                             // < 2
+  const V8 t = Sqr(f, Normed(f, Add(q.x, b)));        // < 2
+  const V8 d2 = Sub(f, Sub(f, t, a, 1), c, 1);        // < 6
+  const V8 d = Add(d2, d2);                           // < 12
+  const V8 e = Normed(f, Add(Add(a, a), a));          // < 6
+  const V8 ff = Sqr(f, e);                            // < 2
+  LanePoint r;
+  r.x = Normed(f, Sub(f, ff, Add(d, d), 5));          // < 34
+  const V8 c2 = Add(c, c);
+  const V8 c8 = Add(Add(c2, c2), Add(c2, c2));        // < 16
+  r.y = Normed(f, Sub(f, Mul(f, e, Normed(f, Sub(f, d, r.x, 6))), c8, 4));
+  const V8 yz = Mul(f, q.y, q.z);
+  r.z = Normed(f, Add(yz, yz));                       // < 4
+  *io = r;
+}
+
+// madd-2007-bl: q + (ax, ay) with ax, ay < 2p. Output below 8p.
+APQA_IFMA_STEP void AddAffine(const LaneField& f, LanePoint* io,
+                              const V8& ax, const V8& ay) {
+  const LanePoint& q = *io;
+  const V8 z1z1 = Sqr(f, q.z);
+  const V8 u2 = Mul(f, ax, z1z1);
+  const V8 s2 = Mul(f, ay, Mul(f, q.z, z1z1));
+  const V8 h = Normed(f, Sub(f, u2, q.x, 6));        // < 66
+  const V8 hh = Sqr(f, h);
+  const V8 hh2 = Add(hh, hh);
+  const V8 i = Normed(f, Add(hh2, hh2));             // < 8
+  const V8 j = Mul(f, h, i);
+  const V8 r2 = Sub(f, s2, q.y, 6);
+  const V8 r = Normed(f, Add(r2, r2));               // < 132
+  const V8 v = Mul(f, q.x, i);
+  LanePoint o;
+  o.x = Normed(f, Sub(f, Sub(f, Sqr(f, r), j, 1), Add(v, v), 2));   // < 8
+  const V8 yj = Mul(f, q.y, j);
+  o.y = Normed(f, Sub(f, Mul(f, r, Normed(f, Sub(f, v, o.x, 3))),
+                      Add(yj, yj), 2));                               // < 6
+  const V8 zh = Sqr(f, Normed(f, Add(q.z, h)));
+  o.z = Normed(f, Sub(f, Sub(f, zh, z1z1, 1), hh, 1));               // < 6
+  *io = o;
+}
+
+// add-2007-bl: q + o. Output below 8p.
+APQA_IFMA_STEP void AddJacobian(const LaneField& f, LanePoint* io,
+                                const LanePoint& o) {
+  const LanePoint& q = *io;
+  const V8 z1z1 = Sqr(f, q.z);
+  const V8 z2z2 = Sqr(f, o.z);
+  const V8 u1 = Mul(f, q.x, z2z2);
+  const V8 u2 = Mul(f, o.x, z1z1);
+  const V8 s1 = Mul(f, q.y, Mul(f, o.z, z2z2));
+  const V8 s2 = Mul(f, o.y, Mul(f, q.z, z1z1));
+  const V8 h = Normed(f, Sub(f, u2, u1, 1));         // < 4
+  const V8 i = Sqr(f, Normed(f, Add(h, h)));
+  const V8 j = Mul(f, h, i);
+  const V8 r2 = Sub(f, s2, s1, 1);
+  const V8 r = Normed(f, Add(r2, r2));               // < 8
+  const V8 v = Mul(f, u1, i);
+  LanePoint out;
+  out.x = Normed(f, Sub(f, Sub(f, Sqr(f, r), j, 1), Add(v, v), 2));  // < 8
+  const V8 sj = Mul(f, s1, j);
+  out.y = Normed(f, Sub(f, Mul(f, r, Normed(f, Sub(f, v, out.x, 3))),
+                        Add(sj, sj), 2));                              // < 6
+  const V8 zz = Sqr(f, Normed(f, Add(q.z, o.z)));
+  out.z = Mul(f, h, Normed(f, Sub(f, Sub(f, zz, z1z1, 1), z2z2, 1)));
+  *io = out;
+}
+
+// Per-lane mask of a ≡ 0 (mod p) for normalized a < 2^416: a * R^-1 lands
+// in [0, p], so it is 0 or p exactly when a ≡ 0.
+APQA_IFMA_INLINE __mmask8 IsZeroModP(const LaneField& f, const V8& a) {
+  V8 one;
+  one.l[0] = _mm512_set1_epi64(1);
+#pragma GCC unroll 16
+  for (int j = 1; j < kL52; ++j) one.l[j] = _mm512_setzero_si512();
+  const V8 v = Mul(f, a, one);
+  __mmask8 zero = 0xff, eq_p = 0xff;
+#pragma GCC unroll 16
+  for (int j = 0; j < kL52; ++j) {
+    zero &= _mm512_cmpeq_epi64_mask(v.l[j], _mm512_setzero_si512());
+    eq_p &= _mm512_cmpeq_epi64_mask(v.l[j], f.p.l[j]);
+  }
+  return static_cast<__mmask8>(zero | eq_p);
+}
+
+// A Montgomery-2^384 constant (6x64 limbs) in this field's form, on every
+// lane; `to_lane` is 2^448 mod p.
+APQA_IFMA_INLINE V8 Lift(const LaneField& f, const V8& to_lane,
+                         const u64* v) {
+  u64 l[kL52];
+  To52(v, 6, l);
+  return Mul(f, Broadcast(l), to_lane);
+}
+
+APQA_IFMA_FN void G1SubgroupCheckX8Impl(const G1LaneConsts& c,
+                                        const u64 (*xs)[6],
+                                        const u64 (*ys)[6], int n,
+                                        LaneVerdict* out) {
+  LaneField f;
+  u64 l[kL52];
+  To52(c.p, 6, l);
+  f.p = Broadcast(l);
+  for (int k = 0; k < 7; ++k) {  // 2^k p < 2^387: seven 64-bit limbs
+    u64 kp[7];
+    for (int w = 0; w < 7; ++w) {
+      const u64 lo = w < 6 ? c.p[w] : 0;
+      kp[w] = (lo << k) | (k > 0 && w > 0 ? c.p[w - 1] >> (64 - k) : 0);
+    }
+    To52(kp, 7, l);
+    f.off[k] = Broadcast(l);
+  }
+  // -p^-1 mod 2^52 by Newton iteration: p is odd, so inv = 1 is right mod
+  // 2, and each step doubles the number of correct low bits.
+  u64 inv = 1;
+  for (int it = 0; it < 6; ++it) inv *= 2 - c.p[0] * inv;
+  f.pinv = _mm512_set1_epi64(static_cast<long long>((0 - inv) & kMask52));
+  f.mask = _mm512_set1_epi64(static_cast<long long>(kMask52));
+
+  // The inputs are Montgomery-2^384 representations v * 2^384 mod p; a
+  // multiply by 2^448 mod p turns them into v * 2^416, this field's form.
+  To52(c.r448, 6, l);
+  const V8 to_lane = Broadcast(l);
+  const V8 one = Lift(f, to_lane, c.one);
+  const V8 beta2 = Lift(f, to_lane, c.beta2);
+  const V8 x = Mul(f, LoadLanes(xs, n), to_lane);
+  const V8 y = Mul(f, LoadLanes(ys, n), to_lane);
+
+  // q = [|z|]P, then s = [|z|]q; the top bit of |z| starts each chain.
+  int top = 63;
+  while (!((c.abs_z >> top) & 1)) --top;
+  LanePoint q{x, y, one};
+  for (int i = top - 1; i >= 0; --i) {
+    Dbl(f, &q);
+    if ((c.abs_z >> i) & 1) AddAffine(f, &q, x, y);
+  }
+  LanePoint s = q;
+  for (int i = top - 1; i >= 0; --i) {
+    Dbl(f, &s);
+    if ((c.abs_z >> i) & 1) AddJacobian(f, &s, q);
+  }
+  // phi(P) + P = -phi^2(P) = (beta^2 x, -y) for every curve point: P,
+  // phi(P) and phi^2(P) are the three points of the curve on the line
+  // Y = y, so they sum to infinity. Against s = (X, Y, Z) that reads
+  // X == beta^2 x Z^2 and Y == -y Z^3.
+  const V8 zz = Sqr(f, s.z);
+  const V8 zzz = Mul(f, zz, s.z);
+  const V8 e1 = Normed(f, Sub(f, s.x, Mul(f, Mul(f, beta2, x), zz), 1));
+  const V8 e2 = Normed(f, Add(s.y, Mul(f, y, zzz)));
+  const __mmask8 z0 = IsZeroModP(f, s.z);
+  const __mmask8 eq = IsZeroModP(f, e1) & IsZeroModP(f, e2);
+  for (int i = 0; i < n; ++i) {
+    if ((z0 >> i) & 1) {
+      out[i] = LaneVerdict::kRecheck;
+    } else {
+      out[i] = ((eq >> i) & 1) ? LaneVerdict::kIn : LaneVerdict::kOut;
+    }
+  }
+}
+
+}  // namespace
+
+bool DetectIfmaLanes() {
+  if (ForcePortable()) return false;
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512ifma") != 0;
+}
+
+void G1SubgroupCheckX8(const G1LaneConsts& c, const u64 (*xs)[6],
+                       const u64 (*ys)[6], int n, LaneVerdict* out) {
+  G1SubgroupCheckX8Impl(c, xs, ys, n, out);
+}
+
+#undef APQA_IFMA_STEP
+#undef APQA_IFMA_INLINE
+#undef APQA_IFMA_FN
+#undef APQA_IFMA_ATTRS
+#pragma GCC diagnostic pop
+
 #else  // !APQA_MONT_ACCEL_X86 — portable-only build; stubs keep the link.
 
 bool MontAccelCompiled() { return false; }
@@ -310,6 +677,11 @@ void MontMulPair384(const u64*, const u64*, const u64*, const u64*,
 void ModAdd384(const u64*, const u64*, const u64*, u64*) {}
 
 void ModSub384(const u64*, const u64*, const u64*, u64*) {}
+
+bool DetectIfmaLanes() { return false; }
+
+void G1SubgroupCheckX8(const G1LaneConsts&, const u64 (*)[6],
+                       const u64 (*)[6], int, LaneVerdict*) {}
 
 #endif  // APQA_MONT_ACCEL_X86
 

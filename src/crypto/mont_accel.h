@@ -1,5 +1,5 @@
-// Runtime-dispatched accelerated Montgomery kernels: the multiply and the
-// modular add/subtract next to it.
+// Runtime-dispatched accelerated kernels: the Montgomery multiply and the
+// modular add/subtract next to it, and an eight-lane G1 subgroup check.
 //
 // The generic CIOS multiply in prime_field.h is portable and branch-free but
 // serializes every partial product through one u128 carry chain. On x86-64
@@ -13,20 +13,34 @@
 // half a Montgomery multiply, and the curve and tower formulas do about as
 // many additions as multiplications.
 //
-// This header is intrinsics-free: it declares the dispatch query and the raw
-// kernel entry points, both defined in mont_accel.cc — the single translation
-// unit allowed to contain __asm__/vendor intrinsics (lint rule R16). The
-// portable kernel in prime_field.h stays always-compiled as the fallback and
-// the differential oracle (tests/field_test.cc, bench mont_kernel_bitmatch).
+// The subgroup kernel serves decoding: every G1 point read from untrusted
+// bytes must pass Scott's subgroup test, and a VO carries over a hundred of
+// them. On parts with AVX-512 IFMA (52x52-bit multiply-accumulate on eight
+// 64-bit lanes) the test runs on eight points at once in a radix-2^52
+// Montgomery field with lazy reduction, several times faster per point
+// than the scalar test (bench_msm_micro g1_subgroup_check_x8). Decoders
+// reach it through crypto::PointAdmission (crypto/serde.h), which queues
+// the checks of one decode and runs them in one pass.
+//
+// This header is intrinsics-free: it declares the dispatch queries and the
+// raw kernel entry points, all defined in mont_accel.cc — the single
+// translation unit allowed to contain __asm__/vendor intrinsics (lint rule
+// R16). The portable kernel in prime_field.h stays always-compiled as the
+// fallback and the differential oracle (tests/field_test.cc, bench
+// mont_kernel_bitmatch); CurvePoint::InPrimeOrderSubgroup is the fallback
+// and oracle of the lane kernel (tests/subgroup_admission_test.cc).
 //
 // Dispatch is decided once per process:
-//   - APQA_FORCE_PORTABLE=1 in the environment pins the portable kernel
-//     (scripts/check.sh re-runs the field/curve/msm/pairing suites this way
-//     so the fallback arm cannot rot on BMI2 builders);
-//   - otherwise CPUID must report both BMI2 and ADX.
+//   - APQA_FORCE_PORTABLE=1 in the environment pins the portable kernels
+//     and the scalar subgroup test (scripts/check.sh re-runs the
+//     field/curve/msm/pairing, serde and admission suites this way so the
+//     fallback arms cannot rot on BMI2 or IFMA builders);
+//   - otherwise the multiply and add/subtract need CPUID to report both
+//     BMI2 and ADX, and the subgroup lanes both AVX-512F and AVX-512 IFMA.
 // The decision is data-independent, so the constant-time discipline of
 // prime_field.h is unaffected: whichever kernel is selected runs a fixed
-// instruction sequence with a branch-free final reduction.
+// instruction sequence with a branch-free final reduction. The subgroup
+// kernel is variable time and only ever sees public points.
 #ifndef APQA_CRYPTO_MONT_ACCEL_H_
 #define APQA_CRYPTO_MONT_ACCEL_H_
 
@@ -74,6 +88,38 @@ void MontMulPair384(const u64* a1, const u64* b1, const u64* a2,
 // portable arm.
 void ModAdd384(const u64* a, const u64* b, const u64* p, u64* r);
 void ModSub384(const u64* a, const u64* b, const u64* p, u64* r);
+
+// One-shot detection for the eight-lane kernel below: compiled in, CPUID
+// reports AVX-512F and AVX-512 IFMA, and APQA_FORCE_PORTABLE is absent/0.
+bool DetectIfmaLanes();
+
+// Cached like MontAccelActive().
+inline bool IfmaLanesActive() {
+  static const bool active = DetectIfmaLanes();
+  return active;
+}
+
+// The constants of G1SubgroupCheckX8, as 6x64-bit little-endian limbs.
+// Field elements are in PrimeField's Montgomery form (v * 2^384 mod p).
+struct G1LaneConsts {
+  u64 p[6];      // the base-field modulus
+  u64 r448[6];   // 2^448 mod p, as a plain integer
+  u64 one[6];    // 1
+  u64 beta2[6];  // beta^2, beta the G1 GLV cube root of unity
+  u64 abs_z;     // |z|, the BLS parameter
+};
+
+enum class LaneVerdict : std::uint8_t { kOut, kIn, kRecheck };
+
+// Scott's G1 test phi(P) + P == [|z|]([|z|]P) on up to eight affine curve
+// points at once: lane i < n takes (xs[i], ys[i]) (Montgomery form, on the
+// curve, not at infinity) and gets kIn or kOut, or kRecheck when its chain
+// ended at Z = 0 (an exceptional addition, or a result at infinity, as
+// points with small-order components produce); a kRecheck lane must be
+// decided by CurvePoint::InPrimeOrderSubgroup. Variable time: public points
+// only. Must only be called when IfmaLanesActive() is true.
+void G1SubgroupCheckX8(const G1LaneConsts& c, const u64 (*xs)[6],
+                       const u64 (*ys)[6], int n, LaneVerdict* out);
 
 }  // namespace apqa::crypto::accel
 

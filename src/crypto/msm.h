@@ -6,7 +6,8 @@
 //   BatchInverse    — Montgomery's trick: n inversions for the price of one
 //                     plus 3(n-1) multiplications. Zero entries stay zero
 //                     (mirroring PrimeField::Inverse).
-//   BatchToAffine   — normalizes many Jacobian points with one inversion.
+//   BatchToAffine   — normalizes many Jacobian points with one inversion
+//                     (G1 and G2 points together, through the Fp2 norm).
 //   FixedBaseTable  — signed radix-64 windowed table for a long-lived base
 //                     over the two GLV halves: one mixed addition per 6
 //                     bits of each half, no doublings.
@@ -67,6 +68,34 @@ void BatchToAffine(std::span<CurvePoint<F>> pts) {
     pts[i].x = pts[i].x * zi2;
     pts[i].y = pts[i].y * zi2 * zs[i];
     pts[i].z = F::One();
+  }
+}
+
+// Normalizes G1 and G2 points together with a single field inversion: an
+// Fp2 element z = c0 + c1*i has 1/z = conj(z) / N(z) with the Fp norm
+// N(z) = c0^2 + c1^2, so the G2 norms join the G1 Zs in one BatchInverse.
+// Points at infinity are left untouched (N(z) = 0 exactly when z = 0).
+inline void BatchToAffine(std::span<G1> g1, std::span<G2> g2) {
+  std::vector<Fp> zs;
+  zs.reserve(g1.size() + g2.size());
+  for (const G1& pt : g1) zs.push_back(pt.z);
+  for (const G2& pt : g2) zs.push_back(pt.z.c0.Square() + pt.z.c1.Square());
+  BatchInverse(zs.data(), zs.size());
+  for (std::size_t i = 0; i < g1.size(); ++i) {
+    if (g1[i].IsInfinity()) continue;
+    Fp zi2 = zs[i].Square();
+    g1[i].x = g1[i].x * zi2;
+    g1[i].y = g1[i].y * zi2 * zs[i];
+    g1[i].z = Fp::One();
+  }
+  for (std::size_t i = 0; i < g2.size(); ++i) {
+    G2& pt = g2[i];
+    if (pt.IsInfinity()) continue;
+    Fp2 zi = pt.z.Conjugate().MulByFp(zs[g1.size() + i]);
+    Fp2 zi2 = zi.Square();
+    pt.x = pt.x * zi2;
+    pt.y = pt.y * zi2 * zi;
+    pt.z = Fp2::One();
   }
 }
 

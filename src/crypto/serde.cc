@@ -1,8 +1,41 @@
 #include "crypto/serde.h"
 
+#include <algorithm>
+
+#include "crypto/mont_accel.h"
 #include "crypto/sha256.h"
 
 namespace apqa::crypto {
+
+namespace {
+
+constexpr const char* kG1NotInSubgroup =
+    "G1 point outside prime-order subgroup";
+
+// A lane pass costs the same for one point as for eight, a little more
+// than one scalar test; a single point runs the scalar test instead.
+constexpr std::size_t kMinLanePoints = 2;
+
+}  // namespace
+
+const accel::G1LaneConsts& G1LaneConstants() {
+  static const accel::G1LaneConsts consts = [] {
+    accel::G1LaneConsts c{};
+    auto put = [](const Limbs<6>& l, u64* out) {
+      std::copy(l.begin(), l.end(), out);
+    };
+    put(Fp::Modulus(), c.p);
+    const u64 e448 = 448;
+    put(Fp::FromU64(2).Pow(std::span<const u64>(&e448, 1)).ToCanonical(),
+        c.r448);
+    put(Fp::One().MontgomeryRepr(), c.one);
+    const Fp& beta = GlvEndo<Fp>::Beta();
+    put((beta * beta).MontgomeryRepr(), c.beta2);
+    c.abs_z = kBlsParamAbs;
+    return c;
+  }();
+  return consts;
+}
 
 void WriteFr(common::ByteWriter* w, const Fr& v) {
   Limbs<4> l = v.ToCanonical();
@@ -63,12 +96,67 @@ G1 ReadG1(common::ByteReader* r) {
     r->MarkBad(common::WireError::kPointNotOnCurve, "G1 point off curve");
     return G1::Infinity();
   }
+  if (PointAdmission* admission = r->admission()) {
+    admission->Queue(p);
+    return p;
+  }
   if (!p.InPrimeOrderSubgroup()) {
-    r->MarkBad(common::WireError::kPointNotInSubgroup,
-               "G1 point outside prime-order subgroup");
+    r->MarkBad(common::WireError::kPointNotInSubgroup, kG1NotInSubgroup);
     return G1::Infinity();
   }
   return p;
+}
+
+void G1InSubgroupX8(std::span<const G1> pts, bool* in) {
+  const std::size_t n = std::min<std::size_t>(pts.size(), 8);
+  if (!accel::IfmaLanesActive()) {
+    for (std::size_t i = 0; i < n; ++i) in[i] = pts[i].InPrimeOrderSubgroup();
+    return;
+  }
+  u64 xs[8][6], ys[8][6];
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy_n(pts[i].x.MontgomeryRepr().begin(), 6, xs[i]);
+    std::copy_n(pts[i].y.MontgomeryRepr().begin(), 6, ys[i]);
+  }
+  accel::LaneVerdict v[8];
+  accel::G1SubgroupCheckX8(G1LaneConstants(), xs, ys, static_cast<int>(n), v);
+  for (std::size_t i = 0; i < n; ++i) {
+    in[i] = v[i] == accel::LaneVerdict::kRecheck
+                ? pts[i].InPrimeOrderSubgroup()
+                : v[i] == accel::LaneVerdict::kIn;
+  }
+}
+
+std::size_t FirstOutsideG1Subgroup(std::span<const G1> pts) {
+  for (std::size_t i = 0; i < pts.size(); i += 8) {
+    const std::size_t n = std::min<std::size_t>(pts.size() - i, 8);
+    if (!accel::IfmaLanesActive() || n < kMinLanePoints) {
+      for (std::size_t k = i; k < i + n; ++k) {
+        if (!pts[k].InPrimeOrderSubgroup()) return k;
+      }
+      continue;
+    }
+    bool in[8];
+    G1InSubgroupX8(pts.subspan(i, n), in);
+    for (std::size_t k = 0; k < n; ++k) {
+      if (!in[k]) return i + k;
+    }
+  }
+  return pts.size();
+}
+
+PointAdmission::PointAdmission(common::ByteReader* r)
+    : r_(r), owner_(r->admission() == nullptr) {
+  if (owner_) r_->set_admission(this);
+}
+
+PointAdmission::~PointAdmission() {
+  if (!owner_) return;
+  r_->set_admission(nullptr);
+  if (FirstOutsideG1Subgroup(g1_) < g1_.size()) {
+    r_->MarkBadEarlier(common::WireError::kPointNotInSubgroup,
+                       kG1NotInSubgroup);
+  }
 }
 
 void WriteG2(common::ByteWriter* w, const G2& p) {

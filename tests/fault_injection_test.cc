@@ -880,6 +880,130 @@ TEST(TamperMatrixTest, LengthInflationRejectedWithoutAllocating) {
   EXPECT_TRUE(vo.entries.empty());
 }
 
+// --- Batched subgroup admission keeps wire-order blame ---------------------
+//
+// The decoders queue G1 subgroup checks and run them after the decode, so
+// a later error (truncation, an off-curve point, an oversized count) is
+// flagged first and the batched pass must replace it. Point k of every
+// VO / update below is put outside the subgroup, for every k, and each of
+// the three later faults must still come back as ReadG1's subgroup error.
+
+void SigG1s(abs::Signature* sig, std::vector<crypto::G1*>* out) {
+  out->push_back(&sig->y);
+  out->push_back(&sig->w);
+  for (crypto::G1& p : sig->s) out->push_back(&p);
+}
+
+abs::Signature* EntrySig(VoEntry* e) {
+  if (auto* res = std::get_if<ResultEntry>(e)) return &res->app_sig;
+  if (auto* rec = std::get_if<InaccessibleRecordEntry>(e)) return &rec->aps_sig;
+  return &std::get<InaccessibleBoxEntry>(*e).aps_sig;
+}
+
+// The G1 points of a VO / update in wire order, and the signature whose
+// G2 list ends the bytes.
+struct VoPoints {
+  static std::vector<crypto::G1*> G1s(Vo* vo) {
+    std::vector<crypto::G1*> out;
+    if (vo->stamp.attested) SigG1s(&vo->stamp.attestation, &out);
+    for (VoEntry& e : vo->entries) SigG1s(EntrySig(&e), &out);
+    return out;
+  }
+  static std::size_t LastG2Count(Vo vo) {
+    return EntrySig(&vo.entries.back())->p.size();
+  }
+  static void Decode(common::ByteReader* r) {
+    // discard-ok: only the reader's verdict is under test.
+    (void)Vo::DeserializeRaw(r);
+  }
+};
+
+struct UpdatePoints {
+  static std::vector<crypto::G1*> G1s(SignedAdsUpdate* u) {
+    std::vector<crypto::G1*> out;
+    for (NodePatch& p : u->delta.nodes) SigG1s(&p.sig, &out);
+    if (u->delta.stamp.attested) SigG1s(&u->delta.stamp.attestation, &out);
+    SigG1s(&u->auth, &out);
+    return out;
+  }
+  static std::size_t LastG2Count(const SignedAdsUpdate& u) {
+    return u.auth.p.size();
+  }
+  static void Decode(common::ByteReader* r) {
+    // discard-ok: only the reader's verdict is under test.
+    (void)SignedAdsUpdate::DeserializeRaw(r);
+  }
+};
+
+enum class LaterFault { kTruncation, kOffCurve, kOversizedCount };
+
+// `obj`'s bytes with `fault` applied after its last G1 point.
+template <typename T, typename Points>
+std::vector<std::uint8_t> WithLaterFault(T obj, LaterFault fault) {
+  if (fault == LaterFault::kOffCurve) {
+    crypto::Fp x, y;
+    crypto::G1Generator().ToAffine(&x, &y);
+    *Points::G1s(&obj).back() =
+        crypto::G1::FromAffine(x, y + crypto::Fp::One());
+  }
+  std::vector<std::uint8_t> b = Ser(obj);
+  if (fault == LaterFault::kTruncation) b.pop_back();
+  if (fault == LaterFault::kOversizedCount) {
+    // The last signature's G2 count: every one of its points is finite.
+    const std::size_t n = Points::LastG2Count(obj);
+    const std::size_t off = b.size() - 4 - n * crypto::kG2Bytes;
+    EXPECT_EQ(b[off], n);
+    for (int i = 0; i < 4; ++i) b[off + i] = 0xff;
+  }
+  return b;
+}
+
+template <typename T, typename Points>
+void ExpectSubgroupBlameWins(const T& base) {
+  const crypto::G1 bad = crypto::hostile::NonSubgroupG1();
+  T probe = base;
+  const std::size_t n = Points::G1s(&probe).size();
+  ASSERT_GE(n, 2u);
+  const struct {
+    LaterFault fault;
+    common::WireError alone;
+  } faults[] = {
+      {LaterFault::kTruncation, common::WireError::kTruncated},
+      {LaterFault::kOffCurve, common::WireError::kPointNotOnCurve},
+      {LaterFault::kOversizedCount, common::WireError::kLengthOverflow},
+  };
+  for (const auto& f : faults) {
+    // Alone, each fault is what the reader reports.
+    std::vector<std::uint8_t> b = WithLaterFault<T, Points>(base, f.fault);
+    common::ByteReader clean(b);
+    Points::Decode(&clean);
+    EXPECT_EQ(clean.error(), f.alone);
+    // Behind a point outside the subgroup, the point wins.
+    for (std::size_t k = 0; k + 1 < n; ++k) {
+      T obj = base;
+      *Points::G1s(&obj)[k] = bad;
+      b = WithLaterFault<T, Points>(obj, f.fault);
+      common::ByteReader r(b);
+      Points::Decode(&r);
+      EXPECT_EQ(r.error(), common::WireError::kPointNotInSubgroup)
+          << "point " << k << " of " << n;
+      EXPECT_STREQ(r.error_detail() ? r.error_detail() : "",
+                   "G1 point outside prime-order subgroup");
+    }
+  }
+}
+
+TEST(AdmissionPrecedenceTest, VoSubgroupFaultBeatsLaterFaults) {
+  ExpectSubgroupBlameWins<Vo, VoPoints>(GetEnv()->range_vo);
+}
+
+TEST(AdmissionPrecedenceTest, AdsUpdateSubgroupFaultBeatsLaterFaults) {
+  common::ByteReader r(GetEnv()->update_bytes);
+  const SignedAdsUpdate u = SignedAdsUpdate::DeserializeRaw(&r);
+  ASSERT_TRUE(r.ok() && r.AtEnd());
+  ExpectSubgroupBlameWins<SignedAdsUpdate, UpdatePoints>(u);
+}
+
 // --- kAdsUpdate payload: total decoding and unforgeable auth ----------------
 
 // Strict deserialization of a SignedAdsUpdate from hostile bytes.
