@@ -31,6 +31,7 @@
 #include "abs/abs.h"
 #include "bench_util.h"
 #include "crypto/ct.h"
+#include "crypto/ct_batch.h"
 #include "crypto/msm.h"
 #include "crypto/serde.h"
 
@@ -226,6 +227,29 @@ void BenchFixedBase(Rng* rng, int iters) {
     Sink(t1.MulCt(SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
   });
   Report("ct_fixed_base_g1", ct_fixed1);
+  // The same ladders and walks eight to a CtMulBatch group (the IFMA lanes
+  // where active), per multiply (scripts/check.sh gates each at 0.5x its
+  // scalar row when ifma_lanes_active is 1).
+  auto time_x8 = [&](auto add) {
+    const int groups = (iters + 7) / 8;
+    int g = 0;
+    return TimeMs(groups, [&] {
+             CtMulBatch batch;
+             for (int j = 0; j < 8; ++j) {
+               add(&batch, SecretFr(ks[static_cast<std::size_t>(
+                               (8 * g + j) % iters)]));
+             }
+             ++g;
+             batch.Run();
+             Sink(batch.g1(7));
+           }) /
+           8;
+  };
+  Report("ct_mul_g1_x8", time_x8([&](CtMulBatch* b, const SecretFr& k) {
+           b->Add(g1, k);
+         }));
+  Report("ct_fixed_base_g1_x8",
+         time_x8([&](CtMulBatch* b, const SecretFr& k) { b->Add(t1, k); }));
 
   i = 0;
   const G2& g2 = G2Generator();

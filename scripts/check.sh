@@ -10,8 +10,9 @@
 #      harness of tests/compile_fail/ and the lockdep suite, which self-skips
 #      its violation tests in Release where APQA_LOCKDEP is off), then the
 #      crypto suites (and the AbsRelaxFold / AbsSignFold oracles, the
-#      subgroup-admission and serde suites and the pinned fault-injection
-#      verdicts) again under APQA_FORCE_PORTABLE=1 so the portable
+#      subgroup-admission and serde suites, the pinned fault-injection
+#      verdicts, the pinned VO bytes and the CtLanes lane-kernel suite)
+#      again under APQA_FORCE_PORTABLE=1 so the portable
 #      Montgomery/no-accel arm and the scalar subgroup check of the runtime
 #      dispatch stay covered, then
 #      a duplicate-(bench,row) and unit gate over the checked-in
@@ -21,12 +22,14 @@
 #   3. clang-format diff + clang-tidy on the crypto layer (skipped with a
 #      notice when the clang tools are not installed — the default
 #      toolchain here is GCC)
-#   4. UBSan build of the crypto stack (curve / msm / pairing / abs / ct /
+#   4. UBSan build of the crypto stack (curve / msm / pairing / abs / ct,
+#      whose ct_check_test holds the CtLanes eight-lane multiply suite /
 #      subgroup admission) and of the hostile-input decoders, whose count
 #      clamps all run through one ByteReader::GetList (serde / fault
 #      injection / grid tree)
 #   5. ASan build of the hostile-bytes suite (serde / fault injection / fuzz)
-#   6. TSan build of the thread pool and the parallel SP/ADS paths; TSan
+#   6. TSan build of the thread pool and the parallel SP/ADS paths (the
+#      ParallelPathTest suite, PooledRelaxBytesMatchSerial included); TSan
 #      auto-enables APQA_LOCKDEP, so this stage also runs the lockdep suite
 #      (rank-violation detection + the service rank-order regression) with
 #      an explicit timeout, plus the crash-recovery/failover suite
@@ -51,7 +54,8 @@
 #      oracle), the g1_{wnaf,mul_glv,fixed_base}, g2_wnaf,
 #      ct_mul_{g1,g2} and ct_fixed_base_{g1,g2} scalar-mult rows, the
 #      g{1,2}_subgroup_check, g1_subgroup_check_x8 and ifma_lanes_active
-#      rows and the abs_relax_len10 / abs_sign_dnf
+#      rows, the eight-lane ct_mul_g1_x8 / ct_fixed_base_g1_x8 rows and the
+#      abs_relax_len10 / abs_sign_dnf
 #      rows, and whose constant-pattern GLV ladder is within 2x of the
 #      variable-time GLV wNAF (ct_mul_g1 <= 2.0x g1_mul_glv), whose
 #      constant-pattern fixed-base walk costs at most 0.6x that ladder
@@ -62,7 +66,10 @@
 #      (fp_add_accel <= 0.8x fp_add_portable), and, when the IFMA lanes are
 #      active, whose eight-point G1 subgroup pass costs at most 0.7x the
 #      scalar check per point (g1_subgroup_check_x8 <= 0.7x
-#      g1_subgroup_check); then one fast-mode run of
+#      g1_subgroup_check) and whose eight-lane G1 ladders and fixed-base
+#      walks cost at most half their scalar rows per multiply
+#      (ct_mul_g1_x8 <= 0.5x ct_mul_g1, ct_fixed_base_g1_x8 <= 0.5x
+#      ct_fixed_base_g1); then one fast-mode run of
 #      bench_net_service that must emit the
 #      update_latency_vs_batch_{1,16,256} maintenance rows, the
 #      update_{value_only,policy_change}_batch_16 batch-shape rows and the
@@ -119,9 +126,13 @@ echo "=== ctest (forced-portable kernels) ==="
 # byte-for-byte on the portable arm. The same switch turns off the
 # eight-lane IFMA subgroup kernel, so the admission oracles, the serde
 # suites and the pinned fault-injection verdicts re-run on the scalar
-# subgroup test: both arms must give the same verdict on every input.
+# subgroup test: both arms must give the same verdict on every input. It
+# also turns off the eight-lane constant-pattern G1 multiplies, so
+# CtMulBatch runs every ABS sign and relax multiply on the scalar ladders:
+# the CtLanes batch oracle and every PinnedVoTest must then hold on that
+# arm too (the same bytes whichever kernel ran).
 (cd build && APQA_FORCE_PORTABLE=1 ctest --output-on-failure -j "$(nproc)" \
-  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|AbsRelaxFold|AbsSignFold|SubgroupAdmission|AdmissionPrecedence|[A-Za-z]*Serde|FaultInjectionTest\.MutationVerdictsArePinned)')
+  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|CtLanes|AbsRelaxFold|AbsSignFold|SubgroupAdmission|AdmissionPrecedence|[A-Za-z]*Serde|FaultInjectionTest\.MutationVerdictsArePinned|PinnedVoTest)')
 
 echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # The JSON trajectory files must hold exactly one section per bench run:
@@ -212,6 +223,8 @@ echo "=== threaded paths under TSan ==="
   --timeout 300 --output-on-failure)
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/thread_pool_test \
   --gtest_brief=1
+# ParallelPathTest.* includes PooledRelaxBytesMatchSerial: the relax
+# stage's batch units fan out over the pool while every draw stays serial.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/core_test \
   --gtest_filter='ParallelPathTest.*' --gtest_brief=1
 # The query service is the most thread-shaped code in the tree: session
@@ -304,7 +317,7 @@ for row in mont_mul_portable mont_mul_accel mont_mul_chained \
            ct_fixed_base_g1 ct_fixed_base_g2 \
            g1_subgroup_check g2_subgroup_check abs_relax_len10 \
            ifma_lanes_active g1_subgroup_check_x8 \
-           abs_sign_dnf; do
+           ct_mul_g1_x8 ct_fixed_base_g1_x8 abs_sign_dnf; do
   if ! grep -q "\"row\":\"$row\"" "$MSM_JSON"; then
     echo "perf smoke: row '$row' missing from $MSM_JSON" >&2
     exit 1
@@ -326,7 +339,10 @@ done
 # the gate is skipped). When the eight-lane IFMA subgroup kernel runs
 # (ifma_lanes_active == 1), a G1 check in groups of eight must cost at most
 # 0.7x the scalar check per point (measured 0.13-0.16x); otherwise both rows
-# time the scalar test and the gate is skipped.
+# time the scalar test and the gate is skipped. With the lanes on, a G1
+# ladder or fixed-base walk in a CtMulBatch group of eight must cost at
+# most half its scalar row per multiply (measured ~0.17x and ~0.16x);
+# with them off both rows time the scalar kernels and the gate is skipped.
 python3 - "$MSM_JSON" <<'EOF'
 import json, sys
 rows = {}
@@ -369,6 +385,17 @@ elif x8 > 0.7 * g1:
 else:
     print(f"perf smoke: g1_subgroup_check_x8 {x8:.3f} ms vs g1_subgroup_check "
           f"{g1:.3f} ms ({x8 / g1:.2f}x)")
+for lanes, scalar in (("ct_mul_g1_x8", "ct_mul_g1"),
+                      ("ct_fixed_base_g1_x8", "ct_fixed_base_g1")):
+    x8, one = rows[lanes], rows[scalar]
+    if rows["ifma_lanes_active"] != 1:
+        print(f"perf smoke: IFMA lanes inactive; {lanes} gate skipped")
+    elif x8 > 0.5 * one:
+        sys.exit(f"perf smoke: {lanes} {x8:.3f} ms > 0.5 * {scalar} "
+                 f"{one:.3f} ms")
+    else:
+        print(f"perf smoke: {lanes} {x8:.3f} ms vs {scalar} {one:.3f} ms "
+              f"({x8 / one:.2f}x)")
 EOF
 rm -f "$MSM_JSON"
 

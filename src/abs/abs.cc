@@ -47,12 +47,14 @@ namespace {
 using internal::MessageBase;
 using internal::MessageScalar;
 
-// Table-backed constant-pattern multiply with a fallback for keys assembled
-// by hand (tests, deserialization paths) whose tables were never built. The
-// scalar is a blinding secret, so both paths are constant-pattern ladders.
-G1 MulCtByTable(const crypto::FixedBaseTable<crypto::Fp>& tab, const G1& base,
-                const SecretFr& k) {
-  return tab.Initialized() ? tab.MulCt(k) : crypto::CtScalarMul(base, k);
+// Queues a table-backed constant-pattern multiply, with a fallback for keys
+// assembled by hand (tests, deserialization paths) whose tables were never
+// built. The scalar is a blinding secret, so both paths are
+// constant-pattern ladders.
+std::size_t AddByTable(crypto::CtMulBatch* batch,
+                       const crypto::FixedBaseTable<crypto::Fp>& tab,
+                       const G1& base, const SecretFr& k) {
+  return tab.Initialized() ? batch->Add(tab, k) : batch->Add(base, k);
 }
 
 }  // namespace
@@ -203,9 +205,12 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
   Fr mu = MessageScalar(sig.tau, msg, sig.epoch);
   const VerifyKey::Precomp& pc = mvk.precomp();
 
+  // Every multiply of the signature goes into one batch, so the rows' G1
+  // walks and ladders can share the eight-lane kernels.
+  crypto::CtMulBatch batch;
   SecretFr r0 = rng->NextNonZeroSecretFr();
-  sig.y = MulCtByTable(sk.k_base_tab, sk.k_base, r0);
-  sig.w = MulCtByTable(sk.k0_tab, sk.k0, r0);
+  const std::size_t y_job = AddByTable(&batch, sk.k_base_tab, sk.k_base, r0);
+  const std::size_t w_job = AddByTable(&batch, sk.k0_tab, sk.k0, r0);
 
   std::size_t rows = msp.Rows(), cols = msp.Cols();
   std::vector<SecretFr> ri(rows);
@@ -218,18 +223,24 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
   // elements as summing the rows' (A B^{u_i})^{r_i}.
   std::vector<SecretFr> alpha(cols, SecretFr(Fr::Zero()));
   std::vector<SecretFr> beta(cols, SecretFr(Fr::Zero()));
-  sig.s.resize(rows);
+  // Row i's jobs: C^{r_i}, g^{mu r_i} and, for a row in the satisfying
+  // vector, K_u^{r_0}.
+  struct RowJobs {
+    std::size_t c, g, k;
+    bool attr;
+  };
+  std::vector<RowJobs> row_jobs(rows);
   for (std::size_t i = 0; i < rows; ++i) {
     // (C g^mu)^{r_i}, split over the fixed-base tables of the key
     // components; blinding scalars stay on the constant-pattern ladder
     // throughout. The (*v)[i] branch itself is quarantined: it reveals
     // which owned attributes satisfy the predicate (an attribute-usage
     // pattern), not key material — see DESIGN.md.
-    G1 si = pc.c_tab.MulCt(ri[i]) + pc.g_tab.MulCt(mu * ri[i]);
-    if ((*v)[i] != 0) {
-      si = si + crypto::CtScalarMul(sk.k_attr.at(msp.row_labels[i]), r0);
-    }
-    sig.s[i] = si;
+    RowJobs& jobs = row_jobs[i];
+    jobs.c = batch.Add(pc.c_tab, ri[i]);
+    jobs.g = batch.Add(pc.g_tab, mu * ri[i]);
+    jobs.attr = (*v)[i] != 0;
+    if (jobs.attr) jobs.k = batch.Add(sk.k_attr.at(msp.row_labels[i]), r0);
     SecretFr uri = RoleScalar(msp.row_labels[i]) * ri[i];
     for (std::size_t j = 0; j < cols; ++j) {
       if (msp.m[i][j] == 1) {
@@ -241,10 +252,25 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
       }
     }
   }
+  std::vector<std::size_t> p_jobs(2 * cols);
+  for (std::size_t j = 0; j < cols; ++j) {
+    p_jobs[2 * j] = batch.Add(pc.a_tab, alpha[j]);
+    p_jobs[2 * j + 1] = batch.Add(pc.b_tab, beta[j]);
+  }
 
+  batch.Run();
+  sig.y = batch.g1(y_job);
+  sig.w = batch.g1(w_job);
+  sig.s.resize(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const RowJobs& jobs = row_jobs[i];
+    G1 si = batch.g1(jobs.c) + batch.g1(jobs.g);
+    if (jobs.attr) si = si + batch.g1(jobs.k);
+    sig.s[i] = si;
+  }
   sig.p.resize(cols);
   for (std::size_t j = 0; j < cols; ++j) {
-    sig.p[j] = pc.a_tab.MulCt(alpha[j]) + pc.b_tab.MulCt(beta[j]);
+    sig.p[j] = batch.g2(p_jobs[2 * j]) + batch.g2(p_jobs[2 * j + 1]);
   }
   return sig;
 }
@@ -253,6 +279,20 @@ std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,
                                     const Policy& predicate,
                                     const std::vector<std::uint8_t>& msg,
                                     const RoleSet& relax_to, Rng* rng) {
+  crypto::CtMulBatch batch;
+  std::optional<RelaxPlan> plan =
+      PlanRelax(mvk, sig, predicate, msg, relax_to, rng, &batch);
+  if (!plan.has_value()) return std::nullopt;
+  batch.Run();
+  return plan->Finish(batch);
+}
+
+std::optional<RelaxPlan> Abs::PlanRelax(const VerifyKey& mvk,
+                                        const Signature& sig,
+                                        const Policy& predicate,
+                                        const std::vector<std::uint8_t>& msg,
+                                        const RoleSet& relax_to, Rng* rng,
+                                        crypto::CtMulBatch* batch) {
   Msp msp = BuildMsp(predicate);
   if (sig.s.size() != msp.Rows() || sig.p.size() != msp.Cols()) {
     return std::nullopt;
@@ -271,7 +311,8 @@ std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,
   // predicate ∨_{a∈relax_to} a has one row per role, ordered like RoleSet
   // (lexicographically) — the same order BuildMsp produces for
   // Policy::OrOfRoles(relax_to). A role with no kept row is "fresh": its
-  // row is a new (C g^mu)^{r_i} and (A B^{u_i})^{r_i} joins P.
+  // row is a new (C g^mu)^{r_i} and (A B^{u_i})^{r_i} joins P. The fresh
+  // r_i are drawn in role order, before rho.
   struct Row {
     G1 merged = G1::Infinity();
     bool fresh = true;
@@ -304,27 +345,46 @@ std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,
   // — the same group elements, on the fixed-base tables, with the fresh G2
   // terms collapsed into one pair of multiplies per relaxation.
   SecretFr rho = rng->NextNonZeroSecretFr();
-  Signature out;
-  out.tau = sig.tau;
-  out.epoch = sig.epoch;
-  out.y = crypto::CtScalarMul(sig.y, rho);
-  out.w = crypto::CtScalarMul(sig.w, rho);
-  out.s.reserve(rows.size());
+  RelaxPlan plan;
+  plan.tau_ = sig.tau;
+  plan.epoch_ = sig.epoch;
+  plan.y_ = batch->Add(sig.y, rho);
+  plan.w_ = batch->Add(sig.w, rho);
+  plan.rows_.reserve(rows.size());
   SecretFr fresh_r(Fr::Zero()), fresh_ur(Fr::Zero());
-  bool any_fresh = false;
   for (const Row& row : rows) {
     if (row.fresh) {
       SecretFr rr = rho * row.r;
-      out.s.push_back(pc.c_tab.MulCt(rr) + pc.g_tab.MulCt(mu * rr));
+      plan.rows_.push_back(
+          {true, batch->Add(pc.c_tab, rr), batch->Add(pc.g_tab, mu * rr)});
       fresh_r = fresh_r + rr;
       fresh_ur = fresh_ur + row.u * rr;
-      any_fresh = true;
+      plan.any_fresh_ = true;
     } else {
-      out.s.push_back(crypto::CtScalarMul(row.merged, rho));
+      plan.rows_.push_back({false, batch->Add(row.merged, rho), 0});
     }
   }
-  G2 p = crypto::CtScalarMul(p_kept, rho);
-  if (any_fresh) p = p + pc.a_tab.MulCt(fresh_r) + pc.b_tab.MulCt(fresh_ur);
+  plan.p_ = batch->Add(p_kept, rho);
+  if (plan.any_fresh_) {
+    plan.p_a_ = batch->Add(pc.a_tab, fresh_r);
+    plan.p_b_ = batch->Add(pc.b_tab, fresh_ur);
+  }
+  return plan;
+}
+
+Signature RelaxPlan::Finish(const crypto::CtMulBatch& batch) const {
+  Signature out;
+  out.tau = tau_;
+  out.epoch = epoch_;
+  out.y = batch.g1(y_);
+  out.w = batch.g1(w_);
+  out.s.reserve(rows_.size());
+  for (const Row& row : rows_) {
+    out.s.push_back(row.fresh ? batch.g1(row.a) + batch.g1(row.b)
+                              : batch.g1(row.a));
+  }
+  G2 p = batch.g2(p_);
+  if (any_fresh_) p = p + batch.g2(p_a_) + batch.g2(p_b_);
   out.p = {p};
   return out;
 }

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/serde.h"
+#include "crypto/ct_batch.h"
 #include "crypto/msm.h"
 #include "crypto/pairing.h"
 #include "crypto/pairing_prepared.h"
@@ -130,6 +131,37 @@ Fr SmallExponentWeight(Rng* rng);
 
 }  // namespace internal
 
+class Abs;
+
+// One relaxation split at its multiplies. Abs::PlanRelax runs ABS.Relax's
+// purge, merges and every random draw, in Relax's order, and queues the
+// relaxation's scalar multiplications into a crypto::CtMulBatch; once the
+// batch has run, Finish assembles the signature from the results. The
+// signature is the one Relax returns for the same Rng state, bit for bit.
+// Planning every relaxation of a VO into one batch hands all their G1
+// multiplies to the eight-lane kernels at once (core::RelaxNodes).
+class RelaxPlan {
+ public:
+  Signature Finish(const crypto::CtMulBatch& batch) const;
+
+ private:
+  friend class Abs;
+  // A merged row is one ladder (index a); a fresh row is a c_tab walk (a)
+  // plus a g_tab walk (b).
+  struct Row {
+    bool fresh;
+    std::size_t a, b;
+  };
+  std::array<std::uint8_t, 32> tau_{};
+  std::uint64_t epoch_ = 0;
+  std::size_t y_ = 0, w_ = 0;
+  std::vector<Row> rows_;
+  // G2: the kept columns' ladder, and with fresh rows the a_tab and b_tab
+  // walks.
+  std::size_t p_ = 0, p_a_ = 0, p_b_ = 0;
+  bool any_fresh_ = false;
+};
+
 class Abs {
  public:
   // ABS.Setup.
@@ -160,11 +192,21 @@ class Abs {
 
   // ABS.Relax (Algorithm 2): derives a signature on ∨_{a∈relax_to} a from a
   // signature on `predicate`. Fails iff predicate(𝔸 \ relax_to) = 1.
+  // PlanRelax on a batch of its own, the batch run, and Finish.
   static std::optional<Signature> Relax(const VerifyKey& mvk,
                                         const Signature& sig,
                                         const Policy& predicate,
                                         const std::vector<std::uint8_t>& msg,
                                         const RoleSet& relax_to, Rng* rng);
+
+  // The planning half of Relax: fails like Relax, drawing nothing from
+  // `rng` then; otherwise queues the multiplies into `batch`, which must
+  // run before the plan's Finish. `mvk` must outlive that run: the batch
+  // reads its fixed-base tables.
+  static std::optional<RelaxPlan> PlanRelax(
+      const VerifyKey& mvk, const Signature& sig, const Policy& predicate,
+      const std::vector<std::uint8_t>& msg, const RoleSet& relax_to, Rng* rng,
+      crypto::CtMulBatch* batch);
 };
 
 }  // namespace apqa::abs

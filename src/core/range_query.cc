@@ -1,6 +1,8 @@
 #include "core/range_query.h"
 
 #include <algorithm>
+#include <functional>
+#include <stdexcept>
 
 #include "core/parallel_verify.h"
 
@@ -43,26 +45,57 @@ Vo BuildRangeVoWithLacked(const GridTree& tree, const VerifyKey& mvk,
 
 VoEntry RelaxNode(const VerifyKey& mvk, const GridTree::Node& node,
                   const RoleSet& lacked, Rng* rng) {
-  if (node.is_leaf) {
-    Digest vh = crypto::Sha256::Hash(node.record.value.data(),
-                                     node.record.value.size());
-    auto aps = Abs::Relax(mvk, node.sig, node.policy,
-                          RecordMessageFromHash(node.record.key, vh), lacked,
-                          rng);
-    return InaccessibleRecordEntry{node.record.key, vh, std::move(*aps)};
-  }
-  auto aps = Abs::Relax(mvk, node.sig, node.policy, BoxMessage(node.box),
-                        lacked, rng);
-  return InaccessibleBoxEntry{node.box, std::move(*aps)};
+  return std::move(RelaxNodes({&node}, mvk, lacked, rng, nullptr)[0]);
 }
 
 std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
                                 const VerifyKey& mvk, const RoleSet& lacked,
                                 Rng* rng, ThreadPool* pool) {
-  std::vector<VoEntry> relaxed(nodes.size());
-  ForEachSeeded(pool, rng, nodes.size(), [&](std::size_t i, Rng* r) {
-    relaxed[i] = RelaxNode(mvk, *nodes[i], lacked, r);
-  });
+  // Plan every relaxation from the query's stream, in node order, so the
+  // draws do not depend on the pool; then run the multiplies of the whole
+  // VO as one batch, whose units may run anywhere.
+  crypto::CtMulBatch batch;
+  std::vector<abs::RelaxPlan> plans;
+  std::vector<Digest> value_hashes(nodes.size());
+  plans.reserve(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const GridTree::Node& node = *nodes[i];
+    std::vector<std::uint8_t> msg;
+    if (node.is_leaf) {
+      value_hashes[i] = crypto::Sha256::Hash(node.record.value.data(),
+                                             node.record.value.size());
+      msg = RecordMessageFromHash(node.record.key, value_hashes[i]);
+    } else {
+      msg = BoxMessage(node.box);
+    }
+    std::optional<abs::RelaxPlan> plan =
+        Abs::PlanRelax(mvk, node.sig, node.policy, msg, lacked, rng, &batch);
+    if (!plan.has_value()) {
+      throw std::logic_error("node signature does not relax to the lacked set");
+    }
+    plans.push_back(std::move(*plan));
+  }
+  crypto::CtMulBatch::ParallelFor fan;
+  if (pool != nullptr && pool->thread_count() >= 2) {
+    fan = [pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
+      pool->ParallelFor(n, fn);
+    };
+  }
+  batch.Run(fan);
+
+  std::vector<VoEntry> relaxed;
+  relaxed.reserve(nodes.size());
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const GridTree::Node& node = *nodes[i];
+    Signature aps = plans[i].Finish(batch);
+    if (node.is_leaf) {
+      relaxed.push_back(InaccessibleRecordEntry{node.record.key,
+                                                value_hashes[i],
+                                                std::move(aps)});
+    } else {
+      relaxed.push_back(InaccessibleBoxEntry{node.box, std::move(aps)});
+    }
+  }
   return relaxed;
 }
 

@@ -106,8 +106,11 @@ inline VerifyResult VerifyRangeVo(const VerifyContext& ctx, const Box& range,
 VoEntry RelaxNode(const VerifyKey& mvk, const GridTree::Node& node,
                   const RoleSet& lacked, Rng* rng);
 
-// RelaxNode over every node, fanned out over `pool` by ForEachSeeded; the
-// entries come back in `nodes` order.
+// RelaxNode over every node; the entries come back in `nodes` order. Every
+// relaxation is planned serially from `rng` in node order (Abs::PlanRelax),
+// their multiplies run as one crypto::CtMulBatch, whose units `pool` (if it
+// has two or more threads) runs in parallel, and then each entry is
+// assembled. The bytes depend on `rng` alone, not on the pool.
 std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
                                 const VerifyKey& mvk, const RoleSet& lacked,
                                 Rng* rng, ThreadPool* pool);

@@ -1,7 +1,8 @@
 // Fixed-size thread pool (paper §8.2: acceleration by parallelism).
 //
 // The SP's dominant query-time cost is the set of independent ABS.Relax
-// operations for inaccessible nodes; the pool maps them over worker threads.
+// operations for inaccessible nodes; the pool runs the units of their one
+// multiply batch (core::RelaxNodes, crypto/ct_batch.h) over worker threads.
 // The DO uses the same pool to parallelize ADS signing, and the query
 // service (net/server.h) uses it as a bounded request queue: TrySubmit
 // rejects work once `max_queue` tasks are waiting, which is what lets the

@@ -1,5 +1,6 @@
 // Runtime-dispatched accelerated kernels: the Montgomery multiply and the
-// modular add/subtract next to it, and an eight-lane G1 subgroup check.
+// modular add/subtract next to it, an eight-lane G1 subgroup check, and
+// eight-lane constant-pattern G1 scalar multiplications.
 //
 // The generic CIOS multiply in prime_field.h is portable and branch-free but
 // serializes every partial product through one u128 carry chain. On x86-64
@@ -22,27 +23,43 @@
 // reach it through crypto::PointAdmission (crypto/serde.h), which queues
 // the checks of one decode and runs them in one pass.
 //
+// The multiply kernels serve signing and relaxation: CtScalarMul's GLV
+// ladder and FixedBaseTable::MulCt's fixed-base walk, eight secret scalars
+// at a time in the same field, with the complete formulas of crypto/ct.h
+// and masked full-scan lookups, so they run one instruction and memory
+// sequence whatever the scalars and return the scalar kernels' results bit
+// for bit (bench_msm_micro ct_mul_g1_x8 / ct_fixed_base_g1_x8: about a
+// sixth of the scalar cost per multiply). Callers reach them through
+// crypto::CtMulBatch (crypto/ct_batch.h), which groups the multiplies of
+// a signature or of a whole VO.
+//
 // This header is intrinsics-free: it declares the dispatch queries and the
 // raw kernel entry points, all defined in mont_accel.cc — the single
 // translation unit allowed to contain __asm__/vendor intrinsics (lint rule
 // R16). The portable kernel in prime_field.h stays always-compiled as the
 // fallback and the differential oracle (tests/field_test.cc, bench
 // mont_kernel_bitmatch); CurvePoint::InPrimeOrderSubgroup is the fallback
-// and oracle of the lane kernel (tests/subgroup_admission_test.cc).
+// and oracle of the subgroup kernel (tests/subgroup_admission_test.cc),
+// CtScalarMul and FixedBaseTable::MulCt of the multiply kernels
+// (CtLanes in tests/ct_check_test.cc).
 //
 // Dispatch is decided once per process:
-//   - APQA_FORCE_PORTABLE=1 in the environment pins the portable kernels
-//     and the scalar subgroup test (scripts/check.sh re-runs the
-//     field/curve/msm/pairing, serde and admission suites this way so the
-//     fallback arms cannot rot on BMI2 or IFMA builders);
+//   - APQA_FORCE_PORTABLE=1 in the environment pins the portable kernels,
+//     the scalar subgroup test and the scalar ladders (scripts/check.sh
+//     re-runs the field/curve/msm/pairing, serde, admission, lane and
+//     pinned-VO suites this way so the fallback arms cannot rot on BMI2 or
+//     IFMA builders);
 //   - otherwise the multiply and add/subtract need CPUID to report both
-//     BMI2 and ADX, and the subgroup lanes both AVX-512F and AVX-512 IFMA.
+//     BMI2 and ADX, and the lane kernels both AVX-512F and AVX-512 IFMA.
 // The decision is data-independent, so the constant-time discipline of
 // prime_field.h is unaffected: whichever kernel is selected runs a fixed
 // instruction sequence with a branch-free final reduction. The subgroup
-// kernel is variable time and only ever sees public points.
+// kernel is variable time and only ever sees public points; the multiply
+// kernels take secrets and have no data-dependent branch or fallback.
 #ifndef APQA_CRYPTO_MONT_ACCEL_H_
 #define APQA_CRYPTO_MONT_ACCEL_H_
+
+#include <cstddef>
 
 #include "crypto/limbs.h"
 
@@ -99,13 +116,14 @@ inline bool IfmaLanesActive() {
   return active;
 }
 
-// The constants of G1SubgroupCheckX8, as 6x64-bit little-endian limbs.
+// The constants of the eight-lane G1 kernels, as 6x64-bit little-endian limbs.
 // Field elements are in PrimeField's Montgomery form (v * 2^384 mod p).
 struct G1LaneConsts {
   u64 p[6];      // the base-field modulus
   u64 r448[6];   // 2^448 mod p, as a plain integer
   u64 one[6];    // 1
-  u64 beta2[6];  // beta^2, beta the G1 GLV cube root of unity
+  u64 beta[6];   // beta, the G1 GLV cube root of unity
+  u64 beta2[6];  // beta^2
   u64 abs_z;     // |z|, the BLS parameter
 };
 
@@ -120,6 +138,55 @@ enum class LaneVerdict : std::uint8_t { kOut, kIn, kRecheck };
 // only. Must only be called when IfmaLanesActive() is true.
 void G1SubgroupCheckX8(const G1LaneConsts& c, const u64 (*xs)[6],
                        const u64 (*ys)[6], int n, LaneVerdict* out);
+
+// A projective point (X : Y : Z) of one lane, each coordinate in
+// PrimeField's Montgomery form, fully reduced.
+struct G1LanePoint {
+  u64 x[6], y[6], z[6];
+};
+
+// The shapes of the scalar ladders the lane kernels reproduce: CtScalarMul
+// (crypto/ct.h) reads each GLV half as 26 signed radix-2^5 digits against
+// a 16-entry table, FixedBaseTable::MulCt (crypto/msm.h) as 22 signed
+// radix-2^6 digits against 32 entries per window.
+constexpr int kG1LadderWindows = 26;
+constexpr int kG1LadderWindowBits = 5;
+constexpr int kG1LadderEntries = 16;
+constexpr int kG1FixedWindows = 22;
+constexpr int kG1FixedEntries = 32;
+// One fixed-base entry in lane form: x then y, eight radix-2^52 limbs each.
+constexpr int kG1LaneEntryWords = 16;
+
+// Digit layout of both kernels: for window w, track t (0 for k1, 1 for k2
+// of the GLV split) and lane i, mag[(2w + t) * 8 + i] is the digit's
+// magnitude and neg[(2w + t) * 8 + i] is all-ones when it is negative.
+//
+// CtScalarMul on up to eight lanes: lane i < n multiplies the point whose
+// first table entry is base[i] (CtFromJacobian of the base) by its digits
+// and writes the ladder's projective accumulator to out[i], the same field
+// elements CtScalarMul reaches before CtToJacobian. Constant pattern: the
+// instruction and memory-access sequence does not depend on the points or
+// the digits. `trace`, when set, receives ('d', window) before each
+// doubling and ('t', window) / ('u', window) before each track's pick, as
+// ct_trace::hook does for the scalar ladder. Must only be called when
+// IfmaLanesActive() is true.
+void G1CtLadderX8(const G1LaneConsts& c, const G1LanePoint* base,
+                  const u64* mag, const u64* neg, int n, G1LanePoint* out,
+                  void (*trace)(char, unsigned));
+
+// FixedBaseTable::MulCt on up to eight lanes over one table, given in the
+// lane form G1LaneTable writes (kG1FixedWindows * kG1FixedEntries entries
+// in the table's order): lane i < n writes the projective accumulator of
+// its digits to out[i]. Constant pattern, traced and dispatched like
+// G1CtLadderX8.
+void G1CtFixedBaseX8(const G1LaneConsts& c, const u64* table52,
+                     const u64* mag, const u64* neg, int n, G1LanePoint* out,
+                     void (*trace)(char, unsigned));
+
+// Converts n affine points (Montgomery form) into the lane form
+// G1CtFixedBaseX8 reads: kG1LaneEntryWords words per point at out.
+void G1LaneTable(const G1LaneConsts& c, const u64 (*xs)[6],
+                 const u64 (*ys)[6], std::size_t n, u64* out);
 
 }  // namespace apqa::crypto::accel
 

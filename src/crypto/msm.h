@@ -26,6 +26,8 @@
 #define APQA_CRYPTO_MSM_H_
 
 #include <array>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -149,9 +151,17 @@ class FixedBaseTable {
     for (std::size_t i = 0; i < pts.size(); ++i) {
       entries_[i] = {pts[i].x, pts[i].y};
     }
+    lanes_ = std::make_shared<LaneForm>();
   }
 
   bool Initialized() const { return infinity_base_ || !entries_.empty(); }
+  bool InfinityBase() const { return infinity_base_; }
+
+  // The entries in the radix-2^52 form of the eight-lane constant-pattern
+  // walk (accel::G1CtFixedBaseX8), converted on first use (~90 KiB) and
+  // shared by copies of the table. G1 tables over a finite base only;
+  // defined in crypto/ct_batch.cc.
+  const std::vector<u64>& LaneEntries() const;
 
   // Variable-time multiply: skips zero digits and indexes the table by the
   // digit magnitude. Public scalars only — SecretFr hits the deleted
@@ -216,9 +226,18 @@ class FixedBaseTable {
     F x, y;
   };
 
+  struct LaneForm {
+    std::once_flag once;
+    std::vector<u64> words;
+  };
+
   std::vector<Entry> entries_;
   bool infinity_base_ = false;
+  std::shared_ptr<LaneForm> lanes_;
 };
+
+template <>
+const std::vector<u64>& FixedBaseTable<Fp>::LaneEntries() const;
 
 namespace msm_internal {
 

@@ -236,6 +236,15 @@ class PrimeField {
   // canonical form should be used; this accessor exists for hashing state).
   const L& MontgomeryRepr() const { return v_; }
 
+  // The element whose Montgomery representation is `l`, which must be
+  // below the modulus: the inverse of MontgomeryRepr, for kernels that
+  // compute in another representation and convert back (crypto/ct_batch.cc).
+  static PrimeField FromMontgomeryRepr(const L& l) {
+    PrimeField r;
+    r.v_ = l;
+    return r;
+  }
+
   // True when multiplications (and + / -) on this field are routed to the
   // asm kernels (6-limb fields on CPUs with both extensions, unless
   // APQA_FORCE_PORTABLE pinned the fallback). Public so tests and the

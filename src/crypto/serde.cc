@@ -30,6 +30,7 @@ const accel::G1LaneConsts& G1LaneConstants() {
         c.r448);
     put(Fp::One().MontgomeryRepr(), c.one);
     const Fp& beta = GlvEndo<Fp>::Beta();
+    put(beta.MontgomeryRepr(), c.beta);
     put((beta * beta).MontgomeryRepr(), c.beta2);
     c.abs_z = kBlsParamAbs;
     return c;

@@ -1504,5 +1504,56 @@ TEST(ParallelPathTest, PooledCrossingJoinMatchesSerial) {
   }
 }
 
+// The relax stage is planned serially from the query's stream and only its
+// multiplies fan out, so a pooled build is the serial build byte for byte:
+// 20 fixed seeds, range VOs and three-table join VOs, on 1, 2 and 4
+// threads.
+TEST(ParallelPathTest, PooledRelaxBytesMatchSerial) {
+  TpchDeployment& d = Tpch();
+  const SystemKeys& keys = d.owner.keys();
+  const RoleSet roles = d.policies.RolesForAccessFraction(0.2);
+  JoinDeployment& j = Joins();
+  const SystemKeys& jkeys = j.owner.keys();
+  const RoleSet jroles = j.policies.RolesForAccessFraction(0.2);
+  const std::vector<const GridTree*> trees = j.First(3);
+  auto bytes = [](const auto& vo) {
+    common::ByteWriter w;
+    vo.Serialize(&w);
+    return w.Take();
+  };
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(2), ThreadPool(4)};
+  std::size_t relaxed = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng qrng(seed);
+    const Box range = tpch::RandomRangeQuery(keys.domain, 0.02, &qrng);
+    const auto lo = static_cast<std::uint32_t>(qrng.NextU64() % 200);
+    const Box jrange{Point{lo}, Point{lo + 40}};
+    auto range_vo = [&](ThreadPool* pool) {
+      Rng rng(1000 + seed);
+      return BuildRangeVo(d.sp->tree(), keys.mvk, range, roles, keys.universe,
+                          &rng, pool);
+    };
+    auto join_vo = [&](ThreadPool* pool) {
+      Rng rng(2000 + seed);
+      return BuildJoinVo(trees, jkeys.mvk, jrange, jroles, jkeys.universe,
+                         &rng, pool);
+    };
+    const Vo serial = range_vo(nullptr);
+    const JoinVo jserial = join_vo(nullptr);
+    for (const VoEntry& e : serial.entries) {
+      relaxed += std::holds_alternative<ResultEntry>(e) ? 0 : 1;
+    }
+    for (const auto& side : jserial.aps) relaxed += side.size();
+    for (ThreadPool& pool : pools) {
+      EXPECT_EQ(bytes(range_vo(&pool)), bytes(serial))
+          << pool.thread_count() << " threads, range VO";
+      EXPECT_EQ(bytes(join_vo(&pool)), bytes(jserial))
+          << pool.thread_count() << " threads, join VO";
+    }
+  }
+  EXPECT_GT(relaxed, 40u);
+}
+
 }  // namespace
 }  // namespace apqa::core
