@@ -24,9 +24,14 @@
 //                   (the SP's per-node VO cost), and ABS.Sign of a wide
 //                   multi-column DNF (the DO's per-node re-signing cost).
 //
-// Every row is also emitted through the JSON trajectory sink (bench_util.h):
+// Every timed row is the median of five runs (three with APQA_BENCH_FAST=1),
+// each the mean over its iterations; stdout shows the runs' min-max spread
+// next to it, so a re-capture can tell a code change from host load. Every
+// row is also emitted through the JSON trajectory sink (bench_util.h):
 //   APQA_BENCH_JSON=BENCH_msm.json ./bench_msm_micro   (or --json=PATH)
+#include <algorithm>
 #include <cinttypes>
+#include <vector>
 
 #include "abs/abs.h"
 #include "bench_util.h"
@@ -50,17 +55,48 @@ void Sink(const T& v) {
   asm volatile("" : : "g"(&v) : "memory");
 }
 
-// Runs fn `iters` times and returns mean milliseconds per call.
-template <typename Fn>
-double TimeMs(int iters, Fn&& fn) {
-  Timer t;
-  for (int i = 0; i < iters; ++i) fn();
-  return t.ElapsedMs() / iters;
+// Milliseconds per call of one row: the median over repeated runs, and
+// the fastest and slowest run.
+struct Ms {
+  double median, lo, hi;
+  Ms operator/(double d) const { return {median / d, lo / d, hi / d}; }
+};
+
+int Repeats() {
+  static const int repeats = apqa::bench::FastMode() ? 3 : 5;
+  return repeats;
 }
 
+// Runs fn `iters` times per run, Repeats() runs, and returns the runs'
+// mean milliseconds per call.
+template <typename Fn>
+Ms TimeMs(int iters, Fn&& fn) {
+  std::vector<double> runs;
+  for (int r = 0; r < Repeats(); ++r) {
+    Timer t;
+    for (int i = 0; i < iters; ++i) fn();
+    runs.push_back(t.ElapsedMs() / iters);
+  }
+  std::sort(runs.begin(), runs.end());
+  return {runs[runs.size() / 2], runs.front(), runs.back()};
+}
+
+void Report(const char* row, const Ms& t) {
+  std::printf("  %-28s %10.3f ms  [%.3f-%.3f]\n", row, t.median, t.lo, t.hi);
+  RecordJson(kBench, row, t.median, "ms");
+}
+
+// An untimed sweep's one wall time (the bit-match rows).
 void Report(const char* row, double ms) {
   std::printf("  %-28s %10.3f ms\n", row, ms);
   RecordJson(kBench, row, ms, "ms");
+}
+
+// The speedup rows: medians against medians.
+void ReportSpeedup(const char* shown, const char* row, const Ms& base,
+                   const Ms& fast) {
+  std::printf("  %-28s %10.2fx\n", shown, base.median / fast.median);
+  RecordJson(kBench, row, base.median / fast.median, "x");
 }
 
 // A serial chain of `links` field additions or subtractions, each taking
@@ -104,20 +140,19 @@ void BenchMontKernel(Rng* rng, bool fast) {
   // how many independent products the OoO window can overlap.
   constexpr int kChain = 4096;
   int iters = fast ? 20 : 200;
-  double portable = TimeMs(iters, [&] {
+  const Ms portable = TimeMs(iters, [&] {
     Fp acc = xs[0];
     for (int j = 0; j < kChain; ++j) acc = Fp::MulPortable(acc, ys[j & 63]);
     Sink(acc);
   });
   Report("mont_mul_portable", portable);
-  double accel = TimeMs(iters, [&] {
+  const Ms accel = TimeMs(iters, [&] {
     Fp acc = xs[0];
     for (int j = 0; j < kChain; ++j) acc = acc * ys[j & 63];
     Sink(acc);
   });
   Report("mont_mul_accel", accel);
-  std::printf("  %-28s %10.2fx\n", "mont_speedup", portable / accel);
-  RecordJson(kBench, "mont_mul_speedup", portable / accel, "x");
+  ReportSpeedup("mont_speedup", "mont_mul_speedup", portable, accel);
   // The same chain as callers run it: each product is copied out to memory
   // and read back as the next operand, so the row also sees the
   // store-to-load forwarding of the kernel's result stores and the cost of
@@ -193,43 +228,42 @@ void BenchFixedBase(Rng* rng, int iters) {
   const G1& g1 = G1Generator();
   // Plain width-4 wNAF over the full 255-bit scalar (the pre-GLV
   // ScalarMul): the baseline the GLV dual-track is gated against.
-  double wnaf1 = TimeMs(iters, [&] {
+  const Ms wnaf1 = TimeMs(iters, [&] {
     Sink(g1.ScalarMulCanonical(
         ks[static_cast<std::size_t>(i++ % iters)].ToCanonical()));
   });
   Report("g1_wnaf", wnaf1);
   i = 0;
-  double glv1 = TimeMs(iters, [&] {
+  const Ms glv1 = TimeMs(iters, [&] {
     Sink(g1.ScalarMul(ks[static_cast<std::size_t>(i++ % iters)]));
   });
   Report("g1_mul_glv", glv1);
-  std::printf("  %-28s %10.2fx\n", "g1_glv_speedup", wnaf1 / glv1);
-  RecordJson(kBench, "g1_glv_speedup", wnaf1 / glv1, "x");
+  ReportSpeedup("g1_glv_speedup", "g1_glv_speedup", wnaf1, glv1);
   // Secret-scalar twin of g1_mul_glv: same scalars, constant-pattern GLV
   // ladder (scripts/check.sh gates ct_mul_g1 <= 2 * g1_mul_glv).
   i = 0;
-  double ct1 = TimeMs(iters, [&] {
+  const Ms ct1 = TimeMs(iters, [&] {
     Sink(CtScalarMul(g1, SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
   });
   Report("ct_mul_g1", ct1);
   i = 0;
   const FixedBaseTable<Fp>& t1 = G1GeneratorTable();
-  double fixed1 = TimeMs(iters, [&] {
+  const Ms fixed1 = TimeMs(iters, [&] {
     Sink(t1.Mul(ks[static_cast<std::size_t>(i++ % iters)]));
   });
   Report("g1_fixed_base", fixed1);
-  std::printf("  %-28s %10.2fx\n", "g1_speedup", wnaf1 / fixed1);
-  RecordJson(kBench, "g1_fixed_base_speedup", wnaf1 / fixed1, "x");
+  ReportSpeedup("g1_speedup", "g1_fixed_base_speedup", wnaf1, fixed1);
   // Secret-scalar twin of g1_fixed_base: the constant-pattern walk of the
   // same table (scripts/check.sh gates ct_fixed_base_g1 <= 0.6 * ct_mul_g1).
   i = 0;
-  double ct_fixed1 = TimeMs(iters, [&] {
+  const Ms ct_fixed1 = TimeMs(iters, [&] {
     Sink(t1.MulCt(SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
   });
   Report("ct_fixed_base_g1", ct_fixed1);
   // The same ladders and walks eight to a CtMulBatch group (the IFMA lanes
-  // where active), per multiply (scripts/check.sh gates each at 0.5x its
-  // scalar row when ifma_lanes_active is 1).
+  // where active), per multiply, on G1 here and on G2 below
+  // (scripts/check.sh gates each at 0.5x its scalar row when
+  // ifma_lanes_active is 1).
   auto time_x8 = [&](auto add) {
     const int groups = (iters + 7) / 8;
     int g = 0;
@@ -241,7 +275,7 @@ void BenchFixedBase(Rng* rng, int iters) {
              }
              ++g;
              batch.Run();
-             Sink(batch.g1(7));
+             Sink(batch);
            }) /
            8;
   };
@@ -253,41 +287,45 @@ void BenchFixedBase(Rng* rng, int iters) {
 
   i = 0;
   const G2& g2 = G2Generator();
-  double wnaf2 = TimeMs(iters, [&] {
+  const Ms wnaf2 = TimeMs(iters, [&] {
     Sink(g2.ScalarMul(ks[static_cast<std::size_t>(i++ % iters)]));
   });
   Report("g2_wnaf", wnaf2);
   i = 0;
-  double ct2 = TimeMs(iters, [&] {
+  const Ms ct2 = TimeMs(iters, [&] {
     Sink(CtScalarMul(g2, SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
   });
   Report("ct_mul_g2", ct2);
   i = 0;
   const FixedBaseTable<Fp2>& t2 = G2GeneratorTable();
-  double fixed2 = TimeMs(iters, [&] {
+  const Ms fixed2 = TimeMs(iters, [&] {
     Sink(t2.Mul(ks[static_cast<std::size_t>(i++ % iters)]));
   });
   Report("g2_fixed_base", fixed2);
-  std::printf("  %-28s %10.2fx\n", "g2_speedup", wnaf2 / fixed2);
-  RecordJson(kBench, "g2_fixed_base_speedup", wnaf2 / fixed2, "x");
+  ReportSpeedup("g2_speedup", "g2_fixed_base_speedup", wnaf2, fixed2);
   i = 0;
-  double ct_fixed2 = TimeMs(iters, [&] {
+  const Ms ct_fixed2 = TimeMs(iters, [&] {
     Sink(t2.MulCt(SecretFr(ks[static_cast<std::size_t>(i++ % iters)])));
   });
   Report("ct_fixed_base_g2", ct_fixed2);
+  Report("ct_mul_g2_x8", time_x8([&](CtMulBatch* b, const SecretFr& k) {
+           b->Add(g2, k);
+         }));
+  Report("ct_fixed_base_g2_x8",
+         time_x8([&](CtMulBatch* b, const SecretFr& k) { b->Add(t2, k); }));
 }
 
 // Subgroup membership on affine (Z = 1) subgroup points, as ReadG1/ReadG2
 // see them after the curve-equation check. A rejected honest point is a
 // bench bug, not a timing.
 template <typename F>
-double TimeSubgroupCheck(const CurvePoint<F>& gen, Rng* rng, int iters) {
+Ms TimeSubgroupCheck(const CurvePoint<F>& gen, Rng* rng, int iters) {
   std::vector<CurvePoint<F>> pts(static_cast<std::size_t>(iters));
   for (auto& p : pts) p = gen.ScalarMul(rng->NextNonZeroFr());
   BatchToAffine<F>(std::span<CurvePoint<F>>(pts));
   int i = 0;
   return TimeMs(iters, [&] {
-    if (!pts[static_cast<std::size_t>(i++)].InPrimeOrderSubgroup()) {
+    if (!pts[static_cast<std::size_t>(i++ % iters)].InPrimeOrderSubgroup()) {
       std::fprintf(stderr, "BENCH BUG: subgroup point rejected\n");
       std::abort();
     }
@@ -297,14 +335,14 @@ double TimeSubgroupCheck(const CurvePoint<F>& gen, Rng* rng, int iters) {
 // The same G1 check as decoders run it: groups of eight points through
 // the batched pass (the eight-lane IFMA kernel where active), timed per
 // point so the row compares with g1_subgroup_check.
-double TimeSubgroupCheckX8(Rng* rng, int iters) {
+Ms TimeSubgroupCheckX8(Rng* rng, int iters) {
   const int groups = (iters + 7) / 8;
   std::vector<G1> pts(static_cast<std::size_t>(groups) * 8);
   for (auto& p : pts) p = G1Mul(rng->NextNonZeroFr());
   BatchToAffine<Fp>(std::span<G1>(pts));
   int g = 0;
   return TimeMs(groups, [&] {
-    std::span<const G1> group(pts.data() + 8 * g++, 8);
+    std::span<const G1> group(pts.data() + 8 * (g++ % groups), 8);
     if (FirstOutsideG1Subgroup(group) != group.size()) {
       std::fprintf(stderr, "BENCH BUG: subgroup point rejected\n");
       std::abort();
@@ -335,12 +373,12 @@ void BenchMsm(Rng* rng, bool fast) {
       ks[j] = rng->NextNonZeroFr();
     }
     int iters = n <= 16 ? 20 : 5;
-    double naive = TimeMs(iters, [&] {
+    const Ms naive = TimeMs(iters, [&] {
       G1 acc = G1::Infinity();
       for (std::size_t j = 0; j < n; ++j) acc = acc + pts[j].ScalarMul(ks[j]);
       Sink(acc);
     });
-    double pip = TimeMs(iters, [&] {
+    const Ms pip = TimeMs(iters, [&] {
       Sink(G1Msm(std::span<const G1>(pts),
                               std::span<const Fr>(ks)));
     });
@@ -349,7 +387,7 @@ void BenchMsm(Rng* rng, bool fast) {
     Report(row, naive);
     std::snprintf(row, sizeof(row), "g1_msm_pippenger_n%zu", n);
     Report(row, pip);
-    std::printf("  %-28s %10.2fx\n", "speedup", naive / pip);
+    std::printf("  %-28s %10.2fx\n", "speedup", naive.median / pip.median);
   }
 }
 
@@ -371,12 +409,12 @@ void BenchAbs(bool fast) {
   std::vector<std::uint8_t> msg = {'m', 's', 'm'};
 
   int iters = fast ? 2 : 5;
-  double sign_ms = TimeMs(iters, [&] {
+  const Ms sign_ms = TimeMs(iters, [&] {
     Sink(*abs::Abs::Sign(mvk, sk, msg, pred, &rng));
   });
   Report("abs_sign_len12", sign_ms);
   auto sig = abs::Abs::Sign(mvk, sk, msg, pred, &rng);
-  double verify_ms = TimeMs(iters, [&] {
+  const Ms verify_ms = TimeMs(iters, [&] {
     Sink(abs::Abs::Verify(mvk, msg, pred, *sig));
   });
   Report("abs_verify_len12", verify_ms);
@@ -387,7 +425,7 @@ void BenchAbs(bool fast) {
   for (int i = 0; i < 16; ++i) {
     if (i >= 12 || i % 2 == 0) lacks.insert("Role" + std::to_string(i));
   }
-  double relax_ms = TimeMs(iters, [&] {
+  const Ms relax_ms = TimeMs(iters, [&] {
     Sink(*abs::Abs::Relax(mvk, *sig, pred, msg, lacks, &rng));
   });
   Report("abs_relax_len10", relax_ms);
@@ -400,7 +438,7 @@ void BenchAbs(bool fast) {
   policy::Policy dnf = policy::Policy::Parse(
       "Role0 | Role1 | Role2 | Role3 | (Role4 & Role5) | (Role6 & Role7) | "
       "(Role8 & Role9)");
-  double dnf_ms = TimeMs(fast ? 2 : 20, [&] {
+  const Ms dnf_ms = TimeMs(fast ? 2 : 20, [&] {
     Sink(*abs::Abs::Sign(mvk, sk, msg, dnf, &rng));
   });
   Report("abs_sign_dnf", dnf_ms);

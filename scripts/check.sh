@@ -54,8 +54,8 @@
 #      oracle), the g1_{wnaf,mul_glv,fixed_base}, g2_wnaf,
 #      ct_mul_{g1,g2} and ct_fixed_base_{g1,g2} scalar-mult rows, the
 #      g{1,2}_subgroup_check, g1_subgroup_check_x8 and ifma_lanes_active
-#      rows, the eight-lane ct_mul_g1_x8 / ct_fixed_base_g1_x8 rows and the
-#      abs_relax_len10 / abs_sign_dnf
+#      rows, the eight-lane ct_mul_{g1,g2}_x8 / ct_fixed_base_{g1,g2}_x8
+#      rows and the abs_relax_len10 / abs_sign_dnf
 #      rows, and whose constant-pattern GLV ladder is within 2x of the
 #      variable-time GLV wNAF (ct_mul_g1 <= 2.0x g1_mul_glv), whose
 #      constant-pattern fixed-base walk costs at most 0.6x that ladder
@@ -66,10 +66,12 @@
 #      (fp_add_accel <= 0.8x fp_add_portable), and, when the IFMA lanes are
 #      active, whose eight-point G1 subgroup pass costs at most 0.7x the
 #      scalar check per point (g1_subgroup_check_x8 <= 0.7x
-#      g1_subgroup_check) and whose eight-lane G1 ladders and fixed-base
-#      walks cost at most half their scalar rows per multiply
+#      g1_subgroup_check) and whose eight-lane G1 and G2 ladders and
+#      fixed-base walks cost at most half their scalar rows per multiply
 #      (ct_mul_g1_x8 <= 0.5x ct_mul_g1, ct_fixed_base_g1_x8 <= 0.5x
-#      ct_fixed_base_g1); then one fast-mode run of
+#      ct_fixed_base_g1, ct_mul_g2_x8 <= 0.5x ct_mul_g2,
+#      ct_fixed_base_g2_x8 <= 0.5x ct_fixed_base_g2); then one fast-mode
+#      run of
 #      bench_net_service that must emit the
 #      update_latency_vs_batch_{1,16,256} maintenance rows, the
 #      update_{value_only,policy_change}_batch_16 batch-shape rows and the
@@ -86,6 +88,11 @@
 #      size and ABS.Relax calls per VO): at a 5% join range AP2G is at or
 #      below Basic (Fig 11), and at a 20% duplicate range non-ZK is at or
 #      below ZK, which is at or below Basic (Fig 15)
+#  11. parallel speedup: one fast-mode run of bench_fig13_parallel (1 and 4
+#      threads at an 8% range); unless its 4-thread row is contended (the
+#      threads did not get the cores), the pooled SP must be at least 2x
+#      faster on 4 threads than on one (speedup_t4 >= 2.0); a contended row
+#      skips the gate with a notice
 #
 # Usage: scripts/check.sh [--quick|--skip-sanitize]
 #   --quick          analyzers + Release build + ctest only
@@ -317,7 +324,8 @@ for row in mont_mul_portable mont_mul_accel mont_mul_chained \
            ct_fixed_base_g1 ct_fixed_base_g2 \
            g1_subgroup_check g2_subgroup_check abs_relax_len10 \
            ifma_lanes_active g1_subgroup_check_x8 \
-           ct_mul_g1_x8 ct_fixed_base_g1_x8 abs_sign_dnf; do
+           ct_mul_g1_x8 ct_fixed_base_g1_x8 ct_mul_g2_x8 ct_fixed_base_g2_x8 \
+           abs_sign_dnf; do
   if ! grep -q "\"row\":\"$row\"" "$MSM_JSON"; then
     echo "perf smoke: row '$row' missing from $MSM_JSON" >&2
     exit 1
@@ -339,10 +347,11 @@ done
 # the gate is skipped). When the eight-lane IFMA subgroup kernel runs
 # (ifma_lanes_active == 1), a G1 check in groups of eight must cost at most
 # 0.7x the scalar check per point (measured 0.13-0.16x); otherwise both rows
-# time the scalar test and the gate is skipped. With the lanes on, a G1
-# ladder or fixed-base walk in a CtMulBatch group of eight must cost at
-# most half its scalar row per multiply (measured ~0.17x and ~0.16x);
-# with them off both rows time the scalar kernels and the gate is skipped.
+# time the scalar test and the gate is skipped. With the lanes on, a G1 or
+# G2 ladder or fixed-base walk in a CtMulBatch group of eight must cost at
+# most half its scalar row per multiply (measured ~0.17x and ~0.16x on G1,
+# ~0.20x and ~0.19x on G2); with them off both rows time the scalar
+# kernels and the gate is skipped.
 python3 - "$MSM_JSON" <<'EOF'
 import json, sys
 rows = {}
@@ -386,7 +395,9 @@ else:
     print(f"perf smoke: g1_subgroup_check_x8 {x8:.3f} ms vs g1_subgroup_check "
           f"{g1:.3f} ms ({x8 / g1:.2f}x)")
 for lanes, scalar in (("ct_mul_g1_x8", "ct_mul_g1"),
-                      ("ct_fixed_base_g1_x8", "ct_fixed_base_g1")):
+                      ("ct_fixed_base_g1_x8", "ct_fixed_base_g1"),
+                      ("ct_mul_g2_x8", "ct_mul_g2"),
+                      ("ct_fixed_base_g2_x8", "ct_fixed_base_g2")):
     x8, one = rows[lanes], rows[scalar]
     if rows["ifma_lanes_active"] != 1:
         print(f"perf smoke: IFMA lanes inactive; {lanes} gate skipped")
@@ -503,5 +514,41 @@ for bench, sel, order in shapes:
               " <= ".join(f"{s} {v:.2f}" for s, v in zip(order, values)))
 EOF
 rm -f "$SHAPE_JSON"
+
+echo "=== parallel speedup (bench_fig13_parallel, fast mode) ==="
+# The pooled relax stage fans a VO's CtMulBatch units out over the SP's
+# threads. On 4 threads an 8% range query must run at least 2x faster than
+# on one (the full-mode capture reads ~2.7x on a 4-vCPU x86-64 VM; the
+# serial plan/finish stage bounds it). The gate only reads a row whose
+# threads ran: a contended row (CPU/wall below half of min(threads, cores))
+# measures the host, so it is skipped with a notice.
+cmake --build build -j --target bench_fig13_parallel >/dev/null
+FIG13_JSON=$(mktemp /tmp/BENCH_paper_smoke.XXXXXX.json)
+rm -f "$FIG13_JSON"
+APQA_BENCH_FAST=1 APQA_BENCH_JSON="$FIG13_JSON" \
+  ./build/bench/bench_fig13_parallel >/dev/null
+python3 - "$FIG13_JSON" <<'EOF'
+import json, sys
+rows = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        r = json.loads(line)
+        rows[r["row"]] = r["value"]  # last write wins
+for row in ("sp_ms_t1", "sp_ms_t4", "speedup_t4", "contended_t4"):
+    if row not in rows:
+        sys.exit(f"fig13 speedup: row {row} missing")
+speedup = rows["speedup_t4"]
+if rows["contended_t4"] != 0:
+    print(f"fig13 speedup: 4-thread row contended (speedup {speedup:.2f}x); "
+          "gate skipped")
+elif speedup < 2.0:
+    sys.exit(f"fig13 speedup: speedup_t4 {speedup:.2f}x < 2.0x "
+             f"(sp_ms_t1 {rows['sp_ms_t1']:.1f} ms, "
+             f"sp_ms_t4 {rows['sp_ms_t4']:.1f} ms)")
+else:
+    print(f"fig13 speedup: 4 threads {rows['sp_ms_t4']:.1f} ms vs 1 thread "
+          f"{rows['sp_ms_t1']:.1f} ms ({speedup:.2f}x)")
+EOF
+rm -f "$FIG13_JSON"
 
 echo "=== all checks passed ==="

@@ -3,22 +3,23 @@
 // ABS signing and relaxation multiply many points by secret scalars:
 // variable-base GLV ladders (CtScalarMul) on signature components and
 // fixed-base walks (FixedBaseTable::MulCt) on the verification key's
-// tables. Each is a constant-pattern ladder, so eight of them on G1 can
-// run side by side in the eight 64-bit lanes of an AVX-512 IFMA register
-// with no secret-dependent control flow (accel::G1CtLadderX8 and
-// accel::G1CtFixedBaseX8, crypto/mont_accel.h). A caller queues every
-// multiply of a signature, or of a whole VO, into one CtMulBatch, runs it
-// once, and then reads the results by index.
+// tables, on G1 and on G2. Each is a constant-pattern ladder, so eight of
+// them on one group can run side by side in the eight 64-bit lanes of an
+// AVX-512 IFMA register with no secret-dependent control flow
+// (accel::G1CtLadderX8 / G1CtFixedBaseX8 and their G2 counterparts,
+// crypto/mont_accel.h). A caller queues every multiply of a signature, or
+// of a whole VO, into one CtMulBatch, runs it once, and then reads the
+// results by index.
 //
-// Run() cuts the G1 jobs into groups of at most eight: ladders in queue
-// order, fixed-base walks per table in queue order. A group of at least
-// kMinLaneJobs jobs runs on the lanes when accel::IfmaLanesActive(); any
-// other group, and every job when the lanes are off (APQA_FORCE_PORTABLE=1
-// or a CPU without IFMA), runs the scalar kernels one by one. The lane
-// kernels compute the same field elements as the scalar ones, so every
-// result is bit-identical to the scalar call whichever way it ran
-// (CtLanes in tests/ct_check_test.cc). G2 jobs always run the scalar
-// kernels.
+// Run() cuts each group's jobs by one rule: ladders in queue order, then
+// each table's walks in queue order, tables in order of first use, in
+// groups of at most eight. A group of at least kMinLaneJobs (G1) or
+// kMinG2LaneJobs (G2) jobs runs on the lanes when
+// accel::IfmaLanesActive(); any other group, and every job when the lanes
+// are off (APQA_FORCE_PORTABLE=1 or a CPU without IFMA), runs the scalar
+// kernels one by one. The lane kernels compute the same field elements as
+// the scalar ones, so every result is bit-identical to the scalar call
+// whichever way it ran (CtLanes in tests/ct_check_test.cc).
 #ifndef APQA_CRYPTO_CT_BATCH_H_
 #define APQA_CRYPTO_CT_BATCH_H_
 
@@ -39,6 +40,10 @@ class CtMulBatch {
   // ct_fixed_base_g1_x8 against ct_mul_g1 and ct_fixed_base_g1), so the
   // lanes win from two jobs on.
   static constexpr std::size_t kMinLaneJobs = 2;
+  // The same rule on G2: one lane pass costs about 1.7 scalar ladders or
+  // walks (ct_mul_g2_x8 and ct_fixed_base_g2_x8 against ct_mul_g2 and
+  // ct_fixed_base_g2), so the lanes win from two jobs on there too.
+  static constexpr std::size_t kMinG2LaneJobs = 2;
 
   // Queue CtScalarMul(base, k) or tab.MulCt(k) and return the index of its
   // result among the results of its group (G1 or G2). A queued table must
@@ -54,9 +59,9 @@ class CtMulBatch {
   using ParallelFor = std::function<void(
       std::size_t n, const std::function<void(std::size_t)>& fn)>;
 
-  // Runs every queued multiply, once per batch. Each G1 group and each G2
-  // job is one unit of work; with `parallel_for` the units are spread over
-  // it. The results do not depend on how the units ran.
+  // Runs every queued multiply, once per batch. Each group is one unit of
+  // work; with `parallel_for` the units are spread over it. The results do
+  // not depend on how the units ran.
   void Run(const ParallelFor& parallel_for = nullptr);
 
   const G1& g1(std::size_t i) const { return g1_out_[i]; }
@@ -71,7 +76,24 @@ class CtMulBatch {
     SecretFr k;
   };
 
-  void RunG1Group(const std::size_t* jobs, std::size_t n);
+  // A group: [begin, end) of Run()'s job order, on G2 or on G1.
+  struct Unit {
+    std::size_t begin, end;
+    bool g2;
+  };
+
+  // Appends the job indices of `queue` to `order` in group order and the
+  // groups to `units`.
+  template <typename F>
+  static void PlanGroups(const std::vector<Job<F>>& queue,
+                         std::vector<std::size_t>* order,
+                         std::vector<Unit>* units, bool g2);
+
+  // Runs the n jobs queue[jobs[0..n)], one group, into their result slots.
+  template <typename F>
+  static void RunGroup(const std::vector<Job<F>>& queue,
+                       std::vector<CurvePoint<F>>* results,
+                       const std::size_t* jobs, std::size_t n);
 
   std::vector<Job<Fp>> g1_;
   std::vector<Job<Fp2>> g2_;

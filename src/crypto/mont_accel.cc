@@ -362,7 +362,7 @@ struct LanePoint {
 
 struct LaneField {
   V8 p;
-  V8 off[8];  // off[k] = 2^k * p, the subtraction offsets
+  V8 off[12];  // off[k] = 2^k * p, the subtraction offsets
   __m512i pinv;  // -p^-1 mod 2^52
   __m512i mask;
   V8 to_lane;    // 2^448 mod p: Montgomery-2^384 form times it is lane form
@@ -589,11 +589,11 @@ APQA_IFMA_INLINE V8 Lift(const LaneField& f, const V8& to_lane,
 }
 
 // The field constants every lane kernel starts from.
-APQA_IFMA_INLINE void InitLaneField(const G1LaneConsts& c, LaneField* f) {
+APQA_IFMA_INLINE void InitLaneField(const LaneConsts& c, LaneField* f) {
   u64 l[kL52];
   To52(c.p, 6, l);
   f->p = Broadcast(l);
-  for (int k = 0; k < 8; ++k) {  // 2^k p < 2^388: seven 64-bit limbs
+  for (int k = 0; k < 12; ++k) {  // 2^k p < 2^392: seven 64-bit limbs
     u64 kp[7];
     for (int w = 0; w < 7; ++w) {
       const u64 lo = w < 6 ? c.p[w] : 0;
@@ -618,7 +618,7 @@ APQA_IFMA_INLINE void InitLaneField(const G1LaneConsts& c, LaneField* f) {
   f->from_lane = Broadcast(l);
 }
 
-APQA_IFMA_FN void G1SubgroupCheckX8Impl(const G1LaneConsts& c,
+APQA_IFMA_FN void G1SubgroupCheckX8Impl(const LaneConsts& c,
                                         const u64 (*xs)[6],
                                         const u64 (*ys)[6], int n,
                                         LaneVerdict* out) {
@@ -662,28 +662,128 @@ APQA_IFMA_FN void G1SubgroupCheckX8Impl(const G1LaneConsts& c,
 }
 
 // ---------------------------------------------------------------------------
-// Eight-lane constant-pattern G1 multiplies: the variable-base GLV ladder
-// of CtScalarMul and the fixed-base walk of FixedBaseTable::MulCt, one
-// secret scalar per lane.
+// Eight-lane constant-pattern multiplies on G1 and G2: the variable-base
+// GLV ladder of CtScalarMul and the fixed-base walk of FixedBaseTable::MulCt,
+// one secret scalar per lane.
 //
 // Same field as above, same lazy-reduction bounds, but the group law is the
 // Renes–Costello–Batina complete formulas of crypto/ct.h (Alg. 7, 8 and 9
-// for a = 0, 3b * x as 12x by additions), evaluated in the same order, so
-// every lane computes the same field elements as the scalar ladder and its
-// output, fully reduced, is bit-identical to it. The formulas are total:
-// there is no exceptional case, no Z = 0 re-check and no fallback, so
-// nothing here depends on a lane's value. Every table lookup reads every
-// entry and keeps the one whose index equals the lane's digit magnitude
-// under a per-lane mask (the lane form of CtLookup); a negative digit
-// selects the negated y by a mask, a zero digit by a mask too. The
-// instruction and memory-access sequence is one per call whatever the
-// scalars.
+// for a = 0, 3b * x by additions), evaluated in the same order, so every
+// lane computes the same field elements as the scalar ladder and its
+// output, fully reduced, is bit-identical to it. The formulas, the picks
+// and the kernels are written once, over a lane element FqLane<D>: Fp for
+// D = 1 (G1) and Fp2 = Fp[i] / (i^2 + 1) for D = 2 (G2), an Fp2 element
+// being two lane Fp elements c0 + c1 i. Only the multiply, the square and
+// 3b * x differ between the two fields. The formulas are total: there is
+// no exceptional case, no Z = 0 re-check and no fallback, so nothing here
+// depends on a lane's value. Every table lookup reads every entry and
+// keeps the one whose index equals the lane's digit magnitude under a
+// per-lane mask (the lane form of CtLookup); a negative digit selects the
+// negated y by a mask, a zero digit by a mask too. The instruction and
+// memory-access sequence is one per call whatever the scalars.
+//
+// The bounds noted below are in units of p, per Fp part, and are those of
+// the Fp2 instance: an Fp2 product is below 6p and an Fp one below 2p, and
+// 3b * x adds an offset on Fp2 only, so every subtraction offset that
+// covers the Fp2 bounds covers the Fp ones. Point coordinates entering a
+// step are below 16p.
+
+template <int D>
+struct FqLane {
+  V8 c[D];
+};
+
+template <int D>
+struct CtLanePoint {
+  FqLane<D> x, y, z;
+};
+
+template <int D>
+APQA_IFMA_INLINE FqLane<D> LaneZero() {
+  FqLane<D> r;
+#pragma GCC unroll 2
+  for (int h = 0; h < D; ++h) {
+#pragma GCC unroll 16
+    for (int j = 0; j < kL52; ++j) r.c[h].l[j] = _mm512_setzero_si512();
+  }
+  return r;
+}
+
+template <int D>
+APQA_IFMA_INLINE FqLane<D> Add(const FqLane<D>& a, const FqLane<D>& b) {
+  FqLane<D> r;
+#pragma GCC unroll 2
+  for (int h = 0; h < D; ++h) r.c[h] = Add(a.c[h], b.c[h]);
+  return r;
+}
+
+// a - b + 2^k p per part, not normalized; requires parts of b below 2^k p.
+template <int D>
+APQA_IFMA_INLINE FqLane<D> Sub(const LaneField& f, const FqLane<D>& a,
+                               const FqLane<D>& b, int k) {
+  FqLane<D> r;
+#pragma GCC unroll 2
+  for (int h = 0; h < D; ++h) r.c[h] = Sub(f, a.c[h], b.c[h], k);
+  return r;
+}
+
+template <int D>
+APQA_IFMA_INLINE FqLane<D> Normed(const LaneField& f, FqLane<D> a) {
+#pragma GCC unroll 2
+  for (int h = 0; h < D; ++h) Norm(f, &a.c[h]);
+  return a;
+}
 
 // 12x (3b = 12 on G1) by additions, not normalized.
 APQA_IFMA_INLINE V8 Times12(const V8& x) {
   const V8 t = Add(Add(x, x), x);
   const V8 t2 = Add(t, t);
   return Add(t2, t2);
+}
+
+// The field-specific operations. Fp: one lane multiply, below 2p.
+APQA_IFMA_INLINE FqLane<1> Mul(const LaneField& f, const FqLane<1>& a,
+                               const FqLane<1>& b) {
+  return {{MulX(f, a.c[0], b.c[0])}};
+}
+
+APQA_IFMA_INLINE FqLane<1> Sqr(const LaneField& f, const FqLane<1>& a) {
+  return Mul(f, a, a);
+}
+
+// 3b * x = 12x on G1, not normalized.
+APQA_IFMA_INLINE FqLane<1> MulBy3b(const LaneField&, const FqLane<1>& x) {
+  return {{Times12(x.c[0])}};
+}
+
+// Fp2: Karatsuba over three lane multiplies, as Fp2::operator*; c0 below
+// 4p, c1 below 6p, for parts of a and b below 2^15 p. Out of line, like
+// the lane multiply: inlined at every call site, the Fp2 multiply and
+// square added ~60 KiB of kernel code and ran no faster.
+APQA_IFMA_STEP FqLane<2> Mul(const LaneField& f, const FqLane<2>& a,
+                             const FqLane<2>& b) {
+  const V8 t0 = MulX(f, a.c[0], b.c[0]);                          // < 2
+  const V8 t1 = MulX(f, a.c[1], b.c[1]);                          // < 2
+  const V8 t2 = MulX(f, Normed(f, Add(a.c[0], a.c[1])),
+                     Normed(f, Add(b.c[0], b.c[1])));             // < 2
+  return {{Normed(f, Sub(f, t0, t1, 1)),                          // < 4
+           Normed(f, Sub(f, t2, Add(t0, t1), 2))}};               // < 6
+}
+
+// (c0 + c1)(c0 - c1) + 2 c0 c1 i, as Fp2::Square, for parts below 32p;
+// c0 below 2p, c1 below 4p.
+APQA_IFMA_STEP FqLane<2> Sqr(const LaneField& f, const FqLane<2>& a) {
+  const V8 t0 = MulX(f, Normed(f, Add(a.c[0], a.c[1])),
+                     Normed(f, Sub(f, a.c[0], a.c[1], 5)));
+  const V8 t1 = MulX(f, a.c[0], a.c[1]);
+  return {{t0, Normed(f, Add(t1, t1))}};
+}
+
+// 3b * x = 12 (1 + i) x on G2 (b = 4(1 + i)), not normalized: (1 + i) x is
+// (c0 - c1) + (c0 + c1) i, then 12 per part. For parts of x below B < 32p,
+// below 12 (B + 32) p.
+APQA_IFMA_INLINE FqLane<2> MulBy3b(const LaneField& f, const FqLane<2>& x) {
+  return {{Times12(Sub(f, x.c[0], x.c[1], 5)), Times12(Add(x.c[0], x.c[1]))}};
 }
 
 // Per-lane select: a where the mask bit is set, else b.
@@ -696,84 +796,101 @@ APQA_IFMA_INLINE V8 Select(__mmask8 m, const V8& a, const V8& b) {
   return r;
 }
 
-APQA_IFMA_INLINE LanePoint SelectPoint(__mmask8 m, const LanePoint& a,
-                                       const LanePoint& b) {
+template <int D>
+APQA_IFMA_INLINE FqLane<D> Select(__mmask8 m, const FqLane<D>& a,
+                                  const FqLane<D>& b) {
+  FqLane<D> r;
+#pragma GCC unroll 2
+  for (int h = 0; h < D; ++h) r.c[h] = Select(m, a.c[h], b.c[h]);
+  return r;
+}
+
+template <int D>
+APQA_IFMA_INLINE CtLanePoint<D> SelectPoint(__mmask8 m,
+                                            const CtLanePoint<D>& a,
+                                            const CtLanePoint<D>& b) {
   return {Select(m, a.x, b.x), Select(m, a.y, b.y), Select(m, a.z, b.z)};
 }
 
-// Alg. 7: io + q for coordinates below 4p; output below 4p, normalized.
-APQA_IFMA_STEP void CtAdd(const LaneField& f, LanePoint* io,
-                          const LanePoint& q) {
-  const LanePoint& p = *io;
-  const V8 t0 = MulX(f, p.x, q.x);                                // < 2
-  const V8 t1 = MulX(f, p.y, q.y);                                // < 2
-  const V8 t2 = MulX(f, p.z, q.z);                                // < 2
-  const V8 t3 = Normed(f, Sub(f, Sub(f, MulX(f, Normed(f, Add(p.x, p.y)),
-                                            Normed(f, Add(q.x, q.y))),
-                                     t0, 1),
-                              t1, 1));                           // < 6
-  const V8 t4 = Normed(f, Sub(f, Sub(f, MulX(f, Normed(f, Add(p.y, p.z)),
-                                            Normed(f, Add(q.y, q.z))),
-                                     t1, 1),
-                              t2, 1));                           // < 6
-  const V8 t5 = Normed(f, Sub(f, Sub(f, MulX(f, Normed(f, Add(p.x, p.z)),
-                                            Normed(f, Add(q.x, q.z))),
-                                     t0, 1),
-                              t2, 1));                           // < 6
-  const V8 three_t0 = Normed(f, Add(Add(t0, t0), t0));           // < 6
-  const V8 b3t2 = Times12(t2);                                   // < 24
-  const V8 b3t5 = Normed(f, Times12(t5));                        // < 72
-  const V8 s = Normed(f, Add(t1, b3t2));                         // < 26
-  const V8 d = Normed(f, Sub(f, t1, b3t2, 5));                   // < 34
-  LanePoint r;
-  r.x = Normed(f, Sub(f, MulX(f, t3, d), MulX(f, t4, b3t5), 1));   // < 4
-  r.y = Normed(f, Add(MulX(f, d, s), MulX(f, b3t5, three_t0)));    // < 4
-  r.z = Normed(f, Add(MulX(f, s, t4), MulX(f, three_t0, t3)));     // < 4
+// Alg. 7: io + q for coordinates below 16p; output below 14p, normalized.
+template <int D>
+APQA_IFMA_STEP void CtAdd(const LaneField& f, CtLanePoint<D>* io,
+                          const CtLanePoint<D>& q) {
+  using E = FqLane<D>;
+  const CtLanePoint<D>& p = *io;
+  const E t0 = Mul(f, p.x, q.x);                                  // < 6
+  const E t1 = Mul(f, p.y, q.y);                                  // < 6
+  const E t2 = Mul(f, p.z, q.z);                                  // < 6
+  const E t3 = Normed(f, Sub(f, Sub(f, Mul(f, Normed(f, Add(p.x, p.y)),
+                                           Normed(f, Add(q.x, q.y))),
+                                    t0, 3),
+                             t1, 3));                             // < 22
+  const E t4 = Normed(f, Sub(f, Sub(f, Mul(f, Normed(f, Add(p.y, p.z)),
+                                           Normed(f, Add(q.y, q.z))),
+                                    t1, 3),
+                             t2, 3));                             // < 22
+  const E t5 = Normed(f, Sub(f, Sub(f, Mul(f, Normed(f, Add(p.x, p.z)),
+                                           Normed(f, Add(q.x, q.z))),
+                                    t0, 3),
+                             t2, 3));                             // < 22
+  const E three_t0 = Normed(f, Add(Add(t0, t0), t0));             // < 18
+  const E b3t2 = MulBy3b(f, t2);                                  // < 456
+  const E b3t5 = Normed(f, MulBy3b(f, t5));                       // < 648
+  const E s = Normed(f, Add(t1, b3t2));                           // < 462
+  const E d = Normed(f, Sub(f, t1, b3t2, 9));                     // < 518
+  CtLanePoint<D> r;
+  r.x = Normed(f, Sub(f, Mul(f, t3, d), Mul(f, t4, b3t5), 3));    // < 14
+  r.y = Normed(f, Add(Mul(f, d, s), Mul(f, b3t5, three_t0)));     // < 12
+  r.z = Normed(f, Add(Mul(f, s, t4), Mul(f, three_t0, t3)));      // < 12
   *io = r;
 }
 
-// Alg. 8: io + (qx, qy) for io below 4p and qx, qy at most 2p; output below
-// 4p, normalized.
-APQA_IFMA_STEP void CtAddMixed(const LaneField& f, LanePoint* io,
-                               const V8& qx, const V8& qy) {
-  const LanePoint& p = *io;
-  const V8 t0 = MulX(f, p.x, qx);                                 // < 2
-  const V8 t1 = MulX(f, p.y, qy);                                 // < 2
-  const V8 t3 = Normed(f, Sub(f, Sub(f, MulX(f, Normed(f, Add(p.x, p.y)),
-                                            Normed(f, Add(qx, qy))),
-                                     t0, 1),
-                              t1, 1));                           // < 6
-  const V8 t4 = Normed(f, Add(MulX(f, qy, p.z), p.y));            // < 6
-  const V8 t5 = Add(MulX(f, qx, p.z), p.x);                       // < 6
-  const V8 three_t0 = Normed(f, Add(Add(t0, t0), t0));           // < 6
-  const V8 b3t2 = Times12(p.z);                                  // < 48
-  const V8 b3t5 = Normed(f, Times12(t5));                        // < 72
-  const V8 s = Normed(f, Add(t1, b3t2));                         // < 50
-  const V8 d = Normed(f, Sub(f, t1, b3t2, 6));                   // < 66
-  LanePoint r;
-  r.x = Normed(f, Sub(f, MulX(f, t3, d), MulX(f, t4, b3t5), 1));   // < 4
-  r.y = Normed(f, Add(MulX(f, d, s), MulX(f, b3t5, three_t0)));    // < 4
-  r.z = Normed(f, Add(MulX(f, s, t4), MulX(f, three_t0, t3)));     // < 4
+// Alg. 8: io + (qx, qy) for io below 16p, qx below 6p and qy below 2p;
+// output below 14p, normalized.
+template <int D>
+APQA_IFMA_STEP void CtAddMixed(const LaneField& f, CtLanePoint<D>* io,
+                               const FqLane<D>& qx, const FqLane<D>& qy) {
+  using E = FqLane<D>;
+  const CtLanePoint<D>& p = *io;
+  const E t0 = Mul(f, p.x, qx);                                   // < 6
+  const E t1 = Mul(f, p.y, qy);                                   // < 6
+  const E t3 = Normed(f, Sub(f, Sub(f, Mul(f, Normed(f, Add(p.x, p.y)),
+                                           Normed(f, Add(qx, qy))),
+                                    t0, 3),
+                             t1, 3));                             // < 22
+  const E t4 = Normed(f, Add(Mul(f, qy, p.z), p.y));              // < 22
+  const E t5 = Add(Mul(f, qx, p.z), p.x);                         // < 22
+  const E three_t0 = Normed(f, Add(Add(t0, t0), t0));             // < 18
+  const E b3t2 = MulBy3b(f, p.z);                                 // < 576
+  const E b3t5 = Normed(f, MulBy3b(f, t5));                       // < 648
+  const E s = Normed(f, Add(t1, b3t2));                           // < 582
+  const E d = Normed(f, Sub(f, t1, b3t2, 10));                    // < 1030
+  CtLanePoint<D> r;
+  r.x = Normed(f, Sub(f, Mul(f, t3, d), Mul(f, t4, b3t5), 3));    // < 14
+  r.y = Normed(f, Add(Mul(f, d, s), Mul(f, b3t5, three_t0)));     // < 12
+  r.z = Normed(f, Add(Mul(f, s, t4), Mul(f, three_t0, t3)));      // < 12
   *io = r;
 }
 
-// Alg. 9: 2 * io for coordinates below 4p; output below 4p, normalized.
-APQA_IFMA_STEP void CtDbl(const LaneField& f, LanePoint* io) {
-  const LanePoint& p = *io;
-  const V8 t0 = MulX(f, p.y, p.y);                                     // < 2
-  const V8 z2 = Add(t0, t0);
-  const V8 z4 = Add(z2, z2);
-  const V8 z8 = Normed(f, Add(z4, z4));                          // < 16
-  const V8 t1 = MulX(f, p.y, p.z);                                // < 2
-  const V8 t2 = Times12(MulX(f, p.z, p.z));                            // < 24
-  const V8 x3 = MulX(f, Normed(f, t2), z8);                       // < 2
-  const V8 y3 = Normed(f, Add(t0, t2));                          // < 26
-  LanePoint r;
-  r.z = MulX(f, t1, z8);                                          // < 2
-  const V8 t0b = Normed(f, Sub(f, t0, Add(Add(t2, t2), t2), 7)); // < 130
-  r.y = Normed(f, Add(x3, MulX(f, t0b, y3)));                     // < 4
-  const V8 x = MulX(f, t0b, MulX(f, p.x, p.y));                    // < 2
-  r.x = Normed(f, Add(x, x));                                    // < 4
+// Alg. 9: 2 * io for coordinates below 16p; output below 12p, normalized.
+template <int D>
+APQA_IFMA_STEP void CtDbl(const LaneField& f, CtLanePoint<D>* io) {
+  using E = FqLane<D>;
+  const CtLanePoint<D>& p = *io;
+  const E t0 = Sqr(f, p.y);                                       // < 6
+  const E z2 = Add(t0, t0);
+  const E z4 = Add(z2, z2);
+  const E z8 = Normed(f, Add(z4, z4));                            // < 48
+  const E t1 = Mul(f, p.y, p.z);                                  // < 6
+  const E t2 = MulBy3b(f, Sqr(f, p.z));                           // < 456
+  const E x3 = Mul(f, Normed(f, t2), z8);                         // < 6
+  const E y3 = Normed(f, Add(t0, t2));                            // < 462
+  CtLanePoint<D> r;
+  r.z = Mul(f, t1, z8);                                           // < 6
+  const E t0b = Normed(f, Sub(f, t0, Add(Add(t2, t2), t2), 11));  // < 2054
+  r.y = Normed(f, Add(x3, Mul(f, t0b, y3)));                      // < 12
+  const E x = Mul(f, t0b, Mul(f, p.x, p.y));                      // < 6
+  r.x = Normed(f, Add(x, x));                                     // < 12
   *io = r;
 }
 
@@ -806,20 +923,55 @@ APQA_IFMA_INLINE void StoreStrided(const LaneField& f, const V8& a, u64* first,
   }
 }
 
-constexpr std::size_t kPointWords = sizeof(G1LanePoint) / sizeof(u64);
-
-APQA_IFMA_INLINE LanePoint LoadPoints(const LaneField& f,
-                                      const G1LanePoint* in, int n) {
-  return {LoadStrided(f, in->x, kPointWords, n),
-          LoadStrided(f, in->y, kPointWords, n),
-          LoadStrided(f, in->z, kPointWords, n)};
+// The Fp parts of an element whose parts lie 6 words apart at first, of
+// lane i < n at first + i * stride; spare lanes repeat lane 0.
+template <int D>
+APQA_IFMA_INLINE FqLane<D> LoadElement(const LaneField& f, const u64* first,
+                                       std::size_t stride, int n) {
+  FqLane<D> r;
+  for (int h = 0; h < D; ++h) r.c[h] = LoadStrided(f, first + 6 * h, stride, n);
+  return r;
 }
 
-APQA_IFMA_INLINE void StorePoints(const LaneField& f, const LanePoint& p,
-                                  G1LanePoint* out, int n) {
-  StoreStrided(f, p.x, out->x, kPointWords, n);
-  StoreStrided(f, p.y, out->y, kPointWords, n);
-  StoreStrided(f, p.z, out->z, kPointWords, n);
+template <int D>
+APQA_IFMA_INLINE void StoreElement(const LaneField& f, const FqLane<D>& a,
+                                   u64* first, std::size_t stride, int n) {
+  for (int h = 0; h < D; ++h) StoreStrided(f, a.c[h], first + 6 * h, stride, n);
+}
+
+template <int D>
+APQA_IFMA_INLINE CtLanePoint<D> LoadPoints(const LaneField& f,
+                                           const LanePointOf<D>* in, int n) {
+  constexpr std::size_t kWords = sizeof(LanePointOf<D>) / sizeof(u64);
+  return {LoadElement<D>(f, in->x, kWords, n),
+          LoadElement<D>(f, in->y, kWords, n),
+          LoadElement<D>(f, in->z, kWords, n)};
+}
+
+template <int D>
+APQA_IFMA_INLINE void StorePoints(const LaneField& f, const CtLanePoint<D>& p,
+                                  LanePointOf<D>* out, int n) {
+  constexpr std::size_t kWords = sizeof(LanePointOf<D>) / sizeof(u64);
+  StoreElement<D>(f, p.x, out->x, kWords, n);
+  StoreElement<D>(f, p.y, out->y, kWords, n);
+  StoreElement<D>(f, p.z, out->z, kWords, n);
+}
+
+// A Montgomery-2^384 constant of 6 * D words (Fp parts in order) on every
+// lane, in lane form.
+template <int D>
+APQA_IFMA_INLINE FqLane<D> LiftElement(const LaneField& f, const u64* v) {
+  FqLane<D> r;
+  for (int h = 0; h < D; ++h) r.c[h] = Lift(f, f.to_lane, v + 6 * h);
+  return r;
+}
+
+// The multiplicative identity on every lane.
+template <int D>
+APQA_IFMA_INLINE FqLane<D> LaneOne(const LaneField& f, const LaneConsts& c) {
+  FqLane<D> r = LaneZero<D>();
+  r.c[0] = Lift(f, f.to_lane, c.one);
+  return r;
 }
 
 // The digit magnitudes and negative masks of one window and track.
@@ -837,52 +989,54 @@ APQA_IFMA_INLINE LaneDigit LoadDigit(const u64* mag, const u64* neg) {
 }
 
 // y or 2^k p - y per lane, by the digit's negative mask.
-APQA_IFMA_INLINE V8 CondNegate(const LaneField& f, const V8& y, __mmask8 neg,
-                               int k) {
-  V8 zero;
-#pragma GCC unroll 16
-  for (int j = 0; j < kL52; ++j) zero.l[j] = _mm512_setzero_si512();
-  return Select(neg, Normed(f, Sub(f, zero, y, k)), y);
+template <int D>
+APQA_IFMA_INLINE FqLane<D> CondNegate(const LaneField& f, const FqLane<D>& y,
+                                      __mmask8 neg, int k) {
+  return Select(neg, Normed(f, Sub(f, LaneZero<D>(), y, k)), y);
 }
 
 // CtScalarMul's pick: the table entry of each lane's magnitude (every entry
 // read), the identity (0 : 1 : 0) for a zero digit, y negated for a
 // negative digit.
-APQA_IFMA_STEP void LadderPick(const LaneField& f, const LanePoint* table,
-                               const V8& one, const LaneDigit& d,
-                               LanePoint* out) {
-  LanePoint sel;
-#pragma GCC unroll 16
-  for (int j = 0; j < kL52; ++j) {
-    sel.x.l[j] = sel.y.l[j] = sel.z.l[j] = _mm512_setzero_si512();
-  }
-  for (int e = 0; e < kG1LadderEntries; ++e) {
+template <int D>
+APQA_IFMA_STEP void LadderPick(const LaneField& f, const CtLanePoint<D>* table,
+                               const FqLane<D>& one, const LaneDigit& dig,
+                               CtLanePoint<D>* out) {
+  CtLanePoint<D> sel{LaneZero<D>(), LaneZero<D>(), LaneZero<D>()};
+  for (int e = 0; e < kLadderEntries; ++e) {
     const __mmask8 m = _mm512_cmpeq_epi64_mask(
-        d.mag, _mm512_set1_epi64(static_cast<long long>(e + 1)));
+        dig.mag, _mm512_set1_epi64(static_cast<long long>(e + 1)));
+#pragma GCC unroll 2
+    for (int h = 0; h < D; ++h) {
 #pragma GCC unroll 16
-    for (int j = 0; j < kL52; ++j) {
-      sel.x.l[j] = _mm512_mask_mov_epi64(sel.x.l[j], m, table[e].x.l[j]);
-      sel.y.l[j] = _mm512_mask_mov_epi64(sel.y.l[j], m, table[e].y.l[j]);
-      sel.z.l[j] = _mm512_mask_mov_epi64(sel.z.l[j], m, table[e].z.l[j]);
+      for (int j = 0; j < kL52; ++j) {
+        sel.x.c[h].l[j] =
+            _mm512_mask_mov_epi64(sel.x.c[h].l[j], m, table[e].x.c[h].l[j]);
+        sel.y.c[h].l[j] =
+            _mm512_mask_mov_epi64(sel.y.c[h].l[j], m, table[e].y.c[h].l[j]);
+        sel.z.c[h].l[j] =
+            _mm512_mask_mov_epi64(sel.z.c[h].l[j], m, table[e].z.c[h].l[j]);
+      }
     }
   }
-  sel.y = Select(d.zero, one, sel.y);
-  sel.y = CondNegate(f, sel.y, d.neg, 2);
+  sel.y = Select(dig.zero, one, sel.y);
+  sel.y = CondNegate(f, sel.y, dig.neg, 4);  // table y < 14p
   *out = sel;
 }
 
-APQA_IFMA_FN void G1CtLadderX8Impl(const G1LaneConsts& c,
-                                   const G1LanePoint* base, const u64* mag,
-                                   const u64* neg, int n, G1LanePoint* out,
-                                   void (*trace)(char, unsigned)) {
+template <int D>
+APQA_IFMA_FN void CtLadderX8Impl(const LaneConsts& c,
+                                 const LanePointOf<D>* base, const u64* mag,
+                                 const u64* neg, int n, LanePointOf<D>* out,
+                                 void (*trace)(char, unsigned)) {
   LaneField f;
   InitLaneField(c, &f);
-  const V8 one = Lift(f, f.to_lane, c.one);
-  const V8 beta = Lift(f, f.to_lane, c.beta);
+  const FqLane<D> one = LaneOne<D>(f, c);
+  const FqLane<D> beta = LiftElement<D>(f, D == 1 ? c.beta : c.g2_beta);
   // table[i] = (i + 1) * base, built as CtScalarMul builds it.
-  LanePoint table[kG1LadderEntries];
-  table[0] = LoadPoints(f, base, n);
-  for (int i = 1; i < kG1LadderEntries; ++i) {
+  CtLanePoint<D> table[kLadderEntries];
+  table[0] = LoadPoints<D>(f, base, n);
+  for (int i = 1; i < kLadderEntries; ++i) {
     if (i % 2 == 1) {
       table[i] = table[i / 2];
       CtDbl(f, &table[i]);
@@ -891,110 +1045,96 @@ APQA_IFMA_FN void G1CtLadderX8Impl(const G1LaneConsts& c,
       CtAdd(f, &table[i], table[0]);
     }
   }
-  LanePoint acc;
-#pragma GCC unroll 16
-  for (int j = 0; j < kL52; ++j) {
-    acc.x.l[j] = acc.z.l[j] = _mm512_setzero_si512();
-  }
-  acc.y = one;
-  for (int w = kG1LadderWindows; w-- > 0;) {
-    if (w != kG1LadderWindows - 1) {
-      for (int i = 0; i < kG1LadderWindowBits; ++i) {
+  CtLanePoint<D> acc{LaneZero<D>(), one, LaneZero<D>()};
+  for (int w = kLadderWindows; w-- > 0;) {
+    if (w != kLadderWindows - 1) {
+      for (int i = 0; i < kLadderWindowBits; ++i) {
         if (trace != nullptr) trace('d', static_cast<unsigned>(w));
         CtDbl(f, &acc);
       }
     }
     const std::size_t at = static_cast<std::size_t>(w) * 2 * kLanes;
-    LanePoint sel;
+    CtLanePoint<D> sel;
     if (trace != nullptr) trace('t', static_cast<unsigned>(w));
     LadderPick(f, table, one, LoadDigit(mag + at, neg + at), &sel);
     CtAdd(f, &acc, sel);
     LadderPick(f, table, one, LoadDigit(mag + at + kLanes, neg + at + kLanes),
                &sel);
-    sel.x = MulX(f, sel.x, beta);
+    sel.x = Mul(f, sel.x, beta);
     if (trace != nullptr) trace('u', static_cast<unsigned>(w));
     CtAdd(f, &acc, sel);
   }
-  StorePoints(f, acc, out, n);
+  StorePoints<D>(f, acc, out, n);
 }
 
 // MulCt's pick and masked add: every entry of the window read (broadcast
 // into the lanes whose magnitude selects it), y negated for a negative
 // digit, x scaled by beta on the k2 track, one complete mixed addition, and
-// the sum kept only in lanes whose digit is nonzero.
+// the sum kept only in lanes whose digit is nonzero. An entry is the Fp
+// parts of x, then of y, kL52 words each.
+template <int D>
 APQA_IFMA_STEP void FixedStep(const LaneField& f, const u64* window,
-                              const LaneDigit& d, const V8* beta,
-                              LanePoint* acc) {
-  V8 x, y;
-#pragma GCC unroll 16
-  for (int j = 0; j < kL52; ++j) {
-    x.l[j] = y.l[j] = _mm512_setzero_si512();
-  }
-  for (int e = 0; e < kG1FixedEntries; ++e) {
+                              const LaneDigit& dig, const FqLane<D>* beta,
+                              CtLanePoint<D>* acc) {
+  constexpr std::size_t kEntryWords = 2 * D * kL52;
+  FqLane<D> x = LaneZero<D>(), y = LaneZero<D>();
+  for (int e = 0; e < kFixedEntries; ++e) {
     const __mmask8 m = _mm512_cmpeq_epi64_mask(
-        d.mag, _mm512_set1_epi64(static_cast<long long>(e + 1)));
-    const u64* entry = window + static_cast<std::size_t>(e) * kG1LaneEntryWords;
+        dig.mag, _mm512_set1_epi64(static_cast<long long>(e + 1)));
+    const u64* entry = window + static_cast<std::size_t>(e) * kEntryWords;
+#pragma GCC unroll 2
+    for (int h = 0; h < D; ++h) {
 #pragma GCC unroll 16
-    for (int j = 0; j < kL52; ++j) {
-      x.l[j] = _mm512_mask_set1_epi64(x.l[j], m,
-                                      static_cast<long long>(entry[j]));
-      y.l[j] = _mm512_mask_set1_epi64(y.l[j], m,
-                                      static_cast<long long>(entry[kL52 + j]));
+      for (int j = 0; j < kL52; ++j) {
+        x.c[h].l[j] = _mm512_mask_set1_epi64(
+            x.c[h].l[j], m, static_cast<long long>(entry[h * kL52 + j]));
+        y.c[h].l[j] = _mm512_mask_set1_epi64(
+            y.c[h].l[j], m, static_cast<long long>(entry[(D + h) * kL52 + j]));
+      }
     }
   }
-  y = CondNegate(f, y, d.neg, 1);
-  if (beta != nullptr) x = MulX(f, x, *beta);
-  LanePoint sum = *acc;
+  y = CondNegate(f, y, dig.neg, 1);
+  if (beta != nullptr) x = Mul(f, x, *beta);
+  CtLanePoint<D> sum = *acc;
   CtAddMixed(f, &sum, x, y);
-  *acc = SelectPoint(static_cast<__mmask8>(~d.zero), sum, *acc);
+  *acc = SelectPoint(static_cast<__mmask8>(~dig.zero), sum, *acc);
 }
 
-APQA_IFMA_FN void G1CtFixedBaseX8Impl(const G1LaneConsts& c,
-                                      const u64* table52, const u64* mag,
-                                      const u64* neg, int n, G1LanePoint* out,
-                                      void (*trace)(char, unsigned)) {
+template <int D>
+APQA_IFMA_FN void CtFixedBaseX8Impl(const LaneConsts& c, const u64* table52,
+                                    const u64* mag, const u64* neg, int n,
+                                    LanePointOf<D>* out,
+                                    void (*trace)(char, unsigned)) {
+  constexpr std::size_t kWindowWords =
+      static_cast<std::size_t>(kFixedEntries) * 2 * D * kL52;
   LaneField f;
   InitLaneField(c, &f);
-  const V8 beta = Lift(f, f.to_lane, c.beta);
-  LanePoint acc;
-#pragma GCC unroll 16
-  for (int j = 0; j < kL52; ++j) {
-    acc.x.l[j] = acc.z.l[j] = _mm512_setzero_si512();
-  }
-  acc.y = Lift(f, f.to_lane, c.one);
-  for (int w = 0; w < kG1FixedWindows; ++w) {
-    const u64* window = table52 + static_cast<std::size_t>(w) *
-                                      kG1FixedEntries * kG1LaneEntryWords;
+  const FqLane<D> beta = LiftElement<D>(f, D == 1 ? c.beta : c.g2_beta);
+  CtLanePoint<D> acc{LaneZero<D>(), LaneOne<D>(f, c), LaneZero<D>()};
+  for (int w = 0; w < kFixedWindows; ++w) {
+    const u64* window = table52 + static_cast<std::size_t>(w) * kWindowWords;
     const std::size_t at = static_cast<std::size_t>(w) * 2 * kLanes;
     if (trace != nullptr) trace('t', static_cast<unsigned>(w));
-    FixedStep(f, window, LoadDigit(mag + at, neg + at), nullptr, &acc);
+    FixedStep<D>(f, window, LoadDigit(mag + at, neg + at), nullptr, &acc);
     if (trace != nullptr) trace('u', static_cast<unsigned>(w));
-    FixedStep(f, window, LoadDigit(mag + at + kLanes, neg + at + kLanes),
-              &beta, &acc);
+    FixedStep<D>(f, window, LoadDigit(mag + at + kLanes, neg + at + kLanes),
+                 &beta, &acc);
   }
-  StorePoints(f, acc, out, n);
+  StorePoints<D>(f, acc, out, n);
 }
 
-APQA_IFMA_FN void G1LaneTableImpl(const G1LaneConsts& c, const u64 (*xs)[6],
-                                  const u64 (*ys)[6], std::size_t n,
-                                  u64* out) {
+APQA_IFMA_FN void LaneFormImpl(const LaneConsts& c, const u64* in,
+                               std::size_t n, u64* out) {
   LaneField f;
   InitLaneField(c, &f);
   for (std::size_t i = 0; i < n; i += kLanes) {
     const int m = static_cast<int>(n - i < kLanes ? n - i : kLanes);
-    const V8 x = LoadStrided(f, xs[i], 6, m);
-    const V8 y = LoadStrided(f, ys[i], 6, m);
-    alignas(64) u64 tx[kL52][kLanes], ty[kL52][kLanes];
-    for (int j = 0; j < kL52; ++j) {
-      _mm512_store_si512(tx[j], x.l[j]);
-      _mm512_store_si512(ty[j], y.l[j]);
-    }
+    const V8 v = LoadStrided(f, in + 6 * i, 6, m);
+    alignas(64) u64 t[kL52][kLanes];
+    for (int j = 0; j < kL52; ++j) _mm512_store_si512(t[j], v.l[j]);
     for (int k = 0; k < m; ++k) {
-      u64* entry = out + (i + static_cast<std::size_t>(k)) * kG1LaneEntryWords;
-      for (int j = 0; j < kL52; ++j) {
-        entry[j] = tx[j][k];
-        entry[kL52 + j] = ty[j][k];
-      }
+      u64* elem = out + (i + static_cast<std::size_t>(k)) * kL52;
+      for (int j = 0; j < kL52; ++j) elem[j] = t[j][k];
     }
   }
 }
@@ -1007,26 +1147,37 @@ bool DetectIfmaLanes() {
          __builtin_cpu_supports("avx512ifma") != 0;
 }
 
-void G1SubgroupCheckX8(const G1LaneConsts& c, const u64 (*xs)[6],
+void G1SubgroupCheckX8(const LaneConsts& c, const u64 (*xs)[6],
                        const u64 (*ys)[6], int n, LaneVerdict* out) {
   G1SubgroupCheckX8Impl(c, xs, ys, n, out);
 }
 
-void G1CtLadderX8(const G1LaneConsts& c, const G1LanePoint* base,
+void G1CtLadderX8(const LaneConsts& c, const G1LanePoint* base,
                   const u64* mag, const u64* neg, int n, G1LanePoint* out,
                   void (*trace)(char, unsigned)) {
-  G1CtLadderX8Impl(c, base, mag, neg, n, out, trace);
+  CtLadderX8Impl<1>(c, base, mag, neg, n, out, trace);
 }
 
-void G1CtFixedBaseX8(const G1LaneConsts& c, const u64* table52,
+void G2CtLadderX8(const LaneConsts& c, const G2LanePoint* base,
+                  const u64* mag, const u64* neg, int n, G2LanePoint* out,
+                  void (*trace)(char, unsigned)) {
+  CtLadderX8Impl<2>(c, base, mag, neg, n, out, trace);
+}
+
+void G1CtFixedBaseX8(const LaneConsts& c, const u64* table52,
                      const u64* mag, const u64* neg, int n, G1LanePoint* out,
                      void (*trace)(char, unsigned)) {
-  G1CtFixedBaseX8Impl(c, table52, mag, neg, n, out, trace);
+  CtFixedBaseX8Impl<1>(c, table52, mag, neg, n, out, trace);
 }
 
-void G1LaneTable(const G1LaneConsts& c, const u64 (*xs)[6],
-                 const u64 (*ys)[6], std::size_t n, u64* out) {
-  G1LaneTableImpl(c, xs, ys, n, out);
+void G2CtFixedBaseX8(const LaneConsts& c, const u64* table52,
+                     const u64* mag, const u64* neg, int n, G2LanePoint* out,
+                     void (*trace)(char, unsigned)) {
+  CtFixedBaseX8Impl<2>(c, table52, mag, neg, n, out, trace);
+}
+
+void LaneForm(const LaneConsts& c, const u64* in, std::size_t n, u64* out) {
+  LaneFormImpl(c, in, n, out);
 }
 
 #undef APQA_IFMA_STEP
@@ -1055,18 +1206,24 @@ void ModSub384(const u64*, const u64*, const u64*, u64*) {}
 
 bool DetectIfmaLanes() { return false; }
 
-void G1SubgroupCheckX8(const G1LaneConsts&, const u64 (*)[6],
+void G1SubgroupCheckX8(const LaneConsts&, const u64 (*)[6],
                        const u64 (*)[6], int, LaneVerdict*) {}
 
-void G1CtLadderX8(const G1LaneConsts&, const G1LanePoint*, const u64*,
+void G1CtLadderX8(const LaneConsts&, const G1LanePoint*, const u64*,
                   const u64*, int, G1LanePoint*, void (*)(char, unsigned)) {}
 
-void G1CtFixedBaseX8(const G1LaneConsts&, const u64*, const u64*,
+void G2CtLadderX8(const LaneConsts&, const G2LanePoint*, const u64*,
+                  const u64*, int, G2LanePoint*, void (*)(char, unsigned)) {}
+
+void G1CtFixedBaseX8(const LaneConsts&, const u64*, const u64*,
                      const u64*, int, G1LanePoint*,
                      void (*)(char, unsigned)) {}
 
-void G1LaneTable(const G1LaneConsts&, const u64 (*)[6], const u64 (*)[6],
-                 std::size_t, u64*) {}
+void G2CtFixedBaseX8(const LaneConsts&, const u64*, const u64*,
+                     const u64*, int, G2LanePoint*,
+                     void (*)(char, unsigned)) {}
+
+void LaneForm(const LaneConsts&, const u64*, std::size_t, u64*) {}
 
 #endif  // APQA_MONT_ACCEL_X86
 

@@ -1,6 +1,6 @@
 // Runtime-dispatched accelerated kernels: the Montgomery multiply and the
 // modular add/subtract next to it, an eight-lane G1 subgroup check, and
-// eight-lane constant-pattern G1 scalar multiplications.
+// eight-lane constant-pattern G1 and G2 scalar multiplications.
 //
 // The generic CIOS multiply in prime_field.h is portable and branch-free but
 // serializes every partial product through one u128 carry chain. On x86-64
@@ -28,10 +28,15 @@
 // at a time in the same field, with the complete formulas of crypto/ct.h
 // and masked full-scan lookups, so they run one instruction and memory
 // sequence whatever the scalars and return the scalar kernels' results bit
-// for bit (bench_msm_micro ct_mul_g1_x8 / ct_fixed_base_g1_x8: about a
-// sixth of the scalar cost per multiply). Callers reach them through
-// crypto::CtMulBatch (crypto/ct_batch.h), which groups the multiplies of
-// a signature or of a whole VO.
+// for bit. The group law, the picks and the kernels are written once over
+// a lane field element: the G1 kernels are its Fp instance, the G2 kernels
+// its Fp2 instance, an Fp2 lane element being two lane Fp elements
+// c0 + c1 i with a Karatsuba multiply over the lane Fp multiply and
+// 3b * x = 12 (1 + i) x by additions (bench_msm_micro ct_mul_g1_x8 /
+// ct_fixed_base_g1_x8: about a sixth of the scalar cost per multiply;
+// ct_mul_g2_x8 / ct_fixed_base_g2_x8: about a fifth). Callers reach them
+// through crypto::CtMulBatch (crypto/ct_batch.h), which groups the
+// multiplies of a signature or of a whole VO.
 //
 // This header is intrinsics-free: it declares the dispatch queries and the
 // raw kernel entry points, all defined in mont_accel.cc — the single
@@ -116,15 +121,16 @@ inline bool IfmaLanesActive() {
   return active;
 }
 
-// The constants of the eight-lane G1 kernels, as 6x64-bit little-endian limbs.
+// The constants of the eight-lane kernels, as 6x64-bit little-endian limbs.
 // Field elements are in PrimeField's Montgomery form (v * 2^384 mod p).
-struct G1LaneConsts {
-  u64 p[6];      // the base-field modulus
-  u64 r448[6];   // 2^448 mod p, as a plain integer
-  u64 one[6];    // 1
-  u64 beta[6];   // beta, the G1 GLV cube root of unity
-  u64 beta2[6];  // beta^2
-  u64 abs_z;     // |z|, the BLS parameter
+struct LaneConsts {
+  u64 p[6];         // the base-field modulus
+  u64 r448[6];      // 2^448 mod p, as a plain integer
+  u64 one[6];       // 1
+  u64 beta[6];      // beta, the G1 GLV cube root of unity
+  u64 beta2[6];     // beta^2
+  u64 g2_beta[12];  // GlvEndo<Fp2>::Beta(), the G2 one: c0 then c1
+  u64 abs_z;        // |z|, the BLS parameter
 };
 
 enum class LaneVerdict : std::uint8_t { kOut, kIn, kRecheck };
@@ -136,30 +142,34 @@ enum class LaneVerdict : std::uint8_t { kOut, kIn, kRecheck };
 // points with small-order components produce); a kRecheck lane must be
 // decided by CurvePoint::InPrimeOrderSubgroup. Variable time: public points
 // only. Must only be called when IfmaLanesActive() is true.
-void G1SubgroupCheckX8(const G1LaneConsts& c, const u64 (*xs)[6],
+void G1SubgroupCheckX8(const LaneConsts& c, const u64 (*xs)[6],
                        const u64 (*ys)[6], int n, LaneVerdict* out);
 
-// A projective point (X : Y : Z) of one lane, each coordinate in
-// PrimeField's Montgomery form, fully reduced.
-struct G1LanePoint {
-  u64 x[6], y[6], z[6];
+// A projective point (X : Y : Z) of one lane over Fp (D = 1) or Fp2
+// (D = 2, each coordinate c0 then c1), every Fp part in PrimeField's
+// Montgomery form, fully reduced.
+template <int D>
+struct LanePointOf {
+  u64 x[6 * D], y[6 * D], z[6 * D];
 };
+using G1LanePoint = LanePointOf<1>;
+using G2LanePoint = LanePointOf<2>;
 
-// The shapes of the scalar ladders the lane kernels reproduce: CtScalarMul
-// (crypto/ct.h) reads each GLV half as 26 signed radix-2^5 digits against
-// a 16-entry table, FixedBaseTable::MulCt (crypto/msm.h) as 22 signed
-// radix-2^6 digits against 32 entries per window.
-constexpr int kG1LadderWindows = 26;
-constexpr int kG1LadderWindowBits = 5;
-constexpr int kG1LadderEntries = 16;
-constexpr int kG1FixedWindows = 22;
-constexpr int kG1FixedEntries = 32;
-// One fixed-base entry in lane form: x then y, eight radix-2^52 limbs each.
-constexpr int kG1LaneEntryWords = 16;
+// The shapes of the scalar ladders the lane kernels reproduce, on both
+// groups: CtScalarMul (crypto/ct.h) reads each GLV half as 26 signed
+// radix-2^5 digits against a 16-entry table, FixedBaseTable::MulCt
+// (crypto/msm.h) as 22 signed radix-2^6 digits against 32 entries per
+// window.
+constexpr int kLadderWindows = 26;
+constexpr int kLadderWindowBits = 5;
+constexpr int kLadderEntries = 16;
+constexpr int kFixedWindows = 22;
+constexpr int kFixedEntries = 32;
 
-// Digit layout of both kernels: for window w, track t (0 for k1, 1 for k2
-// of the GLV split) and lane i, mag[(2w + t) * 8 + i] is the digit's
-// magnitude and neg[(2w + t) * 8 + i] is all-ones when it is negative.
+// Digit layout of the multiply kernels: for window w, track t (0 for k1,
+// 1 for k2 of the GLV split) and lane i, mag[(2w + t) * 8 + i] is the
+// digit's magnitude and neg[(2w + t) * 8 + i] is all-ones when it is
+// negative.
 //
 // CtScalarMul on up to eight lanes: lane i < n multiplies the point whose
 // first table entry is base[i] (CtFromJacobian of the base) by its digits
@@ -169,24 +179,33 @@ constexpr int kG1LaneEntryWords = 16;
 // the digits. `trace`, when set, receives ('d', window) before each
 // doubling and ('t', window) / ('u', window) before each track's pick, as
 // ct_trace::hook does for the scalar ladder. Must only be called when
-// IfmaLanesActive() is true.
-void G1CtLadderX8(const G1LaneConsts& c, const G1LanePoint* base,
+// IfmaLanesActive() is true. The G1 and G2 kernels are the Fp and Fp2
+// instances of one set of lane formulas.
+void G1CtLadderX8(const LaneConsts& c, const G1LanePoint* base,
                   const u64* mag, const u64* neg, int n, G1LanePoint* out,
                   void (*trace)(char, unsigned));
+void G2CtLadderX8(const LaneConsts& c, const G2LanePoint* base,
+                  const u64* mag, const u64* neg, int n, G2LanePoint* out,
+                  void (*trace)(char, unsigned));
 
-// FixedBaseTable::MulCt on up to eight lanes over one table, given in the
-// lane form G1LaneTable writes (kG1FixedWindows * kG1FixedEntries entries
-// in the table's order): lane i < n writes the projective accumulator of
-// its digits to out[i]. Constant pattern, traced and dispatched like
-// G1CtLadderX8.
-void G1CtFixedBaseX8(const G1LaneConsts& c, const u64* table52,
+// FixedBaseTable::MulCt on up to eight lanes over one table, given in lane
+// form: kFixedWindows * kFixedEntries entries in the table's order, each
+// the Fp parts of x, then of y, in the 8-word form LaneForm writes (16
+// words per G1 entry, 32 per G2 entry). Lane i < n writes the projective
+// accumulator of its digits to out[i]. Constant pattern, traced and
+// dispatched like the ladders.
+void G1CtFixedBaseX8(const LaneConsts& c, const u64* table52,
                      const u64* mag, const u64* neg, int n, G1LanePoint* out,
                      void (*trace)(char, unsigned));
+void G2CtFixedBaseX8(const LaneConsts& c, const u64* table52,
+                     const u64* mag, const u64* neg, int n, G2LanePoint* out,
+                     void (*trace)(char, unsigned));
 
-// Converts n affine points (Montgomery form) into the lane form
-// G1CtFixedBaseX8 reads: kG1LaneEntryWords words per point at out.
-void G1LaneTable(const G1LaneConsts& c, const u64 (*xs)[6],
-                 const u64 (*ys)[6], std::size_t n, u64* out);
+// Converts n Fp elements (Montgomery form, 6 words each, consecutive) into
+// the lane form the fixed-base kernels read: 8 words each, in the same
+// order, at out. A table entry's x and y parts, converted in turn, make
+// one lane-form entry.
+void LaneForm(const LaneConsts& c, const u64* in, std::size_t n, u64* out);
 
 }  // namespace apqa::crypto::accel
 

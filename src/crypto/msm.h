@@ -158,9 +158,9 @@ class FixedBaseTable {
   bool InfinityBase() const { return infinity_base_; }
 
   // The entries in the radix-2^52 form of the eight-lane constant-pattern
-  // walk (accel::G1CtFixedBaseX8), converted on first use (~90 KiB) and
-  // shared by copies of the table. G1 tables over a finite base only;
-  // defined in crypto/ct_batch.cc.
+  // walks (accel::G1CtFixedBaseX8, G2CtFixedBaseX8), converted on first use
+  // (~90 KiB on G1, ~176 KiB on G2) and shared by copies of the table.
+  // Tables over a finite base only; defined in crypto/ct_batch.cc.
   const std::vector<u64>& LaneEntries() const;
 
   // Variable-time multiply: skips zero digits and indexes the table by the
@@ -235,9 +235,6 @@ class FixedBaseTable {
   bool infinity_base_ = false;
   std::shared_ptr<LaneForm> lanes_;
 };
-
-template <>
-const std::vector<u64>& FixedBaseTable<Fp>::LaneEntries() const;
 
 namespace msm_internal {
 

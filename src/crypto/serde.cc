@@ -18,9 +18,9 @@ constexpr std::size_t kMinLanePoints = 2;
 
 }  // namespace
 
-const accel::G1LaneConsts& G1LaneConstants() {
-  static const accel::G1LaneConsts consts = [] {
-    accel::G1LaneConsts c{};
+const accel::LaneConsts& LaneConstants() {
+  static const accel::LaneConsts consts = [] {
+    accel::LaneConsts c{};
     auto put = [](const Limbs<6>& l, u64* out) {
       std::copy(l.begin(), l.end(), out);
     };
@@ -32,6 +32,9 @@ const accel::G1LaneConsts& G1LaneConstants() {
     const Fp& beta = GlvEndo<Fp>::Beta();
     put(beta.MontgomeryRepr(), c.beta);
     put((beta * beta).MontgomeryRepr(), c.beta2);
+    const Fp2& g2_beta = GlvEndo<Fp2>::Beta();
+    put(g2_beta.c0.MontgomeryRepr(), c.g2_beta);
+    put(g2_beta.c1.MontgomeryRepr(), c.g2_beta + 6);
     c.abs_z = kBlsParamAbs;
     return c;
   }();
@@ -120,7 +123,7 @@ void G1InSubgroupX8(std::span<const G1> pts, bool* in) {
     std::copy_n(pts[i].y.MontgomeryRepr().begin(), 6, ys[i]);
   }
   accel::LaneVerdict v[8];
-  accel::G1SubgroupCheckX8(G1LaneConstants(), xs, ys, static_cast<int>(n), v);
+  accel::G1SubgroupCheckX8(LaneConstants(), xs, ys, static_cast<int>(n), v);
   for (std::size_t i = 0; i < n; ++i) {
     in[i] = v[i] == accel::LaneVerdict::kRecheck
                 ? pts[i].InPrimeOrderSubgroup()

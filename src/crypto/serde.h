@@ -40,8 +40,8 @@ G2 ReadG2(common::ByteReader* r);
 void WriteGT(common::ByteWriter* w, const Fp12& v);
 Fp12 ReadGT(common::ByteReader* r);
 
-// The constants accel::G1SubgroupCheckX8 takes for G1 over Fp.
-const accel::G1LaneConsts& G1LaneConstants();
+// The constants every eight-lane kernel of crypto/mont_accel.h takes.
+const accel::LaneConsts& LaneConstants();
 
 // Subgroup verdicts of up to eight affine G1 points on the curve (none at
 // infinity): in[i] for pts[i]. One pass of the eight-lane IFMA kernel when

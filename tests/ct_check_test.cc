@@ -745,13 +745,26 @@ TEST(CtTrace, CpabeKeyGenTraceIsKeyIndependent) {
 
 // --- Eight-lane constant-pattern kernels (crypto/ct_batch.h) ---------------
 
+// The Fp parts of v in Montgomery form, 6 words each.
+std::vector<u64> Repr(const Fp& v) {
+  return {v.MontgomeryRepr().begin(), v.MontgomeryRepr().end()};
+}
+
+std::vector<u64> Repr(const Fp2& v) {
+  std::vector<u64> r = Repr(v.c0);
+  const std::vector<u64> c1 = Repr(v.c1);
+  r.insert(r.end(), c1.begin(), c1.end());
+  return r;
+}
+
 // Same Montgomery representation in every coordinate: the lane kernels
 // compute the scalar ladders' field elements, so not just the group
 // element but the projective coordinates must agree.
-void ExpectSameBits(const G1& got, const G1& want, const char* what) {
-  EXPECT_TRUE(got.x.MontgomeryRepr() == want.x.MontgomeryRepr() &&
-              got.y.MontgomeryRepr() == want.y.MontgomeryRepr() &&
-              got.z.MontgomeryRepr() == want.z.MontgomeryRepr())
+template <typename F>
+void ExpectSameBits(const crypto::CurvePoint<F>& got,
+                    const crypto::CurvePoint<F>& want, const char* what) {
+  EXPECT_TRUE(Repr(got.x) == Repr(want.x) && Repr(got.y) == Repr(want.y) &&
+              Repr(got.z) == Repr(want.z))
       << what;
 }
 
@@ -775,73 +788,123 @@ void LaneDigits(const std::vector<Fr>& ks, unsigned windows,
   }
 }
 
-G1 FromLane(const crypto::accel::G1LanePoint& p) {
-  auto coord = [](const u64* v) {
-    Limbs<6> l;
-    std::copy_n(v, 6, l.begin());
-    return Fp::FromMontgomeryRepr(l);
+// The kernels of each group, and its coordinates in their point layout.
+template <typename F>
+struct Lane;
+
+template <>
+struct Lane<Fp> {
+  using Point = crypto::accel::G1LanePoint;
+  static constexpr auto kLadder = &crypto::accel::G1CtLadderX8;
+  static constexpr auto kFixedBase = &crypto::accel::G1CtFixedBaseX8;
+  static G1 RandomPoint(Rng* rng) { return crypto::G1Mul(rng->NextNonZeroFr()); }
+};
+
+template <>
+struct Lane<Fp2> {
+  using Point = crypto::accel::G2LanePoint;
+  static constexpr auto kLadder = &crypto::accel::G2CtLadderX8;
+  static constexpr auto kFixedBase = &crypto::accel::G2CtFixedBaseX8;
+  static G2 RandomPoint(Rng* rng) { return crypto::G2Mul(rng->NextNonZeroFr()); }
+};
+
+template <typename F>
+void ToLane(const CtPoint<F>& p, typename Lane<F>::Point* out) {
+  const auto put = [](const F& v, u64* words) {
+    const std::vector<u64> r = Repr(v);
+    std::copy(r.begin(), r.end(), words);
   };
-  return crypto::CtToJacobian(
-      CtPoint<Fp>{coord(p.x), coord(p.y), coord(p.z)});
+  put(p.x, out->x);
+  put(p.y, out->y);
+  put(p.z, out->z);
+}
+
+void FromWords(const u64* v, Fp* out) {
+  Limbs<6> l;
+  std::copy_n(v, 6, l.begin());
+  *out = Fp::FromMontgomeryRepr(l);
+}
+
+void FromWords(const u64* v, Fp2* out) {
+  FromWords(v, &out->c0);
+  FromWords(v + 6, &out->c1);
+}
+
+template <typename F>
+crypto::CurvePoint<F> FromLane(const typename Lane<F>::Point& p) {
+  CtPoint<F> q;
+  FromWords(p.x, &q.x);
+  FromWords(p.y, &q.y);
+  FromWords(p.z, &q.z);
+  return crypto::CtToJacobian(q);
 }
 
 // Every edge scalar (0, 1, r - 1, lambda - 1, lambda, lambda + 1 and the
 // Booth extremes of both ladder widths) in every lane position, through
-// the kernels themselves at every lane count 1..8.
-TEST(CtLanes, KernelsBitMatchScalarLaddersInEveryLane) {
-  if (!crypto::accel::IfmaLanesActive()) {
-    GTEST_SKIP() << "AVX-512 IFMA lanes inactive on this host";
-  }
-  Rng rng(0x1a4e);
+// the kernels of one group at every lane count 1..8, with an identity base
+// in one lane.
+template <typename F>
+void CheckKernelsInEveryLane(Rng* rng) {
+  using P = crypto::CurvePoint<F>;
   const std::vector<Fr> edge = BoothEdgeScalars();
-  std::vector<G1> bases;
-  for (int i = 0; i < 8; ++i) {
-    bases.push_back(crypto::G1Mul(rng.NextNonZeroFr()));
-  }
-  bases[3] = G1::Infinity();  // an identity base is a lane like any other
-  const crypto::FixedBaseTable<Fp> tab(crypto::G1Mul(rng.NextNonZeroFr()));
-  const crypto::accel::G1LaneConsts& c = crypto::G1LaneConstants();
+  std::vector<P> bases;
+  for (int i = 0; i < 8; ++i) bases.push_back(Lane<F>::RandomPoint(rng));
+  bases[3] = P::Infinity();  // an identity base is a lane like any other
+  const crypto::FixedBaseTable<F> tab(Lane<F>::RandomPoint(rng));
+  const crypto::accel::LaneConsts& c = crypto::LaneConstants();
   for (int n = 1; n <= 8; ++n) {
     for (std::size_t rot = 0; rot < edge.size(); rot += (n == 8 ? 1 : 5)) {
       std::vector<Fr> ks;
       for (int i = 0; i < n; ++i) ks.push_back(edge[(rot + i) % edge.size()]);
       std::vector<u64> mag, neg;
-      crypto::accel::G1LanePoint in[8], out[8];
+      typename Lane<F>::Point in[8], out[8];
       for (int i = 0; i < n; ++i) {
-        const CtPoint<Fp> t0 = crypto::CtFromJacobian(bases[i]);
-        std::copy_n(t0.x.MontgomeryRepr().begin(), 6, in[i].x);
-        std::copy_n(t0.y.MontgomeryRepr().begin(), 6, in[i].y);
-        std::copy_n(t0.z.MontgomeryRepr().begin(), 6, in[i].z);
+        ToLane(crypto::CtFromJacobian(bases[i]), &in[i]);
       }
       LaneDigits<5>(ks, 26, &mag, &neg);
-      crypto::accel::G1CtLadderX8(c, in, mag.data(), neg.data(), n, out,
-                                  nullptr);
+      Lane<F>::kLadder(c, in, mag.data(), neg.data(), n, out, nullptr);
       for (int i = 0; i < n; ++i) {
-        ExpectSameBits(FromLane(out[i]), CtScalarMul(bases[i], SecretFr(ks[i])),
-                       "ladder lane");
+        ExpectSameBits(FromLane<F>(out[i]),
+                       CtScalarMul(bases[i], SecretFr(ks[i])), "ladder lane");
       }
       LaneDigits<6>(ks, 22, &mag, &neg);
-      crypto::accel::G1CtFixedBaseX8(c, tab.LaneEntries().data(), mag.data(),
-                                     neg.data(), n, out, nullptr);
+      Lane<F>::kFixedBase(c, tab.LaneEntries().data(), mag.data(), neg.data(),
+                          n, out, nullptr);
       for (int i = 0; i < n; ++i) {
-        ExpectSameBits(FromLane(out[i]), tab.MulCt(SecretFr(ks[i])),
+        ExpectSameBits(FromLane<F>(out[i]), tab.MulCt(SecretFr(ks[i])),
                        "fixed-base lane");
       }
     }
   }
 }
 
+TEST(CtLanes, KernelsBitMatchScalarLaddersInEveryLane) {
+  if (!crypto::accel::IfmaLanesActive()) {
+    GTEST_SKIP() << "AVX-512 IFMA lanes inactive on this host";
+  }
+  Rng rng(0x1a4e);
+  {
+    SCOPED_TRACE("G1");
+    CheckKernelsInEveryLane<Fp>(&rng);
+  }
+  {
+    SCOPED_TRACE("G2");
+    CheckKernelsInEveryLane<Fp2>(&rng);
+  }
+}
+
 // CtMulBatch at every group size 1..17 (scalar groups below the crossover,
-// full and partial lane groups above it, two tables and the ladders
-// interleaved in one list, G2 jobs alongside): every result bit-matches
-// its scalar call, and a fanned-out run gives the same bits as a serial
-// one.
+// full and partial lane groups above it; on each group the ladders and two
+// tables' walks interleaved in one list, G1 and G2 jobs interleaved too):
+// every result bit-matches its scalar call, and a fanned-out run in reverse
+// unit order gives the same bits as a serial one.
 TEST(CtLanes, BatchBitMatchesScalarCallsAtEveryGroupSize) {
   Rng rng(0xba7c);
   const std::vector<Fr> edge = BoothEdgeScalars();
   const crypto::FixedBaseTable<Fp> tab(crypto::G1Mul(rng.NextNonZeroFr()));
   const auto& gen = crypto::G1GeneratorTable();
-  const G2 q = crypto::G2Mul(rng.NextNonZeroFr());
+  const crypto::FixedBaseTable<Fp2> tab2(crypto::G2Mul(rng.NextNonZeroFr()));
+  const auto& gen2 = crypto::G2GeneratorTable();
   for (std::size_t n = 1; n <= 17; ++n) {
     SCOPED_TRACE(n);
     crypto::CtMulBatch batch, fanned;
@@ -850,18 +913,21 @@ TEST(CtLanes, BatchBitMatchesScalarCallsAtEveryGroupSize) {
     for (std::size_t i = 0; i < n; ++i) {
       const SecretFr k(edge[(3 * n + i) % edge.size()]);
       const G1 base = crypto::G1Mul(rng.NextNonZeroFr());
+      const G2 base2 = crypto::G2Mul(rng.NextNonZeroFr());
       for (crypto::CtMulBatch* b : {&batch, &fanned}) {
         b->Add(base, k);
+        b->Add(tab2, k);
         b->Add(tab, k);
+        b->Add(base2, k + Fr::One());
         b->Add(gen, k + Fr::One());
+        b->Add(gen2, k);
       }
       want.push_back(CtScalarMul(base, k));
+      want2.push_back(tab2.MulCt(k));
       want.push_back(tab.MulCt(k));
+      want2.push_back(CtScalarMul(base2, k + Fr::One()));
       want.push_back(gen.MulCt(k + Fr::One()));
-      if (i % 4 == 0) {
-        for (crypto::CtMulBatch* b : {&batch, &fanned}) b->Add(q, k);
-        want2.push_back(CtScalarMul(q, k));
-      }
+      want2.push_back(gen2.MulCt(k));
     }
     batch.Run();
     fanned.Run(
@@ -869,34 +935,38 @@ TEST(CtLanes, BatchBitMatchesScalarCallsAtEveryGroupSize) {
           for (std::size_t u = units; u-- > 0;) fn(u);  // reverse order
         });
     for (std::size_t i = 0; i < want.size(); ++i) {
-      ExpectSameBits(batch.g1(i), want[i], "batched");
-      ExpectSameBits(fanned.g1(i), want[i], "fanned out");
+      ExpectSameBits(batch.g1(i), want[i], "G1 batched");
+      ExpectSameBits(fanned.g1(i), want[i], "G1 fanned out");
     }
     for (std::size_t i = 0; i < want2.size(); ++i) {
-      for (const crypto::CtMulBatch* b : {&batch, &fanned}) {
-        EXPECT_TRUE(b->g2(i).x == want2[i].x && b->g2(i).y == want2[i].y &&
-                    b->g2(i).z == want2[i].z);
-      }
+      ExpectSameBits(batch.g2(i), want2[i], "G2 batched");
+      ExpectSameBits(fanned.g2(i), want2[i], "G2 fanned out");
     }
   }
 }
 
 // The lane kernels' step sequence is one per call whatever the scalars:
-// two full groups of ladders and fixed-base walks over distinct scalar
-// sets record identical traces, and where the lanes run, the trace is the
-// lane kernels' (lower-case steps) with the scalar ladder's shape.
+// full groups of ladders and fixed-base walks on both groups over distinct
+// scalar sets record identical traces, and where the lanes run, the trace
+// is the lane kernels' (lower-case steps) with the scalar ladder's shape,
+// the G2 groups first.
 TEST(CtTrace, LaneKernelTraceIsScalarIndependent) {
   Rng rng(0x7ace);
   std::vector<G1> bases;
+  std::vector<G2> bases2;
   for (int i = 0; i < 8; ++i) {
     bases.push_back(crypto::G1Mul(rng.NextNonZeroFr()));
+    bases2.push_back(crypto::G2Mul(rng.NextNonZeroFr()));
   }
   const auto& gen = crypto::G1GeneratorTable();
+  const auto& gen2 = crypto::G2GeneratorTable();
   auto trace_one = [&](const std::vector<Fr>& ks) {
     crypto::CtMulBatch batch;
     for (std::size_t i = 0; i < 8; ++i) {
       batch.Add(bases[i], SecretFr(ks[i]));
+      batch.Add(gen2, SecretFr(ks[i]));
       batch.Add(gen, SecretFr(ks[i]));
+      batch.Add(bases2[i], SecretFr(ks[i]));
     }
     TraceCapture cap;
     batch.Run();
@@ -909,18 +979,20 @@ TEST(CtTrace, LaneKernelTraceIsScalarIndependent) {
   EXPECT_FALSE(t1.empty());
   EXPECT_EQ(t1, trace_one(b)) << "lane kernel trace depends on scalars";
   if (crypto::accel::IfmaLanesActive()) {
-    std::vector<std::pair<char, unsigned>> want;
+    std::vector<std::pair<char, unsigned>> group;
     for (unsigned w = 26; w-- > 0;) {
       if (w != 25) {
-        for (int i = 0; i < 5; ++i) want.emplace_back('d', w);
+        for (int i = 0; i < 5; ++i) group.emplace_back('d', w);
       }
-      want.emplace_back('t', w);
-      want.emplace_back('u', w);
+      group.emplace_back('t', w);
+      group.emplace_back('u', w);
     }
     for (unsigned w = 0; w < 22; ++w) {
-      want.emplace_back('t', w);
-      want.emplace_back('u', w);
+      group.emplace_back('t', w);
+      group.emplace_back('u', w);
     }
+    std::vector<std::pair<char, unsigned>> want = group;  // G2
+    want.insert(want.end(), group.begin(), group.end());   // G1
     EXPECT_EQ(t1, want);
   }
 }

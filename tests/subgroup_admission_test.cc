@@ -111,7 +111,7 @@ TEST(SubgroupAdmissionTest, KernelDecidesOrdinaryLanes) {
   }
   for (int n = 1; n <= 8; ++n) {
     accel::LaneVerdict got[8];
-    accel::G1SubgroupCheckX8(G1LaneConstants(), xs, ys, n, got);
+    accel::G1SubgroupCheckX8(LaneConstants(), xs, ys, n, got);
     for (int i = 0; i < n; ++i) EXPECT_EQ(got[i], want[i]) << n << "/" << i;
   }
 }
