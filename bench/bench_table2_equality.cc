@@ -41,7 +41,8 @@ int main() {
     abs::Abs::Setup(&rng, &msk, &mvk);
     abs::SigningKey sk = abs::Abs::KeyGen(msk, universe, &rng);
     core::Record rec{core::Point{1}, "value", pol};
-    auto sig = core::SignRecord(mvk, sk, rec, &rng);
+    auto sig = abs::Abs::Sign(mvk, sk, core::RecordMessage(rec.key, rec.value),
+                              rec.policy, &rng);
 
     // User roles satisfying the first clause.
     policy::RoleSet user = {"RoleP0", "RoleP1"};
@@ -83,7 +84,8 @@ int main() {
     abs::SigningKey sk = abs::Abs::KeyGen(msk, universe, &rng);
     policy::Policy pol = policy::Policy::Parse("RoleU0 & RoleU1");
     core::Record rec{core::Point{1}, "value", pol};
-    auto sig = core::SignRecord(mvk, sk, rec, &rng);
+    auto sig = abs::Abs::Sign(mvk, sk, core::RecordMessage(rec.key, rec.value),
+                              rec.policy, &rng);
     policy::RoleSet user = {"RoleU" + std::to_string(plen - 1)};
     policy::RoleSet lacked = core::SuperPolicyRoles(universe, user);
     if (static_cast<int>(lacked.size()) != plen) {

@@ -11,8 +11,8 @@
 #      its violation tests in Release where APQA_LOCKDEP is off), then the
 #      crypto suites (and the AbsRelaxFold / AbsSignFold oracles, the
 #      subgroup-admission and serde suites, the pinned fault-injection
-#      verdicts, the pinned VO bytes and the CtLanes lane-kernel suite)
-#      again under APQA_FORCE_PORTABLE=1 so the portable
+#      verdicts, the pinned VO bytes, the pooled-build byte check and the
+#      CtLanes lane-kernel suite) again under APQA_FORCE_PORTABLE=1 so the portable
 #      Montgomery/no-accel arm and the scalar subgroup check of the runtime
 #      dispatch stay covered, then
 #      a duplicate-(bench,row) and unit gate over the checked-in
@@ -29,7 +29,8 @@
 #      injection / grid tree)
 #   5. ASan build of the hostile-bytes suite (serde / fault injection / fuzz)
 #   6. TSan build of the thread pool and the parallel SP/ADS paths (the
-#      ParallelPathTest suite, PooledRelaxBytesMatchSerial included); TSan
+#      ParallelPathTest suite, PooledRelaxBytesMatchSerial and
+#      PooledBuildAdsBytesMatchSerial included); TSan
 #      auto-enables APQA_LOCKDEP, so this stage also runs the lockdep suite
 #      (rank-violation detection + the service rank-order regression) with
 #      an explicit timeout, plus the crash-recovery/failover suite
@@ -55,7 +56,7 @@
 #      ct_mul_{g1,g2} and ct_fixed_base_{g1,g2} scalar-mult rows, the
 #      g{1,2}_subgroup_check, g1_subgroup_check_x8 and ifma_lanes_active
 #      rows, the eight-lane ct_mul_{g1,g2}_x8 / ct_fixed_base_{g1,g2}_x8
-#      rows and the abs_relax_len10 / abs_sign_dnf
+#      rows and the abs_relax_len10 / abs_sign_dnf / abs_sign_dnf_x64
 #      rows, and whose constant-pattern GLV ladder is within 2x of the
 #      variable-time GLV wNAF (ct_mul_g1 <= 2.0x g1_mul_glv), whose
 #      constant-pattern fixed-base walk costs at most 0.6x that ladder
@@ -70,7 +71,9 @@
 #      fixed-base walks cost at most half their scalar rows per multiply
 #      (ct_mul_g1_x8 <= 0.5x ct_mul_g1, ct_fixed_base_g1_x8 <= 0.5x
 #      ct_fixed_base_g1, ct_mul_g2_x8 <= 0.5x ct_mul_g2,
-#      ct_fixed_base_g2_x8 <= 0.5x ct_fixed_base_g2); then one fast-mode
+#      ct_fixed_base_g2_x8 <= 0.5x ct_fixed_base_g2) and whose signature in
+#      a signing stage of 64 costs at most 0.75x one signed alone
+#      (abs_sign_dnf_x64 <= 0.75x abs_sign_dnf); then one fast-mode
 #      run of
 #      bench_net_service that must emit the
 #      update_latency_vs_batch_{1,16,256} maintenance rows, the
@@ -88,7 +91,10 @@
 #      size and ABS.Relax calls per VO): at a 5% join range AP2G is at or
 #      below Basic (Fig 11), and at a 20% duplicate range non-ZK is at or
 #      below ZK, which is at or below Basic (Fig 15)
-#  11. parallel speedup: one fast-mode run of bench_fig13_parallel (1 and 4
+#  11. paper shape: one fast-mode run of bench_table1_setup; the index at
+#      scale 0.3 is at most 3x its size at scale 0.1 (Table 1's sublinear
+#      size growth: the fixed grid saturates)
+#  12. parallel speedup: one fast-mode run of bench_fig13_parallel (1 and 4
 #      threads at an 8% range); unless its 4-thread row is contended (the
 #      threads did not get the cores), the pooled SP must be at least 2x
 #      faster on 4 threads than on one (speedup_t4 >= 2.0); a contended row
@@ -136,17 +142,19 @@ echo "=== ctest (forced-portable kernels) ==="
 # subgroup test: both arms must give the same verdict on every input. It
 # also turns off the eight-lane constant-pattern G1 multiplies, so
 # CtMulBatch runs every ABS sign and relax multiply on the scalar ladders:
-# the CtLanes batch oracle and every PinnedVoTest must then hold on that
-# arm too (the same bytes whichever kernel ran).
+# the CtLanes batch oracle, every PinnedVoTest and the pooled-build byte
+# check (PooledBuildAdsBytesMatchSerial) must then hold on that arm too
+# (the same bytes whichever kernel ran).
 (cd build && APQA_FORCE_PORTABLE=1 ctest --output-on-failure -j "$(nproc)" \
-  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|CtLanes|AbsRelaxFold|AbsSignFold|SubgroupAdmission|AdmissionPrecedence|[A-Za-z]*Serde|FaultInjectionTest\.MutationVerdictsArePinned|PinnedVoTest)')
+  -R '^(BigInt|FieldConstants|Fp|Fr|Glv|G1|G2|Pairing|Msm|FixedBase|Batch|MixedAdd|MultiPairing|Ct|CtLanes|AbsRelaxFold|AbsSignFold|SubgroupAdmission|AdmissionPrecedence|[A-Za-z]*Serde|FaultInjectionTest\.MutationVerdictsArePinned|PinnedVoTest|ParallelPathTest\.PooledBuildAdsBytesMatchSerial)')
 
 echo "=== bench sink hygiene (checked-in BENCH_*.json) ==="
 # The JSON trajectory files must hold exactly one section per bench run:
 # bench_util.h compacts repeated runs in place, and this gate keeps a
 # stray hand-edit or an old binary from re-introducing duplicate
-# (bench, row) pairs. Every row must also say what its value is: "ms" for
-# times, "x" for speedup ratios, "count" for counts, "KiB" for sizes.
+# (bench, row) pairs. Every row must also say what its value is: "ms" or
+# "s" for times, "x" for speedup ratios, "count" for counts, "KiB" or
+# "MiB" for sizes.
 python3 - BENCH_*.json <<'EOF'
 import json, sys
 bad = 0
@@ -163,7 +171,7 @@ for path in sys.argv[1:]:
                 print(f"{path}:{n}: duplicate row {key}", file=sys.stderr)
                 bad = 1
             seen.add(key)
-            if (r.get("unit") not in ("ms", "x", "count", "KiB")
+            if (r.get("unit") not in ("ms", "s", "x", "count", "KiB", "MiB")
                     or "value" not in r):
                 print(f"{path}:{n}: row {key} lacks a value with a known unit",
                       file=sys.stderr)
@@ -230,8 +238,10 @@ echo "=== threaded paths under TSan ==="
   --timeout 300 --output-on-failure)
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/thread_pool_test \
   --gtest_brief=1
-# ParallelPathTest.* includes PooledRelaxBytesMatchSerial: the relax
-# stage's batch units fan out over the pool while every draw stays serial.
+# ParallelPathTest.* includes PooledRelaxBytesMatchSerial and
+# PooledBuildAdsBytesMatchSerial: the signing stage's multiply units fan
+# out over the pool, for the SP's relaxations and for the DO's ADS build,
+# while every draw stays serial.
 TSAN_OPTIONS=halt_on_error=1 ./build-tsan/tests/core_test \
   --gtest_filter='ParallelPathTest.*' --gtest_brief=1
 # The query service is the most thread-shaped code in the tree: session
@@ -325,7 +335,7 @@ for row in mont_mul_portable mont_mul_accel mont_mul_chained \
            g1_subgroup_check g2_subgroup_check abs_relax_len10 \
            ifma_lanes_active g1_subgroup_check_x8 \
            ct_mul_g1_x8 ct_fixed_base_g1_x8 ct_mul_g2_x8 ct_fixed_base_g2_x8 \
-           abs_sign_dnf; do
+           abs_sign_dnf abs_sign_dnf_x64; do
   if ! grep -q "\"row\":\"$row\"" "$MSM_JSON"; then
     echo "perf smoke: row '$row' missing from $MSM_JSON" >&2
     exit 1
@@ -351,7 +361,10 @@ done
 # G2 ladder or fixed-base walk in a CtMulBatch group of eight must cost at
 # most half its scalar row per multiply (measured ~0.17x and ~0.16x on G1,
 # ~0.20x and ~0.19x on G2); with them off both rows time the scalar
-# kernels and the gate is skipped.
+# kernels and the gate is skipped. With the lanes on, a signature queued
+# with 63 others in one signing stage (abs::SignBatch) must cost at most
+# 0.75x one signed alone (measured 0.42-0.56x): a lone signature leaves
+# most lanes of its walks' groups idle.
 python3 - "$MSM_JSON" <<'EOF'
 import json, sys
 rows = {}
@@ -407,6 +420,15 @@ for lanes, scalar in (("ct_mul_g1_x8", "ct_mul_g1"),
     else:
         print(f"perf smoke: {lanes} {x8:.3f} ms vs {scalar} {one:.3f} ms "
               f"({x8 / one:.2f}x)")
+x64, one = rows["abs_sign_dnf_x64"], rows["abs_sign_dnf"]
+if rows["ifma_lanes_active"] != 1:
+    print("perf smoke: IFMA lanes inactive; abs_sign_dnf_x64 gate skipped")
+elif x64 > 0.75 * one:
+    sys.exit(f"perf smoke: abs_sign_dnf_x64 {x64:.3f} ms > 0.75 * "
+             f"abs_sign_dnf {one:.3f} ms")
+else:
+    print(f"perf smoke: abs_sign_dnf_x64 {x64:.3f} ms vs abs_sign_dnf "
+          f"{one:.3f} ms ({x64 / one:.2f}x)")
 EOF
 rm -f "$MSM_JSON"
 
@@ -427,8 +449,10 @@ for row in update_latency_vs_batch_1 update_latency_vs_batch_16 \
 done
 # A value-only batch re-signs only its leaves; a batch that changes every
 # ancestor's OR-policy re-signs the whole root-ward path. The value-only
-# row must cost at most half the policy-change row (measured 0.29-0.38x on
-# a 4-vCPU x86-64 VM; re-signing every ancestor regardless measures ~1x).
+# row must cost at most half the policy-change row (measured 0.45-0.47x on
+# a 4-vCPU x86-64 VM since a batch's re-signs run as one signing stage,
+# which helps the larger batch more; 0.29-0.38x before; re-signing every
+# ancestor regardless measures ~1x).
 python3 - "$UPDATE_JSON" <<'EOF'
 import json, sys
 rows = {}
@@ -515,11 +539,40 @@ for bench, sel, order in shapes:
 EOF
 rm -f "$SHAPE_JSON"
 
+echo "=== paper shape (bench_table1_setup, fast mode) ==="
+# Table 1's size claim as a shape: the full grid is fixed, so tripling the
+# records grows the index far less than 3x (measured 3.09 -> 3.63 MiB from
+# scale 0.1 to 0.3). The times are recorded, not gated.
+cmake --build build -j --target bench_table1_setup >/dev/null
+TABLE1_JSON=$(mktemp /tmp/BENCH_paper_smoke.XXXXXX.json)
+rm -f "$TABLE1_JSON"
+APQA_BENCH_FAST=1 ./build/bench/bench_table1_setup --json="$TABLE1_JSON" \
+  >/dev/null
+python3 - "$TABLE1_JSON" <<'EOF'
+import json, sys
+rows = {}
+with open(sys.argv[1]) as f:
+    for line in f:
+        r = json.loads(line)
+        rows[r["row"]] = r["value"]
+for scale in ("0.1", "0.3"):
+    for metric in ("sign_s", "build_s", "index_mb"):
+        if f"{metric}_scale{scale}" not in rows:
+            sys.exit(f"table1 shape: row {metric}_scale{scale} missing")
+small, large = rows["index_mb_scale0.1"], rows["index_mb_scale0.3"]
+if large > 3 * small:
+    sys.exit(f"table1 shape: index_mb_scale0.3 {large:.2f} > 3 * "
+             f"index_mb_scale0.1 {small:.2f}")
+print(f"table1 shape: index {small:.2f} MiB at scale 0.1, {large:.2f} MiB "
+      f"at 0.3 ({large / small:.2f}x)")
+EOF
+rm -f "$TABLE1_JSON"
+
 echo "=== parallel speedup (bench_fig13_parallel, fast mode) ==="
 # The pooled relax stage fans a VO's CtMulBatch units out over the SP's
 # threads. On 4 threads an 8% range query must run at least 2x faster than
 # on one (the full-mode capture reads ~2.7x on a 4-vCPU x86-64 VM; the
-# serial plan/finish stage bounds it). The gate only reads a row whose
+# serial queue-and-assemble stage bounds it). The gate only reads a row whose
 # threads ran: a contended row (CPU/wall below half of min(threads, cores))
 # measures the host, so it is skipped with a notice.
 cmake --build build -j --target bench_fig13_parallel >/dev/null

@@ -193,24 +193,44 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
                                    const std::vector<std::uint8_t>& msg,
                                    const Policy& predicate, Rng* rng,
                                    std::uint64_t epoch) {
+  Signature out;
+  SignBatch batch([&out](std::size_t) -> Signature& { return out; });
+  if (!batch.Sign(mvk, sk, msg, predicate, rng, epoch)) return std::nullopt;
+  batch.Run();
+  return out;
+}
+
+std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,
+                                    const Policy& predicate,
+                                    const std::vector<std::uint8_t>& msg,
+                                    const RoleSet& relax_to, Rng* rng) {
+  Signature out;
+  SignBatch batch([&out](std::size_t) -> Signature& { return out; });
+  if (!batch.Relax(mvk, sig, predicate, msg, relax_to, rng)) {
+    return std::nullopt;
+  }
+  batch.Run();
+  return out;
+}
+
+bool SignBatch::Sign(const VerifyKey& mvk, const SigningKey& sk,
+                     const std::vector<std::uint8_t>& msg,
+                     const Policy& predicate, Rng* rng, std::uint64_t epoch) {
   Msp msp = BuildMsp(predicate);
   RoleSet owned;
   for (const auto& [role, key] : sk.k_attr) owned.insert(role);
   auto v = SatisfyingVector(predicate, owned);
-  if (!v.has_value()) return std::nullopt;
+  if (!v.has_value()) return false;
 
-  Signature sig;
-  rng->Fill(sig.tau.data(), sig.tau.size());
-  sig.epoch = epoch;
-  Fr mu = MessageScalar(sig.tau, msg, sig.epoch);
+  Signature shell;
+  rng->Fill(shell.tau.data(), shell.tau.size());
+  shell.epoch = epoch;
+  Fr mu = MessageScalar(shell.tau, msg, shell.epoch);
   const VerifyKey::Precomp& pc = mvk.precomp();
 
-  // Every multiply of the signature goes into one batch, so the rows' G1
-  // walks and ladders can share the eight-lane kernels.
-  crypto::CtMulBatch batch;
   SecretFr r0 = rng->NextNonZeroSecretFr();
-  const std::size_t y_job = AddByTable(&batch, sk.k_base_tab, sk.k_base, r0);
-  const std::size_t w_job = AddByTable(&batch, sk.k0_tab, sk.k0, r0);
+  End1(AddByTable(&mul_, sk.k_base_tab, sk.k_base, r0));  // Y
+  End1(AddByTable(&mul_, sk.k0_tab, sk.k0, r0));          // W
 
   std::size_t rows = msp.Rows(), cols = msp.Cols();
   std::vector<SecretFr> ri(rows);
@@ -223,24 +243,17 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
   // elements as summing the rows' (A B^{u_i})^{r_i}.
   std::vector<SecretFr> alpha(cols, SecretFr(Fr::Zero()));
   std::vector<SecretFr> beta(cols, SecretFr(Fr::Zero()));
-  // Row i's jobs: C^{r_i}, g^{mu r_i} and, for a row in the satisfying
-  // vector, K_u^{r_0}.
-  struct RowJobs {
-    std::size_t c, g, k;
-    bool attr;
-  };
-  std::vector<RowJobs> row_jobs(rows);
   for (std::size_t i = 0; i < rows; ++i) {
-    // (C g^mu)^{r_i}, split over the fixed-base tables of the key
-    // components; blinding scalars stay on the constant-pattern ladder
-    // throughout. The (*v)[i] branch itself is quarantined: it reveals
-    // which owned attributes satisfy the predicate (an attribute-usage
-    // pattern), not key material — see DESIGN.md.
-    RowJobs& jobs = row_jobs[i];
-    jobs.c = batch.Add(pc.c_tab, ri[i]);
-    jobs.g = batch.Add(pc.g_tab, mu * ri[i]);
-    jobs.attr = (*v)[i] != 0;
-    if (jobs.attr) jobs.k = batch.Add(sk.k_attr.at(msp.row_labels[i]), r0);
+    // S_i = (C g^mu)^{r_i}, split over the fixed-base tables of the key
+    // components, times K_u^{r_0} for a row in the satisfying vector;
+    // blinding scalars stay on the constant-pattern ladder throughout. The
+    // (*v)[i] branch itself is quarantined: it reveals which owned
+    // attributes satisfy the predicate (an attribute-usage pattern), not
+    // key material — see DESIGN.md.
+    mul_.Add(pc.c_tab, ri[i]);
+    std::size_t last = mul_.Add(pc.g_tab, mu * ri[i]);
+    if ((*v)[i] != 0) last = mul_.Add(sk.k_attr.at(msp.row_labels[i]), r0);
+    End1(last);
     SecretFr uri = RoleScalar(msp.row_labels[i]) * ri[i];
     for (std::size_t j = 0; j < cols; ++j) {
       if (msp.m[i][j] == 1) {
@@ -252,54 +265,25 @@ std::optional<Signature> Abs::Sign(const VerifyKey& mvk, const SigningKey& sk,
       }
     }
   }
-  std::vector<std::size_t> p_jobs(2 * cols);
   for (std::size_t j = 0; j < cols; ++j) {
-    p_jobs[2 * j] = batch.Add(pc.a_tab, alpha[j]);
-    p_jobs[2 * j + 1] = batch.Add(pc.b_tab, beta[j]);
+    mul_.Add(pc.a_tab, alpha[j]);
+    End2(mul_.Add(pc.b_tab, beta[j]));
   }
-
-  batch.Run();
-  sig.y = batch.g1(y_job);
-  sig.w = batch.g1(w_job);
-  sig.s.resize(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    const RowJobs& jobs = row_jobs[i];
-    G1 si = batch.g1(jobs.c) + batch.g1(jobs.g);
-    if (jobs.attr) si = si + batch.g1(jobs.k);
-    sig.s[i] = si;
-  }
-  sig.p.resize(cols);
-  for (std::size_t j = 0; j < cols; ++j) {
-    sig.p[j] = batch.g2(p_jobs[2 * j]) + batch.g2(p_jobs[2 * j + 1]);
-  }
-  return sig;
+  shell.s.resize(rows);
+  shell.p.resize(cols);
+  Queue(std::move(shell));
+  return true;
 }
 
-std::optional<Signature> Abs::Relax(const VerifyKey& mvk, const Signature& sig,
-                                    const Policy& predicate,
-                                    const std::vector<std::uint8_t>& msg,
-                                    const RoleSet& relax_to, Rng* rng) {
-  crypto::CtMulBatch batch;
-  std::optional<RelaxPlan> plan =
-      PlanRelax(mvk, sig, predicate, msg, relax_to, rng, &batch);
-  if (!plan.has_value()) return std::nullopt;
-  batch.Run();
-  return plan->Finish(batch);
-}
-
-std::optional<RelaxPlan> Abs::PlanRelax(const VerifyKey& mvk,
-                                        const Signature& sig,
-                                        const Policy& predicate,
-                                        const std::vector<std::uint8_t>& msg,
-                                        const RoleSet& relax_to, Rng* rng,
-                                        crypto::CtMulBatch* batch) {
+bool SignBatch::Relax(const VerifyKey& mvk, const Signature& sig,
+                      const Policy& predicate,
+                      const std::vector<std::uint8_t>& msg,
+                      const RoleSet& relax_to, Rng* rng) {
   Msp msp = BuildMsp(predicate);
-  if (sig.s.size() != msp.Rows() || sig.p.size() != msp.Cols()) {
-    return std::nullopt;
-  }
+  if (sig.s.size() != msp.Rows() || sig.p.size() != msp.Cols()) return false;
   // Step 1: purge attributes absent from relax_to.
   PurgeResult purge = Purge(predicate, relax_to);
-  if (!purge.ok) return std::nullopt;
+  if (!purge.ok) return false;
 
   Fr mu = MessageScalar(sig.tau, msg, sig.epoch);
   const VerifyKey::Precomp& pc = mvk.precomp();
@@ -345,48 +329,70 @@ std::optional<RelaxPlan> Abs::PlanRelax(const VerifyKey& mvk,
   // — the same group elements, on the fixed-base tables, with the fresh G2
   // terms collapsed into one pair of multiplies per relaxation.
   SecretFr rho = rng->NextNonZeroSecretFr();
-  RelaxPlan plan;
-  plan.tau_ = sig.tau;
-  plan.epoch_ = sig.epoch;
-  plan.y_ = batch->Add(sig.y, rho);
-  plan.w_ = batch->Add(sig.w, rho);
-  plan.rows_.reserve(rows.size());
+  Signature shell;
+  shell.tau = sig.tau;
+  shell.epoch = sig.epoch;
+  End1(mul_.Add(sig.y, rho));
+  End1(mul_.Add(sig.w, rho));
   SecretFr fresh_r(Fr::Zero()), fresh_ur(Fr::Zero());
+  bool any_fresh = false;
   for (const Row& row : rows) {
     if (row.fresh) {
       SecretFr rr = rho * row.r;
-      plan.rows_.push_back(
-          {true, batch->Add(pc.c_tab, rr), batch->Add(pc.g_tab, mu * rr)});
+      mul_.Add(pc.c_tab, rr);
+      End1(mul_.Add(pc.g_tab, mu * rr));
       fresh_r = fresh_r + rr;
       fresh_ur = fresh_ur + row.u * rr;
-      plan.any_fresh_ = true;
+      any_fresh = true;
     } else {
-      plan.rows_.push_back({false, batch->Add(row.merged, rho), 0});
+      End1(mul_.Add(row.merged, rho));
     }
   }
-  plan.p_ = batch->Add(p_kept, rho);
-  if (plan.any_fresh_) {
-    plan.p_a_ = batch->Add(pc.a_tab, fresh_r);
-    plan.p_b_ = batch->Add(pc.b_tab, fresh_ur);
+  std::size_t last = mul_.Add(p_kept, rho);
+  if (any_fresh) {
+    mul_.Add(pc.a_tab, fresh_r);
+    last = mul_.Add(pc.b_tab, fresh_ur);
   }
-  return plan;
+  End2(last);
+  shell.s.resize(rows.size());
+  shell.p.resize(1);
+  Queue(std::move(shell));
+  return true;
 }
 
-Signature RelaxPlan::Finish(const crypto::CtMulBatch& batch) const {
-  Signature out;
-  out.tau = tau_;
-  out.epoch = epoch_;
-  out.y = batch.g1(y_);
-  out.w = batch.g1(w_);
-  out.s.reserve(rows_.size());
-  for (const Row& row : rows_) {
-    out.s.push_back(row.fresh ? batch.g1(row.a) + batch.g1(row.b)
-                              : batch.g1(row.a));
+void SignBatch::Queue(Signature shell) {
+  pending_.push_back(std::move(shell));
+  if (pending_.size() == kRunEvery) Run();
+}
+
+void SignBatch::Run() {
+  mul_.Run(parallel_for_);
+  // The components were queued in signature order, each one's jobs in a
+  // row, so one cursor per group walks them.
+  std::size_t j1 = 0, j2 = 0, e1 = 0, e2 = 0;
+  auto next1 = [&] {
+    G1 sum = G1::Infinity();
+    while (j1 < g1_ends_[e1]) sum = sum + mul_.g1(j1++);
+    ++e1;
+    return sum;
+  };
+  auto next2 = [&] {
+    G2 sum = G2::Infinity();
+    while (j2 < g2_ends_[e2]) sum = sum + mul_.g2(j2++);
+    ++e2;
+    return sum;
+  };
+  for (Signature& sig : pending_) {
+    sig.y = next1();
+    sig.w = next1();
+    for (G1& s : sig.s) s = next1();
+    for (G2& p : sig.p) p = next2();
+    slot_(ran_++) = std::move(sig);
   }
-  G2 p = batch.g2(p_);
-  if (any_fresh_) p = p + batch.g2(p_a_) + batch.g2(p_b_);
-  out.p = {p};
-  return out;
+  pending_.clear();
+  mul_ = crypto::CtMulBatch();
+  g1_ends_.clear();
+  g2_ends_.clear();
 }
 
 }  // namespace apqa::abs

@@ -12,10 +12,12 @@
 #define APQA_ABS_ABS_H_
 
 #include <array>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/serde.h"
@@ -131,35 +133,63 @@ Fr SmallExponentWeight(Rng* rng);
 
 }  // namespace internal
 
-class Abs;
-
-// One relaxation split at its multiplies. Abs::PlanRelax runs ABS.Relax's
-// purge, merges and every random draw, in Relax's order, and queues the
-// relaxation's scalar multiplications into a crypto::CtMulBatch; once the
-// batch has run, Finish assembles the signature from the results. The
-// signature is the one Relax returns for the same Rng state, bit for bit.
-// Planning every relaxation of a VO into one batch hands all their G1
-// multiplies to the eight-lane kernels at once (core::RelaxNodes).
-class RelaxPlan {
+// The signing stage. Every ABS.Sign and ABS.Relax of a builder (an ADS
+// build or update, a VO's relaxations) is queued here in the builder's
+// draw order: Sign and Relax do the MSP, purge and hashing work and draw
+// every Rng value at once, exactly as the single-signature calls do, and
+// queue the signature's scalar multiplications into one crypto::CtMulBatch.
+// A run multiplies the queue (its units spread over `parallel_for`, if
+// given), assembles every queued signature (each of Y, W and the S_i is
+// the sum of its G1 jobs, each P_j the sum of its G2 jobs) and moves it to
+// its slot. The bytes depend on the Rng alone, never on the fan-out. The
+// queue runs itself once kRunEvery signatures wait, which bounds the
+// memory of the jobs while keeping the lane groups full, and hands each
+// signature straight to its slot, so a whole tree's signatures never wait
+// in a second copy.
+class SignBatch {
  public:
-  Signature Finish(const crypto::CtMulBatch& batch) const;
+  static constexpr std::size_t kRunEvery = 64;
+
+  // The slot of signature i, numbered from 0 in queue order. It is looked
+  // up when a run reaches the signature, so it may lie in storage that
+  // grew after the signature was queued, but it must exist by then.
+  using Slot = std::function<Signature&(std::size_t i)>;
+
+  explicit SignBatch(Slot slot,
+                     crypto::CtMulBatch::ParallelFor parallel_for = nullptr)
+      : slot_(std::move(slot)), parallel_for_(std::move(parallel_for)) {}
+
+  // Queues ABS.Sign; false, with nothing drawn from `rng` and nothing
+  // queued, where Abs::Sign fails. `mvk` and `sk` must outlive the run
+  // (their fixed-base tables are read there).
+  [[nodiscard]] bool Sign(const VerifyKey& mvk, const SigningKey& sk,
+                          const std::vector<std::uint8_t>& msg,
+                          const Policy& predicate, Rng* rng,
+                          std::uint64_t epoch = 0);
+  // Queues ABS.Relax; false, drawing and queueing nothing, where
+  // Abs::Relax fails.
+  [[nodiscard]] bool Relax(const VerifyKey& mvk, const Signature& sig,
+                           const Policy& predicate,
+                           const std::vector<std::uint8_t>& msg,
+                           const RoleSet& relax_to, Rng* rng);
+
+  // Runs what is queued: every signature queued so far is then in its slot.
+  void Run();
 
  private:
-  friend class Abs;
-  // A merged row is one ladder (index a); a fresh row is a c_tab walk (a)
-  // plus a g_tab walk (b).
-  struct Row {
-    bool fresh;
-    std::size_t a, b;
-  };
-  std::array<std::uint8_t, 32> tau_{};
-  std::uint64_t epoch_ = 0;
-  std::size_t y_ = 0, w_ = 0;
-  std::vector<Row> rows_;
-  // G2: the kept columns' ladder, and with fresh rows the a_tab and b_tab
-  // walks.
-  std::size_t p_ = 0, p_a_ = 0, p_b_ = 0;
-  bool any_fresh_ = false;
+  // Ends a component (Y, W, an S_i or a P_j) at the job `last`.
+  void End1(std::size_t last) { g1_ends_.push_back(last + 1); }
+  void End2(std::size_t last) { g2_ends_.push_back(last + 1); }
+  // Queues `shell` (tau, epoch, and S and P sized to their components) and
+  // runs the queue once kRunEvery signatures wait.
+  void Queue(Signature shell);
+
+  Slot slot_;
+  crypto::CtMulBatch::ParallelFor parallel_for_;
+  crypto::CtMulBatch mul_;
+  std::vector<std::size_t> g1_ends_, g2_ends_;
+  std::vector<Signature> pending_;  // queued since the last run
+  std::size_t ran_ = 0;             // signatures already in their slots
 };
 
 class Abs {
@@ -175,6 +205,7 @@ class Abs {
   // ABS.Sign: requires predicate(attrs of sk) = 1 (i.e. a satisfying vector
   // exists over the attributes present in sk). Returns nullopt otherwise.
   // `epoch` is bound into the message scalar and recorded in the signature.
+  // A SignBatch of one.
   static std::optional<Signature> Sign(const VerifyKey& mvk,
                                        const SigningKey& sk,
                                        const std::vector<std::uint8_t>& msg,
@@ -192,21 +223,12 @@ class Abs {
 
   // ABS.Relax (Algorithm 2): derives a signature on ∨_{a∈relax_to} a from a
   // signature on `predicate`. Fails iff predicate(𝔸 \ relax_to) = 1.
-  // PlanRelax on a batch of its own, the batch run, and Finish.
+  // A SignBatch of one, like Sign.
   static std::optional<Signature> Relax(const VerifyKey& mvk,
                                         const Signature& sig,
                                         const Policy& predicate,
                                         const std::vector<std::uint8_t>& msg,
                                         const RoleSet& relax_to, Rng* rng);
-
-  // The planning half of Relax: fails like Relax, drawing nothing from
-  // `rng` then; otherwise queues the multiplies into `batch`, which must
-  // run before the plan's Finish. `mvk` must outlive that run: the batch
-  // reads its fixed-base tables.
-  static std::optional<RelaxPlan> PlanRelax(
-      const VerifyKey& mvk, const Signature& sig, const Policy& predicate,
-      const std::vector<std::uint8_t>& msg, const RoleSet& relax_to, Rng* rng,
-      crypto::CtMulBatch* batch);
 };
 
 }  // namespace apqa::abs

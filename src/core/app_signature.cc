@@ -1,6 +1,7 @@
 #include "core/app_signature.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "crypto/serde.h"
 
@@ -60,18 +61,21 @@ policy::RoleSet SuperPolicyRoles(const policy::RoleSet& universe,
   return lacked;
 }
 
-std::optional<Signature> SignRecord(const VerifyKey& mvk,
-                                    const SigningKey& sk_do,
-                                    const Record& record, Rng* rng) {
-  return Abs::Sign(mvk, sk_do, RecordMessage(record.key, record.value),
-                   record.policy, rng, /*epoch=*/0);
+void SignApp(abs::SignBatch* batch, const VerifyKey& mvk,
+             const SigningKey& sk_do, const std::vector<std::uint8_t>& msg,
+             const Policy& predicate, Rng* rng) {
+  if (!batch->Sign(mvk, sk_do, msg, predicate, rng, /*epoch=*/0)) {
+    throw std::logic_error("DO signing key does not cover a signed policy");
+  }
 }
 
-std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
-                                 const Box& box, const Policy& node_policy,
-                                 Rng* rng) {
-  return Abs::Sign(mvk, sk_do, BoxMessage(box), node_policy, rng,
-                   /*epoch=*/0);
+void RelaxApp(abs::SignBatch* batch, const VerifyKey& mvk,
+              const Signature& app, const Policy& predicate,
+              const std::vector<std::uint8_t>& msg,
+              const policy::RoleSet& lacked, Rng* rng) {
+  if (!batch->Relax(mvk, app, predicate, msg, lacked, rng)) {
+    throw std::logic_error("node signature does not relax to the lacked set");
+  }
 }
 
 void EpochStamp::Serialize(common::ByteWriter* w) const {
@@ -115,13 +119,14 @@ std::vector<std::uint8_t> EpochAttestationMessage(std::uint64_t epoch,
 
 Policy AttestationPolicy() { return Policy::Var(kPseudoRole); }
 
-std::optional<EpochStamp> MakeEpochStamp(const VerifyKey& mvk,
-                                         const SigningKey& sk_do,
-                                         std::uint64_t epoch,
-                                         const Digest& ads_digest, Rng* rng) {
+EpochStamp MakeEpochStamp(const VerifyKey& mvk, const SigningKey& sk_do,
+                          std::uint64_t epoch, const Digest& ads_digest,
+                          Rng* rng) {
   auto sig = Abs::Sign(mvk, sk_do, EpochAttestationMessage(epoch, ads_digest),
                        AttestationPolicy(), rng, epoch);
-  if (!sig.has_value()) return std::nullopt;
+  if (!sig.has_value()) {
+    throw std::logic_error("DO signing key does not cover Role_NULL");
+  }
   EpochStamp stamp;
   stamp.epoch = epoch;
   stamp.attested = true;

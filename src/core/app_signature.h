@@ -13,7 +13,6 @@
 #ifndef APQA_CORE_APP_SIGNATURE_H_
 #define APQA_CORE_APP_SIGNATURE_H_
 
-#include <optional>
 #include <vector>
 
 #include "abs/abs.h"
@@ -82,24 +81,27 @@ struct VerifyContext {
   Policy SuperPolicy() const { return Policy::OrOfRoles(lacked); }
 };
 
-// Signs a record (APP signature). Pseudo records use policy Role_∅ and a
-// random value supplied by the caller. Like a box signature, a record
-// signature is always minted at epoch 0, at build and on every re-sign: its
-// statement (key, value hash, policy) carries no time, so the epoch in a
-// leaf's APS cannot date the cell's last write (DESIGN.md, "Freshness &
-// dynamic data").
-std::optional<Signature> SignRecord(const VerifyKey& mvk,
-                                    const SigningKey& sk_do,
-                                    const Record& record, Rng* rng);
+// Queues an APP signature on `batch`: on RecordMessage under the record's
+// policy for a record (a pseudo record has policy Role_∅ and a random
+// value supplied by the caller), on BoxMessage under the OR of the
+// children's policies for a grid node. Throws std::logic_error when sk_do
+// does not cover the policy. An APP signature is always minted at epoch 0,
+// at build and on every re-sign: its statement (key, value hash and
+// policy, or box and policy) carries no time, so the epoch in an APS
+// cannot date a write or a policy change under it (DESIGN.md, "Freshness
+// & dynamic data").
+void SignApp(abs::SignBatch* batch, const VerifyKey& mvk,
+             const SigningKey& sk_do, const std::vector<std::uint8_t>& msg,
+             const Policy& predicate, Rng* rng);
 
-// Signs a grid node (APP signature over the grid box). A box signature is
-// always minted at epoch 0, whenever it is signed: its statement (the box
-// and the OR of the children's policies) carries no time, so the epoch in
-// an internal node's APS cannot date a write or a policy change under the
-// box (DESIGN.md, "Freshness & dynamic data").
-std::optional<Signature> SignBox(const VerifyKey& mvk, const SigningKey& sk_do,
-                                 const Box& box, const Policy& node_policy,
-                                 Rng* rng);
+// Queues the APS signature of an inaccessible entry: `app`, the APP
+// signature on `msg` under `predicate`, relaxed to ∨ lacked. Throws
+// std::logic_error when it does not relax (`predicate` holds without the
+// lacked roles).
+void RelaxApp(abs::SignBatch* batch, const VerifyKey& mvk,
+              const Signature& app, const Policy& predicate,
+              const std::vector<std::uint8_t>& msg,
+              const policy::RoleSet& lacked, Rng* rng);
 
 // ---------------------------------------------------------------------------
 // Epoch freshness attestation.
@@ -142,11 +144,11 @@ std::vector<std::uint8_t> EpochAttestationMessage(std::uint64_t epoch,
 // which every DO signing key covers and every super policy includes.
 Policy AttestationPolicy();
 
-// Signs a fresh attestation for (epoch, ads_digest).
-std::optional<EpochStamp> MakeEpochStamp(const VerifyKey& mvk,
-                                         const SigningKey& sk_do,
-                                         std::uint64_t epoch,
-                                         const Digest& ads_digest, Rng* rng);
+// Signs a fresh attestation for (epoch, ads_digest). Throws
+// std::logic_error when sk_do does not cover Role_∅.
+EpochStamp MakeEpochStamp(const VerifyKey& mvk, const SigningKey& sk_do,
+                          std::uint64_t epoch, const Digest& ads_digest,
+                          Rng* rng);
 
 // The freshness check of one stamp. `expected_epoch` is the *minimum*
 // acceptable epoch (newer stamps pass — the client may lag behind the DO).

@@ -63,28 +63,26 @@ ContinuousAds ContinuousAds::Build(const VerifyKey& mvk,
 
   ContinuousAds ads;
   Policy pseudo = Policy::Var(kPseudoRole);
+  // Queued gap, record, gap, ..., record, gap.
+  abs::SignBatch batch([&ads](std::size_t i) -> Signature& {
+    return i % 2 == 0 ? ads.gaps_[i / 2].sig : ads.records_[i / 2].sig;
+  });
   std::uint64_t prev = 0;  // -inf sentinel
   for (const ContinuousRecord& r : records) {
     GapRegion gap{prev, r.key};
-    auto gap_sig = abs::Abs::Sign(mvk, sk_do, GapMessage(gap), pseudo, rng);
-    ads.gaps_.push_back(SignedGap{gap, std::move(*gap_sig)});
-    auto rec_sig = abs::Abs::Sign(
-        mvk, sk_do, ContinuousRecordMessage(r.key, r.value), r.policy, rng);
-    if (!rec_sig.has_value()) {
-      throw std::logic_error("DO key does not cover record policy");
-    }
-    ads.records_.push_back(SignedRecord{r, std::move(*rec_sig)});
+    ads.gaps_.push_back(SignedGap{gap, {}});
+    SignApp(&batch, mvk, sk_do, GapMessage(gap), pseudo, rng);
+    ads.records_.push_back(SignedRecord{r, {}});
+    SignApp(&batch, mvk, sk_do, ContinuousRecordMessage(r.key, r.value),
+            r.policy, rng);
     prev = r.key;
   }
   GapRegion last{prev, UINT64_MAX};
-  auto gap_sig = abs::Abs::Sign(mvk, sk_do, GapMessage(last), pseudo, rng);
-  ads.gaps_.push_back(SignedGap{last, std::move(*gap_sig)});
+  ads.gaps_.push_back(SignedGap{last, {}});
+  SignApp(&batch, mvk, sk_do, GapMessage(last), pseudo, rng);
+  batch.Run();
   // Static ADS: attested once at epoch 0 with no incremental digest.
-  auto stamp = MakeEpochStamp(mvk, sk_do, 0, Digest{}, rng);
-  if (!stamp.has_value()) {
-    throw std::logic_error("DO signing key does not cover Role_NULL");
-  }
-  ads.stamp_ = std::move(*stamp);
+  ads.stamp_ = MakeEpochStamp(mvk, sk_do, 0, Digest{}, rng);
   return ads;
 }
 
@@ -106,6 +104,12 @@ ContinuousVo BuildContinuousRangeVo(const ContinuousAds& ads,
   RoleSet lacked = SuperPolicyRoles(universe, user_roles);
   ContinuousVo vo;
   vo.stamp = ads.stamp();
+  // The inaccessible records queue first, then the gaps.
+  abs::SignBatch batch([&vo](std::size_t i) -> Signature& {
+    const std::size_t records = vo.inaccessible.size();
+    return i < records ? vo.inaccessible[i].aps_sig
+                       : vo.gaps[i - records].aps_sig;
+  });
   for (const auto& sr : ads.records()) {
     if (sr.record.key < alpha || sr.record.key > beta) continue;
     if (sr.record.policy.Evaluate(user_roles)) {
@@ -115,10 +119,9 @@ ContinuousVo BuildContinuousRangeVo(const ContinuousAds& ads,
       Digest vh = crypto::Sha256::Hash(sr.record.value.data(),
                                        sr.record.value.size());
       auto msg = ContinuousRecordMessageFromHash(sr.record.key, vh);
-      auto aps = abs::Abs::Relax(mvk, sr.sig, sr.record.policy, msg, lacked,
-                                 rng);
       vo.inaccessible.push_back(
-          ContinuousVo::InaccessibleEntry{sr.record.key, vh, std::move(*aps)});
+          ContinuousVo::InaccessibleEntry{sr.record.key, vh, {}});
+      RelaxApp(&batch, mvk, sr.sig, sr.record.policy, msg, lacked, rng);
     }
   }
   Policy pseudo = Policy::Var(kPseudoRole);
@@ -128,10 +131,10 @@ ContinuousVo BuildContinuousRangeVo(const ContinuousAds& ads,
     // and hi-1 >= alpha and lo+1 <= beta.
     if (sg.gap.hi - sg.gap.lo < 2) continue;
     if (sg.gap.hi <= alpha || sg.gap.lo >= beta) continue;
-    auto aps =
-        abs::Abs::Relax(mvk, sg.sig, pseudo, GapMessage(sg.gap), lacked, rng);
-    vo.gaps.push_back(ContinuousVo::GapEntry{sg.gap, std::move(*aps)});
+    vo.gaps.push_back(ContinuousVo::GapEntry{sg.gap, {}});
+    RelaxApp(&batch, mvk, sg.sig, pseudo, GapMessage(sg.gap), lacked, rng);
   }
+  batch.Run();
   return vo;
 }
 

@@ -122,6 +122,11 @@ DupGridTree DupGridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
   int bits = domain.bits;
   tree.LayOutLevel(bits);
   Policy pseudo = Policy::Var(kPseudoRole);
+  // Every signature's slot, in queue order: the leaves' members, then the
+  // internal levels bottom-up. A laid-out level does not move.
+  std::vector<Signature*> slots;
+  abs::SignBatch batch(
+      [&slots](std::size_t i) -> Signature& { return *slots[i]; });
   for (Node& node : tree.levels_[bits]) {
     auto it = by_key.find(node.box.lo);
     std::uint32_t dup_num = 0;
@@ -151,14 +156,10 @@ DupGridTree DupGridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
       }
     }
     for (DupEntry& e : node.dups) {
-      auto sig = abs::Abs::Sign(
-          mvk, sk_do,
-          DupRecordMessage(e.record.key, e.record.value, dup_num, e.dup_id),
-          e.record.policy, rng);
-      if (!sig.has_value()) {
-        throw std::logic_error("DO key does not cover record policy");
-      }
-      e.sig = std::move(*sig);
+      slots.push_back(&e.sig);
+      SignApp(&batch, mvk, sk_do,
+              DupRecordMessage(e.record.key, e.record.value, dup_num, e.dup_id),
+              e.record.policy, rng);
     }
   }
 
@@ -168,17 +169,13 @@ DupGridTree DupGridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
     for (std::uint64_t i = 0; i < nodes.size(); ++i) {
       Node& node = nodes[i];
       node.policy = tree.OrOfChildren(NodeId{level, i});
-      auto sig =
-          abs::Abs::Sign(mvk, sk_do, BoxMessage(node.box), node.policy, rng);
-      node.sig = std::move(*sig);
+      slots.push_back(&node.sig);
+      SignApp(&batch, mvk, sk_do, BoxMessage(node.box), node.policy, rng);
     }
   }
+  batch.Run();
   // Static ADS: attested once at epoch 0 with no incremental digest.
-  auto stamp = MakeEpochStamp(mvk, sk_do, 0, Digest{}, rng);
-  if (!stamp.has_value()) {
-    throw std::logic_error("DO signing key does not cover Role_NULL");
-  }
-  tree.stamp_ = std::move(*stamp);
+  tree.stamp_ = MakeEpochStamp(mvk, sk_do, 0, Digest{}, rng);
   return tree;
 }
 
@@ -209,14 +206,21 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
   DupVo vo;
   vo.stamp = tree.stamp();
   // One APS per group member (the member count dup_num is disclosed —
-  // non-ZK by design).
+  // non-ZK by design). The relaxations queue in walk order on one signing
+  // stage; each lands in the member or box entry made for it.
+  std::vector<std::pair<bool, std::size_t>> slots;  // (member?, entry index)
+  abs::SignBatch batch([&](std::size_t i) -> Signature& {
+    auto [member, at] = slots[i];
+    return member ? vo.inaccessible[at].aps_sig : vo.boxes[at].aps_sig;
+  });
   auto relax_member = [&](const DupEntry& e, std::uint32_t dup_num) {
     Digest vh =
         crypto::Sha256::Hash(e.record.value.data(), e.record.value.size());
     auto msg = DupRecordMessageFromHash(e.record.key, vh, dup_num, e.dup_id);
-    auto aps = abs::Abs::Relax(mvk, e.sig, e.record.policy, msg, lacked, rng);
+    slots.emplace_back(true, vo.inaccessible.size());
     vo.inaccessible.push_back(DupVo::DupInaccessibleEntry{
-        e.record.key, vh, dup_num, e.dup_id, std::move(*aps)});
+        e.record.key, vh, dup_num, e.dup_id, {}});
+    RelaxApp(&batch, mvk, e.sig, e.record.policy, msg, lacked, rng);
   };
   WalkGridCover(
       tree, range,
@@ -231,9 +235,10 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
           for (const DupEntry& e : node.dups) relax_member(e, dup_num);
           return;
         }
-        auto aps = abs::Abs::Relax(mvk, node.sig, node.policy,
-                                   BoxMessage(node.box), lacked, rng);
-        vo.boxes.push_back(InaccessibleBoxEntry{node.box, std::move(*aps)});
+        slots.emplace_back(false, vo.boxes.size());
+        vo.boxes.push_back(InaccessibleBoxEntry{node.box, {}});
+        RelaxApp(&batch, mvk, node.sig, node.policy, BoxMessage(node.box),
+                 lacked, rng);
       },
       [&](DupGridTree::NodeId id) {
         // Accessible leaf: emit each duplicate individually.
@@ -249,6 +254,7 @@ DupVo BuildDupRangeVo(const DupGridTree& tree, const VerifyKey& mvk,
           }
         }
       });
+  batch.Run();
   return vo;
 }
 

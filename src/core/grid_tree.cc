@@ -11,6 +11,20 @@
 
 namespace apqa::core {
 
+namespace {
+
+// Queues the APP signature of a grid node: its record's on a leaf (whose
+// policy is the record's), its box's on an internal node.
+void SignNode(abs::SignBatch* batch, const VerifyKey& mvk,
+              const SigningKey& sk_do, const GridTree::Node& node, Rng* rng) {
+  SignApp(batch, mvk, sk_do,
+          node.is_leaf ? RecordMessage(node.record.key, node.record.value)
+                       : BoxMessage(node.box),
+          node.policy, rng);
+}
+
+}  // namespace
+
 std::vector<std::uint32_t> GridShape::Coords(NodeId id) const {
   std::vector<std::uint32_t> c(domain_.dims);
   std::uint64_t side = std::uint64_t{1} << id.level;
@@ -230,30 +244,23 @@ GridTree GridTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
     }
   }
 
-  // Sign everything. Signing jobs are independent; fan out when a pool is
-  // provided (each worker gets its own RNG stream seeded from the caller's).
-  std::vector<Node*> jobs;
-  jobs.reserve(tree.NodeCount());
+  // Sign every node in level order through one signing stage: the draws
+  // follow that order whatever the pool, and only the multiplies fan out.
+  std::vector<Node*> order;
+  order.reserve(tree.NodeCount());
+  abs::SignBatch batch(
+      [&order](std::size_t i) -> Signature& { return order[i]->sig; },
+      FanOut(pool));
   for (auto& level : tree.levels_) {
-    for (auto& node : level) jobs.push_back(&node);
-  }
-  ForEachSeeded(pool, rng, jobs.size(), [&](std::size_t i, Rng* r) {
-    Node* node = jobs[i];
-    std::optional<Signature> sig =
-        node->is_leaf ? SignRecord(mvk, sk_do, node->record, r)
-                      : SignBox(mvk, sk_do, node->box, node->policy, r);
-    if (!sig.has_value()) {
-      throw std::logic_error("DO signing key does not cover a record policy");
+    for (Node& node : level) {
+      order.push_back(&node);
+      SignNode(&batch, mvk, sk_do, node, rng);
     }
-    node->sig = std::move(*sig);
-  });
+  }
+  batch.Run();
 
   tree.RecomputeDigest();
-  auto stamp = MakeEpochStamp(mvk, sk_do, /*epoch=*/0, tree.digest_, rng);
-  if (!stamp.has_value()) {
-    throw std::logic_error("DO signing key does not cover Role_NULL");
-  }
-  tree.stamp_ = std::move(*stamp);
+  tree.stamp_ = MakeEpochStamp(mvk, sk_do, /*epoch=*/0, tree.digest_, rng);
   return tree;
 }
 
@@ -294,37 +301,18 @@ AdsDelta GridTree::ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
     leaf.policy = leaf.record.policy;
   }
 
-  // Re-signs one node (at epoch 0, leaf or box; see SignRecord and
-  // SignBox), folds the replacement into the digest and emits its patch.
-  AdsDelta delta;
-  delta.from_epoch = epoch_;
-  delta.to_epoch = to_epoch;
+  // Queues the re-sign of one node (at epoch 0, leaf or box; see SignApp)
+  // on one signing stage and takes its old signature out of the digest.
+  std::vector<std::pair<int, std::uint64_t>> resigned;
+  abs::SignBatch batch([&](std::size_t k) -> Signature& {
+    return levels_[resigned[k].first][resigned[k].second].sig;
+  });
   auto resign = [&](int level, std::uint64_t i) {
     Node& node = levels_[level][i];
     crypto::Digest old_c = NodeContribution(level, i, node.sig);
-    std::optional<Signature> sig =
-        node.is_leaf
-            ? SignRecord(mvk, sk_do, node.record, rng)
-            : SignBox(mvk, sk_do, node.box, node.policy, rng);
-    if (!sig.has_value()) {
-      throw std::logic_error("DO signing key does not cover an updated policy");
-    }
-    node.sig = std::move(*sig);
-    crypto::Digest new_c = NodeContribution(level, i, node.sig);
-    for (std::size_t b = 0; b < digest_.size(); ++b) {
-      digest_[b] ^= old_c[b] ^ new_c[b];
-    }
-
-    NodePatch patch;
-    patch.level = static_cast<std::uint32_t>(level);
-    patch.index = i;
-    patch.policy = node.policy;
-    patch.sig = node.sig;
-    if (node.is_leaf) {
-      patch.leaf_kind = node.is_pseudo ? 2 : 1;
-      patch.value = node.record.value;
-    }
-    delta.nodes.push_back(std::move(patch));
+    for (std::size_t b = 0; b < digest_.size(); ++b) digest_[b] ^= old_c[b];
+    resigned.emplace_back(level, i);
+    SignNode(&batch, mvk, sk_do, node, rng);
   };
 
   // A leaf signature covers the record payload, so every touched leaf is
@@ -355,12 +343,30 @@ AdsDelta GridTree::ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
     }
   }
 
-  epoch_ = to_epoch;
-  auto stamp = MakeEpochStamp(mvk, sk_do, to_epoch, digest_, rng);
-  if (!stamp.has_value()) {
-    throw std::logic_error("DO signing key does not cover Role_NULL");
+  // Fold each new signature into the digest and emit its patch.
+  batch.Run();
+  AdsDelta delta;
+  delta.from_epoch = epoch_;
+  delta.to_epoch = to_epoch;
+  for (const auto& [level, i] : resigned) {
+    const Node& node = levels_[level][i];
+    crypto::Digest new_c = NodeContribution(level, i, node.sig);
+    for (std::size_t b = 0; b < digest_.size(); ++b) digest_[b] ^= new_c[b];
+
+    NodePatch patch;
+    patch.level = static_cast<std::uint32_t>(level);
+    patch.index = i;
+    patch.policy = node.policy;
+    patch.sig = node.sig;
+    if (node.is_leaf) {
+      patch.leaf_kind = node.is_pseudo ? 2 : 1;
+      patch.value = node.record.value;
+    }
+    delta.nodes.push_back(std::move(patch));
   }
-  stamp_ = std::move(*stamp);
+
+  epoch_ = to_epoch;
+  stamp_ = MakeEpochStamp(mvk, sk_do, to_epoch, digest_, rng);
   delta.stamp = stamp_;
   return delta;
 }

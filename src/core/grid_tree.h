@@ -123,13 +123,14 @@ class GridTree : public GridLevels<GridTreeNode> {
   const EpochStamp& stamp() const { return stamp_; }
 
   // DO side: applies a batch of upserts/deletes at epoch()+1 and re-attests
-  // the new digest. Every touched leaf is re-signed at epoch()+1; an
-  // internal node is re-signed (at epoch 0, see SignBox) only if the OR of
-  // its children's policies changed, since its signature covers nothing
-  // else. A value-only batch therefore costs one signature per touched key,
-  // and a policy edit at most depth more per key. Returns the delta the SP
-  // replica must apply. Throws std::invalid_argument on keys outside the
-  // domain, before any node changes.
+  // the new digest. Every touched leaf is re-signed (at epoch 0, see
+  // SignApp); an internal node is re-signed only if the OR of its
+  // children's policies changed, since its signature covers nothing else.
+  // The re-signs run as one signing stage. A value-only batch therefore
+  // costs one signature per touched key, and a policy edit at most depth
+  // more per key. Returns the delta the SP replica must apply. Throws
+  // std::invalid_argument on keys outside the domain, before any node
+  // changes.
   AdsDelta ApplyUpdates(const VerifyKey& mvk, const SigningKey& sk_do,
                         const std::vector<AdsUpdateOp>& ops, Rng* rng);
 

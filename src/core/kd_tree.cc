@@ -85,7 +85,8 @@ std::size_t KdTree::SplitPosition(const std::vector<Policy>& policies) {
 
 int KdTree::BuildNode(const VerifyKey& mvk, const SigningKey& sk_do,
                       const Box& region, std::vector<Record> records,
-                      int depth, int max_policy_depth, Rng* rng) {
+                      int depth, int max_policy_depth, Rng* rng,
+                      abs::SignBatch* batch, std::vector<int>* queued) {
   int idx = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
   {
@@ -104,14 +105,10 @@ int KdTree::BuildNode(const VerifyKey& mvk, const SigningKey& sk_do,
         node.record = std::move(records[0]);
       }
       node.policy = node.record.policy;
-      auto sig = abs::Abs::Sign(
-          mvk, sk_do,
-          KdLeafMessage(region, node.record.key, node.record.value),
-          node.policy, rng);
-      if (!sig.has_value()) {
-        throw std::logic_error("DO key does not cover record policy");
-      }
-      node.sig = std::move(*sig);
+      queued->push_back(idx);
+      SignApp(batch, mvk, sk_do,
+              KdLeafMessage(region, node.record.key, node.record.value),
+              node.policy, rng);
       return idx;
     }
   }
@@ -199,19 +196,16 @@ int KdTree::BuildNode(const VerifyKey& mvk, const SigningKey& sk_do,
   std::vector<Record> right(records.begin() + left_count, records.end());
 
   int l = BuildNode(mvk, sk_do, left_region, std::move(left), depth + 1,
-                    max_policy_depth, rng);
+                    max_policy_depth, rng, batch, queued);
   int r = BuildNode(mvk, sk_do, right_region, std::move(right), depth + 1,
-                    max_policy_depth, rng);
+                    max_policy_depth, rng, batch, queued);
 
   Node& node = nodes_[idx];
   node.left = l;
   node.right = r;
   node.policy = policy::OrCombineDnf(nodes_[l].policy, nodes_[r].policy);
-  auto sig = abs::Abs::Sign(mvk, sk_do, BoxMessage(region), node.policy, rng);
-  if (!sig.has_value()) {
-    throw std::logic_error("DO key does not cover node policy");
-  }
-  node.sig = std::move(*sig);
+  queued->push_back(idx);
+  SignApp(batch, mvk, sk_do, BoxMessage(region), node.policy, rng);
   return idx;
 }
 
@@ -227,15 +221,16 @@ KdTree KdTree::Build(const VerifyKey& mvk, const SigningKey& sk_do,
   }
   // Depth bound log2(S) from §9.1 (S = area of the index space).
   int max_policy_depth = domain.bits * domain.dims;
+  std::vector<int> queued;
+  abs::SignBatch batch([&](std::size_t k) -> Signature& {
+    return tree.nodes_[queued[k]].sig;
+  });
   tree.root_ = tree.BuildNode(mvk, sk_do, domain.FullBox(), records, 0,
-                              max_policy_depth, rng);
+                              max_policy_depth, rng, &batch, &queued);
+  batch.Run();
   // Static ADS: attested once at epoch 0 with no incremental digest to
   // maintain (only the dynamic AP²G-tree tracks a set-hash digest).
-  auto stamp = MakeEpochStamp(mvk, sk_do, 0, Digest{}, rng);
-  if (!stamp.has_value()) {
-    throw std::logic_error("DO signing key does not cover Role_NULL");
-  }
-  tree.stamp_ = std::move(*stamp);
+  tree.stamp_ = MakeEpochStamp(mvk, sk_do, 0, Digest{}, rng);
   return tree;
 }
 
@@ -279,6 +274,13 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
   KdVo vo;
   vo.stamp = tree.stamp();
   const std::vector<KdTree::Node>& nodes = tree.nodes();
+  // The relaxations queue in walk order on one signing stage; each lands
+  // in the leaf or box entry made for it.
+  std::vector<std::pair<bool, std::size_t>> slots;  // (leaf?, entry index)
+  abs::SignBatch batch([&](std::size_t i) -> Signature& {
+    auto [leaf, at] = slots[i];
+    return leaf ? vo.leaves[at].aps_sig : vo.boxes[at].aps_sig;
+  });
   // A leaf region crossing the range is returned whole, as is a crossing
   // cover; the verifier clips every region to the range.
   WalkCover(
@@ -294,15 +296,16 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
           Digest vh = crypto::Sha256::Hash(node.record.value.data(),
                                            node.record.value.size());
           auto msg = KdLeafMessageFromHash(node.region, node.record.key, vh);
-          auto aps =
-              abs::Abs::Relax(mvk, node.sig, node.policy, msg, lacked, rng);
-          vo.leaves.push_back(KdInaccessibleLeafEntry{
-              node.region, node.record.key, vh, std::move(*aps)});
+          slots.emplace_back(true, vo.leaves.size());
+          vo.leaves.push_back(
+              KdInaccessibleLeafEntry{node.region, node.record.key, vh, {}});
+          RelaxApp(&batch, mvk, node.sig, node.policy, msg, lacked, rng);
           return;
         }
-        auto aps = abs::Abs::Relax(mvk, node.sig, node.policy,
-                                   BoxMessage(node.region), lacked, rng);
-        vo.boxes.push_back(InaccessibleBoxEntry{node.region, std::move(*aps)});
+        slots.emplace_back(false, vo.boxes.size());
+        vo.boxes.push_back(InaccessibleBoxEntry{node.region, {}});
+        RelaxApp(&batch, mvk, node.sig, node.policy, BoxMessage(node.region),
+                 lacked, rng);
       },
       [&](int idx) {
         const KdTree::Node& node = nodes[idx];
@@ -310,6 +313,7 @@ KdVo BuildKdRangeVo(const KdTree& tree, const VerifyKey& mvk, const Box& range,
                                            node.record.value,
                                            node.record.policy, node.sig});
       });
+  batch.Run();
   return vo;
 }
 

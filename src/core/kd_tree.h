@@ -65,9 +65,11 @@ class KdTree {
   static std::size_t SplitPosition(const std::vector<Policy>& policies);
 
  private:
+  // Lays out the subtree of `region` and queues its signatures on `batch`,
+  // appending each signed node's index to `queued` in queue order.
   int BuildNode(const VerifyKey& mvk, const SigningKey& sk_do, const Box& region,
                 std::vector<Record> records, int depth, int max_policy_depth,
-                Rng* rng);
+                Rng* rng, abs::SignBatch* batch, std::vector<int>* queued);
 
   Domain domain_;
   std::vector<Node> nodes_;

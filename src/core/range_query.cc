@@ -1,8 +1,6 @@
 #include "core/range_query.h"
 
 #include <algorithm>
-#include <functional>
-#include <stdexcept>
 
 #include "core/parallel_verify.h"
 
@@ -51,13 +49,12 @@ VoEntry RelaxNode(const VerifyKey& mvk, const GridTree::Node& node,
 std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
                                 const VerifyKey& mvk, const RoleSet& lacked,
                                 Rng* rng, ThreadPool* pool) {
-  // Plan every relaxation from the query's stream, in node order, so the
-  // draws do not depend on the pool; then run the multiplies of the whole
-  // VO as one batch, whose units may run anywhere.
-  crypto::CtMulBatch batch;
-  std::vector<abs::RelaxPlan> plans;
+  // Queue every relaxation from the query's stream, in node order, so the
+  // draws do not depend on the pool; only the multiplies fan out over it.
+  std::vector<Signature> aps(nodes.size());
+  abs::SignBatch batch([&aps](std::size_t i) -> Signature& { return aps[i]; },
+                       FanOut(pool));
   std::vector<Digest> value_hashes(nodes.size());
-  plans.reserve(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const GridTree::Node& node = *nodes[i];
     std::vector<std::uint8_t> msg;
@@ -68,32 +65,20 @@ std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
     } else {
       msg = BoxMessage(node.box);
     }
-    std::optional<abs::RelaxPlan> plan =
-        Abs::PlanRelax(mvk, node.sig, node.policy, msg, lacked, rng, &batch);
-    if (!plan.has_value()) {
-      throw std::logic_error("node signature does not relax to the lacked set");
-    }
-    plans.push_back(std::move(*plan));
+    RelaxApp(&batch, mvk, node.sig, node.policy, msg, lacked, rng);
   }
-  crypto::CtMulBatch::ParallelFor fan;
-  if (pool != nullptr && pool->thread_count() >= 2) {
-    fan = [pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
-      pool->ParallelFor(n, fn);
-    };
-  }
-  batch.Run(fan);
+  batch.Run();
 
   std::vector<VoEntry> relaxed;
   relaxed.reserve(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     const GridTree::Node& node = *nodes[i];
-    Signature aps = plans[i].Finish(batch);
     if (node.is_leaf) {
       relaxed.push_back(InaccessibleRecordEntry{node.record.key,
                                                 value_hashes[i],
-                                                std::move(aps)});
+                                                std::move(aps[i])});
     } else {
-      relaxed.push_back(InaccessibleBoxEntry{node.box, std::move(aps)});
+      relaxed.push_back(InaccessibleBoxEntry{node.box, std::move(aps[i])});
     }
   }
   return relaxed;

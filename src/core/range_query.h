@@ -107,10 +107,9 @@ VoEntry RelaxNode(const VerifyKey& mvk, const GridTree::Node& node,
                   const RoleSet& lacked, Rng* rng);
 
 // RelaxNode over every node; the entries come back in `nodes` order. Every
-// relaxation is planned serially from `rng` in node order (Abs::PlanRelax),
-// their multiplies run as one crypto::CtMulBatch, whose units `pool` (if it
-// has two or more threads) runs in parallel, and then each entry is
-// assembled. The bytes depend on `rng` alone, not on the pool.
+// relaxation is queued from `rng` in node order on one abs::SignBatch,
+// whose multiply units `pool` (if it has two or more threads) runs in
+// parallel. The bytes depend on `rng` alone, not on the pool.
 std::vector<VoEntry> RelaxNodes(const std::vector<const GridTree::Node*>& nodes,
                                 const VerifyKey& mvk, const RoleSet& lacked,
                                 Rng* rng, ThreadPool* pool);

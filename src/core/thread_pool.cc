@@ -1,6 +1,5 @@
 #include "core/thread_pool.h"
 
-#include <atomic>
 #include <stdexcept>
 
 namespace apqa::core {
@@ -105,23 +104,12 @@ void ThreadPool::ParallelFor(std::size_t n,
   WaitAll();
 }
 
-void ForEachSeeded(ThreadPool* pool, crypto::Rng* rng, std::size_t n,
-                   const std::function<void(std::size_t, crypto::Rng*)>& fn) {
-  if (pool == nullptr || pool->thread_count() < 2 || n < 2) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, rng);
-    return;
-  }
-  std::vector<crypto::Rng> rngs;
-  rngs.reserve(pool->thread_count());
-  for (int t = 0; t < pool->thread_count(); ++t) {
-    rngs.emplace_back(rng->NextU64());
-  }
-  std::atomic<std::size_t> next{0};
-  pool->ParallelFor(rngs.size(), [&](std::size_t t) {
-    for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-      fn(i, &rngs[t]);
-    }
-  });
+std::function<void(std::size_t, const std::function<void(std::size_t)>&)>
+FanOut(ThreadPool* pool) {
+  if (pool == nullptr || pool->thread_count() < 2) return nullptr;
+  return [pool](std::size_t n, const std::function<void(std::size_t)>& fn) {
+    pool->ParallelFor(n, fn);
+  };
 }
 
 }  // namespace apqa::core

@@ -1,12 +1,14 @@
 // Fixed-size thread pool (paper §8.2: acceleration by parallelism).
 //
-// The SP's dominant query-time cost is the set of independent ABS.Relax
-// operations for inaccessible nodes; the pool runs the units of their one
-// multiply batch (core::RelaxNodes, crypto/ct_batch.h) over worker threads.
-// The DO uses the same pool to parallelize ADS signing, and the query
-// service (net/server.h) uses it as a bounded request queue: TrySubmit
-// rejects work once `max_queue` tasks are waiting, which is what lets the
-// server shed load instead of building an unbounded backlog.
+// The pool runs the multiplies of the signing stage (abs::SignBatch): the
+// SP's relaxations of a VO (core::RelaxNodes) and the DO's signatures of an
+// ADS build (GridTree::Build) queue in draw order on the calling thread,
+// and only the units of each multiply batch fan out, so pooled bytes equal
+// serial bytes. The user-side verifier fans its signature checks out over
+// it (core/parallel_verify.h), and the query service (net/server.h) uses
+// it as a bounded request queue: TrySubmit rejects work once `max_queue`
+// tasks are waiting, which is what lets the server shed load instead of
+// building an unbounded backlog.
 //
 // Lifecycle: Stop() drains every queued task, then joins the workers
 // (the destructor calls it). Submitting after Stop() is a defined error —
@@ -23,7 +25,6 @@
 #include <vector>
 
 #include "common/lock_rank.h"
-#include "crypto/rng.h"
 
 namespace apqa::core {
 
@@ -78,13 +79,11 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-// Runs fn(i, rng) for every i in [0, n). With a pool of two or more threads
-// and n > 1 it draws one seed per worker from `rng`, in worker order, and
-// the workers pull indices off a shared counter, each on its own stream.
-// Otherwise it runs in index order on `rng` itself, so fixed-seed output
-// does not depend on whether a pool exists.
-void ForEachSeeded(ThreadPool* pool, crypto::Rng* rng, std::size_t n,
-                   const std::function<void(std::size_t, crypto::Rng*)>& fn);
+// pool->ParallelFor as the fan-out of a signing stage (abs::SignBatch), or
+// none, so the stage runs on the calling thread, without a pool of two or
+// more threads.
+std::function<void(std::size_t, const std::function<void(std::size_t)>&)>
+FanOut(ThreadPool* pool);
 
 }  // namespace apqa::core
 

@@ -7,9 +7,9 @@
 // them on one group can run side by side in the eight 64-bit lanes of an
 // AVX-512 IFMA register with no secret-dependent control flow
 // (accel::G1CtLadderX8 / G1CtFixedBaseX8 and their G2 counterparts,
-// crypto/mont_accel.h). A caller queues every multiply of a signature, or
-// of a whole VO, into one CtMulBatch, runs it once, and then reads the
-// results by index.
+// crypto/mont_accel.h). The signing stage (abs::SignBatch) queues the
+// multiplies of up to 64 signatures into one CtMulBatch, runs it once, and
+// then reads the results by index.
 //
 // Run() cuts each group's jobs by one rule: ladders in queue order, then
 // each table's walks in queue order, tables in order of first use, in

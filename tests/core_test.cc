@@ -1555,5 +1555,41 @@ TEST(ParallelPathTest, PooledRelaxBytesMatchSerial) {
   EXPECT_GT(relaxed, 40u);
 }
 
+// The DO's signing stage queues every node in level order from its stream
+// and only the multiplies fan out, so a pooled ADS is the serial ADS byte
+// for byte, stamp included (the stamp is signed from the stream after the
+// build), and so is the update that follows it. More than one run of the
+// stage: the tree has 255 nodes.
+TEST(ParallelPathTest, PooledBuildAdsBytesMatchSerial) {
+  const Domain domain{/*dims=*/1, /*bits=*/7};
+  std::vector<Record> records;
+  const char* policies[] = {"RoleA", "RoleA & RoleB", "RoleB | RoleC",
+                            "(RoleA & RoleC) | RoleB"};
+  for (std::uint32_t k = 0; k < 128; k += 3) {
+    records.push_back(Rec(k, "v" + std::to_string(k), policies[k % 4]));
+  }
+  const std::vector<AdsUpdateOp> ops = {
+      {AdsUpdateOp::Kind::kUpsert, Rec(4, "new", "RoleC")},
+      {AdsUpdateOp::Kind::kDelete, Rec(9, "", "RoleA")},
+      {AdsUpdateOp::Kind::kUpsert, Rec(100, "w", "RoleA & RoleC")}};
+  auto build = [&](ThreadPool* pool) {
+    DataOwner owner(RoleSet{"RoleA", "RoleB", "RoleC"}, domain, 4242);
+    GridTree tree = owner.BuildAds(records, pool);
+    common::ByteWriter w;
+    tree.Serialize(&w);
+    owner.ApplyUpdates(&tree, ops).Serialize(&w);
+    tree.Serialize(&w);
+    return w.Take();
+  };
+  const std::vector<std::uint8_t> serial = build(nullptr);
+  EXPECT_EQ(build(nullptr), serial);
+  for (int threads : {1, 2, 4}) {
+    ThreadPool pool(threads);
+    for (int run = 0; run < 2; ++run) {
+      EXPECT_EQ(build(&pool), serial) << threads << " threads, run " << run;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace apqa::core
